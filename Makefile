@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench tables snapshot benchdiff pps profile trace timeline live-soak clean
+.PHONY: all build test race vet bench bench-smoke tables snapshot benchdiff pps profile trace timeline live-soak clean
 
 all: build vet test
 
@@ -20,7 +20,15 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# Regenerate every paper table/claim (E1-E17).
+# The repo benchmark (bench/, named by BENCHMARK.json) is a module of its
+# own, so `go build ./... && go test ./...` at the root never compiles it.
+# This vets it and runs its quick self-test (~6 s: every workload at smoke
+# size, the oracles, BENCHMARK.json's names) against the tree as it stands,
+# so an internal API change cannot break the harness unnoticed.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test .
+
+# Regenerate every paper table/claim (every experiment in the DESIGN.md index).
 tables:
 	$(GO) run ./cmd/benchtab
 

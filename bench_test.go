@@ -92,6 +92,14 @@ func BenchmarkSROLocalRead(b *testing.B) { experiments.MicroSROLocalRead(b) }
 // sharded across 3 engines, windowed drain included in the timed region.
 func BenchmarkShardedCounterAdd(b *testing.B) { experiments.MicroShardedCounterAdd(b) }
 
+// BenchmarkEngineDeepQueue measures a simulator event's schedule+pop with
+// ~1k far-future events pending (the trace-replay shape).
+func BenchmarkEngineDeepQueue(b *testing.B) { experiments.MicroEngineDeepQueue(b) }
+
+// BenchmarkEngineScheduleRun measures schedule+pop with 1024 events inside
+// 100 ns: the shape a timing wheel cannot help, which must not get slower.
+func BenchmarkEngineScheduleRun(b *testing.B) { experiments.MicroEngineScheduleRun(b) }
+
 // --- steady-state allocation budgets ---
 //
 // These tests pin the zero-allocation guarantees the pooled hot paths

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"swishmem/internal/chain"
 	"swishmem/internal/chain/ctrlplane"
@@ -43,23 +42,37 @@ func (c Consistency) String() string {
 }
 
 // Instance is the per-switch SwiShmem runtime: protocol nodes keyed by
-// register ID plus the message router.
+// register ID plus the message router. The tables are slices indexed by
+// register ID, grown when a register is declared: the router looks one up
+// for every protocol message, and register IDs are small and dense.
 type Instance struct {
 	sw     *pisa.Switch
-	chains map[uint16]chain.Replicator
-	ewos   map[uint16]*ewo.Node
-	cps    map[uint16]*ctrlplane.Node
+	chains []chain.Replicator
+	ewos   []*ewo.Node
+	cps    []*ctrlplane.Node
+}
+
+// at returns the node declared for reg, the zero T when there is none.
+func at[T any](nodes []T, reg uint16) (n T) {
+	if int(reg) < len(nodes) {
+		n = nodes[reg]
+	}
+	return n
+}
+
+// put declares n as reg's node, growing the table to hold it.
+func put[T any](nodes []T, reg uint16, n T) []T {
+	if grow := int(reg) + 1 - len(nodes); grow > 0 {
+		nodes = append(nodes, make([]T, grow)...)
+	}
+	nodes[reg] = n
+	return nodes
 }
 
 // NewInstance creates the runtime and installs itself as the switch's
 // protocol message handler (data and control plane).
 func NewInstance(sw *pisa.Switch) *Instance {
-	in := &Instance{
-		sw:     sw,
-		chains: make(map[uint16]chain.Replicator),
-		ewos:   make(map[uint16]*ewo.Node),
-		cps:    make(map[uint16]*ctrlplane.Node),
-	}
+	in := &Instance{sw: sw}
 	sw.SetMsgHandler(func(s *pisa.Switch, from netem.Addr, msg wire.Msg) {
 		in.route(from, msg)
 	})
@@ -76,31 +89,31 @@ func (in *Instance) Switch() *pisa.Switch { return in.sw }
 func (in *Instance) route(from netem.Addr, msg wire.Msg) {
 	switch m := msg.(type) {
 	case *wire.Write:
-		if n, ok := in.chains[m.Reg]; ok {
+		if n := at(in.chains, m.Reg); n != nil {
 			n.Handle(from, m)
 		}
 	case *wire.WriteAck:
-		if n, ok := in.chains[m.Reg]; ok {
+		if n := at(in.chains, m.Reg); n != nil {
 			n.Handle(from, m)
 		}
 	case *wire.ReadFwd:
-		if n, ok := in.chains[m.Reg]; ok {
+		if n := at(in.chains, m.Reg); n != nil {
 			n.Handle(from, m)
 		}
 	case *wire.ReadReply:
-		if n, ok := in.chains[m.Reg]; ok {
+		if n := at(in.chains, m.Reg); n != nil {
 			n.Handle(from, m)
 		}
 	case *wire.ChainNack:
-		if n, ok := in.chains[m.Reg]; ok {
+		if n := at(in.chains, m.Reg); n != nil {
 			n.Handle(from, m)
 		}
 	case *wire.ChainCursor:
-		if n, ok := in.chains[m.Reg]; ok {
+		if n := at(in.chains, m.Reg); n != nil {
 			n.Handle(from, m)
 		}
 	case *wire.EWOUpdate:
-		if n, ok := in.ewos[m.Reg]; ok {
+		if n := at(in.ewos, m.Reg); n != nil {
 			n.Handle(from, m)
 			return
 		}
@@ -108,7 +121,7 @@ func (in *Instance) route(from netem.Addr, msg wire.Msg) {
 		// co-processor. The callback outlives this handler, so hold a
 		// reference: pooled cross-shard clones are recycled once the
 		// data-plane dispatch releases them.
-		if n, ok := in.cps[m.Reg]; ok {
+		if n := at(in.cps, m.Reg); n != nil {
 			m.Ref()
 			in.sw.CtrlDo(func() {
 				n.HandleCtrl(from, m)
@@ -128,7 +141,7 @@ func (in *Instance) route(from netem.Addr, msg wire.Msg) {
 // routeCtrl dispatches messages that arrived directly at the control plane.
 func (in *Instance) routeCtrl(from netem.Addr, msg wire.Msg) {
 	if m, ok := msg.(*wire.EWOUpdate); ok {
-		if n, ok := in.cps[m.Reg]; ok {
+		if n := at(in.cps, m.Reg); n != nil {
 			n.HandleCtrl(from, m)
 			return
 		}
@@ -153,14 +166,14 @@ func (in *Instance) NewStrongRegister(cons Consistency, cfg chain.Config) (*Stro
 	default:
 		return nil, fmt.Errorf("core: %v is not a chain-replicated class", cons)
 	}
-	if _, dup := in.chains[cfg.Reg]; dup {
+	if at(in.chains, cfg.Reg) != nil {
 		return nil, fmt.Errorf("core: register %d already declared", cfg.Reg)
 	}
 	n, err := chain.New(in.sw, cfg)
 	if err != nil {
 		return nil, err
 	}
-	in.chains[cfg.Reg] = n
+	in.chains = put(in.chains, cfg.Reg, n)
 	return &StrongRegister{node: n}, nil
 }
 
@@ -188,14 +201,14 @@ type EventualRegister struct {
 // NewEventualRegister declares an EWO last-writer-wins register.
 func (in *Instance) NewEventualRegister(cfg ewo.Config) (*EventualRegister, error) {
 	cfg.Kind = ewo.LWW
-	if _, dup := in.ewos[cfg.Reg]; dup {
+	if at(in.ewos, cfg.Reg) != nil {
 		return nil, fmt.Errorf("core: register %d already declared", cfg.Reg)
 	}
 	n, err := ewo.NewNode(in.sw, cfg)
 	if err != nil {
 		return nil, err
 	}
-	in.ewos[cfg.Reg] = n
+	in.ewos = put(in.ewos, cfg.Reg, n)
 	return &EventualRegister{node: n}, nil
 }
 
@@ -222,14 +235,14 @@ func (in *Instance) NewCounterRegister(cfg ewo.Config) (*CounterRegister, error)
 	if cfg.Kind == ewo.LWW {
 		cfg.Kind = ewo.Counter
 	}
-	if _, dup := in.ewos[cfg.Reg]; dup {
+	if at(in.ewos, cfg.Reg) != nil {
 		return nil, fmt.Errorf("core: register %d already declared", cfg.Reg)
 	}
 	n, err := ewo.NewNode(in.sw, cfg)
 	if err != nil {
 		return nil, err
 	}
-	in.ewos[cfg.Reg] = n
+	in.ewos = put(in.ewos, cfg.Reg, n)
 	return &CounterRegister{node: n}, nil
 }
 
@@ -256,14 +269,14 @@ type BaselineCounter struct {
 // NewBaselineCounter declares a control-plane-replicated counter (baseline
 // for experiments; not part of the SwiShmem design).
 func (in *Instance) NewBaselineCounter(cfg ctrlplane.Config) (*BaselineCounter, error) {
-	if _, dup := in.cps[cfg.Reg]; dup {
+	if at(in.cps, cfg.Reg) != nil {
 		return nil, fmt.Errorf("core: register %d already declared", cfg.Reg)
 	}
 	n, err := ctrlplane.NewNode(in.sw, cfg)
 	if err != nil {
 		return nil, err
 	}
-	in.cps[cfg.Reg] = n
+	in.cps = put(in.cps, cfg.Reg, n)
 	return &BaselineCounter{node: n}, nil
 }
 
@@ -285,32 +298,27 @@ func (in *Instance) MemoryTotal() int { return in.sw.MemoryUsed() }
 // EachChain visits every declared chain register node in ascending register
 // order (deterministic for metrics registration and dumps).
 func (in *Instance) EachChain(fn func(reg uint16, n chain.Replicator)) {
-	for _, reg := range sortedRegs(in.chains) {
-		fn(reg, in.chains[reg])
+	for reg, n := range in.chains {
+		if n != nil {
+			fn(uint16(reg), n)
+		}
 	}
 }
 
 // EachEWO visits every declared EWO register node in ascending register
 // order.
 func (in *Instance) EachEWO(fn func(reg uint16, n *ewo.Node)) {
-	for _, reg := range sortedRegs(in.ewos) {
-		fn(reg, in.ewos[reg])
+	for reg, n := range in.ewos {
+		if n != nil {
+			fn(uint16(reg), n)
+		}
 	}
-}
-
-func sortedRegs[V any](m map[uint16]V) []uint16 {
-	regs := make([]uint16, 0, len(m))
-	for reg := range m {
-		regs = append(regs, reg)
-	}
-	slices.Sort(regs)
-	return regs
 }
 
 // StrongHandle returns a handle for an already-declared chain register.
 func (in *Instance) StrongHandle(reg uint16) (*StrongRegister, error) {
-	n, ok := in.chains[reg]
-	if !ok {
+	n := at(in.chains, reg)
+	if n == nil {
 		return nil, fmt.Errorf("core: chain register %d not declared", reg)
 	}
 	return &StrongRegister{node: n}, nil
@@ -318,8 +326,8 @@ func (in *Instance) StrongHandle(reg uint16) (*StrongRegister, error) {
 
 // CounterHandle returns a handle for an already-declared EWO counter.
 func (in *Instance) CounterHandle(reg uint16) (*CounterRegister, error) {
-	n, ok := in.ewos[reg]
-	if !ok {
+	n := at(in.ewos, reg)
+	if n == nil {
 		return nil, fmt.Errorf("core: ewo register %d not declared", reg)
 	}
 	if n.Config().Kind == ewo.LWW {
@@ -330,8 +338,8 @@ func (in *Instance) CounterHandle(reg uint16) (*CounterRegister, error) {
 
 // EventualHandle returns a handle for an already-declared EWO LWW register.
 func (in *Instance) EventualHandle(reg uint16) (*EventualRegister, error) {
-	n, ok := in.ewos[reg]
-	if !ok {
+	n := at(in.ewos, reg)
+	if n == nil {
 		return nil, fmt.Errorf("core: ewo register %d not declared", reg)
 	}
 	if n.Config().Kind != ewo.LWW {

@@ -52,14 +52,12 @@ func newRig(t testing.TB, seed int64, n int) *rig {
 	cc := wire.ChainConfig{Epoch: 1, Members: members}
 	gc := wire.GroupConfig{Epoch: 1, Members: members}
 	for _, in := range r.ins {
-		for _, cn := range in.chains {
-			cn.SetChain(cc)
-		}
-		for _, en := range in.ewos {
+		in.EachChain(func(_ uint16, cn chain.Replicator) { cn.SetChain(cc) })
+		in.EachEWO(func(_ uint16, en *ewo.Node) {
 			if err := en.SetGroup(gc); err != nil {
 				t.Fatal(err)
 			}
-		}
+		})
 	}
 	return r
 }
@@ -130,16 +128,16 @@ func TestConfigBroadcastViaWire(t *testing.T) {
 	in := r.ins[0]
 	in.route(99, &wire.ChainConfig{Epoch: 9, Members: []uint16{1, 2}})
 	in.route(99, &wire.GroupConfig{Epoch: 9, Members: []uint16{1}})
-	for _, cn := range in.chains {
+	in.EachChain(func(_ uint16, cn chain.Replicator) {
 		if cn.Chain().Epoch != 9 {
 			t.Fatal("chain config not applied")
 		}
-	}
-	for _, en := range in.ewos {
+	})
+	in.EachEWO(func(_ uint16, en *ewo.Node) {
 		if len(en.Group()) != 1 {
 			t.Fatal("group config not applied")
 		}
-	}
+	})
 }
 
 func TestUnknownRegisterMessagesIgnored(t *testing.T) {
@@ -267,9 +265,9 @@ func TestRouteCtrlFallsBackToDataHandlers(t *testing.T) {
 	// Control-plane-delivered chain messages still reach chain nodes.
 	r := newRig(t, 1, 2)
 	r.ins[0].routeCtrl(2, &wire.ChainConfig{Epoch: 9, Members: []uint16{1, 2}})
-	for _, cn := range r.ins[0].chains {
+	r.ins[0].EachChain(func(_ uint16, cn chain.Replicator) {
 		if cn.Chain().Epoch != 9 {
 			t.Fatal("ctrl-delivered chain config not applied")
 		}
-	}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"swishmem"
+	"swishmem/internal/sim"
 )
 
 // Micro is a hot-path microbenchmark shared by the repo-root bench_test.go
@@ -26,7 +27,85 @@ func Micros() []Micro {
 		{"EWOCounterAdd", "EWO fast path: local counter apply + multicast enqueue", MicroEWOCounterAdd},
 		{"SROLocalRead", "SRO clean-key local read", MicroSROLocalRead},
 		{"ShardedCounterAdd", "EWO counter add + windowed parallel drain on a 3-shard group", MicroShardedCounterAdd},
+		{"EngineDeepQueue", "sim event schedule+pop at +400 ns / +10 us with ~1k far-future events pending", MicroEngineDeepQueue},
+		{"EngineScheduleRun", "sim event schedule+pop, 1024 events inside 100 ns (one wheel bucket)", MicroEngineScheduleRun},
 	}
+}
+
+// MicroEngineDeepQueue measures one event's schedule and pop on an engine
+// whose pending set has the shape of a trace replay (sim-ddos-8sw in the repo
+// benchmark): ~1k events pre-scheduled up to 10 ms ahead, and ~50 in flight
+// that re-arm themselves at the two constant delays of the models, a 400 ns
+// pipeline stage (local events) and a 10 us link (keyed deliveries), about
+// half the pushes each. An op is one in-flight event; the far events re-arm
+// 10 ms out as they fire (0.2 % of the events run) so the depth holds.
+func MicroEngineDeepQueue(b *testing.B) {
+	const (
+		farEvents = 1024
+		farSpan   = 10 * time.Millisecond
+		stage     = 400 * time.Nanosecond
+		link      = 10 * time.Microsecond
+	)
+	eng := sim.NewEngine(1)
+	left := 0
+	var far, local, deliver func()
+	far = func() { eng.ScheduleAfter(farSpan, far) }
+	local = func() {
+		if left > 0 {
+			left--
+			eng.ScheduleAfter(stage, local)
+		}
+	}
+	var klo uint64
+	deliver = func() {
+		if left > 0 {
+			left--
+			klo++
+			eng.ScheduleKeyed(eng.Now().Add(link), sim.KeyClassDeliver|1, klo, deliver)
+		}
+	}
+	for i := 1; i <= farEvents; i++ {
+		eng.ScheduleAfter(farSpan*sim.Duration(i)/farEvents, far)
+	}
+	// Two local chains keep 2 events inside the next 400 ns; 48 delivery
+	// chains spread over the link delay push as often as the two together.
+	arm := func() {
+		for i := 0; i < 2; i++ {
+			eng.ScheduleAfter(stage*sim.Duration(i+1)/2, local)
+		}
+		for i := 0; i < 48; i++ {
+			eng.ScheduleAfter(link*sim.Duration(i+1)/48, deliver)
+		}
+	}
+	left = 1 << 16
+	arm()
+	for left > 0 {
+		eng.RunFor(link)
+	}
+	eng.RunFor(2 * link) // let the warm-up chains end
+	b.ReportAllocs()
+	b.ResetTimer()
+	left = b.N
+	arm()
+	for left > 0 {
+		eng.RunFor(link)
+	}
+}
+
+// MicroEngineScheduleRun is the degenerate shape for a timing wheel: 1024
+// events inside 100 ns, so everything shares one bucket or two and the
+// bottom-tier heap does all the ordering. It must stay level with a plain
+// heap. Same body as BenchmarkEngineScheduleRun in internal/sim.
+func MicroEngineScheduleRun(b *testing.B) {
+	e := sim.NewEngine(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.After(sim.Duration(i%100)+1, func() {})
+		if i%1024 == 1023 {
+			e.Run()
+		}
+	}
+	e.Run()
 }
 
 // MicroSROWriteCommit measures the replicated write path on a 3-switch

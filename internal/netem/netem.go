@@ -257,6 +257,33 @@ type endpoint struct {
 	up      bool
 }
 
+// addrTable maps every Addr to a T (the zero T when unset) in two array
+// loads: the per-message path looks up both ends of every send and every
+// delivery, and a map[Addr] pays a generic hash for each (Go has no fast
+// path for 16-bit keys). Pages of 256 entries hang off a directory indexed
+// by the address's high byte and are allocated on first set: switch
+// addresses are small and the controller sits at 0xfffe, so a network
+// touches two pages where a flat slice would hold 64 K entries.
+type addrTable[T any] struct {
+	pages [256]*[256]T
+}
+
+func (t *addrTable[T]) get(a Addr) (v T) {
+	if p := t.pages[a>>8]; p != nil {
+		v = p[a&0xff]
+	}
+	return v
+}
+
+func (t *addrTable[T]) set(a Addr, v T) {
+	p := t.pages[a>>8]
+	if p == nil {
+		p = new([256]T)
+		t.pages[a>>8] = p
+	}
+	p[a&0xff] = v
+}
+
 // crossMsg is one cross-shard delivery parked in a sender-shard outbox
 // until the next window barrier.
 type crossMsg struct {
@@ -275,9 +302,13 @@ type Network struct {
 	shardOf        func(Addr) int
 	seed           int64
 	defaultProfile LinkProfile
-	nodes          map[Addr]*endpoint
+	nodes          addrTable[*endpoint] // nil when not attached
 	links          map[[2]Addr]*link
-	partition      map[Addr]int // group id; different nonzero groups can't talk
+	// partition holds each node's group id; different nonzero groups can't
+	// talk. split is false while every node is in group 0, which lets the
+	// per-message check return without a lookup.
+	partition addrTable[int]
+	split     bool
 	// totals are per executing shard (one row in sequential mode); Totals
 	// sums them so no row is ever written from two goroutines.
 	totals []LinkStats
@@ -406,8 +437,8 @@ func (d *delivery) deliver() {
 	n.dfree[d.shard] = append(n.dfree[d.shard], d)
 
 	eng := n.engines[d.shard]
-	dst, ok := n.nodes[to]
-	if !ok || !dst.up || n.partitioned(from, to) {
+	dst := n.nodes.get(to)
+	if dst == nil || !dst.up || n.partitioned(from, to) {
 		l.recv.MsgsDropped++
 		n.totals[d.shard].MsgsDropped++
 		if tr := eng.Tracer(); tr.Enabled() {
@@ -491,8 +522,8 @@ func (b *burst) deliver() {
 		// Re-check the destination per member: a handler may take the node
 		// down mid-burst, and the remaining members must drop exactly as
 		// their individual delivery events would have.
-		dst, ok := n.nodes[to]
-		if !ok || !dst.up || n.partitioned(from, to) {
+		dst := n.nodes.get(to)
+		if dst == nil || !dst.up || n.partitioned(from, to) {
 			l.recv.MsgsDropped++
 			n.totals[shard].MsgsDropped++
 			if tr := eng.Tracer(); tr.Enabled() {
@@ -523,9 +554,7 @@ func New(eng *sim.Engine, defaultProfile LinkProfile) *Network {
 		engines:        []*sim.Engine{eng},
 		seed:           eng.Seed(),
 		defaultProfile: defaultProfile,
-		nodes:          make(map[Addr]*endpoint),
 		links:          make(map[[2]Addr]*link),
-		partition:      make(map[Addr]int),
 		coalesce:       true,
 		totals:         make([]LinkStats, 1),
 		dfree:          make([][]*delivery, 1),
@@ -551,9 +580,7 @@ func NewSharded(g *sim.Group, defaultProfile LinkProfile, shardOf func(Addr) int
 		shardOf:        shardOf,
 		seed:           engines[0].Seed(),
 		defaultProfile: defaultProfile,
-		nodes:          make(map[Addr]*endpoint),
 		links:          make(map[[2]Addr]*link),
-		partition:      make(map[Addr]int),
 		coalesce:       true,
 		totals:         make([]LinkStats, len(engines)),
 		dfree:          make([][]*delivery, len(engines)),
@@ -600,33 +627,39 @@ func (n *Network) engineFor(a Addr) *sim.Engine { return n.engines[n.shardIdx(a)
 // links between addr and every other known node, so the hot send path never
 // inserts into the links map concurrently.
 func (n *Network) Attach(addr Addr, h Handler) {
-	n.nodes[addr] = &endpoint{handler: h, up: true}
+	n.nodes.set(addr, &endpoint{handler: h, up: true})
 	if n.group != nil {
-		for other := range n.nodes {
-			if other == addr {
+		for hi, page := range n.nodes.pages {
+			if page == nil {
 				continue
 			}
-			n.linkFor(addr, other)
-			n.linkFor(other, addr)
+			for lo, ep := range page {
+				other := Addr(hi<<8 | lo)
+				if ep == nil || other == addr {
+					continue
+				}
+				n.linkFor(addr, other)
+				n.linkFor(other, addr)
+			}
 		}
 	}
 }
 
 // Detach removes a node entirely. Its links remain materialized.
-func (n *Network) Detach(addr Addr) { delete(n.nodes, addr) }
+func (n *Network) Detach(addr Addr) { n.nodes.set(addr, nil) }
 
 // SetNodeUp marks a node up or down. A down node neither sends nor receives —
 // this is the fail-stop switch failure model of §6.3.
 func (n *Network) SetNodeUp(addr Addr, up bool) {
-	if ep, ok := n.nodes[addr]; ok {
+	if ep := n.nodes.get(addr); ep != nil {
 		ep.up = up
 	}
 }
 
 // NodeUp reports whether addr is attached and up.
 func (n *Network) NodeUp(addr Addr) bool {
-	ep, ok := n.nodes[addr]
-	return ok && ep.up
+	ep := n.nodes.get(addr)
+	return ep != nil && ep.up
 }
 
 // SetLink configures both directions between a and b with profile.
@@ -718,15 +751,19 @@ func (n *Network) MinCrossShardLatency() sim.Duration {
 // groups cannot exchange messages; group 0 (the default) talks to everyone.
 func (n *Network) Partition(group int, addrs ...Addr) {
 	for _, a := range addrs {
-		n.partition[a] = group
+		n.partition.set(a, group)
 	}
+	n.split = n.split || group != 0
 }
 
 // HealPartition returns all nodes to group 0.
-func (n *Network) HealPartition() { n.partition = make(map[Addr]int) }
+func (n *Network) HealPartition() { n.partition, n.split = addrTable[int]{}, false }
 
 func (n *Network) partitioned(a, b Addr) bool {
-	ga, gb := n.partition[a], n.partition[b]
+	if !n.split {
+		return false
+	}
+	ga, gb := n.partition.get(a), n.partition.get(b)
 	return ga != 0 && gb != 0 && ga != gb
 }
 
@@ -738,8 +775,8 @@ func (n *Network) Send(from, to Addr, payload any, size int) bool {
 	if size < 0 {
 		panic(fmt.Sprintf("netem: negative size %d", size))
 	}
-	src, ok := n.nodes[from]
-	if !ok || !src.up {
+	src := n.nodes.get(from)
+	if src == nil || !src.up {
 		return false
 	}
 	l := n.sendLink(from, to)

@@ -58,6 +58,35 @@ func TestBatchStopMidBatch(t *testing.T) {
 	}
 }
 
+// TestRunUntilStopKeepsClock: a RunUntil that Stop ends early, with events
+// before the deadline still queued, must leave the clock on the last event it
+// ran. Jumping to the deadline made the next run step the clock backwards and
+// made a schedule in between — legal against the queued work — panic "before
+// now".
+func TestRunUntilStopKeepsClock(t *testing.T) {
+	eng := NewEngine(1)
+	var got []Time
+	rec := func() { got = append(got, eng.Now()) }
+	eng.Schedule(10, func() { rec(); eng.Stop() })
+	eng.Schedule(20, rec)
+	if n := eng.RunUntil(100); n != 1 || eng.Now() != 10 {
+		t.Fatalf("stopped run: processed %d, clock %v; want 1 event and clock 10", n, eng.Now())
+	}
+	eng.Schedule(15, rec)
+	if n := eng.RunUntil(100); n != 2 || eng.Now() != 100 {
+		t.Fatalf("resumed run: processed %d, clock %v; want 2 events and clock 100", n, eng.Now())
+	}
+	if want := []Time{10, 15, 20}; len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("events ran at %v, want %v", got, want)
+	}
+	// Stopped with nothing left before the deadline: the clock does reach it.
+	eng.Schedule(110, func() { eng.Stop() })
+	eng.Schedule(300, rec)
+	if eng.RunUntil(200); eng.Now() != 200 {
+		t.Fatalf("clock %v after a stop with nothing due, want 200", eng.Now())
+	}
+}
+
 // TestBatchProcessedCount: the per-batch counter fold must equal one per
 // dispatched event across mixed timestamps.
 func TestBatchProcessedCount(t *testing.T) {

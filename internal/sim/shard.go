@@ -140,8 +140,8 @@ func (g *Group) barrier() {
 func (g *Group) minNext() Time {
 	t := Time(math.MaxInt64)
 	for _, e := range g.engines {
-		if len(e.queue) > 0 && e.queue[0].at < t {
-			t = e.queue[0].at
+		if at, ok := e.queue.nextAt(); ok && at < t {
+			t = at
 		}
 	}
 	return t
@@ -153,7 +153,7 @@ func (g *Group) minNext() Time {
 func (g *Group) window(w Time) {
 	g.active = g.active[:0]
 	for i, e := range g.engines {
-		if len(e.queue) > 0 && e.queue[0].at < w {
+		if at, ok := e.queue.nextAt(); ok && at < w {
 			g.active = append(g.active, i)
 		}
 	}
@@ -190,9 +190,7 @@ func (g *Group) RunUntil(deadline Time) {
 	}
 	g.barrier()
 	for _, e := range g.engines {
-		if e.now < deadline {
-			e.now = deadline
-		}
+		e.advanceTo(deadline)
 	}
 }
 
@@ -222,7 +220,7 @@ func (g *Group) Run() {
 		}
 	}
 	for _, e := range g.engines {
-		e.now = last
+		e.advanceTo(last)
 	}
 }
 
@@ -240,7 +238,7 @@ func (g *Group) Processed() uint64 {
 func (g *Group) Pending() int {
 	n := 0
 	for _, e := range g.engines {
-		n += len(e.queue) + len(e.posts)
+		n += e.queue.n + len(e.posts)
 	}
 	return n
 }
@@ -262,7 +260,7 @@ func (g *Group) Close() {
 // Same-timestamp runs go through runBatch, so the batching amortizations
 // apply per shard too.
 func (e *Engine) runWindow(end Time) {
-	for len(e.queue) > 0 && e.queue[0].at < end {
+	for e.queue.settle(end - 1) {
 		e.runBatch()
 	}
 }

@@ -1,9 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // All SwiShmem experiments run on virtual time: the engine maintains a
-// priority queue of timestamped events and a virtual clock that jumps from
-// event to event. This makes it possible to model quantities that cannot be
-// reproduced in wall-clock time on a development machine (terabit links,
+// pending set of timestamped events (queue.go) and a virtual clock that jumps
+// from event to event. This makes it possible to model quantities that cannot
+// be reproduced in wall-clock time on a development machine (terabit links,
 // nanosecond-scale switch pipelines) while keeping every run exactly
 // reproducible from a seed.
 //
@@ -56,14 +56,20 @@ type event struct {
 	khi uint64 // ordering class+source; 0 for locally scheduled events
 	klo uint64 // per-source sequence; engine seq for local events
 	fn  func()
-	idx int    // heap index, -1 when not queued
 	gen uint64 // incremented every time the event returns to the pool
 	eng *Engine
+	// Where the event sits in the pending set (queue.go): its heap index in
+	// the bottom and far tiers, its list neighbours in the wheel. All four
+	// are meaningful only while the event is queued, and are overwritten
+	// when it is queued again.
+	idx        int
+	next, prev *event
+	tier       tier
 }
 
 // eventLess is the total event order: timestamp, then key class+source,
 // then per-source sequence. Keys are unique within an engine, so the order
-// is strict and heap insertion order never matters.
+// is strict and insertion order never matters.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -96,7 +102,7 @@ func (t *Timer) Stop() bool {
 		rec := tr.Emit(obs.PhaseInstant, int64(eng.now), 0, obs.PidSim, "sim", "timer.cancel")
 		rec.K1, rec.V1 = "deadline_ns", int64(ev.at)
 	}
-	eng.queue.removeAt(ev.idx)
+	eng.queue.remove(ev)
 	eng.release(ev)
 	return true
 }
@@ -104,110 +110,10 @@ func (t *Timer) Stop() bool {
 // Pending reports whether the timer has not yet fired or been stopped.
 func (t *Timer) Pending() bool { return t.live() }
 
-// eventQueue is an inlined 4-ary min-heap specialized to *event: no
-// heap.Interface boxing, no virtual Less/Swap calls, and a branching factor
-// of 4 halves the tree depth versus the binary container/heap (better for
-// the pop-heavy access pattern of a drain loop — pops dominate and each
-// level costs one cache line of child pointers).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-// up sifts the event at index i toward the root.
-func (q eventQueue) up(i int) {
-	ev := q[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !eventLess(ev, q[p]) {
-			break
-		}
-		q[i] = q[p]
-		q[i].idx = i
-		i = p
-	}
-	q[i] = ev
-	ev.idx = i
-}
-
-// down sifts the event at index i toward the leaves. It reports whether the
-// event moved.
-func (q eventQueue) down(i int) bool {
-	ev := q[i]
-	n := len(q)
-	start := i
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for k := c + 1; k < end; k++ {
-			if eventLess(q[k], q[m]) {
-				m = k
-			}
-		}
-		if !eventLess(q[m], ev) {
-			break
-		}
-		q[i] = q[m]
-		q[i].idx = i
-		i = m
-	}
-	q[i] = ev
-	ev.idx = i
-	return i != start
-}
-
-// push inserts ev into the heap.
-func (q *eventQueue) push(ev *event) {
-	ev.idx = len(*q)
-	*q = append(*q, ev)
-	q.up(ev.idx)
-}
-
-// pop removes and returns the minimum event.
-func (q *eventQueue) pop() *event {
-	old := *q
-	n := len(old)
-	top := old[0]
-	last := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	if n > 1 {
-		old[0] = last
-		last.idx = 0
-		(*q).down(0)
-	}
-	top.idx = -1
-	return top
-}
-
-// removeAt deletes the event at heap index i (Timer.Stop's eager removal).
-func (q *eventQueue) removeAt(i int) {
-	old := *q
-	n := len(old)
-	ev := old[i]
-	last := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	if i < n-1 {
-		old[i] = last
-		last.idx = i
-		if !(*q).down(i) {
-			(*q).up(i)
-		}
-	}
-	ev.idx = -1
-}
-
 // Engine is a discrete-event simulator.
 type Engine struct {
 	now     Time
-	queue   eventQueue
+	queue   pendingSet
 	seq     uint64
 	rng     *rand.Rand
 	seed    int64
@@ -401,7 +307,7 @@ func (tk *Ticker) Stop() {
 // Cancelled timers are removed from the queue eagerly, so every queued event
 // is live.
 func (e *Engine) Step() bool {
-	if e.queue.Len() == 0 {
+	if !e.queue.settle(maxTime) {
 		return false
 	}
 	ev := e.queue.pop()
@@ -427,16 +333,20 @@ func (e *Engine) Step() bool {
 // loop stays incremental — pop, run, re-examine the heap top — because a
 // callback may schedule new events at the current timestamp (local khi==0
 // events sort before queued keyed ones) and the heap comparator is the only
-// correct merge order. The caller guarantees the queue is non-empty and the
-// head timestamp satisfies its bound; every event at one timestamp satisfies
-// the same bound, so bounds are re-checked only between batches.
+// correct merge order. The caller has settled the queue against its bound:
+// the bottom tier's head is due. Every event at one timestamp satisfies the
+// same bound, so bounds are re-checked only between batches — and every
+// event at the head's timestamp, queued now or by a callback, is in the
+// bottom tier (its tick is not past the clock's), so the run ends at the
+// first different head without consulting the wheel.
 func (e *Engine) runBatch() {
-	t := e.queue[0].at
+	q := &e.queue
+	t := q.bottom[0].at
 	e.now = t
 	tr := e.tracer
 	n := uint64(0)
 	for {
-		ev := e.queue.pop()
+		ev := q.pop()
 		fn := ev.fn
 		if tr.Enabled() {
 			// No per-event key in the record (see Step).
@@ -446,7 +356,7 @@ func (e *Engine) runBatch() {
 		e.release(ev)
 		fn()
 		n++
-		if e.stopped || len(e.queue) == 0 || e.queue[0].at != t {
+		if e.stopped || len(q.bottom) == 0 || q.bottom[0].at != t {
 			break
 		}
 	}
@@ -458,24 +368,36 @@ func (e *Engine) runBatch() {
 func (e *Engine) Run() uint64 {
 	e.stopped = false
 	start := e.processed
-	for !e.stopped && len(e.queue) > 0 {
+	for !e.stopped && e.queue.settle(maxTime) {
 		e.runBatch()
 	}
 	return e.processed - start
 }
 
 // RunUntil processes events with timestamps <= deadline, advancing the clock
-// to exactly deadline at the end (even if the queue drained early).
+// to exactly deadline at the end (even if the queue drained early). When
+// Stop ended the run with such events still queued the clock stays on the
+// last event run: moving it past them would make the next Run step it back.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	e.stopped = false
 	start := e.processed
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
+	due := e.queue.settle(deadline)
+	for due && !e.stopped {
 		e.runBatch()
+		due = e.queue.settle(deadline)
 	}
-	if e.now < deadline {
-		e.now = deadline
+	if !due {
+		e.advanceTo(deadline)
 	}
 	return e.processed - start
+}
+
+// advanceTo moves the clock forward to t with nothing pending before t.
+func (e *Engine) advanceTo(t Time) {
+	if e.now < t {
+		e.now = t
+		e.queue.catchUp(t)
+	}
 }
 
 // RunFor advances the simulation by d of virtual time.
@@ -486,17 +408,12 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of scheduled events. Cancelled timers are
 // removed immediately, so every queued event counts.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.queue.n }
 
 // NextAt returns the virtual time of the earliest scheduled event. ok is
 // false when the queue is empty. Wall-clock drivers (the live fabric pump)
 // use it to sleep exactly until the next timer instead of polling.
-func (e *Engine) NextAt() (Time, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
-}
+func (e *Engine) NextAt() (Time, bool) { return e.queue.nextAt() }
 
 // Processed returns the total number of events executed so far. The count is
 // defined over logical dispatches: a batched dispatcher that runs k coalesced

@@ -251,8 +251,8 @@ func TestMassCancellationShrinksQueue(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("Pending after mass cancellation = %d, want 0", e.Pending())
 	}
-	if len(e.queue) != 0 {
-		t.Fatalf("heap still holds %d dead events", len(e.queue))
+	if q := &e.queue; len(q.bottom)+len(q.far) != 0 || q.sum != 0 {
+		t.Fatalf("queue still holds dead events: bottom %d, far %d, wheel words %b", len(q.bottom), len(q.far), q.sum)
 	}
 	// Survivors still run correctly among cancellations.
 	fired := 0
