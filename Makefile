@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-smoke tables snapshot benchdiff pps profile trace timeline live-soak clean
+.PHONY: all build test race vet bench bench-smoke tables snapshot benchdiff pps loc profile trace timeline live-soak clean
 
 all: build vet test
 
@@ -40,19 +40,28 @@ snapshot:
 # Regression guard: regenerate a snapshot (schema 5) and diff it against the
 # newest committed BENCH_N.json. Fails on >10% ns/op regressions, any new
 # hot-path allocation, (on hosts with >= 4 cpus) a sub-1.8x parallel speedup
-# or a sharded pump (multicore decode / egress workers) falling behind the
-# single pump, a >10% packets/sec drop on any macro shared with the baseline,
-# or allocs/datagram growth on macros that carry the meta in both snapshots.
+# or the egress-worker pump falling behind the single pump, a >10%
+# packets/sec drop on any macro in the baseline (a baseline macro missing
+# from the new snapshot fails too, so the baseline moves with a deleted
+# macro), or allocs/datagram growth on macros that carry the meta in both.
 BENCH_BASE ?= $(lastword $(sort $(wildcard BENCH_[0-9]*.json)))
 benchdiff:
 	$(GO) run ./cmd/benchtab -pps -json BENCH_new.json > /dev/null
 	$(GO) run ./cmd/benchdiff -base $(BENCH_BASE) -new BENCH_new.json
 
 # Packets/sec headline: the E17 throughput table plus the sim/live macro
-# rates (sim hot path at burst 64; live UDP pump single-core, multicore
-# decode, and sharded egress — each live row also reports allocs/datagram).
+# rates (sim hot path at burst 64; live UDP pump with the sender's egress
+# inline and on two workers — each live row also reports allocs/datagram).
 pps:
 	$(GO) run ./cmd/benchtab -pps -e E17
+
+# Non-test Go lines: the two live-path packages ROADMAP aim 2 is judged on,
+# and the module without the benchmark harness.
+loc:
+	@printf 'internal/wire + internal/netem/live  %s\n' \
+		"$$(cat $$(ls internal/wire/*.go internal/netem/live/*.go | grep -v _test.go) | wc -l)"
+	@printf 'module excluding bench/              %s\n' \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
 
 # CPU/heap/mutex profiles of the experiment batch (sharded; override with
 # SHARDS=0 for the sequential profile). Inspect with `go tool pprof`.

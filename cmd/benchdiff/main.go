@@ -23,9 +23,8 @@
 //     there.
 //  5. Every -pps macro present in both snapshots must keep at least
 //     (1 - -ppstolerance) of its baseline packets/sec, and on cpus >= 4
-//     both sharded live pumps — multicore decode and sharded egress — must
-//     hold -minppsscale of the single-pump rate (self-disabling on smaller
-//     hosts, mirroring check 4).
+//     the egress-worker pump must hold -minppsscale of the single-pump rate
+//     (self-disabling on smaller hosts, mirroring check 4).
 //  6. A macro carrying allocs_per_datagram meta in both snapshots must not
 //     grow it by more than 0.5: the batched receive path decodes into
 //     pooled view sets and is zero-alloc by design.
@@ -147,7 +146,7 @@ func main() {
 		tolerance  = flag.Float64("tolerance", 0.10, "allowed fractional ns/op regression per microbenchmark")
 		minSpeedup = flag.Float64("minspeedup", 1.8, "required parallel speedup at 4 shards (checked only when cpus >= 4)")
 		ppsTol     = flag.Float64("ppstolerance", 0.10, "allowed fractional packets/sec drop per -pps macro")
-		minPPS     = flag.Float64("minppsscale", 0.9, "required multicore/single pps ratio for the sharded pump (checked only when cpus >= 4)")
+		minPPS     = flag.Float64("minppsscale", 0.9, "required egress-worker/single pps ratio for the live pump (checked only when cpus >= 4)")
 	)
 	flag.Parse()
 	if *basePath == "" || *newPath == "" {
@@ -247,9 +246,10 @@ func checkSpeedup(fresh *snapshot, min float64, fail func(string, ...any)) {
 
 // checkPPS holds the packets/sec floor: every macro present in BOTH
 // snapshots must not drop by more than tol, and on hosts with the cores to
-// overlap decode shards the multicore pump must keep at least minScale of
-// the single-pump rate (on smaller hosts the scale gate self-disables — the
-// sharded pump still merges correctly there, it just cannot run faster).
+// overlap egress workers with the pump the egress-worker sender must keep at
+// least minScale of the single-pump rate (on smaller hosts the scale gate
+// self-disables — the workers still send correctly there, they just cannot
+// run faster).
 func checkPPS(base, fresh *snapshot, tol, minScale float64, fail func(string, ...any)) {
 	if len(fresh.Macro) == 0 {
 		if len(base.Macro) > 0 {
@@ -284,23 +284,18 @@ func checkPPS(base, fresh *snapshot, tol, minScale float64, fail func(string, ..
 		return
 	}
 	if fresh.CPUs < 4 {
-		fmt.Printf("skip  pump scale gates: host has %d cpu(s), decode/egress workers cannot overlap\n", fresh.CPUs)
+		fmt.Printf("skip  pump scale gate: host has %d cpu(s), egress workers cannot overlap\n", fresh.CPUs)
 		return
 	}
-	// On hosts that can overlap the workers, neither sharded variant may fall
-	// meaningfully behind the single pump: decode shards on the receive side,
-	// egress workers on the send side.
-	for _, name := range []string{"live.pps/multicore", "live.pps/egress"} {
-		m, ok := freshPPS[name]
-		if !ok {
-			continue
-		}
-		if single.PPS > 0 && m.PPS < minScale*single.PPS {
-			fail("%s is %.2fx the single pump (%.0f vs %.0f pkts/s), want >= %.2fx (cpus=%d)",
-				name, m.PPS/single.PPS, m.PPS, single.PPS, minScale, fresh.CPUs)
-		} else if single.PPS > 0 {
-			fmt.Printf("ok    %s scale: %.2fx single (cpus=%d)\n", name, m.PPS/single.PPS, fresh.CPUs)
-		}
+	m, ok := freshPPS["live.pps/egress"]
+	if !ok || single.PPS <= 0 {
+		return
+	}
+	if m.PPS < minScale*single.PPS {
+		fail("%s is %.2fx the single pump (%.0f vs %.0f pkts/s), want >= %.2fx (cpus=%d)",
+			m.Name, m.PPS/single.PPS, m.PPS, single.PPS, minScale, fresh.CPUs)
+	} else {
+		fmt.Printf("ok    %s scale: %.2fx single (cpus=%d)\n", m.Name, m.PPS/single.PPS, fresh.CPUs)
 	}
 }
 

@@ -86,7 +86,7 @@ type snapshot struct {
 	Micro       []microResult `json:"micro"`
 	Experiments []expResult   `json:"experiments"`
 	// Macro holds the -pps packets/sec macro rows (schema 4). cmd/benchdiff
-	// floors every macro shared with the baseline and gates the multicore
+	// floors every macro shared with the baseline and gates the egress-worker
 	// pump scale when the host has the cores for it.
 	// Schema 5 adds the live.pps/egress macro (sharded-egress sender) and
 	// per-row meta like allocs_per_datagram, which benchdiff also gates.

@@ -99,9 +99,9 @@ type Config struct {
 	// each stays at or under this many wire bytes (one key's entries never
 	// split), and all of them go to the same randomly drawn target in the
 	// same round. Over the live fabric's coalescing egress the run of
-	// updates packs into wire.Batch datagrams subject to the coalesce
-	// limit, so setting this just below FabricConfig.CoalesceLimit yields
-	// MTU-shaped sync datagrams end to end. 0 (the default) keeps the
+	// updates packs into wire.Batch datagrams subject to the fabric's
+	// 1200-byte coalesce limit, so setting this just below it (live members
+	// use 1024) yields MTU-shaped sync datagrams end to end. 0 (the default) keeps the
 	// classic single-update round byte for byte.
 	SyncPacketBytes int
 	// ClockSkew bounds the synchronized clock offset used for LWW stamps.
@@ -412,6 +412,7 @@ func (n *Node) getUpdate() *wire.EWOUpdate {
 	u.Reg = n.cfg.Reg
 	u.From = uint16(n.sw.Addr())
 	u.Sync = false
+	u.Entries = u.Entries[:0]
 	u.Ref()
 	return u
 }

@@ -118,14 +118,13 @@ type MacroResult struct {
 }
 
 // Macros runs the packets/sec macro benchmarks: the simulated hot path at
-// the largest burst size, and the live UDP loopback pump single-core and
-// sharded. Unlike the experiment tables these are wall-clock measurements —
+// the largest burst size, and the live UDP loopback pump with the sender's
+// egress inline and on workers. Unlike the experiment tables these are wall-clock measurements —
 // they go into the snapshot for cmd/benchdiff's pps floor, not to stdout.
 func Macros(seed int64) []MacroResult {
 	out := []MacroResult{simPPSMacro(seed)}
-	out = append(out, livePPSMacro("live.pps/pump=1", "loopback UDP pump, single goroutine", 0, 0))
-	out = append(out, livePPSMacro("live.pps/multicore", "loopback UDP pump, 4 decode shards + keyed merge", 4, 0))
-	out = append(out, livePPSMacro("live.pps/egress", "loopback UDP pump, coalescing sender on 2 egress workers", 0, 2))
+	out = append(out, livePPSMacro("live.pps/pump=1", "loopback UDP pump, single goroutine", 0))
+	out = append(out, livePPSMacro("live.pps/egress", "loopback UDP pump, coalescing sender on 2 egress workers", 2))
 	return out
 }
 
@@ -146,12 +145,11 @@ func simPPSMacro(seed int64) MacroResult {
 
 // livePPSMacro measures the live loopback path: a coalescing sender fabric
 // blasts heartbeat bursts at a receiver; the rate is the receiver's injected
-// messages per wall second of blast time. pumpShards > 1 exercises the
-// multi-core decode + keyed-merge pump; egressShards > 1 moves the sender's
+// messages per wall second of blast time. egressShards > 1 moves the sender's
 // serialization and socket writes onto egress workers. The row also reports
 // the process-wide heap allocations per received datagram over the
 // steady-state window (warm pools on both sides drive it toward zero).
-func livePPSMacro(name, about string, pumpShards, egressShards int) MacroResult {
+func livePPSMacro(name, about string, egressShards int) MacroResult {
 	// The offered load is burst heartbeats per virtual 100µs (1.28M msgs/s).
 	// The macro is deliberately source-limited at a rate every variant
 	// sustains on the single-core reference host, so the rows are stable
@@ -171,7 +169,7 @@ func livePPSMacro(name, about string, pumpShards, egressShards int) MacroResult 
 		panic(err)
 	}
 	defer sender.Stop()
-	recv, err := live.NewFabric(live.FabricConfig{Addr: 2, Seed: 2, PumpShards: pumpShards})
+	recv, err := live.NewFabric(live.FabricConfig{Addr: 2, Seed: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -241,7 +239,6 @@ func livePPSMacro(name, about string, pumpShards, egressShards int) MacroResult 
 		Meta: map[string]float64{
 			"decode_err":          float64(st.DecodeErr),
 			"pump_rounds":         float64(st.PumpRounds),
-			"pump_shards":         float64(pumpShards),
 			"egress_shards":       float64(egressShards),
 			"allocs_per_datagram": allocs,
 		},

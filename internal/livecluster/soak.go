@@ -536,10 +536,10 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	}
 
 	// Pump-efficiency oracle: every pump round is provoked by a wake (a post,
-	// an inbound datagram, a decoded batch) or an engine timer deadline, so
-	// rounds are bounded by rx+posts plus the fabric's timer rate. A spinning
-	// pump (the old 5ms MaxIdle default burned 200 idle rounds/s; a busy-loop
-	// regression burns far more) blows through the residual budget. The
+	// an inbound datagram, a full egress done list) or an engine timer
+	// deadline, so rounds are bounded by rx+posts plus the fabric's timer
+	// rate. A spinning pump (an idle poll at 5ms burns 200 rounds/s; a
+	// busy-loop regression burns far more) blows through the residual budget. The
 	// controller gets a tight residual (its only timers are the 20ms scan and
 	// 100ms resend, ~60 rounds/s); members get a loose one (5ms EWO sync
 	// timers × 2 registers plus write retries).

@@ -7,15 +7,17 @@ import (
 	"swishmem/internal/wire"
 )
 
-// egressWorker is one send-side shard: it owns the serialization, batch
-// packing, and socket writes for every destination that hashes to it, the
-// mirror of pumpShard on the receive side. The pump queues eRec hand-offs
-// under the worker mutex (destination affinity keeps per-peer frame order);
-// the worker drains, marshals, and writes — the transport Node is
-// internally locked, so concurrent workers interleave safely at datagram
-// granularity — then parks the pooled messages it is done with on its done
-// list for the pump to release (message free lists are pump-owned, so
-// workers never Release themselves).
+// egressWorker owns the serialization, batch packing, and socket writes for
+// every destination that hashes to it: sendOne and flushBatches are the
+// fabric's only serialise-coalesce-write code. With EgressShards <= 1 the
+// pump calls the single worker directly. With K workers each runs loop on
+// its own goroutine: the pump queues eRec hand-offs under the worker mutex
+// (destination affinity keeps per-peer frame order); the worker drains,
+// marshals, and writes — the transport Node is internally locked, so
+// concurrent workers interleave safely at datagram granularity — then parks
+// the pooled messages it is done with on its done list for the pump to
+// release (message free lists are pump-owned, so workers never Release
+// themselves).
 type egressWorker struct {
 	f    *Fabric
 	wake chan struct{}
@@ -31,6 +33,12 @@ type egressWorker struct {
 	local   []eRec
 	rel     []wire.Msg
 }
+
+// coalesceLimit caps a coalesced datagram's payload bytes: under a 1500-byte
+// MTU with headroom for IP/UDP and the frame header. A constant because
+// every deployment shares the MTU argument and ewo.Config.SyncPacketBytes
+// is sized against it.
+const coalesceLimit = 1200
 
 // egressDoneWake is the done-list size past which a worker wakes the pump
 // for collection; below it, collection piggybacks on the next natural pump
@@ -66,9 +74,8 @@ func (w *egressWorker) loop() {
 }
 
 // drain processes every queued record, closing out open batches whenever
-// the queue runs dry — the worker-side analogue of the pump's per-round
-// flushEgress, so coalescing never delays a frame past the hand-off burst
-// that produced it.
+// the queue runs dry, so coalescing never delays a frame past the hand-off
+// burst that produced it.
 func (w *egressWorker) drain() {
 	for {
 		w.mu.Lock()
@@ -102,8 +109,8 @@ func (w *egressWorker) drain() {
 	}
 }
 
-// sendOne writes or batches one message, mirroring the pump's inline
-// egress exactly (same coalesce-limit formula, same counters).
+// sendOne writes one message, or in Coalesce mode frames it into the
+// destination's open batch, flushing first if it would outgrow the limit.
 func (w *egressWorker) sendOne(to netem.Addr, msg wire.Msg) {
 	if w.f.cfg.Coalesce {
 		bb := w.batches[to]
@@ -112,8 +119,8 @@ func (w *egressWorker) sendOne(to netem.Addr, msg wire.Msg) {
 			bb.Reset()
 			w.batches[to] = bb
 		}
-		if bb.Count() > 0 && bb.Len()+2+msg.Size() > w.f.cfg.CoalesceLimit {
-			w.f.flushBatch(to, bb)
+		if bb.Count() > 0 && bb.Len()+2+msg.Size() > coalesceLimit {
+			w.flushBatch(to, bb)
 		}
 		if bb.Count() == 0 {
 			w.dirty = append(w.dirty, to)
@@ -127,11 +134,21 @@ func (w *egressWorker) sendOne(to netem.Addr, msg wire.Msg) {
 	}
 }
 
+// flushBatch sends one destination's open batch and resets the builder.
+func (w *egressWorker) flushBatch(to netem.Addr, bb *wire.BatchBuilder) {
+	if err := w.f.node.SendEncoded(to, bb.Bytes()); err != nil {
+		w.f.cnt.egressErrs.Add(1)
+	} else {
+		w.f.cnt.egressBatches.Add(1)
+	}
+	bb.Reset()
+}
+
 // flushBatches closes out every batch opened since the last flush.
 func (w *egressWorker) flushBatches() {
 	for _, to := range w.dirty {
 		if bb := w.batches[to]; bb.Count() > 0 {
-			w.f.flushBatch(to, bb)
+			w.flushBatch(to, bb)
 		}
 	}
 	w.dirty = w.dirty[:0]

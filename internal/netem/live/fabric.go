@@ -47,6 +47,9 @@ type Fabric struct {
 	inFree  [][]byte
 	posts   []func()
 	started bool
+	// exited is set in the same critical section as the final pump's queue
+	// swap: a post that finds it set would never run.
+	exited bool
 
 	// inboxSpare/postsSpare are the drained previous-round slices handed
 	// back by the pump so the producer side appends into warm storage
@@ -54,9 +57,13 @@ type Fabric struct {
 	inboxSpare []inbound
 	postsSpare []func()
 
-	// cnt holds the fabric counters as atomics: the pump, the decode
-	// shards, and the egress workers all bump them lock-free, and FStats
-	// snapshots without stalling anyone.
+	// lateMu serializes Calls that arrive after the pump has exited and
+	// therefore run on their callers.
+	lateMu sync.Mutex
+
+	// cnt holds the fabric counters as atomics: the pump and the egress
+	// workers bump them lock-free, and FStats snapshots without stalling
+	// anyone.
 	cnt fabricCounters
 
 	wake chan struct{}
@@ -70,42 +77,21 @@ type Fabric struct {
 	relays map[netem.Addr]bool
 	system func(from netem.Addr, msg wire.Msg) bool
 
-	// Egress coalescing state (pump goroutine only, inline egress mode):
-	// one reusable batch builder per destination, plus the destinations
-	// opened this round.
-	batches map[netem.Addr]*wire.BatchBuilder
-	dirty   []netem.Addr
-
-	// Sharded egress state (EgressShards > 1): the pump queues send records
-	// per worker (destination-affine, so per-peer frame order is preserved)
-	// and hands them off in chunks; workers serialize, coalesce, and write
-	// the socket, then park released pooled messages on their done lists
-	// for the pump to collect.
+	// Egress. eworkers always holds at least one worker. With EgressShards
+	// <= 1 that worker is called synchronously on the pump goroutine and
+	// epend is nil. With K > 1 each worker runs its own goroutine: the pump
+	// queues send records per worker (destination-affine, so per-peer frame
+	// order is preserved) and hands them off in chunks; workers serialize,
+	// coalesce, and write the socket, then park released pooled messages on
+	// their done lists for the pump to collect.
 	eworkers []*egressWorker
 	epend    [][]eRec
 	egDone   []wire.Msg // pump-side scratch for collecting done lists
 	egStop   chan struct{}
 	egWG     sync.WaitGroup
 
-	// Sharded decode state (PumpShards > 1): the socket goroutine stamps
-	// every datagram with a global arrival sequence and routes it by sender
-	// to a shard inbox; workers decode in parallel; the pump merges decoded
-	// messages back into exact arrival order (nextInj is the next sequence
-	// it may inject, pend the per-shard already-decoded queues).
-	shards  []*pumpShard
-	rxSeq   uint64 // socket goroutine only
-	nextInj uint64 // pump goroutine only
-	pend    []pendQueue
-	decStop chan struct{}
-	decWG   sync.WaitGroup
-
-	// View-set recycling. viewFree is the unsharded pump-owned pool;
-	// retSets[i] collects shard i's sets as their last message is released
-	// on the pump, flushed back to the shard's own pool (under its mutex)
-	// once per round.
+	// viewFree is the pump-owned pool of recycled view sets.
 	viewFree []*wire.ViewSet
-	retSets  [][]*wire.ViewSet
-	setHooks []func(*wire.ViewSet)
 
 	// Bootstrap state.
 	bootCtrl   netem.Addr
@@ -120,40 +106,22 @@ type FabricConfig struct {
 	Seed int64
 	// Node configures the underlying transport (bind address, shaping).
 	Node Options
-	// MaxIdle optionally caps the pump's sleep, waking it at least every
-	// MaxIdle even with nothing to do. The default (0) imposes no cap: the
-	// pump sleeps exactly until the next engine deadline, or indefinitely
-	// when nothing is scheduled, relying on inbound traffic and posts to
-	// wake it — an idle fabric burns no PumpRounds. (Earlier versions
-	// defaulted to 5ms and used it as the idle sleep bound, which made an
-	// idle fabric spin at 200 wakeups/s.)
-	MaxIdle time.Duration
 	// Coalesce packs messages relayed to one destination during a single
 	// pump round into multi-update wire.Batch datagrams, flushed at the end
-	// of the round or when a batch reaches CoalesceLimit bytes. An EWO sync
+	// of the round or when a batch would outgrow coalesceLimit. An EWO sync
 	// round's run of updates then costs one datagram instead of N. Off by
 	// default (one datagram per message).
 	Coalesce bool
-	// CoalesceLimit caps a coalesced datagram's payload bytes. Default 1200
-	// (under a typical 1500-byte MTU with headroom for headers).
-	CoalesceLimit int
-	// PumpShards spreads inbound datagram decoding across this many worker
-	// goroutines, keyed by sender address, with the pump re-merging decoded
-	// messages into exact socket-arrival order before injection — the keyed
-	// merge discipline of the sharded simulator applied to the live path.
-	// 0 or 1 decodes on the pump goroutine itself.
-	PumpShards int
 	// EgressShards moves per-destination serialization, batch packing, and
 	// socket writes off the pump goroutine onto this many egress workers,
 	// keyed by destination address (per-peer frame order is preserved
-	// because one destination always maps to one worker) — the send-side
-	// mirror of PumpShards. 0 or 1 sends inline on the pump goroutine.
+	// because one destination always maps to one worker). 0 or 1 runs the
+	// same routine inline on the pump goroutine.
 	EgressShards int
 }
 
 // FabricStats is a snapshot of the fabric counters (see FStats). The
-// underlying counters are atomics shared by the pump, the decode shards,
-// and the egress workers.
+// underlying counters are atomics shared by the pump and the egress workers.
 type FabricStats struct {
 	Injected       uint64 // messages decoded and injected into the engine
 	SystemConsumed uint64 // messages eaten by the system handler (bootstrap)
@@ -163,6 +131,7 @@ type FabricStats struct {
 	EgressErrs     uint64
 	PacketDropped  uint64 // data packets (unsupported over live) discarded
 	Posts          uint64
+	PostsDropped   uint64 // posts refused because the pump had already exited
 	PumpRounds     uint64
 }
 
@@ -176,6 +145,7 @@ type fabricCounters struct {
 	egressErrs     atomic.Uint64
 	packetDropped  atomic.Uint64
 	posts          atomic.Uint64
+	postsDropped   atomic.Uint64
 	pumpRounds     atomic.Uint64
 }
 
@@ -191,39 +161,6 @@ type eRec struct {
 type inbound struct {
 	from netem.Addr
 	buf  []byte
-	seq  uint64 // global arrival stamp (sharded pump only)
-}
-
-// pumpShard is one decode worker's mailbox pair: raw datagrams in, decoded
-// messages out. Both sides are double-buffered swaps under the shard mutex.
-type pumpShard struct {
-	mu      sync.Mutex
-	in      []inbound
-	inFree  [][]byte
-	out     []decoded
-	setFree []*wire.ViewSet // recycled view sets, refilled by the pump
-	wake    chan struct{}
-}
-
-// decoded is one datagram's decode result, still stamped with its arrival
-// sequence. A coalesced datagram expands to several messages; a datagram
-// whose decode failed outright keeps msgs nil (a tombstone the merge skips —
-// without it the sequence stream would have a permanent gap and injection
-// would stall).
-type decoded struct {
-	seq  uint64
-	from netem.Addr
-	msgs []wire.Msg
-	set  *wire.ViewSet // owns msgs and their backing bytes; released after injection
-	errs uint32        // decode errors (frame-level for batches)
-}
-
-// pendQueue is the pump-side FIFO of decoded-but-not-yet-injected datagrams
-// from one shard; entries are seq-ascending because the shard preserves its
-// own arrival order end to end.
-type pendQueue struct {
-	items []decoded
-	head  int
 }
 
 // NewFabric builds a stopped fabric: engine, local network, and transport
@@ -232,9 +169,6 @@ type pendQueue struct {
 func NewFabric(cfg FabricConfig) (*Fabric, error) {
 	if cfg.Addr == 0 {
 		return nil, fmt.Errorf("live: fabric needs an address")
-	}
-	if cfg.Coalesce && cfg.CoalesceLimit <= 0 {
-		cfg.CoalesceLimit = 1200
 	}
 	cfg.Node.Seed = cfg.Seed
 	node, err := Listen(cfg.Addr, cfg.Node)
@@ -253,33 +187,13 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 		done:   make(chan struct{}),
 		relays: make(map[netem.Addr]bool),
 	}
-	if cfg.Coalesce {
-		f.batches = make(map[netem.Addr]*wire.BatchBuilder)
-	}
-	if cfg.PumpShards > 1 {
-		f.shards = make([]*pumpShard, cfg.PumpShards)
-		f.pend = make([]pendQueue, cfg.PumpShards)
-		f.retSets = make([][]*wire.ViewSet, cfg.PumpShards)
-		f.setHooks = make([]func(*wire.ViewSet), cfg.PumpShards)
-		f.decStop = make(chan struct{})
-		for i := range f.shards {
-			f.shards[i] = &pumpShard{wake: make(chan struct{}, 1)}
-			i := i
-			// Recycle hook: runs on the pump (the last Release of a set's
-			// messages always happens there); the set returns to its shard's
-			// pool at the end of the round.
-			f.setHooks[i] = func(vs *wire.ViewSet) {
-				f.retSets[i] = append(f.retSets[i], vs)
-			}
-		}
+	f.eworkers = make([]*egressWorker, max(cfg.EgressShards, 1))
+	for i := range f.eworkers {
+		f.eworkers[i] = newEgressWorker(f)
 	}
 	if cfg.EgressShards > 1 {
-		f.eworkers = make([]*egressWorker, cfg.EgressShards)
 		f.epend = make([][]eRec, cfg.EgressShards)
 		f.egStop = make(chan struct{})
-		for i := range f.eworkers {
-			f.eworkers[i] = newEgressWorker(f)
-		}
 	}
 	node.SetRawHandler(f.onDatagram)
 	return f, nil
@@ -334,15 +248,13 @@ func (f *Fabric) ensureRelay(peer netem.Addr) {
 const egressHandoff = 64
 
 // egress relays one local netem delivery onto the UDP socket. The
-// delivery's payload reference passes to us. Inline (unsharded): both Send
-// and the batch builder marshal synchronously, so pooled payloads release
-// immediately after; in Coalesce mode the message is framed into the
-// destination's open batch, and the pump flushes open batches at the end of
-// every round (flushEgress), so coalescing never delays a message past the
-// round that produced it. With EgressShards the record (and the payload
-// reference) is queued to the destination's worker instead; the worker
-// marshals and writes off the pump goroutine, then hands the message back
-// through its done list for release.
+// delivery's payload reference passes to us. Inline, the one worker frames
+// or sends the message synchronously, so a pooled payload releases right
+// after; with EgressShards the record (and the payload reference) is queued
+// to the destination's worker instead, which marshals and writes off the
+// pump goroutine and hands the message back through its done list for
+// release. Either way flushEgress closes the round, so coalescing never
+// delays a message past the round that produced it.
 func (f *Fabric) egress(to netem.Addr, payload any) {
 	msg, ok := payload.(wire.Msg)
 	if !ok {
@@ -352,36 +264,15 @@ func (f *Fabric) egress(to netem.Addr, payload any) {
 		f.cnt.packetDropped.Add(1)
 		return
 	}
-	if f.eworkers != nil {
-		i := int(to) % len(f.eworkers)
-		f.epend[i] = append(f.epend[i], eRec{to: to, msg: msg})
-		if len(f.epend[i]) >= egressHandoff {
-			f.handoffEgress(i)
-		}
+	if f.epend == nil {
+		f.eworkers[0].sendOne(to, msg)
+		f.releaseMsg(msg)
 		return
 	}
-	if f.cfg.Coalesce {
-		bb := f.batches[to]
-		if bb == nil {
-			bb = &wire.BatchBuilder{}
-			bb.Reset()
-			f.batches[to] = bb
-		}
-		if bb.Count() > 0 && bb.Len()+2+msg.Size() > f.cfg.CoalesceLimit {
-			f.flushBatch(to, bb)
-		}
-		if bb.Count() == 0 {
-			f.dirty = append(f.dirty, to)
-		}
-		bb.Add(msg)
-		f.cnt.egressMsgs.Add(1)
-	} else if err := f.node.Send(to, msg); err != nil {
-		f.cnt.egressErrs.Add(1)
-	} else {
-		f.cnt.egressMsgs.Add(1)
-	}
-	if r, ok := payload.(netem.Releasable); ok {
-		r.Release()
+	i := int(to) % len(f.eworkers)
+	f.epend[i] = append(f.epend[i], eRec{to: to, msg: msg})
+	if len(f.epend[i]) >= egressHandoff {
+		f.handoffEgress(i)
 	}
 }
 
@@ -403,39 +294,20 @@ func (f *Fabric) handoffEgress(i int) {
 	}
 }
 
-// flushBatch sends one destination's open batch and resets the builder.
-// Callers serialize per builder (the pump inline, or one egress worker).
-func (f *Fabric) flushBatch(to netem.Addr, bb *wire.BatchBuilder) {
-	if err := f.node.SendEncoded(to, bb.Bytes()); err != nil {
-		f.cnt.egressErrs.Add(1)
-	} else {
-		f.cnt.egressBatches.Add(1)
-	}
-	bb.Reset()
-}
-
-// flushEgress closes out the round's egress: inline mode flushes every batch
-// opened during this pump round; sharded mode hands every still-pending
-// record to its worker (workers flush their own batches when their queues
-// drain).
+// flushEgress closes out the round's egress: the inline worker flushes every
+// batch opened during this pump round; with EgressShards every still-pending
+// record goes to its worker (workers flush their own batches when their
+// queues drain).
 func (f *Fabric) flushEgress() {
-	if f.eworkers != nil {
-		for i := range f.eworkers {
-			if len(f.epend[i]) > 0 {
-				f.handoffEgress(i)
-			}
-		}
+	if f.epend == nil {
+		f.eworkers[0].flushBatches()
 		return
 	}
-	if len(f.dirty) == 0 {
-		return
-	}
-	for _, to := range f.dirty {
-		if bb := f.batches[to]; bb.Count() > 0 {
-			f.flushBatch(to, bb)
+	for i := range f.epend {
+		if len(f.epend[i]) > 0 {
+			f.handoffEgress(i)
 		}
 	}
-	f.dirty = f.dirty[:0]
 }
 
 // collectEgressDone releases the pooled messages the egress workers have
@@ -503,31 +375,10 @@ func (f *Fabric) applyPeerList(pl *wire.PeerList) {
 
 // onDatagram is the transport raw handler: it runs on the socket read loop,
 // learns unknown senders from the kernel-reported source, and parks a copy
-// of the payload in the inbox for the pump — or, with PumpShards, stamps it
-// with the global arrival sequence and routes it to its sender's decode
-// shard. Buffers recycle through the inbox free lists, so a warm fabric
-// receives without allocating.
+// of the payload in the inbox for the pump. Buffers recycle through the
+// inbox free list, so a warm fabric receives without allocating.
 func (f *Fabric) onDatagram(from netem.Addr, src netip.AddrPort, payload []byte) {
 	f.node.AddPeerIfAbsent(from, src)
-	if f.shards != nil {
-		s := f.shards[int(from)%len(f.shards)]
-		seq := f.rxSeq
-		f.rxSeq++
-		s.mu.Lock()
-		var buf []byte
-		if n := len(s.inFree); n > 0 {
-			buf = s.inFree[n-1]
-			s.inFree[n-1] = nil
-			s.inFree = s.inFree[:n-1]
-		}
-		s.in = append(s.in, inbound{from: from, buf: append(buf[:0], payload...), seq: seq})
-		s.mu.Unlock()
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
-		return
-	}
 	f.mu.Lock()
 	var buf []byte
 	if n := len(f.inFree); n > 0 {
@@ -540,69 +391,6 @@ func (f *Fabric) onDatagram(from netem.Addr, src netip.AddrPort, payload []byte)
 	f.signal()
 }
 
-// decodeLoop is one shard's worker: drain raw datagrams, decode them off
-// the pump goroutine into pooled view sets, publish the results, wake the
-// pump. A worker touches a set only between popping it from the shard's
-// setFree pool and publishing the decoded result; from then on the set
-// lives on the pump, which recycles it back through the pool once every
-// view message has been released.
-func (f *Fabric) decodeLoop(s *pumpShard, hook func(*wire.ViewSet)) {
-	defer f.decWG.Done()
-	var batch []inbound
-	var sets []*wire.ViewSet
-	var out []decoded
-	for {
-		stopping := false
-		select {
-		case <-f.decStop:
-			stopping = true
-		case <-s.wake:
-		}
-		for {
-			s.mu.Lock()
-			batch, s.in = s.in, batch[:0]
-			for len(sets) < len(batch) && len(s.setFree) > 0 {
-				n := len(s.setFree)
-				sets = append(sets, s.setFree[n-1])
-				s.setFree[n-1] = nil
-				s.setFree = s.setFree[:n-1]
-			}
-			s.mu.Unlock()
-			if len(batch) == 0 {
-				break
-			}
-			out = out[:0]
-			for i := range batch {
-				var vs *wire.ViewSet
-				if n := len(sets); n > 0 {
-					vs = sets[n-1]
-					sets[n-1] = nil
-					sets = sets[:n-1]
-				} else {
-					vs = wire.NewViewSet(hook)
-				}
-				d := decoded{seq: batch[i].seq, from: batch[i].from, set: vs}
-				d.msgs, d.errs = vs.Decode(batch[i].buf)
-				out = append(out, d)
-			}
-			s.mu.Lock()
-			s.out = append(s.out, out...)
-			for i := range batch {
-				s.inFree = append(s.inFree, batch[i].buf[:0])
-				batch[i].buf = nil
-			}
-			s.mu.Unlock()
-			for i := range out {
-				out[i] = decoded{}
-			}
-			f.signal()
-		}
-		if stopping {
-			return
-		}
-	}
-}
-
 func (f *Fabric) signal() {
 	select {
 	case f.wake <- struct{}{}:
@@ -611,24 +399,44 @@ func (f *Fabric) signal() {
 }
 
 // Post schedules fn on the pump goroutine (the only place engine-side state
-// may be touched after Start).
+// may be touched after Start). Once the pump has exited nothing would ever
+// run fn, so it is dropped and counted (live.fabric.posts_dropped).
 func (f *Fabric) Post(fn func()) {
+	if !f.post(fn) {
+		f.cnt.postsDropped.Add(1)
+	}
+}
+
+// post queues fn unless the pump has taken its final drain.
+func (f *Fabric) post(fn func()) bool {
 	f.mu.Lock()
+	if f.exited {
+		f.mu.Unlock()
+		return false
+	}
 	f.posts = append(f.posts, fn)
 	f.mu.Unlock()
 	f.cnt.posts.Add(1)
 	f.signal()
+	return true
 }
 
 // Call runs fn on the pump goroutine and waits for it. Must not be called
-// from the pump goroutine itself.
+// from the pump goroutine itself. After Stop the engine is quiescent, so fn
+// runs on the caller instead (one at a time) once the pump is gone.
 func (f *Fabric) Call(fn func()) {
 	done := make(chan struct{})
-	f.Post(func() {
+	if f.post(func() {
 		defer close(done)
 		fn()
-	})
-	<-done
+	}) {
+		<-done
+		return
+	}
+	<-f.done
+	f.lateMu.Lock()
+	defer f.lateMu.Unlock()
+	fn()
 }
 
 // onPump runs fn inline before Start (setup is single-threaded) and defers
@@ -644,7 +452,7 @@ func (f *Fabric) onPump(fn func()) {
 	f.Post(fn)
 }
 
-// Start launches the pump (and the decode workers, when sharded): from here
+// Start launches the pump (and the egress workers, when sharded): from here
 // on the engine advances on wall time.
 func (f *Fabric) Start() {
 	f.mu.Lock()
@@ -655,32 +463,20 @@ func (f *Fabric) Start() {
 	f.started = true
 	f.startWall = time.Now()
 	f.mu.Unlock()
-	for i, s := range f.shards {
-		f.decWG.Add(1)
-		go f.decodeLoop(s, f.setHooks[i])
-	}
-	for _, w := range f.eworkers {
-		f.egWG.Add(1)
-		go w.loop()
+	if f.epend != nil {
+		for _, w := range f.eworkers {
+			f.egWG.Add(1)
+			go w.loop()
+		}
 	}
 	go f.loop()
-}
-
-// stopWorkers shuts the decode workers down and waits for them; each drains
-// its inbox on the way out, so the final pump sees every decoded datagram.
-func (f *Fabric) stopWorkers() {
-	if f.shards == nil {
-		return
-	}
-	close(f.decStop)
-	f.decWG.Wait()
 }
 
 // stopEgress runs after the final pump handed every pending record over:
 // the workers drain their queues, flush their batches, and exit; the pump
 // then releases whatever they finished with. Pump goroutine only.
 func (f *Fabric) stopEgress() {
-	if f.eworkers == nil {
+	if f.epend == nil {
 		return
 	}
 	close(f.egStop)
@@ -698,22 +494,23 @@ func (f *Fabric) stopEgress() {
 func (f *Fabric) Stop() {
 	f.stopOnce.Do(func() {
 		f.mu.Lock()
-		started := f.started
+		if !f.started {
+			// No pump will ever run: a later Start must not launch one, and
+			// late posts and Calls behave as after any other Stop.
+			f.started, f.exited = true, true
+			close(f.done)
+		}
 		f.mu.Unlock()
 		close(f.stop)
-		if started {
-			<-f.done
-		}
+		<-f.done
 		_ = f.node.Close()
 	})
 }
 
 // loop is the pump: drain and advance, then sleep exactly until the next
 // engine deadline — or indefinitely when nothing is scheduled, since every
-// external input (inbound datagrams, posts, decoded batches) signals wake.
-// A fabric with an empty queue therefore costs zero wakeups, where the old
-// MaxIdle-bounded sleep spun at the idle bound. MaxIdle, when set, caps the
-// sleep as an opt-in periodic heartbeat.
+// external input (inbound datagrams, posts, egress done lists) signals wake.
+// A fabric with an empty queue therefore costs zero wakeups.
 func (f *Fabric) loop() {
 	defer close(f.done)
 	timer := time.NewTimer(time.Hour)
@@ -722,7 +519,7 @@ func (f *Fabric) loop() {
 	}
 	defer timer.Stop()
 	for {
-		f.pump()
+		f.pump(false)
 		var timerC <-chan time.Time
 		if d, ok := f.sleepFor(); ok {
 			if !timer.Stop() {
@@ -736,8 +533,7 @@ func (f *Fabric) loop() {
 		}
 		select {
 		case <-f.stop:
-			f.stopWorkers()
-			f.pump() // final drain so Call-ers are never stranded
+			f.pump(true) // final drain so Call-ers are never stranded
 			f.stopEgress()
 			return
 		case <-f.wake:
@@ -747,27 +543,23 @@ func (f *Fabric) loop() {
 }
 
 // sleepFor returns how long the pump may sleep: until the next engine
-// deadline, capped by MaxIdle when configured. ok is false when there is no
-// deadline to wake for (sleep until signaled).
+// deadline. ok is false when there is no deadline to wake for (sleep until
+// signaled).
 func (f *Fabric) sleepFor() (time.Duration, bool) {
-	var d time.Duration
 	next, ok := f.eng.NextAt()
-	if ok {
-		if d = time.Until(f.startWall.Add(time.Duration(next))); d < 0 {
-			d = 0
-		}
+	if !ok {
+		return 0, false
 	}
-	if f.cfg.MaxIdle > 0 && (!ok || d > f.cfg.MaxIdle) {
-		return f.cfg.MaxIdle, true
-	}
-	return d, ok
+	return max(time.Until(f.startWall.Add(time.Duration(next))), 0), true
 }
 
-// pump runs queued posts, injects inbound messages (via the decode shards
-// when sharded), advances the engine to the current wall-clock time, and
-// flushes any egress batches the round opened.
-func (f *Fabric) pump() {
+// pump runs queued posts, injects inbound messages, advances the engine to
+// the current wall-clock time, and flushes any egress batches the round
+// opened. final marks the last round: from its queue swap on, posts are
+// refused.
+func (f *Fabric) pump(final bool) {
 	f.mu.Lock()
+	f.exited = final
 	posts := f.posts
 	f.posts = f.postsSpare
 	f.postsSpare = nil
@@ -780,20 +572,14 @@ func (f *Fabric) pump() {
 	for _, fn := range posts {
 		fn()
 	}
-	if f.eworkers != nil {
+	if f.epend != nil {
 		f.collectEgressDone()
-	}
-	if f.shards != nil {
-		f.drainShards()
 	}
 	for i := range inbox {
 		f.deliver(inbox[i].from, inbox[i].buf)
 	}
 	f.eng.RunUntil(sim.Time(time.Since(f.startWall)))
 	f.flushEgress()
-	if f.shards != nil {
-		f.flushRetSets()
-	}
 
 	// Hand the drained slices back as next round's spares (buffers return
 	// to the inbox free list) so steady-state rounds reuse warm storage.
@@ -810,59 +596,10 @@ func (f *Fabric) pump() {
 	f.mu.Unlock()
 }
 
-// drainShards collects decoded datagrams from every shard and injects them in
-// exact socket-arrival order: only the datagram whose sequence equals nextInj
-// may inject, so decode parallelism never reorders the stream. A gap (a
-// datagram still being decoded) stalls injection; its worker's signal() will
-// re-run the pump. Tombstones (msgs nil) consume their sequence so a corrupt
-// datagram cannot stall everything behind it.
-func (f *Fabric) drainShards() {
-	for i, s := range f.shards {
-		s.mu.Lock()
-		if len(s.out) > 0 {
-			f.pend[i].items = append(f.pend[i].items, s.out...)
-			for j := range s.out {
-				s.out[j] = decoded{}
-			}
-			s.out = s.out[:0]
-		}
-		s.mu.Unlock()
-	}
-	for {
-		advanced := false
-		for i := range f.pend {
-			q := &f.pend[i]
-			for q.head < len(q.items) && q.items[q.head].seq == f.nextInj {
-				d := &q.items[q.head]
-				if d.errs > 0 {
-					f.cnt.decodeErr.Add(uint64(d.errs))
-				}
-				for _, m := range d.msgs {
-					f.inject(d.from, m)
-				}
-				if d.set != nil {
-					d.set.Release() // walk reference; messages hold their own
-				}
-				*d = decoded{}
-				q.head++
-				f.nextInj++
-				advanced = true
-			}
-			if q.head == len(q.items) && q.head > 0 {
-				q.items = q.items[:0]
-				q.head = 0
-			}
-		}
-		if !advanced {
-			return
-		}
-	}
-}
-
 // deliver decodes one inbound payload through a pooled view set — expanding
 // coalesced batches frame by frame — and injects the result. Bad frames
 // inside a batch are skipped and counted; a framing-level error discards
-// the datagram, matching the sharded decode path. Pump goroutine only.
+// the datagram. Pump goroutine only.
 func (f *Fabric) deliver(from netem.Addr, payload []byte) {
 	vs := f.getViewSet()
 	msgs, errs := vs.Decode(payload)
@@ -876,7 +613,7 @@ func (f *Fabric) deliver(from netem.Addr, payload []byte) {
 }
 
 // getViewSet pops a recycled set from the pump-owned pool or creates one
-// wired to return there. Pump goroutine only (unsharded decode path).
+// wired to return there. Pump goroutine only.
 func (f *Fabric) getViewSet() *wire.ViewSet {
 	if n := len(f.viewFree); n > 0 {
 		vs := f.viewFree[n-1]
@@ -917,24 +654,6 @@ func (f *Fabric) releaseMsg(msg wire.Msg) {
 	}
 }
 
-// flushRetSets returns the view sets whose last message released this round
-// to their shards' pools. Pump goroutine only.
-func (f *Fabric) flushRetSets() {
-	for i, ret := range f.retSets {
-		if len(ret) == 0 {
-			continue
-		}
-		s := f.shards[i]
-		s.mu.Lock()
-		s.setFree = append(s.setFree, ret...)
-		s.mu.Unlock()
-		for j := range ret {
-			ret[j] = nil
-		}
-		f.retSets[i] = ret[:0]
-	}
-}
-
 // FStats snapshots the fabric counters (thread-safe).
 func (f *Fabric) FStats() FabricStats {
 	return FabricStats{
@@ -946,6 +665,7 @@ func (f *Fabric) FStats() FabricStats {
 		EgressErrs:     f.cnt.egressErrs.Load(),
 		PacketDropped:  f.cnt.packetDropped.Load(),
 		Posts:          f.cnt.posts.Load(),
+		PostsDropped:   f.cnt.postsDropped.Load(),
 		PumpRounds:     f.cnt.pumpRounds.Load(),
 	}
 }
@@ -972,6 +692,7 @@ func (f *Fabric) RegisterMetrics(reg *obs.Registry, labels string) {
 	reg.AddCounterFunc("live.fabric.egressbatches", labels, func() uint64 { return f.FStats().EgressBatches })
 	reg.AddCounterFunc("live.fabric.egresserr", labels, func() uint64 { return f.FStats().EgressErrs })
 	reg.AddCounterFunc("live.fabric.pktdropped", labels, func() uint64 { return f.FStats().PacketDropped })
+	reg.AddCounterFunc("live.fabric.posts_dropped", labels, func() uint64 { return f.FStats().PostsDropped })
 	reg.AddCounterFunc("live.fabric.pumps", labels, func() uint64 { return f.FStats().PumpRounds })
 	reg.AddGaugeFunc("live.fabric.peers", labels, func() float64 { return float64(len(f.node.Peers())) })
 }

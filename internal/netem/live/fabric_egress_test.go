@@ -9,120 +9,91 @@ import (
 	"swishmem/internal/wire"
 )
 
-// TestFabricEgressShardedExchange is the sharded-egress mirror of
-// TestFabricCoalescedExchange: a burst of same-round sends to two
-// destinations (hashing to different workers) must arrive complete and in
-// per-destination order, while still coalescing into batches.
-func TestFabricEgressShardedExchange(t *testing.T) {
-	// Addrs 1 and 4 hash to different workers under EgressShards=2.
-	a := newTestFabric(t, 1)
-	c := newTestFabric(t, 4)
-	b, err := NewFabric(FabricConfig{Addr: 2, Seed: 2, Coalesce: true, EgressShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(b.Stop)
-
-	gotA := make(chan uint64, 64)
-	gotC := make(chan uint64, 64)
-	a.Network().Attach(a.Addr(), func(_ netem.Addr, payload any, _ int) {
-		if hb, ok := payload.(*wire.Heartbeat); ok {
-			gotA <- hb.Seq
-		}
-	})
-	c.Network().Attach(c.Addr(), func(_ netem.Addr, payload any, _ int) {
-		if hb, ok := payload.(*wire.Heartbeat); ok {
-			gotC <- hb.Seq
-		}
-	})
-	b.Network().Attach(b.Addr(), func(netem.Addr, any, int) {})
-	a.AddRemote(b.Addr(), b.AddrPort())
-	c.AddRemote(b.Addr(), b.AddrPort())
-	b.AddRemote(a.Addr(), a.AddrPort())
-	b.AddRemote(c.Addr(), c.AddrPort())
-	a.Start()
-	c.Start()
-	b.Start()
-
-	const burst = 40
-	b.Post(func() {
-		for i := uint64(0); i < burst; i++ {
-			hb := &wire.Heartbeat{From: 2, Seq: i}
-			to := a.Addr()
-			if i%2 == 1 {
-				to = c.Addr()
+// TestFabricExchangeMatrix runs one burst exchange over coalescing on/off x
+// inline/sharded egress — the same worker routine either way, called on the
+// pump or on two worker goroutines: same-round sends to two destinations
+// (hashing to different workers when sharded) must arrive complete and in
+// per-destination order; with Coalesce they cost fewer datagrams than
+// messages, without it exactly one each and no batches.
+func TestFabricExchangeMatrix(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		coalesce bool
+		shards   int
+	}{
+		{"coalesce/inline", true, 0},
+		{"coalesce/workers=2", true, 2},
+		{"plain/inline", false, 0},
+		{"plain/workers=2", false, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Addrs 1 and 4 hash to different workers under EgressShards=2.
+			a := newTestFabric(t, 1)
+			c := newTestFabric(t, 4)
+			b, err := NewFabric(FabricConfig{Addr: 2, Seed: 2, Coalesce: tc.coalesce, EgressShards: tc.shards})
+			if err != nil {
+				t.Fatal(err)
 			}
-			b.Network().Send(b.Addr(), to, hb, hb.Size())
-		}
-	})
-	for i := uint64(0); i < burst; i++ {
-		ch := gotA
-		if i%2 == 1 {
-			ch = gotC
-		}
-		select {
-		case s := <-ch:
-			if s != i {
-				t.Fatalf("heartbeat %d arrived out of order (seq %d)", i, s)
+			t.Cleanup(b.Stop)
+
+			gotA := make(chan uint64, 64)
+			gotC := make(chan uint64, 64)
+			a.Network().Attach(a.Addr(), func(_ netem.Addr, payload any, _ int) {
+				if hb, ok := payload.(*wire.Heartbeat); ok {
+					gotA <- hb.Seq
+				}
+			})
+			c.Network().Attach(c.Addr(), func(_ netem.Addr, payload any, _ int) {
+				if hb, ok := payload.(*wire.Heartbeat); ok {
+					gotC <- hb.Seq
+				}
+			})
+			b.Network().Attach(b.Addr(), func(netem.Addr, any, int) {})
+			a.AddRemote(b.Addr(), b.AddrPort())
+			c.AddRemote(b.Addr(), b.AddrPort())
+			b.AddRemote(a.Addr(), a.AddrPort())
+			b.AddRemote(c.Addr(), c.AddrPort())
+			a.Start()
+			c.Start()
+			b.Start()
+
+			const burst = 40
+			b.Post(func() {
+				for i := uint64(0); i < burst; i++ {
+					hb := &wire.Heartbeat{From: 2, Seq: i}
+					to := a.Addr()
+					if i%2 == 1 {
+						to = c.Addr()
+					}
+					b.Network().Send(b.Addr(), to, hb, hb.Size())
+				}
+			})
+			for i := uint64(0); i < burst; i++ {
+				ch := gotA
+				if i%2 == 1 {
+					ch = gotC
+				}
+				select {
+				case s := <-ch:
+					if s != i {
+						t.Fatalf("heartbeat %d arrived out of order (seq %d)", i, s)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("heartbeat %d never arrived", i)
+				}
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("heartbeat %d never arrived", i)
-		}
-	}
-	waitFor(t, func() bool { return b.FStats().EgressMsgs == burst })
-	st := b.FStats()
-	if st.EgressBatches == 0 {
-		t.Fatal("sharded coalescing fabric sent no batches")
-	}
-	if st.EgressBatches >= st.EgressMsgs {
-		t.Fatalf("EgressBatches=%d not below EgressMsgs=%d: nothing was coalesced",
-			st.EgressBatches, st.EgressMsgs)
-	}
-}
-
-// TestFabricEgressShardedUncoalesced checks the sharded workers' plain-send
-// path: without Coalesce every message costs one datagram, order per
-// destination still holds, and no batches are counted.
-func TestFabricEgressShardedUncoalesced(t *testing.T) {
-	a := newTestFabric(t, 1)
-	b, err := NewFabric(FabricConfig{Addr: 2, Seed: 2, EgressShards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(b.Stop)
-
-	got := make(chan uint64, 64)
-	a.Network().Attach(a.Addr(), func(_ netem.Addr, payload any, _ int) {
-		if hb, ok := payload.(*wire.Heartbeat); ok {
-			got <- hb.Seq
-		}
-	})
-	b.Network().Attach(b.Addr(), func(netem.Addr, any, int) {})
-	a.AddRemote(b.Addr(), b.AddrPort())
-	b.AddRemote(a.Addr(), a.AddrPort())
-	a.Start()
-	b.Start()
-
-	const burst = 24
-	b.Post(func() {
-		for i := uint64(0); i < burst; i++ {
-			hb := &wire.Heartbeat{From: 2, Seq: i}
-			b.Network().Send(b.Addr(), a.Addr(), hb, hb.Size())
-		}
-	})
-	for i := uint64(0); i < burst; i++ {
-		select {
-		case s := <-got:
-			if s != i {
-				t.Fatalf("heartbeat %d arrived out of order (seq %d)", i, s)
+			waitFor(t, func() bool { return b.FStats().EgressMsgs == burst })
+			st := b.FStats()
+			switch {
+			case !tc.coalesce && st.EgressBatches != 0:
+				t.Fatalf("uncoalesced fabric counted %d batches", st.EgressBatches)
+			case tc.coalesce && st.EgressBatches == 0:
+				t.Fatal("coalescing fabric sent no batches")
+			case tc.coalesce && st.EgressBatches >= st.EgressMsgs:
+				t.Fatalf("EgressBatches=%d not below EgressMsgs=%d: nothing was coalesced",
+					st.EgressBatches, st.EgressMsgs)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("heartbeat %d never arrived", i)
-		}
-	}
-	waitFor(t, func() bool { return b.FStats().EgressMsgs == burst })
-	if n := b.FStats().EgressBatches; n != 0 {
-		t.Fatalf("uncoalesced fabric counted %d batches", n)
+		})
 	}
 }
 

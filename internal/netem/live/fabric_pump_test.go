@@ -1,7 +1,10 @@
 package live
 
 import (
+	"bytes"
 	"net/netip"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,10 +12,9 @@ import (
 	"swishmem/internal/wire"
 )
 
-// TestFabricIdleNoSpin pins the MaxIdle fix: a started fabric with nothing
-// scheduled and no traffic must park on its wake channel instead of polling.
-// The old 5ms-default idle bound burned ~50 pump rounds in 250ms; the fixed
-// pump runs once at Start and then sleeps until signaled.
+// TestFabricIdleNoSpin: a started fabric with nothing scheduled and no
+// traffic must park on its wake channel instead of polling — the pump runs
+// once at Start and then sleeps until signaled.
 func TestFabricIdleNoSpin(t *testing.T) {
 	f := newTestFabric(t, 9)
 	f.Start()
@@ -22,33 +24,13 @@ func TestFabricIdleNoSpin(t *testing.T) {
 	}
 }
 
-// TestFabricMaxIdleOptIn checks that a configured MaxIdle still provides the
-// periodic wake cap: with MaxIdle=20ms an idle fabric must keep waking.
-func TestFabricMaxIdleOptIn(t *testing.T) {
-	f, err := NewFabric(FabricConfig{Addr: 11, Seed: 11, MaxIdle: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Stop)
-	f.Start()
-	time.Sleep(250 * time.Millisecond)
-	if n := f.FStats().PumpRounds; n < 5 {
-		t.Fatalf("MaxIdle=20ms fabric ran only %d pump rounds in 250ms, want >= 5", n)
-	}
-}
-
-// TestFabricPumpShardsMergeOrder feeds datagrams from interleaved senders
-// straight into the raw handler of a sharded fabric and checks the system
-// handler observes them in exact arrival order — the keyed merge must undo
-// whatever interleaving the parallel decode workers produce. The stream
-// includes a coalesced batch (expands in frame order at its slot) and a
-// corrupt datagram (tombstone: counted, never stalls the merge).
-func TestFabricPumpShardsMergeOrder(t *testing.T) {
-	f, err := NewFabric(FabricConfig{Addr: 1, Seed: 1, PumpShards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Stop)
+// TestFabricIngressArrivalOrder feeds datagrams from interleaved senders
+// straight into the raw handler and checks the system handler observes them
+// in exact arrival order. The stream includes a coalesced batch (expands in
+// frame order at its slot) and a corrupt datagram (counted, injects nothing,
+// never stalls what is queued behind it).
+func TestFabricIngressArrivalOrder(t *testing.T) {
+	f := newTestFabric(t, 1)
 
 	type rx struct {
 		from netem.Addr
@@ -110,10 +92,10 @@ func TestFabricPumpShardsMergeOrder(t *testing.T) {
 	}
 }
 
-// TestFabricCoalescedExchange runs the two-fabric exchange with egress
-// coalescing on: a burst of same-round sends must arrive complete and in
-// order at the peer while costing fewer datagrams than messages.
-func TestFabricCoalescedExchange(t *testing.T) {
+// TestFabricCoalesceOverflow forces the coalesceLimit flush path: a burst
+// whose frames cannot share one datagram must split across several, all of
+// which arrive complete and in order.
+func TestFabricCoalesceOverflow(t *testing.T) {
 	a := newTestFabric(t, 1)
 	b, err := NewFabric(FabricConfig{Addr: 2, Seed: 2, Coalesce: true})
 	if err != nil {
@@ -121,10 +103,11 @@ func TestFabricCoalescedExchange(t *testing.T) {
 	}
 	t.Cleanup(b.Stop)
 
-	got := make(chan uint64, 64)
+	got := make(chan *wire.Write, 64)
 	a.Network().Attach(a.Addr(), func(_ netem.Addr, payload any, _ int) {
-		if hb, ok := payload.(*wire.Heartbeat); ok {
-			got <- hb.Seq
+		if w, ok := payload.(*wire.Write); ok {
+			// The view aliases its set; keep an owned copy.
+			got <- &wire.Write{Seq: w.Seq, Value: append([]byte(nil), w.Value...)}
 		}
 	})
 	b.Network().Attach(b.Addr(), func(netem.Addr, any, int) {})
@@ -133,72 +116,76 @@ func TestFabricCoalescedExchange(t *testing.T) {
 	a.Start()
 	b.Start()
 
-	const burst = 20
+	// Two 546-byte frames fit under the 1200-byte limit, a third does not:
+	// 8 writes posted in one round cost exactly 4 datagrams.
+	const burst = 8
+	value := bytes.Repeat([]byte{0xab}, 500)
 	b.Post(func() {
 		for i := uint64(0); i < burst; i++ {
-			hb := &wire.Heartbeat{From: 2, Seq: i}
-			b.Network().Send(b.Addr(), a.Addr(), hb, hb.Size())
+			w := &wire.Write{Reg: 1, Key: i, Seq: i, Value: value}
+			b.Network().Send(b.Addr(), a.Addr(), w, w.Size())
 		}
 	})
 	for i := uint64(0); i < burst; i++ {
 		select {
-		case s := <-got:
-			if s != i {
-				t.Fatalf("heartbeat %d arrived out of order (seq %d)", i, s)
+		case w := <-got:
+			if w.Seq != i || !bytes.Equal(w.Value, value) {
+				t.Fatalf("write %d arrived as seq %d with %d value bytes", i, w.Seq, len(w.Value))
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("heartbeat %d never arrived", i)
+			t.Fatalf("write %d never arrived", i)
 		}
 	}
-	st := b.FStats()
-	if st.EgressBatches == 0 {
-		t.Fatal("coalescing fabric sent no batches")
-	}
-	if st.EgressBatches >= st.EgressMsgs {
-		t.Fatalf("EgressBatches=%d not below EgressMsgs=%d: nothing was coalesced",
-			st.EgressBatches, st.EgressMsgs)
+	waitFor(t, func() bool { return b.FStats().EgressBatches == burst/2 })
+	if n := b.Node().Stats().Sent; n != burst/2 {
+		t.Fatalf("sent %d datagrams, want %d", n, burst/2)
 	}
 }
 
-// TestFabricCoalesceOverflow forces the CoalesceLimit flush path: messages
-// larger than the limit allows must split across multiple datagrams, all of
-// which arrive.
-func TestFabricCoalesceOverflow(t *testing.T) {
-	a := newTestFabric(t, 1)
-	b, err := NewFabric(FabricConfig{Addr: 2, Seed: 2, Coalesce: true, CoalesceLimit: 32})
+// TestFabricInlineEgressStartsNoGoroutines: with EgressShards 0 a running
+// fabric is the pump plus the socket reader and nothing else.
+func TestFabricInlineEgressStartsNoGoroutines(t *testing.T) {
+	f, err := NewFabric(FabricConfig{Addr: 9, Seed: 9, Coalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(b.Stop)
-
-	got := make(chan uint64, 64)
-	a.Network().Attach(a.Addr(), func(_ netem.Addr, payload any, _ int) {
-		if hb, ok := payload.(*wire.Heartbeat); ok {
-			got <- hb.Seq
-		}
-	})
-	b.Network().Attach(b.Addr(), func(netem.Addr, any, int) {})
-	a.AddRemote(b.Addr(), b.AddrPort())
-	b.AddRemote(a.Addr(), a.AddrPort())
-	a.Start()
-	b.Start()
-
-	const burst = 16
-	b.Post(func() {
-		for i := uint64(0); i < burst; i++ {
-			hb := &wire.Heartbeat{From: 2, Seq: i}
-			b.Network().Send(b.Addr(), a.Addr(), hb, hb.Size())
-		}
-	})
-	for i := uint64(0); i < burst; i++ {
-		select {
-		case s := <-got:
-			if s != i {
-				t.Fatalf("heartbeat %d arrived out of order (seq %d)", i, s)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("heartbeat %d never arrived", i)
+	t.Cleanup(f.Stop)
+	f.Start()
+	f.Call(func() {}) // the pump is up
+	buf := make([]byte, 1<<20)
+	var ours []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "netem/live.") && !strings.Contains(g, "testing.tRunner") {
+			ours = append(ours, g)
 		}
 	}
-	waitFor(t, func() bool { return b.FStats().EgressBatches >= 2 })
+	if len(ours) != 2 {
+		t.Fatalf("%d package goroutines running, want 2 (pump + socket reader):\n%s",
+			len(ours), strings.Join(ours, "\n\n"))
+	}
+}
+
+// TestFabricCallAfterStop: once the pump has exited nothing drains the post
+// queue, so a late Call must run on its caller instead of blocking forever
+// (swishd's /metrics handler racing SIGTERM), and a late Post is dropped and
+// counted.
+func TestFabricCallAfterStop(t *testing.T) {
+	for _, started := range []bool{true, false} {
+		f := newTestFabric(t, 9)
+		if started {
+			f.Start()
+		}
+		f.Stop()
+		ran := make(chan struct{})
+		go f.Call(func() { close(ran) })
+		select {
+		case <-ran:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("started=%v: Call after Stop never ran", started)
+		}
+		f.Post(func() { t.Error("Post after Stop ran") })
+		if n := f.FStats().PostsDropped; n != 1 {
+			t.Fatalf("started=%v: PostsDropped = %d, want 1", started, n)
+		}
+	}
 }

@@ -567,7 +567,6 @@ func (n *Node) readLoop() {
 	defer n.wg.Done()
 	buf := make([]byte, 64<<10)
 	for {
-		n.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 		sz, src, err := n.conn.ReadFromUDPAddrPort(buf)
 		select {
 		case <-n.closed:
@@ -575,10 +574,7 @@ func (n *Node) readLoop() {
 		default:
 		}
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return
+			return // Close closes the socket, which unblocks the read
 		}
 		n.processDatagram(src, buf[:sz])
 	}

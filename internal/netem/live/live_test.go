@@ -199,8 +199,14 @@ func TestCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Closing the socket is what unblocks the read loop; no read deadline
+	// paces the shutdown.
+	start := time.Now()
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Close took %v", d)
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)

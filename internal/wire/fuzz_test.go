@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -95,6 +96,28 @@ func exemplarMsgs() []Msg {
 	}
 }
 
+// ewoCountBomb is a 10-byte EWOUpdate frame whose entry count claims 65535
+// entries: header only, no entry bytes behind it.
+var ewoCountBomb = []byte{byte(TEWOUpdate), 0, 1, 0, 2, 0, 0, 0, 0xff, 0xff}
+
+// TestEWOUpdateCountBombBounded: the entry count comes straight off the wire
+// (the sim corruption checker flips exactly such bits), so both decoders
+// must refuse a count the body cannot hold before sizing anything by it.
+func TestEWOUpdateCountBombBounded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(ewoCountBomb)
+	s := NewViewSet(nil)
+	msgs, errs := s.Decode(ewoCountBomb)
+	runtime.ReadMemStats(&after)
+	if err == nil || errs != 1 || len(msgs) != 0 {
+		t.Fatalf("count bomb accepted: err=%v, view errs=%d msgs=%d", err, errs, len(msgs))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("decoding a 10-byte frame allocated %d bytes", got)
+	}
+}
+
 // FuzzDecode is the native fuzz face of the decoder totality property: for
 // any input, Unmarshal returns a message or an error — never a panic, never
 // (nil, nil) — and anything it accepts survives a re-marshal/re-decode
@@ -106,6 +129,7 @@ func FuzzDecode(f *testing.F) {
 	for _, m := range exemplarMsgs() {
 		f.Add(Marshal(m))
 	}
+	f.Add(ewoCountBomb)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Unmarshal(data)
 		if err != nil {

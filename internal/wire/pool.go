@@ -1,176 +1,59 @@
 package wire
 
-// Pool plumbing for the chain message types, same contract as EWOUpdate and
-// Heartbeat: EnablePool arms the hooks, Ref/Release count outstanding
-// holders, and the last Release hands the struct to free for reuse. Messages
-// without a pool (unmarshalled classically or built as literals) ignore
-// Ref/Release entirely, so the simulator's unpooled chain traffic is
-// unaffected. The zero-copy receive path (ViewSet) is the main user: every
-// decoded view message carries a free hook that drops one reference on its
-// owning set.
+// pooled is the reference-count plumbing every poolable message type embeds.
+// EnablePool arms it; Ref/Release then count outstanding holders (the sender
+// plus one per scheduled network delivery, or the decode path plus one per
+// handler that keeps the message) and the last Release hands the message to
+// free for reuse. Messages without a pool (decoded by Unmarshal or built
+// as literals) ignore Ref/Release entirely, so the simulator's unpooled
+// traffic is unaffected. The zero-copy receive path (ViewSet) is the main
+// user: every view message's free hook drops one reference on its set.
+//
+// Each message type adds only `Release() { m.release(m) }`: the hook wants
+// the message, and an embedded struct cannot name its holder.
+type pooled[T any] struct {
+	refs int32
+	free func(*T)
+}
 
-// EnablePool marks the write as pooled: when its reference count drains to
-// zero, free receives it for reuse.
-func (w *Write) EnablePool(free func(*Write)) { w.free = free }
+// EnablePool marks the message as pooled: when its reference count drains to
+// zero, free receives it for reuse (slices keep their backing arrays across
+// recycling, so a warmed pool marshals and batches without allocating).
+func (p *pooled[T]) EnablePool(free func(*T)) { p.free = free }
 
 // Pooled reports whether pool plumbing is armed (netem.PoolAware): an
-// unpooled write is a plain immutable payload and may cross simulator
+// unpooled message is a plain immutable payload and may cross simulator
 // shard boundaries by pointer.
-func (w *Write) Pooled() bool { return w.free != nil }
+func (p *pooled[T]) Pooled() bool { return p.free != nil }
 
-// Ref takes a reference on a pooled write (no-op otherwise).
-func (w *Write) Ref() {
-	if w.free != nil {
-		w.refs++
+// Ref takes a reference on a pooled message (no-op otherwise).
+func (p *pooled[T]) Ref() {
+	if p.free != nil {
+		p.refs++
 	}
 }
 
-// Release drops a reference; the last holder returns the write to its pool.
-// Holders must not touch the write after releasing it.
-func (w *Write) Release() {
-	if w.free == nil {
+// release drops a reference; the last holder returns self to its pool.
+// Holders must not touch the message after releasing it.
+func (p *pooled[T]) release(self *T) {
+	if p.free == nil {
 		return
 	}
-	w.refs--
+	p.refs--
 	switch {
-	case w.refs == 0:
-		w.free(w)
-	case w.refs < 0:
-		panic("wire: Write over-released")
+	case p.refs == 0:
+		p.free(self)
+	case p.refs < 0:
+		panic("wire: pooled message over-released")
 	}
 }
 
-// EnablePool marks the ack as pooled (see Write.EnablePool).
-func (a *WriteAck) EnablePool(free func(*WriteAck)) { a.free = free }
-
-// Pooled reports whether pool plumbing is armed (see Write.Pooled).
-func (a *WriteAck) Pooled() bool { return a.free != nil }
-
-// Ref takes a reference on a pooled ack (no-op otherwise).
-func (a *WriteAck) Ref() {
-	if a.free != nil {
-		a.refs++
-	}
-}
-
-// Release drops a reference (see Write.Release).
-func (a *WriteAck) Release() {
-	if a.free == nil {
-		return
-	}
-	a.refs--
-	switch {
-	case a.refs == 0:
-		a.free(a)
-	case a.refs < 0:
-		panic("wire: WriteAck over-released")
-	}
-}
-
-// EnablePool marks the forward as pooled (see Write.EnablePool).
-func (r *ReadFwd) EnablePool(free func(*ReadFwd)) { r.free = free }
-
-// Pooled reports whether pool plumbing is armed (see Write.Pooled).
-func (r *ReadFwd) Pooled() bool { return r.free != nil }
-
-// Ref takes a reference on a pooled forward (no-op otherwise).
-func (r *ReadFwd) Ref() {
-	if r.free != nil {
-		r.refs++
-	}
-}
-
-// Release drops a reference (see Write.Release).
-func (r *ReadFwd) Release() {
-	if r.free == nil {
-		return
-	}
-	r.refs--
-	switch {
-	case r.refs == 0:
-		r.free(r)
-	case r.refs < 0:
-		panic("wire: ReadFwd over-released")
-	}
-}
-
-// EnablePool marks the reply as pooled (see Write.EnablePool).
-func (r *ReadReply) EnablePool(free func(*ReadReply)) { r.free = free }
-
-// Pooled reports whether pool plumbing is armed (see Write.Pooled).
-func (r *ReadReply) Pooled() bool { return r.free != nil }
-
-// Ref takes a reference on a pooled reply (no-op otherwise).
-func (r *ReadReply) Ref() {
-	if r.free != nil {
-		r.refs++
-	}
-}
-
-// Release drops a reference (see Write.Release).
-func (r *ReadReply) Release() {
-	if r.free == nil {
-		return
-	}
-	r.refs--
-	switch {
-	case r.refs == 0:
-		r.free(r)
-	case r.refs < 0:
-		panic("wire: ReadReply over-released")
-	}
-}
-
-// EnablePool marks the nack as pooled (see Write.EnablePool).
-func (m *ChainNack) EnablePool(free func(*ChainNack)) { m.free = free }
-
-// Pooled reports whether pool plumbing is armed (see Write.Pooled).
-func (m *ChainNack) Pooled() bool { return m.free != nil }
-
-// Ref takes a reference on a pooled nack (no-op otherwise).
-func (m *ChainNack) Ref() {
-	if m.free != nil {
-		m.refs++
-	}
-}
-
-// Release drops a reference (see Write.Release).
-func (m *ChainNack) Release() {
-	if m.free == nil {
-		return
-	}
-	m.refs--
-	switch {
-	case m.refs == 0:
-		m.free(m)
-	case m.refs < 0:
-		panic("wire: ChainNack over-released")
-	}
-}
-
-// EnablePool marks the cursor as pooled (see Write.EnablePool).
-func (m *ChainCursor) EnablePool(free func(*ChainCursor)) { m.free = free }
-
-// Pooled reports whether pool plumbing is armed (see Write.Pooled).
-func (m *ChainCursor) Pooled() bool { return m.free != nil }
-
-// Ref takes a reference on a pooled cursor (no-op otherwise).
-func (m *ChainCursor) Ref() {
-	if m.free != nil {
-		m.refs++
-	}
-}
-
-// Release drops a reference (see Write.Release).
-func (m *ChainCursor) Release() {
-	if m.free == nil {
-		return
-	}
-	m.refs--
-	switch {
-	case m.refs == 0:
-		m.free(m)
-	case m.refs < 0:
-		panic("wire: ChainCursor over-released")
-	}
-}
+// Release drops a reference (no-op on an unpooled message).
+func (w *Write) Release()       { w.release(w) }
+func (a *WriteAck) Release()    { a.release(a) }
+func (r *ReadFwd) Release()     { r.release(r) }
+func (r *ReadReply) Release()   { r.release(r) }
+func (m *ChainNack) Release()   { m.release(m) }
+func (m *ChainCursor) Release() { m.release(m) }
+func (u *EWOUpdate) Release()   { u.release(u) }
+func (h *Heartbeat) Release()   { h.release(h) }

@@ -1,12 +1,5 @@
 package wire
 
-import (
-	"encoding/binary"
-
-	"swishmem/internal/sim"
-	"swishmem/internal/timesync"
-)
-
 // ViewSet is the zero-copy receive-side decoder: one set owns one datagram's
 // bytes plus the pooled view messages decoded in place over them. Value
 // fields of view messages alias the set's buffer, so the buffer (and the
@@ -19,22 +12,21 @@ import (
 //
 // Decode copies the caller's payload into the set-owned buffer before
 // slicing views out of it, so the caller keeps full ownership of payload;
-// the copy is one memcpy per datagram versus the per-sub-frame struct,
-// slice, and value allocations of the classic Unmarshal path. A warmed set
-// decodes a full batch datagram with zero allocations.
+// the copy is one memcpy per datagram versus Unmarshal's per-sub-frame
+// struct, slice, and value allocations. A warmed set decodes a full batch
+// datagram with zero allocations.
 //
 // Sets are single-goroutine objects: Decode and all Ref/Release calls on
 // the set and its messages must be serialized by the caller (the live
-// fabric keeps each set on one pump/shard at a time, publishing it across
-// goroutines only through a mutex).
+// fabric does all of it on the pump goroutine).
 type ViewSet struct {
 	buf     []byte
 	msgs    []Msg
 	refs    int32
 	recycle func(*ViewSet)
 
-	// Typed spares: fully released view structs from the previous datagram,
-	// re-bucketed by Decode before reuse.
+	// Typed spares: each view struct parks itself here on its final Release,
+	// ready for the next datagram.
 	writes  []*Write
 	acks    []*WriteAck
 	fwds    []*ReadFwd
@@ -76,39 +68,17 @@ func (s *ViewSet) Release() { s.unref() }
 func (s *ViewSet) Live() bool { return s.refs != 0 }
 
 // Decode consumes one datagram: either a single frame or a TBatch of
-// frames, mirroring the classic fabric decode exactly. It returns the view
-// messages in frame order plus the number of undecodable frames; a
-// batch-level framing error or an undecodable single frame yields
-// (nil, errs) with errs > 0. The returned slice is owned by the set and
-// valid until the next Decode. The caller must Release the set once
+// frames. It returns the view messages in frame order plus the number of
+// undecodable frames; a batch-level framing error or an undecodable single
+// frame yields (nil, errs) with errs > 0. The returned slice is owned by the
+// set and valid until the next Decode. The caller must Release the set once
 // (regardless of errors) and arrange for every returned message to be
 // released exactly once more than it was Ref'd.
 func (s *ViewSet) Decode(payload []byte) (msgs []Msg, errs uint32) {
 	if s.refs != 0 {
 		panic("wire: ViewSet reused while messages are still referenced")
 	}
-	// Re-bucket the previous datagram's (fully released) views for reuse.
-	for i, m := range s.msgs {
-		switch v := m.(type) {
-		case *Write:
-			s.writes = append(s.writes, v)
-		case *WriteAck:
-			s.acks = append(s.acks, v)
-		case *ReadFwd:
-			s.fwds = append(s.fwds, v)
-		case *ReadReply:
-			s.replies = append(s.replies, v)
-		case *EWOUpdate:
-			s.updates = append(s.updates, v)
-		case *Heartbeat:
-			s.beats = append(s.beats, v)
-		case *ChainNack:
-			s.nacks = append(s.nacks, v)
-		case *ChainCursor:
-			s.cursors = append(s.cursors, v)
-		}
-		s.msgs[i] = nil
-	}
+	clear(s.msgs)
 	s.msgs = s.msgs[:0]
 	s.buf = append(s.buf[:0], payload...)
 	s.refs = 1 // the walk reference, dropped by Release
@@ -139,9 +109,9 @@ func (s *ViewSet) Decode(payload []byte) (msgs []Msg, errs uint32) {
 }
 
 // decodeFrame slices one view message out of the set buffer. Types without
-// a hot-path view decoder (configuration and bootstrap messages) fall back
-// to the classic allocating Unmarshal — they are rare, and their decoded
-// form holds no set reference.
+// a view decoder (configuration and bootstrap messages) go through the
+// allocating Unmarshal — they are rare, and their decoded form holds no set
+// reference.
 func (s *ViewSet) decodeFrame(frame []byte) bool {
 	if len(frame) == 0 {
 		return false
@@ -149,21 +119,21 @@ func (s *ViewSet) decodeFrame(frame []byte) bool {
 	body := frame[1:]
 	switch Type(frame[0]) {
 	case TWrite:
-		return s.viewWrite(body)
+		return view(s, &s.writes, body)
 	case TWriteAck:
-		return s.viewWriteAck(body)
+		return view(s, &s.acks, body)
 	case TReadFwd:
-		return s.viewReadFwd(body)
+		return view(s, &s.fwds, body)
 	case TReadReply:
-		return s.viewReadReply(body)
+		return view(s, &s.replies, body)
 	case TEWOUpdate:
-		return s.viewEWOUpdate(body)
+		return view(s, &s.updates, body)
 	case THeartbeat:
-		return s.viewHeartbeat(body)
+		return view(s, &s.beats, body)
 	case TChainNack:
-		return s.viewChainNack(body)
+		return view(s, &s.nacks, body)
 	case TChainCursor:
-		return s.viewChainCursor(body)
+		return view(s, &s.cursors, body)
 	default:
 		m, err := Unmarshal(frame)
 		if err != nil {
@@ -174,243 +144,34 @@ func (s *ViewSet) decodeFrame(frame []byte) bool {
 	}
 }
 
-// valueView is getValue without the copy: the returned slice aliases b
-// (capacity-clamped so appends cannot scribble past it), nil when empty to
-// match the classic decoder byte for byte on re-marshal.
-func valueView(b []byte) (v, rest []byte, ok bool) {
-	if len(b) < 2 {
-		return nil, nil, false
+// view decodes body into a spare *T (or a fresh one wired to park itself
+// back on spares and drop its set reference when fully released) and
+// registers it: one set reference plus the message's own creator reference,
+// dropped by the receive path after the handler chain is done with it.
+func view[T any, P interface {
+	*T
+	viewMsg
+	EnablePool(func(*T))
+	Ref()
+}](s *ViewSet, spares *[]*T, body []byte) bool {
+	var m *T
+	if n := len(*spares); n > 0 {
+		m = (*spares)[n-1]
+		(*spares)[n-1] = nil
+		*spares = (*spares)[:n-1]
+	} else {
+		m = new(T)
+		P(m).EnablePool(func(released *T) {
+			*spares = append(*spares, released)
+			s.unref()
+		})
 	}
-	n := int(binary.BigEndian.Uint16(b))
-	if n > maxValueLen || len(b)-2 < n {
-		return nil, nil, false
+	if !P(m).decode(body) {
+		*spares = append(*spares, m)
+		return false
 	}
-	if n == 0 {
-		return nil, b[2:], true
-	}
-	return b[2 : 2+n : 2+n], b[2+n:], true
-}
-
-// add registers a freshly decoded view message: one set reference plus the
-// message's own creator reference (dropped by the receive path after the
-// handler chain is done with it).
-func (s *ViewSet) add(m Msg) {
+	P(m).Ref()
 	s.refs++
-	s.msgs = append(s.msgs, m)
-}
-
-func (s *ViewSet) viewWrite(body []byte) bool {
-	if len(body) < 33 {
-		return false
-	}
-	v, _, ok := valueView(body[33:])
-	if !ok {
-		return false
-	}
-	var w *Write
-	if n := len(s.writes); n > 0 {
-		w = s.writes[n-1]
-		s.writes[n-1] = nil
-		s.writes = s.writes[:n-1]
-	} else {
-		w = &Write{}
-		w.free = func(*Write) { s.unref() }
-	}
-	w.Reg = binary.BigEndian.Uint16(body[0:])
-	w.Key = binary.BigEndian.Uint64(body[2:])
-	w.Seq = binary.BigEndian.Uint64(body[10:])
-	w.WriteID = binary.BigEndian.Uint64(body[18:])
-	w.Writer = binary.BigEndian.Uint16(body[26:])
-	w.Epoch = binary.BigEndian.Uint32(body[28:])
-	w.Snapshot = body[32] == 1
-	w.Value = v
-	w.refs = 1
-	s.add(w)
-	return true
-}
-
-func (s *ViewSet) viewWriteAck(body []byte) bool {
-	if len(body) < 32 {
-		return false
-	}
-	var a *WriteAck
-	if n := len(s.acks); n > 0 {
-		a = s.acks[n-1]
-		s.acks[n-1] = nil
-		s.acks = s.acks[:n-1]
-	} else {
-		a = &WriteAck{}
-		a.free = func(*WriteAck) { s.unref() }
-	}
-	a.Reg = binary.BigEndian.Uint16(body[0:])
-	a.Key = binary.BigEndian.Uint64(body[2:])
-	a.Seq = binary.BigEndian.Uint64(body[10:])
-	a.WriteID = binary.BigEndian.Uint64(body[18:])
-	a.Writer = binary.BigEndian.Uint16(body[26:])
-	a.Epoch = binary.BigEndian.Uint32(body[28:])
-	a.refs = 1
-	s.add(a)
-	return true
-}
-
-func (s *ViewSet) viewReadFwd(body []byte) bool {
-	if len(body) < 20 {
-		return false
-	}
-	var r *ReadFwd
-	if n := len(s.fwds); n > 0 {
-		r = s.fwds[n-1]
-		s.fwds[n-1] = nil
-		s.fwds = s.fwds[:n-1]
-	} else {
-		r = &ReadFwd{}
-		r.free = func(*ReadFwd) { s.unref() }
-	}
-	r.Reg = binary.BigEndian.Uint16(body[0:])
-	r.Key = binary.BigEndian.Uint64(body[2:])
-	r.ReqID = binary.BigEndian.Uint64(body[10:])
-	r.Origin = binary.BigEndian.Uint16(body[18:])
-	r.refs = 1
-	s.add(r)
-	return true
-}
-
-func (s *ViewSet) viewReadReply(body []byte) bool {
-	if len(body) < 20 {
-		return false
-	}
-	v, _, ok := valueView(body[18:])
-	if !ok {
-		return false
-	}
-	var r *ReadReply
-	if n := len(s.replies); n > 0 {
-		r = s.replies[n-1]
-		s.replies[n-1] = nil
-		s.replies = s.replies[:n-1]
-	} else {
-		r = &ReadReply{}
-		r.free = func(*ReadReply) { s.unref() }
-	}
-	r.Reg = binary.BigEndian.Uint16(body[0:])
-	r.Key = binary.BigEndian.Uint64(body[2:])
-	r.ReqID = binary.BigEndian.Uint64(body[10:])
-	r.Value = v
-	r.refs = 1
-	s.add(r)
-	return true
-}
-
-func (s *ViewSet) viewEWOUpdate(body []byte) bool {
-	if len(body) < 9 {
-		return false
-	}
-	var u *EWOUpdate
-	if n := len(s.updates); n > 0 {
-		u = s.updates[n-1]
-		s.updates[n-1] = nil
-		s.updates = s.updates[:n-1]
-	} else {
-		u = &EWOUpdate{}
-		u.free = func(*EWOUpdate) { s.unref() }
-	}
-	u.Reg = binary.BigEndian.Uint16(body[0:])
-	u.From = binary.BigEndian.Uint16(body[2:])
-	u.Slot = binary.BigEndian.Uint16(body[4:])
-	u.Sync = body[6] == 1
-	n := int(binary.BigEndian.Uint16(body[7:]))
-	b := body[9:]
-	es := u.Entries[:0]
-	for i := 0; i < n; i++ {
-		if len(b) < 18 {
-			u.Entries = u.Entries[:0]
-			s.updates = append(s.updates, u)
-			return false
-		}
-		e := EWOEntry{
-			Key: binary.BigEndian.Uint64(b[0:]),
-			Stamp: timesync.Stamp{
-				Time: sim.Time(binary.BigEndian.Uint64(b[8:])),
-				Node: timesync.NodeID(binary.BigEndian.Uint16(b[16:])),
-			},
-		}
-		var ok bool
-		e.Value, b, ok = valueView(b[18:])
-		if !ok {
-			u.Entries = u.Entries[:0]
-			s.updates = append(s.updates, u)
-			return false
-		}
-		es = append(es, e)
-	}
-	u.Entries = es
-	u.refs = 1
-	s.add(u)
-	return true
-}
-
-func (s *ViewSet) viewHeartbeat(body []byte) bool {
-	if len(body) < 10 {
-		return false
-	}
-	var h *Heartbeat
-	if n := len(s.beats); n > 0 {
-		h = s.beats[n-1]
-		s.beats[n-1] = nil
-		s.beats = s.beats[:n-1]
-	} else {
-		h = &Heartbeat{}
-		h.free = func(*Heartbeat) { s.unref() }
-	}
-	h.From = binary.BigEndian.Uint16(body[0:])
-	h.Seq = binary.BigEndian.Uint64(body[2:])
-	h.refs = 1
-	s.add(h)
-	return true
-}
-
-func (s *ViewSet) viewChainNack(body []byte) bool {
-	if len(body) < 26 {
-		return false
-	}
-	var m *ChainNack
-	if n := len(s.nacks); n > 0 {
-		m = s.nacks[n-1]
-		s.nacks[n-1] = nil
-		s.nacks = s.nacks[:n-1]
-	} else {
-		m = &ChainNack{}
-		m.free = func(*ChainNack) { s.unref() }
-	}
-	m.Reg = binary.BigEndian.Uint16(body[0:])
-	m.Epoch = binary.BigEndian.Uint32(body[2:])
-	m.Group = binary.BigEndian.Uint32(body[6:])
-	m.From = binary.BigEndian.Uint64(body[10:])
-	m.To = binary.BigEndian.Uint64(body[18:])
-	m.refs = 1
-	s.add(m)
-	return true
-}
-
-func (s *ViewSet) viewChainCursor(body []byte) bool {
-	if len(body) < 19 || body[18] > 1 {
-		return false
-	}
-	var m *ChainCursor
-	if n := len(s.cursors); n > 0 {
-		m = s.cursors[n-1]
-		s.cursors[n-1] = nil
-		s.cursors = s.cursors[:n-1]
-	} else {
-		m = &ChainCursor{}
-		m.free = func(*ChainCursor) { s.unref() }
-	}
-	m.Reg = binary.BigEndian.Uint16(body[0:])
-	m.Epoch = binary.BigEndian.Uint32(body[2:])
-	m.Group = binary.BigEndian.Uint32(body[6:])
-	m.Seq = binary.BigEndian.Uint64(body[10:])
-	m.Skip = body[18] == 1
-	m.refs = 1
-	s.add(m)
+	s.msgs = append(s.msgs, P(m))
 	return true
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // classicDecode is the reference oracle for ViewSet.Decode: the allocating
-// datagram decode the live fabric used before the zero-copy path, kept here
-// verbatim so the differential tests pin the view decoder to its semantics —
-// same messages, same error counts, byte for byte.
+// datagram decode built on Unmarshal. Both sides share the per-type layout
+// parsers, so what the differential tests pin is everything around them —
+// framing, error accounting, and that aliasing views and owned copies
+// re-marshal to the same bytes.
 func classicDecode(payload []byte) (msgs []Msg, errs uint32) {
 	if len(payload) > 0 && Type(payload[0]) == TBatch {
 		err := WalkBatch(payload[1:], func(frame []byte) error {
@@ -378,6 +379,7 @@ func FuzzViewDecode(f *testing.F) {
 	for _, body := range corpusInputs(f, "FuzzWalkBatch") {
 		f.Add(append([]byte{byte(TBatch)}, body...))
 	}
+	f.Add(ewoCountBomb)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recycled := 0
 		s := NewViewSet(func(*ViewSet) { recycled++ })

@@ -86,25 +86,42 @@ type Msg interface {
 // Marshal encodes m into a fresh buffer.
 func Marshal(m Msg) []byte { return m.Marshal(make([]byte, 0, m.Size())) }
 
-// Unmarshal decodes a message previously produced by Marshal.
+// viewMsg is a message type with a view decoder: decode reads the type's
+// fixed layout from body (the frame minus its type tag) into the receiver,
+// overwriting every field, and reports whether body was well formed. Value
+// fields come out as capacity-clamped views aliasing body — the one parser
+// per layout, shared by Unmarshal (which copies the values out) and ViewSet
+// (which keeps the aliases and owns the bytes).
+type viewMsg interface {
+	Msg
+	decode(body []byte) bool
+}
+
+// Unmarshal decodes a message previously produced by Marshal. The result
+// owns all its memory: nothing in it aliases data.
 func Unmarshal(data []byte) (Msg, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("wire: empty message")
 	}
 	body := data[1:]
+	var m viewMsg
 	switch Type(data[0]) {
 	case TWrite:
-		return unmarshalWrite(body)
+		m = &Write{}
 	case TWriteAck:
-		return unmarshalWriteAck(body)
+		m = &WriteAck{}
 	case TReadFwd:
-		return unmarshalReadFwd(body)
+		m = &ReadFwd{}
 	case TReadReply:
-		return unmarshalReadReply(body)
+		m = &ReadReply{}
 	case TEWOUpdate:
-		return unmarshalEWOUpdate(body)
+		m = &EWOUpdate{}
 	case THeartbeat:
-		return unmarshalHeartbeat(body)
+		m = &Heartbeat{}
+	case TChainNack:
+		m = &ChainNack{}
+	case TChainCursor:
+		m = &ChainCursor{}
 	case TChainConfig:
 		return unmarshalChainConfig(body)
 	case TGroupConfig:
@@ -115,13 +132,23 @@ func Unmarshal(data []byte) (Msg, error) {
 		return unmarshalPeerList(body)
 	case TBatch:
 		return unmarshalBatch(body)
-	case TChainNack:
-		return unmarshalChainNack(body)
-	case TChainCursor:
-		return unmarshalChainCursor(body)
 	default:
 		return nil, fmt.Errorf("wire: unknown type %d", data[0])
 	}
+	if !m.decode(body) {
+		return nil, fmt.Errorf("wire: malformed %v (%d bytes)", m.WireType(), len(body))
+	}
+	switch v := m.(type) {
+	case *Write:
+		v.Value = append([]byte(nil), v.Value...)
+	case *ReadReply:
+		v.Value = append([]byte(nil), v.Value...)
+	case *EWOUpdate:
+		for i := range v.Entries {
+			v.Entries[i].Value = append([]byte(nil), v.Entries[i].Value...)
+		}
+	}
+	return m, nil
 }
 
 const maxValueLen = 1 << 12 // generous; paper-scale register objects are ~100B
@@ -131,19 +158,21 @@ func putValue(dst []byte, v []byte) []byte {
 	return append(dst, v...)
 }
 
-func getValue(b []byte) (v, rest []byte, err error) {
+// valueView reads a length-prefixed value without copying: the returned
+// slice aliases b (capacity-clamped so appends cannot scribble past it) and
+// is nil when empty, so a decoded message re-marshals byte for byte.
+func valueView(b []byte) (v, rest []byte, ok bool) {
 	if len(b) < 2 {
-		return nil, nil, fmt.Errorf("wire: truncated value length")
+		return nil, nil, false
 	}
 	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if n > maxValueLen {
-		return nil, nil, fmt.Errorf("wire: value length %d exceeds max %d", n, maxValueLen)
+	if n > maxValueLen || len(b)-2 < n {
+		return nil, nil, false
 	}
-	if len(b) < n {
-		return nil, nil, fmt.Errorf("wire: truncated value (%d < %d)", len(b), n)
+	if n == 0 {
+		return nil, b[2:], true
 	}
-	return append([]byte(nil), b[:n]...), b[n:], nil
+	return b[2 : 2+n : 2+n], b[2+n:], true
 }
 
 // Write is a chain-replication write request (§6.1). The writer's control
@@ -162,12 +191,7 @@ type Write struct {
 	Snapshot bool
 	Value    []byte
 
-	// Pool plumbing, same contract as EWOUpdate: refs counts outstanding
-	// holders and free (when set) receives the write once the count drains.
-	// The zero-copy receive path (ViewSet) decodes writes in place over the
-	// datagram buffer and recycles them through these hooks.
-	refs int32
-	free func(*Write)
+	pooled[Write]
 }
 
 // WireType implements Msg.
@@ -193,25 +217,23 @@ func (w *Write) Marshal(dst []byte) []byte {
 	return putValue(dst, w.Value)
 }
 
-func unmarshalWrite(b []byte) (*Write, error) {
+func (w *Write) decode(b []byte) bool {
 	if len(b) < 33 {
-		return nil, fmt.Errorf("wire: truncated Write (%d bytes)", len(b))
+		return false
 	}
-	w := &Write{
-		Reg:      binary.BigEndian.Uint16(b[0:]),
-		Key:      binary.BigEndian.Uint64(b[2:]),
-		Seq:      binary.BigEndian.Uint64(b[10:]),
-		WriteID:  binary.BigEndian.Uint64(b[18:]),
-		Writer:   binary.BigEndian.Uint16(b[26:]),
-		Epoch:    binary.BigEndian.Uint32(b[28:]),
-		Snapshot: b[32] == 1,
+	v, _, ok := valueView(b[33:])
+	if !ok {
+		return false
 	}
-	v, _, err := getValue(b[33:])
-	if err != nil {
-		return nil, err
-	}
+	w.Reg = binary.BigEndian.Uint16(b[0:])
+	w.Key = binary.BigEndian.Uint64(b[2:])
+	w.Seq = binary.BigEndian.Uint64(b[10:])
+	w.WriteID = binary.BigEndian.Uint64(b[18:])
+	w.Writer = binary.BigEndian.Uint16(b[26:])
+	w.Epoch = binary.BigEndian.Uint32(b[28:])
+	w.Snapshot = b[32] == 1
 	w.Value = v
-	return w, nil
+	return true
 }
 
 // WriteAck is sent by the tail when a write commits: to the writer (which
@@ -225,9 +247,7 @@ type WriteAck struct {
 	Writer  uint16
 	Epoch   uint32
 
-	// Pool plumbing (see Write).
-	refs int32
-	free func(*WriteAck)
+	pooled[WriteAck]
 }
 
 // WireType implements Msg.
@@ -247,18 +267,17 @@ func (a *WriteAck) Marshal(dst []byte) []byte {
 	return binary.BigEndian.AppendUint32(dst, a.Epoch)
 }
 
-func unmarshalWriteAck(b []byte) (*WriteAck, error) {
+func (a *WriteAck) decode(b []byte) bool {
 	if len(b) < 32 {
-		return nil, fmt.Errorf("wire: truncated WriteAck (%d bytes)", len(b))
+		return false
 	}
-	return &WriteAck{
-		Reg:     binary.BigEndian.Uint16(b[0:]),
-		Key:     binary.BigEndian.Uint64(b[2:]),
-		Seq:     binary.BigEndian.Uint64(b[10:]),
-		WriteID: binary.BigEndian.Uint64(b[18:]),
-		Writer:  binary.BigEndian.Uint16(b[26:]),
-		Epoch:   binary.BigEndian.Uint32(b[28:]),
-	}, nil
+	a.Reg = binary.BigEndian.Uint16(b[0:])
+	a.Key = binary.BigEndian.Uint64(b[2:])
+	a.Seq = binary.BigEndian.Uint64(b[10:])
+	a.WriteID = binary.BigEndian.Uint64(b[18:])
+	a.Writer = binary.BigEndian.Uint16(b[26:])
+	a.Epoch = binary.BigEndian.Uint32(b[28:])
+	return true
 }
 
 // ReadFwd forwards a read of a pending key to the tail (§6.1: "the input
@@ -269,9 +288,7 @@ type ReadFwd struct {
 	ReqID  uint64
 	Origin uint16
 
-	// Pool plumbing (see Write).
-	refs int32
-	free func(*ReadFwd)
+	pooled[ReadFwd]
 }
 
 // WireType implements Msg.
@@ -289,16 +306,15 @@ func (r *ReadFwd) Marshal(dst []byte) []byte {
 	return binary.BigEndian.AppendUint16(dst, r.Origin)
 }
 
-func unmarshalReadFwd(b []byte) (*ReadFwd, error) {
+func (r *ReadFwd) decode(b []byte) bool {
 	if len(b) < 20 {
-		return nil, fmt.Errorf("wire: truncated ReadFwd (%d bytes)", len(b))
+		return false
 	}
-	return &ReadFwd{
-		Reg:    binary.BigEndian.Uint16(b[0:]),
-		Key:    binary.BigEndian.Uint64(b[2:]),
-		ReqID:  binary.BigEndian.Uint64(b[10:]),
-		Origin: binary.BigEndian.Uint16(b[18:]),
-	}, nil
+	r.Reg = binary.BigEndian.Uint16(b[0:])
+	r.Key = binary.BigEndian.Uint64(b[2:])
+	r.ReqID = binary.BigEndian.Uint64(b[10:])
+	r.Origin = binary.BigEndian.Uint16(b[18:])
+	return true
 }
 
 // ReadReply answers a ReadFwd with the committed value at the tail.
@@ -308,9 +324,7 @@ type ReadReply struct {
 	ReqID uint64
 	Value []byte
 
-	// Pool plumbing (see Write).
-	refs int32
-	free func(*ReadReply)
+	pooled[ReadReply]
 }
 
 // WireType implements Msg.
@@ -328,21 +342,19 @@ func (r *ReadReply) Marshal(dst []byte) []byte {
 	return putValue(dst, r.Value)
 }
 
-func unmarshalReadReply(b []byte) (*ReadReply, error) {
+func (r *ReadReply) decode(b []byte) bool {
 	if len(b) < 20 {
-		return nil, fmt.Errorf("wire: truncated ReadReply (%d bytes)", len(b))
+		return false
 	}
-	r := &ReadReply{
-		Reg:   binary.BigEndian.Uint16(b[0:]),
-		Key:   binary.BigEndian.Uint64(b[2:]),
-		ReqID: binary.BigEndian.Uint64(b[10:]),
+	v, _, ok := valueView(b[18:])
+	if !ok {
+		return false
 	}
-	v, _, err := getValue(b[18:])
-	if err != nil {
-		return nil, err
-	}
+	r.Reg = binary.BigEndian.Uint16(b[0:])
+	r.Key = binary.BigEndian.Uint64(b[2:])
+	r.ReqID = binary.BigEndian.Uint64(b[10:])
 	r.Value = v
-	return r, nil
+	return true
 }
 
 // ChainNack is a retransmission request from a chain member to its
@@ -356,9 +368,7 @@ type ChainNack struct {
 	From  uint64
 	To    uint64
 
-	// Pool plumbing (see Write).
-	refs int32
-	free func(*ChainNack)
+	pooled[ChainNack]
 }
 
 // WireType implements Msg.
@@ -377,17 +387,16 @@ func (m *ChainNack) Marshal(dst []byte) []byte {
 	return binary.BigEndian.AppendUint64(dst, m.To)
 }
 
-func unmarshalChainNack(b []byte) (*ChainNack, error) {
+func (m *ChainNack) decode(b []byte) bool {
 	if len(b) < 26 {
-		return nil, fmt.Errorf("wire: truncated ChainNack (%d bytes)", len(b))
+		return false
 	}
-	return &ChainNack{
-		Reg:   binary.BigEndian.Uint16(b[0:]),
-		Epoch: binary.BigEndian.Uint32(b[2:]),
-		Group: binary.BigEndian.Uint32(b[6:]),
-		From:  binary.BigEndian.Uint64(b[10:]),
-		To:    binary.BigEndian.Uint64(b[18:]),
-	}, nil
+	m.Reg = binary.BigEndian.Uint16(b[0:])
+	m.Epoch = binary.BigEndian.Uint32(b[2:])
+	m.Group = binary.BigEndian.Uint32(b[6:])
+	m.From = binary.BigEndian.Uint64(b[10:])
+	m.To = binary.BigEndian.Uint64(b[18:])
+	return true
 }
 
 // ChainCursor carries cumulative sequence-cursor state between adjacent chain
@@ -404,9 +413,7 @@ type ChainCursor struct {
 	Seq   uint64
 	Skip  bool
 
-	// Pool plumbing (see Write).
-	refs int32
-	free func(*ChainCursor)
+	pooled[ChainCursor]
 }
 
 // WireType implements Msg.
@@ -429,20 +436,16 @@ func (m *ChainCursor) Marshal(dst []byte) []byte {
 	return append(dst, skip)
 }
 
-func unmarshalChainCursor(b []byte) (*ChainCursor, error) {
-	if len(b) < 19 {
-		return nil, fmt.Errorf("wire: truncated ChainCursor (%d bytes)", len(b))
+func (m *ChainCursor) decode(b []byte) bool {
+	if len(b) < 19 || b[18] > 1 {
+		return false
 	}
-	if b[18] > 1 {
-		return nil, fmt.Errorf("wire: ChainCursor skip byte %d", b[18])
-	}
-	return &ChainCursor{
-		Reg:   binary.BigEndian.Uint16(b[0:]),
-		Epoch: binary.BigEndian.Uint32(b[2:]),
-		Group: binary.BigEndian.Uint32(b[6:]),
-		Seq:   binary.BigEndian.Uint64(b[10:]),
-		Skip:  b[18] == 1,
-	}, nil
+	m.Reg = binary.BigEndian.Uint16(b[0:])
+	m.Epoch = binary.BigEndian.Uint32(b[2:])
+	m.Group = binary.BigEndian.Uint32(b[6:])
+	m.Seq = binary.BigEndian.Uint64(b[10:])
+	m.Skip = b[18] == 1
+	return true
 }
 
 // EWOEntry is one (key, stamp, value) record of an EWO update (§6.2/§7:
@@ -466,41 +469,9 @@ type EWOUpdate struct {
 	Sync    bool   // true if part of a periodic full synchronization
 	Entries []EWOEntry
 
-	// Pool plumbing: updates on the protocol hot path are recycled through
-	// a sender-side free list. refs counts outstanding holders (the sender
-	// plus one per scheduled network delivery); free, when set, receives the
-	// update once the count drains. Updates without a pool (unmarshalled or
-	// literal) ignore Ref/Release entirely.
-	refs int32
-	free func(*EWOUpdate)
-}
-
-// EnablePool marks the update as pooled: when its reference count drains to
-// zero, free receives it for reuse. Entries keeps its backing array across
-// recycling, so a warmed pool marshals and batches without allocating.
-func (u *EWOUpdate) EnablePool(free func(*EWOUpdate)) { u.free = free }
-
-// Ref takes a reference on a pooled update (no-op otherwise).
-func (u *EWOUpdate) Ref() {
-	if u.free != nil {
-		u.refs++
-	}
-}
-
-// Release drops a reference; the last holder returns the update to its pool.
-// Holders must not touch the update after releasing it.
-func (u *EWOUpdate) Release() {
-	if u.free == nil {
-		return
-	}
-	u.refs--
-	switch {
-	case u.refs == 0:
-		u.Entries = u.Entries[:0]
-		u.free(u)
-	case u.refs < 0:
-		panic("wire: EWOUpdate over-released")
-	}
+	// A recycled update comes back with its Entries as the last holder left
+	// them; whoever takes it from a free list truncates before refilling.
+	pooled[EWOUpdate]
 }
 
 // CloneRemote implements netem.RemoteMsg: a pooled update crossing a shard
@@ -590,22 +561,28 @@ func (u *EWOUpdate) Marshal(dst []byte) []byte {
 	return dst
 }
 
-func unmarshalEWOUpdate(b []byte) (*EWOUpdate, error) {
+func (u *EWOUpdate) decode(b []byte) bool {
 	if len(b) < 9 {
-		return nil, fmt.Errorf("wire: truncated EWOUpdate (%d bytes)", len(b))
-	}
-	u := &EWOUpdate{
-		Reg:  binary.BigEndian.Uint16(b[0:]),
-		From: binary.BigEndian.Uint16(b[2:]),
-		Slot: binary.BigEndian.Uint16(b[4:]),
-		Sync: b[6] == 1,
+		return false
 	}
 	n := int(binary.BigEndian.Uint16(b[7:]))
+	if 18*n > len(b)-9 {
+		// Every entry costs at least its fixed 18 bytes; a count that cannot
+		// fit is a count bomb and must not size an allocation.
+		return false
+	}
+	u.Reg = binary.BigEndian.Uint16(b[0:])
+	u.From = binary.BigEndian.Uint16(b[2:])
+	u.Slot = binary.BigEndian.Uint16(b[4:])
+	u.Sync = b[6] == 1
 	b = b[9:]
-	u.Entries = make([]EWOEntry, 0, n)
+	es := u.Entries[:0]
+	if cap(es) < n {
+		es = make([]EWOEntry, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		if len(b) < 18 {
-			return nil, fmt.Errorf("wire: truncated EWOEntry %d", i)
+			return false
 		}
 		e := EWOEntry{
 			Key: binary.BigEndian.Uint64(b[0:]),
@@ -614,14 +591,14 @@ func unmarshalEWOUpdate(b []byte) (*EWOUpdate, error) {
 				Node: timesync.NodeID(binary.BigEndian.Uint16(b[16:])),
 			},
 		}
-		var err error
-		e.Value, b, err = getValue(b[18:])
-		if err != nil {
-			return nil, err
+		var ok bool
+		if e.Value, b, ok = valueView(b[18:]); !ok {
+			return false
 		}
-		u.Entries = append(u.Entries, e)
+		es = append(es, e)
 	}
-	return u, nil
+	u.Entries = es
+	return true
 }
 
 // Heartbeat is the liveness probe switches send to the controller.
@@ -629,38 +606,9 @@ type Heartbeat struct {
 	From uint16
 	Seq  uint64
 
-	// Pool plumbing, same contract as EWOUpdate: refs counts outstanding
-	// holders and free (when set) receives the heartbeat once the count
-	// drains. Heartbeats fire every HeartbeatPeriod on every monitored
-	// switch, so recycling them keeps long idle simulations allocation-free.
-	refs int32
-	free func(*Heartbeat)
-}
-
-// EnablePool marks the heartbeat as pooled: when its reference count drains
-// to zero, free receives it for reuse.
-func (h *Heartbeat) EnablePool(free func(*Heartbeat)) { h.free = free }
-
-// Ref takes a reference on a pooled heartbeat (no-op otherwise).
-func (h *Heartbeat) Ref() {
-	if h.free != nil {
-		h.refs++
-	}
-}
-
-// Release drops a reference; the last holder returns the heartbeat to its
-// pool. Holders must not touch the heartbeat after releasing it.
-func (h *Heartbeat) Release() {
-	if h.free == nil {
-		return
-	}
-	h.refs--
-	switch {
-	case h.refs == 0:
-		h.free(h)
-	case h.refs < 0:
-		panic("wire: Heartbeat over-released")
-	}
+	// Heartbeats fire every HeartbeatPeriod on every monitored switch, so
+	// recycling them keeps long idle simulations allocation-free.
+	pooled[Heartbeat]
 }
 
 // CloneRemote implements netem.RemoteMsg (see EWOUpdate.CloneRemote): the
@@ -699,11 +647,13 @@ func (h *Heartbeat) Marshal(dst []byte) []byte {
 	return binary.BigEndian.AppendUint64(dst, h.Seq)
 }
 
-func unmarshalHeartbeat(b []byte) (*Heartbeat, error) {
+func (h *Heartbeat) decode(b []byte) bool {
 	if len(b) < 10 {
-		return nil, fmt.Errorf("wire: truncated Heartbeat (%d bytes)", len(b))
+		return false
 	}
-	return &Heartbeat{From: binary.BigEndian.Uint16(b[0:]), Seq: binary.BigEndian.Uint64(b[2:])}, nil
+	h.From = binary.BigEndian.Uint16(b[0:])
+	h.Seq = binary.BigEndian.Uint64(b[2:])
+	return true
 }
 
 // ChainConfig announces a new chain membership (§6.3 failover/recovery).
