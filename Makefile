@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-smoke tables snapshot benchdiff pps loc profile trace timeline live-soak clean
+.PHONY: all build test race vet fuzz-smoke bench bench-smoke tables snapshot benchdiff pps loc profile trace timeline live-soak clean
 
 all: build vet test
 
@@ -15,6 +15,19 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Every native fuzz target for FUZZTIME each (go test -fuzz takes one target
+# and one package per run). Plain `go test` only replays the seed corpora;
+# this is the short search on top.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	internal/wire:FuzzDecode internal/wire:FuzzViewDecode internal/wire:FuzzWalkBatch \
+	internal/sim:FuzzPendingSet internal/lincheck:FuzzLincheck internal/ewo:FuzzCounterTable
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t#*:} ($${t%:*}, $(FUZZTIME))"; \
+		$(GO) test ./$${t%:*} -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME); \
+	done
 
 # Hot-path microbenchmarks + per-experiment wall times.
 bench:

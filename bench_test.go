@@ -16,6 +16,8 @@ import (
 	"swishmem"
 	"swishmem/internal/experiments"
 	"swishmem/internal/sim"
+	"swishmem/internal/timesync"
+	"swishmem/internal/wire"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -85,6 +87,13 @@ func BenchmarkSROWriteCommit(b *testing.B) { experiments.MicroSROWriteCommit(b) 
 // multicast enqueue.
 func BenchmarkEWOCounterAdd(b *testing.B) { experiments.MicroEWOCounterAdd(b) }
 
+// BenchmarkEWOMerge measures the EWO receive path: an 8-entry update merged
+// into a warm 3-member counter.
+func BenchmarkEWOMerge(b *testing.B) { experiments.MicroEWOMerge(b) }
+
+// BenchmarkEWOSum measures a counter read on a warm 3-member counter.
+func BenchmarkEWOSum(b *testing.B) { experiments.MicroEWOSum(b) }
+
 // BenchmarkSROLocalRead measures the clean-key local read path.
 func BenchmarkSROLocalRead(b *testing.B) { experiments.MicroSROLocalRead(b) }
 
@@ -128,6 +137,37 @@ func TestEWOCounterAddAllocBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EWO counter Add+deliver allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestEWOMergeAllocBudget: merging a received update into warm keys — a
+// newer slot value for each of 8 keys — allocates nothing.
+func TestEWOMergeAllocBudget(t *testing.T) {
+	node := experiments.WarmCounter(t).Node()
+	u := &wire.EWOUpdate{Reg: node.Config().Reg, From: 2, Entries: make([]wire.EWOEntry, 8)}
+	val, inc := uint64(1), []byte{0}
+	allocs := testing.AllocsPerRun(1000, func() {
+		val++
+		for j := range u.Entries {
+			u.Entries[j] = wire.EWOEntry{Key: uint64(j), Stamp: timesync.Stamp{Time: sim.Time(val), Node: 2}, Value: inc}
+		}
+		node.Handle(2, u)
+	})
+	if allocs != 0 {
+		t.Fatalf("EWO merge of an 8-entry update allocates %v per op, want 0", allocs)
+	}
+	if merged := node.Stats.EntriesMerged.Value(); merged < 8*1000 {
+		t.Fatalf("only %d entries merged; the budget did not measure the merge path", merged)
+	}
+}
+
+// TestEWOSumAllocBudget: reading a warm counter allocates nothing.
+func TestEWOSumAllocBudget(t *testing.T) {
+	reg := experiments.WarmCounter(t)
+	var total uint64
+	allocs := testing.AllocsPerRun(1000, func() { total += reg.Sum(3) })
+	if allocs != 0 || total == 0 {
+		t.Fatalf("EWO Sum allocates %v per op (total %d), want 0", allocs, total)
 	}
 }
 

@@ -157,12 +157,12 @@ type Node struct {
 
 	// LWW state.
 	lww map[uint64]lwwCell
-	// Counter state: key -> owner switch -> slot value. inc for Counter and
-	// PNCounter, dec only for PNCounter.
-	inc map[uint64]map[uint16]uint64
-	dec map[uint64]map[uint16]uint64
+	// Counter and PNCounter state: the §7 slot matrix (see counterTable).
+	ctr counterTable
 
-	// SRAM accounting vehicles (state layout per §7).
+	// mem holds the SRAM reservations charged against the switch's budget:
+	// the size the §7 layout occupies on the ASIC (Capacity keys, MaxGroup
+	// slots each), whatever the host-side tables above currently hold.
 	mem []*pisa.RegisterArray
 
 	// cur is the update being batched: deltas append directly into its
@@ -237,10 +237,7 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 			return nil, err
 		}
 		n.mem = append(n.mem, ra)
-		n.inc = make(map[uint64]map[uint16]uint64)
-		if cfg.Kind == PNCounter {
-			n.dec = make(map[uint64]map[uint16]uint64)
-		}
+		n.ctr = newCounterTable(cfg.MaxGroup, cfg.Kind == PNCounter)
 	}
 	if !cfg.SyncDisabled {
 		n.ticker = sw.PacketGen(cfg.SyncPeriod, n.syncRound)
@@ -320,15 +317,6 @@ func (n *Node) Read(key uint64) ([]byte, bool) {
 
 // --- Counter operations ---
 
-func slotMap(m map[uint64]map[uint16]uint64, key uint64) map[uint16]uint64 {
-	s, ok := m[key]
-	if !ok {
-		s = make(map[uint16]uint64)
-		m[key] = s
-	}
-	return s
-}
-
 // Add increments key's counter by delta (data-plane cost, non-blocking).
 func (n *Node) Add(key uint64, delta uint64) {
 	if n.cfg.Kind == LWW {
@@ -336,9 +324,9 @@ func (n *Node) Add(key uint64, delta uint64) {
 	}
 	n.Stats.Writes.Inc()
 	self := uint16(n.sw.Addr())
-	s := slotMap(n.inc, key)
-	s[self] += delta
-	n.enqueue(counterEntry(key, self, s[self], false))
+	s := n.ctr.slot(key, self, incVec)
+	*s += delta
+	n.enqueue(counterEntry(key, self, *s, false))
 }
 
 // Sub decrements key's counter (PNCounter only).
@@ -348,9 +336,9 @@ func (n *Node) Sub(key uint64, delta uint64) {
 	}
 	n.Stats.Writes.Inc()
 	self := uint16(n.sw.Addr())
-	s := slotMap(n.dec, key)
-	s[self] += delta
-	n.enqueue(counterEntry(key, self, s[self], true))
+	s := n.ctr.slot(key, self, decVec)
+	*s += delta
+	n.enqueue(counterEntry(key, self, *s, true))
 }
 
 // incMark and decMark are the shared, read-only Value payloads of counter
@@ -383,16 +371,7 @@ func (n *Node) Sum(key uint64) uint64 {
 		panic("ewo: Sum on LWW register; use Read")
 	}
 	n.Stats.Reads.Inc()
-	var total uint64
-	for _, v := range n.inc[key] {
-		total += v
-	}
-	if n.cfg.Kind == PNCounter {
-		for _, v := range n.dec[key] {
-			total -= v
-		}
-	}
-	return total
+	return n.ctr.sum(key)
 }
 
 // --- replication ---
@@ -520,19 +499,17 @@ func (n *Node) merge(e *wire.EWOEntry) {
 		n.lww[e.Key] = lwwCell{val: append([]byte(nil), e.Value...), stamp: e.Stamp}
 		n.Stats.EntriesMerged.Inc()
 	case Counter, PNCounter:
-		owner := uint16(e.Stamp.Node)
-		slotVal := uint64(e.Stamp.Time)
-		m := n.inc
+		vec := incVec
 		if len(e.Value) > 0 && e.Value[0] == 1 {
 			if n.cfg.Kind != PNCounter {
 				n.Stats.EntriesStale.Inc()
 				return
 			}
-			m = n.dec
+			vec = decVec
 		}
-		s := slotMap(m, e.Key)
-		if slotVal > s[owner] {
-			s[owner] = slotVal
+		s := n.ctr.slot(e.Key, uint16(e.Stamp.Node), vec)
+		if v := uint64(e.Stamp.Time); v > *s {
+			*s = v
 			n.Stats.EntriesMerged.Inc()
 		} else {
 			n.Stats.EntriesStale.Inc()
@@ -549,22 +526,15 @@ func (n *Node) syncRound() {
 	// Refresh the key walk when exhausted.
 	if n.syncCursor >= len(n.syncKeys) {
 		n.syncKeys = n.syncKeys[:0]
-		switch n.cfg.Kind {
-		case LWW:
+		if n.cfg.Kind == LWW {
 			for k := range n.lww {
 				n.syncKeys = append(n.syncKeys, k)
 			}
-		default:
-			for k := range n.inc {
-				n.syncKeys = append(n.syncKeys, k)
-			}
-			for k := range n.dec {
-				if _, dup := n.inc[k]; !dup {
-					n.syncKeys = append(n.syncKeys, k)
-				}
-			}
+		} else {
+			n.syncKeys = append(n.syncKeys, n.ctr.keys...)
 		}
-		// Map iteration order is runtime-randomized; it must not leak onto
+		// The walk goes in key order, like a register array's. Map iteration
+		// order in particular is runtime-randomized and must not leak onto
 		// the wire (which keys share a sync packet decides how fast a
 		// recovering member converges), or runs stop being a pure function
 		// of the seed.
@@ -665,24 +635,32 @@ func (n *Node) sendSync(u *wire.EWOUpdate, target netem.Addr) {
 // appendEntriesFor appends the sync entries describing key's full local
 // state — for counters this gossips every known slot, so updates survive
 // the failure of their original writer (§6.3: "any switch that did receive
-// the update can then synchronize the other switches").
+// the update can then synchronize the other switches"). Slots go out in
+// column-directory order, increments before decrements, so a sync packet's
+// bytes are a function of the seed. A slot holding 0 is not gossiped: it is
+// what every replica assumes of a slot it has not heard about (only
+// Add(k, 0) and Sub(k, 0) can leave a touched slot at 0).
 func (n *Node) appendEntriesFor(dst []wire.EWOEntry, key uint64) []wire.EWOEntry {
-	switch n.cfg.Kind {
-	case LWW:
+	if n.cfg.Kind == LWW {
 		c, ok := n.lww[key]
 		if !ok {
 			return dst
 		}
 		return append(dst, wire.EWOEntry{Key: key, Stamp: c.stamp, Value: c.val})
-	default:
-		for owner, v := range n.inc[key] {
-			dst = append(dst, counterEntry(key, owner, v, false))
-		}
-		for owner, v := range n.dec[key] {
-			dst = append(dst, counterEntry(key, owner, v, true))
-		}
+	}
+	t := &n.ctr
+	r := t.row(key)
+	if r < 0 {
 		return dst
 	}
+	for vec := 0; vec < t.vecs; vec++ {
+		for c, v := range t.vector(r, vec) {
+			if v != 0 {
+				dst = append(dst, counterEntry(key, t.owners[c], v, vec == decVec))
+			}
+		}
+	}
+	return dst
 }
 
 // Keys returns the number of locally known keys.
@@ -690,13 +668,7 @@ func (n *Node) Keys() int {
 	if n.cfg.Kind == LWW {
 		return len(n.lww)
 	}
-	keys := len(n.inc)
-	for k := range n.dec {
-		if _, dup := n.inc[k]; !dup {
-			keys++
-		}
-	}
-	return keys
+	return len(n.ctr.keys)
 }
 
 // StateDigest summarizes local state for convergence checks: for LWW a map
@@ -709,27 +681,9 @@ func (n *Node) StateDigest() map[uint64]string {
 			out[k] = fmt.Sprintf("%v:%x", c.stamp, c.val)
 		}
 	default:
-		for k := range n.inc {
-			out[k] = fmt.Sprintf("%d", n.sumNoStats(k))
-		}
-		for k := range n.dec {
-			if _, dup := n.inc[k]; !dup {
-				out[k] = fmt.Sprintf("%d", n.sumNoStats(k))
-			}
+		for _, k := range n.ctr.keys {
+			out[k] = fmt.Sprintf("%d", n.ctr.sum(k))
 		}
 	}
 	return out
-}
-
-func (n *Node) sumNoStats(key uint64) uint64 {
-	var total uint64
-	for _, v := range n.inc[key] {
-		total += v
-	}
-	if n.cfg.Kind == PNCounter {
-		for _, v := range n.dec[key] {
-			total -= v
-		}
-	}
-	return total
 }

@@ -1,6 +1,7 @@
 package ewo
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -561,5 +562,42 @@ func TestBatchTimerRearmsPerBatch(t *testing.T) {
 	r.eng.RunFor(time.Millisecond)
 	if r.nodes[1].Sum(1) != 1 || r.nodes[1].Sum(2) != 1 {
 		t.Fatalf("timers did not re-arm: %d %d", r.nodes[1].Sum(1), r.nodes[1].Sum(2))
+	}
+}
+
+// Two same-seed clusters must put byte-identical sync packets on the wire:
+// a key with several slot owners announces them in column order, not in
+// whatever order a map iterator happens to produce.
+func TestSyncEntryOrderIsSeedDetermined(t *testing.T) {
+	run := func() [][]byte {
+		cfg := Config{Reg: 3, Capacity: 64, Kind: PNCounter, SyncPeriod: 100_000}
+		r := newRig(t, 42, 4, cfg, netem.LinkProfile{Latency: 1000})
+		var packets [][]byte
+		for i, sw := range r.sws {
+			node := r.nodes[i]
+			sw.SetMsgHandler(func(_ *pisa.Switch, from netem.Addr, msg wire.Msg) {
+				if u, ok := msg.(*wire.EWOUpdate); ok && u.Sync {
+					packets = append(packets, u.Marshal(nil))
+				}
+				node.Handle(from, msg)
+			})
+		}
+		// Every member owns an increment and a decrement slot on key 7.
+		for i, n := range r.nodes {
+			n.Add(7, uint64(i+1))
+			n.Sub(7, 1)
+			n.Add(uint64(10+i), 1)
+		}
+		r.eng.RunFor(20 * cfg.SyncPeriod) // 20 sync rounds per member
+		return packets
+	}
+	a, b := run(), run()
+	if len(a) < 4*19 || len(a) != len(b) {
+		t.Fatalf("captured %d and %d sync packets, want the same >= %d", len(a), len(b), 4*19)
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("sync packet %d differs between same-seed runs:\n%x\n%x", i, a[i], b[i])
+		}
 	}
 }

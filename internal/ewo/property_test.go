@@ -1,9 +1,13 @@
 package ewo
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"swishmem/internal/netem"
 	"swishmem/internal/pisa"
@@ -192,4 +196,319 @@ func TestClusterConvergenceProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// --- slot matrix vs nested-map reference model ---
+
+// refCounter is the counter state the way it used to be kept: key -> owner
+// -> slot value in nested maps. It is the oracle for the slot matrix; the
+// only thing it knows about the matrix is that owners are announced in
+// first-touch order.
+type refCounter struct {
+	pn            bool
+	self          uint16
+	keys          map[uint64]bool
+	inc, dec      map[uint64]map[uint16]uint64
+	owners        []uint16
+	merged, stale uint64
+}
+
+func newRefCounter(pn bool, self uint16) *refCounter {
+	return &refCounter{pn: pn, self: self, keys: map[uint64]bool{},
+		inc: map[uint64]map[uint16]uint64{}, dec: map[uint64]map[uint16]uint64{}}
+}
+
+func (m *refCounter) slots(dec bool, key uint64, owner uint16) map[uint16]uint64 {
+	m.keys[key] = true
+	if !slices.Contains(m.owners, owner) {
+		m.owners = append(m.owners, owner)
+	}
+	vec := m.inc
+	if dec {
+		vec = m.dec
+	}
+	if vec[key] == nil {
+		vec[key] = map[uint16]uint64{}
+	}
+	return vec[key]
+}
+
+func (m *refCounter) add(dec bool, key, delta uint64) { m.slots(dec, key, m.self)[m.self] += delta }
+
+func (m *refCounter) merge(dec bool, key uint64, owner uint16, val uint64) {
+	if dec && !m.pn {
+		m.stale++
+		return
+	}
+	if s := m.slots(dec, key, owner); val > s[owner] {
+		s[owner] = val
+		m.merged++
+	} else {
+		m.stale++
+	}
+}
+
+func (m *refCounter) sum(key uint64) uint64 {
+	var total uint64
+	for _, v := range m.inc[key] {
+		total += v
+	}
+	for _, v := range m.dec[key] {
+		total -= v
+	}
+	return total
+}
+
+// syncEntries is one full sync walk: keys ascending, increments before
+// decrements, owners in first-touch order, zero slots skipped.
+func (m *refCounter) syncEntries() []wire.EWOEntry {
+	keys := make([]uint64, 0, len(m.keys))
+	for k := range m.keys {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var out []wire.EWOEntry
+	for _, k := range keys {
+		for _, dec := range []bool{false, true} {
+			vec := m.inc
+			if dec {
+				vec = m.dec
+			}
+			for _, o := range m.owners {
+				if v := vec[k][o]; v != 0 {
+					out = append(out, counterEntry(k, o, v, dec))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// tableProbe is a counter node whose sync packets land in a capture buffer:
+// seven sink addresses make up the rest of its replica group (with one sink
+// the random target draw would hit the node itself eight times in a row,
+// and lose the round, once in 256).
+type tableProbe struct {
+	eng    *sim.Engine
+	n      *Node
+	synced [][]wire.EWOEntry // one element per sync packet
+}
+
+func newTableProbe(t testing.TB, kind Kind) *tableProbe {
+	t.Helper()
+	p := &tableProbe{eng: sim.NewEngine(1)}
+	nw := netem.New(p.eng, netem.LinkProfile{})
+	sw := pisa.New(p.eng, nw, pisa.Config{Addr: 1})
+	n, err := NewNode(sw, Config{Reg: 1, Capacity: 64, Kind: kind, SyncDisabled: true, SyncEntriesPerPacket: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := []uint16{1}
+	for a := netem.Addr(2); a <= 8; a++ {
+		members = append(members, uint16(a))
+		nw.Attach(a, func(_ netem.Addr, payload any, _ int) {
+			u := payload.(*wire.EWOUpdate)
+			if u.Sync {
+				p.synced = append(p.synced, slices.Clone(u.Entries))
+			}
+			u.Release()
+		})
+	}
+	if err := n.SetGroup(wire.GroupConfig{Epoch: 1, Members: members}); err != nil {
+		t.Fatal(err)
+	}
+	p.n = n
+	return p
+}
+
+// fullWalk abandons whatever is left of the current sync walk, then captures
+// one complete walk over the register.
+func (p *tableProbe) fullWalk() []wire.EWOEntry {
+	p.n.syncCursor = len(p.n.syncKeys)
+	p.synced = p.synced[:0]
+	for round := 0; round == 0 || p.n.syncCursor < len(p.n.syncKeys); round++ {
+		p.n.syncRound()
+	}
+	p.eng.RunFor(time.Millisecond)
+	// Packets to different sinks arrive in link order, not send order; a
+	// walk's packets cover ascending key windows, so sorting restores it.
+	slices.SortFunc(p.synced, func(a, b []wire.EWOEntry) int { return cmp.Compare(a[0].Key, b[0].Key) })
+	return slices.Concat(p.synced...)
+}
+
+// checkTable asserts the matrix's own invariants.
+func checkTable(t testing.TB, tb *counterTable) {
+	t.Helper()
+	if got, want := len(tb.cells), len(tb.keys)*tb.vecs*tb.stride; got != want {
+		t.Fatalf("cells = %d, want %d rows x %d vecs x stride %d", got, len(tb.keys), tb.vecs, tb.stride)
+	}
+	if len(tb.owners) > tb.stride {
+		t.Fatalf("%d owners in stride %d", len(tb.owners), tb.stride)
+	}
+	if len(tb.keys)*2 > len(tb.idx) {
+		t.Fatalf("key table over half full: %d keys in %d buckets", len(tb.keys), len(tb.idx))
+	}
+	for r, k := range tb.keys {
+		if got := tb.row(k); got != r {
+			t.Fatalf("row(%d) = %d, want %d", k, got, r)
+		}
+	}
+}
+
+// runTableProgram interprets prog as a sequence of counter operations and
+// applies each to a node and to the reference model, comparing everything a
+// caller or a peer can observe. The byte encoding is total (every string is
+// a program), so the fuzzer and the random property test share it.
+func runTableProgram(t testing.TB, prog []byte) {
+	if len(prog) == 0 {
+		return
+	}
+	kind := Counter
+	if prog[0]&1 == 1 {
+		kind = PNCounter
+	}
+	p := newTableProbe(t, kind)
+	n, m := p.n, newRefCounter(kind == PNCounter, 1)
+	next := func() uint64 {
+		if len(prog) == 0 {
+			return 0
+		}
+		b := prog[0]
+		prog = prog[1:]
+		return uint64(b)
+	}
+	// Keys below Capacity, far above it, and at the top of the range; 768 of
+	// them, so a long program takes the key table through several rehashes.
+	key := func() uint64 {
+		i := next()<<8 | next()
+		switch i %= 768; i % 3 {
+		case 0:
+			return i / 3
+		case 1:
+			return 1<<40 + i*7919
+		default:
+			return ^uint64(0) - i
+		}
+	}
+	// 40 owners: churn far past MaxGroup, so the stride doubles three times.
+	owner := func() uint16 {
+		if o := next() % 40; o > 0 {
+			return uint16(o)
+		}
+		return 0xfffe
+	}
+	for prog = prog[1:]; len(prog) > 0; {
+		switch op := next(); op % 8 {
+		case 0:
+			k, d := key(), next()
+			n.Add(k, d)
+			m.add(false, k, d)
+		case 1:
+			k, d := key(), next()
+			if kind == PNCounter {
+				n.Sub(k, d)
+				m.add(true, k, d)
+			}
+		case 2, 3, 4: // merge a newer, an equal, a stale announcement
+			k, o, dec := key(), owner(), next()&1 == 1
+			cur := m.inc[k][o]
+			if dec {
+				cur = m.dec[k][o]
+			}
+			val := cur + 1 + next()
+			if op%8 == 3 {
+				val = cur
+			} else if op%8 == 4 {
+				val = cur / 2
+			}
+			e := counterEntry(k, o, val, dec)
+			n.merge(&e)
+			m.merge(dec, k, o, val)
+		case 5:
+			k := key()
+			if got, want := n.Sum(k), m.sum(k); got != want {
+				t.Fatalf("Sum(%d) = %d, model %d", k, got, want)
+			}
+		case 6:
+			got, want := p.fullWalk(), m.syncEntries()
+			if len(got) != len(want) {
+				t.Fatalf("sync walk sent %d entries, model %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Key != want[i].Key || got[i].Stamp != want[i].Stamp || got[i].Value[0] != want[i].Value[0] {
+					t.Fatalf("sync entry %d = %+v, model %+v", i, got[i], want[i])
+				}
+			}
+		case 7:
+			checkTable(t, &n.ctr)
+			if got, want := n.Keys(), len(m.keys); got != want {
+				t.Fatalf("Keys() = %d, model %d", got, want)
+			}
+			d := n.StateDigest()
+			if len(d) != len(m.keys) {
+				t.Fatalf("digest has %d keys, model %d", len(d), len(m.keys))
+			}
+			for k := range m.keys {
+				if want := fmt.Sprint(m.sum(k)); d[k] != want {
+					t.Fatalf("digest[%d] = %q, model %q", k, d[k], want)
+				}
+			}
+		}
+	}
+	p.eng.RunFor(time.Millisecond)
+	if got := n.Stats.EntriesMerged.Value(); got != m.merged {
+		t.Fatalf("EntriesMerged = %d, model %d", got, m.merged)
+	}
+	if got := n.Stats.EntriesStale.Value(); got != m.stale {
+		t.Fatalf("EntriesStale = %d, model %d", got, m.stale)
+	}
+	checkTable(t, &n.ctr)
+}
+
+// tablePrograms returns the deterministic random programs the property test
+// runs and the fuzzer starts from.
+func tablePrograms(count, ops int) [][]byte {
+	progs := make([][]byte, count)
+	for i := range progs {
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		progs[i] = make([]byte, 1+6*ops)
+		rng.Read(progs[i])
+	}
+	return progs
+}
+
+// Property: over random programs of Add/Sub/merge/Sum/sync/digest — keys on
+// both sides of Capacity, decrement-only keys, 40 slot owners, hundreds of
+// keys — the slot matrix is indistinguishable from nested maps.
+func TestCounterTableMatchesNestedMaps(t *testing.T) {
+	var rehashes, strides int
+	for _, prog := range tablePrograms(8, 1000) {
+		runTableProgram(t, prog)
+	}
+	// The programs are meant to cross the growth paths; make sure they do.
+	p := newTableProbe(t, PNCounter)
+	for i := uint64(0); i < 700; i++ {
+		e := counterEntry(i*i, uint16(i%40+1), i+1, i%2 == 1)
+		before, stride := len(p.n.ctr.idx), p.n.ctr.stride
+		p.n.merge(&e)
+		if len(p.n.ctr.idx) != before {
+			rehashes++
+		}
+		if p.n.ctr.stride != stride {
+			strides++
+		}
+	}
+	checkTable(t, &p.n.ctr)
+	if rehashes < 4 || strides < 3 {
+		t.Fatalf("700 keys x 40 owners: %d rehashes, %d stride doublings", rehashes, strides)
+	}
+}
+
+// FuzzCounterTable feeds arbitrary programs to the same differential check.
+func FuzzCounterTable(f *testing.F) {
+	for _, prog := range tablePrograms(4, 200) {
+		f.Add(prog)
+	}
+	f.Add([]byte{1, 1, 0, 0, 0, 4, 0, 0, 9, 1, 6, 7}) // Sub(0, 0) then a stale dec merge, sync, digest
+	f.Fuzz(func(t *testing.T, prog []byte) { runTableProgram(t, prog) })
 }

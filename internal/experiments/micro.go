@@ -6,6 +6,8 @@ import (
 
 	"swishmem"
 	"swishmem/internal/sim"
+	"swishmem/internal/timesync"
+	"swishmem/internal/wire"
 )
 
 // Micro is a hot-path microbenchmark shared by the repo-root bench_test.go
@@ -25,6 +27,8 @@ func Micros() []Micro {
 	return []Micro{
 		{"SROWriteCommit", "SRO replicated write submission on a 3-switch chain", MicroSROWriteCommit},
 		{"EWOCounterAdd", "EWO fast path: local counter apply + multicast enqueue", MicroEWOCounterAdd},
+		{"EWOMerge", "EWO receive path: an 8-entry update merged into a warm 3-member counter", MicroEWOMerge},
+		{"EWOSum", "EWO counter read: one key's slot row summed on a warm 3-member counter", MicroEWOSum},
 		{"SROLocalRead", "SRO clean-key local read", MicroSROLocalRead},
 		{"ShardedCounterAdd", "EWO counter add + windowed parallel drain on a 3-shard group", MicroShardedCounterAdd},
 		{"EngineDeepQueue", "sim event schedule+pop at +400 ns / +10 us with ~1k far-future events pending", MicroEngineDeepQueue},
@@ -160,6 +164,74 @@ func MicroEWOCounterAdd(b *testing.B) {
 			c.RunFor(time.Millisecond)
 			b.StartTimer()
 		}
+	}
+}
+
+// microWarmKeys is the key range MicroEWOMerge and MicroEWOSum work over.
+const microWarmKeys = 4096
+
+// WarmCounter builds a 3-switch counter register on which every member has
+// added to every one of microWarmKeys keys and all of it has been delivered,
+// and returns the first member's handle: each key's row holds three owners.
+// The root alloc-budget tests measure on the same fixture.
+func WarmCounter(b testing.TB) *swishmem.CounterRegister {
+	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
+	regs, err := c.DeclareCounter("b", swishmem.EventualOptions{Capacity: 1 << 16, DisableSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.RunFor(2 * time.Millisecond)
+	for k := uint64(0); k < microWarmKeys; k++ {
+		for _, r := range regs {
+			r.Add(k, 1)
+		}
+		if k%256 == 255 {
+			c.RunFor(time.Millisecond)
+		}
+	}
+	c.RunFor(10 * time.Millisecond)
+	if got := regs[0].Sum(microWarmKeys - 1); got != 3 {
+		b.Fatalf("warm-up did not converge: key sums to %d, want 3", got)
+	}
+	return regs[0]
+}
+
+// MicroEWOMerge measures the EWO receive path: one op is an 8-entry update
+// from a peer — eight keys, each slot value newer than the stored one, so
+// every entry is merged rather than discarded as stale — handed to a warm
+// node (steady-state target: 0 allocs/op).
+func MicroEWOMerge(b *testing.B) {
+	node := WarmCounter(b).Node()
+	u := &wire.EWOUpdate{Reg: node.Config().Reg, From: 2, Entries: make([]wire.EWOEntry, 8)}
+	inc := []byte{0}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range u.Entries {
+			u.Entries[j] = wire.EWOEntry{
+				Key:   uint64(i*8+j) % microWarmKeys,
+				Stamp: timesync.Stamp{Time: sim.Time(i + 2), Node: 2},
+				Value: inc,
+			}
+		}
+		node.Handle(2, u)
+	}
+	if got := node.Stats.EntriesMerged.Value(); got < uint64(8*b.N) {
+		b.Fatalf("%d entries merged over %d updates, want all 8 of each", got, b.N)
+	}
+}
+
+// microSink keeps MicroEWOSum's reads from being optimized away.
+var microSink uint64
+
+// MicroEWOSum measures a counter read on a warm node whose rows hold three
+// owners' slots (steady-state target: 0 allocs/op).
+func MicroEWOSum(b *testing.B) {
+	reg := WarmCounter(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		microSink += reg.Sum(uint64(i) % microWarmKeys)
 	}
 }
 

@@ -28,7 +28,7 @@ type egressWorker struct {
 
 	// Worker-local state (no locking): per-destination batch builders and
 	// the destinations opened since the last flush, plus reusable scratch.
-	batches map[netem.Addr]*wire.BatchBuilder
+	batches netem.AddrTable[*wire.BatchBuilder]
 	dirty   []netem.Addr
 	local   []eRec
 	rel     []wire.Msg
@@ -47,11 +47,7 @@ const coalesceLimit = 1200
 const egressDoneWake = 256
 
 func newEgressWorker(f *Fabric) *egressWorker {
-	return &egressWorker{
-		f:       f,
-		wake:    make(chan struct{}, 1),
-		batches: make(map[netem.Addr]*wire.BatchBuilder),
-	}
+	return &egressWorker{f: f, wake: make(chan struct{}, 1)}
 }
 
 // loop drains hand-offs until the fabric stops; the final pump's
@@ -113,11 +109,11 @@ func (w *egressWorker) drain() {
 // destination's open batch, flushing first if it would outgrow the limit.
 func (w *egressWorker) sendOne(to netem.Addr, msg wire.Msg) {
 	if w.f.cfg.Coalesce {
-		bb := w.batches[to]
+		bb := w.batches.Get(to)
 		if bb == nil {
 			bb = &wire.BatchBuilder{}
 			bb.Reset()
-			w.batches[to] = bb
+			w.batches.Set(to, bb)
 		}
 		if bb.Count() > 0 && bb.Len()+2+msg.Size() > coalesceLimit {
 			w.flushBatch(to, bb)
@@ -147,7 +143,7 @@ func (w *egressWorker) flushBatch(to netem.Addr, bb *wire.BatchBuilder) {
 // flushBatches closes out every batch opened since the last flush.
 func (w *egressWorker) flushBatches() {
 	for _, to := range w.dirty {
-		if bb := w.batches[to]; bb.Count() > 0 {
+		if bb := w.batches.Get(to); bb.Count() > 0 {
 			w.flushBatch(to, bb)
 		}
 	}

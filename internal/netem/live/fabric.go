@@ -73,8 +73,9 @@ type Fabric struct {
 	stopOnce  sync.Once
 	startWall time.Time
 
-	// Pump-goroutine state (no locking needed).
-	relays map[netem.Addr]bool
+	// Pump-goroutine state (no locking needed). relays marks the remote
+	// addresses that already have a relay endpoint in the local network.
+	relays netem.AddrTable[bool]
 	system func(from netem.Addr, msg wire.Msg) bool
 
 	// Egress. eworkers always holds at least one worker. With EgressShards
@@ -177,15 +178,14 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 	}
 	eng := sim.NewEngine(cfg.Seed)
 	f := &Fabric{
-		cfg:    cfg,
-		addr:   cfg.Addr,
-		eng:    eng,
-		nw:     netem.New(eng, netem.LinkProfile{}),
-		node:   node,
-		wake:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		relays: make(map[netem.Addr]bool),
+		cfg:  cfg,
+		addr: cfg.Addr,
+		eng:  eng,
+		nw:   netem.New(eng, netem.LinkProfile{}),
+		node: node,
+		wake: make(chan struct{}, 1),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	f.eworkers = make([]*egressWorker, max(cfg.EgressShards, 1))
 	for i := range f.eworkers {
@@ -232,10 +232,10 @@ func (f *Fabric) AddRemote(addr netem.Addr, ap netip.AddrPort) {
 // ensureRelay attaches the egress relay endpoint for a remote address.
 // Pump goroutine (or pre-start) only.
 func (f *Fabric) ensureRelay(peer netem.Addr) {
-	if peer == f.addr || f.relays[peer] {
+	if peer == f.addr || f.relays.Get(peer) {
 		return
 	}
-	f.relays[peer] = true
+	f.relays.Set(peer, true)
 	to := peer
 	f.nw.Attach(to, func(_ netem.Addr, payload any, _ int) {
 		f.egress(to, payload)
@@ -599,12 +599,17 @@ func (f *Fabric) pump(final bool) {
 // deliver decodes one inbound payload through a pooled view set — expanding
 // coalesced batches frame by frame — and injects the result. Bad frames
 // inside a batch are skipped and counted; a framing-level error discards
-// the datagram. Pump goroutine only.
+// the datagram. The sender's relay is ensured here, once per datagram that
+// decoded to anything, so the injected deliveries below have a source
+// endpoint. Pump goroutine only.
 func (f *Fabric) deliver(from netem.Addr, payload []byte) {
 	vs := f.getViewSet()
 	msgs, errs := vs.Decode(payload)
 	if errs > 0 {
 		f.cnt.decodeErr.Add(uint64(errs))
+	}
+	if len(msgs) > 0 {
+		f.ensureRelay(from)
 	}
 	for _, m := range msgs {
 		f.inject(from, m)
@@ -642,7 +647,6 @@ func (f *Fabric) inject(from netem.Addr, msg wire.Msg) {
 		f.releaseMsg(msg)
 		return
 	}
-	f.ensureRelay(from)
 	f.cnt.injected.Add(1)
 	f.nw.Send(from, f.addr, msg, msg.Size())
 	f.releaseMsg(msg)

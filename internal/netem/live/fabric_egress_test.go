@@ -97,9 +97,10 @@ func TestFabricExchangeMatrix(t *testing.T) {
 	}
 }
 
-// TestFabricStatsConcurrent hammers FStats and RegisterMetrics-style reads
-// from many goroutines while the fabric moves traffic with sharded egress —
-// the counters are atomics now, and the race detector holds it to that.
+// TestFabricStatsConcurrent hammers FStats, Node.Stats and
+// RegisterMetrics-style reads from many goroutines while the fabric moves
+// traffic with sharded egress — the fabric and the transport counters are
+// atomics now, and the race detector holds them to that.
 func TestFabricStatsConcurrent(t *testing.T) {
 	a := newTestFabric(t, 1)
 	b, err := NewFabric(FabricConfig{Addr: 2, Seed: 2, Coalesce: true, EgressShards: 2})
@@ -129,6 +130,10 @@ func TestFabricStatsConcurrent(t *testing.T) {
 				default:
 					st := b.FStats()
 					sink += st.EgressMsgs + st.PumpRounds + st.Posts
+					// The sender's egress workers and the receiver's read
+					// loop are bumping these right now.
+					tx, rx := b.Node().Stats(), a.Node().Stats()
+					sink += tx.Sent + tx.BytesSent + rx.Received + rx.BytesReceived
 				}
 			}
 		}()
@@ -143,6 +148,11 @@ func TestFabricStatsConcurrent(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitFor(t, func() bool { return b.FStats().EgressMsgs == 20*16 })
+	// Every datagram b's socket took, a's read loop counted, byte for byte.
+	waitFor(t, func() bool {
+		tx, rx := b.Node().Stats(), a.Node().Stats()
+		return tx.Sent > 0 && rx.Received == tx.Sent && rx.BytesReceived == tx.BytesSent
+	})
 	close(stop)
 	wg.Wait()
 }

@@ -29,6 +29,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"swishmem/internal/netem"
@@ -84,8 +85,11 @@ type Node struct {
 	addr netem.Addr
 	conn *net.UDPConn
 
-	mu       sync.RWMutex
-	peers    map[netem.Addr]netip.AddrPort
+	mu sync.RWMutex
+	// peers holds each registered peer's endpoint (the zero AddrPort when
+	// unknown): every send resolves its destination here, so it is a table
+	// indexed by address rather than a map.
+	peers    netem.AddrTable[netip.AddrPort]
 	groups   map[netem.Addr]int // partition group per peer (0 = unpartitioned)
 	group    int                // this node's partition group
 	handler  Handler
@@ -109,8 +113,11 @@ type Node struct {
 	closeErr  error
 	closed    chan struct{}
 	wg        sync.WaitGroup
-	stats     Stats
-	statsMu   sync.Mutex
+
+	// cnt holds the transport counters as atomics: the read loop, every
+	// sender, and delayed-write timers bump them lock-free, and Stats
+	// snapshots without stalling anyone.
+	cnt nodeCounters
 }
 
 // Stats counts transport events.
@@ -131,6 +138,15 @@ type Stats struct {
 	TxRejected    uint64 // sends refused by DenyReject (ErrRejected returned)
 }
 
+// nodeCounters is the live, concurrency-safe form of Stats.
+type nodeCounters struct {
+	sent, received, dropped, decodeErr    atomic.Uint64
+	bytesSent, bytesReceived              atomic.Uint64
+	txDropped, txDup, txDelayed           atomic.Uint64
+	partDropped                           atomic.Uint64
+	txCorrupted, txBlackholed, txRejected atomic.Uint64
+}
+
 // Listen binds a node to opts.Listen (default 127.0.0.1, ephemeral port).
 func Listen(addr netem.Addr, opts Options) (*Node, error) {
 	bind := opts.Listen
@@ -148,7 +164,6 @@ func Listen(addr netem.Addr, opts Options) (*Node, error) {
 	n := &Node{
 		addr:         addr,
 		conn:         conn,
-		peers:        make(map[netem.Addr]netip.AddrPort),
 		groups:       make(map[netem.Addr]int),
 		peerProfiles: make(map[netem.Addr]netem.LinkProfile),
 		nth:          make(map[netem.Addr]uint64),
@@ -279,7 +294,7 @@ func (n *Node) AddPeerAddrPort(addr netem.Addr, ap netip.AddrPort) {
 	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.peers[addr] = ap
+	n.peers.Set(addr, ap)
 }
 
 // AddPeerIfAbsent registers a peer endpoint unless the address is already
@@ -290,10 +305,10 @@ func (n *Node) AddPeerIfAbsent(addr netem.Addr, ap netip.AddrPort) bool {
 	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, ok := n.peers[addr]; ok {
+	if n.peers.Get(addr).IsValid() {
 		return false
 	}
-	n.peers[addr] = ap
+	n.peers.Set(addr, ap)
 	return true
 }
 
@@ -301,18 +316,16 @@ func (n *Node) AddPeerIfAbsent(addr netem.Addr, ap netip.AddrPort) bool {
 func (n *Node) Peer(addr netem.Addr) (netip.AddrPort, bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	ap, ok := n.peers[addr]
-	return ap, ok
+	ap := n.peers.Get(addr)
+	return ap, ap.IsValid()
 }
 
 // Peers returns a snapshot of the peer table.
 func (n *Node) Peers() map[netem.Addr]netip.AddrPort {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	out := make(map[netem.Addr]netip.AddrPort, len(n.peers))
-	for a, ap := range n.peers {
-		out[a] = ap
-	}
+	out := make(map[netem.Addr]netip.AddrPort)
+	n.peers.Each(func(a netem.Addr, ap netip.AddrPort) { out[a] = ap })
 	return out
 }
 
@@ -334,8 +347,8 @@ type sendPlan struct {
 func (n *Node) plan(to netem.Addr, size int) (sendPlan, error) {
 	var pl sendPlan
 	n.mu.Lock()
-	dst, ok := n.peers[to]
-	if !ok {
+	dst := n.peers.Get(to)
+	if !dst.IsValid() {
 		n.mu.Unlock()
 		return pl, fmt.Errorf("live: no peer registered for address %d", to)
 	}
@@ -404,7 +417,7 @@ func (n *Node) transmit(pl sendPlan, bp *[]byte) error {
 	if pl.delay <= 0 {
 		err := n.write(pl.dst, b)
 		if pl.dup {
-			n.bump(func(s *Stats) { s.TxDup++ })
+			n.cnt.txDup.Add(1)
 			_ = n.write(pl.dst, b)
 		}
 		n.sendBufs.Put(bp)
@@ -415,7 +428,7 @@ func (n *Node) transmit(pl sendPlan, bp *[]byte) error {
 		// their buffers independently.
 		bp2 := n.sendBufs.Get().(*[]byte)
 		*bp2 = append((*bp2)[:0], b...)
-		n.bump(func(s *Stats) { s.TxDup++ })
+		n.cnt.txDup.Add(1)
 		n.scheduleWrite(pl.delay+pl.dupLag, pl.dst, bp2)
 	}
 	n.scheduleWrite(pl.delay, pl.dst, bp)
@@ -450,19 +463,19 @@ func (n *Node) Send(to netem.Addr, msg wire.Msg) error {
 // done means the datagram goes no further; err surfaces a reject.
 func (n *Node) applyVerdict(pl sendPlan) (done bool, err error) {
 	if pl.part {
-		n.bump(func(s *Stats) { s.PartDropped++ })
+		n.cnt.partDropped.Add(1)
 		return true, nil
 	}
 	switch pl.deny {
 	case netem.DenyBlackhole:
-		n.bump(func(s *Stats) { s.TxBlackholed++ })
+		n.cnt.txBlackholed.Add(1)
 		return true, nil
 	case netem.DenyReject:
-		n.bump(func(s *Stats) { s.TxRejected++ })
+		n.cnt.txRejected.Add(1)
 		return true, ErrRejected
 	}
 	if pl.drop {
-		n.bump(func(s *Stats) { s.TxDropped++ })
+		n.cnt.txDropped.Add(1)
 		return true, nil
 	}
 	return false, nil
@@ -479,7 +492,7 @@ func (n *Node) corruptPayload(b []byte) {
 	n.mu.Lock()
 	netem.FlipBits(n.sendRng, b[frameHdr:], 1+n.sendRng.Intn(3))
 	n.mu.Unlock()
-	n.bump(func(s *Stats) { s.TxCorrupted++ })
+	n.cnt.txCorrupted.Add(1)
 }
 
 // SendEncoded transmits an already wire-encoded payload (a complete Marshal
@@ -512,10 +525,8 @@ func (n *Node) write(dst netip.AddrPort, b []byte) error {
 	if _, err := n.conn.WriteToUDPAddrPort(b, dst); err != nil {
 		return fmt.Errorf("live: send: %w", err)
 	}
-	n.statsMu.Lock()
-	n.stats.Sent++
-	n.stats.BytesSent += uint64(len(b))
-	n.statsMu.Unlock()
+	n.cnt.sent.Add(1)
+	n.cnt.bytesSent.Add(uint64(len(b)))
 	return nil
 }
 
@@ -523,7 +534,7 @@ func (n *Node) write(dst netip.AddrPort, b []byte) error {
 // (the wall-clock analogue of netem's delayed delivery events). Ownership
 // of bp passes to the timer, which returns it to the pool after the write.
 func (n *Node) scheduleWrite(d time.Duration, dst netip.AddrPort, bp *[]byte) {
-	n.bump(func(s *Stats) { s.TxDelayed++ })
+	n.cnt.txDelayed.Add(1)
 	time.AfterFunc(d, func() {
 		select {
 		case <-n.closed:
@@ -544,11 +555,26 @@ func (n *Node) Multicast(group []netem.Addr, msg wire.Msg) {
 	}
 }
 
-// Stats returns a snapshot of the transport counters.
+// Stats returns a snapshot of the transport counters (thread-safe). Each
+// field is read atomically; the set is not one instant, so under traffic
+// BytesSent may already include a datagram Sent does not yet.
 func (n *Node) Stats() Stats {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	return n.stats
+	c := &n.cnt
+	return Stats{
+		Sent:          c.sent.Load(),
+		Received:      c.received.Load(),
+		Dropped:       c.dropped.Load(),
+		DecodeErr:     c.decodeErr.Load(),
+		BytesSent:     c.bytesSent.Load(),
+		BytesReceived: c.bytesReceived.Load(),
+		TxDropped:     c.txDropped.Load(),
+		TxDup:         c.txDup.Load(),
+		TxDelayed:     c.txDelayed.Load(),
+		PartDropped:   c.partDropped.Load(),
+		TxCorrupted:   c.txCorrupted.Load(),
+		TxBlackholed:  c.txBlackholed.Load(),
+		TxRejected:    c.txRejected.Load(),
+	}
 }
 
 // Close shuts the socket down and waits for the read loop. Safe to call
@@ -587,12 +613,12 @@ func (n *Node) readLoop() {
 // documented not to). The raw delivery path is allocation-free warm.
 func (n *Node) processDatagram(src netip.AddrPort, b []byte) {
 	if len(b) < frameHdr+1 {
-		n.bump(func(s *Stats) { s.DecodeErr++ })
+		n.cnt.decodeErr.Add(1)
 		return
 	}
 	from := netem.Addr(uint16(b[0])<<8 | uint16(b[1]))
 	if crc32.Checksum(b[frameHdr:], crcTab) != binary.BigEndian.Uint32(b[2:frameHdr]) {
-		n.bump(func(s *Stats) { s.DecodeErr++ })
+		n.cnt.decodeErr.Add(1)
 		return
 	}
 	n.mu.Lock()
@@ -601,11 +627,11 @@ func (n *Node) processDatagram(src netip.AddrPort, b []byte) {
 	h, raw := n.handler, n.raw
 	n.mu.Unlock()
 	if part {
-		n.bump(func(s *Stats) { s.PartDropped++ })
+		n.cnt.partDropped.Add(1)
 		return
 	}
 	if drop {
-		n.bump(func(s *Stats) { s.Dropped++ })
+		n.cnt.dropped.Add(1)
 		return
 	}
 	if raw != nil {
@@ -615,7 +641,7 @@ func (n *Node) processDatagram(src netip.AddrPort, b []byte) {
 	}
 	msg, err := wire.Unmarshal(b[frameHdr:])
 	if err != nil {
-		n.bump(func(s *Stats) { s.DecodeErr++ })
+		n.cnt.decodeErr.Add(1)
 		return
 	}
 	n.countRecv(len(b))
@@ -625,16 +651,8 @@ func (n *Node) processDatagram(src netip.AddrPort, b []byte) {
 }
 
 func (n *Node) countRecv(bytes int) {
-	n.statsMu.Lock()
-	n.stats.Received++
-	n.stats.BytesReceived += uint64(bytes)
-	n.statsMu.Unlock()
-}
-
-func (n *Node) bump(f func(*Stats)) {
-	n.statsMu.Lock()
-	f(&n.stats)
-	n.statsMu.Unlock()
+	n.cnt.received.Add(1)
+	n.cnt.bytesReceived.Add(uint64(bytes))
 }
 
 // Mesh wires a set of live nodes into a full mesh (every node knows every

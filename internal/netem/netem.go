@@ -39,7 +39,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 
 	"swishmem/internal/obs"
 	"swishmem/internal/sim"
@@ -257,31 +256,50 @@ type endpoint struct {
 	up      bool
 }
 
-// addrTable maps every Addr to a T (the zero T when unset) in two array
+// AddrTable maps every Addr to a T (the zero T when unset) in two array
 // loads: the per-message path looks up both ends of every send and every
 // delivery, and a map[Addr] pays a generic hash for each (Go has no fast
 // path for 16-bit keys). Pages of 256 entries hang off a directory indexed
 // by the address's high byte and are allocated on first set: switch
 // addresses are small and the controller sits at 0xfffe, so a network
-// touches two pages where a flat slice would hold 64 K entries.
-type addrTable[T any] struct {
+// touches two pages where a flat slice would hold 64 K entries. The zero
+// table is empty and ready to use; it is not safe for concurrent mutation.
+type AddrTable[T comparable] struct {
 	pages [256]*[256]T
 }
 
-func (t *addrTable[T]) get(a Addr) (v T) {
+// Get returns the value stored under a, or the zero T.
+func (t *AddrTable[T]) Get(a Addr) (v T) {
 	if p := t.pages[a>>8]; p != nil {
 		v = p[a&0xff]
 	}
 	return v
 }
 
-func (t *addrTable[T]) set(a Addr, v T) {
+// Set stores v under a; storing the zero T unsets a.
+func (t *AddrTable[T]) Set(a Addr, v T) {
 	p := t.pages[a>>8]
 	if p == nil {
 		p = new([256]T)
 		t.pages[a>>8] = p
 	}
 	p[a&0xff] = v
+}
+
+// Each calls fn for every address holding a non-zero value, in ascending
+// address order.
+func (t *AddrTable[T]) Each(fn func(Addr, T)) {
+	var zero T
+	for hi, page := range t.pages {
+		if page == nil {
+			continue
+		}
+		for lo, v := range page {
+			if v != zero {
+				fn(Addr(hi<<8|lo), v)
+			}
+		}
+	}
 }
 
 // crossMsg is one cross-shard delivery parked in a sender-shard outbox
@@ -302,12 +320,14 @@ type Network struct {
 	shardOf        func(Addr) int
 	seed           int64
 	defaultProfile LinkProfile
-	nodes          addrTable[*endpoint] // nil when not attached
-	links          map[[2]Addr]*link
+	nodes          AddrTable[*endpoint] // nil when not attached
+	// links is source -> destination -> directed link: a send finds its link
+	// in four array loads, and a walk visits links in (from, to) order.
+	links AddrTable[*AddrTable[*link]]
 	// partition holds each node's group id; different nonzero groups can't
 	// talk. split is false while every node is in group 0, which lets the
 	// per-message check return without a lookup.
-	partition addrTable[int]
+	partition AddrTable[int]
 	split     bool
 	// totals are per executing shard (one row in sequential mode); Totals
 	// sums them so no row is ever written from two goroutines.
@@ -437,7 +457,7 @@ func (d *delivery) deliver() {
 	n.dfree[d.shard] = append(n.dfree[d.shard], d)
 
 	eng := n.engines[d.shard]
-	dst := n.nodes.get(to)
+	dst := n.nodes.Get(to)
 	if dst == nil || !dst.up || n.partitioned(from, to) {
 		l.recv.MsgsDropped++
 		n.totals[d.shard].MsgsDropped++
@@ -522,7 +542,7 @@ func (b *burst) deliver() {
 		// Re-check the destination per member: a handler may take the node
 		// down mid-burst, and the remaining members must drop exactly as
 		// their individual delivery events would have.
-		dst := n.nodes.get(to)
+		dst := n.nodes.Get(to)
 		if dst == nil || !dst.up || n.partitioned(from, to) {
 			l.recv.MsgsDropped++
 			n.totals[shard].MsgsDropped++
@@ -554,7 +574,6 @@ func New(eng *sim.Engine, defaultProfile LinkProfile) *Network {
 		engines:        []*sim.Engine{eng},
 		seed:           eng.Seed(),
 		defaultProfile: defaultProfile,
-		links:          make(map[[2]Addr]*link),
 		coalesce:       true,
 		totals:         make([]LinkStats, 1),
 		dfree:          make([][]*delivery, 1),
@@ -580,7 +599,6 @@ func NewSharded(g *sim.Group, defaultProfile LinkProfile, shardOf func(Addr) int
 		shardOf:        shardOf,
 		seed:           engines[0].Seed(),
 		defaultProfile: defaultProfile,
-		links:          make(map[[2]Addr]*link),
 		coalesce:       true,
 		totals:         make([]LinkStats, len(engines)),
 		dfree:          make([][]*delivery, len(engines)),
@@ -625,40 +643,33 @@ func (n *Network) engineFor(a Addr) *sim.Engine { return n.engines[n.shardIdx(a)
 // existing address replaces its handler (used when a failed switch is
 // replaced by a fresh one). In sharded mode attaching also materializes the
 // links between addr and every other known node, so the hot send path never
-// inserts into the links map concurrently.
+// inserts into the link table concurrently.
 func (n *Network) Attach(addr Addr, h Handler) {
-	n.nodes.set(addr, &endpoint{handler: h, up: true})
+	n.nodes.Set(addr, &endpoint{handler: h, up: true})
 	if n.group != nil {
-		for hi, page := range n.nodes.pages {
-			if page == nil {
-				continue
-			}
-			for lo, ep := range page {
-				other := Addr(hi<<8 | lo)
-				if ep == nil || other == addr {
-					continue
-				}
+		n.nodes.Each(func(other Addr, _ *endpoint) {
+			if other != addr {
 				n.linkFor(addr, other)
 				n.linkFor(other, addr)
 			}
-		}
+		})
 	}
 }
 
 // Detach removes a node entirely. Its links remain materialized.
-func (n *Network) Detach(addr Addr) { n.nodes.set(addr, nil) }
+func (n *Network) Detach(addr Addr) { n.nodes.Set(addr, nil) }
 
 // SetNodeUp marks a node up or down. A down node neither sends nor receives —
 // this is the fail-stop switch failure model of §6.3.
 func (n *Network) SetNodeUp(addr Addr, up bool) {
-	if ep := n.nodes.get(addr); ep != nil {
+	if ep := n.nodes.Get(addr); ep != nil {
 		ep.up = up
 	}
 }
 
 // NodeUp reports whether addr is attached and up.
 func (n *Network) NodeUp(addr Addr) bool {
-	ep := n.nodes.get(addr)
+	ep := n.nodes.Get(addr)
 	return ep != nil && ep.up
 }
 
@@ -673,21 +684,40 @@ func (n *Network) SetOneWayLink(a, b Addr, profile LinkProfile) {
 	n.linkFor(a, b).profile = profile
 }
 
+// link returns the a->b link, or nil if it was never materialized.
+func (n *Network) link(a, b Addr) *link {
+	if row := n.links.Get(a); row != nil {
+		return row.Get(b)
+	}
+	return nil
+}
+
 func (n *Network) linkFor(a, b Addr) *link {
-	k := [2]Addr{a, b}
-	l, ok := n.links[k]
-	if !ok {
+	row := n.links.Get(a)
+	if row == nil {
+		row = new(AddrTable[*link])
+		n.links.Set(a, row)
+	}
+	l := row.Get(b)
+	if l == nil {
 		l = &link{profile: n.defaultProfile}
-		n.links[k] = l
+		row.Set(b, l)
 	}
 	return l
 }
 
+// eachLink visits every materialized link in ascending (from, to) order.
+func (n *Network) eachLink(fn func(from, to Addr, l *link)) {
+	n.links.Each(func(from Addr, row *AddrTable[*link]) {
+		row.Each(func(to Addr, l *link) { fn(from, to, l) })
+	})
+}
+
 // sendLink is linkFor for the hot path: in sharded mode every link a send
 // can use was materialized at Attach, so a miss is a contract violation
-// (it would race on the map), not a condition to repair.
+// (it would race on the table), not a condition to repair.
 func (n *Network) sendLink(a, b Addr) *link {
-	if l, ok := n.links[[2]Addr{a, b}]; ok {
+	if l := n.link(a, b); l != nil {
 		return l
 	}
 	if n.group != nil {
@@ -723,7 +753,7 @@ func linkSeed(seed int64, from, to Addr) int64 {
 // or the network default when the pair was never configured or used. It
 // never materializes a link.
 func (n *Network) Profile(a, b Addr) LinkProfile {
-	if l, ok := n.links[[2]Addr{a, b}]; ok {
+	if l := n.link(a, b); l != nil {
 		return l.profile
 	}
 	return n.defaultProfile
@@ -737,13 +767,13 @@ func (n *Network) Profile(a, b Addr) LinkProfile {
 // every profile change.
 func (n *Network) MinCrossShardLatency() sim.Duration {
 	min := n.defaultProfile.MinDelay()
-	for k, l := range n.links {
-		if n.shardIdx(k[0]) != n.shardIdx(k[1]) {
+	n.eachLink(func(from, to Addr, l *link) {
+		if n.shardIdx(from) != n.shardIdx(to) {
 			if d := l.profile.MinDelay(); d < min {
 				min = d
 			}
 		}
-	}
+	})
 	return min
 }
 
@@ -751,19 +781,19 @@ func (n *Network) MinCrossShardLatency() sim.Duration {
 // groups cannot exchange messages; group 0 (the default) talks to everyone.
 func (n *Network) Partition(group int, addrs ...Addr) {
 	for _, a := range addrs {
-		n.partition.set(a, group)
+		n.partition.Set(a, group)
 	}
 	n.split = n.split || group != 0
 }
 
 // HealPartition returns all nodes to group 0.
-func (n *Network) HealPartition() { n.partition, n.split = addrTable[int]{}, false }
+func (n *Network) HealPartition() { n.partition, n.split = AddrTable[int]{}, false }
 
 func (n *Network) partitioned(a, b Addr) bool {
 	if !n.split {
 		return false
 	}
-	ga, gb := n.partition.get(a), n.partition.get(b)
+	ga, gb := n.partition.Get(a), n.partition.Get(b)
 	return ga != 0 && gb != 0 && ga != gb
 }
 
@@ -775,7 +805,7 @@ func (n *Network) Send(from, to Addr, payload any, size int) bool {
 	if size < 0 {
 		panic(fmt.Sprintf("netem: negative size %d", size))
 	}
-	src := n.nodes.get(from)
+	src := n.nodes.Get(from)
 	if src == nil || !src.up {
 		return false
 	}
@@ -1021,19 +1051,7 @@ func (n *Network) Stats(a, b Addr) LinkStats { return n.linkFor(a, b).statsMerge
 // (from, to) pair the caller already knew existed — exporters iterate here
 // without any topology knowledge.
 func (n *Network) EachLink(fn func(from, to Addr, s LinkStats)) {
-	keys := make([][2]Addr, 0, len(n.links))
-	for k := range n.links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		fn(k[0], k[1], n.links[k].statsMerged())
-	}
+	n.eachLink(func(from, to Addr, l *link) { fn(from, to, l.statsMerged()) })
 }
 
 // Totals returns network-wide accounting (summed over shards).
@@ -1051,8 +1069,8 @@ func (n *Network) ResetTotals() {
 	for i := range n.totals {
 		n.totals[i] = LinkStats{}
 	}
-	for _, l := range n.links {
+	n.eachLink(func(_, _ Addr, l *link) {
 		l.sent = LinkStats{}
 		l.recv = LinkStats{}
-	}
+	})
 }
