@@ -22,7 +22,8 @@ vet:
 FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	internal/wire:FuzzDecode internal/wire:FuzzViewDecode internal/wire:FuzzWalkBatch \
-	internal/sim:FuzzPendingSet internal/lincheck:FuzzLincheck internal/ewo:FuzzCounterTable
+	internal/sim:FuzzPendingSet internal/lincheck:FuzzLincheck internal/ewo:FuzzCounterTable \
+	internal/ewo:FuzzUpdateCoalescing
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $${t#*:} ($${t%:*}, $(FUZZTIME))"; \
@@ -62,9 +63,10 @@ benchdiff:
 	$(GO) run ./cmd/benchtab -pps -json BENCH_new.json > /dev/null
 	$(GO) run ./cmd/benchdiff -base $(BENCH_BASE) -new BENCH_new.json
 
-# Packets/sec headline: the E17 throughput table plus the sim/live macro
-# rates (sim hot path at burst 64; live UDP pump with the sender's egress
-# inline and on two workers — each live row also reports allocs/datagram).
+# Rate headline: the E17 throughput table plus the sim/live macro rates (sim
+# hot path at burst 64, in counter adds/sec; live UDP pump with the sender's
+# egress inline and on two workers, in packets/sec — each live row also
+# reports allocs/datagram).
 pps:
 	$(GO) run ./cmd/benchtab -pps -e E17
 

@@ -83,9 +83,13 @@ func BenchmarkE12_DataVsControlPlane(b *testing.B) { benchExperiment(b, "E12") }
 // chain; commit drains run off the clock (see MicroSROWriteCommit).
 func BenchmarkSROWriteCommit(b *testing.B) { experiments.MicroSROWriteCommit(b) }
 
-// BenchmarkEWOCounterAdd measures the EWO fast path: local apply plus
-// multicast enqueue.
+// BenchmarkEWOCounterAdd measures the EWO fast path one add at a time: local
+// apply plus the multicast of a one-entry update.
 func BenchmarkEWOCounterAdd(b *testing.B) { experiments.MicroEWOCounterAdd(b) }
+
+// BenchmarkEWOBurstAdd measures it in bursts: 32 adds over 16 keys in one
+// instant, their one update flushed and delivered on the clock.
+func BenchmarkEWOBurstAdd(b *testing.B) { experiments.MicroEWOBurstAdd(b) }
 
 // BenchmarkEWOMerge measures the EWO receive path: an 8-entry update merged
 // into a warm 3-member counter.
@@ -137,6 +141,67 @@ func TestEWOCounterAddAllocBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EWO counter Add+deliver allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestEWOBatchTimeoutAllocBudget: the batching path whose flush comes from
+// the BatchTimeout timer — arm the timer, fire it, flush, deliver — allocates
+// nothing either: the timer handle is a value and its callback is the node's
+// one bound-once flush closure.
+func TestEWOBatchTimeoutAllocBudget(t *testing.T) {
+	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
+	regs, err := c.DeclareCounter("b", swishmem.EventualOptions{
+		Capacity: 64, DisableSync: true, Batch: 16, BatchTimeout: 100 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(2 * time.Millisecond)
+	for i := 0; i < 512; i++ {
+		regs[0].Add(uint64(i%64), 1)
+		c.RunFor(10 * time.Microsecond)
+	}
+	c.RunFor(10 * time.Millisecond)
+	sent := regs[0].Node().Stats.UpdatesSent.Value()
+	allocs := testing.AllocsPerRun(1000, func() {
+		regs[0].Add(3, 1) // 1 of 16: only the timer can flush it
+		c.RunFor(time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("EWO Add + batch-timeout flush allocates %v per op, want 0", allocs)
+	}
+	if got := regs[0].Node().Stats.UpdatesSent.Value() - sent; got < 1000 {
+		t.Fatalf("%d updates over 1000 timed-out batches; the budget did not measure the timer path", got)
+	}
+}
+
+// TestEWOLWWWriteAllocBudget: an LWW write copies the caller's value once —
+// the replica cell and the update entry share that copy — and over its whole
+// life (flush, delivery, merge) the only other allocations are the one copy
+// each receiving replica keeps.
+func TestEWOLWWWriteAllocBudget(t *testing.T) {
+	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
+	regs, err := c.DeclareEventual("b", swishmem.EventualOptions{Capacity: 64, ValueWidth: 8, DisableSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(2 * time.Millisecond)
+	val := []byte("12345678")
+	for i := 0; i < 512; i++ {
+		regs[0].Write(uint64(i%64), val)
+		c.RunFor(10 * time.Microsecond)
+	}
+	c.RunFor(10 * time.Millisecond)
+	if allocs := testing.AllocsPerRun(1000, func() { regs[0].Write(3, val) }); allocs != 1 {
+		t.Fatalf("LWW Write allocates %v per op, want 1 (the value copy)", allocs)
+	}
+	c.RunFor(time.Millisecond)
+	allocs := testing.AllocsPerRun(1000, func() {
+		regs[0].Write(3, val)
+		c.RunFor(time.Millisecond)
+	})
+	if allocs != 3 {
+		t.Fatalf("LWW Write+deliver allocates %v per op, want 3 (the writer's copy and one per receiving replica)", allocs)
 	}
 }
 

@@ -22,7 +22,7 @@
 //     core, they just cannot overlap, so wall-clock speedup is meaningless
 //     there.
 //  5. Every -pps macro present in both snapshots must keep at least
-//     (1 - -ppstolerance) of its baseline packets/sec, and on cpus >= 4
+//     (1 - -ppstolerance) of its baseline rate (ops/sec), and on cpus >= 4
 //     the egress-worker pump must hold -minppsscale of the single-pump rate
 //     (self-disabling on smaller hosts, mirroring check 4).
 //  6. A macro carrying allocs_per_datagram meta in both snapshots must not
@@ -272,10 +272,10 @@ func checkPPS(base, fresh *snapshot, tol, minScale float64, fail func(string, ..
 			drop = 1 - n.PPS/b.PPS
 		}
 		if drop > tol {
-			fail("pps %s: %.0f -> %.0f pkts/s (-%.1f%%, tolerance %.0f%%)",
+			fail("pps %s: %.0f -> %.0f ops/s (-%.1f%%, tolerance %.0f%%)",
 				b.Name, b.PPS, n.PPS, 100*drop, 100*tol)
 		} else {
-			fmt.Printf("ok    pps %s: %.0f pkts/s (%+.1f%%)\n", b.Name, n.PPS, -100*drop)
+			fmt.Printf("ok    pps %s: %.0f ops/s (%+.1f%%)\n", b.Name, n.PPS, -100*drop)
 		}
 		checkAllocs(b, n, fail)
 	}

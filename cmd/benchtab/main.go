@@ -224,7 +224,7 @@ func main() {
 
 	if *ppsMode {
 		for _, m := range experiments.Macros(*seed) {
-			fmt.Printf("pps   %-22s %12.0f pkts/s  (%d ops in %.0f ms)\n", m.Name, m.PPS, m.Ops, m.WallMs)
+			fmt.Printf("pps   %-22s %12.0f ops/s  (%d ops in %.0f ms)\n", m.Name, m.PPS, m.Ops, m.WallMs)
 			snap.Macro = append(snap.Macro, m)
 		}
 	}

@@ -134,6 +134,8 @@ func (in *Instance) route(from netem.Addr, msg wire.Msg) {
 		// the config lands).
 		in.EachChain(func(_ uint16, n chain.Replicator) { n.SetChain(*m) })
 	case *wire.GroupConfig:
+		// A group a node cannot hold is refused and counted, per register
+		// (ewo.Stats.GroupsRejected); there is no caller here to tell.
 		in.EachEWO(func(_ uint16, n *ewo.Node) { _ = n.SetGroup(*m) })
 	}
 }

@@ -140,6 +140,27 @@ func TestConfigBroadcastViaWire(t *testing.T) {
 	})
 }
 
+func TestOversizedGroupConfigIsCounted(t *testing.T) {
+	// A GroupConfig with more members than MaxGroup (default 8) cannot be
+	// installed; the router has nobody to return the error to, so each
+	// register counts the refusal and keeps its group.
+	r := newRig(t, 1, 2)
+	in := r.ins[0]
+	big := make([]uint16, 9)
+	for i := range big {
+		big[i] = uint16(i + 1)
+	}
+	in.route(99, &wire.GroupConfig{Epoch: 9, Members: big})
+	in.EachEWO(func(reg uint16, en *ewo.Node) {
+		if len(en.Group()) != 2 {
+			t.Fatalf("register %d: group is %v after a rejected config", reg, en.Group())
+		}
+		if got := en.Stats.GroupsRejected.Value(); got != 1 {
+			t.Fatalf("register %d: GroupsRejected = %d, want 1", reg, got)
+		}
+	})
+}
+
 func TestUnknownRegisterMessagesIgnored(t *testing.T) {
 	r := newRig(t, 1, 1)
 	// Must not panic or misroute.

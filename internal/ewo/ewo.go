@@ -3,14 +3,16 @@
 // write-intensive NFs of §4.2 (DDoS sketches, rate-limiter meters).
 //
 // Protocol: a write is applied to the local replica and the output packet
-// released immediately; the update is then broadcast asynchronously to the
-// replica group using egress mirroring + the multicast engine (§7),
-// optionally batched (§7 "Bandwidth overhead"). Lost updates (challenge C1)
-// are repaired by a periodic data-plane synchronization implemented with the
-// switch packet generator: every sync period the switch walks its register
-// array and sends its contents to a randomly selected group member,
-// trading the switch's abundant bandwidth for buffer memory — the §6.2
-// design principle (10 MB/1 ms over 5 Tbps ≈ 1% of switch bandwidth).
+// released immediately; the writes of one instant — one packet's pass
+// through the pipeline — are then broadcast asynchronously to the replica
+// group as one update, using egress mirroring + the multicast engine (§7),
+// optionally batched across instants (§7 "Bandwidth overhead"). Lost updates
+// (challenge C1) are repaired by a periodic data-plane synchronization
+// implemented with the switch packet generator: every sync period the switch
+// walks its register array and sends its contents to a randomly selected
+// group member, trading the switch's abundant bandwidth for buffer memory —
+// the §6.2 design principle (10 MB/1 ms over 5 Tbps ≈ 1% of switch
+// bandwidth).
 //
 // Merging (challenge C2) supports the two schemes of §6.2:
 //
@@ -83,8 +85,12 @@ type Config struct {
 	// SyncDisabled turns off periodic sync (for experiments isolating the
 	// per-write multicast path).
 	SyncDisabled bool
-	// Batch is the number of write updates coalesced into one multicast
-	// (§7 batching). Default 1 (send immediately).
+	// Batch is the number of register writes held, across instants, for one
+	// multicast (§7 batching). It counts writes, not entries: a write to a
+	// slot the open update already carries overwrites that entry but still
+	// counts, so a hot key cannot hold a batch open. Default 1: nothing is
+	// held — the writes of one instant leave together at that instant, as
+	// one update (see enqueue).
 	Batch int
 	// BatchTimeout bounds how long a partial batch may wait before being
 	// flushed anyway, capping the staleness/availability cost §7 attributes
@@ -139,6 +145,9 @@ type Stats struct {
 	SyncPackets   stats.Counter // periodic sync packets sent
 	UpdateBytes   stats.Counter // wire bytes of multicast deltas (all copies)
 	SyncBytes     stats.Counter // wire bytes of periodic sync packets
+	// GroupsRejected counts group configurations SetGroup refused (more
+	// members than MaxGroup): the node is still multicasting to its old group.
+	GroupsRejected stats.Counter
 }
 
 type lwwCell struct {
@@ -165,14 +174,22 @@ type Node struct {
 	// slots each), whatever the host-side tables above currently hold.
 	mem []*pisa.RegisterArray
 
-	// cur is the update being batched: deltas append directly into its
-	// entry slice, so filling and flushing a batch is allocation-free once
-	// the pool is warm. ufree recycles updates whose deliveries have all
-	// completed (see wire.EWOUpdate.EnablePool).
-	cur        *wire.EWOUpdate
-	ufree      []*wire.EWOUpdate
-	ufreeFn    func(*wire.EWOUpdate)
-	batchTimer *sim.Timer
+	// cur is the open update: deltas join its entry slice directly, so
+	// filling and flushing it is allocation-free once the pool is warm. held
+	// counts the deltas that joined it and curBytes the encoded size of its
+	// entries. ufree recycles updates whose deliveries have all completed (see
+	// wire.EWOUpdate.EnablePool).
+	cur      *wire.EWOUpdate
+	held     int
+	curBytes int
+	ufree    []*wire.EWOUpdate
+	ufreeFn  func(*wire.EWOUpdate)
+	// flushFn, bound once, is what closes the open update on the clock: the
+	// event at the end of the instant (armed says one is queued) and, when
+	// batching, the BatchTimeout timer.
+	flushFn    func()
+	armed      bool
+	batchTimer sim.Timer
 	ticker     *sim.Ticker
 	// syncCursor walks keys across periodic sync rounds.
 	syncKeys   []uint64
@@ -215,6 +232,10 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 		rng:   rand.New(rand.NewSource(nodeSeed(sw.Engine().Seed(), uint64(sw.Addr()), uint64(cfg.Reg)))),
 	}
 	n.ufreeFn = func(u *wire.EWOUpdate) { n.ufree = append(n.ufree, u) }
+	n.flushFn = func() {
+		n.armed = false
+		n.Flush()
+	}
 	// Charge SRAM per the §7 layout.
 	switch cfg.Kind {
 	case LWW:
@@ -261,13 +282,15 @@ func (n *Node) MemoryBytes() int {
 }
 
 // SetGroup installs the replica group (from the controller). Stale epochs
-// are ignored. Group size beyond MaxGroup is rejected loudly: the SRAM
-// reservation cannot hold more slots.
+// are ignored. Group size beyond MaxGroup is rejected loudly — an error to
+// the caller and a count in Stats.GroupsRejected for the message paths that
+// have no caller to tell: the SRAM reservation cannot hold more slots.
 func (n *Node) SetGroup(gc wire.GroupConfig) error {
 	if gc.Epoch < n.epoch {
 		return nil
 	}
 	if len(gc.Members) > n.cfg.MaxGroup {
+		n.Stats.GroupsRejected.Inc()
 		return fmt.Errorf("ewo: group of %d exceeds MaxGroup %d", len(gc.Members), n.cfg.MaxGroup)
 	}
 	n.epoch = gc.Epoch
@@ -301,8 +324,11 @@ func (n *Node) Write(key uint64, val []byte) {
 		val = val[:n.cfg.ValueWidth]
 	}
 	st := n.clock.Now()
-	n.lww[key] = lwwCell{val: append([]byte(nil), val...), stamp: st}
-	n.enqueue(wire.EWOEntry{Key: key, Stamp: st, Value: append([]byte(nil), val...)})
+	// One copy, shared by the cell and the entry: neither is ever written
+	// through (merge replaces a cell's slice, marshal and clone only read).
+	val = append([]byte(nil), val...)
+	n.lww[key] = lwwCell{val: val, stamp: st}
+	n.enqueue(wire.EWOEntry{Key: key, Stamp: st, Value: val})
 }
 
 // Read returns the local LWW value.
@@ -396,33 +422,83 @@ func (n *Node) getUpdate() *wire.EWOUpdate {
 	return u
 }
 
-// enqueue batches a delta and flushes when the batch is full; a partial
-// batch is flushed by the batch timer (if configured). Deltas accumulate
-// directly in a pooled update, so the steady-state write path (delta in,
-// batch full, multicast out) allocates nothing.
+// enqueue joins a delta to the open update (DESIGN.md §10 "Update
+// coalescing"). The unit of emission is the instant, not the register write:
+// §6.2/§7 mirror the packet, so every delta enqueued at one virtual time
+// leaves in one update, at that time. The first delta of an instant
+// schedules the flush as a local event at Engine().Now(); local events run
+// in scheduling order, ahead of same-time deliveries, so it runs after the
+// pass that scheduled it and any pass already due, and never later than the
+// instant itself. A switch failed or paused within the instant of its write
+// therefore loses that instant's update, whole — the crash between a write
+// and its mirrored packet that §6.3 leaves to periodic sync.
+//
+// A delta for a slot the open update already carries — same key and vector;
+// the owner is always this switch — overwrites that entry where it stands:
+// slot values are monotone and LWW keeps the newer stamp, so the earlier
+// entry would be stale on arrival. The update is closed early only when the
+// delta would take it past the per-packet bound periodic sync packs to
+// (SyncPacketBytes when set, else SyncEntriesPerPacket), which also bounds
+// the scan for the slot.
+//
+// Batch > 1 holds the open update across instants instead, until Batch
+// deltas have joined it or BatchTimeout expires. Deltas accumulate in a
+// pooled update and both clocks run one bound-once closure, so the
+// steady-state write path (delta in, update out) allocates nothing.
 func (n *Node) enqueue(e wire.EWOEntry) {
+	u := n.open()
+	at, grow := -1, e.Size()
+	for i := range u.Entries {
+		if o := &u.Entries[i]; o.Key == e.Key && (n.cfg.Kind == LWW || o.Value[0] == e.Value[0]) {
+			at, grow = i, grow-o.Size()
+			break
+		}
+	}
+	past := at < 0 && len(u.Entries) >= n.cfg.SyncEntriesPerPacket
+	if limit := n.cfg.SyncPacketBytes; limit > 0 {
+		past = wire.EWOUpdateOverhead+n.curBytes+grow > limit
+	}
+	if past && len(u.Entries) > 0 {
+		n.Flush()
+		u, at, grow = n.open(), -1, e.Size()
+	}
+	if at >= 0 {
+		u.Entries[at] = e
+	} else {
+		u.Entries = append(u.Entries, e)
+	}
+	n.held++
+	n.curBytes += grow
+	eng := n.sw.Engine()
+	switch {
+	case n.cfg.Batch <= 1:
+		if !n.armed {
+			n.armed = true
+			eng.Schedule(eng.Now(), n.flushFn)
+		}
+	case n.held >= n.cfg.Batch:
+		n.Flush()
+	case n.cfg.BatchTimeout > 0 && !n.batchTimer.Pending():
+		n.batchTimer = eng.AfterVal(n.cfg.BatchTimeout, n.flushFn)
+	}
+}
+
+// open returns the open update, taking one from the pool if none is.
+func (n *Node) open() *wire.EWOUpdate {
 	if n.cur == nil {
 		n.cur = n.getUpdate()
 	}
-	n.cur.Entries = append(n.cur.Entries, e)
-	if len(n.cur.Entries) >= n.cfg.Batch {
-		n.Flush()
-		return
-	}
-	if n.cfg.BatchTimeout > 0 && !n.batchTimer.Pending() {
-		n.batchTimer = n.sw.Engine().After(n.cfg.BatchTimeout, n.Flush)
-	}
+	return n.cur
 }
 
 // Flush multicasts pending deltas to the group via egress mirroring (§7).
 func (n *Node) Flush() {
-	if n.batchTimer != nil {
-		n.batchTimer.Stop()
-	}
+	n.batchTimer.Stop()
 	u := n.cur
 	if u == nil {
 		return
 	}
+	n.held, n.curBytes = 0, 0
 	if len(u.Entries) == 0 || len(n.group) == 0 {
 		// Nothing to send (or nowhere to send it): drop the deltas but keep
 		// the update as the next batch buffer.
@@ -448,13 +524,8 @@ func (n *Node) Flush() {
 	u.Release()
 }
 
-// PendingDeltas returns the number of unflushed batched deltas.
-func (n *Node) PendingDeltas() int {
-	if n.cur == nil {
-		return 0
-	}
-	return len(n.cur.Entries)
-}
+// PendingDeltas returns the number of deltas waiting in the open update.
+func (n *Node) PendingDeltas() int { return n.held }
 
 // Handle routes a protocol message to this node; it reports whether the
 // message was consumed.
@@ -481,7 +552,7 @@ func (n *Node) Handle(from netem.Addr, msg wire.Msg) bool {
 		}
 		return true
 	case *wire.GroupConfig:
-		n.SetGroup(*m)
+		_ = n.SetGroup(*m) // a rejection is counted in Stats.GroupsRejected
 		return true
 	}
 	return false
@@ -583,19 +654,19 @@ func (n *Node) syncRound() {
 	ents := u.Entries
 	p := n.getUpdate()
 	p.Sync = true
-	sz := emptyUpdateSize
+	sz := wire.EWOUpdateOverhead
 	for i := 0; i < len(ents); {
 		j := i
 		run := 0
 		for j < len(ents) && ents[j].Key == ents[i].Key {
-			run += entryWireSize(&ents[j])
+			run += ents[j].Size()
 			j++
 		}
 		if len(p.Entries) > 0 && sz+run > limit {
 			n.sendSync(p, target)
 			p = n.getUpdate()
 			p.Sync = true
-			sz = emptyUpdateSize
+			sz = wire.EWOUpdateOverhead
 		}
 		p.Entries = append(p.Entries, ents[i:j]...)
 		sz += run
@@ -608,14 +679,6 @@ func (n *Node) syncRound() {
 	}
 	u.Release()
 }
-
-// emptyUpdateSize is wire.EWOUpdate's encoding overhead: type byte + Reg +
-// From + Slot + Sync + entry count.
-const emptyUpdateSize = 1 + 2 + 2 + 2 + 1 + 2
-
-// entryWireSize mirrors wire.EWOEntry's encoded size: Key + Stamp.Time +
-// Stamp.Node + value length prefix + value.
-func entryWireSize(e *wire.EWOEntry) int { return 8 + 8 + 2 + 2 + len(e.Value) }
 
 // sendSync emits one periodic-sync packet to target and releases the
 // caller's reference.

@@ -326,8 +326,12 @@ func TestBatchingReducesPackets(t *testing.T) {
 		cfg.Batch = batch
 		cfg.SyncDisabled = true
 		r := newRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 10_000})
+		// One write per instant — a packet every microsecond: what leaves
+		// together without batching is an instant's writes, so only writes
+		// in different instants show what Batch adds.
 		for i := 0; i < 256; i++ {
 			r.nodes[0].Add(uint64(i%16), 1)
+			r.eng.RunFor(time.Microsecond)
 		}
 		r.nodes[0].Flush()
 		r.eng.Run()
@@ -395,6 +399,16 @@ func TestGroupValidation(t *testing.T) {
 	}
 	if err := r.nodes[0].SetGroup(wire.GroupConfig{Epoch: 99, Members: big}); err == nil {
 		t.Fatal("oversized group accepted (MaxGroup=8)")
+	}
+	// The message path has no caller to hand the error to: it counts.
+	if !r.nodes[1].Handle(99, &wire.GroupConfig{Epoch: 99, Members: big}) {
+		t.Fatal("GroupConfig not consumed")
+	}
+	for i, n := range r.nodes {
+		if len(n.Group()) != 2 || n.Stats.GroupsRejected.Value() != 1 {
+			t.Fatalf("node %d: group %v, GroupsRejected %d after one rejected config",
+				i, n.Group(), n.Stats.GroupsRejected.Value())
+		}
 	}
 	// Stale epoch ignored.
 	cur := len(r.nodes[0].Group())
@@ -516,11 +530,102 @@ func TestFlushWithoutGroupDropsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Add(1, 1) // no group installed: enqueue + flush must not panic
+	eng.Run()   // the flush comes at the end of the instant
 	if n.PendingDeltas() != 0 {
 		t.Fatal("pending deltas retained with no group")
 	}
 	if n.Stats.UpdatesSent.Value() != 0 {
 		t.Fatal("update sent with no group")
+	}
+}
+
+// The writes of one instant leave as one update, at that instant: one entry
+// per slot in first-write order, a slot written twice carrying its last value.
+func TestInstantWritesLeaveAsOneUpdate(t *testing.T) {
+	cfg := Config{Reg: 3, Capacity: 64, Kind: PNCounter, SyncDisabled: true}
+	r := newRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 10_000})
+	var got []wire.EWOEntry
+	r.sws[1].SetMsgHandler(func(_ *pisa.Switch, from netem.Addr, msg wire.Msg) {
+		got = append(got, msg.(*wire.EWOUpdate).Entries...)
+		r.nodes[1].Handle(from, msg)
+	})
+	n := r.nodes[0]
+	n.Add(5, 1)
+	n.Add(9, 2)
+	n.Sub(5, 3) // the decrement vector is a slot of its own
+	n.Add(5, 4) // overwrites the first entry where it stands
+	if n.PendingDeltas() != 4 || n.Stats.UpdatesSent.Value() != 0 {
+		t.Fatalf("mid-instant: %d deltas pending, %d updates sent", n.PendingDeltas(), n.Stats.UpdatesSent.Value())
+	}
+	r.eng.RunFor(time.Millisecond)
+	want := []wire.EWOEntry{counterEntry(5, 1, 5, false), counterEntry(9, 1, 2, false), counterEntry(5, 1, 3, true)}
+	if n.Stats.UpdatesSent.Value() != 1 || r.net.Totals().MsgsSent != 2 || len(got) != len(want) {
+		t.Fatalf("%d updates, %d fabric msgs, %d entries; want 1, 2, %d",
+			n.Stats.UpdatesSent.Value(), r.net.Totals().MsgsSent, len(got), len(want))
+	}
+	for i, w := range want {
+		if got[i].Key != w.Key || got[i].Stamp != w.Stamp || got[i].Value[0] != w.Value[0] {
+			t.Fatalf("entry %d = %+v, want %+v", i, got[i], w)
+		}
+	}
+	for i, peer := range r.nodes {
+		if peer.Sum(5) != 2 || peer.Sum(9) != 2 {
+			t.Fatalf("node %d: Sum(5) = %d, Sum(9) = %d, want 2 and 2", i, peer.Sum(5), peer.Sum(9))
+		}
+	}
+}
+
+// A switch that fails or is paused in the instant of its write loses that
+// instant's mirrored packet, whole (§6.3: a crash between the write and its
+// update). Nothing is sent and nothing panics; because a slot announces its
+// running value, the next write after a pause carries what was lost.
+func TestSameInstantFailOrPauseLosesTheUpdate(t *testing.T) {
+	cfg := ctrCfg()
+	cfg.SyncDisabled = true
+	r := newRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 10_000})
+	r.nodes[0].Add(1, 5)
+	r.sws[0].Fail()
+	r.nodes[1].Add(1, 7)
+	r.sws[1].Pause()
+	r.eng.RunFor(time.Millisecond)
+	if sent := r.net.Totals().MsgsSent; sent != 0 {
+		t.Fatalf("%d messages left a failed and a paused switch", sent)
+	}
+	if r.nodes[0].PendingDeltas() != 0 || r.nodes[1].PendingDeltas() != 0 {
+		t.Fatal("the lost instant's deltas are still pending")
+	}
+	r.sws[1].Resume()
+	r.nodes[1].Add(1, 1)
+	r.eng.RunFor(time.Millisecond)
+	if got := r.nodes[2].Sum(1); got != 8 {
+		t.Fatalf("survivor reads %d after the paused writer's next add, want 8 (7 lost with the pause + 1)", got)
+	}
+}
+
+// An explicit Flush while the instant's flush event is still queued sends
+// what is pending then; the event sends whatever joined afterwards, or nothing.
+func TestExplicitFlushWithEventArmed(t *testing.T) {
+	cfg := ctrCfg()
+	cfg.SyncDisabled = true
+	r := newRig(t, 1, 2, cfg, netem.LinkProfile{Latency: 10_000})
+	n := r.nodes[0]
+	n.Add(1, 1)
+	n.Flush()
+	n.Flush() // nothing open: no-op
+	if n.Stats.UpdatesSent.Value() != 1 {
+		t.Fatalf("explicit Flush sent %d updates, want 1", n.Stats.UpdatesSent.Value())
+	}
+	r.eng.RunFor(time.Millisecond) // the armed event finds nothing
+	if n.Stats.UpdatesSent.Value() != 1 {
+		t.Fatalf("the armed event sent an empty update: %d sent", n.Stats.UpdatesSent.Value())
+	}
+	n.Add(1, 1)
+	n.Flush()
+	n.Add(2, 1) // joins a fresh update; the event armed by the first add flushes it
+	r.eng.RunFor(time.Millisecond)
+	if n.Stats.UpdatesSent.Value() != 3 || r.nodes[1].Sum(1) != 2 || r.nodes[1].Sum(2) != 1 {
+		t.Fatalf("%d updates sent, replica reads %d and %d; want 3, 2, 1",
+			n.Stats.UpdatesSent.Value(), r.nodes[1].Sum(1), r.nodes[1].Sum(2))
 	}
 }
 

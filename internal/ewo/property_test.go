@@ -1,6 +1,7 @@
 package ewo
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/rand"
@@ -511,4 +512,298 @@ func FuzzCounterTable(f *testing.F) {
 	}
 	f.Add([]byte{1, 1, 0, 0, 0, 4, 0, 0, 9, 1, 6, 7}) // Sub(0, 0) then a stale dec merge, sync, digest
 	f.Fuzz(func(t *testing.T, prog []byte) { runTableProgram(t, prog) })
+}
+
+// --- update coalescing vs one update per write ---
+
+// coalesceProgram is a decoded coalescing program: a register shape and a
+// list of instants, each a burst of writes issued at one virtual time.
+type coalesceProgram struct {
+	cfg      Config
+	members  int
+	instants [][]coalesceOp
+}
+
+type coalesceOp struct {
+	member int
+	key    uint64
+	dec    bool   // Sub (PNCounter only)
+	delta  uint64 // counters
+	val    []byte // LWW
+}
+
+// decodeCoalesceProgram reads prog as a coalescing program. The encoding is
+// total, so the fuzzer and the property test share it: byte 0 picks the kind,
+// 3–5 members, 4 or 400 keys and a small per-packet bound (8 entries, or 160
+// bytes — well under a burst, so updates close early); then instants follow,
+// each a count byte (1–200 ops) and three bytes per op.
+func decodeCoalesceProgram(prog []byte) coalesceProgram {
+	b := int(prog[0])
+	p := coalesceProgram{
+		cfg:     Config{Reg: 1, Capacity: 512, ValueWidth: 8, Kind: Kind(b % 3), SyncPeriod: 100 * time.Microsecond},
+		members: 3 + b/3%3,
+	}
+	keys := uint64(4)
+	if b/9%2 == 1 {
+		keys = 400
+	}
+	if b/18%2 == 1 {
+		p.cfg.SyncPacketBytes = 160
+	} else {
+		p.cfg.SyncEntriesPerPacket = 8
+	}
+	for prog = prog[1:]; len(prog) > 0; {
+		count := 1 + int(prog[0])%200
+		prog = prog[1:]
+		var ops []coalesceOp
+		for ; count > 0 && len(prog) >= 3; count, prog = count-1, prog[3:] {
+			sel, v := int(prog[0]), prog[2]
+			rest := sel / p.members
+			ops = append(ops, coalesceOp{
+				member: sel % p.members,
+				key:    (uint64(rest>>1)<<8 | uint64(prog[1])) % keys,
+				dec:    p.cfg.Kind == PNCounter && rest&1 == 1,
+				delta:  1 + uint64(v%16),
+				val:    bytes.Repeat([]byte{v}, int(v%9)),
+			})
+		}
+		if len(ops) > 0 {
+			p.instants = append(p.instants, ops)
+		}
+	}
+	return p
+}
+
+// expectedUpdates is the reference for what each member multicasts when the
+// program runs as issued: per instant one update per member that wrote, its
+// entries in first-write order, a slot written again overwritten in place
+// with its latest value, and the update closed early only where one more
+// entry would pass the per-packet bound.
+func (p coalesceProgram) expectedUpdates() [][][]wire.EWOEntry {
+	out := make([][][]wire.EWOEntry, p.members)
+	type slotID struct {
+		key uint64
+		dec bool
+	}
+	slots := make([]map[slotID]uint64, p.members)
+	for i := range slots {
+		slots[i] = map[slotID]uint64{}
+	}
+	for _, ops := range p.instants {
+		open := make([][]wire.EWOEntry, p.members)
+		for _, op := range ops {
+			e := wire.EWOEntry{Key: op.key, Value: op.val}
+			if p.cfg.Kind != LWW {
+				id := slotID{op.key, op.dec}
+				slots[op.member][id] += op.delta
+				e = counterEntry(op.key, uint16(op.member+1), slots[op.member][id], op.dec)
+			}
+			u := open[op.member]
+			at := slices.IndexFunc(u, func(o wire.EWOEntry) bool {
+				return o.Key == e.Key && (p.cfg.Kind == LWW || o.Value[0] == e.Value[0])
+			})
+			size := wire.EWOUpdateOverhead + e.Size()
+			for i := range u {
+				if i != at {
+					size += u[i].Size()
+				}
+			}
+			past := at < 0 && len(u) >= p.cfg.SyncEntriesPerPacket
+			if limit := p.cfg.SyncPacketBytes; limit > 0 {
+				past = size > limit
+			}
+			if len(u) > 0 && past {
+				out[op.member] = append(out[op.member], u)
+				u, at = nil, -1
+			}
+			if at >= 0 {
+				u[at] = e
+			} else {
+				u = append(u, e)
+			}
+			open[op.member] = u
+		}
+		for m, u := range open {
+			if len(u) > 0 {
+				out[m] = append(out[m], u)
+			}
+		}
+	}
+	return out
+}
+
+// coalesceRun is what one execution of a program leaves behind.
+type coalesceRun struct {
+	digests []map[uint64]string
+	sent    []uint64 // UpdatesSent per member
+	// seen[r][s] lists the write updates member r received from member s, in
+	// arrival order, marshalled.
+	seen [][][][]byte
+}
+
+// run executes the program on a fresh cluster. flushEach closes the open
+// update after every write — one update per register write, the emission
+// rule coalescing replaced. Lossless runs have sync off, so whatever state a
+// replica ends with arrived in write updates; lossy runs (20 %) turn it on
+// and run until every replica agrees.
+func (p coalesceProgram) run(t testing.TB, flushEach bool, loss float64) coalesceRun {
+	cfg := p.cfg
+	cfg.SyncDisabled = loss == 0
+	cfg = cfg.withDefaults()
+	r := newRig(t, 7, p.members, cfg, netem.LinkProfile{Latency: 10_000, LossRate: loss})
+	out := coalesceRun{seen: make([][][][]byte, p.members)}
+	for i, sw := range r.sws {
+		i, node := i, r.nodes[i]
+		out.seen[i] = make([][][]byte, p.members)
+		sw.SetMsgHandler(func(_ *pisa.Switch, from netem.Addr, msg wire.Msg) {
+			if u, ok := msg.(*wire.EWOUpdate); ok && !u.Sync {
+				if len(u.Entries) > cfg.SyncEntriesPerPacket || cfg.SyncPacketBytes > 0 && u.Size() > cfg.SyncPacketBytes {
+					t.Fatalf("update of %d entries, %d bytes is over the per-packet bound (%d entries, %d bytes)",
+						len(u.Entries), u.Size(), cfg.SyncEntriesPerPacket, cfg.SyncPacketBytes)
+				}
+				out.seen[i][from-1] = append(out.seen[i][from-1], u.Marshal(nil))
+			}
+			node.Handle(from, msg)
+		})
+	}
+	for _, ops := range p.instants {
+		for _, op := range ops {
+			n := r.nodes[op.member]
+			switch {
+			case cfg.Kind == LWW:
+				n.Write(op.key, op.val)
+			case op.dec:
+				n.Sub(op.key, op.delta)
+			default:
+				n.Add(op.key, op.delta)
+			}
+			if flushEach {
+				n.Flush()
+			}
+		}
+		r.eng.RunFor(2 * time.Microsecond) // shorter than a link: instants overlap in flight
+	}
+	r.eng.RunFor(time.Millisecond)
+	agree := func() bool {
+		for _, n := range r.nodes[1:] {
+			if !digestEqual(n.StateDigest(), r.nodes[0].StateDigest()) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; loss > 0 && !agree() && i < 400; i++ {
+		r.eng.RunFor(5 * time.Millisecond)
+	}
+	for _, n := range r.nodes {
+		n.Stop()
+		out.digests = append(out.digests, n.StateDigest())
+		out.sent = append(out.sent, n.Stats.UpdatesSent.Value())
+	}
+	return out
+}
+
+// runCoalesceProgram is the differential check: the same program as issued
+// and with a Flush after every write must leave the same state on every
+// member, lossless (where the coalesced updates are also compared, entry by
+// entry, with the reference) and under loss with sync repairing.
+func runCoalesceProgram(t testing.TB, prog []byte) {
+	if len(prog) < 5 {
+		return
+	}
+	p := decodeCoalesceProgram(prog)
+	want := p.expectedUpdates()
+	writes := make([]uint64, p.members)
+	for _, ops := range p.instants {
+		for _, op := range ops {
+			writes[op.member]++
+		}
+	}
+
+	got, again, each := p.run(t, false, 0), p.run(t, false, 0), p.run(t, true, 0)
+	for s := range want {
+		if got.sent[s] != uint64(len(want[s])) || each.sent[s] != writes[s] {
+			t.Fatalf("member %d sent %d updates for %d writes, reference %d; flushed per write, %d",
+				s, got.sent[s], writes[s], len(want[s]), each.sent[s])
+		}
+		for r := range want {
+			if r == s {
+				continue
+			}
+			if len(got.seen[r][s]) != len(want[s]) {
+				t.Fatalf("member %d received %d updates from %d, reference %d", r, len(got.seen[r][s]), s, len(want[s]))
+			}
+			for i, raw := range got.seen[r][s] {
+				m, err := wire.Unmarshal(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ents := m.(*wire.EWOUpdate).Entries
+				if len(ents) != len(want[s][i]) {
+					t.Fatalf("update %d of member %d has %d entries, reference %d", i, s, len(ents), len(want[s][i]))
+				}
+				for j, e := range ents {
+					w := want[s][i][j]
+					if p.cfg.Kind == LWW {
+						w.Stamp = e.Stamp // the reference has no clock
+					}
+					if e.Key != w.Key || e.Stamp != w.Stamp || !bytes.Equal(e.Value, w.Value) {
+						t.Fatalf("update %d of member %d, entry %d = %+v, reference %+v", i, s, j, e, w)
+					}
+				}
+				if !bytes.Equal(raw, again.seen[r][s][i]) {
+					t.Fatalf("update %d of member %d differs between two same-seed runs:\n%x\n%x", i, s, raw, again.seen[r][s][i])
+				}
+			}
+		}
+	}
+	lossy, lossyEach := p.run(t, false, 0.2), p.run(t, true, 0.2)
+	for name, run := range map[string]coalesceRun{"flush per write": each, "20% loss": lossy, "20% loss, flush per write": lossyEach} {
+		for m, d := range run.digests {
+			if !digestEqual(d, got.digests[0]) || !digestEqual(got.digests[m], got.digests[0]) {
+				t.Fatalf("member %d (%s) ends with %v; member 0 as issued, lossless: %v", m, name, d, got.digests[0])
+			}
+		}
+	}
+	for s := range want {
+		if lossy.sent[s] != got.sent[s] {
+			t.Fatalf("member %d sent %d updates under loss, %d without", s, lossy.sent[s], got.sent[s])
+		}
+	}
+}
+
+// coalescePrograms returns the deterministic random programs the property
+// test runs and the fuzzer starts from: every register kind, group size, key
+// range and bound, one each.
+func coalescePrograms() [][]byte {
+	progs := make([][]byte, 36)
+	for i := range progs {
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		progs[i] = make([]byte, 3000)
+		rng.Read(progs[i])
+		progs[i][0] = byte(i)
+	}
+	return progs
+}
+
+// Property: making the instant the unit of emission changes how many updates
+// carry the state, never the state.
+func TestCoalescedUpdatesMatchPerWriteFlush(t *testing.T) {
+	for _, prog := range coalescePrograms() {
+		runCoalesceProgram(t, prog)
+	}
+}
+
+// FuzzUpdateCoalescing feeds arbitrary programs to the same differential check.
+func FuzzUpdateCoalescing(f *testing.F) {
+	for _, prog := range coalescePrograms()[:6] {
+		f.Add(prog[:400]) // an instant and a bit: executions stay cheap
+	}
+	f.Add([]byte{20, 5, 0, 1, 9, 0, 1, 3, 3, 1, 8, 0, 1, 2}) // PN, byte bound: a slot written, overwritten, written again
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 2048 {
+			prog = prog[:2048]
+		}
+		runCoalesceProgram(t, prog)
+	})
 }

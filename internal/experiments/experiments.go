@@ -76,7 +76,7 @@ func All() []Experiment {
 		{"E14", "group-sharing", "ablation: §7 seq-group sharing SRAM/forwarding trade", GroupSharingAblation},
 		{"E15", "loss-anomaly", "extension: §9 anomaly window under chain-hop loss", LossAnomaly},
 		{"E16", "parallel-scaling", "extension: deterministic parallel simulation across shard counts", ParallelScaling},
-		{"E17", "packet-rate", "extension: batched hot-path packets/sec over burst size x shards", PacketRate},
+		{"E17", "packet-rate", "extension: batched hot-path counter adds/sec over burst size x shards", PacketRate},
 		{"E18", "nthloss-anomaly", "extension: anomaly rate, every-Nth vs random loss at equal rates", NthLossAnomaly},
 		{"E19", "replication-backends", "extension: chain vs retransmit backend — anomalies, SRAM, wire cost", ReplicationBackends},
 	}

@@ -26,7 +26,8 @@ type Micro struct {
 func Micros() []Micro {
 	return []Micro{
 		{"SROWriteCommit", "SRO replicated write submission on a 3-switch chain", MicroSROWriteCommit},
-		{"EWOCounterAdd", "EWO fast path: local counter apply + multicast enqueue", MicroEWOCounterAdd},
+		{"EWOCounterAdd", "EWO fast path: local counter apply + one multicast per add", MicroEWOCounterAdd},
+		{"EWOBurstAdd", "EWO fast path: 32 adds over 16 keys in one instant, their one update flushed and delivered on the clock", MicroEWOBurstAdd},
 		{"EWOMerge", "EWO receive path: an 8-entry update merged into a warm 3-member counter", MicroEWOMerge},
 		{"EWOSum", "EWO counter read: one key's slot row summed on a warm 3-member counter", MicroEWOSum},
 		{"SROLocalRead", "SRO clean-key local read", MicroSROLocalRead},
@@ -146,9 +147,38 @@ func MicroSROWriteCommit(b *testing.B) {
 	}
 }
 
-// MicroEWOCounterAdd measures the EWO fast path: local apply plus multicast
-// enqueue (steady-state target: 0 allocs/op).
+// MicroEWOCounterAdd measures the EWO fast path one add at a time: local
+// apply plus the multicast of a one-entry update (steady-state target: 0
+// allocs/op). The loop never advances the clock between adds, so each add is
+// flushed by hand — one add, one multicast, what a lone add in its own
+// instant costs; the deliveries drain off the clock.
 func MicroEWOCounterAdd(b *testing.B) {
+	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
+	regs, err := c.DeclareCounter("b", swishmem.EventualOptions{Capacity: 1 << 16, DisableSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.RunFor(2 * time.Millisecond)
+	node := regs[0].Node()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		regs[0].Add(uint64(i%(1<<15)), 1)
+		node.Flush()
+		if i%1024 == 1023 {
+			b.StopTimer()
+			c.RunFor(time.Millisecond)
+			b.StartTimer()
+		}
+	}
+}
+
+// MicroEWOBurstAdd measures the same path the way a busy switch drives it:
+// 32 adds over 16 keys land in one instant and leave as one 16-entry update.
+// An op is one add; the flush event, both deliveries and the merges run on
+// the clock, so ns/op is the whole cost of an add amortized over its burst
+// (steady-state target: 0 allocs/op).
+func MicroEWOBurstAdd(b *testing.B) {
 	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
 	regs, err := c.DeclareCounter("b", swishmem.EventualOptions{Capacity: 1 << 16, DisableSync: true})
 	if err != nil {
@@ -158,12 +188,15 @@ func MicroEWOCounterAdd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		regs[0].Add(uint64(i%(1<<15)), 1)
-		if i%1024 == 1023 {
-			b.StopTimer()
-			c.RunFor(time.Millisecond)
-			b.StartTimer()
+		regs[0].Add(uint64(i%16), 1)
+		if i%32 == 31 {
+			c.RunFor(100 * time.Microsecond)
 		}
+	}
+	b.StopTimer()
+	c.RunFor(time.Millisecond)
+	if got, want := regs[1].Sum(0), regs[0].Sum(0); got != want {
+		b.Fatalf("a peer reads %d on key 0, the writer %d: the bursts were not delivered", got, want)
 	}
 }
 
@@ -237,10 +270,11 @@ func MicroEWOSum(b *testing.B) {
 
 // MicroShardedCounterAdd is MicroEWOCounterAdd on a 3-shard group with the
 // windowed parallel drain kept inside the timed region: each op covers the
-// local apply, the cross-shard outbox append, and an amortized share of the
-// barrier/window machinery (steady-state target: 0 allocs/op — the drain is
-// channel wakeups plus pooled events only). Compare against EWOCounterAdd to
-// read off the sharding overhead on a given machine.
+// local apply, the multicast of its one-entry update (flushed by hand, as in
+// MicroEWOCounterAdd), the cross-shard outbox append, and an amortized share
+// of the barrier/window machinery (steady-state target: 0 allocs/op — the
+// drain is channel wakeups plus pooled events only). Compare against
+// EWOCounterAdd to read off the sharding overhead on a given machine.
 func MicroShardedCounterAdd(b *testing.B) {
 	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1, Shards: 3})
 	defer c.Close()
@@ -249,15 +283,18 @@ func MicroShardedCounterAdd(b *testing.B) {
 		b.Fatal(err)
 	}
 	c.RunFor(2 * time.Millisecond)
+	node := regs[0].Node()
 	// Warm the pools and the window scratch before timing.
 	for i := 0; i < 2048; i++ {
 		regs[0].Add(uint64(i%(1<<15)), 1)
+		node.Flush()
 	}
 	c.RunFor(10 * time.Millisecond)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		regs[0].Add(uint64(i%(1<<15)), 1)
+		node.Flush()
 		if i%1024 == 1023 {
 			c.RunFor(time.Millisecond)
 		}

@@ -162,6 +162,7 @@ func (m *Member) RegisterMetrics(reg *obs.Registry, labels string) {
 		reg.AddCounter("ewo.sync_packets", rl, &es.SyncPackets)
 		reg.AddCounter("ewo.update_bytes", rl, &es.UpdateBytes)
 		reg.AddCounter("ewo.sync_bytes", rl, &es.SyncBytes)
+		reg.AddCounter("ewo.groups_rejected", rl, &es.GroupsRejected)
 	}
 }
 

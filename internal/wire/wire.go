@@ -457,11 +457,20 @@ type EWOEntry struct {
 	Value []byte
 }
 
-func (e *EWOEntry) size() int { return 8 + 8 + 2 + 2 + len(e.Value) }
+// Size returns the entry's encoded size: Key + Stamp.Time + Stamp.Node +
+// value length prefix + value.
+func (e *EWOEntry) Size() int { return 8 + 8 + 2 + 2 + len(e.Value) }
 
-// EWOUpdate carries one or more EWO entries: a single-entry message is the
-// egress-mirrored per-write delta; multi-entry messages are batched writes
-// (§7 batching) or the periodic packet-generator synchronization sweep.
+// EWOUpdateOverhead is an EWOUpdate's encoded size before its entries: type
+// byte + Reg + From + Slot + Sync + entry count.
+const EWOUpdateOverhead = 1 + 2 + 2 + 2 + 1 + 2
+
+// EWOUpdate carries EWO entries. With Sync clear it is the egress-mirrored
+// packet of §6.2/§7: the write set of one instant on the sender (every
+// register write its packets made at that virtual time, one entry per slot
+// written, the last value of a slot written twice) — or of several instants
+// when the register batches (§7 batching). With Sync set it is one packet of
+// the periodic packet-generator synchronization sweep.
 type EWOUpdate struct {
 	Reg     uint16
 	From    uint16
@@ -532,9 +541,9 @@ func (*EWOUpdate) WireType() Type { return TEWOUpdate }
 
 // Size implements Msg.
 func (u *EWOUpdate) Size() int {
-	n := 1 + 2 + 2 + 2 + 1 + 2
+	n := EWOUpdateOverhead
 	for i := range u.Entries {
-		n += u.Entries[i].size()
+		n += u.Entries[i].Size()
 	}
 	return n
 }

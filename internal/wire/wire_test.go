@@ -298,6 +298,26 @@ func TestSizeMatchesForAll(t *testing.T) {
 	}
 }
 
+// TestEWOUpdateSizeDefinition pins the exported size definitions the EWO
+// protocol packs against (its per-packet byte bound, its sync repacking) to
+// the encoding itself: overhead + Σ entry sizes is the marshalled length.
+func TestEWOUpdateSizeDefinition(t *testing.T) {
+	for _, entries := range []int{0, 1, 64} {
+		for _, width := range []int{0, 1, 8} {
+			u := &EWOUpdate{Reg: 1, From: 2, Entries: make([]EWOEntry, entries)}
+			want := EWOUpdateOverhead
+			for i := range u.Entries {
+				u.Entries[i] = EWOEntry{Key: uint64(i), Stamp: timesync.Stamp{Time: sim.Time(i), Node: 2}, Value: make([]byte, width)}
+				want += u.Entries[i].Size()
+			}
+			if got := len(u.Marshal(nil)); got != want || u.Size() != want {
+				t.Errorf("%d entries of %d-byte values: overhead+entries = %d, Size() = %d, Marshal = %d bytes",
+					entries, width, want, u.Size(), got)
+			}
+		}
+	}
+}
+
 func BenchmarkMarshalWrite(b *testing.B) {
 	w := &Write{Reg: 1, Key: 2, Seq: 3, WriteID: 4, Writer: 5, Epoch: 6, Value: make([]byte, 16)}
 	buf := make([]byte, 0, w.Size())

@@ -215,6 +215,7 @@ func (c *Cluster) Metrics() *MetricsRegistry {
 			r.AddCounter("ewo.sync_packets", rl, &es.SyncPackets)
 			r.AddCounter("ewo.update_bytes", rl, &es.UpdateBytes)
 			r.AddCounter("ewo.sync_bytes", rl, &es.SyncBytes)
+			r.AddCounter("ewo.groups_rejected", rl, &es.GroupsRejected)
 		})
 	}
 	return r

@@ -26,9 +26,11 @@ func TestTracingEnabledAllocBudget(t *testing.T) {
 	}
 	c.RunFor(2 * time.Millisecond)
 	// Warm the pools AND wrap the trace ring at least once so every slot
-	// has been claimed before the measured runs.
+	// has been claimed before the measured runs. One add per instant: the
+	// adds of one instant leave as one update and trace as one flush.
 	for i := 0; i < 4096; i++ {
 		regs[0].Add(uint64(i%64), 1)
+		c.RunFor(time.Microsecond)
 	}
 	c.RunFor(10 * time.Millisecond)
 	if tr.Total() < uint64(tr.Cap()) {

@@ -632,7 +632,9 @@ type EventualOptions struct {
 	SyncPeriod time.Duration
 	// DisableSync turns periodic synchronization off.
 	DisableSync bool
-	// Batch coalesces this many write updates per multicast (§7 batching).
+	// Batch holds this many register writes, across instants, for one
+	// multicast (§7 batching). Default 1: nothing is held — the writes of
+	// one instant leave together, as one update, at that instant.
 	Batch int
 	// BatchTimeout caps how long a partial batch may wait before flushing
 	// (0: wait for the batch to fill or the periodic sync).
