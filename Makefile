@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz-smoke bench bench-smoke tables snapshot benchdiff pps loc profile trace timeline live-soak clean
+.PHONY: all build test race vet fuzz-smoke bench bench-smoke tables loc profile trace timeline live-soak clean
 
 all: build vet test
 
@@ -46,30 +46,6 @@ bench-smoke:
 tables:
 	$(GO) run ./cmd/benchtab
 
-# Write a fresh benchmark regression snapshot (pick the next free number
-# before committing: BENCH_1.json, BENCH_2.json, ...).
-snapshot:
-	$(GO) run ./cmd/benchtab -json BENCH_new.json
-
-# Regression guard: regenerate a snapshot (schema 5) and diff it against the
-# newest committed BENCH_N.json. Fails on >10% ns/op regressions, any new
-# hot-path allocation, (on hosts with >= 4 cpus) a sub-1.8x parallel speedup
-# or the egress-worker pump falling behind the single pump, a >10%
-# packets/sec drop on any macro in the baseline (a baseline macro missing
-# from the new snapshot fails too, so the baseline moves with a deleted
-# macro), or allocs/datagram growth on macros that carry the meta in both.
-BENCH_BASE ?= $(lastword $(sort $(wildcard BENCH_[0-9]*.json)))
-benchdiff:
-	$(GO) run ./cmd/benchtab -pps -json BENCH_new.json > /dev/null
-	$(GO) run ./cmd/benchdiff -base $(BENCH_BASE) -new BENCH_new.json
-
-# Rate headline: the E17 throughput table plus the sim/live macro rates (sim
-# hot path at burst 64, in counter adds/sec; live UDP pump with the sender's
-# egress inline and on two workers, in packets/sec — each live row also
-# reports allocs/datagram).
-pps:
-	$(GO) run ./cmd/benchtab -pps -e E17
-
 # Non-test Go lines: the two live-path packages ROADMAP aim 2 is judged on,
 # and the module without the benchmark harness.
 loc:
@@ -113,6 +89,6 @@ live-soak:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_new.json trace.json metrics.txt timeline.jsonl \
+	rm -f trace.json metrics.txt timeline.jsonl \
 		soak-metrics.txt soak-timeline.jsonl soak-flightrec.txt \
 		cpu.pb.gz mem.pb.gz mutex.pb.gz

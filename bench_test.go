@@ -9,6 +9,9 @@
 package swishmem_test
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -75,9 +78,10 @@ func BenchmarkE12_DataVsControlPlane(b *testing.B) { benchExperiment(b, "E12") }
 
 // --- protocol hot-path microbenchmarks ---
 //
-// The benchmark bodies live in internal/experiments/micro.go so that
-// cmd/benchtab can run the same code under testing.Benchmark and write the
-// BENCH_*.json regression snapshots.
+// The benchmark bodies live in internal/experiments/micro.go (`make bench`
+// runs them). They are for measuring while you work; the gated numbers are
+// the repo benchmark's (`bash bench/run.sh`, BENCHMARK.json), and the
+// allocation counts are pinned by the budget tests below.
 
 // BenchmarkSROWriteCommit measures the replicated write path on a 3-switch
 // chain; commit drains run off the clock (see MicroSROWriteCommit).
@@ -141,6 +145,37 @@ func TestEWOCounterAddAllocBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EWO counter Add+deliver allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestEWOBurstAddAllocBudget: the same path the way a busy switch drives it —
+// 32 adds over 16 keys in one instant leave as one 16-entry update, and the
+// whole burst (flush event, both deliveries, the merges) allocates nothing.
+func TestEWOBurstAddAllocBudget(t *testing.T) {
+	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
+	regs, err := c.DeclareCounter("b", swishmem.EventualOptions{Capacity: 64, DisableSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(2 * time.Millisecond)
+	burst := func() {
+		for i := 0; i < 32; i++ {
+			regs[0].Add(uint64(i%16), 1)
+		}
+		c.RunFor(100 * time.Microsecond)
+	}
+	for i := 0; i < 64; i++ {
+		burst()
+	}
+	sent := regs[0].Node().Stats.UpdatesSent.Value()
+	if allocs := testing.AllocsPerRun(1000, burst); allocs != 0 {
+		t.Fatalf("a 32-add burst + deliver allocates %v per burst, want 0", allocs)
+	}
+	if got := regs[0].Node().Stats.UpdatesSent.Value() - sent; got != 1001 {
+		t.Fatalf("%d updates over 1001 bursts, want one each; the budget did not measure the burst path", got)
+	}
+	if got, want := regs[1].Sum(0), regs[0].Sum(0); got != want {
+		t.Fatalf("a peer reads %d on key 0, the writer %d: the bursts were not delivered", got, want)
 	}
 }
 
@@ -278,6 +313,54 @@ func TestEventSchedulingAllocBudget(t *testing.T) {
 	}
 }
 
+// TestEngineDeepQueueAllocBudget: schedule+pop through all three tiers of the
+// pending set — heap under the clock, timing wheel, far heap — with ~1k
+// far-future events pending allocates nothing.
+func TestEngineDeepQueueAllocBudget(t *testing.T) {
+	run := experiments.DeepQueue()
+	run(1 << 16)
+	if allocs := testing.AllocsPerRun(100, func() { run(1024) }); allocs != 0 {
+		t.Fatalf("1024 deep-queue events allocate %v, want 0", allocs)
+	}
+}
+
+// TestSROWriteLifecycleAllocBudget: an SRO write's whole life on a 3-switch
+// chain — submit, forward hop by hop, tail commit, acks, the caller's done
+// callback, with the retry timer running through the drain that commits —
+// allocates twice: the Write the writer sends (sendWrite) and the WriteAck the
+// tail answers with (commitAtTail). BenchmarkSROWriteCommit stops its timer
+// before the drain and so covers submission only; the per-message handlers
+// run here.
+func TestSROWriteLifecycleAllocBudget(t *testing.T) {
+	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
+	regs, err := c.DeclareStrong("b", swishmem.StrongOptions{Capacity: 1024, ValueWidth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(2 * time.Millisecond)
+	val := []byte("12345678")
+	committed := 0
+	done := func(ok bool) {
+		if ok {
+			committed++
+		}
+	}
+	write := func() {
+		regs[0].Write(3, val, done)
+		c.RunFor(time.Millisecond)
+	}
+	for i := 0; i < 512; i++ {
+		write()
+	}
+	committed = 0
+	if allocs := testing.AllocsPerRun(1000, write); allocs > 2 {
+		t.Fatalf("an SRO write, submit to commit callback, allocates %v, want <= 2", allocs)
+	}
+	if committed != 1001 {
+		t.Fatalf("%d of 1001 writes committed; the budget did not measure the commit path", committed)
+	}
+}
+
 // TestSROLocalReadAllocBudget: a clean-key local read allocates nothing.
 func TestSROLocalReadAllocBudget(t *testing.T) {
 	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
@@ -308,3 +391,46 @@ func BenchmarkE15_LossAnomaly(b *testing.B) { benchExperiment(b, "E15") }
 // BenchmarkE18_NthLossAnomaly compares the anomaly rate under deterministic
 // every-Nth loss vs random loss at matched long-run rates.
 func BenchmarkE18_NthLossAnomaly(b *testing.B) { benchExperiment(b, "E18") }
+
+// TestDocsCiteNoDeletedSnapshot: the BENCH_<n>.json snapshots, cmd/benchdiff
+// and benchtab's -json/-pps half are gone (bench/ is the one perf gate), so no
+// document may send a reader to them. CHANGES.md, ROADMAP.md and ISSUE.md are
+// history and planning and may name what was deleted.
+func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
+	gone := []string{"BENCH_", "benchdiff", "make snapshot", "make pps", "-pps"}
+	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
+	docs := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" || d.Name() == ".bench_build" {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".md" || history[path] {
+			return nil
+		}
+		docs++
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, g := range gone {
+				if strings.Contains(line, g) {
+					t.Errorf("%s:%d cites %q, which no longer exists", path, i+1, g)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if docs < 5 {
+		t.Fatalf("checked %d documents; the walk did not start at the repo root", docs)
+	}
+}

@@ -10,8 +10,6 @@
 //	benchtab -seed 7          # change the deterministic seed
 //	benchtab -parallel 4      # run experiments on 4 workers
 //	benchtab -shards 4        # shard every cluster's simulation across 4 engines
-//	benchtab -json BENCH.json # also write a benchmark regression snapshot
-//	benchtab -pps             # run the packets/sec macro benchmarks too
 //	benchtab -e E4 -trace out.json   # virtual-time trace, loadable at ui.perfetto.dev
 //	benchtab -metrics metrics.txt    # batch counters + per-experiment metric sections
 //	benchtab -cpuprofile cpu.pb.gz -memprofile mem.pb.gz -mutexprofile mtx.pb.gz
@@ -19,79 +17,30 @@
 // -parallel and -shards are orthogonal: -parallel runs whole experiments on
 // concurrent workers, -shards splits each experiment's simulated switches
 // across engines (deterministically — sharded rows are byte-identical to
-// sequential ones). The profile flags cover the experiment batch, not the
-// -json microbenchmarks; use `go test -bench -cpuprofile` for those.
+// sequential ones). The profile flags cover the experiment batch.
 //
 // Regenerated rows go to stdout; wall-time diagnostics go to stderr. Every
 // experiment builds its own deterministic simulation, so the stdout rows are
 // byte-identical whatever -parallel is — parallelism only changes how long
 // the run takes.
 //
-// The -json snapshot records the hot-path microbenchmarks (ns/op, B/op,
-// allocs/op via testing.Benchmark over the shared bodies in
-// internal/experiments/micro.go) plus per-experiment wall times. Committing
-// one snapshot per performance-relevant change (BENCH_1.json, BENCH_2.json,
-// ...) gives a regression trail reviewers can diff.
+// benchtab measures no performance: the repo benchmark is `bash bench/run.sh`
+// (BENCHMARK.json), and `make bench` runs the hot-path microbenchmarks under
+// `go test -bench`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"testing"
 	"time"
 
 	"swishmem/internal/experiments"
 	"swishmem/internal/obs"
 )
-
-// microResult is one microbenchmark row in the snapshot.
-type microResult struct {
-	Name        string  `json:"name"`
-	About       string  `json:"about"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// expResult is one experiment row in the snapshot.
-type expResult struct {
-	ID     string  `json:"id"`
-	Name   string  `json:"name"`
-	WallMs float64 `json:"wall_ms"`
-	// Metrics is the experiment's aggregated cluster-metrics section
-	// (counter sums and histogram count/mean pairs); empty for experiments
-	// that do not snapshot their clusters.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// snapshot is the -json output: a benchmark regression record.
-type snapshot struct {
-	Schema   int   `json:"schema"`
-	Seed     int64 `json:"seed"`
-	Parallel int   `json:"parallel"`
-	// Shards is the per-cluster shard count the batch ran with (0 =
-	// sequential engines). Rows are identical either way; wall times are not.
-	Shards int `json:"shards"`
-	// CPUs records runtime.NumCPU() on the generating machine. cmd/benchdiff
-	// gates its parallel-speedup assertion on it: a single-core host runs
-	// the same windows with no overlap, so speedups are only checked when
-	// the host can actually overlap shards.
-	CPUs        int           `json:"cpus"`
-	Micro       []microResult `json:"micro"`
-	Experiments []expResult   `json:"experiments"`
-	// Macro holds the -pps packets/sec macro rows (schema 4). cmd/benchdiff
-	// floors every macro shared with the baseline and gates the egress-worker
-	// pump scale when the host has the cores for it.
-	// Schema 5 adds the live.pps/egress macro (sharded-egress sender) and
-	// per-row meta like allocs_per_datagram, which benchdiff also gates.
-	Macro []experiments.MacroResult `json:"macro,omitempty"`
-}
 
 func main() {
 	var (
@@ -99,11 +48,9 @@ func main() {
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		parallel = flag.Int("parallel", 1, "number of concurrent experiment workers")
-		jsonOut  = flag.String("json", "", "write a benchmark snapshot (micros + wall times) to this file")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (requires -e; forces -parallel 1)")
 		metout   = flag.String("metrics", "", "write a plain-text metrics dump (batch counters + per-experiment sections) to this file")
 		shards   = flag.Int("shards", 0, "shard every experiment cluster across N engines (0 = sequential; rows are byte-identical either way)")
-		ppsMode  = flag.Bool("pps", false, "also run the packets/sec macro benchmarks (recorded in the -json snapshot)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment batch to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (after the batch) to this file")
 		mtxProf  = flag.String("mutexprofile", "", "write a mutex-contention profile of the batch to this file")
@@ -186,18 +133,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *mtxProf)
 	}
 
-	snap := snapshot{Schema: 5, Seed: *seed, Parallel: *parallel, Shards: *shards, CPUs: runtime.NumCPU()}
 	for _, r := range reports {
 		fmt.Print(r.Result.String())
 		fmt.Println()
 		fmt.Fprintf(os.Stderr, "%s finished in %v wall time\n",
 			r.Experiment.ID, r.Wall.Round(time.Millisecond))
-		snap.Experiments = append(snap.Experiments, expResult{
-			ID:      r.Experiment.ID,
-			Name:    r.Experiment.Name,
-			WallMs:  float64(r.Wall.Microseconds()) / 1000,
-			Metrics: r.Result.Metrics,
-		})
 	}
 	fmt.Fprintf(os.Stderr, "batch: %d experiments, %d workers, %v wall time\n",
 		len(reports), *parallel, batchWall.Round(time.Millisecond))
@@ -221,43 +161,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *metout)
 	}
-
-	if *ppsMode {
-		for _, m := range experiments.Macros(*seed) {
-			fmt.Printf("pps   %-22s %12.0f ops/s  (%d ops in %.0f ms)\n", m.Name, m.PPS, m.Ops, m.WallMs)
-			snap.Macro = append(snap.Macro, m)
-		}
-	}
-
-	if *jsonOut == "" {
-		return
-	}
-	for _, m := range experiments.Micros() {
-		fmt.Fprintf(os.Stderr, "bench %s...\n", m.Name)
-		br := testing.Benchmark(m.Bench)
-		snap.Micro = append(snap.Micro, microResult{
-			Name:        m.Name,
-			About:       m.About,
-			Iterations:  br.N,
-			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
-			BytesPerOp:  br.AllocedBytesPerOp(),
-			AllocsPerOp: br.AllocsPerOp(),
-		})
-		fmt.Fprintf(os.Stderr, "bench %s: %.1f ns/op, %d B/op, %d allocs/op (%d iters)\n",
-			m.Name, snap.Micro[len(snap.Micro)-1].NsPerOp,
-			br.AllocedBytesPerOp(), br.AllocsPerOp(), br.N)
-	}
-	buf, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "marshal snapshot: %v\n", err)
-		os.Exit(1)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*jsonOut, buf, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonOut, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
 }
 
 // writeProfile dumps the named runtime profile (heap/allocs after a GC,

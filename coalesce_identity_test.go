@@ -15,7 +15,7 @@ import (
 	"swishmem"
 )
 
-func coalesceOff(c *swishmem.Config) { c.DisableCoalescing = true }
+func coalesceOff(c *swishmem.Cluster) { c.DisableCoalescing() }
 
 // TestCoalesceIdenticalRunLog pins the full workload output (commit
 // callbacks, reads, counter sums, network totals, processed-event counts)
@@ -43,16 +43,15 @@ func TestCoalesceIdenticalRunLog(t *testing.T) {
 // coalesced scheduler must emit the same per-message instants at the same
 // virtual times as the uncoalesced one.
 func TestCoalesceIdenticalTrace(t *testing.T) {
-	runTraced := func(shards int, mut ...func(*swishmem.Config)) []byte {
-		cfg := swishmem.Config{Switches: 4, Seed: 9, Shards: shards}
-		for _, m := range mut {
-			m(&cfg)
-		}
-		c, err := swishmem.New(cfg)
+	runTraced := func(shards int, mut ...func(*swishmem.Cluster)) []byte {
+		c, err := swishmem.New(swishmem.Config{Switches: 4, Seed: 9, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		for _, m := range mut {
+			m(c)
+		}
 		c.EnableTracing(1 << 20)
 		regs, err := c.DeclareStrong("t", swishmem.StrongOptions{Capacity: 64, ValueWidth: 8})
 		if err != nil {

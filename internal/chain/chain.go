@@ -569,29 +569,49 @@ func (n *Node) Get(key uint64) ([]byte, bool) {
 }
 
 // Handle routes a protocol message to this node. It returns false if the
-// message is not for this register.
+// message is not for this register. Data-plane registers run the handler
+// inline (the caller is already in a data-plane slot); control-plane tables
+// go through dispatch, and only that branch builds a closure — one built for
+// both would escape and cost every message an allocation.
 func (n *Node) Handle(from netem.Addr, msg wire.Msg) bool {
+	ctrl := n.cfg.Backing == ControlPlane
 	switch m := msg.(type) {
 	case *wire.Write:
 		if m.Reg != n.cfg.Reg {
 			return false
 		}
-		n.dispatch(m, func() { n.process(from, m) })
+		if ctrl {
+			n.dispatch(m, func() { n.process(from, m) })
+		} else {
+			n.process(from, m)
+		}
 	case *wire.WriteAck:
 		if m.Reg != n.cfg.Reg {
 			return false
 		}
-		n.dispatch(m, func() { n.processAck(m) })
+		if ctrl {
+			n.dispatch(m, func() { n.processAck(m) })
+		} else {
+			n.processAck(m)
+		}
 	case *wire.ReadFwd:
 		if m.Reg != n.cfg.Reg {
 			return false
 		}
-		n.dispatch(m, func() { n.processReadFwd(m) })
+		if ctrl {
+			n.dispatch(m, func() { n.processReadFwd(m) })
+		} else {
+			n.processReadFwd(m)
+		}
 	case *wire.ReadReply:
 		if m.Reg != n.cfg.Reg {
 			return false
 		}
-		n.dispatch(m, func() { n.processReadReply(m) })
+		if ctrl {
+			n.dispatch(m, func() { n.processReadReply(m) })
+		} else {
+			n.processReadReply(m)
+		}
 	case *wire.ChainConfig:
 		n.SetChain(*m)
 	default:
@@ -600,27 +620,21 @@ func (n *Node) Handle(from netem.Addr, msg wire.Msg) bool {
 	return true
 }
 
-// dispatch runs fn at the configured backing cost: inline for data-plane
-// registers (the caller is already in a data-plane slot), via the
-// co-processor for control-plane tables. The deferred control-plane path
-// holds a reference on pooled messages (the live fabric's zero-copy views)
+// dispatch runs fn on the co-processor, the cost of a control-plane table.
+// It holds a reference on pooled messages (the live fabric's zero-copy views)
 // for the lifetime of the closure — without it, the receive path would
 // recycle the message (and the datagram buffer backing its value) before
 // the co-processor slot runs.
 func (n *Node) dispatch(msg wire.Msg, fn func()) {
-	if n.cfg.Backing == ControlPlane {
-		if r, ok := msg.(netem.Releasable); ok {
-			r.Ref()
-			n.sw.CtrlDo(func() {
-				fn()
-				r.Release()
-			})
-			return
-		}
-		n.sw.CtrlDo(fn)
+	if r, ok := msg.(netem.Releasable); ok {
+		r.Ref()
+		n.sw.CtrlDo(func() {
+			fn()
+			r.Release()
+		})
 		return
 	}
-	fn()
+	n.sw.CtrlDo(fn)
 }
 
 // process handles a Write at any chain position.

@@ -164,16 +164,26 @@ func (rn *RetransmitNode) Handle(from netem.Addr, msg wire.Msg) bool {
 		if m.Reg != rn.cfg.Reg {
 			return false
 		}
-		if rn.hop != nil {
+		if rn.hop == nil {
+			return true // proxy
+		}
+		if rn.cfg.Backing == ControlPlane {
 			rn.dispatch(m, func() { rn.hop.processNack(from, m) })
+		} else {
+			rn.hop.processNack(from, m)
 		}
 		return true
 	case *wire.ChainCursor:
 		if m.Reg != rn.cfg.Reg {
 			return false
 		}
-		if rn.hop != nil {
+		if rn.hop == nil {
+			return true // proxy
+		}
+		if rn.cfg.Backing == ControlPlane {
 			rn.dispatch(m, func() { rn.hop.processCursor(m) })
+		} else {
+			rn.hop.processCursor(m)
 		}
 		return true
 	}

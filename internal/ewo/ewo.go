@@ -97,8 +97,12 @@ type Config struct {
 	// to batching. 0 disables the timer (a partial batch waits for the
 	// batch to fill or for Flush/periodic sync).
 	BatchTimeout sim.Duration
-	// SyncEntriesPerPacket bounds entries per periodic-sync packet (an MTU
-	// stand-in). Default 64.
+	// SyncEntriesPerPacket bounds the keys one periodic-sync window walks (an
+	// MTU stand-in), not the entries it sends: a counter key emits one entry
+	// per known slot, up to MaxGroup of them (twice that for a PN-counter),
+	// so a default round carries up to 64 × 8 = 512 entries in one packet
+	// unless SyncPacketBytes repacks it. It is also the entry count at which
+	// enqueue closes an instant's open update early. Default 64.
 	SyncEntriesPerPacket int
 	// SyncPacketBytes, when > 0, makes the periodic sync batch-aware: the
 	// round's key window is packed into as many updates as needed so that

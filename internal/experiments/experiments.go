@@ -26,9 +26,9 @@ type Result struct {
 	Notes []string
 	// Metrics is an optional per-experiment counter section built from the
 	// cluster metrics registry (see addMetrics): metric name (optionally
-	// suffixed with a capture label) -> aggregated value. It is exported in
-	// snapshots (BENCH_*.json) but deliberately NOT rendered by String(),
-	// which must stay byte-identical across runner worker counts.
+	// suffixed with a capture label) -> aggregated value. `benchtab -metrics`
+	// writes it out; it is deliberately NOT rendered by String(), which must
+	// stay byte-identical across runner worker counts.
 	Metrics map[string]float64
 }
 

@@ -10,41 +10,19 @@ import (
 	"swishmem/internal/wire"
 )
 
-// Micro is a hot-path microbenchmark shared by the repo-root bench_test.go
-// (go test -bench) and cmd/benchtab's -json regression snapshot (via
-// testing.Benchmark). Keeping one body for both means the numbers tracked in
-// BENCH_*.json are the numbers developers see locally.
-type Micro struct {
-	// Name matches the Benchmark<Name> function in bench_test.go.
-	Name string
-	// About says what path the benchmark exercises.
-	About string
-	Bench func(b *testing.B)
-}
+// The Micro* functions are the hot-path microbenchmark bodies the repo-root
+// bench_test.go runs under `go test -bench` (Benchmark<Name> calls
+// Micro<Name>); the root alloc-budget tests measure on the same fixtures.
 
-// Micros returns the registered hot-path microbenchmarks.
-func Micros() []Micro {
-	return []Micro{
-		{"SROWriteCommit", "SRO replicated write submission on a 3-switch chain", MicroSROWriteCommit},
-		{"EWOCounterAdd", "EWO fast path: local counter apply + one multicast per add", MicroEWOCounterAdd},
-		{"EWOBurstAdd", "EWO fast path: 32 adds over 16 keys in one instant, their one update flushed and delivered on the clock", MicroEWOBurstAdd},
-		{"EWOMerge", "EWO receive path: an 8-entry update merged into a warm 3-member counter", MicroEWOMerge},
-		{"EWOSum", "EWO counter read: one key's slot row summed on a warm 3-member counter", MicroEWOSum},
-		{"SROLocalRead", "SRO clean-key local read", MicroSROLocalRead},
-		{"ShardedCounterAdd", "EWO counter add + windowed parallel drain on a 3-shard group", MicroShardedCounterAdd},
-		{"EngineDeepQueue", "sim event schedule+pop at +400 ns / +10 us with ~1k far-future events pending", MicroEngineDeepQueue},
-		{"EngineScheduleRun", "sim event schedule+pop, 1024 events inside 100 ns (one wheel bucket)", MicroEngineScheduleRun},
-	}
-}
-
-// MicroEngineDeepQueue measures one event's schedule and pop on an engine
-// whose pending set has the shape of a trace replay (sim-ddos-8sw in the repo
-// benchmark): ~1k events pre-scheduled up to 10 ms ahead, and ~50 in flight
-// that re-arm themselves at the two constant delays of the models, a 400 ns
-// pipeline stage (local events) and a 10 us link (keyed deliveries), about
-// half the pushes each. An op is one in-flight event; the far events re-arm
-// 10 ms out as they fire (0.2 % of the events run) so the depth holds.
-func MicroEngineDeepQueue(b *testing.B) {
+// DeepQueue builds an engine whose pending set has the shape of a trace
+// replay (sim-ddos-8sw in the repo benchmark): ~1k events pre-scheduled up to
+// 10 ms ahead, and ~50 in flight that re-arm themselves at the two constant
+// delays of the models, a 400 ns pipeline stage (local events) and a 10 us
+// link (keyed deliveries), about half the pushes each. The far events re-arm
+// 10 ms out as they fire (0.2 % of the events run) so the depth holds. The
+// returned run schedules and pops ops in-flight events and lets their chains
+// end; the root alloc-budget test measures on the same fixture.
+func DeepQueue() (run func(ops int)) {
 	const (
 		farEvents = 1024
 		farSpan   = 10 * time.Millisecond
@@ -72,29 +50,31 @@ func MicroEngineDeepQueue(b *testing.B) {
 	for i := 1; i <= farEvents; i++ {
 		eng.ScheduleAfter(farSpan*sim.Duration(i)/farEvents, far)
 	}
-	// Two local chains keep 2 events inside the next 400 ns; 48 delivery
-	// chains spread over the link delay push as often as the two together.
-	arm := func() {
+	return func(ops int) {
+		left = ops
+		// Two local chains keep 2 events inside the next 400 ns; 48 delivery
+		// chains spread over the link delay push as often as the two together.
 		for i := 0; i < 2; i++ {
 			eng.ScheduleAfter(stage*sim.Duration(i+1)/2, local)
 		}
 		for i := 0; i < 48; i++ {
 			eng.ScheduleAfter(link*sim.Duration(i+1)/48, deliver)
 		}
+		for left > 0 {
+			eng.RunFor(link)
+		}
+		eng.RunFor(2 * link) // let the chains end
 	}
-	left = 1 << 16
-	arm()
-	for left > 0 {
-		eng.RunFor(link)
-	}
-	eng.RunFor(2 * link) // let the warm-up chains end
+}
+
+// MicroEngineDeepQueue measures one event's schedule and pop on the DeepQueue
+// engine; an op is one in-flight event.
+func MicroEngineDeepQueue(b *testing.B) {
+	run := DeepQueue()
+	run(1 << 16)
 	b.ReportAllocs()
 	b.ResetTimer()
-	left = b.N
-	arm()
-	for left > 0 {
-		eng.RunFor(link)
-	}
+	run(b.N)
 }
 
 // MicroEngineScheduleRun is the degenerate shape for a timing wheel: 1024

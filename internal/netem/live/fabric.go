@@ -337,20 +337,23 @@ func (f *Fabric) collectEgressDone() {
 
 // Bootstrap wires this fabric to the controller's discovery service: the
 // controller endpoint is registered (peer + relay, so heartbeats flow
-// immediately), and a Hello repeats every period until the controller's
-// PeerList arrives. PeerLists are applied automatically: every listed peer
-// is registered and relayed, after which chain and group traffic to any
-// member flows. Call before Start.
+// immediately), and a Hello leaves at Start and then every period until the
+// controller's PeerList arrives. PeerLists are applied automatically: every
+// listed peer is registered and relayed, after which chain and group traffic
+// to any member flows. Call before Start.
 func (f *Fabric) Bootstrap(ctrl netem.Addr, ctrlEP netip.AddrPort, period sim.Duration) {
 	f.bootCtrl = ctrl
 	f.node.AddPeerAddrPort(ctrl, ctrlEP)
 	f.ensureRelay(ctrl)
 	hello := &wire.Hello{From: uint16(f.addr), Gen: 1}
-	f.eng.Every(period, func() {
+	announce := func() {
 		if f.peersEpoch.Load() == 0 {
 			_ = f.node.Send(ctrl, hello)
 		}
-	})
+	}
+	// Every's first tick is one period out; discovery should not idle that long.
+	f.eng.Schedule(f.eng.Now(), announce)
+	f.eng.Every(period, announce)
 }
 
 // Bootstrapped reports whether a PeerList has been applied (thread-safe).

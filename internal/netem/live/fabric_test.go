@@ -59,15 +59,14 @@ func TestFabricExchange(t *testing.T) {
 	waitFor(t, func() bool { return b.FStats().EgressMsgs > 0 })
 }
 
-// TestFabricBootstrap has a member fabric Hello a "controller" fabric whose
-// system handler answers with a PeerList; the member must apply it, learn
-// the third peer, and stop sending Hellos.
-func TestFabricBootstrap(t *testing.T) {
+// startDirectory starts a "controller" fabric whose system handler answers
+// every Hello with a PeerList naming a third (started) fabric, and returns
+// the controller and the channel the Hello senders are reported on.
+func startDirectory(t *testing.T) (*Fabric, <-chan uint16) {
 	ctrl := newTestFabric(t, 0xfffe)
-	member := newTestFabric(t, 1)
 	third := newTestFabric(t, 3)
 
-	hellos := make(chan uint16, 16)
+	hellos := make(chan uint16, 16) // more than any test's Hello count; overflow is dropped
 	ctrl.SetSystemHandler(func(from netem.Addr, msg wire.Msg) bool {
 		if h, ok := msg.(*wire.Hello); ok {
 			select {
@@ -85,6 +84,14 @@ func TestFabricBootstrap(t *testing.T) {
 	})
 	ctrl.Start()
 	third.Start()
+	return ctrl, hellos
+}
+
+// TestFabricBootstrap has a member fabric Hello the directory; the member
+// must apply the PeerList, learn the third peer, and stop sending Hellos.
+func TestFabricBootstrap(t *testing.T) {
+	ctrl, hellos := startDirectory(t)
+	member := newTestFabric(t, 1)
 
 	member.Bootstrap(0xfffe, ctrl.AddrPort(), 5*time.Millisecond)
 	member.Start()
@@ -105,5 +112,21 @@ func TestFabricBootstrap(t *testing.T) {
 	}
 	if _, ok := member.Node().Peer(3); !ok {
 		t.Fatal("member did not learn peer 3 from the PeerList")
+	}
+}
+
+// TestFabricBootstrapFirstHelloAtStart: the first Hello leaves when the
+// fabric starts, not one period later — with a 500 ms period the member is
+// bootstrapped within 100 ms of Start.
+func TestFabricBootstrapFirstHelloAtStart(t *testing.T) {
+	ctrl, _ := startDirectory(t)
+	member := newTestFabric(t, 1)
+
+	member.Bootstrap(0xfffe, ctrl.AddrPort(), 500*time.Millisecond)
+	start := time.Now()
+	member.Start()
+	waitFor(t, member.Bootstrapped)
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("member bootstrapped %v after Start, want under 100 ms: the first Hello waited for the period", d)
 	}
 }

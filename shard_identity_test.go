@@ -18,7 +18,7 @@ import (
 // identityWorkload drives a mixed workload (SRO writes with retries, EWO
 // counters with periodic sync, a lossy link, a switch failure and chain
 // recovery) and renders everything observable into one deterministic string.
-func identityWorkload(t *testing.T, shards int, seed int64, mut ...func(*swishmem.Config)) string {
+func identityWorkload(t *testing.T, shards int, seed int64, mut ...func(*swishmem.Cluster)) string {
 	t.Helper()
 	lossy := swishmem.LinkProfile{
 		Latency:      12 * time.Microsecond,
@@ -28,17 +28,16 @@ func identityWorkload(t *testing.T, shards int, seed int64, mut ...func(*swishme
 		ReorderRate:  0.05,
 		Jitter:       3 * time.Microsecond,
 	}
-	cfg := swishmem.Config{
+	c, err := swishmem.New(swishmem.Config{
 		Switches: 5, Spares: 1, Seed: seed, Shards: shards, Link: &lossy,
-	}
-	for _, m := range mut {
-		m(&cfg)
-	}
-	c, err := swishmem.New(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	for _, m := range mut {
+		m(c)
+	}
 
 	// Callbacks run on the shard goroutine of the switch whose handle was
 	// driven, possibly concurrently with other shards. Each switch therefore

@@ -121,11 +121,6 @@ type Config struct {
 	// or the default link has zero latency (no lookahead). Sharded clusters
 	// own worker goroutines: call Close when done.
 	Shards int
-	// DisableCoalescing turns off the fabric's same-tick delivery batching
-	// (one scheduled event per same-timestamp burst on a link). Coalescing is
-	// on by default and byte-identical to the uncoalesced path — this knob
-	// exists for A/B identity tests and hot-path debugging.
-	DisableCoalescing bool
 }
 
 // Cluster is a running emulated SwiShmem deployment.
@@ -211,9 +206,6 @@ func New(cfg Config) (*Cluster, error) {
 	} else {
 		c.eng = sim.NewEngine(cfg.Seed)
 		nw = netem.New(c.eng, link)
-	}
-	if cfg.DisableCoalescing {
-		nw.SetCoalesce(false)
 	}
 	c.net = nw
 
