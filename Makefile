@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz-smoke bench bench-smoke tables loc profile trace timeline live-soak clean
+.PHONY: all build test race vet fuzz-smoke explore bench bench-smoke tables loc profile trace timeline live-soak clean
 
 all: build vet test
 
@@ -29,6 +29,28 @@ fuzz-smoke:
 		echo "fuzz $${t#*:} ($${t%:*}, $(FUZZTIME))"; \
 		$(GO) test ./$${t%:*} -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME); \
 	done
+
+# The explorer's nightly matrix run locally (no CI runs here): N seeds from
+# BASE on each of {classic, extended} faults x {chain, retransmit} backend,
+# one `go test` per leg under its own timeout. A failing or hanging leg does
+# not stop the others; each prints its failing seeds with their replay lines.
+# A tool, not a gate: ROADMAP's open seeds (173, 473, 957, ...) fail here,
+# and seed 755 hangs the checker until its leg times out.
+N ?= 600
+BASE ?= 1
+EXPLORE_TIMEOUT ?= 5m
+explore:
+	@failed=0; for faults in classic extended; do for backend in chain retransmit; do \
+		echo "== explore: $$faults faults, $$backend backend, seeds $(BASE)..$$(($(BASE)+$(N)-1))"; \
+		if out=$$($(GO) test . -run 'TestExplore$$' -count=1 -timeout $(EXPLORE_TIMEOUT) \
+			-explore.n=$(N) -explore.base=$(BASE) -explore.faults=$$faults -explore.backend=$$backend 2>&1); then \
+			echo "   all seeds pass"; \
+		else \
+			failed=$$((failed+1)); \
+			echo "$$out" | grep -oE 'seed [0-9]+ failed.{0,90}|replay: .*|panic: test timed out.*' || echo "$$out" | tail -n 5; \
+		fi; \
+	done; done; \
+	echo "== explore: $$failed of 4 legs failed"; [ $$failed -eq 0 ]
 
 # Hot-path microbenchmarks + per-experiment wall times.
 bench:

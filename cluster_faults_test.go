@@ -238,7 +238,7 @@ func TestJoinCounterGroupErrors(t *testing.T) {
 	}
 
 	// With the controller disabled there is no group membership to amend.
-	nc := newFaultCluster(t, Config{Switches: 2, Spares: 1, Seed: 1, DisableController: true})
+	nc := newFaultCluster(t, Config{Switches: 2, Spares: 1, Seed: 1}.WithoutController())
 	if _, err := nc.DeclareCounter("c", EventualOptions{Capacity: 8}); err != nil {
 		t.Fatal(err)
 	}

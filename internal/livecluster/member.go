@@ -79,6 +79,24 @@ func (c MemberConfig) withDefaults() MemberConfig {
 	return c
 }
 
+// hostTiming is the switch configuration of a live member. pisa's defaults
+// (400 ns pipeline, 50 µs control-plane latency, one control-plane op per
+// 10 µs) stand in for Tofino hardware the simulator does not have; a live
+// member's pipeline and control plane are this process, whose real latency
+// every wall-clock measurement already contains. Replayed on the pump's
+// clock those constants would make every chain.Write wait for a Go timer and
+// a second pump round, and cap a member at 100 k writes/s. So the live
+// switch takes the smallest values the model accepts (0 selects the
+// default): whatever an op schedules is due in the pump round that ran it.
+func hostTiming(addr netem.Addr) pisa.Config {
+	return pisa.Config{
+		Addr:            addr,
+		PipelineLatency: 1,
+		CtrlLatency:     1,
+		CtrlOpsPerSec:   1e9, // one op per nanosecond slot
+	}
+}
+
 // Member is one live cluster node: fabric, switch model, and the three
 // standard registers.
 type Member struct {
@@ -110,7 +128,7 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw := pisa.New(f.Engine(), f.Network(), pisa.Config{Addr: cfg.Addr})
+	sw := pisa.New(f.Engine(), f.Network(), hostTiming(cfg.Addr))
 	in := core.NewInstance(sw)
 	m := &Member{Fabric: f, Switch: sw, Inst: in}
 

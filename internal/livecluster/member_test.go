@@ -1,15 +1,17 @@
 package livecluster
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
 	"swishmem/internal/netem"
 )
 
-// quietCluster starts a controller and n lossless members whose periodic
-// traffic — heartbeats, EWO sync — is an hour away, so after bootstrap the
-// only datagrams a member sends are the ones a test makes it send.
+// quietCluster starts a controller and n lossless members whose timers —
+// heartbeats, EWO sync, the Hello ticker, write retries — are out of a
+// test's reach, so after bootstrap the only datagrams a member sends and the
+// only engine deadlines its pump wakes for are the ones a test causes.
 func quietCluster(t *testing.T, n int) []*Member {
 	t.Helper()
 	addrs := make([]netem.Addr, n)
@@ -26,7 +28,8 @@ func quietCluster(t *testing.T, n int) []*Member {
 	for i := range members {
 		m, err := NewMember(MemberConfig{
 			Addr: addrs[i], Seed: int64(i + 1), ControllerEP: ctrlFab.AddrPort(),
-			HeartbeatPeriod: time.Hour, SyncPeriod: time.Hour,
+			HeartbeatPeriod: time.Hour, SyncPeriod: time.Hour, HelloPeriod: time.Hour,
+			RetryTimeout: 5 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -78,5 +81,91 @@ func TestPostedBurstLeavesAsOneUpdatePerPeer(t *testing.T) {
 	poster.Fabric.Call(func() { sent = poster.Counter.Node().Stats.UpdatesSent.Value() })
 	if sent != 1 {
 		t.Fatalf("UpdatesSent = %d, want 1", sent)
+	}
+}
+
+func timerWakes(members []*Member) (n uint64) {
+	for _, m := range members {
+		n += m.Fabric.FStats().TimerWakes
+	}
+	return n
+}
+
+// A member's control plane is this process: a posted write is submitted —
+// its wire.Write handed to the egress — in the pump round that took the
+// post, not in a second round that a Go timer has to start once a modelled
+// co-processor latency has passed on the wall clock.
+func TestPostedWriteSubmitsInItsPumpRound(t *testing.T) {
+	members := quietCluster(t, 3)
+	w := members[1] // not the head: the write has to cross the socket
+	var ops, wakes [2]uint64
+	sample := func(i int) {
+		ops[i] = w.Switch.Stats.CtrlOps.Value()
+		wakes[i] = w.Fabric.FStats().TimerWakes
+	}
+	committed := make(chan bool, 1)
+	// The sampling round also brings the engine clock up to the wall clock, so
+	// a modelled delay counted from it would still be ahead in the next round.
+	w.Fabric.Call(func() { sample(0) })
+	w.Fabric.Call(func() {
+		w.Strong.Write(7, []byte("12345678"), func(ok bool) { committed <- ok })
+	})
+	// This Call's post arrives after the round above swapped its queue, so it
+	// runs in a later round — in the next one, unless a timer started one
+	// in between.
+	w.Fabric.Call(func() { sample(1) })
+	if ops[1] != ops[0]+1 {
+		t.Errorf("control-plane ops after the posting round = %d, want %d: the submit is still waiting for a deadline",
+			ops[1], ops[0]+1)
+	}
+	if wakes[1] != wakes[0] {
+		t.Errorf("%d timer-started pump round(s) between the post and the next round", wakes[1]-wakes[0])
+	}
+	select {
+	case ok := <-committed:
+		if !ok {
+			t.Fatal("write failed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("write never committed")
+	}
+}
+
+// Under a steady posted write load no member wakes for an engine deadline:
+// every hop of every write runs in the round its post or datagram started.
+// With pisa's default (simulator) timing the writer alone takes a timer wake
+// for about every other write.
+func TestPostedWriteLoadTakesNoTimerWakes(t *testing.T) {
+	members := quietCluster(t, 3)
+	const window, total = 32, 3000
+	done := make(chan bool, window) // commit callbacks run on a pump: never block one
+	post := func(i int) {
+		m := members[i%len(members)]
+		val := binary.BigEndian.AppendUint64(nil, uint64(i))
+		m.Fabric.Post(func() {
+			m.Strong.Write(uint64(i%StrongCapacity), val, func(ok bool) { done <- ok })
+		})
+	}
+	before := timerWakes(members)
+	for i := 0; i < window; i++ {
+		post(i)
+	}
+	timeout := time.After(60 * time.Second)
+	for n := 0; n < total; n++ {
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Fatalf("write %d failed", n)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d writes committed", n, total)
+		}
+		if next := n + window; next < total {
+			post(next)
+		}
+	}
+	if wakes := timerWakes(members) - before; float64(wakes) > 0.02*total {
+		t.Fatalf("%d timer-started pump rounds for %d committed writes (%.3f per write), want <= 0.02 per write",
+			wakes, total, float64(wakes)/total)
 	}
 }

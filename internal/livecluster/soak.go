@@ -480,6 +480,9 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 		sums   [CounterKeys]uint64
 		ctrDig map[uint64]string
 		lwwDig map[uint64]string
+		// retryFires counts the writer retry timers that fired (each either
+		// retried or gave up): the member's only aperiodic engine deadlines.
+		retryFires uint64
 	}
 	snaps := make([]snapshot, cfg.Members)
 	for i, m := range members {
@@ -496,6 +499,8 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 			}
 			snap.ctrDig = m.Counter.Node().StateDigest()
 			snap.lwwDig = m.LWW.Node().StateDigest()
+			cs := m.Strong.Node().Counters()
+			snap.retryFires = cs.Retries.Value() + cs.WritesFailed.Value()
 		})
 	}
 
@@ -535,26 +540,35 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 		fail("lww", "%s", f)
 	}
 
-	// Pump-efficiency oracle: every pump round is provoked by a wake (a post,
-	// an inbound datagram, a full egress done list) or an engine timer
-	// deadline, so rounds are bounded by rx+posts plus the fabric's timer
-	// rate. A spinning pump (an idle poll at 5ms burns 200 rounds/s; a
-	// busy-loop regression burns far more) blows through the residual budget. The
-	// controller gets a tight residual (its only timers are the 20ms scan and
-	// 100ms resend, ~60 rounds/s); members get a loose one (5ms EWO sync
-	// timers × 2 registers plus write retries).
-	wall := time.Since(soakStart)
-	checkPump := func(name string, fs live.FabricStats, rx uint64, perSec float64) {
-		budget := fs.Posts + rx + uint64(wall.Seconds()*perSec) + 100
-		if fs.PumpRounds > budget {
-			fail("pump", "%s: %d pump rounds > budget %d (posts=%d rx=%d wall=%v): pump is spinning",
-				name, fs.PumpRounds, budget, fs.Posts, rx, wall)
+	// Pump-efficiency oracle: a pump round is started either by a signal (a
+	// post, an inbound datagram, an egress done list past its 256-message
+	// threshold) or by an engine deadline (TimerWakes), and each side has its
+	// own bound. Signal-started rounds never exceed the signals; a deadline
+	// starts at most one round, so TimerWakes never exceeds the node's real
+	// timer rate — the controller's scan and resend tickers, a member's two
+	// EWO sync tickers, heartbeat and Hello ticker plus the retry timers that
+	// fired. A spinning pump (an idle poll at 5ms burns 200 rounds/s; a
+	// busy-loop regression burns far more) or a model delay replayed as a
+	// wall-clock timer (one wake per write) blows through one of the two.
+	wall := time.Since(soakStart).Seconds()
+	checkPump := func(name string, fs live.FabricStats, rx uint64, timers float64) {
+		signals := fs.Posts + rx + fs.EgressMsgs/128 + 100
+		if woken := fs.PumpRounds - fs.TimerWakes; woken > signals {
+			fail("pump", "%s: %d signal-started pump rounds > budget %d (posts=%d rx=%d wall=%.1fs): pump is spinning",
+				name, woken, signals, fs.Posts, rx, wall)
+		}
+		if budget := uint64(timers) + 100; fs.TimerWakes > budget {
+			fail("pump", "%s: %d timer-started pump rounds > budget %d (wall=%.1fs): more wakes than the node has timers",
+				name, fs.TimerWakes, budget, wall)
 		}
 	}
-	checkPump("ctrl", ctrlFab.FStats(), ctrlFab.Node().Stats().Received, 150)
+	hz := func(period time.Duration) float64 { return float64(time.Second) / float64(period) }
+	checkPump("ctrl", ctrlFab.FStats(), ctrlFab.Node().Stats().Received,
+		wall*(hz(20*time.Millisecond)+hz(100*time.Millisecond))) // controller.LiveConfig's defaults
+	mc := MemberConfig{}.withDefaults()
 	for i, m := range members {
-		checkPump(fmt.Sprintf("member %d", i), m.Fabric.FStats(),
-			m.Fabric.Node().Stats().Received, 2000)
+		checkPump(fmt.Sprintf("member %d", i), m.Fabric.FStats(), m.Fabric.Node().Stats().Received,
+			wall*(2*hz(mc.SyncPeriod)+hz(mc.HeartbeatPeriod)+hz(mc.HelloPeriod))+float64(snaps[i].retryFires))
 	}
 
 	// Wind down telemetry: stop the sampler, flush the streams, then stop

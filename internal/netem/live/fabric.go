@@ -134,6 +134,7 @@ type FabricStats struct {
 	Posts          uint64
 	PostsDropped   uint64 // posts refused because the pump had already exited
 	PumpRounds     uint64
+	TimerWakes     uint64 // pump rounds started by the engine deadline, not by a signal
 }
 
 // fabricCounters is the live, concurrency-safe form of FabricStats.
@@ -148,6 +149,7 @@ type fabricCounters struct {
 	posts          atomic.Uint64
 	postsDropped   atomic.Uint64
 	pumpRounds     atomic.Uint64
+	timerWakes     atomic.Uint64
 }
 
 // eRec is one queued egress send: the pump's hand-off unit to an egress
@@ -513,7 +515,9 @@ func (f *Fabric) Stop() {
 // loop is the pump: drain and advance, then sleep exactly until the next
 // engine deadline — or indefinitely when nothing is scheduled, since every
 // external input (inbound datagrams, posts, egress done lists) signals wake.
-// A fabric with an empty queue therefore costs zero wakeups.
+// A fabric with an empty queue therefore costs zero wakeups. Rounds the
+// deadline started are counted apart (TimerWakes): they are what the node's
+// own timers cost, as opposed to the work others sent it.
 func (f *Fabric) loop() {
 	defer close(f.done)
 	timer := time.NewTimer(time.Hour)
@@ -541,6 +545,7 @@ func (f *Fabric) loop() {
 			return
 		case <-f.wake:
 		case <-timerC: // nil (blocks forever) when nothing is scheduled
+			f.cnt.timerWakes.Add(1)
 		}
 	}
 }
@@ -674,6 +679,7 @@ func (f *Fabric) FStats() FabricStats {
 		Posts:          f.cnt.posts.Load(),
 		PostsDropped:   f.cnt.postsDropped.Load(),
 		PumpRounds:     f.cnt.pumpRounds.Load(),
+		TimerWakes:     f.cnt.timerWakes.Load(),
 	}
 }
 
@@ -701,5 +707,6 @@ func (f *Fabric) RegisterMetrics(reg *obs.Registry, labels string) {
 	reg.AddCounterFunc("live.fabric.pktdropped", labels, func() uint64 { return f.FStats().PacketDropped })
 	reg.AddCounterFunc("live.fabric.posts_dropped", labels, func() uint64 { return f.FStats().PostsDropped })
 	reg.AddCounterFunc("live.fabric.pumps", labels, func() uint64 { return f.FStats().PumpRounds })
+	reg.AddCounterFunc("live.fabric.timer_wakes", labels, func() uint64 { return f.FStats().TimerWakes })
 	reg.AddGaugeFunc("live.fabric.peers", labels, func() float64 { return float64(len(f.node.Peers())) })
 }

@@ -5,10 +5,12 @@ import (
 	"net/netip"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"swishmem/internal/netem"
+	"swishmem/internal/sim"
 	"swishmem/internal/wire"
 )
 
@@ -21,6 +23,30 @@ func TestFabricIdleNoSpin(t *testing.T) {
 	time.Sleep(250 * time.Millisecond)
 	if n := f.FStats().PumpRounds; n > 5 {
 		t.Fatalf("idle fabric ran %d pump rounds in 250ms, want <= 5 (pump is spinning)", n)
+	}
+}
+
+// TestFabricTimerWakesCountDeadlineRounds: TimerWakes counts the rounds an
+// engine deadline started and nothing else — ten posts start ten rounds and
+// no timer wake, and three deadlines start at most three (a deadline that
+// came due while another round ran needs none of its own).
+func TestFabricTimerWakesCountDeadlineRounds(t *testing.T) {
+	f := newTestFabric(t, 9)
+	var fired atomic.Int32
+	for i := 1; i <= 3; i++ {
+		f.Engine().Schedule(sim.Time(time.Duration(i)*30*time.Millisecond), func() { fired.Add(1) })
+	}
+	f.Start()
+	for i := 0; i < 10; i++ {
+		f.Call(func() {})
+	}
+	waitFor(t, func() bool { return fired.Load() == 3 })
+	st := f.FStats()
+	if st.TimerWakes < 1 || st.TimerWakes > 3 {
+		t.Fatalf("TimerWakes = %d for three engine deadlines, want 1..3", st.TimerWakes)
+	}
+	if woken := st.PumpRounds - st.TimerWakes; woken < 10 || woken > 12 {
+		t.Fatalf("%d signal-started rounds for ten posts, want 10 (plus the round at Start)", woken)
 	}
 }
 

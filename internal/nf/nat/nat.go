@@ -58,7 +58,10 @@ type Stats struct {
 	HeldPackets stats.Counter // packets buffered awaiting commit
 	DropNoState stats.Counter // inbound packets with no translation
 	DropNoPorts stats.Counter // pool exhausted
-	WriteFails  stats.Counter
+	WriteFails  stats.Counter // mapping writes that exhausted their retries
+	// DropWriteFail counts held packets dropped because their connection's
+	// translation could not be installed.
+	DropWriteFail stats.Counter
 }
 
 // NAT is one per-switch instance.
@@ -224,10 +227,13 @@ func (n *NAT) ctrlNewConnection(p *packet.Packet) {
 }
 
 // allocate installs a new translation and releases all buffered packets of
-// the connection when both mapping writes commit.
+// the connection when both mapping writes commit. If either fails the held
+// packets are dropped, and the port returns to the pool unless one mapping
+// did commit.
 func (n *NAT) allocate(key packet.FlowKey, fwdKey uint64, p *packet.Packet) {
 	if len(n.freePorts) == 0 {
 		n.Stats.DropNoPorts.Inc()
+		p.Recycle()
 		return
 	}
 	extPort := n.freePorts[0]
@@ -245,21 +251,38 @@ func (n *NAT) allocate(key packet.FlowKey, fwdKey uint64, p *packet.Packet) {
 	fwdVal := nf.PutAddrPort(n.cfg.ExternalIP, extPort)
 	revVal := nf.PutAddrPort(key.Src, key.SrcPort)
 
-	pending := 2
+	// Both outcomes are recorded before anything is decided: the two writes
+	// are independent chain traversals and either may fail alone.
+	pending, committed := 2, 0
 	oneDone := func(ok bool) {
-		if !ok {
+		if ok {
+			committed++
+		} else {
 			n.Stats.WriteFails.Inc()
-			delete(n.inflight, fwdKey)
-			return
 		}
-		pending--
-		if pending > 0 {
+		if pending--; pending > 0 {
 			return
 		}
 		delete(n.inflight, fwdKey)
-		for _, q := range pc.packets {
-			n.release(q, extPort)
+		if committed == 2 {
+			for _, q := range pc.packets {
+				n.release(q, extPort)
+			}
+			return
 		}
+		// The connection is not installed: its held packets end here.
+		for _, q := range pc.packets {
+			n.Stats.DropWriteFail.Inc()
+			q.Recycle()
+		}
+		if committed == 0 {
+			n.freePorts = append(n.freePorts, extPort)
+		}
+		// One mapping committed and one failed: the port stays out of the
+		// pool, because the committed half still names it on every replica
+		// and SRO has no delete to take it back. Counted in WriteFails; a
+		// packet's strong writes travelling as one all-or-nothing frame
+		// (ROADMAP 2(c)) removes the case.
 	}
 	n.reg.Write(fwdKey, fwdVal, oneDone)
 	n.reg.Write(revKey, revVal, oneDone)

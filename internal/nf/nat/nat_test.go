@@ -50,10 +50,15 @@ func newRig(t testing.TB, seed int64, n int) *rig {
 	return r
 }
 
+func clientFlow(cSrc byte, sport uint16) packet.FlowKey {
+	return packet.FlowKey{
+		Src: packet.Addr4(10, 0, 0, cSrc), Dst: packet.Addr4(198, 51, 100, 7),
+		SrcPort: sport, DstPort: 80, Proto: packet.ProtoTCP,
+	}
+}
+
 func clientPkt(cSrc byte, sport uint16, flags packet.TCPFlags) *packet.Packet {
-	return packet.NewBuilder().
-		Src(packet.Addr4(10, 0, 0, cSrc)).Dst(packet.Addr4(198, 51, 100, 7)).
-		TCP(sport, 80, flags).Build()
+	return packet.ForFlow(clientFlow(cSrc, sport), flags, 0)
 }
 
 func TestOutboundTranslationCreated(t *testing.T) {
@@ -171,14 +176,60 @@ func TestPortPoolExhaustion(t *testing.T) {
 	nat.Install()
 	nat.Register().Node().SetChain(wire.ChainConfig{Epoch: 1, Members: []uint16{1}})
 	for i := 0; i < 4; i++ {
-		sw.InjectPacket(clientPkt(1, uint16(5000+i), packet.FlagSYN))
+		sw.InjectPacket(sw.PacketPool().ForFlow(clientFlow(1, uint16(5000+i)), packet.FlagSYN, 0))
 	}
 	eng.RunFor(50 * time.Millisecond)
 	if nat.Stats.DropNoPorts.Value() != 2 {
 		t.Fatalf("pool-exhaustion drops = %d, want 2", nat.Stats.DropNoPorts.Value())
 	}
+	if got := sw.PacketPool().Free(); got != 2 {
+		t.Fatalf("%d of the 2 dropped packets went back to the packet pool", got)
+	}
 	if nat.FreePorts() != 0 {
 		t.Fatal("pool should be empty")
+	}
+}
+
+// A translation whose mapping writes cannot commit (no chain is ever
+// installed, so both writers run out of retries) must leave nothing behind:
+// the port is back in the pool, every held packet of the connection is back
+// in the packet pool and counted, and the connection can be tried again.
+func TestFailedInstallReturnsPortAndPackets(t *testing.T) {
+	eng := sim.NewEngine(11)
+	nw := netem.New(eng, netem.LinkProfile{Latency: 10_000})
+	sw := pisa.New(eng, nw, pisa.Config{Addr: 1, PipelinePPS: 1e9})
+	nat, err := New(core.NewInstance(sw), Config{Reg: 1, Capacity: 64, ExternalIP: packet.Addr4(1, 1, 1, 1),
+		PortLo: 10000, PortHi: 10003})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out int
+	nat.Egress = func(*packet.Packet) { out++ }
+	nat.Install()
+	const held = 3 // the SYN and two packets that queue behind its installation
+	for i := 0; i < held; i++ {
+		sw.InjectPacket(sw.PacketPool().ForFlow(clientFlow(1, 5555), packet.FlagSYN, 0))
+	}
+	// 100 retries a millisecond apart (chain.Config defaults) and the write
+	// gives up.
+	eng.RunFor(300 * time.Millisecond)
+	if out != 0 {
+		t.Fatalf("%d packets left a NAT that installed nothing", out)
+	}
+	if got := nat.Stats.WriteFails.Value(); got != 2 {
+		t.Fatalf("WriteFails = %d, want 2 (forward and reverse mapping)", got)
+	}
+	if got := nat.FreePorts(); got != 4 {
+		t.Fatalf("FreePorts = %d, want the whole pool of 4 back", got)
+	}
+	if got := nat.Stats.DropWriteFail.Value(); got != held {
+		t.Fatalf("DropWriteFail = %d, want %d", got, held)
+	}
+	if got := sw.PacketPool().Free(); got != held {
+		t.Fatalf("%d of %d held packets went back to the packet pool", got, held)
+	}
+	if len(nat.inflight) != 0 {
+		t.Fatalf("%d connections still marked in flight", len(nat.inflight))
 	}
 }
 

@@ -153,6 +153,44 @@ func TestControlPlaneServiceRate(t *testing.T) {
 	}
 }
 
+// The smallest timing the model accepts (what a live member runs its switch
+// at: the process is the pipeline and the control plane, so no modelled delay
+// is replayed on the wall clock) makes whatever is submitted at one instant
+// due at once: control-plane ops, the ops those ops submit, and injected
+// messages all run inside one RunUntil a microsecond wide, each class in
+// submission order. At the defaults the first control-plane op is 50µs away.
+func TestSmallestTimingRunsSubmittedWorkAtOnceInOrder(t *testing.T) {
+	eng, _, sws := testRig(1, Config{Addr: 1, PipelineLatency: 1, CtrlLatency: 1, CtrlOpsPerSec: 1e9})
+	sw := sws[0]
+	eng.RunUntil(sim.Time(3 * time.Millisecond)) // a clock that has been running, as a pump's has
+	const n = 64
+	var ctrl, msgs []int
+	sw.SetMsgHandler(func(_ *Switch, _ netem.Addr, m wire.Msg) {
+		msgs = append(msgs, int(m.(*wire.Heartbeat).Seq))
+	})
+	for i := 0; i < n; i++ {
+		sw.CtrlDo(func() {
+			ctrl = append(ctrl, i)
+			sw.CtrlDo(func() { ctrl = append(ctrl, n+i) })
+		})
+		sw.injectMsg(2, &wire.Heartbeat{From: 2, Seq: uint64(i)})
+	}
+	eng.RunUntil(eng.Now().Add(time.Microsecond))
+	if len(ctrl) != 2*n || len(msgs) != n {
+		t.Fatalf("ran %d of %d control-plane ops and %d of %d messages within 1µs", len(ctrl), 2*n, len(msgs), n)
+	}
+	for i, got := range ctrl {
+		if got != i {
+			t.Fatalf("control-plane op %d ran in position %d", got, i)
+		}
+	}
+	for i, got := range msgs {
+		if got != i {
+			t.Fatalf("message %d was handled in position %d", got, i)
+		}
+	}
+}
+
 func TestSendBetweenSwitches(t *testing.T) {
 	eng, _, sws := testRig(1, Config{Addr: 1}, Config{Addr: 2})
 	var got []wire.Msg

@@ -196,9 +196,7 @@ func TestShardedTraceIdentical(t *testing.T) {
 // TestShardFallback verifies the sequential fallbacks: one node total and a
 // zero-latency default link must silently run unsharded.
 func TestShardFallback(t *testing.T) {
-	c1, err := swishmem.New(swishmem.Config{
-		Switches: 1, Seed: 1, Shards: 4, DisableController: true,
-	})
+	c1, err := swishmem.New(swishmem.Config{Switches: 1, Seed: 1, Shards: 4}.WithoutController())
 	if err != nil {
 		t.Fatal(err)
 	}

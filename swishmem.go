@@ -108,9 +108,6 @@ type Config struct {
 	// HeartbeatPeriod is the failure-detection heartbeat interval.
 	// Default 1ms.
 	HeartbeatPeriod time.Duration
-	// DisableController turns off the central controller (tests that manage
-	// configuration by hand).
-	DisableController bool
 	// Shards selects parallel simulation: 0 or 1 runs the classic
 	// single-threaded engine; K > 1 partitions the switches round-robin
 	// across K shard engines advanced together in conservative time windows
@@ -121,6 +118,10 @@ type Config struct {
 	// or the default link has zero latency (no lookahead). Sharded clusters
 	// own worker goroutines: call Close when done.
 	Shards int
+
+	// noController builds the cluster without its central controller, for
+	// tests that install configuration by hand (export_test.go sets it).
+	noController bool
 }
 
 // Cluster is a running emulated SwiShmem deployment.
@@ -232,7 +233,7 @@ func New(cfg Config) (*Cluster, error) {
 		scratch[shard] = buf
 	})
 
-	if !cfg.DisableController {
+	if !cfg.noController {
 		c.ctrl = controller.New(c.eng, nw, controller.Config{
 			Addr:            ControllerAddr,
 			HeartbeatPeriod: sim.Duration(cfg.HeartbeatPeriod),

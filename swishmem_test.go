@@ -235,9 +235,9 @@ func TestMemoryAccountingSurface(t *testing.T) {
 }
 
 func TestDisableController(t *testing.T) {
-	c, _ := New(Config{Switches: 2, Seed: 12, DisableController: true})
+	c, _ := New(Config{Switches: 2, Seed: 12}.WithoutController())
 	if c.Controller() != nil {
-		t.Fatal("controller present despite DisableController")
+		t.Fatal("controller present despite WithoutController")
 	}
 	// Registers still declare, but no config is pushed — writes stay
 	// outstanding until the caller installs configuration manually.
