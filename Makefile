@@ -34,8 +34,10 @@ fuzz-smoke:
 # BASE on each of {classic, extended} faults x {chain, retransmit} backend,
 # one `go test` per leg under its own timeout. A failing or hanging leg does
 # not stop the others; each prints its failing seeds with their replay lines.
-# A tool, not a gate: ROADMAP's open seeds (173, 473, 957, ...) fail here,
-# and seed 755 hangs the checker until its leg times out.
+# A tool, not a gate: ROADMAP's open seeds (173, 473, 957, ...) fail here.
+# A history the linearizability checker cannot decide inside its budget is a
+# failure of its own kind ("lincheck-undecided"), and a shrink that met such
+# variants says so ("shrink: ..."); each leg's last line counts both.
 N ?= 600
 BASE ?= 1
 EXPLORE_TIMEOUT ?= 5m
@@ -47,7 +49,7 @@ explore:
 			echo "   all seeds pass"; \
 		else \
 			failed=$$((failed+1)); \
-			echo "$$out" | grep -oE 'seed [0-9]+ failed.{0,90}|replay: .*|panic: test timed out.*' || echo "$$out" | tail -n 5; \
+			echo "$$out" | grep -oE 'seed [0-9]+ failed.{0,90}|replay: .*|shrink: .*|swept seeds .*|panic: test timed out.*' || echo "$$out" | tail -n 5; \
 		fi; \
 	done; done; \
 	echo "== explore: $$failed of 4 legs failed"; [ $$failed -eq 0 ]
@@ -68,12 +70,15 @@ bench-smoke:
 tables:
 	$(GO) run ./cmd/benchtab
 
-# Non-test Go lines: the two live-path packages ROADMAP aim 2 is judged on,
-# and the module without the benchmark harness.
+# Non-test Go lines: the two live-path packages and the three SRO-path
+# packages ROADMAP aim 2 is judged on, and the module without the benchmark
+# harness.
 loc:
-	@printf 'internal/wire + internal/netem/live  %s\n' \
+	@printf 'internal/wire + internal/netem/live                       %s\n' \
 		"$$(cat $$(ls internal/wire/*.go internal/netem/live/*.go | grep -v _test.go) | wc -l)"
-	@printf 'module excluding bench/              %s\n' \
+	@printf 'internal/chain + internal/controller + internal/core      %s\n' \
+		"$$(cat $$(ls internal/chain/*.go internal/controller/*.go internal/core/*.go | grep -v _test.go) | wc -l)"
+	@printf 'module excluding bench/                                   %s\n' \
 		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
 
 # CPU/heap/mutex profiles of the experiment batch (sharded; override with

@@ -393,11 +393,17 @@ func BenchmarkE15_LossAnomaly(b *testing.B) { benchExperiment(b, "E15") }
 func BenchmarkE18_NthLossAnomaly(b *testing.B) { benchExperiment(b, "E18") }
 
 // TestDocsCiteNoDeletedSnapshot: the BENCH_<n>.json snapshots, cmd/benchdiff
-// and benchtab's -json/-pps half are gone (bench/ is the one perf gate), so no
-// document may send a reader to them. CHANGES.md, ROADMAP.md and ISSUE.md are
-// history and planning and may name what was deleted.
+// and benchtab's -json/-pps half are gone (bench/ is the one perf gate), and
+// so are the second SRO node type and the interface over the two (ISSUE 22:
+// *chain.Node is the only one), so no document may send a reader to them.
+// CHANGES.md, ROADMAP.md and ISSUE.md are history and planning and may name
+// what was deleted. bench/ is frozen outside benchmark PRs and its README
+// still names the deleted interface where it means (*chain.Node).Counters/Get:
+// the identifiers of ISSUE 22 are not checked there until a benchmark PR
+// fixes that line and drops the exemption.
 func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 	gone := []string{"BENCH_", "benchdiff", "make snapshot", "make pps", "-pps"}
+	goneOutsideBench := []string{"Replicator", "RetransmitNode", "NewRetransmitNode", "chain.New(", "replicator.go"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -418,8 +424,12 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		names := gone
+		if !strings.HasPrefix(path, "bench"+string(filepath.Separator)) {
+			names = append(names[:len(names):len(names)], goneOutsideBench...)
+		}
 		for i, line := range strings.Split(string(text), "\n") {
-			for _, g := range gone {
+			for _, g := range names {
 				if strings.Contains(line, g) {
 					t.Errorf("%s:%d cites %q, which no longer exists", path, i+1, g)
 				}

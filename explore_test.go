@@ -135,14 +135,7 @@ func TestExplore(t *testing.T) {
 			t.Logf("seed %d passes all oracles", *exploreSeed)
 			return
 		}
-		shrunk, minned := explore.Shrink(sc, opt, r)
-		f := &explore.Failure{Seed: *exploreSeed, Opt: opt, Result: r, Shrunk: shrunk, Minned: minned}
-		bopt := opt
-		bopt.BlackBox = true
-		if rerun := explore.Run(sc, bopt); rerun.Log == r.Log {
-			f.BlackBox = rerun.BlackBox
-		}
-		t.Fatalf("%s", f.Report())
+		t.Fatalf("%s", explore.Investigate(*exploreSeed, sc, opt, r).Report())
 	}
 
 	if *exploreN <= 0 {
@@ -155,8 +148,8 @@ func TestExplore(t *testing.T) {
 	for _, f := range sr.Failures {
 		t.Errorf("%s", f.Report())
 	}
-	t.Logf("swept seeds %d..%d in %s: %d failure(s)",
-		*exploreBase, *exploreBase+int64(*exploreN)-1, time.Since(start), len(sr.Failures))
+	t.Logf("swept seeds %d..%d in %s: %d failure(s), %d of them undecided by the checker; %d shrink variant(s) undecided",
+		*exploreBase, *exploreBase+int64(*exploreN)-1, time.Since(start), len(sr.Failures), sr.Undecided, sr.ShrinkUndecided)
 }
 
 // TestExploreCatchesInjectedBug proves the oracles have teeth: with a real

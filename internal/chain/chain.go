@@ -26,12 +26,12 @@
 //
 // Departure from textbook chain replication, forced by the environment: the
 // inter-switch fabric is unreliable datagram delivery, so hop-by-hop
-// reliable in-order channels do not exist. The package offers two recovery
-// disciplines behind the Replicator interface (see replicator.go):
+// reliable in-order channels do not exist. One Node type runs the protocol
+// under either of two hop disciplines, selected by Config.Replication:
 //
-//   - ChainReplication (this file): members apply any write whose sequence
-//     number exceeds the last applied for its group ("monotone apply") rather
-//     than requiring exact succession; end-to-end recovery is the writer's
+//   - ChainReplication: members apply any write whose sequence number
+//     exceeds the last applied for its group ("monotone apply") rather than
+//     requiring exact succession; end-to-end recovery is the writer's
 //     control-plane retry, which re-enters at the head and receives a fresh
 //     sequence number. Under loss on chain hops this admits a bounded anomaly
 //     window in which a not-yet-committed write is readable at upstream
@@ -41,14 +41,14 @@
 //     checker.
 //
 //   - RetransmitReplication (retransmit.go): the data-plane buffering /
-//     retransmission mode the paper leaves open in §9. Every hop applies in
-//     exact sequence order; out-of-order arrivals wait in a bounded hold-back
-//     buffer while a NACK asks the predecessor to retransmit the missing
-//     writes from its own bounded buffer of forwarded writes. Because a tail
-//     commit of sequence S then implies every member applied every write
-//     through S, the ack-driven pending-bit clear can never expose an
-//     uncommitted value: the anomaly window is closed (E15/E18 re-measured:
-//     0/40 seeds at 20% loss), at a bounded SRAM and retransmission
+//     retransmission mode the paper leaves open in §9. A gate in front of the
+//     same apply/commit/forward step admits writes in exact sequence order,
+//     parking out-of-order arrivals in a bounded hold-back buffer while a
+//     NACK asks the predecessor to retransmit from its bounded ring of
+//     forwarded writes. A tail commit of sequence S then implies every member
+//     applied every write through S, so the ack-driven pending-bit clear can
+//     never expose an uncommitted value: the anomaly window is closed
+//     (E15/E18: 0/40 seeds at 20% loss), at the SRAM and retransmission
 //     bandwidth cost E19 quantifies.
 package chain
 
@@ -97,6 +97,27 @@ const (
 	ControlPlane
 )
 
+// Replication selects a strong register's hop discipline.
+type Replication int
+
+// Hop disciplines.
+const (
+	// ChainReplication is the paper's §6.1 protocol: monotone apply at each
+	// hop, end-to-end recovery by the writer's control-plane retry.
+	ChainReplication Replication = iota
+	// RetransmitReplication applies in exact sequence order at every hop,
+	// recovering lost hop-to-hop frames from SRAM-charged hold-back and
+	// retransmit buffers (see the package comment for what each admits).
+	RetransmitReplication
+)
+
+func (r Replication) String() string {
+	if r == RetransmitReplication {
+		return "retransmit"
+	}
+	return "chain"
+}
+
 // Config describes one replicated register (array) managed by the protocol.
 type Config struct {
 	// Reg is the register identifier carried in protocol messages.
@@ -130,9 +151,9 @@ type Config struct {
 	// head like any other writer. Use it on switches that only rarely touch
 	// a register whose replicas live elsewhere.
 	Proxy bool
-	// Replication selects the recovery discipline: ChainReplication
-	// (default, writer-retry + monotone apply) or RetransmitReplication
-	// (hop-level hold-back/retransmit buffers). See replicator.go.
+	// Replication selects the hop discipline: ChainReplication (default,
+	// writer-retry + monotone apply) or RetransmitReplication (hop-level
+	// hold-back/retransmit buffers).
 	Replication Replication
 	// RetransmitDepth bounds the per-sequence-group hold-back and
 	// retransmit buffers of the retransmit backend, in writes. Both buffers
@@ -258,10 +279,6 @@ type Node struct {
 	nextReqID   uint64
 	reads       map[uint64]func([]byte, bool) // forwarded reads by ReqID
 
-	// onCommitApplied, if set, is invoked whenever a write is applied on
-	// this node (used by recovery to track snapshot completion).
-	onApply func(w *wire.Write)
-
 	// Recovery state (§6.3): joinSeen is the joining switch's control-plane
 	// record of keys written live since the join began; snap is the donor's
 	// in-progress snapshot transfer.
@@ -277,9 +294,8 @@ type Node struct {
 	// deliberately planted replication bug (see InjectSkipForward).
 	injectSkipForward int
 
-	// hop, when non-nil, replaces the monotone-apply hop discipline with the
-	// retransmit backend's in-order apply (see retransmit.go). Classic chain
-	// nodes leave it nil.
+	// hop holds the in-order discipline's buffers (see retransmit.go); nil
+	// on the chain backend and on proxies, whose hops apply monotonically.
 	hop *rtxState
 
 	Stats Stats
@@ -295,45 +311,50 @@ func (n *Node) tracer() *obs.Tracer { return n.sw.Engine().Tracer() }
 // pid is this node's trace lane: the switch address.
 func (n *Node) pid() int32 { return int32(n.sw.Addr()) }
 
-// NewNode creates the protocol instance and allocates its SRAM.
+// NewNode creates the protocol instance for cfg's hop discipline and
+// allocates its SRAM: the store and the sequence/pending array, plus — on
+// the retransmit backend — the retransmit ring and the hold-back buffer
+// (Groups x RetransmitDepth entries of seq+key+writeID+writer+value each).
 func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Capacity <= 0 || cfg.ValueWidth <= 0 {
 		return nil, fmt.Errorf("chain: register %d needs positive capacity and value width", cfg.Reg)
 	}
+	if cfg.Replication != ChainReplication && cfg.Replication != RetransmitReplication {
+		return nil, fmt.Errorf("chain: register %d: unknown replication backend %d", cfg.Reg, cfg.Replication)
+	}
+	n := &Node{
+		sw:      sw,
+		cfg:     cfg,
+		pending: make(map[uint64]*outstanding),
+		reads:   make(map[uint64]func([]byte, bool)),
+		lat:     stats.NewHistogram(),
+	}
 	if cfg.Proxy {
 		// No replica state at all: reads forward, writes buffer at the
 		// control plane like any writer's.
-		return &Node{
-			sw:      sw,
-			cfg:     cfg,
-			pending: make(map[uint64]*outstanding),
-			reads:   make(map[uint64]func([]byte, bool)),
-			lat:     stats.NewHistogram(),
-		}, nil
+		return n, nil
 	}
-	store, err := sw.NewKVStore(fmt.Sprintf("chain-reg%d", cfg.Reg), cfg.Capacity, 8, cfg.ValueWidth)
-	if err != nil {
+	var err error
+	if n.store, err = sw.NewKVStore(fmt.Sprintf("chain-reg%d", cfg.Reg), cfg.Capacity, 8, cfg.ValueWidth); err != nil {
 		return nil, err
 	}
 	width := 9 // seq + pending bit
 	if cfg.Mode == ERO {
 		width = 8 // ERO needs no pending bit (§6.1: "saves space")
 	}
-	seqPend, err := sw.NewRegisterArray(fmt.Sprintf("chain-seq%d", cfg.Reg), cfg.Groups, width)
-	if err != nil {
-		store.Free()
+	if n.seqPend, err = sw.NewRegisterArray(fmt.Sprintf("chain-seq%d", cfg.Reg), cfg.Groups, width); err != nil {
+		n.store.Free()
 		return nil, err
 	}
-	return &Node{
-		sw:      sw,
-		cfg:     cfg,
-		store:   store,
-		seqPend: seqPend,
-		pending: make(map[uint64]*outstanding),
-		reads:   make(map[uint64]func([]byte, bool)),
-		lat:     stats.NewHistogram(),
-	}, nil
+	if cfg.Replication == RetransmitReplication {
+		if n.hop, err = newRtxState(n); err != nil {
+			n.store.Free()
+			n.seqPend.Free()
+			return nil, err
+		}
+	}
+	return n, nil
 }
 
 // Switch returns the owning switch.
@@ -343,13 +364,17 @@ func (n *Node) Switch() *pisa.Switch { return n.sw }
 func (n *Node) Config() Config { return n.cfg }
 
 // MemoryBytes returns the data-plane SRAM this register consumes on this
-// switch (store + sequence/pending array) — the quantity E10 sweeps.
-// Proxies consume nothing.
+// switch (store + sequence/pending array, plus the retransmit backend's two
+// buffers) — the quantity E10 sweeps. Proxies consume nothing.
 func (n *Node) MemoryBytes() int {
 	if n.cfg.Proxy {
 		return 0
 	}
-	return n.store.Bytes() + n.seqPend.Bytes()
+	b := n.store.Bytes() + n.seqPend.Bytes()
+	if n.hop != nil {
+		b += n.hop.rtxArr.Bytes() + n.hop.holdArr.Bytes()
+	}
+	return b
 }
 
 // SetChain installs a chain configuration (from the controller). Stale
@@ -361,8 +386,8 @@ func (n *Node) SetChain(cc wire.ChainConfig) {
 	}
 	epochChanged := cc.Epoch > n.chain.Epoch
 	n.chain = cc
-	if n.joinSeen != nil && netem.Addr(cc.Joining) != n.sw.Addr() {
-		n.FinishJoin()
+	if netem.Addr(cc.Joining) != n.sw.Addr() {
+		n.joinSeen = nil // promoted (or the join was abandoned): leave joining mode
 	}
 	if epochChanged && n.hop != nil {
 		n.hop.epochChanged()
@@ -371,9 +396,6 @@ func (n *Node) SetChain(cc wire.ChainConfig) {
 
 // Chain returns the current configuration.
 func (n *Node) Chain() wire.ChainConfig { return n.chain }
-
-// SetOnApply registers a hook invoked after every applied write.
-func (n *Node) SetOnApply(fn func(w *wire.Write)) { n.onApply = fn }
 
 func (n *Node) group(key uint64) int {
 	if n.cfg.Groups >= n.cfg.Capacity {
@@ -427,12 +449,14 @@ func (n *Node) IsHead() bool { return n.head() == n.sw.Addr() && len(n.chain.Mem
 // IsTail reports whether this switch is the chain tail.
 func (n *Node) IsTail() bool { return n.tail() == n.sw.Addr() && len(n.chain.Members) > 0 }
 
-// successor returns the next hop after this switch, or 0 if none/tail.
-func (n *Node) successor() netem.Addr {
+// neighbor returns the member delta positions from this switch in chain
+// order (+1 the successor, -1 the predecessor), or 0 when there is none or
+// this switch is not a member.
+func (n *Node) neighbor(delta int) netem.Addr {
 	for i, m := range n.chain.Members {
 		if netem.Addr(m) == n.sw.Addr() {
-			if i+1 < len(n.chain.Members) {
-				return netem.Addr(n.chain.Members[i+1])
+			if j := i + delta; j >= 0 && j < len(n.chain.Members) {
+				return netem.Addr(n.chain.Members[j])
 			}
 			return 0
 		}
@@ -492,7 +516,7 @@ func (n *Node) sendWrite(o *outstanding) {
 	if head == n.sw.Addr() {
 		// Writer is the head: inject locally at the same processing cost
 		// path a remote write would take.
-		n.process(n.sw.Addr(), w)
+		n.process(w)
 	} else {
 		n.sw.Send(head, w)
 	}
@@ -535,12 +559,7 @@ func (n *Node) Read(key uint64, fn func(val []byte, ok bool)) {
 		n.forwardRead(key, fn)
 		return
 	}
-	g := n.group(key)
-	if n.cfg.AlwaysTailReads && !n.IsTail() {
-		n.forwardRead(key, fn)
-		return
-	}
-	if n.cfg.Mode == SRO && n.isPending(g) && !n.IsTail() {
+	if (n.cfg.AlwaysTailReads || n.isPending(n.group(key))) && !n.IsTail() {
 		n.forwardRead(key, fn)
 		return
 	}
@@ -571,74 +590,68 @@ func (n *Node) Get(key uint64) ([]byte, bool) {
 // Handle routes a protocol message to this node. It returns false if the
 // message is not for this register. Data-plane registers run the handler
 // inline (the caller is already in a data-plane slot); control-plane tables
-// go through dispatch, and only that branch builds a closure — one built for
-// both would escape and cost every message an allocation.
+// go through dispatch, and only dispatch builds a closure — one built here
+// would escape and cost every message an allocation.
 func (n *Node) Handle(from netem.Addr, msg wire.Msg) bool {
-	ctrl := n.cfg.Backing == ControlPlane
-	switch m := msg.(type) {
-	case *wire.Write:
-		if m.Reg != n.cfg.Reg {
-			return false
-		}
-		if ctrl {
-			n.dispatch(m, func() { n.process(from, m) })
-		} else {
-			n.process(from, m)
-		}
-	case *wire.WriteAck:
-		if m.Reg != n.cfg.Reg {
-			return false
-		}
-		if ctrl {
-			n.dispatch(m, func() { n.processAck(m) })
-		} else {
-			n.processAck(m)
-		}
-	case *wire.ReadFwd:
-		if m.Reg != n.cfg.Reg {
-			return false
-		}
-		if ctrl {
-			n.dispatch(m, func() { n.processReadFwd(m) })
-		} else {
-			n.processReadFwd(m)
-		}
-	case *wire.ReadReply:
-		if m.Reg != n.cfg.Reg {
-			return false
-		}
-		if ctrl {
-			n.dispatch(m, func() { n.processReadReply(m) })
-		} else {
-			n.processReadReply(m)
-		}
-	case *wire.ChainConfig:
-		n.SetChain(*m)
-	default:
+	if cc, ok := msg.(*wire.ChainConfig); ok {
+		n.SetChain(*cc)
+		return true
+	}
+	f, ok := msg.(wire.ChainFrame)
+	if !ok || f.ChainReg() != n.cfg.Reg {
 		return false
+	}
+	if n.cfg.Backing == ControlPlane {
+		n.dispatch(from, f)
+	} else {
+		n.handle(from, f)
 	}
 	return true
 }
 
-// dispatch runs fn on the co-processor, the cost of a control-plane table.
-// It holds a reference on pooled messages (the live fabric's zero-copy views)
-// for the lifetime of the closure — without it, the receive path would
-// recycle the message (and the datagram buffer backing its value) before
-// the co-processor slot runs.
-func (n *Node) dispatch(msg wire.Msg, fn func()) {
-	if r, ok := msg.(netem.Releasable); ok {
-		r.Ref()
-		n.sw.CtrlDo(func() {
-			fn()
-			r.Release()
-		})
-		return
+// handle runs the handler for one of this register's frames. The hop
+// control frames are inert without hop state (chain backend, proxies).
+func (n *Node) handle(from netem.Addr, f wire.ChainFrame) {
+	switch m := f.(type) {
+	case *wire.Write:
+		n.process(m)
+	case *wire.WriteAck:
+		n.processAck(m)
+	case *wire.ReadFwd:
+		n.processReadFwd(m)
+	case *wire.ReadReply:
+		n.processReadReply(m)
+	case *wire.ChainNack:
+		if n.hop != nil {
+			n.hop.processNack(from, m)
+		}
+	case *wire.ChainCursor:
+		if n.hop != nil {
+			n.hop.processCursor(m)
+		}
 	}
-	n.sw.CtrlDo(fn)
+}
+
+// dispatch runs the frame's handler on the co-processor, the cost of a
+// control-plane table. It holds a reference on pooled messages (the live
+// fabric's zero-copy views) for the lifetime of the closure — without it,
+// the receive path would recycle the message (and the datagram buffer
+// backing its value) before the co-processor slot runs.
+func (n *Node) dispatch(from netem.Addr, f wire.ChainFrame) {
+	r, pooled := f.(netem.Releasable)
+	if pooled {
+		r.Ref()
+	}
+	n.sw.CtrlDo(func() {
+		n.handle(from, f)
+		if pooled {
+			r.Release()
+		}
+	})
 }
 
 // process handles a Write at any chain position.
-func (n *Node) process(from netem.Addr, w *wire.Write) {
+func (n *Node) process(w *wire.Write) {
 	if n.cfg.Proxy {
 		return // proxies never participate in propagation
 	}
@@ -666,28 +679,43 @@ func (n *Node) process(from netem.Addr, w *wire.Write) {
 			return
 		}
 	}
-	if n.hop != nil && n.joinSeen == nil {
-		// Retransmit backend: in-order apply with hold-back/NACK recovery.
-		// A joining switch stays on monotone apply — the live writes the
-		// tail forwards to it are committed and arbitrarily sparse, so gaps
-		// there are expected, not losses (§6.3 recovery).
-		n.hop.deliver(from, w)
+	if n.inOrder() {
+		n.hop.deliver(w)
 		return
 	}
+	n.step(w)
+}
+
+// inOrder reports whether writes pass the hold-back/NACK gate before step.
+// A joining switch stays on monotone apply even on the retransmit backend —
+// the live writes the tail forwards to it are committed and arbitrarily
+// sparse, so gaps there are expected, not losses (§6.3 recovery).
+func (n *Node) inOrder() bool { return n.hop != nil && n.joinSeen == nil }
+
+// step is the one hop step of both disciplines: apply, then commit at the
+// tail, else record a copy for retransmission (in-order discipline only) and
+// forward. Monotone apply calls it on every arrival; the in-order gate calls
+// it on writes that are next in sequence.
+func (n *Node) step(w *wire.Write) {
 	applied := n.apply(w)
 	if n.IsTail() {
 		n.commitAtTail(w, applied)
 		return
 	}
-	if succ := n.successor(); succ != 0 {
-		if tr := n.tracer(); tr.Enabled() {
-			rec := tr.Emit(obs.PhaseInstant, int64(n.sw.Engine().Now()), 0, n.pid(), "chain", "write.forward")
-			rec.K1, rec.V1 = "id", int64(w.WriteID)
-			rec.K2, rec.V2 = "seq", int64(w.Seq)
-			rec.K3, rec.V3 = "succ", int64(succ)
-		}
-		n.sw.Send(succ, w)
+	succ := n.neighbor(+1)
+	if succ == 0 {
+		return
 	}
+	if n.inOrder() {
+		n.hop.store(w)
+	}
+	if tr := n.tracer(); tr.Enabled() {
+		rec := tr.Emit(obs.PhaseInstant, int64(n.sw.Engine().Now()), 0, n.pid(), "chain", "write.forward")
+		rec.K1, rec.V1 = "id", int64(w.WriteID)
+		rec.K2, rec.V2 = "seq", int64(w.Seq)
+		rec.K3, rec.V3 = "succ", int64(succ)
+	}
+	n.sw.Send(succ, w)
 }
 
 // apply installs the write if its sequence number advances the group,
@@ -700,17 +728,19 @@ func (n *Node) apply(w *wire.Write) bool {
 	}
 	if err := n.store.Set(w.Key, w.Value); err != nil {
 		// Register capacity exhausted: drop; the writer's retries will fail
-		// and surface the error to the NF.
+		// and surface the error to the NF. Monotone apply proceeds past the
+		// failed write unaided; the exact-succession gate would wedge behind
+		// it, so there the sequence floor advances anyway.
 		n.Stats.StaleDropped.Inc()
+		if n.inOrder() {
+			n.setApplied(g, w.Seq, false)
+		}
 		return false
 	}
 	n.setApplied(g, w.Seq, true)
 	n.Stats.Applied.Inc()
 	if n.joinSeen != nil {
 		n.joinSeen[w.Key] = struct{}{}
-	}
-	if n.onApply != nil {
-		n.onApply(w)
 	}
 	return true
 }
@@ -831,6 +861,18 @@ func (n *Node) processReadReply(r *wire.ReadReply) {
 // this writer's control plane.
 func (n *Node) OutstandingWrites() int { return len(n.pending) }
 
+// Counters exposes the node's protocol counters.
+func (n *Node) Counters() *Stats { return &n.Stats }
+
+// HeldFrames returns the number of out-of-order writes currently parked in
+// hold-back buffers (always 0 on the chain backend).
+func (n *Node) HeldFrames() int {
+	if n.hop == nil {
+		return 0
+	}
+	return n.hop.heldTotal
+}
+
 // InjectSkipForward plants a verification-only bug: the next count fresh
 // writes sequenced at this node while it is head are applied locally and
 // acknowledged as committed without being forwarded to the rest of the
@@ -838,3 +880,12 @@ func (n *Node) OutstandingWrites() int { return len(n.pending) }
 // violation. internal/explore uses it to prove its oracles catch and
 // shrink real protocol bugs; no production path sets it.
 func (n *Node) InjectSkipForward(count int) { n.injectSkipForward += count }
+
+// InjectDisableRetransmit plants a verification-only bug on the retransmit
+// backend: the retransmit ring silently stores nothing, so every NACK is
+// unserviceable. No-op on the chain backend.
+func (n *Node) InjectDisableRetransmit() {
+	if n.hop != nil {
+		n.hop.disabled = true
+	}
+}

@@ -450,13 +450,13 @@ func TestRecoveryJoinFullFlow(t *testing.T) {
 	if doneAt == 0 {
 		t.Fatal("snapshot transfer never completed")
 	}
-	if r.nodes[0].SnapshotOutstanding() != 0 {
+	if r.nodes[0].snap != nil {
 		t.Fatal("outstanding snapshot writes remain")
 	}
 
 	// Promote: chain {1,2,3,4}.
 	r.installChain([]uint16{1, 2, 3, 4}, 0)
-	if r.nodes[3].Joining() {
+	if r.nodes[3].joinSeen != nil {
 		t.Fatal("joining mode not cleared on promotion")
 	}
 	r.eng.Run()

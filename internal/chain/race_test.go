@@ -1,13 +1,14 @@
 package chain
 
 import (
+	"cmp"
 	"encoding/binary"
-	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"swishmem/internal/netem"
-	"swishmem/internal/sim"
+	"swishmem/internal/obs"
 	"swishmem/internal/wire"
 )
 
@@ -27,7 +28,7 @@ func TestDuplicateDeliveryAppliesOnce(t *testing.T) {
 		cfg := defCfg()
 		cfg.Replication = mode
 		cfg.RetryTimeout = 5 * time.Millisecond // out of the dup window
-		r := newBackendRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 10_000, DupRate: 1})
+		r := newRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 10_000, DupRate: 1})
 		const writes = 20
 		doneCount := make([]int, writes)
 		for i := 0; i < writes; i++ {
@@ -39,14 +40,14 @@ func TestDuplicateDeliveryAppliesOnce(t *testing.T) {
 				doneCount[i]++
 			})
 		}
-		r.run()
+		r.eng.Run()
 		for i, c := range doneCount {
 			if c != 1 {
 				t.Fatalf("write %d: done fired %d times", i, c)
 			}
 		}
 		for i := 0; i < 3; i++ {
-			n := r.base(i)
+			n := r.nodes[i]
 			// Exactly one application per write per node: the duplicate of
 			// every frame must be stale-dropped, not re-applied.
 			if got := n.Stats.Applied.Value(); got != writes {
@@ -76,15 +77,15 @@ func TestStaleDuplicateDoesNotClearPendingOrReapply(t *testing.T) {
 	eachBackend(t, func(t *testing.T, mode Replication) {
 		cfg := defCfg()
 		cfg.Replication = mode
-		cfg.Groups = 1                                                            // shared group: the dup's group is pending
-		r := newBackendRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 1000 * 1000}) // 1ms hops
+		cfg.Groups = 1                                                     // shared group: the dup's group is pending
+		r := newRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 1000 * 1000}) // 1ms hops
 		r.nodes[0].Write(5, val("committed"), nil)
-		r.run()
+		r.eng.Run()
 
 		// Second write in flight: head applied (pending set), tail has not.
 		r.nodes[0].Write(5, val("inflight"), nil)
-		r.runFor(1200 * time.Microsecond)
-		head := r.base(0)
+		r.eng.RunFor(1200 * time.Microsecond)
+		head := r.nodes[0]
 		if !head.isPending(0) {
 			t.Skip("timing: head has not applied the in-flight write yet")
 		}
@@ -104,7 +105,7 @@ func TestStaleDuplicateDoesNotClearPendingOrReapply(t *testing.T) {
 		if v, _ := head.Get(5); string(v) != "inflight" {
 			t.Fatalf("stale duplicate overwrote the newer value: %q", v)
 		}
-		r.run()
+		r.eng.Run()
 	})
 }
 
@@ -238,7 +239,7 @@ func TestForwardedReadCompletesAcrossReconfig(t *testing.T) {
 			t.Errorf("forwarded read = %q %v", v, ok)
 		}
 	})
-	if r.nodes[0].OutstandingReads() != 1 {
+	if len(r.nodes[0].reads) != 1 {
 		t.Fatal("read not registered as outstanding")
 	}
 	// Reconfigure while the reply is in flight: drop the old tail.
@@ -247,7 +248,7 @@ func TestForwardedReadCompletesAcrossReconfig(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("read continuation fired %d times", got)
 	}
-	if r.nodes[0].OutstandingReads() != 0 {
+	if len(r.nodes[0].reads) != 0 {
 		t.Fatal("outstanding read leaked across reconfiguration")
 	}
 }
@@ -269,7 +270,7 @@ func TestForwardedReadToCrashedTailThenReconfig(t *testing.T) {
 	if fired {
 		t.Fatal("read against a dead tail completed")
 	}
-	if r.nodes[0].OutstandingReads() != 1 {
+	if len(r.nodes[0].reads) != 1 {
 		t.Fatal("lost read not accounted as outstanding")
 	}
 	// Failover; a fresh read must be served by the new tail (node 1).
@@ -306,47 +307,29 @@ func TestDuplicateReadReplyIgnored(t *testing.T) {
 	}
 }
 
-// --- backend-generic rig ---
-
-// backendRig runs n switches on whichever replication backend cfg selects,
-// so the race regressions above cover both.
-type backendRig struct {
-	eng interface {
-		Run() uint64
-		RunFor(d sim.Duration) uint64
-	}
-	nodes []Replicator
-	epoch uint32
-}
-
-func newBackendRig(t testing.TB, seed int64, n int, cfg Config, profile netem.LinkProfile) *backendRig {
-	t.Helper()
-	if cfg.Replication == ChainReplication {
-		r := newRig(t, seed, n, cfg, profile)
-		b := &backendRig{eng: r.eng}
-		for _, nd := range r.nodes {
-			b.nodes = append(b.nodes, nd)
+// TestWriteLifecycleTrace: one traced write on a 3-member chain reads
+// submit, a forward per non-tail hop, the tail's ack, and the writer's commit
+// span — on both backends, since both run the same hop step.
+func TestWriteLifecycleTrace(t *testing.T) {
+	eachBackend(t, func(t *testing.T, mode Replication) {
+		cfg := defCfg()
+		cfg.Replication = mode
+		r := newRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 10_000})
+		tr := obs.NewTracer(64)
+		r.eng.SetTracer(tr)
+		r.nodes[0].Write(7, val("v"), nil)
+		r.eng.Run()
+		evs := tr.Events() // ordered by start time; the commit span starts at submit
+		slices.SortFunc(evs, func(a, b obs.Event) int { return cmp.Compare(a.Seq, b.Seq) })
+		var got []string
+		for _, ev := range evs {
+			if ev.Cat == "chain" {
+				got = append(got, ev.Name)
+			}
 		}
-		b.epoch = r.epoch
-		return b
-	}
-	r := newRtxRig(t, seed, n, cfg, profile)
-	b := &backendRig{eng: r.eng}
-	for _, nd := range r.nodes {
-		b.nodes = append(b.nodes, nd)
-	}
-	b.epoch = r.epoch
-	return b
-}
-
-func (b *backendRig) run()                   { b.eng.Run() }
-func (b *backendRig) runFor(d time.Duration) { b.eng.RunFor(d) }
-func (b *backendRig) base(i int) *Node {
-	switch n := b.nodes[i].(type) {
-	case *Node:
-		return n
-	case *RetransmitNode:
-		return n.Node
-	}
-	panic(fmt.Sprintf("unknown replicator %T", b.nodes[i]))
+		want := []string{"write.submit", "write.forward", "write.forward", "write.ack", "write.commit"}
+		if !slices.Equal(got, want) {
+			t.Fatalf("chain trace = %v, want %v", got, want)
+		}
+	})
 }

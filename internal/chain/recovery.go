@@ -47,13 +47,6 @@ func (n *Node) BeginJoin() {
 	n.joinSeen = make(map[uint64]struct{})
 }
 
-// Joining reports whether the node is in joining mode.
-func (n *Node) Joining() bool { return n.joinSeen != nil }
-
-// FinishJoin leaves joining mode (invoked implicitly when a ChainConfig
-// without this switch as Joining arrives, i.e. after promotion).
-func (n *Node) FinishJoin() { n.joinSeen = nil }
-
 // StartSnapshotTransfer runs on the donor: its control plane snapshots the
 // local replica and replays every entry to the joining switch as snapshot
 // writes, retrying unacknowledged entries every RetryTimeout. onComplete
@@ -90,15 +83,24 @@ func (n *Node) StartSnapshotTransfer(to netem.Addr, onComplete func()) {
 			id++
 			return true
 		})
-		if len(xfer.outstanding) == 0 {
-			n.snap = nil
-			if onComplete != nil {
-				onComplete()
-			}
-			return
+		if !n.finishSnapshot() {
+			n.sendSnapshotBatch()
 		}
-		n.sendSnapshotBatch()
 	})
+}
+
+// finishSnapshot ends the donor's transfer once every snapshot write has
+// been acknowledged, reporting whether it did.
+func (n *Node) finishSnapshot() bool {
+	xfer := n.snap
+	if len(xfer.outstanding) != 0 {
+		return false
+	}
+	n.snap = nil
+	if xfer.onComplete != nil {
+		xfer.onComplete()
+	}
+	return true
 }
 
 // snapshotChunk is how many snapshot entries the donor's control plane
@@ -141,29 +143,12 @@ func (n *Node) sendSnapshotBatch() {
 		}
 		// Whole pass emitted: arm the retry for whatever stays unacked.
 		n.sw.CtrlAfter(n.cfg.RetryTimeout, func() {
-			if n.snap != xfer {
-				return
+			if n.snap == xfer && !n.finishSnapshot() {
+				n.sendSnapshotBatch()
 			}
-			if len(xfer.outstanding) == 0 {
-				n.snap = nil
-				if xfer.onComplete != nil {
-					xfer.onComplete()
-				}
-				return
-			}
-			n.sendSnapshotBatch()
 		})
 	}
 	sendChunk(0)
-}
-
-// SnapshotOutstanding returns the number of unacknowledged snapshot writes
-// at the donor (0 when no transfer is active).
-func (n *Node) SnapshotOutstanding() int {
-	if n.snap == nil {
-		return 0
-	}
-	return len(n.snap.outstanding)
 }
 
 // processSnapshotWrite handles a snapshot write at the joining switch.
@@ -199,11 +184,5 @@ func (n *Node) processSnapshotAck(a *wire.WriteAck) {
 		return
 	}
 	delete(n.snap.outstanding, a.WriteID)
-	if len(n.snap.outstanding) == 0 {
-		xfer := n.snap
-		n.snap = nil
-		if xfer.onComplete != nil {
-			xfer.onComplete()
-		}
-	}
+	n.finishSnapshot()
 }

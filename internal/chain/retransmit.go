@@ -2,6 +2,7 @@ package chain
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"swishmem/internal/netem"
@@ -9,10 +10,10 @@ import (
 	"swishmem/internal/wire"
 )
 
-// RetransmitNode is the RetransmitReplication backend: the writer, read, and
-// recovery machinery is the chain Node's, but the hop discipline is in-order
-// apply with data-plane hold-back/retransmit buffers instead of monotone
-// apply (the §9 buffering/retransmission mode the paper leaves open).
+// This file is the RetransmitReplication hop discipline: a gate in front of
+// Node.step that admits writes in exact sequence order, with data-plane
+// hold-back/retransmit buffers (the §9 buffering/retransmission mode the
+// paper leaves open). The writer, read, and recovery machinery is shared.
 //
 // Protocol, per sequence group:
 //
@@ -42,9 +43,6 @@ import (
 // reconfiguration preserves member order, so the surviving prefix of every
 // group's sequence history is consistent across members and old entries
 // remain valid answers to new-epoch NACKs.
-type RetransmitNode struct {
-	*Node
-}
 
 // bufWrite is one buffered write copy (hold-back or retransmit ring). Values
 // are copied: a frame in flight may alias a writer's reusable buffer.
@@ -65,8 +63,7 @@ type rtxRing struct {
 	entries []bufWrite
 }
 
-// rtxState carries the retransmit backend's hop state, referenced from the
-// embedded Node via its hop field so the shared write path reaches it.
+// rtxState is the in-order discipline's hop state (Node.hop).
 type rtxState struct {
 	n     *Node
 	depth int
@@ -90,36 +87,20 @@ type rtxState struct {
 	repairCtrl  func() // schedules repair on the control plane, bound once
 }
 
-// NewRetransmitNode creates the retransmit-backend instance and allocates
-// its SRAM: the chain Node's store and sequence/pending array plus the two
-// per-group buffers (Groups x RetransmitDepth entries of
-// seq+key+writeID+writer+value bytes each).
-func NewRetransmitNode(sw *pisa.Switch, cfg Config) (*RetransmitNode, error) {
-	cfg.Replication = RetransmitReplication
-	n, err := NewNode(sw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rn := &RetransmitNode{Node: n}
-	if n.cfg.Proxy {
-		return rn, nil // proxies never participate in propagation
-	}
+// newRtxState allocates the two per-group buffers in n's switch SRAM.
+func newRtxState(n *Node) (*rtxState, error) {
 	c := n.cfg
 	width := 26 + c.ValueWidth // 8 seq + 8 key + 8 writeID + 2 writer + value
-	rtxArr, err := sw.NewRegisterArray(fmt.Sprintf("chain-rtx%d", c.Reg), c.Groups*c.RetransmitDepth, width)
+	rtxArr, err := n.sw.NewRegisterArray(fmt.Sprintf("chain-rtx%d", c.Reg), c.Groups*c.RetransmitDepth, width)
 	if err != nil {
-		n.store.Free()
-		n.seqPend.Free()
 		return nil, err
 	}
-	holdArr, err := sw.NewRegisterArray(fmt.Sprintf("chain-hold%d", c.Reg), c.Groups*c.RetransmitDepth, width)
+	holdArr, err := n.sw.NewRegisterArray(fmt.Sprintf("chain-hold%d", c.Reg), c.Groups*c.RetransmitDepth, width)
 	if err != nil {
 		rtxArr.Free()
-		n.store.Free()
-		n.seqPend.Free()
 		return nil, err
 	}
-	st := &rtxState{
+	s := &rtxState{
 		n:       n,
 		depth:   c.RetransmitDepth,
 		rings:   make(map[int]*rtxRing),
@@ -127,85 +108,13 @@ func NewRetransmitNode(sw *pisa.Switch, cfg Config) (*RetransmitNode, error) {
 		rtxArr:  rtxArr,
 		holdArr: holdArr,
 	}
-	st.repairCtrl = func() { sw.CtrlDo(st.repair) }
-	n.hop = st
-	return rn, nil
+	s.repairCtrl = func() { n.sw.CtrlDo(s.repair) }
+	return s, nil
 }
 
-// MemoryBytes adds the hold-back and retransmit buffers to the chain node's
-// SRAM footprint.
-func (rn *RetransmitNode) MemoryBytes() int {
-	if rn.hop == nil {
-		return 0 // proxy
-	}
-	return rn.Node.MemoryBytes() + rn.hop.rtxArr.Bytes() + rn.hop.holdArr.Bytes()
-}
-
-// HeldFrames implements Replicator.
-func (rn *RetransmitNode) HeldFrames() int {
-	if rn.hop == nil {
-		return 0
-	}
-	return rn.hop.heldTotal
-}
-
-// InjectDisableRetransmit implements Replicator: see rtxState.disabled.
-func (rn *RetransmitNode) InjectDisableRetransmit() {
-	if rn.hop != nil {
-		rn.hop.disabled = true
-	}
-}
-
-// Handle routes the retransmit-backend control frames, deferring everything
-// else to the chain node.
-func (rn *RetransmitNode) Handle(from netem.Addr, msg wire.Msg) bool {
-	switch m := msg.(type) {
-	case *wire.ChainNack:
-		if m.Reg != rn.cfg.Reg {
-			return false
-		}
-		if rn.hop == nil {
-			return true // proxy
-		}
-		if rn.cfg.Backing == ControlPlane {
-			rn.dispatch(m, func() { rn.hop.processNack(from, m) })
-		} else {
-			rn.hop.processNack(from, m)
-		}
-		return true
-	case *wire.ChainCursor:
-		if m.Reg != rn.cfg.Reg {
-			return false
-		}
-		if rn.hop == nil {
-			return true // proxy
-		}
-		if rn.cfg.Backing == ControlPlane {
-			rn.dispatch(m, func() { rn.hop.processCursor(m) })
-		} else {
-			rn.hop.processCursor(m)
-		}
-		return true
-	}
-	return rn.Node.Handle(from, msg)
-}
-
-// predecessor returns the previous hop before this switch, or 0 if none.
-func (n *Node) predecessor() netem.Addr {
-	for i, m := range n.chain.Members {
-		if netem.Addr(m) == n.sw.Addr() {
-			if i > 0 {
-				return netem.Addr(n.chain.Members[i-1])
-			}
-			return 0
-		}
-	}
-	return 0
-}
-
-// deliver is the in-order hop discipline (called from Node.process after the
-// head assigned fresh sequence numbers and the epoch was checked).
-func (s *rtxState) deliver(from netem.Addr, w *wire.Write) {
+// deliver is the in-order gate (called from Node.process after the head
+// assigned fresh sequence numbers and the epoch was checked).
+func (s *rtxState) deliver(w *wire.Write) {
 	n := s.n
 	g := n.group(w.Key)
 	next := n.appliedSeq(g) + 1
@@ -217,7 +126,7 @@ func (s *rtxState) deliver(from netem.Addr, w *wire.Write) {
 			n.commitAtTail(w, false)
 		}
 	case w.Seq == next:
-		s.applyForward(w)
+		n.step(w)
 		if s.drainHold(g) > 0 {
 			// A gap was just repaired: cumulative cursor upstream so the
 			// predecessor can free its ring before the tail ack arrives.
@@ -229,36 +138,12 @@ func (s *rtxState) deliver(from netem.Addr, w *wire.Write) {
 	}
 }
 
-// applyForward applies an in-sequence write and passes it on: commit at the
-// tail, else record a copy for retransmission and forward.
-func (s *rtxState) applyForward(w *wire.Write) {
-	n := s.n
-	g := n.group(w.Key)
-	applied := n.apply(w)
-	if !applied && w.Seq > n.appliedSeq(g) {
-		// Store capacity exhausted: advance the sequence floor anyway so the
-		// group is not wedged; the writer's retries surface the failure
-		// (parity with the chain backend, where later sequences also
-		// proceed past the failed write).
-		n.setApplied(g, w.Seq, false)
-	}
-	if n.IsTail() {
-		n.commitAtTail(w, applied)
-		return
-	}
-	succ := n.successor()
-	if succ == 0 {
-		return
-	}
-	s.store(g, w)
-	n.sw.Send(succ, w)
-}
-
-// store records a forwarded write in the group's retransmit ring.
-func (s *rtxState) store(g int, w *wire.Write) {
+// store records a forwarded write in its group's retransmit ring.
+func (s *rtxState) store(w *wire.Write) {
 	if s.disabled {
 		return
 	}
+	g := s.n.group(w.Key)
 	r := s.rings[g]
 	if r == nil {
 		r = &rtxRing{entries: make([]bufWrite, s.depth)}
@@ -271,19 +156,6 @@ func (s *rtxState) store(g int, w *wire.Write) {
 		r.hi = w.Seq
 	}
 	s.n.Stats.RtxStored.Inc()
-}
-
-// lookup returns the buffered write for (group, seq) if still retained.
-func (s *rtxState) lookup(g int, seq uint64) (*bufWrite, bool) {
-	r := s.rings[g]
-	if r == nil {
-		return nil, false
-	}
-	e := &r.entries[seq%uint64(s.depth)]
-	if e.seq != seq {
-		return nil, false
-	}
-	return e, true
 }
 
 // freeThrough releases ring entries at or below seq (cumulative ack).
@@ -323,13 +195,12 @@ func (s *rtxState) holdBack(g int, w *wire.Write) {
 		h = h[:len(h)-1]
 		s.heldTotal--
 	}
-	h = append(h, bufWrite{})
-	copy(h[i+1:], h[i:])
-	h[i] = bufWrite{seq: w.Seq, key: w.Key, writeID: w.WriteID, writer: w.Writer,
-		val: append([]byte(nil), w.Value...)}
-	s.holds[g] = h
+	s.holds[g] = slices.Insert(h, i, bufWrite{seq: w.Seq, key: w.Key, writeID: w.WriteID,
+		writer: w.Writer, val: append([]byte(nil), w.Value...)})
 	s.heldTotal++
-	s.addGapped(g)
+	if i, found := slices.BinarySearch(s.gapped, g); !found {
+		s.gapped = slices.Insert(s.gapped, i, g)
+	}
 	s.n.Stats.HeldBack.Inc()
 }
 
@@ -358,12 +229,14 @@ func (s *rtxState) drainHold(g int) int {
 		s.heldTotal--
 		w := &wire.Write{Reg: n.cfg.Reg, Key: bw.key, Seq: bw.seq, WriteID: bw.writeID,
 			Writer: bw.writer, Epoch: n.chain.Epoch, Value: bw.val}
-		s.applyForward(w)
+		n.step(w)
 		applied++
 	}
 	s.holds[g] = h
 	if len(h) == 0 {
-		s.removeGapped(g)
+		if i, found := slices.BinarySearch(s.gapped, g); found {
+			s.gapped = slices.Delete(s.gapped, i, i+1)
+		}
 	}
 	return applied
 }
@@ -375,7 +248,7 @@ func (s *rtxState) sendNack(g int, from, to uint64) {
 	if to < from {
 		return
 	}
-	if pred := n.predecessor(); pred != 0 {
+	if pred := n.neighbor(-1); pred != 0 {
 		n.Stats.NacksSent.Inc()
 		n.sw.Send(pred, &wire.ChainNack{Reg: n.cfg.Reg, Epoch: n.chain.Epoch,
 			Group: uint32(g), From: from, To: to})
@@ -386,7 +259,7 @@ func (s *rtxState) sendNack(g int, from, to uint64) {
 // sendCursor reports the cumulative applied floor upstream.
 func (s *rtxState) sendCursor(g int) {
 	n := s.n
-	if pred := n.predecessor(); pred != 0 {
+	if pred := n.neighbor(-1); pred != 0 {
 		n.sw.Send(pred, &wire.ChainCursor{Reg: n.cfg.Reg, Epoch: n.chain.Epoch,
 			Group: uint32(g), Seq: n.appliedSeq(g)})
 	}
@@ -409,12 +282,13 @@ func (s *rtxState) processNack(from netem.Addr, nk *wire.ChainNack) {
 		lo = nk.To - span + 1 // older sequences cannot be retained
 		missing = lo - 1
 	}
+	r := s.rings[g]
 	for q := lo; q <= nk.To; q++ {
-		e, ok := s.lookup(g, q)
-		if !ok {
-			missing = q
+		if r == nil || r.entries[q%uint64(s.depth)].seq != q {
+			missing = q // no longer (or never) retained
 			continue
 		}
+		e := &r.entries[q%uint64(s.depth)]
 		n.Stats.Retransmits.Inc()
 		// Re-stamp with the current epoch: ring entries survive epoch
 		// changes (member order is preserved, so the retained sequence
@@ -492,22 +366,4 @@ func (s *rtxState) epochChanged() {
 	}
 	s.gapped = s.gapped[:0]
 	s.heldTotal = 0
-}
-
-// addGapped/removeGapped maintain the sorted gapped-group list.
-func (s *rtxState) addGapped(g int) {
-	i := sort.SearchInts(s.gapped, g)
-	if i < len(s.gapped) && s.gapped[i] == g {
-		return
-	}
-	s.gapped = append(s.gapped, 0)
-	copy(s.gapped[i+1:], s.gapped[i:])
-	s.gapped[i] = g
-}
-
-func (s *rtxState) removeGapped(g int) {
-	i := sort.SearchInts(s.gapped, g)
-	if i < len(s.gapped) && s.gapped[i] == g {
-		s.gapped = append(s.gapped[:i], s.gapped[i+1:]...)
-	}
 }

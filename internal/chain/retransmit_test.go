@@ -2,59 +2,22 @@ package chain
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
 	"swishmem/internal/netem"
+	"swishmem/internal/obs"
 	"swishmem/internal/pisa"
 	"swishmem/internal/sim"
 	"swishmem/internal/wire"
 )
 
-// rtxRig is a chain test cluster running the retransmit backend.
-type rtxRig struct {
-	eng   *sim.Engine
-	net   *netem.Network
-	sws   []*pisa.Switch
-	nodes []*RetransmitNode
-	epoch uint32
-}
-
-func newRtxRig(t testing.TB, seed int64, n int, cfg Config, profile netem.LinkProfile) *rtxRig {
+// newRtxRig is newRig on the retransmit backend.
+func newRtxRig(t testing.TB, seed int64, n int, cfg Config, profile netem.LinkProfile) *rig {
 	t.Helper()
-	eng := sim.NewEngine(seed)
-	nw := netem.New(eng, profile)
-	r := &rtxRig{eng: eng, net: nw}
-	for i := 0; i < n; i++ {
-		sw := pisa.New(eng, nw, pisa.Config{Addr: netem.Addr(i + 1), PipelinePPS: 1e9})
-		node, err := NewRetransmitNode(sw, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw.SetMsgHandler(func(s *pisa.Switch, from netem.Addr, msg wire.Msg) {
-			node.Handle(from, msg)
-		})
-		r.sws = append(r.sws, sw)
-		r.nodes = append(r.nodes, node)
-	}
-	r.installChain(r.allAddrs(), 0)
-	return r
-}
-
-func (r *rtxRig) allAddrs() []uint16 {
-	out := make([]uint16, len(r.sws))
-	for i, sw := range r.sws {
-		out[i] = uint16(sw.Addr())
-	}
-	return out
-}
-
-func (r *rtxRig) installChain(members []uint16, joining uint16) {
-	r.epoch++
-	cc := wire.ChainConfig{Epoch: r.epoch, Members: members, Joining: joining}
-	for _, n := range r.nodes {
-		n.SetChain(cc)
-	}
+	cfg.Replication = RetransmitReplication
+	return newRig(t, seed, n, cfg, profile)
 }
 
 // rtxCfg is the E15 anomaly configuration: one shared sequence group, so a
@@ -237,9 +200,9 @@ func TestRetransmitEpochChangeDropsHeldFrames(t *testing.T) {
 func TestRetransmitBuffersChargedToSRAM(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := netem.New(eng, netem.LinkProfile{})
-	mk := func(addr netem.Addr, cfg Config) Replicator {
+	mk := func(addr netem.Addr, cfg Config) *Node {
 		sw := pisa.New(eng, nw, pisa.Config{Addr: addr})
-		rep, err := New(sw, cfg)
+		rep, err := NewNode(sw, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,34 +231,118 @@ func TestRetransmitBuffersChargedToSRAM(t *testing.T) {
 	}
 }
 
+// TestReplicationFactory pins the seam NewNode hides: which SRAM arrays each
+// Replication value allocates (names and order from the switch's mem.charge
+// trace, byte totals as measured before the two node types were folded into
+// one), that proxies allocate nothing, and that the retransmit-only surface
+// is inert on the chain backend.
 func TestReplicationFactory(t *testing.T) {
+	for _, tc := range []struct {
+		rep    Replication
+		arrays []string
+		bytes  int
+	}{
+		// rtxCfg: 64 x (8+16) store, 1 x 9 seq/pending, 2 x 1 x 16 x (26+16) buffers.
+		{ChainReplication, []string{"kvstore chain-reg1", "register array chain-seq1"}, 1545},
+		{RetransmitReplication, []string{"kvstore chain-reg1", "register array chain-seq1",
+			"register array chain-rtx1", "register array chain-hold1"}, 2889},
+	} {
+		t.Run(tc.rep.String(), func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			tr := obs.NewTracer(16)
+			eng.SetTracer(tr)
+			nw := netem.New(eng, netem.LinkProfile{})
+			sw := pisa.New(eng, nw, pisa.Config{Addr: 1})
+			cfg := rtxCfg()
+			cfg.Replication = tc.rep
+			n, err := NewNode(sw, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, ev := range tr.Events() {
+				if ev.Name == "mem.charge" {
+					got = append(got, ev.VS)
+				}
+			}
+			if !slices.Equal(got, tc.arrays) {
+				t.Fatalf("SRAM arrays = %q, want %q", got, tc.arrays)
+			}
+			if n.MemoryBytes() != tc.bytes || sw.MemoryUsed() != tc.bytes {
+				t.Fatalf("MemoryBytes = %d, switch charged %d, want %d", n.MemoryBytes(), sw.MemoryUsed(), tc.bytes)
+			}
+
+			cfg.Reg, cfg.Proxy = 2, true
+			px, err := NewNode(sw, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if px.MemoryBytes() != 0 || sw.MemoryUsed() != tc.bytes {
+				t.Fatalf("proxy charged SRAM: MemoryBytes %d, switch %d -> %d", px.MemoryBytes(), tc.bytes, sw.MemoryUsed())
+			}
+			// Hop control frames for a proxy's register are consumed without
+			// hop state; another register's are not claimed.
+			if !px.Handle(2, &wire.ChainNack{Reg: 2, From: 1, To: 2}) {
+				t.Fatal("proxy did not claim its register's NACK")
+			}
+			if px.Handle(2, &wire.ChainCursor{Reg: 99}) {
+				t.Fatal("proxy claimed another register's cursor")
+			}
+			px.InjectDisableRetransmit() // must not panic without hop state
+			if px.HeldFrames() != 0 {
+				t.Fatal("proxy holds frames")
+			}
+		})
+	}
+
 	eng := sim.NewEngine(1)
 	nw := netem.New(eng, netem.LinkProfile{})
 	sw := pisa.New(eng, nw, pisa.Config{Addr: 1})
-	rep, err := New(sw, rtxCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rep.(*Node); !ok {
-		t.Fatalf("default backend = %T, want *Node", rep)
-	}
 	cfg := rtxCfg()
-	cfg.Reg = 2
-	cfg.Replication = RetransmitReplication
-	rep, err = New(sw, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rep.(*RetransmitNode); !ok {
-		t.Fatalf("retransmit backend = %T, want *RetransmitNode", rep)
-	}
-	cfg.Reg = 3
 	cfg.Replication = Replication(99)
-	if _, err := New(sw, cfg); err == nil {
+	if _, err := NewNode(sw, cfg); err == nil {
 		t.Fatal("unknown backend accepted")
+	}
+	if sw.MemoryUsed() != 0 {
+		t.Fatal("rejected config charged SRAM")
 	}
 	if ChainReplication.String() != "chain" || RetransmitReplication.String() != "retransmit" {
 		t.Fatal("replication strings")
+	}
+}
+
+// TestRetransmitSurfaceInertOnChainBackend: HeldFrames and
+// InjectDisableRetransmit exist on every node; on the chain backend they do
+// nothing, under the hop loss that makes them bite on the retransmit backend
+// (TestRetransmitDisabledBufferDegradesAndIsVisible).
+func TestRetransmitSurfaceInertOnChainBackend(t *testing.T) {
+	r := newRig(t, 1, 3, rtxCfg(), netem.LinkProfile{Latency: 10_000})
+	r.nodes[0].InjectDisableRetransmit()
+	r.net.SetOneWayLink(1, 2, netem.LinkProfile{Latency: 10_000, LossEveryN: 3})
+	committed := 0
+	const writes = 30
+	for i := 0; i < writes; i++ {
+		r.nodes[0].Write(uint64(i%8), u64val(uint64(i)), func(ok bool) {
+			if ok {
+				committed++
+			}
+		})
+		r.eng.RunFor(20 * time.Microsecond)
+		for j, n := range r.nodes {
+			if n.HeldFrames() != 0 {
+				t.Fatalf("chain-backend node %d holds frames", j)
+			}
+		}
+	}
+	r.eng.Run()
+	if committed != writes {
+		t.Fatalf("committed %d/%d", committed, writes)
+	}
+	for j, n := range r.nodes {
+		c := n.Counters()
+		if c.HeldBack.Value()+c.NacksSent.Value()+c.NacksReceived.Value()+c.RtxStored.Value()+c.RtxAbandoned.Value() != 0 {
+			t.Fatalf("chain-backend node %d moved a retransmit counter", j)
+		}
 	}
 }
 
@@ -306,23 +353,15 @@ func TestRetransmitProxyHasNoBuffers(t *testing.T) {
 	cfg := rtxCfg()
 	cfg.Proxy = true
 	cfg.Replication = RetransmitReplication
-	rep, err := New(sw, cfg)
+	rep, err := NewNode(sw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MemoryBytes() != 0 {
+	if rep.MemoryBytes() != 0 || sw.MemoryUsed() != 0 {
 		t.Fatal("proxy charged SRAM")
 	}
-	// Protocol frames for this register are consumed without a hop state.
-	if !rep.Handle(2, &wire.ChainNack{Reg: 1, From: 1, To: 2}) {
-		t.Fatal("proxy did not claim its register's NACK")
-	}
-	if rep.Handle(2, &wire.ChainCursor{Reg: 99}) {
-		t.Fatal("proxy claimed another register's cursor")
-	}
-	rep.InjectDisableRetransmit() // must not panic without hop state
-	if rep.HeldFrames() != 0 {
-		t.Fatal("proxy holds frames")
+	if rep.hop != nil {
+		t.Fatal("proxy built hop state")
 	}
 }
 

@@ -102,6 +102,21 @@ type chainState struct {
 	// revived: it re-enters as a spare and rejoins through the normal
 	// snapshot-transfer path when the chain is below target strength.
 	evicted []ChainMember
+	// retiring is the member a planned migration removes when the joining
+	// switch is promoted; 0 while the join, if any, is a failure recovery.
+	retiring netem.Addr
+}
+
+// config returns the chain's current configuration as pushed to switches.
+func (cs *chainState) config() wire.ChainConfig {
+	cc := wire.ChainConfig{Epoch: cs.epoch}
+	for _, m := range cs.members {
+		cc.Members = append(cc.Members, uint16(m.Switch().Addr()))
+	}
+	if cs.joining != nil {
+		cc.Joining = uint16(cs.joining.Switch().Addr())
+	}
+	return cc
 }
 
 type groupState struct {
@@ -321,13 +336,11 @@ func (c *Controller) AttachChainListener(reg uint16, m ChainMember) {
 	}
 	cs.listeners = append(cs.listeners, m)
 	// Deliver the current configuration immediately.
-	cc := wire.ChainConfig{Epoch: cs.epoch}
-	for _, mem := range cs.members {
-		cc.Members = append(cc.Members, uint16(mem.Switch().Addr()))
-	}
-	if cs.joining != nil {
-		cc.Joining = uint16(cs.joining.Switch().Addr())
-	}
+	c.sendChain(m, cs.config())
+}
+
+// sendChain delivers cc to m over the reliable control channel.
+func (c *Controller) sendChain(m ChainMember, cc wire.ChainConfig) {
 	c.ctrlCall(m.Switch(), func() { m.SetChain(cc) })
 }
 
@@ -345,67 +358,68 @@ func (c *Controller) pushChain(cs *chainState) {
 	cs.epoch++
 	c.Stats.ChainReconfig.Inc()
 	c.traceInstant("chain.config", "epoch", int64(cs.epoch), "members", int64(len(cs.members)))
-	cc := wire.ChainConfig{Epoch: cs.epoch}
+	cc := cs.config()
 	for _, m := range cs.members {
-		cc.Members = append(cc.Members, uint16(m.Switch().Addr()))
+		c.sendChain(m, cc)
 	}
 	if cs.joining != nil {
-		cc.Joining = uint16(cs.joining.Switch().Addr())
+		c.sendChain(cs.joining, cc)
 	}
-	targets := append([]ChainMember(nil), cs.members...)
-	if cs.joining != nil {
-		targets = append(targets, cs.joining)
+	for _, m := range cs.listeners {
+		c.sendChain(m, cc)
 	}
-	targets = append(targets, cs.listeners...)
-	for _, m := range targets {
-		cfg := cc
-		node := m
-		c.ctrlCall(node.Switch(), func() { node.SetChain(cfg) })
+}
+
+// sortedRegs returns m's register IDs in ascending order, built in scratch.
+func sortedRegs[V any](m map[uint16]V, scratch []uint16) []uint16 {
+	regs := scratch[:0]
+	for reg := range m {
+		regs = append(regs, reg)
 	}
+	slices.Sort(regs)
+	return regs
 }
 
 // handleFailure routes around addr in every chain and group, visiting
 // registers in sorted order so the reconfiguration sequence is deterministic.
 func (c *Controller) handleFailure(addr netem.Addr) {
-	regs := c.regScratch[:0]
-	for reg := range c.chains {
-		regs = append(regs, reg)
-	}
-	slices.Sort(regs)
-	for _, reg := range regs {
+	c.regScratch = sortedRegs(c.chains, c.regScratch)
+	for _, reg := range c.regScratch {
 		c.failChainMember(c.chains[reg], addr)
 	}
-	regs = regs[:0]
-	for reg := range c.groups {
-		regs = append(regs, reg)
-	}
-	slices.Sort(regs)
-	c.regScratch = regs
-	for _, reg := range regs {
+	c.regScratch = sortedRegs(c.groups, c.regScratch)
+	for _, reg := range c.regScratch {
 		c.failGroupMember(c.groups[reg], addr)
 	}
 }
 
-func (c *Controller) failChainMember(cs *chainState, addr netem.Addr) {
-	idx := -1
-	for i, m := range cs.members {
-		if m.Switch().Addr() == addr {
-			idx = i
-			break
-		}
+// at matches the member running on the switch at addr.
+func at[M interface{ Switch() *pisa.Switch }](addr netem.Addr) func(M) bool {
+	return func(m M) bool { return m.Switch().Addr() == addr }
+}
+
+// take removes the first member at addr from ms, reporting whether it was
+// there.
+func take[M interface{ Switch() *pisa.Switch }](ms []M, addr netem.Addr) (m M, rest []M, ok bool) {
+	i := slices.IndexFunc(ms, at[M](addr))
+	if i < 0 {
+		return m, ms, false
 	}
+	m = ms[i] // read before Delete shifts the tail over it
+	return m, slices.Delete(ms, i, i+1), true
+}
+
+func (c *Controller) failChainMember(cs *chainState, addr netem.Addr) {
+	idx := slices.IndexFunc(cs.members, at[ChainMember](addr))
 	if idx < 0 {
 		// A failed spare or joining switch just drops out (but stays
 		// revivable: a frozen spare that resumes is still a useful spare).
-		for _, m := range cs.spares {
-			if m.Switch().Addr() == addr {
-				cs.evicted = append(cs.evicted, m)
-			}
+		if m, rest, ok := take(cs.spares, addr); ok {
+			cs.spares, cs.evicted = rest, append(cs.evicted, m)
 		}
-		cs.spares = removeMember(cs.spares, addr)
 		if cs.joining != nil && cs.joining.Switch().Addr() == addr {
 			cs.evicted = append(cs.evicted, cs.joining)
-			cs.joining = nil
+			cs.joining, cs.retiring = nil, 0 // a migration dies with its joiner
 			c.pushChain(cs)
 		}
 		return
@@ -421,7 +435,8 @@ func (c *Controller) failChainMember(cs *chainState, addr netem.Addr) {
 	if cs.joining != nil {
 		// A snapshot transfer was interrupted by the reconfiguration: its
 		// writes carry the old epoch and the joining switch rejects them,
-		// so restart the transfer under the new epoch.
+		// so restart the transfer under the new epoch (a planned migration
+		// still retires its old member at promotion).
 		c.beginTransfer(cs)
 		return
 	}
@@ -431,34 +446,36 @@ func (c *Controller) failChainMember(cs *chainState, addr netem.Addr) {
 	}
 }
 
-func removeMember(ms []ChainMember, addr netem.Addr) []ChainMember {
-	out := ms[:0]
-	for _, m := range ms {
-		if m.Switch().Addr() != addr {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // startRecovery begins the §6.3 recovery flow with the first spare.
 func (c *Controller) startRecovery(cs *chainState) {
 	spare := cs.spares[0]
 	cs.spares = cs.spares[1:]
-	cs.joining = spare
 	c.traceInstant("recovery.start", "spare", int64(spare.Switch().Addr()), "epoch", int64(cs.epoch))
-	c.ctrlCall(spare.Switch(), spare.BeginJoin)
-	c.pushChain(cs) // config with Joining set: tail starts forwarding commits
+	c.startJoin(cs, spare)
+}
+
+// startJoin is the one way a switch enters a chain, for recovery and planned
+// migration alike: m enters joining mode, a configuration naming it as
+// Joining makes the tail forward fresh commits to it, and a donor streams
+// its snapshot.
+func (c *Controller) startJoin(cs *chainState, m ChainMember) {
+	cs.joining = m
+	c.ctrlCall(m.Switch(), m.BeginJoin)
+	c.pushChain(cs)
 	c.beginTransfer(cs)
 }
 
 // beginTransfer (re)starts the snapshot transfer for the current joining
-// switch and promotes it to tail on completion. The epoch guard abandons
-// the promotion if the chain reconfigures mid-transfer; the reconfiguration
-// path calls beginTransfer again under the new epoch.
+// switch and, on completion, promotes it to tail and drops the retiring
+// member if there is one. The epoch guard abandons the promotion if the
+// chain reconfigures mid-transfer; the reconfiguration path calls
+// beginTransfer again under the new epoch.
 func (c *Controller) beginTransfer(cs *chainState) {
 	spare := cs.joining
 	donor := cs.members[0]
+	if donor.Switch().Addr() == cs.retiring && len(cs.members) > 1 {
+		donor = cs.members[1] // do not snapshot from the switch being retired
+	}
 	donorSw := donor.Switch()
 	epochAtStart := cs.epoch
 	// The promotion body mutates controller state, so it must run on the
@@ -470,8 +487,8 @@ func (c *Controller) beginTransfer(cs *chainState) {
 		if cs.joining != spare || cs.epoch != epochAtStart {
 			return
 		}
-		cs.members = append(cs.members, spare)
-		cs.joining = nil
+		_, cs.members, _ = take(append(cs.members, spare), cs.retiring)
+		cs.joining, cs.retiring = nil, 0
 		c.pushChain(cs)
 		c.Stats.Recoveries.Inc()
 		c.traceInstant("recovery.done", "promoted", int64(spare.Switch().Addr()), "epoch", int64(cs.epoch))
@@ -500,49 +517,11 @@ func (c *Controller) ReplaceChainMember(reg uint16, old netem.Addr, newM ChainMe
 	if cs.joining != nil {
 		return fmt.Errorf("controller: chain %d already has a join in progress", reg)
 	}
-	idx := -1
-	for i, m := range cs.members {
-		if m.Switch().Addr() == old {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	if !slices.ContainsFunc(cs.members, at[ChainMember](old)) {
 		return fmt.Errorf("controller: switch %d is not a member of chain %d", old, reg)
 	}
-	cs.joining = newM
-	c.ctrlCall(newM.Switch(), newM.BeginJoin)
-	c.pushChain(cs) // Joining set: tail forwards fresh commits
-	donor := cs.members[0]
-	if donor.Switch().Addr() == old && len(cs.members) > 1 {
-		donor = cs.members[1] // do not snapshot from the switch being retired
-	}
-	donorSw := donor.Switch()
-	epochAtStart := cs.epoch
-	promote := func() {
-		if cs.joining != newM || cs.epoch != epochAtStart {
-			return
-		}
-		// Promote the new member to tail and retire the old one.
-		cs.members = append(cs.members, newM)
-		cs.joining = nil
-		out := cs.members[:0]
-		for _, m := range cs.members {
-			if m.Switch().Addr() != old {
-				out = append(out, m)
-			}
-		}
-		cs.members = out
-		c.pushChain(cs)
-		c.Stats.Recoveries.Inc()
-	}
-	to := newM.Switch().Addr()
-	delay := c.cfg.ConfigDelay
-	c.post(donorSw, func() {
-		donor.StartSnapshotTransfer(to, func() {
-			donorSw.PostTo(c.eng, delay, promote)
-		})
-	})
+	cs.retiring = old
+	c.startJoin(cs, newM)
 	return nil
 }
 
@@ -583,18 +562,8 @@ func (c *Controller) pushGroup(gs *groupState) {
 }
 
 func (c *Controller) failGroupMember(gs *groupState, addr netem.Addr) {
-	out := gs.members[:0]
-	removed := false
-	for _, m := range gs.members {
-		if m.Switch().Addr() == addr {
-			gs.evicted = append(gs.evicted, m)
-			removed = true
-			continue
-		}
-		out = append(out, m)
-	}
-	gs.members = out
-	if removed {
+	if m, rest, ok := take(gs.members, addr); ok {
+		gs.members, gs.evicted = rest, append(gs.evicted, m)
 		c.pushGroup(gs)
 	}
 }
@@ -607,39 +576,22 @@ func (c *Controller) failGroupMember(gs *groupState, addr netem.Addr) {
 // spare and start a recovery when below target strength; groups re-add it
 // directly — the next sync period reconciles state both ways (§6.3).
 func (c *Controller) handleRevival(addr netem.Addr) {
-	regs := c.regScratch[:0]
-	for reg := range c.chains {
-		regs = append(regs, reg)
-	}
-	slices.Sort(regs)
-	for _, reg := range regs {
+	c.regScratch = sortedRegs(c.chains, c.regScratch)
+	for _, reg := range c.regScratch {
 		c.reviveChainMember(c.chains[reg], addr)
 	}
-	regs = regs[:0]
-	for reg := range c.groups {
-		regs = append(regs, reg)
-	}
-	slices.Sort(regs)
-	c.regScratch = regs
-	for _, reg := range regs {
+	c.regScratch = sortedRegs(c.groups, c.regScratch)
+	for _, reg := range c.regScratch {
 		c.reviveGroupMember(c.groups[reg], addr)
 	}
 }
 
 func (c *Controller) reviveChainMember(cs *chainState, addr netem.Addr) {
-	var revived ChainMember
-	out := cs.evicted[:0]
-	for _, m := range cs.evicted {
-		if revived == nil && m.Switch().Addr() == addr {
-			revived = m
-			continue
-		}
-		out = append(out, m)
-	}
-	cs.evicted = out
-	if revived == nil {
+	revived, rest, ok := take(cs.evicted, addr)
+	if !ok {
 		return
 	}
+	cs.evicted = rest
 	cs.spares = append(cs.spares, revived)
 	if cs.joining == nil && len(cs.members) > 0 && len(cs.members) < cs.target {
 		// The chain is below strength and idle: rejoin through the normal
@@ -651,31 +603,15 @@ func (c *Controller) reviveChainMember(cs *chainState, addr netem.Addr) {
 	// The chain is whole (or busy joining): the revived switch stays a
 	// spare. Send it the current configuration so it learns its stale view
 	// — in which it may still believe itself a member — is superseded.
-	cc := wire.ChainConfig{Epoch: cs.epoch}
-	for _, m := range cs.members {
-		cc.Members = append(cc.Members, uint16(m.Switch().Addr()))
-	}
-	if cs.joining != nil {
-		cc.Joining = uint16(cs.joining.Switch().Addr())
-	}
-	node := revived
-	c.ctrlCall(node.Switch(), func() { node.SetChain(cc) })
+	c.sendChain(revived, cs.config())
 }
 
 func (c *Controller) reviveGroupMember(gs *groupState, addr netem.Addr) {
-	var revived GroupMember
-	out := gs.evicted[:0]
-	for _, m := range gs.evicted {
-		if revived == nil && m.Switch().Addr() == addr {
-			revived = m
-			continue
-		}
-		out = append(out, m)
-	}
-	gs.evicted = out
-	if revived == nil {
+	revived, rest, ok := take(gs.evicted, addr)
+	if !ok {
 		return
 	}
+	gs.evicted = rest
 	gs.members = append(gs.members, revived)
 	c.pushGroup(gs)
 }

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -405,6 +406,48 @@ func TestFailureDuringRecoveryRestartsTransfer(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		if _, ok := r.cNode[3].Get(uint64(i)); !ok {
 			t.Fatalf("key %d missing on recovered tail", i)
+		}
+	}
+}
+
+func TestFailureDuringMigrationStillRetiresOldMember(t *testing.T) {
+	// A third member dies while a planned migration's snapshot is in flight:
+	// the transfer restarts under the new epoch, and the restarted join must
+	// still retire the old member when it promotes the new one.
+	r := newRig(t, 12, 5)
+	r.ctrl.ManageChain(1, r.chainMembers(0, 1, 2, 3), nil)
+	r.eng.RunFor(time.Millisecond)
+	for i := 0; i < 100; i++ {
+		v := make([]byte, 8)
+		binary.BigEndian.PutUint64(v, uint64(i))
+		r.cNode[0].Write(uint64(i), v, nil)
+	}
+	r.eng.RunFor(20 * time.Millisecond)
+
+	// A slow donor->joiner link keeps the snapshot unacknowledged past the
+	// failure detector's timeout.
+	r.net.SetOneWayLink(1, 5, netem.LinkProfile{Latency: 3_000_000})
+	if err := r.ctrl.ReplaceChainMember(1, 2, r.cNode[4]); err != nil {
+		t.Fatal(err)
+	}
+	r.sws[2].Fail()
+	r.eng.RunFor(2 * time.Millisecond)
+	if !r.ctrl.Dead(3) || r.ctrl.Stats.Recoveries.Value() != 0 {
+		t.Fatalf("fault shape: dead(3)=%v recoveries=%d; the crash must land mid-transfer",
+			r.ctrl.Dead(3), r.ctrl.Stats.Recoveries.Value())
+	}
+	r.eng.RunFor(300 * time.Millisecond)
+
+	if r.ctrl.Stats.Recoveries.Value() != 1 {
+		t.Fatalf("recoveries = %d; interrupted migration never completed", r.ctrl.Stats.Recoveries.Value())
+	}
+	cc := r.cNode[0].Chain()
+	if cc.Joining != 0 || !slices.Equal(cc.Members, []uint16{1, 4, 5}) {
+		t.Fatalf("final chain = %+v, want members [1 4 5] (old member 2 retired)", cc)
+	}
+	for i := 0; i < 100; i++ {
+		if _, ok := r.cNode[4].Get(uint64(i)); !ok {
+			t.Fatalf("key %d missing on migrated-in switch", i)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func (c Consistency) String() string {
 // for every protocol message, and register IDs are small and dense.
 type Instance struct {
 	sw     *pisa.Switch
-	chains []chain.Replicator
+	chains []*chain.Node
 	ewos   []*ewo.Node
 	cps    []*ctrlplane.Node
 }
@@ -88,30 +88,6 @@ func (in *Instance) Switch() *pisa.Switch { return in.sw }
 // route dispatches a data-plane protocol message by register ID.
 func (in *Instance) route(from netem.Addr, msg wire.Msg) {
 	switch m := msg.(type) {
-	case *wire.Write:
-		if n := at(in.chains, m.Reg); n != nil {
-			n.Handle(from, m)
-		}
-	case *wire.WriteAck:
-		if n := at(in.chains, m.Reg); n != nil {
-			n.Handle(from, m)
-		}
-	case *wire.ReadFwd:
-		if n := at(in.chains, m.Reg); n != nil {
-			n.Handle(from, m)
-		}
-	case *wire.ReadReply:
-		if n := at(in.chains, m.Reg); n != nil {
-			n.Handle(from, m)
-		}
-	case *wire.ChainNack:
-		if n := at(in.chains, m.Reg); n != nil {
-			n.Handle(from, m)
-		}
-	case *wire.ChainCursor:
-		if n := at(in.chains, m.Reg); n != nil {
-			n.Handle(from, m)
-		}
 	case *wire.EWOUpdate:
 		if n := at(in.ewos, m.Reg); n != nil {
 			n.Handle(from, m)
@@ -128,11 +104,15 @@ func (in *Instance) route(from netem.Addr, msg wire.Msg) {
 				m.Release()
 			})
 		}
+	case wire.ChainFrame:
+		if n := at(in.chains, m.ChainReg()); n != nil {
+			n.Handle(from, m)
+		}
 	case *wire.ChainConfig:
 		// Sorted fan-out: config application order must not depend on map
 		// iteration (per-register side effects like retries are scheduled as
 		// the config lands).
-		in.EachChain(func(_ uint16, n chain.Replicator) { n.SetChain(*m) })
+		in.EachChain(func(_ uint16, n *chain.Node) { n.SetChain(*m) })
 	case *wire.GroupConfig:
 		// A group a node cannot hold is refused and counted, per register
 		// (ewo.Stats.GroupsRejected); there is no caller here to tell.
@@ -151,10 +131,10 @@ func (in *Instance) routeCtrl(from netem.Addr, msg wire.Msg) {
 	in.route(from, msg)
 }
 
-// StrongRegister is the SRO/ERO handle NFs program against. The replication
-// backend behind it (chain or retransmit) is selected by cfg.Replication.
+// StrongRegister is the SRO/ERO handle NFs program against. The hop
+// discipline behind it (chain or retransmit) is selected by cfg.Replication.
 type StrongRegister struct {
-	node chain.Replicator
+	node *chain.Node
 }
 
 // NewStrongRegister declares an SRO (Strong) or ERO (EventualRead) register
@@ -171,7 +151,7 @@ func (in *Instance) NewStrongRegister(cons Consistency, cfg chain.Config) (*Stro
 	if at(in.chains, cfg.Reg) != nil {
 		return nil, fmt.Errorf("core: register %d already declared", cfg.Reg)
 	}
-	n, err := chain.New(in.sw, cfg)
+	n, err := chain.NewNode(in.sw, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +160,7 @@ func (in *Instance) NewStrongRegister(cons Consistency, cfg chain.Config) (*Stro
 }
 
 // Node exposes the protocol node (controller registration, tests).
-func (r *StrongRegister) Node() chain.Replicator { return r.node }
+func (r *StrongRegister) Node() *chain.Node { return r.node }
 
 // Write submits a replicated write; done fires on commit (or failure).
 func (r *StrongRegister) Write(key uint64, val []byte, done func(committed bool)) {
@@ -299,7 +279,7 @@ func (in *Instance) MemoryTotal() int { return in.sw.MemoryUsed() }
 
 // EachChain visits every declared chain register node in ascending register
 // order (deterministic for metrics registration and dumps).
-func (in *Instance) EachChain(fn func(reg uint16, n chain.Replicator)) {
+func (in *Instance) EachChain(fn func(reg uint16, n *chain.Node)) {
 	for reg, n := range in.chains {
 		if n != nil {
 			fn(uint16(reg), n)

@@ -52,7 +52,7 @@ func newRig(t testing.TB, seed int64, n int) *rig {
 	cc := wire.ChainConfig{Epoch: 1, Members: members}
 	gc := wire.GroupConfig{Epoch: 1, Members: members}
 	for _, in := range r.ins {
-		in.EachChain(func(_ uint16, cn chain.Replicator) { cn.SetChain(cc) })
+		in.EachChain(func(_ uint16, cn *chain.Node) { cn.SetChain(cc) })
 		in.EachEWO(func(_ uint16, en *ewo.Node) {
 			if err := en.SetGroup(gc); err != nil {
 				t.Fatal(err)
@@ -128,7 +128,7 @@ func TestConfigBroadcastViaWire(t *testing.T) {
 	in := r.ins[0]
 	in.route(99, &wire.ChainConfig{Epoch: 9, Members: []uint16{1, 2}})
 	in.route(99, &wire.GroupConfig{Epoch: 9, Members: []uint16{1}})
-	in.EachChain(func(_ uint16, cn chain.Replicator) {
+	in.EachChain(func(_ uint16, cn *chain.Node) {
 		if cn.Chain().Epoch != 9 {
 			t.Fatal("chain config not applied")
 		}
@@ -286,7 +286,7 @@ func TestRouteCtrlFallsBackToDataHandlers(t *testing.T) {
 	// Control-plane-delivered chain messages still reach chain nodes.
 	r := newRig(t, 1, 2)
 	r.ins[0].routeCtrl(2, &wire.ChainConfig{Epoch: 9, Members: []uint16{1, 2}})
-	r.ins[0].EachChain(func(_ uint16, cn chain.Replicator) {
+	r.ins[0].EachChain(func(_ uint16, cn *chain.Node) {
 		if cn.Chain().Epoch != 9 {
 			t.Fatal("ctrl-delivered chain config not applied")
 		}

@@ -22,7 +22,7 @@ import (
 type chainRig struct {
 	eng   *sim.Engine
 	net   *netem.Network
-	nodes []chain.Replicator
+	nodes []*chain.Node
 }
 
 func newChainRig(seed int64, n int, cfg chain.Config, profile netem.LinkProfile) *chainRig {
@@ -32,7 +32,7 @@ func newChainRig(seed int64, n int, cfg chain.Config, profile netem.LinkProfile)
 	members := make([]uint16, 0, n)
 	for i := 0; i < n; i++ {
 		sw := pisa.New(eng, nw, pisa.Config{Addr: netem.Addr(i + 1), PipelinePPS: 1e9})
-		node, err := chain.New(sw, cfg)
+		node, err := chain.NewNode(sw, cfg)
 		if err != nil {
 			panic(err)
 		}

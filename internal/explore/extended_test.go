@@ -228,7 +228,7 @@ func TestExploreCatchesNoRevive(t *testing.T) {
 	if r.FirstOracle() != "counter" {
 		t.Fatalf("no-revive caught by %q, want the counter-totals oracle:\n%s", r.FirstOracle(), r.Log)
 	}
-	shrunk, minned := Shrink(sc, opt, r)
+	shrunk, minned, _ := Shrink(sc, opt, r)
 	if minned.FirstOracle() != r.FirstOracle() {
 		t.Fatalf("shrunk scenario fails %q, original failed %q", minned.FirstOracle(), r.FirstOracle())
 	}
@@ -290,7 +290,7 @@ func TestExploreCatchesSkipForwardUnderExtendedFaults(t *testing.T) {
 			if r.FirstOracle() != "durability" {
 				t.Fatalf("skip-forward caught by %q, want durability:\n%s", r.FirstOracle(), r.Log)
 			}
-			_, minned := Shrink(sc, opt, r)
+			_, minned, _ := Shrink(sc, opt, r)
 			if minned.FirstOracle() != r.FirstOracle() {
 				t.Fatalf("shrunk scenario fails %q, original failed %q", minned.FirstOracle(), r.FirstOracle())
 			}

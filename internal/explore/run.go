@@ -110,6 +110,11 @@ type Result struct {
 	BadHistory   []lincheck.Op
 }
 
+// OracleUndecided names the verdict of a strict run whose history the
+// linearizability checker could not decide within its budget: a failure —
+// undecided is never green — under a name no violation carries.
+const OracleUndecided = "lincheck-undecided"
+
 // Failed reports whether any oracle was violated.
 func (r *Result) Failed() bool { return len(r.Failures) > 0 }
 
@@ -527,9 +532,16 @@ func Run(sc Scenario, opt RunOptions) *Result {
 	// package documents a bounded monotone-apply anomaly (an accepted
 	// protocol behavior, not a bug).
 	if strict {
-		if bad, hist, ok := rec.CheckAllDetailed(); !ok {
+		switch bad, hist, v := rec.CheckAllDetailed(); v {
+		case lincheck.Violation:
 			res.BadKey, res.BadHistory = bad, hist
 			fail("lincheck", "key %d history not linearizable (%d ops): %v", bad, len(hist), hist)
+		case lincheck.Undecided:
+			// Not a pass and not a counterexample: its own oracle name keeps
+			// the run red while the shrinker, which matches names, never
+			// takes an undecided variant for a reproduction of a violation.
+			res.BadKey, res.BadHistory = bad, hist
+			fail(OracleUndecided, "key %d: checker budget exhausted (%d ops): %v", bad, len(hist), hist)
 		}
 	}
 

@@ -14,12 +14,16 @@ const maxShrinkRuns = 120
 // dropping fault episodes, shortening the workload, reducing the cluster,
 // cleaning the link — and keeps a variant only if it still fails the SAME
 // oracle as the original (so the minimized scenario demonstrates the
-// original defect, not a new one). It returns the smallest scenario found
-// and its result. The input must be a failing run.
-func Shrink(sc Scenario, opt RunOptions, res *Result) (Scenario, *Result) {
+// original defect, not a new one). A variant whose history the
+// linearizability checker cannot decide fails under OracleUndecided, a name
+// no violation carries, so it never counts as a reproduction; undecided
+// reports how many variants were set aside that way. A run that is itself
+// undecided is not shrunk: there is no defect to preserve. It returns the
+// smallest scenario found and its result. The input must be a failing run.
+func Shrink(sc Scenario, opt RunOptions, res *Result) (_ Scenario, _ *Result, undecided int) {
 	oracle := res.FirstOracle()
-	if oracle == "" {
-		return sc, res
+	if oracle == "" || oracle == OracleUndecided {
+		return sc, res, 0
 	}
 	runs := 0
 	try := func(cand Scenario) *Result {
@@ -28,8 +32,11 @@ func Shrink(sc Scenario, opt RunOptions, res *Result) (Scenario, *Result) {
 		}
 		runs++
 		r := Run(cand.Normalize(), opt)
-		if r.Failed() && r.FirstOracle() == oracle {
+		if r.FirstOracle() == oracle {
 			return r
+		}
+		if r.FirstOracle() == OracleUndecided {
+			undecided++
 		}
 		return nil
 	}
@@ -45,7 +52,7 @@ func Shrink(sc Scenario, opt RunOptions, res *Result) (Scenario, *Result) {
 			}
 		}
 	}
-	return sc, res
+	return sc, res, undecided
 }
 
 // candidates proposes strictly simpler variants of sc, most aggressive

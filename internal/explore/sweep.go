@@ -14,10 +14,11 @@ type Failure struct {
 	Result *Result // the original failing run
 	Shrunk Scenario
 	Minned *Result // the shrunk scenario's failing run
-	// BlackBox is the flight record of the failing run (last trace events,
-	// final metrics snapshot, timeline tail), captured by re-running the seed
-	// with the recorder armed — determinism makes the rerun reproduce the
-	// failure exactly.
+	// ShrinkUndecided counts shrink variants set aside because the
+	// linearizability checker ran out of budget on them: the counterexample
+	// may be less minimal than one more search would have made it.
+	ShrinkUndecided int
+	// BlackBox is the flight record of the failing run (see Investigate).
 	BlackBox string
 }
 
@@ -45,6 +46,9 @@ func (f *Failure) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed %d failed %d oracle(s); first: %s\n", f.Seed, len(f.Result.Failures), f.Result.Failures[0])
 	fmt.Fprintf(&b, "replay: %s\n", f.ReplayCommand())
+	if f.ShrinkUndecided > 0 {
+		fmt.Fprintf(&b, "shrink: %d variant(s) undecided by the checker, treated as not reproducing\n", f.ShrinkUndecided)
+	}
 	b.WriteString("shrunk counterexample:\n")
 	b.WriteString(indent(f.Minned.Log))
 	if f.BlackBox != "" {
@@ -61,11 +65,35 @@ func indent(s string) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-// SweepResult summarizes a seed sweep.
+// SweepResult summarizes a seed sweep. Undecided and ShrinkUndecided count
+// what the checker's budget cost it: seeds whose own run it could not decide
+// (they are among Failures — undecided is never green) and shrink variants
+// set aside for the same reason.
 type SweepResult struct {
-	Base     int64
-	N        int
-	Failures []*Failure
+	Base            int64
+	N               int
+	Failures        []*Failure
+	Undecided       int
+	ShrinkUndecided int
+}
+
+// Investigate turns a failing run into its report: the shrunk counterexample
+// and the flight record of the failing run (last trace events, final metrics
+// snapshot, timeline tail), captured by re-running the scenario with the
+// recorder armed — determinism makes the rerun reproduce the failure exactly.
+func Investigate(seed int64, sc Scenario, opt RunOptions, r *Result) *Failure {
+	f := &Failure{Seed: seed, Opt: opt, Result: r}
+	f.Shrunk, f.Minned, f.ShrinkUndecided = Shrink(sc, opt, r)
+	// The armed run is guaranteed byte-identical in Log/Failures, so the
+	// recorder captures exactly the failure the caller saw; the guard
+	// documents the invariant rather than trusting it silently.
+	opt.BlackBox = true
+	if rerun := Run(sc, opt); rerun.Log == r.Log {
+		f.BlackBox = rerun.BlackBox
+	} else {
+		f.BlackBox = "flight recorder: armed rerun diverged from the original run (instrumentation is supposed to be passive — investigate)\n"
+	}
+	return f
 }
 
 // Sweep generates and runs n scenarios for seeds base..base+n-1 on up to
@@ -78,29 +106,18 @@ func Sweep(base int64, n, workers int, opt RunOptions) SweepResult {
 	experiments.ParallelFor(n, workers, func(i int) {
 		seed := base + int64(i)
 		sc := GenerateWith(seed, opt.Faults)
-		r := Run(sc, opt)
-		if !r.Failed() {
-			return
+		if r := Run(sc, opt); r.Failed() {
+			results[i] = Investigate(seed, sc, opt, r)
 		}
-		shrunk, minned := Shrink(sc, opt, r)
-		f := &Failure{Seed: seed, Opt: opt, Result: r, Shrunk: shrunk, Minned: minned}
-		// Re-run the failing seed with the flight recorder armed. The armed
-		// run is guaranteed byte-identical in Log/Failures, so the recorder
-		// captures exactly the failure the sweep saw; the guard documents the
-		// invariant rather than trusting it silently.
-		bopt := opt
-		bopt.BlackBox = true
-		if rerun := Run(sc, bopt); rerun.Log == r.Log {
-			f.BlackBox = rerun.BlackBox
-		} else {
-			f.BlackBox = "flight recorder: armed rerun diverged from the original run (instrumentation is supposed to be passive — investigate)\n"
-		}
-		results[i] = f
 	})
 	sr := SweepResult{Base: base, N: n}
 	for _, f := range results {
 		if f != nil {
 			sr.Failures = append(sr.Failures, f)
+			sr.ShrinkUndecided += f.ShrinkUndecided
+			if f.Result.FirstOracle() == OracleUndecided {
+				sr.Undecided++
+			}
 		}
 	}
 	return sr

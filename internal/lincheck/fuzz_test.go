@@ -1,7 +1,11 @@
 package lincheck
 
 import (
+	"os"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 )
 
 // refCheck is a brute-force linearizability reference for small histories:
@@ -77,6 +81,9 @@ func validOrder(order []Op) bool {
 // (start/flags, duration, value), at most 6 ops so the permutation
 // reference stays tractable.
 func decodeHistory(data []byte) []Op {
+	if len(data) > 0 && data[0]&0x80 != 0 {
+		return decodeWide(data[1:])
+	}
 	var h []Op
 	for i := 0; i+2 < len(data) && len(h) < 6; i += 3 {
 		start := int64(data[i] & 15)
@@ -88,6 +95,28 @@ func decodeHistory(data []byte) []Op {
 		} else {
 			h = append(h, Op{start, start + int64(data[i+1]%8), write, value})
 		}
+	}
+	return h
+}
+
+// decodeWide is the second layout, selected by the top bit of the first
+// byte (which the small layout never sets): up to 64 ops in start order,
+// 3 bytes each — start delta from the previous op, duration (255 = pending),
+// and write flag (bit 7) over one of 64 values. Times are ranks, which is all
+// linearizability depends on, so a recorded protocol history compresses into
+// it exactly; testdata/fuzz/FuzzLincheck/seed755-window is the 57-op window
+// (plus 2 pending writes) that used to hang the explorer's shrinker.
+func decodeWide(data []byte) []Op {
+	var h []Op
+	start := int64(0)
+	for i := 0; i+2 < len(data) && len(h) < 64; i += 3 {
+		start += int64(data[i])
+		o := Op{Start: start, End: start + int64(data[i+1]), Write: data[i+2]&0x80 != 0,
+			Value: string(rune('A' + data[i+2]&63))}
+		if data[i+1] == 255 {
+			o.End = Inf
+		}
+		h = append(h, o)
 	}
 	return h
 }
@@ -148,12 +177,60 @@ func FuzzLincheck(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := decodeHistory(data)
-		got := Check(h)
-		want := refCheck(h)
-		if got != want {
-			t.Fatalf("Check = %v, reference = %v, history = %v", got, want, h)
+		v := Decide(h)
+		if Check(h) != (v == Linearizable) {
+			t.Fatalf("Check disagrees with Decide = %v, history = %v", v, h)
+		}
+		if len(h) > 6 {
+			// Too long for the permutation reference: the property is that
+			// Decide returns at all — within its budget — with some verdict.
+			return
+		}
+		if want := refCheck(h); v == Undecided || (v == Linearizable) != want {
+			t.Fatalf("Decide = %v, reference = %v, history = %v", v, want, h)
 		}
 	})
+}
+
+// TestSeed755WindowIsUndecided pins the budget on the corpus entry it was
+// added for: the search gives up (quickly) rather than hanging, and giving up
+// is not a pass.
+func TestSeed755WindowIsUndecided(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzLincheck/seed755-window")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(strings.SplitN(string(raw), "\n", 2)[1], "[]byte("), ")\n")
+	data, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := decodeHistory([]byte(data))
+	if len(h) != 60 {
+		t.Fatalf("decoded %d ops, want the 57-op window, the write it starts from and 2 pending writes", len(h))
+	}
+	start := time.Now()
+	if v := Decide(h); v != Undecided {
+		t.Fatalf("Decide = %v, want undecided", v)
+	}
+	if Check(h) {
+		t.Fatal("an undecided history was reported linearizable")
+	}
+	t.Logf("gave up after %s", time.Since(start))
+
+	// A key the checker gives up on does not hide a later key's violation.
+	var r Recorder
+	for _, o := range h {
+		r.Add(1, o)
+	}
+	if _, ok := r.CheckAll(); ok {
+		t.Fatal("CheckAll passed an undecided key")
+	}
+	r.Add(2, Op{0, 1, true, "x"})
+	r.Add(2, Op{5, 6, false, "stale"})
+	if bad, _, v := r.CheckAllDetailed(); bad != 2 || v != Violation {
+		t.Fatalf("CheckAllDetailed = key %d, %v; want key 2's violation", bad, v)
+	}
 }
 
 // TestRefCheckSanity pins the reference itself on hand-checked cases so a

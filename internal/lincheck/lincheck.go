@@ -25,8 +25,15 @@
 // earlier operation has completed before every later one begins) and each
 // window is checked with the bitmask search, carrying the set of reachable
 // (value, consumed-pending) states across the cut. A window that is itself
-// wider than 64 operations falls back to an unbounded (big-bitset) search,
-// so Check never panics on history length.
+// wider than 64 operations falls back to a big-bitset search, so Check
+// never panics on history length.
+//
+// # Budget
+//
+// The search is exponential in the worst case, so each window's memo is
+// capped at searchBudget states. A history that exhausts it is Undecided —
+// neither linearizable nor a violation — and Check reports it as not
+// linearizable: callers that must tell the two apart use Decide.
 package lincheck
 
 import (
@@ -79,6 +86,29 @@ const Initial = ""
 // gives up and falls back to the unbounded whole-history search.
 const maxCarried = 1024
 
+// searchBudget bounds the memoised states one window's search (or the
+// whole-history fallback) may visit before the history is declared Undecided.
+// The largest search the explorer decided over seeds 1-1200 on all four legs
+// visited 24 554 states; the next one up (seed 755's 57-op window, some
+// twenty writes stalled behind one crash and so all concurrent) outgrows
+// 2 M states and a gigabyte of memo without an answer.
+const searchBudget = 1 << 17
+
+// Verdict is the checker's three-valued answer.
+type Verdict int
+
+// Verdicts.
+const (
+	Linearizable Verdict = iota
+	Violation
+	// Undecided means the search budget ran out first. It is never a pass.
+	Undecided
+)
+
+func (v Verdict) String() string {
+	return [...]string{"linearizable", "violation", "undecided"}[v]
+}
+
 // state is a cross-window search state: the register value at the cut plus
 // the set of pending writes already linearized (consumed at most once).
 type state struct {
@@ -86,16 +116,20 @@ type state struct {
 	used  uint64
 }
 
-// Check reports whether the history is linearizable for a single register
-// with the given initial value semantics (reads before any write must
-// return lincheck.Initial). Operations with End = Inf are pending (see the
-// package comment); all other operations must be completed.
+// Check reports whether the history is proven linearizable: Decide's
+// Linearizable verdict. An Undecided history is reported false.
+func Check(history []Op) bool { return Decide(history) == Linearizable }
+
+// Decide checks the history for a single register with the given initial
+// value semantics (reads before any write must return lincheck.Initial).
+// Operations with End = Inf are pending (see the package comment); all other
+// operations must be completed.
 //
 // Complexity is exponential in the worst case but fast for the histories
 // produced by protocol tests: sequential stretches split into independent
 // windows, and concurrency within a window is bounded by the protocol's
-// outstanding-operation limits.
-func Check(history []Op) bool {
+// outstanding-operation limits. Past searchBudget the verdict is Undecided.
+func Decide(history []Op) Verdict {
 	var completed, pend []Op
 	for _, o := range history {
 		if o.IsPending() {
@@ -107,7 +141,7 @@ func Check(history []Op) bool {
 		completed = append(completed, o)
 	}
 	if len(completed) == 0 {
-		return true // any subset of pending writes linearizes in Start order
+		return Linearizable // any subset of pending writes linearizes in Start order
 	}
 	// Distinct-value detection enables the forced-read pruning: when no two
 	// writes (completed or pending) share a value and none writes Initial,
@@ -177,15 +211,19 @@ func Check(history []Op) bool {
 			avail |= 1 << pi
 			pi++
 		}
-		states = checkWindow(completed[w.from:w.to], pend, avail, states, uniq)
+		var decided bool
+		states, decided = checkWindow(completed[w.from:w.to], pend, avail, states, uniq)
+		if !decided {
+			return Undecided
+		}
 		if len(states) == 0 {
-			return false
+			return Violation
 		}
 		if len(states) > maxCarried {
 			return checkBig(completed, pend, uniq)
 		}
 	}
-	return true
+	return Linearizable
 }
 
 // checkWindow runs the Wing-Gong search over one window of completed ops
@@ -193,11 +231,12 @@ func Check(history []Op) bool {
 // the set of (value, consumed-pending) states reachable with the whole
 // window linearized. pend is the global pending-write list; avail marks the
 // pendings usable in this window. uniq asserts globally distinct write
-// values and arms the forced-read pruning (see Check).
-func checkWindow(ops []Op, pend []Op, avail uint64, in map[state]struct{}, uniq bool) map[state]struct{} {
+// values and arms the forced-read pruning (see Decide). decided is false when
+// the memo outgrew searchBudget; the returned set is then incomplete.
+func checkWindow(ops []Op, pend []Op, avail uint64, in map[state]struct{}, uniq bool) (out map[state]struct{}, decided bool) {
 	n := len(ops)
 	full := uint64(1)<<n - 1
-	out := make(map[state]struct{})
+	out = make(map[state]struct{})
 	type memoKey struct {
 		done  uint64
 		value string
@@ -241,7 +280,7 @@ func checkWindow(ops []Op, pend []Op, avail uint64, in map[state]struct{}, uniq 
 			return
 		}
 		k := memoKey{done, value, used}
-		if _, seen := visited[k]; seen {
+		if _, seen := visited[k]; seen || len(visited) >= searchBudget {
 			return
 		}
 		visited[k] = struct{}{}
@@ -275,14 +314,14 @@ func checkWindow(ops []Op, pend []Op, avail uint64, in map[state]struct{}, uniq 
 	for s := range in {
 		search(0, s.value, s.used)
 	}
-	return out
+	return out, len(visited) < searchBudget
 }
 
 // checkBig is the unbounded fallback: the same search over the whole
 // history with arbitrary-width bitsets. Exponential worst case, but only
 // reached for >64-op windows with no quiescent cut (or >64 pending writes),
 // which protocol histories do not produce in practice.
-func checkBig(completed, pend []Op, uniq bool) bool {
+func checkBig(completed, pend []Op, uniq bool) Verdict {
 	n := len(completed)
 	done := make([]bool, n)
 	used := make([]bool, len(pend))
@@ -350,7 +389,7 @@ func checkBig(completed, pend []Op, uniq bool) bool {
 			return true
 		}
 		k := key(value)
-		if _, seen := visited[k]; seen {
+		if _, seen := visited[k]; seen || len(visited) >= searchBudget {
 			undo()
 			return false
 		}
@@ -397,7 +436,13 @@ func checkBig(completed, pend []Op, uniq bool) bool {
 		undo()
 		return false
 	}
-	return search(Initial)
+	switch {
+	case search(Initial):
+		return Linearizable
+	case len(visited) >= searchBudget:
+		return Undecided
+	}
+	return Violation
 }
 
 // Partition splits a multi-key history into per-key histories. SwiShmem
@@ -451,14 +496,15 @@ func (r *Recorder) Each(fn func(key uint64, op Op)) {
 // returning the smallest violating key (ok=false) or ok=true. The sorted
 // iteration makes the reported badKey deterministic across runs.
 func (r *Recorder) CheckAll() (badKey uint64, ok bool) {
-	badKey, _, ok = r.CheckAllDetailed()
-	return badKey, ok
+	badKey, _, v := r.CheckAllDetailed()
+	return badKey, v == Linearizable
 }
 
 // CheckAllDetailed verifies every key's sub-history in ascending key order.
-// On violation it returns the smallest violating key and that key's full
-// sub-history (in recording order) for counterexample reporting.
-func (r *Recorder) CheckAllDetailed() (badKey uint64, history []Op, ok bool) {
+// It returns Linearizable, or the smallest violating key — failing that, the
+// smallest undecided one — with its verdict and its full sub-history (in
+// recording order) for counterexample reporting.
+func (r *Recorder) CheckAllDetailed() (badKey uint64, history []Op, v Verdict) {
 	byKey := Partition(r.keys, r.ops)
 	keys := make([]uint64, 0, len(byKey))
 	for k := range byKey {
@@ -466,9 +512,12 @@ func (r *Recorder) CheckAllDetailed() (badKey uint64, history []Op, ok bool) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
-		if !Check(byKey[k]) {
-			return k, byKey[k], false
+		switch kv := Decide(byKey[k]); {
+		case kv == Violation:
+			return k, byKey[k], Violation
+		case kv == Undecided && v == Linearizable:
+			badKey, history, v = k, byKey[k], Undecided
 		}
 	}
-	return 0, nil, true
+	return badKey, history, v
 }

@@ -234,16 +234,16 @@ func TestCheckAllDetailed(t *testing.T) {
 	var r Recorder
 	r.Add(7, Op{0, 1, true, "a"})
 	r.Add(7, Op{2, 3, false, "a"})
-	if _, _, ok := r.CheckAllDetailed(); !ok {
-		t.Fatal("legal history rejected")
+	if _, _, v := r.CheckAllDetailed(); v != Linearizable {
+		t.Fatalf("legal history: %v", v)
 	}
 	r.Add(9, Op{0, 1, true, "x"})
 	r.Add(9, Op{5, 6, false, "stale"})
 	r.Add(3, Op{0, 1, true, "y"})
 	r.Add(3, Op{5, 6, false, "also-stale"})
-	bad, hist, ok := r.CheckAllDetailed()
-	if ok {
-		t.Fatal("violations not detected")
+	bad, hist, v := r.CheckAllDetailed()
+	if v != Violation {
+		t.Fatalf("violations not detected: %v", v)
 	}
 	if bad != 3 {
 		t.Fatalf("badKey = %d, want smallest violating key 3", bad)

@@ -1,19 +1,16 @@
-// Package topology models the multi-switch deployment scenarios of §3.2:
-// NF processing placed on every switch of a fabric tier (leaf-spine), or on
-// a dedicated NF-accelerator cluster near the ingress. It provides the
-// ingress routing policies that decide which NF switch processes a flow —
-// the mechanism whose re-routing behaviour (ECMP rehash on failure,
-// adaptive/multipath routing) breaks sharded state and motivates SwiShmem's
-// replicated global state.
+// Package topology models the ingress side of the multi-switch deployment
+// scenarios of §3.2 (NF processing on every switch of a fabric tier, or on a
+// dedicated NF-accelerator cluster): the routing policies that decide which
+// NF switch processes a flow — the mechanism whose re-routing behaviour
+// (ECMP rehash on failure, adaptive/multipath routing) breaks sharded state
+// and motivates SwiShmem's replicated global state.
 package topology
 
 import (
-	"fmt"
 	"sort"
 
 	"swishmem/internal/netem"
 	"swishmem/internal/packet"
-	"swishmem/internal/pisa"
 )
 
 // Policy selects how an ingress maps a flow to an NF switch.
@@ -125,134 +122,4 @@ func (ing *Ingress) Route(k packet.FlowKey) (netem.Addr, bool) {
 	default:
 		return ing.live[int(flowHash(k)%uint64(len(ing.live)))], true
 	}
-}
-
-// Fabric is a multi-switch topology: a graph of switches plus host
-// attachment points, with shortest-path routing between any two nodes.
-type Fabric struct {
-	net   *netem.Network
-	adj   map[netem.Addr][]netem.Addr
-	nodes []netem.Addr
-}
-
-// NewFabric creates an empty fabric over nw.
-func NewFabric(nw *netem.Network) *Fabric {
-	return &Fabric{net: nw, adj: make(map[netem.Addr][]netem.Addr)}
-}
-
-// AddNode registers a node (switch or host) in the graph.
-func (f *Fabric) AddNode(a netem.Addr) {
-	if _, ok := f.adj[a]; ok {
-		return
-	}
-	f.adj[a] = nil
-	f.nodes = append(f.nodes, a)
-}
-
-// Connect adds a bidirectional edge and configures the underlying netem
-// link with profile.
-func (f *Fabric) Connect(a, b netem.Addr, profile netem.LinkProfile) {
-	f.AddNode(a)
-	f.AddNode(b)
-	f.adj[a] = append(f.adj[a], b)
-	f.adj[b] = append(f.adj[b], a)
-	f.net.SetLink(a, b, profile)
-}
-
-// Neighbors returns a node's adjacency list.
-func (f *Fabric) Neighbors(a netem.Addr) []netem.Addr {
-	return append([]netem.Addr(nil), f.adj[a]...)
-}
-
-// Nodes returns all registered nodes.
-func (f *Fabric) Nodes() []netem.Addr { return append([]netem.Addr(nil), f.nodes...) }
-
-// ShortestPath returns a minimum-hop path from a to b (inclusive), or nil
-// if unreachable. Ties are broken by address order for determinism.
-func (f *Fabric) ShortestPath(a, b netem.Addr) []netem.Addr {
-	if a == b {
-		return []netem.Addr{a}
-	}
-	prev := map[netem.Addr]netem.Addr{a: a}
-	frontier := []netem.Addr{a}
-	for len(frontier) > 0 {
-		var next []netem.Addr
-		for _, u := range frontier {
-			nbrs := append([]netem.Addr(nil), f.adj[u]...)
-			sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-			for _, v := range nbrs {
-				if _, seen := prev[v]; seen {
-					continue
-				}
-				prev[v] = u
-				if v == b {
-					var path []netem.Addr
-					for cur := b; ; cur = prev[cur] {
-						path = append([]netem.Addr{cur}, path...)
-						if cur == a {
-							return path
-						}
-					}
-				}
-				next = append(next, v)
-			}
-		}
-		frontier = next
-	}
-	return nil
-}
-
-// LeafSpine describes a standard two-tier fabric.
-type LeafSpine struct {
-	Fabric *Fabric
-	Leaves []netem.Addr
-	Spines []netem.Addr
-}
-
-// BuildLeafSpine constructs a leaf-spine fabric: every leaf connects to
-// every spine. Switch addresses are assigned from base upward: spines
-// first, then leaves.
-func BuildLeafSpine(nw *netem.Network, numLeaves, numSpines int, base netem.Addr, profile netem.LinkProfile) (*LeafSpine, error) {
-	if numLeaves <= 0 || numSpines <= 0 {
-		return nil, fmt.Errorf("topology: need positive leaf and spine counts")
-	}
-	ls := &LeafSpine{Fabric: NewFabric(nw)}
-	for s := 0; s < numSpines; s++ {
-		ls.Spines = append(ls.Spines, base+netem.Addr(s))
-	}
-	for l := 0; l < numLeaves; l++ {
-		ls.Leaves = append(ls.Leaves, base+netem.Addr(numSpines+l))
-	}
-	for _, leaf := range ls.Leaves {
-		for _, spine := range ls.Spines {
-			ls.Fabric.Connect(leaf, spine, profile)
-		}
-	}
-	return ls, nil
-}
-
-// NFCluster is the dedicated NF-accelerator deployment of §3.2: an ingress
-// element spraying flows over a cluster of NF switches built on real pisa
-// switch models.
-type NFCluster struct {
-	Ingress  *Ingress
-	Switches []*pisa.Switch
-}
-
-// BuildNFCluster creates n pisa switches (addresses base..base+n-1) attached
-// to nw, and an ingress router over them.
-func BuildNFCluster(nw *netem.Network, n int, base netem.Addr, policy Policy, swCfg pisa.Config) (*NFCluster, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("topology: need a positive cluster size")
-	}
-	c := &NFCluster{}
-	var addrs []netem.Addr
-	for i := 0; i < n; i++ {
-		cfg := swCfg
-		cfg.Addr = base + netem.Addr(i)
-		c.Switches = append(c.Switches, pisa.New(nw.Engine(), nw, cfg))
-		addrs = append(addrs, cfg.Addr)
-	}
-	c.Ingress = NewIngress(policy, addrs, nw.Engine().Rand().Intn)
-	return c, nil
 }

@@ -6,8 +6,6 @@ import (
 
 	"swishmem/internal/netem"
 	"swishmem/internal/packet"
-	"swishmem/internal/pisa"
-	"swishmem/internal/sim"
 )
 
 func flows(n int) []packet.FlowKey {
@@ -124,79 +122,6 @@ func TestEmptyLiveSet(t *testing.T) {
 	ing := NewIngress(ECMPMod, nil, nil)
 	if _, ok := ing.Route(flows(1)[0]); ok {
 		t.Fatal("route with no live switches")
-	}
-}
-
-func TestFabricShortestPath(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nw := netem.New(eng, netem.LinkProfile{})
-	f := NewFabric(nw)
-	// 1-2-3 line plus 1-4-3 detour.
-	f.Connect(1, 2, netem.LinkProfile{Latency: 5})
-	f.Connect(2, 3, netem.LinkProfile{Latency: 5})
-	f.Connect(1, 4, netem.LinkProfile{Latency: 5})
-	f.Connect(4, 3, netem.LinkProfile{Latency: 5})
-	p := f.ShortestPath(1, 3)
-	if len(p) != 3 || p[0] != 1 || p[2] != 3 {
-		t.Fatalf("path = %v", p)
-	}
-	if got := f.ShortestPath(2, 2); len(got) != 1 {
-		t.Fatalf("self path = %v", got)
-	}
-	if f.ShortestPath(1, 99) != nil {
-		t.Fatal("unreachable should be nil")
-	}
-	if len(f.Nodes()) != 4 {
-		t.Fatalf("nodes = %v", f.Nodes())
-	}
-	if len(f.Neighbors(1)) != 2 {
-		t.Fatalf("neighbors(1) = %v", f.Neighbors(1))
-	}
-}
-
-func TestBuildLeafSpine(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nw := netem.New(eng, netem.LinkProfile{})
-	ls, err := BuildLeafSpine(nw, 4, 2, 10, netem.LinkProfile{Latency: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ls.Leaves) != 4 || len(ls.Spines) != 2 {
-		t.Fatalf("geometry: %d leaves %d spines", len(ls.Leaves), len(ls.Spines))
-	}
-	// Any leaf reaches any other leaf in 2 hops (via a spine).
-	p := ls.Fabric.ShortestPath(ls.Leaves[0], ls.Leaves[3])
-	if len(p) != 3 {
-		t.Fatalf("leaf-leaf path = %v", p)
-	}
-	if _, err := BuildLeafSpine(nw, 0, 2, 10, netem.LinkProfile{}); err == nil {
-		t.Fatal("zero leaves accepted")
-	}
-}
-
-func TestBuildNFCluster(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nw := netem.New(eng, netem.LinkProfile{Latency: 5})
-	c, err := BuildNFCluster(nw, 3, 100, HRW, pisa.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Switches) != 3 {
-		t.Fatalf("switches = %d", len(c.Switches))
-	}
-	for i, sw := range c.Switches {
-		if sw.Addr() != 100+netem.Addr(i) {
-			t.Fatalf("switch %d addr = %d", i, sw.Addr())
-		}
-		if !nw.NodeUp(sw.Addr()) {
-			t.Fatalf("switch %d not attached", i)
-		}
-	}
-	if _, ok := c.Ingress.Route(flows(1)[0]); !ok {
-		t.Fatal("ingress has no live switches")
-	}
-	if _, err := BuildNFCluster(nw, 0, 1, HRW, pisa.Config{}); err == nil {
-		t.Fatal("zero-size cluster accepted")
 	}
 }
 

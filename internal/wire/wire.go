@@ -83,6 +83,22 @@ type Msg interface {
 	Marshal(dst []byte) []byte
 }
 
+// ChainFrame is a strong-register protocol frame (Write, WriteAck, ReadFwd,
+// ReadReply, ChainNack, ChainCursor): it names the register it belongs to,
+// which is all a router needs to find its chain node.
+type ChainFrame interface {
+	Msg
+	ChainReg() uint16
+}
+
+// ChainReg implements ChainFrame.
+func (w *Write) ChainReg() uint16       { return w.Reg }
+func (a *WriteAck) ChainReg() uint16    { return a.Reg }
+func (r *ReadFwd) ChainReg() uint16     { return r.Reg }
+func (r *ReadReply) ChainReg() uint16   { return r.Reg }
+func (m *ChainNack) ChainReg() uint16   { return m.Reg }
+func (m *ChainCursor) ChainReg() uint16 { return m.Reg }
+
 // Marshal encodes m into a fresh buffer.
 func Marshal(m Msg) []byte { return m.Marshal(make([]byte, 0, m.Size())) }
 

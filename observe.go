@@ -184,7 +184,7 @@ func (c *Cluster) Metrics() *MetricsRegistry {
 		r.AddGaugeFunc("switch.mem_used_bytes", lbl, func() float64 { return float64(swc.MemoryUsed()) })
 
 		in := c.instances[i]
-		in.EachChain(func(reg uint16, n chain.Replicator) {
+		in.EachChain(func(reg uint16, n *chain.Node) {
 			rl := fmt.Sprintf("%s,reg=%d", lbl, reg)
 			cs := n.Counters()
 			r.AddCounter("chain.writes_submitted", rl, &cs.WritesSubmitted)
