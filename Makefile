@@ -70,12 +70,14 @@ bench-smoke:
 tables:
 	$(GO) run ./cmd/benchtab
 
-# Non-test Go lines: the two live-path packages and the three SRO-path
-# packages ROADMAP aim 2 is judged on, and the module without the benchmark
-# harness.
+# Non-test Go lines: the two live-path packages, the two fabrics and the
+# three SRO-path packages ROADMAP aim 2 is judged on, and the module without
+# the benchmark harness.
 loc:
 	@printf 'internal/wire + internal/netem/live                       %s\n' \
 		"$$(cat $$(ls internal/wire/*.go internal/netem/live/*.go | grep -v _test.go) | wc -l)"
+	@printf 'internal/netem + internal/netem/live                      %s\n' \
+		"$$(cat $$(ls internal/netem/*.go internal/netem/live/*.go | grep -v _test.go) | wc -l)"
 	@printf 'internal/chain + internal/controller + internal/core      %s\n' \
 		"$$(cat $$(ls internal/chain/*.go internal/controller/*.go internal/core/*.go | grep -v _test.go) | wc -l)"
 	@printf 'module excluding bench/                                   %s\n' \

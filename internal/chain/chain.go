@@ -301,9 +301,28 @@ type Node struct {
 	Stats Stats
 }
 
-// WriteLatency returns the submit-to-commit latency distribution of writes
-// submitted at this node (nanoseconds of virtual time).
-func (n *Node) WriteLatency() *stats.Histogram { return n.lat }
+// RegisterMetrics registers the node's protocol counters and the
+// submit-to-commit latency histogram of writes submitted here (nanoseconds of
+// engine time) under labels. The registry reads the live structs: snapshot it
+// only from the goroutine that runs the node's engine.
+func (n *Node) RegisterMetrics(r *obs.Registry, labels string) {
+	cs := &n.Stats
+	r.AddCounter("chain.writes_submitted", labels, &cs.WritesSubmitted)
+	r.AddCounter("chain.writes_committed", labels, &cs.WritesCommitted)
+	r.AddCounter("chain.writes_failed", labels, &cs.WritesFailed)
+	r.AddCounter("chain.retries", labels, &cs.Retries)
+	r.AddCounter("chain.applied", labels, &cs.Applied)
+	r.AddCounter("chain.stale_dropped", labels, &cs.StaleDropped)
+	r.AddCounter("chain.reads_local", labels, &cs.ReadsLocal)
+	r.AddCounter("chain.reads_forwarded", labels, &cs.ReadsForwarded)
+	r.AddCounter("chain.tail_reads", labels, &cs.TailReads)
+	r.AddCounter("chain.acks_sent", labels, &cs.AcksSent)
+	r.AddCounter("chain.held_back", labels, &cs.HeldBack)
+	r.AddCounter("chain.nacks_sent", labels, &cs.NacksSent)
+	r.AddCounter("chain.retransmits", labels, &cs.Retransmits)
+	r.AddCounter("chain.rtx_abandoned", labels, &cs.RtxAbandoned)
+	r.AddHistogram("chain.write_latency_ns", labels, n.lat)
+}
 
 // tracer returns the cluster tracer (nil when tracing is off).
 func (n *Node) tracer() *obs.Tracer { return n.sw.Engine().Tracer() }

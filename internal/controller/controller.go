@@ -258,17 +258,24 @@ func (c *Controller) receive(from netem.Addr, payload any, size int) {
 // oracles catch deterministically (see TESTING.md).
 func (c *Controller) DisableRevival() { c.noRevive = true }
 
-// Monitor starts heartbeats from sw to the controller (a data-plane
-// packet-generator task) and registers it for failure detection.
-// Heartbeats are pooled (see wire.Heartbeat): the network holds a reference
-// per in-flight delivery and the controller's receive path releases it, so
-// steady-state monitoring allocates nothing.
+// Monitor starts heartbeats from sw to the controller and registers it for
+// failure detection.
 func (c *Controller) Monitor(sw *pisa.Switch) {
 	c.lastBeat[sw.Addr()] = c.eng.Now()
+	StartHeartbeats(sw, c.cfg.Addr, c.cfg.HeartbeatPeriod)
+}
+
+// StartHeartbeats runs sw's heartbeat source: a data-plane packet-generator
+// task that sends one wire.Heartbeat to the controller at ctrl every period.
+// Simulated and live members beat through this one generator. Heartbeats are
+// pooled (see wire.Heartbeat): the network holds a reference per in-flight
+// delivery and the receiver releases it, so steady-state monitoring
+// allocates nothing.
+func StartHeartbeats(sw *pisa.Switch, ctrl netem.Addr, period sim.Duration) {
 	seq := uint64(0)
 	var free []*wire.Heartbeat
 	freeFn := func(h *wire.Heartbeat) { free = append(free, h) }
-	sw.PacketGen(c.cfg.HeartbeatPeriod, func() {
+	sw.PacketGen(period, func() {
 		seq++
 		var hb *wire.Heartbeat
 		if n := len(free); n > 0 {
@@ -281,7 +288,7 @@ func (c *Controller) Monitor(sw *pisa.Switch) {
 		}
 		hb.From, hb.Seq = uint16(sw.Addr()), seq
 		hb.Ref()
-		sw.Send(c.cfg.Addr, hb)
+		sw.Send(ctrl, hb)
 		hb.Release()
 	})
 }

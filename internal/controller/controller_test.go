@@ -263,27 +263,12 @@ func TestDirectory(t *testing.T) {
 	if got := d.Lookup(1); len(got) != 3 || got[0] != 10 {
 		t.Fatalf("lookup = %v", got)
 	}
-	if !d.Holds(1, 11) || d.Holds(1, 99) {
-		t.Fatal("holds")
+	d.Register(2, 10, 9) // registering again only adds
+	if got := d.Lookup(2); len(got) != 2 || got[0] != 9 || got[1] != 10 {
+		t.Fatalf("lookup = %v, want sorted [9 10]", got)
 	}
-	if err := d.Migrate(1, 12, 20); err != nil {
-		t.Fatal(err)
-	}
-	if d.Holds(1, 12) || !d.Holds(1, 20) {
-		t.Fatal("migrate did not move replica")
-	}
-	if err := d.Migrate(1, 12, 21); err == nil {
-		t.Fatal("migrate from non-holder accepted")
-	}
-	if err := d.Migrate(1, 10, 11); err == nil {
-		t.Fatal("migrate to existing holder accepted")
-	}
-	d.RemoveReplica(2, 10)
-	if len(d.Lookup(2)) != 0 {
-		t.Fatal("remove failed")
-	}
-	if regs := d.Registers(); len(regs) != 2 || regs[0] != 1 {
-		t.Fatalf("registers = %v", regs)
+	if got := d.Lookup(7); len(got) != 0 {
+		t.Fatalf("lookup of unknown register = %v", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"fmt"
 	"sort"
 
 	"swishmem/internal/netem"
@@ -10,8 +9,7 @@ import (
 // Directory implements the §9 extension: a controller-side directory service
 // (in the vein of cache-coherence directories) tracking which switches
 // replicate which registers, so state with locality need not be replicated
-// everywhere. Lookups answer "who holds register R"; migrations move a
-// replica between switches.
+// everywhere. Lookups answer "who holds register R".
 //
 // The directory is deliberately control-plane-only metadata: the data-plane
 // protocols never consult it on the packet path.
@@ -42,43 +40,6 @@ func (d *Directory) Lookup(reg uint16) []netem.Addr {
 	out := make([]netem.Addr, 0, len(m))
 	for a := range m {
 		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Holds reports whether addr replicates reg.
-func (d *Directory) Holds(reg uint16, addr netem.Addr) bool {
-	return d.replicas[reg][addr]
-}
-
-// RemoveReplica forgets one replica of reg.
-func (d *Directory) RemoveReplica(reg uint16, addr netem.Addr) {
-	delete(d.replicas[reg], addr)
-}
-
-// Migrate atomically moves reg's replica record from one switch to another.
-// It fails if the source does not hold the register or the destination
-// already does — callers drive the actual state transfer (snapshot) first
-// and then update the directory.
-func (d *Directory) Migrate(reg uint16, from, to netem.Addr) error {
-	m := d.replicas[reg]
-	if !m[from] {
-		return fmt.Errorf("directory: switch %d does not hold register %d", from, reg)
-	}
-	if m[to] {
-		return fmt.Errorf("directory: switch %d already holds register %d", to, reg)
-	}
-	delete(m, from)
-	m[to] = true
-	return nil
-}
-
-// Registers returns all registered register IDs, sorted.
-func (d *Directory) Registers() []uint16 {
-	out := make([]uint16, 0, len(d.replicas))
-	for r := range d.replicas {
-		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

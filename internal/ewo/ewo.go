@@ -308,6 +308,23 @@ func (n *Node) SetGroup(gc wire.GroupConfig) error {
 // Group returns the current replica group.
 func (n *Node) Group() []netem.Addr { return n.group }
 
+// RegisterMetrics registers the node's protocol counters under labels. The
+// registry reads the live struct: snapshot it only from the goroutine that
+// runs the node's engine.
+func (n *Node) RegisterMetrics(r *obs.Registry, labels string) {
+	es := &n.Stats
+	r.AddCounter("ewo.writes", labels, &es.Writes)
+	r.AddCounter("ewo.reads", labels, &es.Reads)
+	r.AddCounter("ewo.updates_sent", labels, &es.UpdatesSent)
+	r.AddCounter("ewo.updates_recv", labels, &es.UpdatesRecv)
+	r.AddCounter("ewo.entries_merged", labels, &es.EntriesMerged)
+	r.AddCounter("ewo.entries_stale", labels, &es.EntriesStale)
+	r.AddCounter("ewo.sync_packets", labels, &es.SyncPackets)
+	r.AddCounter("ewo.update_bytes", labels, &es.UpdateBytes)
+	r.AddCounter("ewo.sync_bytes", labels, &es.SyncBytes)
+	r.AddCounter("ewo.groups_rejected", labels, &es.GroupsRejected)
+}
+
 // Stop cancels the periodic synchronization ticker.
 func (n *Node) Stop() {
 	if n.ticker != nil {

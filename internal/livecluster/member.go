@@ -20,7 +20,6 @@ import (
 	"swishmem/internal/obs"
 	"swishmem/internal/pisa"
 	"swishmem/internal/sim"
-	"swishmem/internal/wire"
 )
 
 // ControllerAddr mirrors the facade's fixed controller address.
@@ -144,7 +143,7 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 		return nil, err
 	}
 
-	startHeartbeats(sw, cfg.HeartbeatPeriod)
+	controller.StartHeartbeats(sw, ControllerAddr, cfg.HeartbeatPeriod)
 	f.Bootstrap(ControllerAddr, cfg.ControllerEP, cfg.HelloPeriod)
 	return m, nil
 }
@@ -156,32 +155,13 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 // or after the pump has stopped.
 func (m *Member) RegisterMetrics(reg *obs.Registry, labels string) {
 	m.Fabric.RegisterMetrics(reg, labels)
-	cn := m.Strong.Node()
-	cs := cn.Counters()
-	reg.AddCounter("chain.writes_submitted", labels, &cs.WritesSubmitted)
-	reg.AddCounter("chain.writes_committed", labels, &cs.WritesCommitted)
-	reg.AddCounter("chain.writes_failed", labels, &cs.WritesFailed)
-	reg.AddCounter("chain.retries", labels, &cs.Retries)
-	reg.AddCounter("chain.applied", labels, &cs.Applied)
-	reg.AddHistogram("chain.write_latency_ns", labels, cn.WriteLatency())
-	for _, e := range []struct {
-		reg  string
-		node *ewo.Node
-	}{{"counter", m.Counter.Node()}, {"lww", m.LWW.Node()}} {
-		rl := labels + ",reg=" + e.reg
-		if labels == "" {
-			rl = "reg=" + e.reg
-		}
-		es := &e.node.Stats
-		reg.AddCounter("ewo.writes", rl, &es.Writes)
-		reg.AddCounter("ewo.updates_sent", rl, &es.UpdatesSent)
-		reg.AddCounter("ewo.updates_recv", rl, &es.UpdatesRecv)
-		reg.AddCounter("ewo.entries_merged", rl, &es.EntriesMerged)
-		reg.AddCounter("ewo.sync_packets", rl, &es.SyncPackets)
-		reg.AddCounter("ewo.update_bytes", rl, &es.UpdateBytes)
-		reg.AddCounter("ewo.sync_bytes", rl, &es.SyncBytes)
-		reg.AddCounter("ewo.groups_rejected", rl, &es.GroupsRejected)
+	m.Strong.Node().RegisterMetrics(reg, labels)
+	sep := ","
+	if labels == "" {
+		sep = ""
 	}
+	m.Counter.Node().RegisterMetrics(reg, labels+sep+"reg=counter")
+	m.LWW.Node().RegisterMetrics(reg, labels+sep+"reg=lww")
 }
 
 // Start launches the member's pump.
@@ -237,28 +217,4 @@ func lwwConfig(cfg MemberConfig) ewo.Config {
 		Reg: RegLWW, Capacity: 64, ValueWidth: 8, SyncPeriod: cfg.SyncPeriod,
 		SyncPacketBytes: syncPacketBytes,
 	}
-}
-
-// startHeartbeats mirrors controller.Monitor's pooled data-plane heartbeat
-// generator, addressed at the live controller.
-func startHeartbeats(sw *pisa.Switch, period sim.Duration) {
-	seq := uint64(0)
-	var free []*wire.Heartbeat
-	freeFn := func(h *wire.Heartbeat) { free = append(free, h) }
-	sw.PacketGen(period, func() {
-		seq++
-		var hb *wire.Heartbeat
-		if n := len(free); n > 0 {
-			hb = free[n-1]
-			free[n-1] = nil
-			free = free[:n-1]
-		} else {
-			hb = &wire.Heartbeat{}
-			hb.EnablePool(freeFn)
-		}
-		hb.From, hb.Seq = uint16(sw.Addr()), seq
-		hb.Ref()
-		sw.Send(ControllerAddr, hb)
-		hb.Release()
-	})
 }

@@ -2,10 +2,15 @@ package livecluster
 
 import (
 	"encoding/binary"
+	"net/netip"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"swishmem"
 	"swishmem/internal/netem"
+	"swishmem/internal/obs"
 )
 
 // quietCluster starts a controller and n lossless members whose timers —
@@ -167,5 +172,43 @@ func TestPostedWriteLoadTakesNoTimerWakes(t *testing.T) {
 	if wakes := timerWakes(members) - before; float64(wakes) > 0.02*total {
 		t.Fatalf("%d timer-started pump rounds for %d committed writes (%.3f per write), want <= 0.02 per write",
 			wakes, total, float64(wakes)/total)
+	}
+}
+
+// TestMemberExportsTheClusterProtocolMetrics: a live member's registry
+// carries exactly the chain.* and ewo.* metric names a simulated cluster's
+// does — both ask the protocol nodes to register themselves.
+func TestMemberExportsTheClusterProtocolMetrics(t *testing.T) {
+	protocolNames := func(reg *obs.Registry) map[string]bool {
+		names := map[string]bool{}
+		for _, s := range reg.Snapshot().Samples {
+			if strings.HasPrefix(s.Name, "chain.") || strings.HasPrefix(s.Name, "ewo.") {
+				names[s.Name] = true
+			}
+		}
+		return names
+	}
+
+	c, err := swishmem.New(swishmem.Config{Switches: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DeclareStrong("s", swishmem.StrongOptions{Capacity: 4, ValueWidth: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DeclareCounter("c", swishmem.EventualOptions{Capacity: 4}); err != nil {
+		t.Fatal(err)
+	}
+	simNames := protocolNames(c.Metrics())
+
+	m, err := NewMember(MemberConfig{Addr: 1, ControllerEP: netip.MustParseAddrPort("127.0.0.1:9")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	reg := obs.NewRegistry()
+	m.RegisterMetrics(reg, "node=1")
+	if live := protocolNames(reg); !reflect.DeepEqual(live, simNames) || len(simNames) != 25 {
+		t.Fatalf("live member exports %v\nsimulated cluster exports %d names: %v", live, len(simNames), simNames)
 	}
 }

@@ -130,3 +130,50 @@ func TestFabricBootstrapFirstHelloAtStart(t *testing.T) {
 		t.Fatalf("member bootstrapped %v after Start, want under 100 ms: the first Hello waited for the period", d)
 	}
 }
+
+// TestMulticast: a multicast issued on a fabric's local network — the path
+// an EWO update takes — crosses real sockets to every group member but the
+// sender.
+func TestMulticast(t *testing.T) {
+	group := []netem.Addr{1, 2, 3, 4}
+	fabs := make([]*Fabric, len(group))
+	got := make([]chan uint64, len(group))
+	for i, addr := range group {
+		f, ch := newTestFabric(t, addr), make(chan uint64, 1)
+		f.Network().Attach(addr, func(_ netem.Addr, payload any, _ int) {
+			if hb, ok := payload.(*wire.Heartbeat); ok {
+				ch <- hb.Seq
+			}
+		})
+		fabs[i], got[i] = f, ch
+	}
+	for _, a := range fabs {
+		for _, b := range fabs {
+			if a != b {
+				a.AddRemote(b.Addr(), b.AddrPort())
+			}
+		}
+	}
+	for _, f := range fabs {
+		f.Start()
+	}
+	fabs[0].Post(func() {
+		hb := &wire.Heartbeat{From: 1, Seq: 5}
+		fabs[0].Network().Multicast(1, group, hb, hb.Size())
+	})
+	for i := 1; i < len(group); i++ {
+		select {
+		case seq := <-got[i]:
+			if seq != 5 {
+				t.Fatalf("member %d got seq %d, want 5", group[i], seq)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("multicast never reached member %d", group[i])
+		}
+	}
+	select {
+	case <-got[0]:
+		t.Fatal("multicast delivered to sender")
+	default:
+	}
+}

@@ -7,12 +7,12 @@
 // control traffic, and a proof that the wire formats are complete.
 //
 // The transport exposes the same shape as netem (addresses, handlers,
-// send), so protocol state machines run unchanged over either, and it
-// applies the same fault model: a netem.LinkProfile shapes the send path
-// (loss, duplication, latency, jitter, reordering, serialization delay) and
-// receive-side loss plus partition groups complete the parity. All fault
-// sampling is deterministic given the node's seed; the network underneath
-// stays real.
+// send), so protocol state machines run unchanged over either, and it runs
+// the same fault model: every outbound datagram is judged by the
+// netem.Shaper.Decide the simulated fabric calls, over one Shaper per
+// destination seeded exactly as the simulator seeds that directed link, so a
+// seed condemns the same messages on either fabric. Receive-side loss plus
+// partition groups complete the parity. The network underneath stays real.
 //
 // Hot-path discipline matches DESIGN.md §6: sends marshal into pooled
 // buffers and receives hand the kernel's read buffer straight to the
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"swishmem/internal/netem"
+	"swishmem/internal/sim"
 	"swishmem/internal/wire"
 )
 
@@ -53,14 +54,11 @@ var crcTab = crc32.MakeTable(crc32.Castagnoli)
 // ICMP-unreachable analog — where a blackhole swallows it silently.
 var ErrRejected = errors.New("live: send rejected by link deny policy")
 
-// Handler receives decoded protocol messages.
-type Handler func(from netem.Addr, msg wire.Msg)
-
 // RawHandler receives undecoded message payloads (the datagram minus the
 // sender-address + CRC frame header) with the kernel-reported source endpoint.
 // The payload slice is only valid for the duration of the call: the
 // transport reuses the buffer for the next datagram. Consumers that need
-// the bytes longer must copy (wire.Unmarshal does, field by field).
+// the bytes longer must copy (the wire decoders do, field by field).
 type RawHandler func(from netem.Addr, src netip.AddrPort, payload []byte)
 
 // Options configures a node's deterministic fault injection.
@@ -70,11 +68,12 @@ type Options struct {
 	LossRate float64
 	// Seed drives all fault sampling on this node.
 	Seed int64
-	// Profile shapes the send path with the full netem fault model: LossRate
-	// drops datagrams before they reach the socket, DupRate transmits twice,
-	// Latency+Jitter delay the transmit, ReorderRate adds an extra delay of
-	// up to 4x Latency, and BandwidthBps imposes FIFO serialization delay.
-	// The zero profile transmits synchronously (the zero-alloc hot path).
+	// Profile shapes the send path with the full netem fault model (see
+	// netem.Shaper.Decide): a dropped datagram never reaches the socket, a
+	// duplicated one is transmitted twice, a corrupted one is transmitted
+	// with flipped payload bits, and the verdict's delay holds the transmit
+	// back on a timer. The zero profile transmits synchronously (the
+	// zero-alloc hot path).
 	Profile netem.LinkProfile
 	// Listen is the UDP bind address ("ip:port"). Default "127.0.0.1:0".
 	Listen string
@@ -92,7 +91,6 @@ type Node struct {
 	peers    netem.AddrTable[netip.AddrPort]
 	groups   map[netem.Addr]int // partition group per peer (0 = unpartitioned)
 	group    int                // this node's partition group
-	handler  Handler
 	raw      RawHandler
 	lossRate float64 // receive-side loss
 	profile  netem.LinkProfile
@@ -101,10 +99,12 @@ type Node struct {
 	// of one link — the live counterpart of netem's directed links, and how
 	// asymmetric faults (A→B dead, B→A healthy) are built on real sockets.
 	peerProfiles map[netem.Addr]netem.LinkProfile
-	nth          map[netem.Addr]uint64 // per-destination every-Nth loss counters
-	rng          *rand.Rand            // receive-side loss sampling
-	sendRng      *rand.Rand            // send-side shaping
-	busyUntil    time.Time             // FIFO serialization (BandwidthBps)
+	// shapers holds the fault model's state per destination, created on the
+	// first send and seeded as the simulator seeds the n.addr→to link.
+	shapers netem.AddrTable[*netem.Shaper]
+	seed    int64
+	born    time.Time  // origin of the monotonic clock the shapers run on
+	rng     *rand.Rand // receive-side loss sampling
 
 	// sendBufs pools marshal buffers (*[]byte); warm sends allocate nothing.
 	sendBufs sync.Pool
@@ -166,11 +166,11 @@ func Listen(addr netem.Addr, opts Options) (*Node, error) {
 		conn:         conn,
 		groups:       make(map[netem.Addr]int),
 		peerProfiles: make(map[netem.Addr]netem.LinkProfile),
-		nth:          make(map[netem.Addr]uint64),
 		lossRate:     opts.LossRate,
 		profile:      opts.Profile,
+		seed:         opts.Seed,
+		born:         time.Now(),
 		rng:          rand.New(rand.NewSource(opts.Seed)),
-		sendRng:      rand.New(rand.NewSource(opts.Seed ^ 0x5deece66d)),
 		closed:       make(chan struct{}),
 	}
 	n.sendBufs.New = func() any {
@@ -193,17 +193,9 @@ func (n *Node) AddrPort() netip.AddrPort {
 	return n.UDPAddr().AddrPort()
 }
 
-// SetHandler installs the message handler. Must be set before traffic flows.
-func (n *Node) SetHandler(h Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.handler = h
-}
-
-// SetRawHandler installs a raw payload handler. When set it preempts the
-// decoded handler: the transport skips wire.Unmarshal and the receive path
-// runs allocation-free. The fabric pump uses this to move decoding onto the
-// engine goroutine.
+// SetRawHandler installs the receive handler; set it before traffic flows.
+// The transport never decodes — the receive path runs allocation-free and
+// the fabric pump decodes on the engine goroutine.
 func (n *Node) SetRawHandler(h RawHandler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -222,12 +214,13 @@ func (n *Node) SetProfile(p netem.LinkProfile) {
 // SetPeerProfile overrides the egress profile for one destination. Because
 // each node shapes only its own egress, this configures exactly the
 // n.addr→addr direction: installing a blackhole here while the peer keeps a
-// clean profile back yields a one-way outage on a real network.
+// clean profile back yields a one-way outage on a real network. As on the
+// simulated link, the direction's shaping state (every-Nth phase, random
+// stream) survives the change.
 func (n *Node) SetPeerProfile(addr netem.Addr, p netem.LinkProfile) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.peerProfiles[addr] = p
-	delete(n.nth, addr) // restart the deterministic every-Nth cadence
 }
 
 // ClearPeerProfile removes a per-destination override; traffic to addr
@@ -236,7 +229,6 @@ func (n *Node) ClearPeerProfile(addr netem.Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.peerProfiles, addr)
-	delete(n.nth, addr)
 }
 
 // SetRecvLoss replaces the receive-side loss rate.
@@ -284,12 +276,7 @@ func (n *Node) partitionedLocked(peer netem.Addr) bool {
 	return g != 0 && g != n.group
 }
 
-// AddPeer registers where another SwiShmem address lives.
-func (n *Node) AddPeer(addr netem.Addr, udp *net.UDPAddr) {
-	n.AddPeerAddrPort(addr, udp.AddrPort())
-}
-
-// AddPeerAddrPort registers a peer endpoint by netip.AddrPort.
+// AddPeerAddrPort registers where another SwiShmem address lives.
 func (n *Node) AddPeerAddrPort(addr netem.Addr, ap netip.AddrPort) {
 	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	n.mu.Lock()
@@ -329,109 +316,99 @@ func (n *Node) Peers() map[netem.Addr]netip.AddrPort {
 	return out
 }
 
-// sendPlan is one outbound datagram's shaping decision, computed under the
-// node lock and executed after it is released.
+// sendPlan is one outbound datagram's destination and verdict, computed
+// under the node lock and executed after it is released.
 type sendPlan struct {
-	dst     netip.AddrPort
-	delay   time.Duration
-	dupLag  time.Duration
-	drop    bool
-	dup     bool
-	part    bool
-	corrupt bool
-	deny    netem.DenyMode
+	dst netip.AddrPort
+	netem.Verdict
+	// shaper owns the random stream a corrupted frame's bit flips draw from.
+	shaper *netem.Shaper
 }
 
-// plan resolves the destination endpoint and samples the send-side fault
-// profile for a datagram of the given on-wire size (sender header included).
-func (n *Node) plan(to netem.Addr, size int) (sendPlan, error) {
-	var pl sendPlan
+// plan resolves the destination endpoint and asks the fault model what
+// happens to a datagram of the given on-wire size (frame header included).
+// send reports whether the caller has a frame to build: a datagram dropped
+// here is already counted, and only a reject surfaces as an error.
+func (n *Node) plan(to netem.Addr, size int) (pl sendPlan, send bool, err error) {
 	n.mu.Lock()
-	dst := n.peers.Get(to)
-	if !dst.IsValid() {
+	pl.dst = n.peers.Get(to)
+	if !pl.dst.IsValid() {
 		n.mu.Unlock()
-		return pl, fmt.Errorf("live: no peer registered for address %d", to)
+		return pl, false, fmt.Errorf("live: no peer registered for address %d", to)
 	}
-	pl.dst = dst
-	if n.partitionedLocked(to) {
-		n.mu.Unlock()
-		pl.part = true
-		return pl, nil
-	}
-	p := n.profile
-	if pp, ok := n.peerProfiles[to]; ok {
-		p = pp
-	}
-	// Fault order mirrors the simulated fabric: deny, every-Nth, random
-	// loss, corruption draw. Every branch is gated on its knob so a profile
-	// without extended faults draws exactly the sequence it always did.
-	if p.Deny != netem.DenyNone {
-		pl.deny = p.Deny
-		n.mu.Unlock()
-		return pl, nil
-	}
-	if p.LossEveryN >= 1 {
-		n.nth[to]++
-		if n.nth[to]%uint64(p.LossEveryN) == 0 {
-			pl.drop = true
+	pl.Fate = netem.DropPartition
+	if !n.partitionedLocked(to) {
+		p := n.profile
+		if pp, ok := n.peerProfiles[to]; ok {
+			p = pp
 		}
-	}
-	if !pl.drop && p.LossRate > 0 && n.sendRng.Float64() < p.LossRate {
-		pl.drop = true
-	}
-	if !pl.drop && p.CorruptRate > 0 && n.sendRng.Float64() < p.CorruptRate {
-		pl.corrupt = true
-	}
-	if !pl.drop {
-		if p.BandwidthBps > 0 {
-			ser := time.Duration(float64(size*8) / p.BandwidthBps * 1e9)
-			now := time.Now()
-			depart := now
-			if n.busyUntil.After(now) {
-				depart = n.busyUntil
-			}
-			depart = depart.Add(ser)
-			n.busyUntil = depart
-			pl.delay += depart.Sub(now)
+		pl.shaper = n.shapers.Get(to)
+		if pl.shaper == nil {
+			sh := netem.NewShaper(n.seed, n.addr, to)
+			pl.shaper = &sh
+			n.shapers.Set(to, pl.shaper)
 		}
-		pl.delay += time.Duration(p.Latency)
-		if p.Jitter > 0 {
-			pl.delay += time.Duration(n.sendRng.Int63n(int64(p.Jitter) + 1))
-		}
-		if p.ReorderRate > 0 && p.Latency > 0 && n.sendRng.Float64() < p.ReorderRate {
-			pl.delay += time.Duration(n.sendRng.Int63n(int64(4*p.Latency) + 1))
-		}
-		if p.DupRate > 0 && n.sendRng.Float64() < p.DupRate {
-			pl.dup = true
-			pl.dupLag = time.Duration(p.Latency)/2 + 1
-		}
+		pl.Verdict = pl.shaper.Decide(&p, sim.Time(time.Since(n.born)), size)
 	}
 	n.mu.Unlock()
-	return pl, nil
+	switch pl.Fate {
+	case netem.Deliver, netem.DropCorrupt:
+		return pl, true, nil
+	case netem.DropPartition:
+		n.cnt.partDropped.Add(1)
+	case netem.DropBlackhole:
+		n.cnt.txBlackholed.Add(1)
+	case netem.DropReject:
+		n.cnt.txRejected.Add(1)
+		err = ErrRejected
+	default:
+		n.cnt.txDropped.Add(1)
+	}
+	return pl, false, err
 }
 
-// transmit executes a plan over a framed datagram held in a pooled buffer.
+// newFrame takes a pooled buffer holding the frame header: the sender
+// address and room for the CRC that transmit fills in.
+func (n *Node) newFrame() *[]byte {
+	bp := n.sendBufs.Get().(*[]byte)
+	*bp = append((*bp)[:0], byte(n.addr>>8), byte(n.addr), 0, 0, 0, 0)
+	return bp
+}
+
+// transmit seals a framed datagram with its CRC and executes its plan.
 // Ownership of bp passes in; it returns to the pool after the last write.
 func (n *Node) transmit(pl sendPlan, bp *[]byte) error {
 	b := *bp
-	if pl.delay <= 0 {
+	binary.BigEndian.PutUint32(b[2:frameHdr], crc32.Checksum(b[frameHdr:], crcTab))
+	if pl.Fate == netem.DropCorrupt && len(b) > frameHdr {
+		// Flip 1-3 payload bits after the CRC was computed. The frame header
+		// stays intact so the receiver attributes the frame, then fails the
+		// integrity check and counts a decode error — real corruption, clean
+		// rejection, never a wrong delivery.
+		n.mu.Lock()
+		rng := pl.shaper.Rand()
+		netem.FlipBits(rng, b[frameHdr:], 1+rng.Intn(3))
+		n.mu.Unlock()
+		n.cnt.txCorrupted.Add(1)
+	}
+	if pl.Delay <= 0 {
 		err := n.write(pl.dst, b)
-		if pl.dup {
+		if pl.DupLag > 0 {
 			n.cnt.txDup.Add(1)
 			_ = n.write(pl.dst, b)
 		}
 		n.sendBufs.Put(bp)
 		return err
 	}
-	if pl.dup {
+	if pl.DupLag > 0 {
 		// The duplicate needs its own buffer: the delayed writes release
 		// their buffers independently.
 		bp2 := n.sendBufs.Get().(*[]byte)
 		*bp2 = append((*bp2)[:0], b...)
 		n.cnt.txDup.Add(1)
-		n.scheduleWrite(pl.delay+pl.dupLag, pl.dst, bp2)
+		n.scheduleWrite(pl.Delay+pl.DupLag, pl.dst, bp2)
 	}
-	n.scheduleWrite(pl.delay, pl.dst, bp)
+	n.scheduleWrite(pl.Delay, pl.dst, bp)
 	return nil
 }
 
@@ -441,58 +418,13 @@ func (n *Node) transmit(pl sendPlan, bp *[]byte) error {
 // emulated fabric, never guaranteed. With the zero profile the path is
 // synchronous and allocation-free warm.
 func (n *Node) Send(to netem.Addr, msg wire.Msg) error {
-	pl, err := n.plan(to, frameHdr+msg.Size())
-	if err != nil {
+	pl, send, err := n.plan(to, frameHdr+msg.Size())
+	if !send {
 		return err
 	}
-	if done, err := n.applyVerdict(pl); done {
-		return err
-	}
-	bp := n.sendBufs.Get().(*[]byte)
-	b := append((*bp)[:0], byte(n.addr>>8), byte(n.addr), 0, 0, 0, 0)
-	b = msg.Marshal(b)
-	*bp = b
-	binary.BigEndian.PutUint32(b[2:frameHdr], crc32.Checksum(b[frameHdr:], crcTab))
-	if pl.corrupt {
-		n.corruptPayload(b)
-	}
+	bp := n.newFrame()
+	*bp = msg.Marshal(*bp)
 	return n.transmit(pl, bp)
-}
-
-// applyVerdict consumes a plan's terminal outcomes (partition, deny, drop).
-// done means the datagram goes no further; err surfaces a reject.
-func (n *Node) applyVerdict(pl sendPlan) (done bool, err error) {
-	if pl.part {
-		n.cnt.partDropped.Add(1)
-		return true, nil
-	}
-	switch pl.deny {
-	case netem.DenyBlackhole:
-		n.cnt.txBlackholed.Add(1)
-		return true, nil
-	case netem.DenyReject:
-		n.cnt.txRejected.Add(1)
-		return true, ErrRejected
-	}
-	if pl.drop {
-		n.cnt.txDropped.Add(1)
-		return true, nil
-	}
-	return false, nil
-}
-
-// corruptPayload flips 1-3 bits of a framed datagram's payload after the
-// CRC was computed (the frame header is left intact so the receiver
-// attributes the frame, then fails the integrity check and counts a decode
-// error — real corruption, clean rejection, never a wrong delivery).
-func (n *Node) corruptPayload(b []byte) {
-	if len(b) <= frameHdr {
-		return
-	}
-	n.mu.Lock()
-	netem.FlipBits(n.sendRng, b[frameHdr:], 1+n.sendRng.Intn(3))
-	n.mu.Unlock()
-	n.cnt.txCorrupted.Add(1)
 }
 
 // SendEncoded transmits an already wire-encoded payload (a complete Marshal
@@ -501,21 +433,12 @@ func (n *Node) corruptPayload(b []byte) {
 // payload is copied into a pooled buffer, so the caller may reuse it
 // immediately.
 func (n *Node) SendEncoded(to netem.Addr, payload []byte) error {
-	pl, err := n.plan(to, frameHdr+len(payload))
-	if err != nil {
+	pl, send, err := n.plan(to, frameHdr+len(payload))
+	if !send {
 		return err
 	}
-	if done, err := n.applyVerdict(pl); done {
-		return err
-	}
-	bp := n.sendBufs.Get().(*[]byte)
-	b := append((*bp)[:0], byte(n.addr>>8), byte(n.addr), 0, 0, 0, 0)
-	b = append(b, payload...)
-	*bp = b
-	binary.BigEndian.PutUint32(b[2:frameHdr], crc32.Checksum(b[frameHdr:], crcTab))
-	if pl.corrupt {
-		n.corruptPayload(b)
-	}
+	bp := n.newFrame()
+	*bp = append(*bp, payload...)
 	return n.transmit(pl, bp)
 }
 
@@ -543,16 +466,6 @@ func (n *Node) scheduleWrite(d time.Duration, dst netip.AddrPort, bp *[]byte) {
 		}
 		n.sendBufs.Put(bp)
 	})
-}
-
-// Multicast sends msg to every group member except this node.
-func (n *Node) Multicast(group []netem.Addr, msg wire.Msg) {
-	for _, to := range group {
-		if to == n.addr {
-			continue
-		}
-		_ = n.Send(to, msg) // datagram semantics: errors equal loss
-	}
 }
 
 // Stats returns a snapshot of the transport counters (thread-safe). Each
@@ -607,10 +520,9 @@ func (n *Node) readLoop() {
 }
 
 // processDatagram delivers one framed datagram: sender-address header, CRC
-// integrity check, receive-side fault injection, then the raw handler (no
-// decode) or the decoded handler. The buffer belongs to the read loop;
-// nothing here may retain it (wire unmarshalers copy, raw handlers are
-// documented not to). The raw delivery path is allocation-free warm.
+// integrity check, receive-side fault injection, then the raw handler. The
+// buffer belongs to the read loop; nothing here may retain it (raw handlers
+// are documented not to). The path is allocation-free warm.
 func (n *Node) processDatagram(src netip.AddrPort, b []byte) {
 	if len(b) < frameHdr+1 {
 		n.cnt.decodeErr.Add(1)
@@ -624,7 +536,7 @@ func (n *Node) processDatagram(src netip.AddrPort, b []byte) {
 	n.mu.Lock()
 	drop := n.lossRate > 0 && n.rng.Float64() < n.lossRate
 	part := n.partitionedLocked(from)
-	h, raw := n.handler, n.raw
+	raw := n.raw
 	n.mu.Unlock()
 	if part {
 		n.cnt.partDropped.Add(1)
@@ -634,35 +546,9 @@ func (n *Node) processDatagram(src netip.AddrPort, b []byte) {
 		n.cnt.dropped.Add(1)
 		return
 	}
-	if raw != nil {
-		n.countRecv(len(b))
-		raw(from, src, b[frameHdr:])
-		return
-	}
-	msg, err := wire.Unmarshal(b[frameHdr:])
-	if err != nil {
-		n.cnt.decodeErr.Add(1)
-		return
-	}
-	n.countRecv(len(b))
-	if h != nil {
-		h(from, msg)
-	}
-}
-
-func (n *Node) countRecv(bytes int) {
 	n.cnt.received.Add(1)
-	n.cnt.bytesReceived.Add(uint64(bytes))
-}
-
-// Mesh wires a set of live nodes into a full mesh (every node knows every
-// other node's socket address).
-func Mesh(nodes []*Node) {
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if a != b {
-				a.AddPeer(b.Addr(), b.UDPAddr())
-			}
-		}
+	n.cnt.bytesReceived.Add(uint64(len(b)))
+	if raw != nil {
+		raw(from, src, b[frameHdr:])
 	}
 }

@@ -44,7 +44,7 @@ func TestSendZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := sink.UDPAddr()
+	dst := sink.AddrPort()
 	sink.Close()
 
 	n, err := Listen(1, Options{})
@@ -52,7 +52,7 @@ func TestSendZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	n.AddPeer(2, dst)
+	n.AddPeerAddrPort(2, dst)
 
 	hb := &wire.Heartbeat{From: 1, Seq: 7}
 	for i := 0; i < 64; i++ { // warm the buffer pool
@@ -108,14 +108,14 @@ func TestSendShapingDupAndLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	rx.SetHandler(func(_ netem.Addr, msg wire.Msg) { recvd <- msg })
+	rx.SetRawHandler(decoded(func(_ netem.Addr, msg wire.Msg) { recvd <- msg }))
 
 	tx, err := Listen(1, Options{Seed: 5, Profile: netem.LinkProfile{DupRate: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tx.Close()
-	tx.AddPeer(2, rx.UDPAddr())
+	tx.AddPeerAddrPort(2, rx.AddrPort())
 
 	const N = 10
 	for i := 0; i < N; i++ {
@@ -157,14 +157,14 @@ func TestSendShapingDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	rx.SetHandler(func(_ netem.Addr, msg wire.Msg) { recvd <- msg })
+	rx.SetRawHandler(decoded(func(_ netem.Addr, msg wire.Msg) { recvd <- msg }))
 
 	tx, err := Listen(1, Options{Profile: netem.LinkProfile{Latency: 20 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tx.Close()
-	tx.AddPeer(2, rx.UDPAddr())
+	tx.AddPeerAddrPort(2, rx.AddrPort())
 
 	start := time.Now()
 	if err := tx.Send(2, &wire.Heartbeat{From: 1, Seq: 1}); err != nil {
@@ -196,8 +196,8 @@ func TestPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	b.SetHandler(func(_ netem.Addr, msg wire.Msg) { recvd <- msg })
-	Mesh([]*Node{a, b})
+	b.SetRawHandler(decoded(func(_ netem.Addr, msg wire.Msg) { recvd <- msg }))
+	mesh([]*Node{a, b})
 
 	// Send-side: a in group 1, knows b is in group 2 -> drop at a.
 	a.SetPartition(1)

@@ -2,9 +2,12 @@ package live
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
+	"time"
 
 	"swishmem/internal/netem"
+	"swishmem/internal/sim"
 	"swishmem/internal/wire"
 )
 
@@ -14,8 +17,8 @@ import (
 func TestPeerProfileAsymmetric(t *testing.T) {
 	nodes := mkMesh(t, 2, Options{})
 	var c1, c2 collect
-	nodes[0].SetHandler(c1.handler)
-	nodes[1].SetHandler(c2.handler)
+	nodes[0].SetRawHandler(decoded(c1.handler))
+	nodes[1].SetRawHandler(decoded(c2.handler))
 	nodes[0].SetPeerProfile(2, netem.LinkProfile{Deny: netem.DenyBlackhole})
 
 	msg := &wire.Heartbeat{From: 1, Seq: 1}
@@ -65,7 +68,7 @@ func TestDenyRejectSurfacesToSender(t *testing.T) {
 func TestLossEveryNDeterministic(t *testing.T) {
 	nodes := mkMesh(t, 2, Options{})
 	var c collect
-	nodes[1].SetHandler(c.handler)
+	nodes[1].SetRawHandler(decoded(c.handler))
 	nodes[0].SetPeerProfile(2, netem.LinkProfile{LossEveryN: 3})
 	for i := 0; i < 9; i++ {
 		if err := nodes[0].Send(2, &wire.Heartbeat{From: 1, Seq: uint64(i)}); err != nil {
@@ -95,7 +98,7 @@ func TestLossEveryNDeterministic(t *testing.T) {
 func TestCorruptionRejectedCleanly(t *testing.T) {
 	nodes := mkMesh(t, 2, Options{Seed: 7})
 	var c collect
-	nodes[1].SetHandler(c.handler)
+	nodes[1].SetRawHandler(decoded(c.handler))
 	nodes[0].SetPeerProfile(2, netem.LinkProfile{CorruptRate: 1.0})
 	const sends = 50
 	for i := 0; i < sends; i++ {
@@ -122,5 +125,67 @@ func TestCorruptionRejectedCleanly(t *testing.T) {
 	}
 	if got := c.count(); got != 0 {
 		t.Fatalf("%d corrupted frames were delivered to the handler", got)
+	}
+}
+
+// TestSameSeedSameFate: with loss and corruption both set, a live node and
+// the simulated link of the same seed and direction condemn the same
+// messages — dropped, corrupted or delivered, index for index. One fault
+// model runs on both fabrics; two would drift (they had: the live copy drew
+// loss before corruption, from a stream seeded differently).
+func TestSameSeedSameFate(t *testing.T) {
+	const seed, sends = 11, 200
+	p := netem.LinkProfile{LossRate: 0.25, CorruptRate: 0.25}
+	beat := func(i int) *wire.Heartbeat { return &wire.Heartbeat{From: 1, Seq: uint64(i)} }
+
+	eng := sim.NewEngine(seed)
+	nw := netem.New(eng, netem.LinkProfile{})
+	nw.Attach(1, func(netem.Addr, any, int) {})
+	simGot := map[uint64]bool{}
+	nw.Attach(2, func(_ netem.Addr, payload any, _ int) { simGot[payload.(*wire.Heartbeat).Seq] = true })
+	nw.SetOneWayLink(1, 2, p)
+	// The facade's decode-proof checker: it draws from the link stream what a
+	// live corrupted frame's bit flips draw.
+	nw.SetCorruptionChecker(func(_ int, rng *rand.Rand, _, _ netem.Addr, payload any, _ int) {
+		netem.FlipBits(rng, wire.Marshal(payload.(wire.Msg)), 1+rng.Intn(3))
+	})
+	for i := 0; i < sends; i++ {
+		nw.Send(1, 2, beat(i), beat(i).Size())
+	}
+	eng.Run()
+	st := nw.Stats(1, 2)
+	if st.MsgsCorrupt == 0 || st.MsgsDropped == st.MsgsCorrupt || len(simGot) == 0 {
+		t.Fatalf("sim link stats %+v: want corruption, loss and deliveries all present", st)
+	}
+
+	nodes := mkMesh(t, 2, Options{Seed: seed, Profile: p})
+	var c collect
+	nodes[1].SetRawHandler(decoded(c.handler))
+	for i := 0; i < sends; i++ {
+		if err := nodes[0].Send(2, beat(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 49 {
+			time.Sleep(time.Millisecond) // avoid socket buffer overrun
+		}
+	}
+	tx := nodes[0].Stats()
+	waitFor(t, func() bool {
+		rx := nodes[1].Stats()
+		return rx.Received+rx.DecodeErr == sends-tx.TxDropped
+	})
+	if tx.TxCorrupted != st.MsgsCorrupt || tx.TxDropped != st.MsgsDropped-st.MsgsCorrupt {
+		t.Fatalf("live corrupted/lost %d/%d, sim %d/%d",
+			tx.TxCorrupted, tx.TxDropped, st.MsgsCorrupt, st.MsgsDropped-st.MsgsCorrupt)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.msgs) != len(simGot) {
+		t.Fatalf("live delivered %d, sim %d", len(c.msgs), len(simGot))
+	}
+	for _, m := range c.msgs {
+		if seq := m.(*wire.Heartbeat).Seq; !simGot[seq] {
+			t.Fatalf("message %d survived the live link and not the simulated one", seq)
+		}
 	}
 }

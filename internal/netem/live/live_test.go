@@ -1,6 +1,7 @@
 package live
 
 import (
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -31,6 +32,36 @@ func (c *collect) count() int {
 	return len(c.msgs)
 }
 
+// decoded adapts a decoded-message callback to the transport's raw handler
+// (the fabric pump decodes on its own goroutine; these tests decode here).
+func decoded(h func(from netem.Addr, msg wire.Msg)) RawHandler {
+	return func(from netem.Addr, _ netip.AddrPort, payload []byte) {
+		if msg, err := wire.Unmarshal(payload); err == nil {
+			h(from, msg)
+		}
+	}
+}
+
+// mesh tells every node where every other node's socket lives.
+func mesh(nodes []*Node) {
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if a != b {
+				a.AddPeerAddrPort(b.Addr(), b.AddrPort())
+			}
+		}
+	}
+}
+
+// multicast sends msg to every group member except n itself.
+func multicast(n *Node, group []netem.Addr, msg wire.Msg) {
+	for _, to := range group {
+		if to != n.Addr() {
+			_ = n.Send(to, msg) // datagram semantics: errors equal loss
+		}
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -54,14 +85,14 @@ func mkMesh(t *testing.T, n int, opts Options) []*Node {
 		t.Cleanup(func() { node.Close() })
 		nodes[i] = node
 	}
-	Mesh(nodes)
+	mesh(nodes)
 	return nodes
 }
 
 func TestSendReceiveRealUDP(t *testing.T) {
 	nodes := mkMesh(t, 2, Options{})
 	var c collect
-	nodes[1].SetHandler(c.handler)
+	nodes[1].SetRawHandler(decoded(c.handler))
 	msg := &wire.Write{Reg: 3, Key: 42, Seq: 7, WriteID: 9, Writer: 1, Epoch: 2, Value: []byte("live!")}
 	if err := nodes[0].Send(2, msg); err != nil {
 		t.Fatal(err)
@@ -82,7 +113,7 @@ func TestSendReceiveRealUDP(t *testing.T) {
 func TestAllMessageTypesRoundTripOverUDP(t *testing.T) {
 	nodes := mkMesh(t, 2, Options{})
 	var c collect
-	nodes[1].SetHandler(c.handler)
+	nodes[1].SetRawHandler(decoded(c.handler))
 	msgs := []wire.Msg{
 		&wire.Write{Reg: 1, Key: 2, Value: []byte("v")},
 		&wire.WriteAck{Reg: 1, Key: 2, Seq: 3},
@@ -111,23 +142,6 @@ func TestAllMessageTypesRoundTripOverUDP(t *testing.T) {
 	}
 }
 
-func TestMulticast(t *testing.T) {
-	nodes := mkMesh(t, 4, Options{})
-	cols := make([]*collect, 4)
-	for i, n := range nodes {
-		cols[i] = &collect{}
-		n.SetHandler(cols[i].handler)
-	}
-	group := []netem.Addr{1, 2, 3, 4}
-	nodes[0].Multicast(group, &wire.Heartbeat{From: 1, Seq: 5})
-	waitFor(t, func() bool {
-		return cols[1].count() == 1 && cols[2].count() == 1 && cols[3].count() == 1
-	})
-	if cols[0].count() != 0 {
-		t.Fatal("multicast delivered to sender")
-	}
-}
-
 func TestUnknownPeer(t *testing.T) {
 	nodes := mkMesh(t, 1, Options{})
 	if err := nodes[0].Send(99, &wire.Heartbeat{}); err == nil {
@@ -143,9 +157,9 @@ func TestInjectedLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lossy.Close()
-	nodes[0].AddPeer(9, lossy.UDPAddr())
+	nodes[0].AddPeerAddrPort(9, lossy.AddrPort())
 	var c collect
-	lossy.SetHandler(c.handler)
+	lossy.SetRawHandler(decoded(c.handler))
 	const N = 400
 	for i := 0; i < N; i++ {
 		if err := nodes[0].Send(9, &wire.Heartbeat{From: 1, Seq: uint64(i)}); err != nil {
@@ -175,7 +189,7 @@ func TestInjectedLoss(t *testing.T) {
 func TestGarbageIgnored(t *testing.T) {
 	nodes := mkMesh(t, 2, Options{})
 	var c collect
-	nodes[1].SetHandler(c.handler)
+	nodes[1].SetRawHandler(decoded(c.handler))
 	// Raw garbage straight to the socket.
 	conn := nodes[0].conn
 	if _, err := conn.WriteToUDP([]byte{0xff}, nodes[1].UDPAddr()); err != nil {
@@ -229,7 +243,7 @@ func TestLiveChainReplication(t *testing.T) {
 
 	for i, n := range nodes {
 		i, n := i, n
-		n.SetHandler(func(from netem.Addr, msg wire.Msg) {
+		n.SetRawHandler(decoded(func(from netem.Addr, msg wire.Msg) {
 			mu.Lock()
 			defer mu.Unlock()
 			switch m := msg.(type) {
@@ -252,7 +266,7 @@ func TestLiveChainReplication(t *testing.T) {
 				default:
 				}
 			}
-		})
+		}))
 	}
 	// Writer (node 1) submits to itself as head.
 	w := &wire.Write{Reg: 1, Key: 77, WriteID: 1, Writer: 1, Value: []byte("over-udp")}
@@ -296,7 +310,7 @@ func TestLiveEWOGossip(t *testing.T) {
 		t.Cleanup(func() { node.Close() })
 		nodes[i] = node
 	}
-	Mesh(nodes)
+	mesh(nodes)
 	group := []netem.Addr{1, 2, 3}
 
 	var mu sync.Mutex
@@ -306,7 +320,7 @@ func TestLiveEWOGossip(t *testing.T) {
 	}
 	for i, node := range nodes {
 		i, node := i, node
-		node.SetHandler(func(from netem.Addr, msg wire.Msg) {
+		node.SetRawHandler(decoded(func(from netem.Addr, msg wire.Msg) {
 			u, ok := msg.(*wire.EWOUpdate)
 			if !ok {
 				return
@@ -319,7 +333,7 @@ func TestLiveEWOGossip(t *testing.T) {
 				}
 			}
 			mu.Unlock()
-		})
+		}))
 	}
 	// Each node increments its slot 50 times, announcing each (lossy).
 	for step := uint64(1); step <= 50; step++ {
@@ -328,7 +342,7 @@ func TestLiveEWOGossip(t *testing.T) {
 			mu.Lock()
 			slots[i][self] = step
 			mu.Unlock()
-			node.Multicast(group, &wire.EWOUpdate{Reg: 1, From: self, Entries: []wire.EWOEntry{{
+			multicast(node, group, &wire.EWOUpdate{Reg: 1, From: self, Entries: []wire.EWOEntry{{
 				Key: 1, Stamp: timesync.Stamp{Time: sim.Time(step), Node: timesync.NodeID(self)}}}})
 		}
 	}
@@ -361,7 +375,7 @@ func TestLiveEWOGossip(t *testing.T) {
 					Key: 1, Stamp: timesync.Stamp{Time: sim.Time(v), Node: timesync.NodeID(owner)}})
 			}
 			mu.Unlock()
-			node.Multicast(group, &wire.EWOUpdate{Reg: 1, From: uint16(i + 1), Sync: true, Entries: entries})
+			multicast(node, group, &wire.EWOUpdate{Reg: 1, From: uint16(i + 1), Sync: true, Entries: entries})
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

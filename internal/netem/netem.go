@@ -167,18 +167,9 @@ func DataCenter() LinkProfile {
 // Lossy returns profile p with the given loss rate.
 func (p LinkProfile) Lossy(rate float64) LinkProfile { p.LossRate = rate; return p }
 
-// DupLag is the extra delay of the second copy of a duplicated message:
-// half a propagation delay, plus one tick so the duplicate never ties with
-// the original.
-func (p LinkProfile) DupLag() sim.Duration { return p.Latency/2 + 1 }
-
-// ReorderLagMax bounds the extra delay a reordered message can pick up
-// (uniform in [0, ReorderLagMax]).
-func (p LinkProfile) ReorderLagMax() sim.Duration { return 4 * p.Latency }
-
 // MinDelay is the smallest possible send-to-arrival delay on the link.
-// Every stochastic component (jitter, serialization, reorder lag, DupLag)
-// is non-negative, so no delivery — duplicated or reordered — ever arrives
+// Every stochastic component (jitter, serialization, reorder lag, duplicate
+// lag) is non-negative, so no delivery — duplicated or reordered — ever arrives
 // earlier than Latency after its send. This is the lookahead invariant the
 // parallel simulation relies on: the conservative window width derived from
 // cross-shard MinDelay values can never be violated by a reordered or
@@ -213,19 +204,13 @@ func (s *LinkStats) add(o *LinkStats) {
 // except recv is touched only at send time (sender's shard); recv only at
 // delivery time (destination's shard).
 type link struct {
-	profile   LinkProfile
-	busyUntil sim.Time
-	// rng drives this link's loss/jitter/reorder/dup draws. Seeded from
-	// (engine seed, from, to) and created on first stochastic use, so
-	// deterministic links (the common case) never pay for it.
-	rng *rand.Rand
+	profile LinkProfile
+	// shape is the fault model's per-direction state (random stream,
+	// every-Nth counter, serialization horizon).
+	shape Shaper
 	// seq numbers scheduled arrivals; with the directed link id it forms
 	// the delivery's deterministic ordering key.
 	seq uint64
-	// nth counts messages that reached the LossEveryN check (sender-owned,
-	// no randomness): every LossEveryN-th is dropped. It survives profile
-	// changes so back-to-back bursts keep the periodic phase.
-	nth uint64
 	// sent is the sender-owned half: MsgsSent/BytesSent/MsgsDup plus drops
 	// decided at send time (loss, partition).
 	sent LinkStats
@@ -456,16 +441,18 @@ func (d *delivery) deliver() {
 	d.l, d.payload = nil, nil
 	n.dfree[d.shard] = append(n.dfree[d.shard], d)
 
-	eng := n.engines[d.shard]
+	n.arrive(d.shard, l, from, to, payload, size)
+}
+
+// arrive completes one delivery on the destination's shard: the message
+// reaches the handler, or drops if the node went down or a partition formed
+// while it was in flight.
+func (n *Network) arrive(shard int, l *link, from, to Addr, payload any, size int) {
 	dst := n.nodes.Get(to)
 	if dst == nil || !dst.up || n.partitioned(from, to) {
 		l.recv.MsgsDropped++
-		n.totals[d.shard].MsgsDropped++
-		if tr := eng.Tracer(); tr.Enabled() {
-			rec := tr.Emit(obs.PhaseInstant, int64(eng.Now()), 0, obs.PidFabric, "net", "drop.recv")
-			rec.K1, rec.V1 = "from", int64(from)
-			rec.K2, rec.V2 = "to", int64(to)
-		}
+		n.totals[shard].MsgsDropped++
+		n.traceDrop(n.engines[shard], "drop.recv", from, to)
 		if r, ok := payload.(Releasable); ok {
 			r.Release()
 		}
@@ -473,8 +460,8 @@ func (d *delivery) deliver() {
 	}
 	l.recv.MsgsDeliv++
 	l.recv.BytesDeliv += uint64(size)
-	n.totals[d.shard].MsgsDeliv++
-	n.totals[d.shard].BytesDeliv += uint64(size)
+	n.totals[shard].MsgsDeliv++
+	n.totals[shard].BytesDeliv += uint64(size)
 	// The delivery's payload reference passes to the receiver here.
 	dst.handler(from, payload, size)
 }
@@ -539,29 +526,10 @@ func (b *burst) deliver() {
 		if i > 0 {
 			eng.EmitEventInstant()
 		}
-		// Re-check the destination per member: a handler may take the node
-		// down mid-burst, and the remaining members must drop exactly as
-		// their individual delivery events would have.
-		dst := n.nodes.Get(to)
-		if dst == nil || !dst.up || n.partitioned(from, to) {
-			l.recv.MsgsDropped++
-			n.totals[shard].MsgsDropped++
-			if tr := eng.Tracer(); tr.Enabled() {
-				rec := tr.Emit(obs.PhaseInstant, int64(eng.Now()), 0, obs.PidFabric, "net", "drop.recv")
-				rec.K1, rec.V1 = "from", int64(from)
-				rec.K2, rec.V2 = "to", int64(to)
-			}
-			if r, ok := payload.(Releasable); ok {
-				r.Release()
-			}
-			continue
-		}
-		l.recv.MsgsDeliv++
-		l.recv.BytesDeliv += uint64(size)
-		n.totals[shard].MsgsDeliv++
-		n.totals[shard].BytesDeliv += uint64(size)
-		// Each member's payload reference passes to the receiver here.
-		dst.handler(from, payload, size)
+		// arrive re-checks the destination per member: a handler may take
+		// the node down mid-burst, and the remaining members must drop
+		// exactly as their individual delivery events would have.
+		n.arrive(shard, l, from, to, payload, size)
 	}
 	b.items = items[:0]
 	b.l = nil
@@ -667,12 +635,6 @@ func (n *Network) SetNodeUp(addr Addr, up bool) {
 	}
 }
 
-// NodeUp reports whether addr is attached and up.
-func (n *Network) NodeUp(addr Addr) bool {
-	ep := n.nodes.Get(addr)
-	return ep != nil && ep.up
-}
-
 // SetLink configures both directions between a and b with profile.
 func (n *Network) SetLink(a, b Addr, profile LinkProfile) {
 	n.linkFor(a, b).profile = profile
@@ -700,7 +662,7 @@ func (n *Network) linkFor(a, b Addr) *link {
 	}
 	l := row.Get(b)
 	if l == nil {
-		l = &link{profile: n.defaultProfile}
+		l = &link{profile: n.defaultProfile, shape: NewShaper(n.seed, a, b)}
 		row.Set(b, l)
 	}
 	return l
@@ -724,29 +686,6 @@ func (n *Network) sendLink(a, b Addr) *link {
 		panic(fmt.Sprintf("netem: send %d->%d on a link never materialized by Attach", a, b))
 	}
 	return n.linkFor(a, b)
-}
-
-// linkRand returns the link's private random stream, creating it on first
-// stochastic use. The seed depends only on (engine seed, from, to): the
-// stream is identical no matter when the link first draws, what other links
-// do, or how nodes are sharded.
-func (n *Network) linkRand(l *link, from, to Addr) *rand.Rand {
-	if l.rng == nil {
-		l.rng = rand.New(rand.NewSource(linkSeed(n.seed, from, to)))
-	}
-	return l.rng
-}
-
-// linkSeed mixes the engine seed with the directed pair (splitmix64
-// finalizer, same family as the deterministic HashIndex).
-func linkSeed(seed int64, from, to Addr) int64 {
-	z := uint64(seed) ^ 0x9e3779b97f4a7c15 ^ uint64(from)<<32 ^ uint64(to)<<16
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
 }
 
 // Profile returns the profile of the a->b direction: the configured link,
@@ -817,94 +756,53 @@ func (n *Network) Send(from, to Addr, payload any, size int) bool {
 	n.totals[shard].MsgsSent++
 	n.totals[shard].BytesSent += uint64(size)
 
-	if n.partitioned(from, to) {
-		l.sent.MsgsDropped++
-		n.totals[shard].MsgsDropped++
-		n.traceDrop(eng, "drop.partition", from, to)
+	v := Verdict{Fate: DropPartition}
+	if !n.partitioned(from, to) {
+		v = l.shape.Decide(&l.profile, eng.Now(), size)
+	}
+	if v.Fate != Deliver {
+		n.dropAtSend(eng, shard, l, v.Fate, from, to, payload, size)
 		return true
 	}
-	switch l.profile.Deny {
-	case DenyBlackhole:
-		l.sent.MsgsDropped++
-		n.totals[shard].MsgsDropped++
-		n.traceDrop(eng, "drop.blackhole", from, to)
-		return true
-	case DenyReject:
-		l.sent.MsgsDropped++
+	n.scheduleDelivery(eng, shard, v.Delay, l, from, to, payload, size)
+	if v.DupLag > 0 {
+		l.sent.MsgsDup++
+		n.totals[shard].MsgsDup++
+		n.traceDrop(eng, "dup", from, to)
+		n.scheduleDelivery(eng, shard, v.Delay+v.DupLag, l, from, to, payload, size)
+	}
+	return true
+}
+
+// dropAtSend accounts and traces a message the verdict condemned.
+func (n *Network) dropAtSend(eng *sim.Engine, shard int, l *link, fate Fate, from, to Addr, payload any, size int) {
+	l.sent.MsgsDropped++
+	n.totals[shard].MsgsDropped++
+	switch fate {
+	case DropCorrupt:
+		// Corruption drops the message — the model of a datagram failing its
+		// decode at the receiver — but first the checker gets to prove the
+		// real decoder survives the bit-flipped encoding. The checker's rng
+		// draws are part of the link stream, so they are byte-reproducible.
+		if n.corruptCheck != nil {
+			n.corruptCheck(shard, l.shape.Rand(), from, to, payload, size)
+		}
+		l.sent.MsgsCorrupt++
+		n.totals[shard].MsgsCorrupt++
+	case DropReject:
 		l.sent.MsgsRejected++
-		n.totals[shard].MsgsDropped++
 		n.totals[shard].MsgsRejected++
-		n.traceDrop(eng, "drop.reject", from, to)
 		// The ICMP analog: notify the sender after a round trip, as a local
 		// event on its own shard (deterministic across shard layouts, and
 		// exempt from the cross-shard lookahead floor).
 		if h := n.rejectHandlers[from]; h != nil {
 			eng.ScheduleAfter(2*l.profile.Latency+1, func() { h(to) })
 		}
-		return true
 	}
-	if l.profile.LossEveryN >= 1 {
-		l.nth++
-		if l.nth%uint64(l.profile.LossEveryN) == 0 {
-			l.sent.MsgsDropped++
-			n.totals[shard].MsgsDropped++
-			n.traceDrop(eng, "drop.nth", from, to)
-			return true
-		}
-	}
-	if l.profile.CorruptRate > 0 && n.linkRand(l, from, to).Float64() < l.profile.CorruptRate {
-		// Corruption drops the message — the model of a datagram failing its
-		// decode at the receiver — but first the checker gets to prove the
-		// real decoder survives the bit-flipped encoding. The checker's rng
-		// draws are part of the link stream, so they are byte-reproducible.
-		if n.corruptCheck != nil {
-			n.corruptCheck(shard, n.linkRand(l, from, to), from, to, payload, size)
-		}
-		l.sent.MsgsDropped++
-		l.sent.MsgsCorrupt++
-		n.totals[shard].MsgsDropped++
-		n.totals[shard].MsgsCorrupt++
-		n.traceDrop(eng, "drop.corrupt", from, to)
-		return true
-	}
-	if l.profile.LossRate > 0 && n.linkRand(l, from, to).Float64() < l.profile.LossRate {
-		l.sent.MsgsDropped++
-		n.totals[shard].MsgsDropped++
-		n.traceDrop(eng, "drop.loss", from, to)
-		return true
-	}
-
-	// Serialization delay with FIFO queueing at the sender side of the link.
-	now := eng.Now()
-	depart := now
-	if l.profile.BandwidthBps > 0 {
-		ser := sim.Duration(float64(size*8) / l.profile.BandwidthBps * 1e9)
-		if l.busyUntil > now {
-			depart = l.busyUntil
-		}
-		depart = depart.Add(ser)
-		l.busyUntil = depart
-	}
-	delay := depart.Sub(now) + l.profile.Latency
-	if l.profile.Jitter > 0 {
-		delay += sim.Duration(n.linkRand(l, from, to).Int63n(int64(l.profile.Jitter) + 1))
-	}
-	if l.profile.ReorderRate > 0 && n.linkRand(l, from, to).Float64() < l.profile.ReorderRate {
-		delay += sim.Duration(n.linkRand(l, from, to).Int63n(int64(l.profile.ReorderLagMax()) + 1))
-	}
-
-	n.scheduleDelivery(eng, shard, delay, l, from, to, payload, size)
-	if l.profile.DupRate > 0 && n.linkRand(l, from, to).Float64() < l.profile.DupRate {
-		l.sent.MsgsDup++
-		n.totals[shard].MsgsDup++
-		n.traceDrop(eng, "dup", from, to)
-		n.scheduleDelivery(eng, shard, delay+l.profile.DupLag(), l, from, to, payload, size)
-	}
-	return true
+	n.traceDrop(eng, fate.String(), from, to)
 }
 
-// traceDrop emits a fabric instant for a loss/partition/duplication
-// decision made at send time.
+// traceDrop emits a fabric instant for a drop or duplication decision.
 func (n *Network) traceDrop(eng *sim.Engine, name string, from, to Addr) {
 	tr := eng.Tracer()
 	if !tr.Enabled() {
@@ -940,27 +838,34 @@ func (n *Network) scheduleDelivery(eng *sim.Engine, shard int, delay sim.Duratio
 	at := eng.Now().Add(delay)
 	dst := n.shardIdx(to)
 	if dst == shard {
-		if n.coalesce {
-			if b := l.pending; b != nil && b.at == at {
-				b.items = append(b.items, burstItem{payload, size})
-				return
-			}
-			b := n.getBurst(dst)
-			b.l, b.from, b.to, b.at = l, from, to, at
-			b.items = append(b.items, burstItem{payload, size})
-			l.pending = b
-			eng.ScheduleKeyed(at, khi, klo, b.run)
-			return
-		}
-		d := n.getDelivery(dst)
-		d.l, d.from, d.to, d.payload, d.size = l, from, to, payload, size
-		eng.ScheduleKeyed(at, khi, klo, d.run)
+		n.queueArrival(dst, at, khi, klo, l, from, to, payload, size)
 		return
 	}
 	// Cross-shard: park in this shard's outbox; the barrier injects it.
 	n.outbox[shard] = append(n.outbox[shard], crossMsg{
 		at: at, khi: khi, klo: klo, l: l, from: from, to: to, payload: payload, size: size,
 	})
+}
+
+// queueArrival puts one arrival on its destination shard's queue: it joins
+// the link's open burst when that burst lands at the same time, else opens a
+// new one (or, with coalescing off, schedules a delivery of its own). Runs
+// on the destination's shard or at the barrier.
+func (n *Network) queueArrival(dst int, at sim.Time, khi, klo uint64, l *link, from, to Addr, payload any, size int) {
+	if !n.coalesce {
+		d := n.getDelivery(dst)
+		d.l, d.from, d.to, d.payload, d.size = l, from, to, payload, size
+		n.engines[dst].ScheduleKeyed(at, khi, klo, d.run)
+		return
+	}
+	b := l.pending
+	if b == nil || b.at != at {
+		b = n.getBurst(dst)
+		b.l, b.from, b.to, b.at = l, from, to, at
+		l.pending = b
+		n.engines[dst].ScheduleKeyed(at, khi, klo, b.run)
+	}
+	b.items = append(b.items, burstItem{payload, size})
 }
 
 // flushCross drains every shard outbox into the destination queues. It runs
@@ -1001,29 +906,11 @@ func (n *Network) flushCross() {
 				// Unpooled instance of a poolable type: plain-payload
 				// semantics, passes by pointer.
 			}
-			// Burst grouping applies the same join-or-replace rule the send
-			// path uses for same-shard links. A link's outbox entries appear
-			// in send order (one sender shard per directed link), so the
-			// bursts formed here are exactly the ones a sequential run forms
-			// at send time — event counts and traces stay identical across
-			// shard layouts.
-			if n.coalesce {
-				if b := m.l.pending; b != nil && b.at == m.at {
-					b.items = append(b.items, burstItem{payload, m.size})
-					*m = crossMsg{}
-					continue
-				}
-				b := n.getBurst(dst)
-				b.l, b.from, b.to, b.at = m.l, m.from, m.to, m.at
-				b.items = append(b.items, burstItem{payload, m.size})
-				m.l.pending = b
-				n.engines[dst].ScheduleKeyed(m.at, m.khi, m.klo, b.run)
-				*m = crossMsg{}
-				continue
-			}
-			d := n.getDelivery(dst)
-			d.l, d.from, d.to, d.payload, d.size = m.l, m.from, m.to, payload, m.size
-			n.engines[dst].ScheduleKeyed(m.at, m.khi, m.klo, d.run)
+			// A link's outbox entries appear in send order (one sender shard
+			// per directed link), so the bursts formed here are exactly the
+			// ones a sequential run forms at send time — event counts and
+			// traces stay identical across shard layouts.
+			n.queueArrival(dst, m.at, m.khi, m.klo, m.l, m.from, m.to, payload, m.size)
 			*m = crossMsg{}
 		}
 		n.outbox[si] = box[:0]

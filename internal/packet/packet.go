@@ -466,16 +466,3 @@ func foldSum(sum uint32) uint16 {
 // checksum computes the 16-bit ones-complement checksum of b with an
 // initial partial sum.
 func checksum(b []byte, initial uint32) uint16 { return foldSum(partialSum(b, initial)) }
-
-// VerifyIPChecksum reports whether the IPv4 header checksum in raw is valid.
-// raw must start at the IPv4 header.
-func VerifyIPChecksum(raw []byte) bool {
-	if len(raw) < ipv4Len {
-		return false
-	}
-	ihl := int(raw[0]&0x0f) * 4
-	if ihl < ipv4Len || len(raw) < ihl {
-		return false
-	}
-	return checksum(raw[:ihl], 0) == 0
-}

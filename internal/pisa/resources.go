@@ -2,17 +2,15 @@ package pisa
 
 import (
 	"fmt"
-	"slices"
 
 	"swishmem/internal/obs"
 )
 
-// This file implements the P4 memory objects of §2: register arrays, tables,
-// meters, and counters. Registers, meters, and counters can be modified from
-// the data plane; tables require the control plane — a distinction the model
-// enforces because SwiShmem's protocol choice per NF hinges on it
-// (Observation 1: read-intensive NFs already modify tables through the
-// control plane).
+// This file implements the P4 memory object of §2 the protocols are built
+// on: the register array, modifiable from the data plane (kvstore.go holds
+// the keyed store). Whether a hop's state update runs in the data plane or
+// needs the control plane — the distinction SwiShmem's protocol choice per NF
+// hinges on, Observation 1 — is chain.Config.Backing.
 
 // RegisterArray is a fixed-size array of fixed-width values in data-plane
 // SRAM. Width is in bytes; entries are indexed 0..Entries-1.
@@ -112,26 +110,10 @@ func (r *RegisterArray) U64Get(i int) uint64 {
 
 // U64Set writes entry i as a big-endian uint64 (width must be >= 8).
 func (r *RegisterArray) U64Set(i int, v uint64) {
-	r.u64set(i, v)
-	r.traceWrite("reg.write", i)
-}
-
-// u64set is the untraced store shared by U64Set and U64Add, so a
-// read-modify-write emits one record, not two.
-func (r *RegisterArray) u64set(i int, v uint64) {
 	cell := r.View(i)
 	cell[0], cell[1], cell[2], cell[3] = byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32)
 	cell[4], cell[5], cell[6], cell[7] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
-// U64Add atomically adds delta to entry i and returns the new value. The
-// atomicity is with respect to other packets (§2): within one packet's
-// processing this is just a read-modify-write.
-func (r *RegisterArray) U64Add(i int, delta uint64) uint64 {
-	v := r.U64Get(i) + delta
-	r.u64set(i, v)
-	r.traceWrite("reg.add", i)
-	return v
+	r.traceWrite("reg.write", i)
 }
 
 // HashIndex maps an arbitrary key to a register index in [0, size), the way
@@ -148,171 +130,3 @@ func HashIndex(key uint64, size int) int {
 	z ^= z >> 31
 	return int(z % uint64(size))
 }
-
-// Table is an exact-match table: data-plane lookup, control-plane-only
-// mutation. Capacity is fixed at allocation and charged against SRAM.
-type Table struct {
-	sw       *Switch
-	name     string
-	capacity int
-	keyW     int // accounting widths, bytes
-	valW     int
-	m        map[uint64][]byte
-}
-
-// NewTable allocates an exact-match table with the given capacity and
-// per-entry key/value widths (for memory accounting).
-func (s *Switch) NewTable(name string, capacity, keyWidth, valWidth int) (*Table, error) {
-	if capacity <= 0 || keyWidth <= 0 || valWidth < 0 {
-		return nil, fmt.Errorf("pisa: table %q needs positive capacity and key width", name)
-	}
-	if err := s.charge(capacity*(keyWidth+valWidth), "table "+name); err != nil {
-		return nil, err
-	}
-	return &Table{sw: s, name: name, capacity: capacity, keyW: keyWidth, valW: valWidth,
-		m: make(map[uint64][]byte)}, nil
-}
-
-// Lookup performs a data-plane match. ok is false on miss.
-func (t *Table) Lookup(key uint64) (val []byte, ok bool) {
-	v, ok := t.m[key]
-	return v, ok
-}
-
-// Len returns the number of installed entries.
-func (t *Table) Len() int { return len(t.m) }
-
-// Capacity returns the allocation size.
-func (t *Table) Capacity() int { return t.capacity }
-
-// Bytes returns the SRAM footprint.
-func (t *Table) Bytes() int { return t.capacity * (t.keyW + t.valW) }
-
-// Insert installs an entry. It returns an error if the table is full.
-// Tables are control-plane-owned: callers must invoke this from a CtrlDo
-// context; the model cannot verify the calling context, but Insert charges
-// no pipeline slot and protocol code in this repository only calls it from
-// control-plane callbacks.
-func (t *Table) Insert(key uint64, val []byte) error {
-	if _, exists := t.m[key]; !exists && len(t.m) >= t.capacity {
-		return fmt.Errorf("pisa: table %q full (%d entries)", t.name, t.capacity)
-	}
-	t.m[key] = append([]byte(nil), val...)
-	if tr := t.sw.tracer(); tr.Enabled() {
-		rec := tr.Emit(obs.PhaseInstant, int64(t.sw.eng.Now()), 0, t.sw.pid(), "switch", "table.insert")
-		rec.K1, rec.V1 = "key", int64(key)
-		rec.K2, rec.V2 = "len", int64(len(t.m))
-		rec.KS, rec.VS = "table", t.name
-	}
-	return nil
-}
-
-// Delete removes an entry (control-plane operation).
-func (t *Table) Delete(key uint64) { delete(t.m, key) }
-
-// Range iterates entries in ascending key order (control-plane operation,
-// used for snapshots). Deterministic order keeps recovery replay identical
-// across identically-seeded runs.
-func (t *Table) Range(fn func(key uint64, val []byte) bool) {
-	keys := make([]uint64, 0, len(t.m))
-	for k := range t.m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		if !fn(k, t.m[k]) {
-			return
-		}
-	}
-}
-
-// Free releases the table's memory.
-func (t *Table) Free() {
-	if t.m != nil {
-		t.sw.release(t.capacity * (t.keyW + t.valW))
-		t.m = nil
-	}
-}
-
-// Meter is an array of single-rate token buckets updated from the data
-// plane — the per-user meter of the rate limiter NF (§4.2).
-type Meter struct {
-	sw      *Switch
-	entries int
-	rate    float64 // tokens (bytes) per second
-	burst   float64
-	tokens  []float64
-	lastAt  []int64 // sim.Time of last update
-}
-
-// NewMeter allocates a meter array: each cell holds a token count and a
-// timestamp (16 bytes accounted per cell).
-func (s *Switch) NewMeter(name string, entries int, ratePerSec, burst float64) (*Meter, error) {
-	if entries <= 0 {
-		return nil, fmt.Errorf("pisa: meter %q needs positive entries", name)
-	}
-	if err := s.charge(entries*16, "meter "+name); err != nil {
-		return nil, err
-	}
-	m := &Meter{sw: s, entries: entries, rate: ratePerSec, burst: burst,
-		tokens: make([]float64, entries), lastAt: make([]int64, entries)}
-	for i := range m.tokens {
-		m.tokens[i] = burst
-	}
-	return m, nil
-}
-
-// Entries returns the number of meter cells.
-func (m *Meter) Entries() int { return m.entries }
-
-// Allow consumes cost tokens from cell i, refilled at the configured rate.
-// It reports whether the cell was conformant (green).
-func (m *Meter) Allow(i int, cost float64) bool {
-	now := int64(m.sw.eng.Now())
-	elapsed := float64(now-m.lastAt[i]) / 1e9
-	m.lastAt[i] = now
-	m.tokens[i] += elapsed * m.rate
-	if m.tokens[i] > m.burst {
-		m.tokens[i] = m.burst
-	}
-	green := false
-	if m.tokens[i] >= cost {
-		m.tokens[i] -= cost
-		green = true
-	}
-	if tr := m.sw.tracer(); tr.Enabled() {
-		rec := tr.Emit(obs.PhaseInstant, now, 0, m.sw.pid(), "switch", "meter.check")
-		rec.K1, rec.V1 = "index", int64(i)
-		rec.K2 = "green"
-		if green {
-			rec.V2 = 1
-		}
-	}
-	return green
-}
-
-// Counter is an array of data-plane counters readable by the control plane.
-type CounterArray struct {
-	sw     *Switch
-	counts []uint64
-}
-
-// NewCounterArray allocates a counter array (8 bytes per cell).
-func (s *Switch) NewCounterArray(name string, entries int) (*CounterArray, error) {
-	if entries <= 0 {
-		return nil, fmt.Errorf("pisa: counter array %q needs positive entries", name)
-	}
-	if err := s.charge(entries*8, "counter array "+name); err != nil {
-		return nil, err
-	}
-	return &CounterArray{sw: s, counts: make([]uint64, entries)}, nil
-}
-
-// Inc adds delta to cell i (data-plane operation).
-func (c *CounterArray) Inc(i int, delta uint64) { c.counts[i] += delta }
-
-// Read returns cell i (control-plane read).
-func (c *CounterArray) Read(i int) uint64 { return c.counts[i] }
-
-// Entries returns the array length.
-func (c *CounterArray) Entries() int { return len(c.counts) }

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"swishmem/internal/core"
 	"swishmem/internal/nf/ddos"
 	"swishmem/internal/nf/firewall"
 	"swishmem/internal/nf/ips"
@@ -17,9 +18,9 @@ import (
 
 // This file deploys the paper's six network functions (§4, Table 1) onto a
 // cluster: one NF instance per replica switch, all instances sharing state
-// through SwiShmem registers. Each Deploy* helper declares the register(s),
-// instantiates the NF on every switch, installs its pipeline program, and
-// wires the controller.
+// through SwiShmem registers. Each Deploy* helper says how to build its NF;
+// deployStrong and deployEWO declare the register, instantiate the NF on
+// every switch, install its pipeline program, and wire the controller.
 
 // Re-exported NF types.
 type (
@@ -60,6 +61,71 @@ type NATOptions struct {
 	PortBase       uint16
 }
 
+// strongNF and ewoNF are what deployment needs of an NF instance built on a
+// strong (SRO/ERO) register or on an EWO counter register.
+type strongNF interface {
+	Install()
+	Register() *StrongRegister
+}
+
+type ewoNF interface {
+	Install()
+	Register() *CounterRegister
+}
+
+// deployStrong deploys a strong-register NF: it declares the register
+// (unless the NF keeps only switch-local state: shared false), builds one
+// instance per switch and spare with mk, installs each pipeline program, and
+// hands the chain to the controller. kind names the NF in errors.
+func deployStrong[T strongNF](c *Cluster, kind, name string, shared bool,
+	mk func(i int, in *core.Instance, id uint16) (T, error)) ([]T, error) {
+	var id uint16 // 0: no shared register
+	if shared {
+		var err error
+		if id, err = c.allocReg(name); err != nil {
+			return nil, err
+		}
+	}
+	nfs := make([]T, 0, len(c.instances))
+	handles := make([]*StrongRegister, 0, len(c.instances))
+	for i, in := range c.instances {
+		n, err := mk(i, in, id)
+		if err != nil {
+			return nil, fmt.Errorf("swishmem: deploying %s %q: %w", kind, name, err)
+		}
+		n.Install()
+		nfs = append(nfs, n)
+		handles = append(handles, n.Register())
+	}
+	if shared {
+		c.wireChain(id, handles)
+	}
+	return nfs[:c.cfg.Switches], nil
+}
+
+// deployEWO deploys an EWO-register NF on the replica switches (spares hold
+// no EWO state) and hands the group to the controller.
+func deployEWO[T ewoNF](c *Cluster, kind, name string,
+	mk func(in *core.Instance, id uint16) (T, error)) ([]T, error) {
+	id, err := c.allocReg(name)
+	if err != nil {
+		return nil, err
+	}
+	nfs := make([]T, 0, c.cfg.Switches)
+	members := make([]groupMember, 0, c.cfg.Switches)
+	for _, in := range c.instances[:c.cfg.Switches] {
+		n, err := mk(in, id)
+		if err != nil {
+			return nil, fmt.Errorf("swishmem: deploying %s %q: %w", kind, name, err)
+		}
+		n.Install()
+		nfs = append(nfs, n)
+		members = append(members, n.Register().Node())
+	}
+	c.wireGroup(id, members)
+	return nfs, nil
+}
+
 // DeployNAT deploys the §4.1 NAT: a strongly consistent shared translation
 // table and per-switch partitioned port pools.
 func (c *Cluster) DeployNAT(name string, opts NATOptions) ([]*NAT, error) {
@@ -69,27 +135,13 @@ func (c *Cluster) DeployNAT(name string, opts NATOptions) ([]*NAT, error) {
 	if opts.PortBase == 0 {
 		opts.PortBase = 10000
 	}
-	id, err := c.allocReg(name)
-	if err != nil {
-		return nil, err
-	}
-	nats := make([]*NAT, 0, len(c.instances))
-	handles := make([]*StrongRegister, 0, len(c.instances))
-	for i, in := range c.instances {
+	return deployStrong(c, "NAT", name, true, func(i int, in *core.Instance, id uint16) (*NAT, error) {
 		lo := opts.PortBase + uint16(i*opts.PortsPerSwitch)
-		n, err := nat.New(in, nat.Config{
+		return nat.New(in, nat.Config{
 			Reg: id, Capacity: opts.Capacity, ExternalIP: opts.ExternalIP,
 			PortLo: lo, PortHi: lo + uint16(opts.PortsPerSwitch) - 1,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("swishmem: deploying NAT %q: %w", name, err)
-		}
-		n.Install()
-		nats = append(nats, n)
-		handles = append(handles, n.Register())
-	}
-	c.wireChain(id, handles)
-	return nats[:c.cfg.Switches], nil
+	})
 }
 
 // FirewallOptions parameterizes a firewall deployment.
@@ -102,23 +154,9 @@ type FirewallOptions struct {
 
 // DeployFirewall deploys the §4.1 stateful firewall.
 func (c *Cluster) DeployFirewall(name string, opts FirewallOptions) ([]*Firewall, error) {
-	id, err := c.allocReg(name)
-	if err != nil {
-		return nil, err
-	}
-	fws := make([]*Firewall, 0, len(c.instances))
-	handles := make([]*StrongRegister, 0, len(c.instances))
-	for _, in := range c.instances {
-		f, err := firewall.New(in, firewall.Config{Reg: id, Capacity: opts.Capacity, Inside: opts.Inside})
-		if err != nil {
-			return nil, fmt.Errorf("swishmem: deploying firewall %q: %w", name, err)
-		}
-		f.Install()
-		fws = append(fws, f)
-		handles = append(handles, f.Register())
-	}
-	c.wireChain(id, handles)
-	return fws[:c.cfg.Switches], nil
+	return deployStrong(c, "firewall", name, true, func(_ int, in *core.Instance, id uint16) (*Firewall, error) {
+		return firewall.New(in, firewall.Config{Reg: id, Capacity: opts.Capacity, Inside: opts.Inside})
+	})
 }
 
 // IPSOptions parameterizes an IPS deployment.
@@ -131,23 +169,9 @@ type IPSOptions struct {
 
 // DeployIPS deploys the §4.1 intrusion prevention system (ERO signatures).
 func (c *Cluster) DeployIPS(name string, opts IPSOptions) ([]*IPS, error) {
-	id, err := c.allocReg(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*IPS, 0, len(c.instances))
-	handles := make([]*StrongRegister, 0, len(c.instances))
-	for _, in := range c.instances {
-		s, err := ips.New(in, ips.Config{Reg: id, Capacity: opts.Capacity, MaxWindows: opts.MaxWindows})
-		if err != nil {
-			return nil, fmt.Errorf("swishmem: deploying IPS %q: %w", name, err)
-		}
-		s.Install()
-		out = append(out, s)
-		handles = append(handles, s.Register())
-	}
-	c.wireChain(id, handles)
-	return out[:c.cfg.Switches], nil
+	return deployStrong(c, "IPS", name, true, func(_ int, in *core.Instance, id uint16) (*IPS, error) {
+		return ips.New(in, ips.Config{Reg: id, Capacity: opts.Capacity, MaxWindows: opts.MaxWindows})
+	})
 }
 
 // LBOptions parameterizes a load-balancer deployment.
@@ -163,34 +187,12 @@ type LBOptions struct {
 // DeployLoadBalancer deploys the §4.1 L4 load balancer.
 func (c *Cluster) DeployLoadBalancer(name string, opts LBOptions) ([]*LoadBalancer, error) {
 	mode := lb.Replicated
-	var id uint16
-	var err error
 	if opts.Sharded {
 		mode = lb.Sharded
-		id = 0 // no shared register
-	} else {
-		id, err = c.allocReg(name)
-		if err != nil {
-			return nil, err
-		}
 	}
-	lbs := make([]*LoadBalancer, 0, len(c.instances))
-	handles := make([]*StrongRegister, 0, len(c.instances))
-	for _, in := range c.instances {
-		l, err := lb.New(in, lb.Config{Reg: id, Capacity: opts.Capacity, DIPs: opts.DIPs, Mode: mode})
-		if err != nil {
-			return nil, fmt.Errorf("swishmem: deploying LB %q: %w", name, err)
-		}
-		l.Install()
-		lbs = append(lbs, l)
-		if !opts.Sharded {
-			handles = append(handles, l.Register())
-		}
-	}
-	if !opts.Sharded {
-		c.wireChain(id, handles)
-	}
-	return lbs[:c.cfg.Switches], nil
+	return deployStrong(c, "LB", name, !opts.Sharded, func(_ int, in *core.Instance, id uint16) (*LoadBalancer, error) {
+		return lb.New(in, lb.Config{Reg: id, Capacity: opts.Capacity, DIPs: opts.DIPs, Mode: mode})
+	})
 }
 
 // DDoSOptions parameterizes a detector deployment.
@@ -207,27 +209,13 @@ type DDoSOptions struct {
 
 // DeployDDoS deploys the §4.2 DDoS detector (EWO counter-CRDT sketch).
 func (c *Cluster) DeployDDoS(name string, opts DDoSOptions) ([]*DDoSDetector, error) {
-	id, err := c.allocReg(name)
-	if err != nil {
-		return nil, err
-	}
-	dets := make([]*DDoSDetector, 0, c.cfg.Switches)
-	members := make([]groupMember, 0, c.cfg.Switches)
-	for i := 0; i < c.cfg.Switches; i++ {
-		d, err := ddos.New(c.instances[i], ddos.Config{
+	return deployEWO(c, "DDoS", name, func(in *core.Instance, id uint16) (*DDoSDetector, error) {
+		return ddos.New(in, ddos.Config{
 			Reg: id, Width: opts.Width, Depth: opts.Depth,
 			Threshold: opts.Threshold, Window: sim.Duration(opts.Window),
 			SyncPeriod: sim.Duration(opts.SyncPeriod),
 		})
-		if err != nil {
-			return nil, fmt.Errorf("swishmem: deploying DDoS %q: %w", name, err)
-		}
-		d.Install()
-		dets = append(dets, d)
-		members = append(members, d.Register().Node())
-	}
-	c.wireGroup(id, members)
-	return dets, nil
+	})
 }
 
 // RateLimitOptions parameterizes a rate-limiter deployment.
@@ -245,26 +233,12 @@ type RateLimitOptions struct {
 // DeployRateLimiter deploys the §4.2 distributed rate limiter (EWO
 // counters + periodic enforcement).
 func (c *Cluster) DeployRateLimiter(name string, opts RateLimitOptions) ([]*RateLimiter, error) {
-	id, err := c.allocReg(name)
-	if err != nil {
-		return nil, err
-	}
-	lims := make([]*RateLimiter, 0, c.cfg.Switches)
-	members := make([]groupMember, 0, c.cfg.Switches)
-	for i := 0; i < c.cfg.Switches; i++ {
-		l, err := ratelimit.New(c.instances[i], ratelimit.Config{
+	return deployEWO(c, "rate limiter", name, func(in *core.Instance, id uint16) (*RateLimiter, error) {
+		return ratelimit.New(in, ratelimit.Config{
 			Reg: id, Capacity: opts.Capacity,
 			BytesPerWindow: opts.BytesPerWindow,
 			Window:         sim.Duration(opts.Window),
 			SyncPeriod:     sim.Duration(opts.SyncPeriod),
 		})
-		if err != nil {
-			return nil, fmt.Errorf("swishmem: deploying rate limiter %q: %w", name, err)
-		}
-		l.Install()
-		lims = append(lims, l)
-		members = append(members, l.Register().Node())
-	}
-	c.wireGroup(id, members)
-	return lims, nil
+	})
 }

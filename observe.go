@@ -185,37 +185,10 @@ func (c *Cluster) Metrics() *MetricsRegistry {
 
 		in := c.instances[i]
 		in.EachChain(func(reg uint16, n *chain.Node) {
-			rl := fmt.Sprintf("%s,reg=%d", lbl, reg)
-			cs := n.Counters()
-			r.AddCounter("chain.writes_submitted", rl, &cs.WritesSubmitted)
-			r.AddCounter("chain.writes_committed", rl, &cs.WritesCommitted)
-			r.AddCounter("chain.writes_failed", rl, &cs.WritesFailed)
-			r.AddCounter("chain.retries", rl, &cs.Retries)
-			r.AddCounter("chain.applied", rl, &cs.Applied)
-			r.AddCounter("chain.stale_dropped", rl, &cs.StaleDropped)
-			r.AddCounter("chain.reads_local", rl, &cs.ReadsLocal)
-			r.AddCounter("chain.reads_forwarded", rl, &cs.ReadsForwarded)
-			r.AddCounter("chain.tail_reads", rl, &cs.TailReads)
-			r.AddCounter("chain.acks_sent", rl, &cs.AcksSent)
-			r.AddCounter("chain.held_back", rl, &cs.HeldBack)
-			r.AddCounter("chain.nacks_sent", rl, &cs.NacksSent)
-			r.AddCounter("chain.retransmits", rl, &cs.Retransmits)
-			r.AddCounter("chain.rtx_abandoned", rl, &cs.RtxAbandoned)
-			r.AddHistogram("chain.write_latency_ns", rl, n.WriteLatency())
+			n.RegisterMetrics(r, fmt.Sprintf("%s,reg=%d", lbl, reg))
 		})
 		in.EachEWO(func(reg uint16, n *ewo.Node) {
-			rl := fmt.Sprintf("%s,reg=%d", lbl, reg)
-			es := &n.Stats
-			r.AddCounter("ewo.writes", rl, &es.Writes)
-			r.AddCounter("ewo.reads", rl, &es.Reads)
-			r.AddCounter("ewo.updates_sent", rl, &es.UpdatesSent)
-			r.AddCounter("ewo.updates_recv", rl, &es.UpdatesRecv)
-			r.AddCounter("ewo.entries_merged", rl, &es.EntriesMerged)
-			r.AddCounter("ewo.entries_stale", rl, &es.EntriesStale)
-			r.AddCounter("ewo.sync_packets", rl, &es.SyncPackets)
-			r.AddCounter("ewo.update_bytes", rl, &es.UpdateBytes)
-			r.AddCounter("ewo.sync_bytes", rl, &es.SyncBytes)
-			r.AddCounter("ewo.groups_rejected", rl, &es.GroupsRejected)
+			n.RegisterMetrics(r, fmt.Sprintf("%s,reg=%d", lbl, reg))
 		})
 	}
 	return r
