@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz-smoke explore bench bench-smoke tables loc profile trace timeline live-soak clean
+.PHONY: all build test race vet fuzz-smoke explore bench bench-smoke pairs tables loc profile trace timeline live-soak clean
 
 all: build vet test
 
@@ -65,6 +65,16 @@ bench:
 # so an internal API change cannot break the harness unnoticed.
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# A change against its parent, as the PR driver measures it: N alternating
+# parent/change runs of workload W at the BENCHMARK.json run length (each
+# tree builds its own bench/run.sh), fresh seeds, then per end-to-end metric
+# both medians, the parent's quartile spread, wins/pairs and the verdict
+# (claimable / inside spread / worse). PARENT is a checkout of the parent
+# commit, e.g. `git clone . /root/scratch/parent`. ~1 min a run.
+pairs: N = 10
+pairs:
+	$(GO) run ./cmd/pairs -w $(W) -n $(N) -parent $(PARENT)
 
 # Regenerate every paper table/claim (every experiment in the DESIGN.md index).
 tables:

@@ -12,6 +12,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +117,14 @@ func BenchmarkEngineDeepQueue(b *testing.B) { experiments.MicroEngineDeepQueue(b
 // BenchmarkEngineScheduleRun measures schedule+pop with 1024 events inside
 // 100 ns: the shape a timing wheel cannot help, which must not get slower.
 func BenchmarkEngineScheduleRun(b *testing.B) { experiments.MicroEngineScheduleRun(b) }
+
+// BenchmarkNetemSendDeliver measures a message over a simulated link: Send
+// plus its share of the queued burst event that delivers 256 at once.
+func BenchmarkNetemSendDeliver(b *testing.B) { experiments.MicroNetemSendDeliver(b) }
+
+// BenchmarkNetemLocalSend measures it on a live fabric's local network now:
+// Send runs the handler itself and the engine sees no event.
+func BenchmarkNetemLocalSend(b *testing.B) { experiments.MicroNetemLocalSend(b) }
 
 // --- steady-state allocation budgets ---
 //
@@ -402,7 +411,19 @@ func BenchmarkE18_NthLossAnomaly(b *testing.B) { benchExperiment(b, "E18") }
 // still names the deleted interface where it means (*chain.Node).Counters/Get:
 // the identifiers of ISSUE 22 are not checked there until a benchmark PR
 // fixes that line and drops the exemption.
+//
+// The same walk holds every `make <target>` a document cites in backticks to
+// the Makefile's targets (bench/ excepted as above).
 func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`).FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	citedTarget := regexp.MustCompile("`make ([A-Za-z0-9_-]+)[^`]*`")
 	gone := []string{"BENCH_", "benchdiff", "make snapshot", "make pps", "-pps"}
 	goneOutsideBench := []string{"Replicator", "RetransmitNode", "NewRetransmitNode", "chain.New(", "replicator.go",
 		// ISSUE 23: the second copies of what sim and live both run, and
@@ -413,7 +434,7 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		"Directory.Migrate", "RemoveReplica", "Directory.Holds", "Directory.Registers"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -432,13 +453,22 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 			return err
 		}
 		names := gone
-		if !strings.HasPrefix(path, "bench"+string(filepath.Separator)) {
+		outsideBench := !strings.HasPrefix(path, "bench"+string(filepath.Separator))
+		if outsideBench {
 			names = append(names[:len(names):len(names)], goneOutsideBench...)
 		}
 		for i, line := range strings.Split(string(text), "\n") {
 			for _, g := range names {
 				if strings.Contains(line, g) {
 					t.Errorf("%s:%d cites %q, which no longer exists", path, i+1, g)
+				}
+			}
+			if !outsideBench {
+				continue
+			}
+			for _, m := range citedTarget.FindAllStringSubmatch(line, -1) {
+				if !targets[m[1]] {
+					t.Errorf("%s:%d cites `make %s`, which the Makefile does not have", path, i+1, m[1])
 				}
 			}
 		}

@@ -296,8 +296,8 @@ func runLiveSoak() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("soak: %d strong writes (%d committed), %d counter adds, %d lww writes\n",
-		rep.StrongWrites, rep.Committed, rep.CounterAdds, rep.LWWWrites)
+	fmt.Printf("soak: %d strong writes (%d committed), %d counter adds, %d lww writes, %d dropped on a local network\n",
+		rep.StrongWrites, rep.Committed, rep.CounterAdds, rep.LWWWrites, rep.LocalDropped)
 	if rep.TxCorrupted > 0 || rep.PauseRounds > 0 {
 		fmt.Printf("soak: chaos: %d corrupted tx, %d CRC/decode rejects, %d pause rounds\n",
 			rep.TxCorrupted, rep.RxDecodeErr, rep.PauseRounds)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"swishmem"
+	"swishmem/internal/netem"
 	"swishmem/internal/sim"
 	"swishmem/internal/timesync"
 	"swishmem/internal/wire"
@@ -298,5 +299,45 @@ func MicroSROLocalRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		regs[1].Read(1, func(v []byte, ok bool) {})
+	}
+}
+
+// MicroNetemSendDeliver measures one message over a simulated link, the body
+// of the repo benchmark's netem.send_deliver probe: Send on a datacenter
+// link, then the queued burst event that delivers it. 256 sends share an
+// instant and so one burst, the shape a simulated sync round has
+// (steady-state target: 0 allocs/op).
+func MicroNetemSendDeliver(b *testing.B) {
+	eng := sim.NewEngine(1)
+	microSendDeliver(b, eng, netem.New(eng, netem.DataCenter()), 256)
+}
+
+// MicroNetemLocalSend measures that message on a live fabric's local network
+// as it is now (netem.NewLocal): the handler runs inside Send and the engine
+// sees no event (steady-state target: 0 allocs/op).
+func MicroNetemLocalSend(b *testing.B) {
+	eng := sim.NewEngine(1)
+	microSendDeliver(b, eng, netem.NewLocal(eng), 1)
+}
+
+// microSendDeliver sends b.N heartbeats 1 -> 2 on nw, running the engine
+// after every drainEvery of them.
+func microSendDeliver(b *testing.B, eng *sim.Engine, nw *netem.Network, drainEvery int) {
+	delivered := 0
+	sink := func(netem.Addr, any, int) { delivered++ }
+	nw.Attach(1, sink)
+	nw.Attach(2, sink)
+	hb := &wire.Heartbeat{From: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw.Send(1, 2, hb, hb.Size())
+		if i%drainEvery == drainEvery-1 {
+			eng.Run()
+		}
+	}
+	eng.Run()
+	if delivered != b.N {
+		b.Fatalf("%d of %d messages delivered", delivered, b.N)
 	}
 }

@@ -10,7 +10,9 @@ import (
 
 	"swishmem"
 	"swishmem/internal/netem"
+	"swishmem/internal/netem/live"
 	"swishmem/internal/obs"
+	"swishmem/internal/wire"
 )
 
 // quietCluster starts a controller and n lossless members whose timers —
@@ -19,11 +21,19 @@ import (
 // only engine deadlines its pump wakes for are the ones a test causes.
 func quietCluster(t *testing.T, n int) []*Member {
 	t.Helper()
+	return quietClusterResend(t, n, 0)
+}
+
+// quietClusterResend is quietCluster with the controller's config re-send
+// period chosen too: at an hour (loopback loses nothing) a member's engine
+// runs no event a test did not cause. 0 is the controller's default, 100 ms.
+func quietClusterResend(t *testing.T, n int, resend time.Duration) []*Member {
+	t.Helper()
 	addrs := make([]netem.Addr, n)
 	for i := range addrs {
 		addrs[i] = netem.Addr(i + 1)
 	}
-	ctrlFab, _, err := NewLiveController(1, "", addrs, time.Hour, 0)
+	ctrlFab, _, err := NewLiveController(1, "", addrs, time.Hour, resend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +182,90 @@ func TestPostedWriteLoadTakesNoTimerWakes(t *testing.T) {
 	if wakes := timerWakes(members) - before; float64(wakes) > 0.02*total {
 		t.Fatalf("%d timer-started pump rounds for %d committed writes (%.3f per write), want <= 0.02 per write",
 			wakes, total, float64(wakes)/total)
+	}
+}
+
+// engineEvents sums over members what live.fabric.engine_events exports: the
+// fabric engine's processed-event count, read on the pump.
+func engineEvents(members ...*Member) (n uint64) {
+	for _, m := range members {
+		m.Fabric.Call(func() { n += m.Fabric.Engine().Processed() })
+	}
+	return n
+}
+
+// A fabric message costs a member one engine event — the switch's pipeline
+// task — where the queued local network cost three (inject burst, task,
+// relay burst). Counts, not timings: on a cluster whose timers are all an
+// hour out they repeat exactly.
+func TestFabricMessageCostsOneEngineEvent(t *testing.T) {
+	members := quietClusterResend(t, 3, time.Hour)
+	head, mid, tail := members[0], members[1], members[2]
+
+	// One chain frame off the wire: a forwarded read from a socket that
+	// claims the head's address. The tail serves it — one task — and its
+	// reply leaves through the head's relay with no event (3 at the parent).
+	stranger, err := live.Listen(head.Switch.Addr(), live.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stranger.Close()
+	stranger.AddPeerAddrPort(tail.Switch.Addr(), tail.Fabric.AddrPort())
+	before, headIn := engineEvents(tail), head.Fabric.FStats().Injected
+	if err := stranger.Send(tail.Switch.Addr(), &wire.ReadFwd{Reg: RegStrong, Key: 1, ReqID: 1 << 40, Origin: uint16(head.Switch.Addr())}); err != nil {
+		t.Fatal(err)
+	}
+	// The reply reaches the real head, which asked nothing and drops it.
+	waitInjected := func(m *Member, n uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); m.Fabric.FStats().Injected < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("member %d took %d messages, want %d", m.Switch.Addr(), m.Fabric.FStats().Injected, n)
+			}
+		}
+	}
+	waitInjected(head, headIn+1)
+	if got := engineEvents(tail) - before; got != 1 {
+		t.Errorf("one injected chain frame ran %d engine events on its member, want 1", got)
+	}
+
+	// One send to a remote address: none at all (1 at the parent).
+	before, egress := engineEvents(mid), mid.Fabric.FStats().EgressMsgs
+	mid.Fabric.Call(func() {
+		mid.Switch.Send(ControllerAddr, &wire.Heartbeat{From: uint16(mid.Switch.Addr()), Seq: 1})
+	})
+	// The egress worker counts the message once it is on the socket.
+	for deadline := time.Now().Add(10 * time.Second); mid.Fabric.FStats().EgressMsgs != egress+1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the send raised EgressMsgs by %d, want 1", mid.Fabric.FStats().EgressMsgs-egress)
+		}
+	}
+	if got := engineEvents(mid) - before; got != 0 {
+		t.Errorf("one Switch.Send to a remote address ran %d engine events, want 0", got)
+	}
+
+	// One committed write from the middle of the chain: the submit's
+	// control-plane task and one task for each of its five messages (write
+	// to the head, two hops down, the tail's ack to writer and head) — 6
+	// cluster-wide, where the parent's three events a message made it 16.
+	before, headIn = engineEvents(members...), head.Fabric.FStats().Injected
+	committed := make(chan bool, 1)
+	mid.Fabric.Post(func() {
+		mid.Strong.Write(7, []byte("12345678"), func(ok bool) { committed <- ok })
+	})
+	select {
+	case ok := <-committed:
+		if !ok {
+			t.Fatal("write failed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("write never committed")
+	}
+	// The head's copy of the ack may still be in flight: it is the second
+	// message the write brings the head.
+	waitInjected(head, headIn+2)
+	if got := engineEvents(members...) - before; got != 6 {
+		t.Errorf("a committed 3-member write ran %d engine events cluster-wide, want 6", got)
 	}
 }
 

@@ -167,6 +167,10 @@ type SoakReport struct {
 	// byte-fault pipeline's visible ends.
 	TxCorrupted uint64
 	RxDecodeErr uint64
+	// LocalDropped totals live.fabric.local_dropped over the members:
+	// messages a switch sent to an address its fabric had no relay for (a
+	// peer not learned yet, or evicted) or that met a failed switch.
+	LocalDropped uint64
 	// FlightRecord is the rendered flight record of a failing run ("" on
 	// pass): the last trace events across every node, the final metrics
 	// snapshot, and the timeline tail.
@@ -594,6 +598,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 		s := m.Fabric.Node().Stats()
 		rep.TxCorrupted += s.TxCorrupted
 		rep.RxDecodeErr += s.DecodeErr
+		rep.LocalDropped += m.Fabric.Network().Totals().MsgsDropped // pumps are stopped
 	}
 
 	final := obs.NewRegistry()

@@ -50,8 +50,8 @@ func TestSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}
-	t.Logf("soak: strongw=%d committed=%d ctr=%d lww=%d timeline-rows=%d",
-		rep.StrongWrites, rep.Committed, rep.CounterAdds, rep.LWWWrites, rep.TimelineRows)
+	t.Logf("soak: strongw=%d committed=%d ctr=%d lww=%d local-dropped=%d timeline-rows=%d",
+		rep.StrongWrites, rep.Committed, rep.CounterAdds, rep.LWWWrites, rep.LocalDropped, rep.TimelineRows)
 	writeOut := func(path, body string) {
 		if path == "" {
 			return

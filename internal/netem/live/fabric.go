@@ -19,18 +19,31 @@ import (
 // programming model every protocol layer was written against.
 //
 // The construction: each process owns a private sim.Engine plus a local
-// netem.Network with a zero-cost default profile. Local components (the
-// PISA switch, protocol nodes, timers) attach and run exactly as in
-// simulation. For every remote address the fabric attaches a *relay*
-// endpoint into the local network: a send from the switch to a remote
-// address arrives at the relay as an ordinary netem delivery, and the relay
-// marshals it onto the UDP socket. Inbound datagrams take the reverse trip:
-// the socket's read loop (raw, allocation-free) parks the bytes in an
-// inbox; the pump goroutine decodes them and injects them as local netem
-// deliveries from the relay address. The pump drives the engine with
-// RunUntil(wall-clock elapsed), so every virtual timer — heartbeats, write
-// retries, EWO sync rounds — fires at its wall time and all protocol state
-// stays single-goroutine (no locks were added to any protocol package).
+// netem.Network that is a switchboard, not a simulated link (netem.NewLocal):
+// a send on it runs the destination's handler inside the Send call, after the
+// usual checks, accounting, payload Ref and trace span, and costs no engine
+// event. Local components (the PISA switch, protocol nodes, timers) attach
+// and run exactly as in simulation. For every remote address the fabric
+// attaches a *relay* endpoint: a send from the switch to a remote address
+// calls the relay, which queues an egress record for the socket (inline
+// egress frames the message on the spot). Inbound datagrams take the reverse
+// trip: the socket's read loop (raw, allocation-free) parks the bytes in an
+// inbox; the pump goroutine decodes them and sends each message on the local
+// network from the sender's relay address, which calls the switch's receive:
+// it claims a pipeline slot and schedules the handler task — the one engine
+// event a fabric message costs. Both kinds of endpoint only defer, so a
+// delivery never re-enters a protocol handler. The pump drives the engine
+// with RunUntil(wall-clock elapsed), so every handler and every virtual timer
+// — heartbeats, write retries, EWO sync rounds — runs there, after the
+// round's posts and injects, and all protocol state stays single-goroutine
+// (no locks were added to any protocol package).
+//
+// A send to an address with no relay (peer not learned yet, or evicted) is
+// dropped in the call: counted (live.fabric.local_dropped), its pooled
+// payload released, recovered by the protocol's own retry. A handler cannot
+// tell this from the queued delivery it replaced, a Post-ed closure that
+// sends directly can: a relay that an inbound PeerList attaches later in the
+// same round no longer catches its message (bootstrap only).
 //
 // Fault injection lives in the transport node (Options.Profile and
 // receive-side loss), not the local network, so shaping applies to real
@@ -183,7 +196,7 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 		cfg:  cfg,
 		addr: cfg.Addr,
 		eng:  eng,
-		nw:   netem.New(eng, netem.LinkProfile{}),
+		nw:   netem.NewLocal(eng),
 		node: node,
 		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
@@ -684,7 +697,9 @@ func (f *Fabric) FStats() FabricStats {
 }
 
 // RegisterMetrics exposes transport and fabric counters on a metrics
-// registry under the given label (e.g. `node=3`).
+// registry under the given label (e.g. `node=3`). engine_events and
+// local_dropped are the engine's and the local network's own counts and
+// pump-owned: snapshot the registry under Call.
 func (f *Fabric) RegisterMetrics(reg *obs.Registry, labels string) {
 	reg.AddCounterFunc("live.tx.msgs", labels, func() uint64 { return f.node.Stats().Sent })
 	reg.AddCounterFunc("live.tx.bytes", labels, func() uint64 { return f.node.Stats().BytesSent })
@@ -708,5 +723,7 @@ func (f *Fabric) RegisterMetrics(reg *obs.Registry, labels string) {
 	reg.AddCounterFunc("live.fabric.posts_dropped", labels, func() uint64 { return f.FStats().PostsDropped })
 	reg.AddCounterFunc("live.fabric.pumps", labels, func() uint64 { return f.FStats().PumpRounds })
 	reg.AddCounterFunc("live.fabric.timer_wakes", labels, func() uint64 { return f.FStats().TimerWakes })
+	reg.AddCounterFunc("live.fabric.engine_events", labels, func() uint64 { return f.eng.Processed() })
+	reg.AddCounterFunc("live.fabric.local_dropped", labels, func() uint64 { return f.nw.Totals().MsgsDropped })
 	reg.AddGaugeFunc("live.fabric.peers", labels, func() float64 { return float64(len(f.node.Peers())) })
 }

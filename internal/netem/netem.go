@@ -317,14 +317,8 @@ type Network struct {
 	// totals are per executing shard (one row in sequential mode); Totals
 	// sums them so no row is ever written from two goroutines.
 	totals []LinkStats
-	// coalesce enables burst delivery: a run of sends arriving on the same
-	// directed link at the same virtual time rides one queued event instead
-	// of N. Deliveries of one link at one timestamp are already consecutive
-	// in the (khi, klo) event order, so bursting is invisible to the model —
-	// order, stats, event counts, and traces are byte-identical either way
-	// (the burst credits the coalesced dispatches back, see burst.deliver).
-	// On by default; SetCoalesce(false) restores one event per arrival.
-	coalesce bool
+	// mode is how an arrival reaches its destination (see deliveryMode).
+	mode deliveryMode
 	// dfree pools in-flight delivery records, one free list per shard: a
 	// record is always taken and returned on the destination's shard (same-
 	// shard sends run there already; cross-shard records materialize at the
@@ -536,18 +530,44 @@ func (b *burst) deliver() {
 	n.bfree[shard] = append(n.bfree[shard], b)
 }
 
+// deliveryMode is how an arrival reaches its destination's handler.
+type deliveryMode uint8
+
+const (
+	// deliverBurst (the default): a run of sends arriving on one directed
+	// link at one virtual time rides one queued event instead of N. Such
+	// deliveries are consecutive in the (khi, klo) event order anyway, so
+	// order, stats, event counts and traces are byte-identical to deliverEach
+	// (the burst credits the coalesced dispatches back, see burst.deliver).
+	deliverBurst  deliveryMode = iota
+	deliverEach                // one queued event per arrival: SetCoalesce(false)
+	deliverInCall              // an arrival due now runs inside its Send, unqueued: NewLocal
+)
+
 // New creates a network over eng where unset links use defaultProfile.
 func New(eng *sim.Engine, defaultProfile LinkProfile) *Network {
 	return &Network{
 		engines:        []*sim.Engine{eng},
 		seed:           eng.Seed(),
 		defaultProfile: defaultProfile,
-		coalesce:       true,
 		totals:         make([]LinkStats, 1),
 		dfree:          make([][]*delivery, 1),
 		bfree:          make([][]*burst, 1),
 		outbox:         make([][]crossMsg, 1),
 	}
+}
+
+// NewLocal creates the switchboard inside one process — a live fabric's
+// local network, whose links carry no model (faults live in the transport):
+// a message with a zero-delay verdict reaches its handler inside the Send
+// call, after every check, count, Ref and trace span a queued arrival gets,
+// and costs no engine event. Handlers run nested in whatever called Send, so
+// they must only defer their work, as a switch (claim a slot, schedule) and
+// a relay (append an egress record) do.
+func NewLocal(eng *sim.Engine) *Network {
+	n := New(eng, LinkProfile{})
+	n.mode = deliverInCall
+	return n
 }
 
 // NewSharded creates a network spanning the engines of a sim.Group.
@@ -567,7 +587,6 @@ func NewSharded(g *sim.Group, defaultProfile LinkProfile, shardOf func(Addr) int
 		shardOf:        shardOf,
 		seed:           engines[0].Seed(),
 		defaultProfile: defaultProfile,
-		coalesce:       true,
 		totals:         make([]LinkStats, len(engines)),
 		dfree:          make([][]*delivery, len(engines)),
 		bfree:          make([][]*burst, len(engines)),
@@ -594,7 +613,12 @@ func (n *Network) Engine() *sim.Engine { return n.engines[0] }
 // operation: call it between runs, never from model callbacks. Both settings
 // produce byte-identical runs — the knob exists for that A/B proof and for
 // isolating the optimization when profiling.
-func (n *Network) SetCoalesce(on bool) { n.coalesce = on }
+func (n *Network) SetCoalesce(on bool) {
+	n.mode = deliverBurst
+	if !on {
+		n.mode = deliverEach
+	}
+}
 
 // shardIdx maps an address to its shard (always 0 in sequential mode).
 func (n *Network) shardIdx(a Addr) int {
@@ -849,13 +873,9 @@ func (n *Network) scheduleDelivery(eng *sim.Engine, shard int, delay sim.Duratio
 
 // queueArrival puts one arrival on its destination shard's queue: it joins
 // the link's open burst when that burst lands at the same time, else opens a
-// new one (or, with coalescing off, schedules a delivery of its own). Runs
-// on the destination's shard or at the barrier.
+// new one. Runs on the destination's shard or at the barrier.
 func (n *Network) queueArrival(dst int, at sim.Time, khi, klo uint64, l *link, from, to Addr, payload any, size int) {
-	if !n.coalesce {
-		d := n.getDelivery(dst)
-		d.l, d.from, d.to, d.payload, d.size = l, from, to, payload, size
-		n.engines[dst].ScheduleKeyed(at, khi, klo, d.run)
+	if n.mode != deliverBurst && n.arriveUnbursted(dst, at, khi, klo, l, from, to, payload, size) {
 		return
 	}
 	b := l.pending
@@ -866,6 +886,24 @@ func (n *Network) queueArrival(dst int, at sim.Time, khi, klo uint64, l *link, f
 		n.engines[dst].ScheduleKeyed(at, khi, klo, b.run)
 	}
 	b.items = append(b.items, burstItem{payload, size})
+}
+
+// arriveUnbursted is queueArrival off the default mode, out of line so the
+// simulator's path stays one byte test and the burst code: a queued delivery
+// of its own with coalescing off; on a local network an arrival due now is
+// delivered here, inside its Send, and a later one — or one whose link has a
+// burst open, which it must not overtake — left to a burst (false).
+func (n *Network) arriveUnbursted(dst int, at sim.Time, khi, klo uint64, l *link, from, to Addr, payload any, size int) bool {
+	if n.mode == deliverEach {
+		d := n.getDelivery(dst)
+		d.l, d.from, d.to, d.payload, d.size = l, from, to, payload, size
+		n.engines[dst].ScheduleKeyed(at, khi, klo, d.run)
+	} else if at == n.engines[dst].Now() && l.pending == nil {
+		n.arrive(dst, l, from, to, payload, size)
+	} else {
+		return false
+	}
+	return true
 }
 
 // flushCross drains every shard outbox into the destination queues. It runs

@@ -24,13 +24,18 @@ func (r *recorder) handler(eng *sim.Engine) Handler {
 func setup(seed int64, p LinkProfile, nodes ...Addr) (*sim.Engine, *Network, map[Addr]*recorder) {
 	eng := sim.NewEngine(seed)
 	net := New(eng, p)
+	return eng, net, attachRecorders(eng, net, nodes)
+}
+
+// attachRecorders attaches a recorder at every address in nodes.
+func attachRecorders(eng *sim.Engine, net *Network, nodes []Addr) map[Addr]*recorder {
 	recs := make(map[Addr]*recorder)
 	for _, a := range nodes {
 		r := &recorder{}
 		recs[a] = r
 		net.Attach(a, r.handler(eng))
 	}
-	return eng, net, recs
+	return recs
 }
 
 func TestBasicDelivery(t *testing.T) {
