@@ -100,7 +100,7 @@ func (w *egressWorker) drain() {
 		}
 		w.rel = w.rel[:0]
 		if n >= egressDoneWake {
-			w.f.signal()
+			w.f.kick()
 		}
 	}
 }

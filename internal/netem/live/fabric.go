@@ -11,6 +11,7 @@ import (
 	"swishmem/internal/obs"
 	"swishmem/internal/packet"
 	"swishmem/internal/sim"
+	"swishmem/internal/stats"
 	"swishmem/internal/wire"
 )
 
@@ -27,16 +28,17 @@ import (
 // attaches a *relay* endpoint: a send from the switch to a remote address
 // calls the relay, which queues an egress record for the socket (inline
 // egress frames the message on the spot). Inbound datagrams take the reverse
-// trip: the socket's read loop (raw, allocation-free) parks the bytes in an
-// inbox; the pump goroutine decodes them and sends each message on the local
-// network from the sender's relay address, which calls the switch's receive:
-// it claims a pipeline slot and schedules the handler task — the one engine
-// event a fabric message costs. Both kinds of endpoint only defer, so a
-// delivery never re-enters a protocol handler. The pump drives the engine
-// with RunUntil(wall-clock elapsed), so every handler and every virtual timer
-// — heartbeats, write retries, EWO sync rounds — runs there, after the
-// round's posts and injects, and all protocol state stays single-goroutine
-// (no locks were added to any protocol package).
+// trip on the one pump goroutine, which reads the socket itself (Node.Poll):
+// it decodes each datagram and sends every message on the local network from
+// the sender's relay address, which calls the switch's receive: it claims a
+// pipeline slot and schedules the handler task — the one engine event a
+// fabric message costs. Both kinds of endpoint only defer, so a delivery
+// never re-enters a protocol handler. The pump drives the engine with
+// RunUntil(wall-clock elapsed), so every handler and every virtual timer —
+// heartbeats, write retries, EWO sync rounds — runs there, after the round's
+// posts and reads, and all protocol state stays single-goroutine (no locks
+// were added to any protocol package). With inline egress a running fabric
+// is that one goroutine.
 //
 // A send to an address with no relay (peer not learned yet, or evicted) is
 // dropped in the call: counted (live.fabric.local_dropped), its pooled
@@ -56,18 +58,18 @@ type Fabric struct {
 	node *Node
 
 	mu      sync.Mutex
-	inbox   []inbound
-	inFree  [][]byte
 	posts   []func()
 	started bool
 	// exited is set in the same critical section as the final pump's queue
 	// swap: a post that finds it set would never run.
 	exited bool
+	// parked is set while the pump waits in its socket read; kicked records
+	// a wake (kick) since the pump last parked or checked.
+	parked, kicked bool
 
-	// inboxSpare/postsSpare are the drained previous-round slices handed
-	// back by the pump so the producer side appends into warm storage
-	// instead of growing a fresh slice every round.
-	inboxSpare []inbound
+	// postsSpare is the drained previous-round slice handed back by the pump
+	// so the producer side appends into warm storage instead of growing a
+	// fresh slice every round.
 	postsSpare []func()
 
 	// lateMu serializes Calls that arrive after the pump has exited and
@@ -79,7 +81,6 @@ type Fabric struct {
 	// anyone.
 	cnt fabricCounters
 
-	wake chan struct{}
 	stop chan struct{}
 	done chan struct{}
 
@@ -90,6 +91,9 @@ type Fabric struct {
 	// addresses that already have a relay endpoint in the local network.
 	relays netem.AddrTable[bool]
 	system func(from netem.Addr, msg wire.Msg) bool
+	// late records how long after its engine deadline each timer wake ran
+	// (ns): live.fabric.timer_late.
+	late *stats.Histogram
 
 	// Egress. eworkers always holds at least one worker. With EgressShards
 	// <= 1 that worker is called synchronously on the pump goroutine and
@@ -147,7 +151,7 @@ type FabricStats struct {
 	Posts          uint64
 	PostsDropped   uint64 // posts refused because the pump had already exited
 	PumpRounds     uint64
-	TimerWakes     uint64 // pump rounds started by the engine deadline, not by a signal
+	TimerWakes     uint64 // pump rounds started by the engine deadline, not by a datagram or a kick
 }
 
 // fabricCounters is the live, concurrency-safe form of FabricStats.
@@ -174,11 +178,6 @@ type eRec struct {
 	msg wire.Msg
 }
 
-type inbound struct {
-	from netem.Addr
-	buf  []byte
-}
-
 // NewFabric builds a stopped fabric: engine, local network, and transport
 // node are live, the pump is not. Attach local components (pisa.New against
 // Engine()/Network(), protocol nodes, Bootstrap) and then call Start.
@@ -198,9 +197,9 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 		eng:  eng,
 		nw:   netem.NewLocal(eng),
 		node: node,
-		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
+		late: stats.NewHistogram(),
 	}
 	f.eworkers = make([]*egressWorker, max(cfg.EgressShards, 1))
 	for i := range f.eworkers {
@@ -391,29 +390,34 @@ func (f *Fabric) applyPeerList(pl *wire.PeerList) {
 	}
 }
 
-// onDatagram is the transport raw handler: it runs on the socket read loop,
-// learns unknown senders from the kernel-reported source, and parks a copy
-// of the payload in the inbox for the pump. Buffers recycle through the
-// inbox free list, so a warm fabric receives without allocating.
+// onDatagram is the transport raw handler. It runs on the pump, inside
+// Node.Poll: it learns an unknown sender from the kernel-reported source and
+// delivers the payload in place (the view decode copies it out of the node's
+// read buffer).
 func (f *Fabric) onDatagram(from netem.Addr, src netip.AddrPort, payload []byte) {
 	f.node.AddPeerIfAbsent(from, src)
-	f.mu.Lock()
-	var buf []byte
-	if n := len(f.inFree); n > 0 {
-		buf = f.inFree[n-1]
-		f.inFree[n-1] = nil
-		f.inFree = f.inFree[:n-1]
-	}
-	f.inbox = append(f.inbox, inbound{from: from, buf: append(buf[:0], payload...)})
-	f.mu.Unlock()
-	f.signal()
+	f.deliver(from, payload)
 }
 
-func (f *Fabric) signal() {
-	select {
-	case f.wake <- struct{}{}:
-	default:
+// aLongTimeAgo is the read deadline a kick sets: already passed, so the
+// pump's socket read returns at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// kick wakes the pump: a parked pump's socket read ends on a read deadline
+// in the past; one not parked runs one more round before it parks.
+func (f *Fabric) kick() {
+	f.mu.Lock()
+	f.kickLocked()
+	f.mu.Unlock()
+}
+
+// kickLocked is kick with f.mu held. The pump parks under the same lock, so
+// no kick is lost between its last look at the posts and its read.
+func (f *Fabric) kickLocked() {
+	if f.parked && !f.kicked {
+		_ = f.node.conn.SetReadDeadline(aLongTimeAgo)
 	}
+	f.kicked = true
 }
 
 // Post schedules fn on the pump goroutine (the only place engine-side state
@@ -433,9 +437,9 @@ func (f *Fabric) post(fn func()) bool {
 		return false
 	}
 	f.posts = append(f.posts, fn)
+	f.kickLocked()
 	f.mu.Unlock()
 	f.cnt.posts.Add(1)
-	f.signal()
 	return true
 }
 
@@ -518,75 +522,82 @@ func (f *Fabric) Stop() {
 			f.started, f.exited = true, true
 			close(f.done)
 		}
-		f.mu.Unlock()
 		close(f.stop)
+		f.kickLocked()
+		f.mu.Unlock()
 		<-f.done
 		_ = f.node.Close()
 	})
 }
 
-// loop is the pump: drain and advance, then sleep exactly until the next
-// engine deadline — or indefinitely when nothing is scheduled, since every
-// external input (inbound datagrams, posts, egress done lists) signals wake.
-// A fabric with an empty queue therefore costs zero wakeups. Rounds the
-// deadline started are counted apart (TimerWakes): they are what the node's
-// own timers cost, as opposed to the work others sent it.
+// readsPerRound bounds the datagrams one pump round reads before it runs
+// the engine, so a flooded socket cannot starve the round's timers.
+const readsPerRound = 64
+
+// loop is the pump: run a round, then park in a blocking socket read until a
+// datagram arrives, the next engine deadline passes (the socket's read
+// deadline), or a kick ends it — Post, Stop, and an egress worker's full done
+// list kick. With nothing scheduled there is no deadline, so a fabric with an
+// empty queue costs zero wakeups. The deadline is re-armed only when it
+// changed or a kick spent it. Rounds the deadline started are counted apart
+// (TimerWakes) and their lateness observed (live.fabric.timer_late): they are
+// what the node's own timers cost, as opposed to the work others sent it.
 func (f *Fabric) loop() {
 	defer close(f.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
+	var armed time.Time // the socket's read deadline; zero: none
 	for {
 		f.pump(false)
-		var timerC <-chan time.Time
-		if d, ok := f.sleepFor(); ok {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(d)
-			timerC = timer.C
+		var due time.Time
+		if next, ok := f.eng.NextAt(); ok {
+			due = f.startWall.Add(time.Duration(next))
 		}
+		if !due.Equal(armed) {
+			_ = f.node.conn.SetReadDeadline(due)
+			armed = due
+		}
+		f.mu.Lock()
 		select {
 		case <-f.stop:
+			f.mu.Unlock()
 			f.pump(true) // final drain so Call-ers are never stranded
 			f.stopEgress()
 			return
-		case <-f.wake:
-		case <-timerC: // nil (blocks forever) when nothing is scheduled
+		default:
+		}
+		if len(f.posts) > 0 || f.kicked {
+			f.kicked = false
+			f.mu.Unlock()
+			continue
+		}
+		f.parked = true
+		f.mu.Unlock()
+		got, _ := f.node.Poll(true)
+		f.mu.Lock()
+		kicked := f.kicked
+		f.parked, f.kicked = false, false
+		f.mu.Unlock()
+		switch {
+		case kicked:
+			armed = aLongTimeAgo
+		case !got && !armed.IsZero():
 			f.cnt.timerWakes.Add(1)
+			f.late.ObserveDuration(time.Since(armed))
 		}
 	}
 }
 
-// sleepFor returns how long the pump may sleep: until the next engine
-// deadline. ok is false when there is no deadline to wake for (sleep until
-// signaled).
-func (f *Fabric) sleepFor() (time.Duration, bool) {
-	next, ok := f.eng.NextAt()
-	if !ok {
-		return 0, false
-	}
-	return max(time.Until(f.startWall.Add(time.Duration(next))), 0), true
-}
-
-// pump runs queued posts, injects inbound messages, advances the engine to
-// the current wall-clock time, and flushes any egress batches the round
-// opened. final marks the last round: from its queue swap on, posts are
-// refused.
+// pump runs queued posts, reads what the socket holds (up to readsPerRound
+// datagrams), advances the engine to the current wall-clock time, and
+// flushes any egress batches the round opened. Reads come before the
+// engine, so datagrams that queued while the process stalled are in before
+// the timers that came due meanwhile fire. final marks the last round: from
+// its queue swap on, posts are refused.
 func (f *Fabric) pump(final bool) {
 	f.mu.Lock()
 	f.exited = final
 	posts := f.posts
 	f.posts = f.postsSpare
 	f.postsSpare = nil
-	inbox := f.inbox
-	f.inbox = f.inboxSpare
-	f.inboxSpare = nil
 	f.mu.Unlock()
 	f.cnt.pumpRounds.Add(1)
 
@@ -596,23 +607,18 @@ func (f *Fabric) pump(final bool) {
 	if f.epend != nil {
 		f.collectEgressDone()
 	}
-	for i := range inbox {
-		f.deliver(inbox[i].from, inbox[i].buf)
+	for i := 0; i < readsPerRound; i++ {
+		if got, _ := f.node.Poll(false); !got {
+			break
+		}
 	}
 	f.eng.RunUntil(sim.Time(time.Since(f.startWall)))
 	f.flushEgress()
 
-	// Hand the drained slices back as next round's spares (buffers return
-	// to the inbox free list) so steady-state rounds reuse warm storage.
-	for i := range posts {
-		posts[i] = nil
-	}
+	// Hand the drained slice back as next round's spare so steady-state
+	// rounds reuse warm storage.
+	clear(posts)
 	f.mu.Lock()
-	for i := range inbox {
-		f.inFree = append(f.inFree, inbox[i].buf[:0])
-		inbox[i] = inbound{}
-	}
-	f.inboxSpare = inbox[:0]
 	f.postsSpare = posts[:0]
 	f.mu.Unlock()
 }
@@ -697,9 +703,9 @@ func (f *Fabric) FStats() FabricStats {
 }
 
 // RegisterMetrics exposes transport and fabric counters on a metrics
-// registry under the given label (e.g. `node=3`). engine_events and
-// local_dropped are the engine's and the local network's own counts and
-// pump-owned: snapshot the registry under Call.
+// registry under the given label (e.g. `node=3`). engine_events,
+// local_dropped and timer_late are the engine's, the local network's and the
+// pump's own and pump-owned: snapshot the registry under Call.
 func (f *Fabric) RegisterMetrics(reg *obs.Registry, labels string) {
 	reg.AddCounterFunc("live.tx.msgs", labels, func() uint64 { return f.node.Stats().Sent })
 	reg.AddCounterFunc("live.tx.bytes", labels, func() uint64 { return f.node.Stats().BytesSent })
@@ -723,6 +729,7 @@ func (f *Fabric) RegisterMetrics(reg *obs.Registry, labels string) {
 	reg.AddCounterFunc("live.fabric.posts_dropped", labels, func() uint64 { return f.FStats().PostsDropped })
 	reg.AddCounterFunc("live.fabric.pumps", labels, func() uint64 { return f.FStats().PumpRounds })
 	reg.AddCounterFunc("live.fabric.timer_wakes", labels, func() uint64 { return f.FStats().TimerWakes })
+	reg.AddHistogram("live.fabric.timer_late", labels, f.late)
 	reg.AddCounterFunc("live.fabric.engine_events", labels, func() uint64 { return f.eng.Processed() })
 	reg.AddCounterFunc("live.fabric.local_dropped", labels, func() uint64 { return f.nw.Totals().MsgsDropped })
 	reg.AddGaugeFunc("live.fabric.peers", labels, func() float64 { return float64(len(f.node.Peers())) })

@@ -180,6 +180,42 @@ func TestFabricDeliverZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFabricPollZeroAllocs pins the receive path end to end: once warm, a
+// batch datagram read off the socket by Node.Poll goes through the frame
+// checks, the sender lookup and deliver with zero allocations.
+func TestFabricPollZeroAllocs(t *testing.T) {
+	f := newTestFabric(t, 7) // never started: Poll runs on this goroutine
+	f.SetSystemHandler(func(netem.Addr, wire.Msg) bool { return true })
+	tx, err := Listen(3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	tx.AddPeerAddrPort(f.Addr(), f.AddrPort())
+	payload := wire.Marshal(&wire.Batch{Msgs: []wire.Msg{
+		&wire.Write{Reg: 1, Key: 9, Seq: 4, WriteID: 7, Writer: 2, Epoch: 1, Value: []byte("batched!")},
+		&wire.WriteAck{Reg: 1, Key: 9, Seq: 4, WriteID: 7, Writer: 2, Epoch: 1},
+		&wire.Heartbeat{From: 3, Seq: 1},
+	}})
+	cycles := uint64(0)
+	cycle := func() {
+		cycles++
+		if err := tx.SendEncoded(f.Addr(), payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := f.node.Poll(true); !got {
+			t.Fatalf("Poll read nothing: %v", err)
+		}
+	}
+	cycle() // warm the view-set pool and the peer table
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("allocs per polled datagram = %v, want 0", n)
+	}
+	if st := f.FStats(); st.DecodeErr != 0 || st.SystemConsumed != 3*cycles {
+		t.Fatalf("decode errors = %d, consumed = %d, want 0 and %d", st.DecodeErr, st.SystemConsumed, 3*cycles)
+	}
+}
+
 // TestFabricEgressWorkerZeroAllocs pins the send side: a warm egress worker
 // coalescing pooled messages to a known peer writes datagrams without
 // allocating per message.

@@ -2,21 +2,24 @@ package live
 
 import (
 	"bytes"
-	"net/netip"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"swishmem/internal/chain"
 	"swishmem/internal/netem"
+	"swishmem/internal/obs"
+	"swishmem/internal/pisa"
 	"swishmem/internal/sim"
 	"swishmem/internal/wire"
 )
 
 // TestFabricIdleNoSpin: a started fabric with nothing scheduled and no
-// traffic must park on its wake channel instead of polling — the pump runs
-// once at Start and then sleeps until signaled.
+// traffic must park in its socket read instead of polling — the pump runs
+// once at Start and then sleeps until a datagram or a kick.
 func TestFabricIdleNoSpin(t *testing.T) {
 	f := newTestFabric(t, 9)
 	f.Start()
@@ -50,11 +53,11 @@ func TestFabricTimerWakesCountDeadlineRounds(t *testing.T) {
 	}
 }
 
-// TestFabricIngressArrivalOrder feeds datagrams from interleaved senders
-// straight into the raw handler and checks the system handler observes them
-// in exact arrival order. The stream includes a coalesced batch (expands in
-// frame order at its slot) and a corrupt datagram (counted, injects nothing,
-// never stalls what is queued behind it).
+// TestFabricIngressArrivalOrder sends datagrams from interleaved senders to
+// a running fabric's socket and checks the system handler observes them in
+// exact arrival order across the pump's rounds. The stream includes a
+// coalesced batch (expands in frame order at its slot) and a corrupt datagram
+// (counted, injects nothing, never stalls what is queued behind it).
 func TestFabricIngressArrivalOrder(t *testing.T) {
 	f := newTestFabric(t, 1)
 
@@ -70,11 +73,23 @@ func TestFabricIngressArrivalOrder(t *testing.T) {
 	})
 	f.Start()
 
-	src := netip.MustParseAddrPort("127.0.0.1:19")
+	senders := []netem.Addr{2, 3, 4, 5, 6}
+	nodes := map[netem.Addr]*Node{}
+	for _, a := range senders {
+		n, err := Listen(a, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		n.AddPeerAddrPort(f.Addr(), f.AddrPort())
+		nodes[a] = n
+	}
 	var want []rx
 	seq := uint64(0)
 	send := func(from netem.Addr, payload []byte) {
-		f.onDatagram(from, src, payload)
+		if err := nodes[from].SendEncoded(f.Addr(), payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	one := func(from netem.Addr) {
 		send(from, wire.Marshal(&wire.Heartbeat{From: uint16(from), Seq: seq}))
@@ -82,7 +97,6 @@ func TestFabricIngressArrivalOrder(t *testing.T) {
 		seq++
 	}
 
-	senders := []netem.Addr{2, 3, 4, 5, 6}
 	for i := 0; i < 40; i++ {
 		one(senders[i%len(senders)])
 	}
@@ -169,7 +183,7 @@ func TestFabricCoalesceOverflow(t *testing.T) {
 }
 
 // TestFabricInlineEgressStartsNoGoroutines: with EgressShards 0 a running
-// fabric is the pump plus the socket reader and nothing else.
+// fabric is the pump — which reads its own socket — and nothing else.
 func TestFabricInlineEgressStartsNoGoroutines(t *testing.T) {
 	f, err := NewFabric(FabricConfig{Addr: 9, Seed: 9, Coalesce: true})
 	if err != nil {
@@ -185,8 +199,8 @@ func TestFabricInlineEgressStartsNoGoroutines(t *testing.T) {
 			ours = append(ours, g)
 		}
 	}
-	if len(ours) != 2 {
-		t.Fatalf("%d package goroutines running, want 2 (pump + socket reader):\n%s",
+	if len(ours) != 1 {
+		t.Fatalf("%d package goroutines running, want 1 (the pump):\n%s",
 			len(ours), strings.Join(ours, "\n\n"))
 	}
 }
@@ -214,4 +228,130 @@ func TestFabricCallAfterStop(t *testing.T) {
 			t.Fatalf("started=%v: PostsDropped = %d, want 1", started, n)
 		}
 	}
+}
+
+// isParked reports whether the pump is waiting in its socket read.
+func (f *Fabric) isParked() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.parked
+}
+
+// TestFabricPostWakesParkedPump: a pump parked with no engine deadline waits
+// in a socket read that only a datagram or a kick ends. Eight goroutines
+// hammering Post and Call must never lose a kick — every Call returns, every
+// post runs — and Stop while parked must return at once. Run under -race.
+func TestFabricPostWakesParkedPump(t *testing.T) {
+	f := newTestFabric(t, 9) // nothing scheduled: no read deadline
+	f.Start()
+	waitFor(t, f.isParked)
+
+	const workers, each = 8, 500
+	var ran atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if i%2 == 0 {
+					f.Post(func() { ran.Add(1) })
+				} else {
+					f.Call(func() { ran.Add(1) })
+				}
+			}
+		}()
+	}
+	returned := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a Call never returned: a kick was lost")
+	}
+	waitFor(t, func() bool { return ran.Load() == workers*each })
+
+	waitFor(t, f.isParked)
+	stopped := make(chan struct{})
+	go func() {
+		f.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatal("Stop of a parked pump did not return within 1s")
+	}
+}
+
+// TestFabricRoundReadsBeforeItsTimers: a round reads what queued in the
+// socket before it runs the timers that came due meanwhile. A writer's ack
+// waits in the socket while the clock jumps 300 ms, past the write's 100 ms
+// retry; the round must commit the write, and the retry must not fire.
+func TestFabricRoundReadsBeforeItsTimers(t *testing.T) {
+	f := newTestFabric(t, 1) // never started: the test runs its pump rounds
+	sw := newTestSwitch(f)
+	cn, err := chain.NewNode(sw, chain.Config{Reg: 1, Capacity: 4, ValueWidth: 8, RetryTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn.SetChain(wire.ChainConfig{Epoch: 1, Members: []uint16{2}}) // a remote head and tail
+	sw.SetMsgHandler(func(_ *pisa.Switch, from netem.Addr, msg wire.Msg) { cn.Handle(from, msg) })
+
+	tail := listen(t, 2, Options{})
+	writes := make(chan wire.Write, 1)
+	tail.SetRawHandler(decoded(func(_ netem.Addr, msg wire.Msg) {
+		if w, ok := msg.(*wire.Write); ok {
+			writes <- *w
+		}
+	}))
+	tail.AddPeerAddrPort(1, f.AddrPort())
+	f.AddRemote(2, tail.AddrPort())
+
+	committed := false
+	f.startWall = time.Now()
+	cn.Write(5, []byte("12345678"), func(ok bool) { committed = ok })
+	f.pump(false) // submit: the write leaves for the tail, the retry is armed
+	var w wire.Write
+	select {
+	case w = <-writes:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the write never reached the tail")
+	}
+	if err := tail.Send(1, &wire.WriteAck{Reg: 1, Key: w.Key, Seq: 1, WriteID: w.WriteID, Writer: 1, Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	f.startWall = f.startWall.Add(-300 * time.Millisecond) // a whole-process stall
+	f.pump(false)
+	if !committed {
+		t.Fatal("the round did not commit the write its queued ack acknowledges")
+	}
+	if n := cn.Counters().Retries.Value(); n != 0 {
+		t.Fatalf("%d retries: the retry timer fired before the round read the ack", n)
+	}
+}
+
+// TestFabricTimerLateReported: a fabric with a 1 ms engine timer reports one
+// live.fabric.timer_late sample per timer wake.
+func TestFabricTimerLateReported(t *testing.T) {
+	f := newTestFabric(t, 9)
+	f.Engine().Every(time.Millisecond, func() {})
+	reg := obs.NewRegistry()
+	f.RegisterMetrics(reg, "")
+	f.Start()
+	waitFor(t, func() bool {
+		var samples float64
+		var wakes uint64
+		f.Call(func() {
+			samples, _ = reg.Snapshot().Value("live.fabric.timer_late", "")
+			wakes = f.FStats().TimerWakes
+		})
+		if samples != float64(wakes) {
+			t.Fatalf("%v timer_late samples for %d timer wakes", samples, wakes)
+		}
+		return samples > 0
+	})
 }

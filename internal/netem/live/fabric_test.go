@@ -8,7 +8,7 @@ import (
 	"swishmem/internal/wire"
 )
 
-func newTestFabric(t *testing.T, addr netem.Addr) *Fabric {
+func newTestFabric(t testing.TB, addr netem.Addr) *Fabric {
 	t.Helper()
 	f, err := NewFabric(FabricConfig{Addr: addr, Seed: int64(addr)})
 	if err != nil {

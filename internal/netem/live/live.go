@@ -30,7 +30,9 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
+	"unsafe"
 
 	"swishmem/internal/netem"
 	"swishmem/internal/sim"
@@ -112,9 +114,21 @@ type Node struct {
 	closeOnce sync.Once
 	closeErr  error
 	closed    chan struct{}
-	wg        sync.WaitGroup
 
-	// cnt holds the transport counters as atomics: the read loop, every
+	// Receive state, owned by the one goroutine that polls: the socket's raw
+	// handle, the read buffer, the sender address and result of the last
+	// recvfrom, and the two recvfrom closures, bound once so a read allocates
+	// nothing.
+	rc       syscall.RawConn
+	rbuf     []byte
+	rsa      syscall.RawSockaddrInet4
+	rsaLen   uint32
+	rn       int
+	rerr     syscall.Errno
+	recvNow  func(fd uintptr)
+	recvWait func(fd uintptr) bool
+
+	// cnt holds the transport counters as atomics: the poller, every
 	// sender, and delayed-write timers bump them lock-free, and Stats
 	// snapshots without stalling anyone.
 	cnt nodeCounters
@@ -148,6 +162,7 @@ type nodeCounters struct {
 }
 
 // Listen binds a node to opts.Listen (default 127.0.0.1, ephemeral port).
+// The node starts no goroutine: datagrams wait in the socket until Poll.
 func Listen(addr netem.Addr, opts Options) (*Node, error) {
 	bind := opts.Listen
 	if bind == "" {
@@ -161,6 +176,11 @@ func Listen(addr netem.Addr, opts Options) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: listen: %w", err)
 	}
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("live: listen: %w", err)
+	}
 	n := &Node{
 		addr:         addr,
 		conn:         conn,
@@ -172,13 +192,15 @@ func Listen(addr netem.Addr, opts Options) (*Node, error) {
 		born:         time.Now(),
 		rng:          rand.New(rand.NewSource(opts.Seed)),
 		closed:       make(chan struct{}),
+		rc:           rc,
+		rbuf:         make([]byte, 64<<10),
 	}
 	n.sendBufs.New = func() any {
 		b := make([]byte, 0, 2048)
 		return &b
 	}
-	n.wg.Add(1)
-	go n.readLoop()
+	n.recvNow = func(fd uintptr) { n.recvfrom(fd) }
+	n.recvWait = func(fd uintptr) bool { n.recvfrom(fd); return n.rerr != syscall.EAGAIN }
 	return n, nil
 }
 
@@ -194,8 +216,8 @@ func (n *Node) AddrPort() netip.AddrPort {
 }
 
 // SetRawHandler installs the receive handler; set it before traffic flows.
-// The transport never decodes — the receive path runs allocation-free and
-// the fabric pump decodes on the engine goroutine.
+// It runs on the goroutine that calls Poll. The transport never decodes — the
+// receive path runs allocation-free and the fabric pump decodes.
 func (n *Node) SetRawHandler(h RawHandler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -490,38 +512,64 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// Close shuts the socket down and waits for the read loop. Safe to call
-// concurrently and repeatedly: a sync.Once runs the teardown exactly once
-// and every caller observes its result.
+// Close shuts the socket down; a Poll waiting on it returns an error. Safe
+// to call concurrently and repeatedly: a sync.Once runs the teardown exactly
+// once and every caller observes its result.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		close(n.closed)
 		n.closeErr = n.conn.Close()
-		n.wg.Wait()
 	})
 	return n.closeErr
 }
 
-func (n *Node) readLoop() {
-	defer n.wg.Done()
-	buf := make([]byte, 64<<10)
+// Poll reads at most one datagram and hands it to processDatagram. With
+// block false it never waits and got is false when the socket is empty. With
+// block true it waits for a datagram or for the socket's read deadline
+// (conn.SetReadDeadline), which ends the wait with os.ErrDeadlineExceeded.
+// One goroutine polls a node — the read buffer is the node's own — and a
+// warm read allocates nothing. The read is a raw recvfrom(2): Unix only.
+func (n *Node) Poll(block bool) (got bool, err error) {
+	if block {
+		err = n.rc.Read(n.recvWait)
+	} else {
+		err = n.rc.Control(n.recvNow)
+	}
+	switch {
+	case err != nil:
+		return false, err
+	case n.rerr == syscall.EAGAIN:
+		return false, nil
+	case n.rerr != 0:
+		return false, n.rerr
+	}
+	var src netip.AddrPort
+	if n.rsa.Family == syscall.AF_INET {
+		port := (*[2]byte)(unsafe.Pointer(&n.rsa.Port)) // network byte order
+		src = netip.AddrPortFrom(netip.AddrFrom4(n.rsa.Addr), binary.BigEndian.Uint16(port[:]))
+	}
+	n.processDatagram(src, n.rbuf[:n.rn])
+	return true, nil
+}
+
+// recvfrom is one non-blocking recvfrom(2) on the socket into the node's
+// read buffer and sender address.
+func (n *Node) recvfrom(fd uintptr) {
 	for {
-		sz, src, err := n.conn.ReadFromUDPAddrPort(buf)
-		select {
-		case <-n.closed:
+		n.rsaLen = syscall.SizeofSockaddrInet4
+		r, _, e := syscall.Syscall6(syscall.SYS_RECVFROM, fd,
+			uintptr(unsafe.Pointer(&n.rbuf[0])), uintptr(len(n.rbuf)), 0,
+			uintptr(unsafe.Pointer(&n.rsa)), uintptr(unsafe.Pointer(&n.rsaLen)))
+		if e != syscall.EINTR {
+			n.rn, n.rerr = int(r), e
 			return
-		default:
 		}
-		if err != nil {
-			return // Close closes the socket, which unblocks the read
-		}
-		n.processDatagram(src, buf[:sz])
 	}
 }
 
 // processDatagram delivers one framed datagram: sender-address header, CRC
 // integrity check, receive-side fault injection, then the raw handler. The
-// buffer belongs to the read loop; nothing here may retain it (raw handlers
+// buffer belongs to the poller; nothing here may retain it (raw handlers
 // are documented not to). The path is allocation-free warm.
 func (n *Node) processDatagram(src netip.AddrPort, b []byte) {
 	if len(b) < frameHdr+1 {

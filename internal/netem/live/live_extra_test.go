@@ -103,11 +103,7 @@ func TestReceiveZeroAlloc(t *testing.T) {
 // duplication doubles the datagram count, full loss transmits nothing.
 func TestSendShapingDupAndLoss(t *testing.T) {
 	recvd := make(chan wire.Msg, 64)
-	rx, err := Listen(2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx.Close()
+	rx := listen(t, 2, Options{})
 	rx.SetRawHandler(decoded(func(_ netem.Addr, msg wire.Msg) { recvd <- msg }))
 
 	tx, err := Listen(1, Options{Seed: 5, Profile: netem.LinkProfile{DupRate: 1}})
@@ -152,11 +148,7 @@ func TestSendShapingDupAndLoss(t *testing.T) {
 // path and still arrives.
 func TestSendShapingDelay(t *testing.T) {
 	recvd := make(chan wire.Msg, 8)
-	rx, err := Listen(2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx.Close()
+	rx := listen(t, 2, Options{})
 	rx.SetRawHandler(decoded(func(_ netem.Addr, msg wire.Msg) { recvd <- msg }))
 
 	tx, err := Listen(1, Options{Profile: netem.LinkProfile{Latency: 20 * time.Millisecond}})
@@ -191,11 +183,7 @@ func TestPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := Listen(2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	b := listen(t, 2, Options{})
 	b.SetRawHandler(decoded(func(_ netem.Addr, msg wire.Msg) { recvd <- msg }))
 	mesh([]*Node{a, b})
 

@@ -74,16 +74,35 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition not reached within 5s")
 }
 
+// listen binds a bare node and reads its socket on a goroutine — what a
+// fabric's pump does for its own node — until the test ends and closes it.
+func listen(t *testing.T, addr netem.Addr, opts Options) *Node {
+	t.Helper()
+	n, err := Listen(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if _, err := n.Poll(true); err != nil {
+				return // closed
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		n.Close()
+		<-done
+	})
+	return n
+}
+
 func mkMesh(t *testing.T, n int, opts Options) []*Node {
 	t.Helper()
 	nodes := make([]*Node, n)
 	for i := range nodes {
-		node, err := Listen(netem.Addr(i+1), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes[i] = node
+		nodes[i] = listen(t, netem.Addr(i+1), opts)
 	}
 	mesh(nodes)
 	return nodes
@@ -152,11 +171,7 @@ func TestUnknownPeer(t *testing.T) {
 func TestInjectedLoss(t *testing.T) {
 	nodes := mkMesh(t, 2, Options{})
 	// Receiver drops ~half.
-	lossy, err := Listen(9, Options{LossRate: 0.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lossy.Close()
+	lossy := listen(t, 9, Options{LossRate: 0.5, Seed: 3})
 	nodes[0].AddPeerAddrPort(9, lossy.AddrPort())
 	var c collect
 	lossy.SetRawHandler(decoded(c.handler))
@@ -213,8 +228,8 @@ func TestCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Closing the socket is what unblocks the read loop; no read deadline
-	// paces the shutdown.
+	// Closing the socket is the whole shutdown: a node starts no goroutine,
+	// so there is nothing to wait for.
 	start := time.Now()
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
@@ -303,12 +318,7 @@ func TestLiveEWOGossip(t *testing.T) {
 	const n = 3
 	nodes := make([]*Node, n)
 	for i := range nodes {
-		node, err := Listen(netem.Addr(i+1), Options{LossRate: 0.3, Seed: int64(i + 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes[i] = node
+		nodes[i] = listen(t, netem.Addr(i+1), Options{LossRate: 0.3, Seed: int64(i + 1)})
 	}
 	mesh(nodes)
 	group := []netem.Addr{1, 2, 3}

@@ -1,10 +1,9 @@
-// Package timesync provides the clock primitives SwiShmem's EWO protocol
-// uses for last-writer-wins ordering: Lamport logical clocks and a model of
-// data-plane time synchronization with bounded skew (per DPTP, which the
-// paper cites as achieving tens-of-nanoseconds synchronization between
-// switches).
+// Package timesync provides the clock primitive SwiShmem's EWO protocol
+// uses for last-writer-wins ordering: a model of data-plane time
+// synchronization with bounded skew (per DPTP, which the paper cites as
+// achieving tens-of-nanoseconds synchronization between switches).
 //
-// Both produce Stamp values — a (time, switch ID) pair totally ordered with
+// It produces Stamp values — a (time, switch ID) pair totally ordered with
 // the switch ID as tie breaker, exactly the uniqueness construction §6.2
 // describes.
 package timesync
@@ -36,32 +35,6 @@ func (s Stamp) Less(o Stamp) bool {
 func (s Stamp) IsZero() bool { return s == Stamp{} }
 
 func (s Stamp) String() string { return fmt.Sprintf("%v@n%d", s.Time, s.Node) }
-
-// Lamport is a classic Lamport logical clock.
-type Lamport struct {
-	node NodeID
-	c    sim.Time
-}
-
-// NewLamport returns a Lamport clock owned by node.
-func NewLamport(node NodeID) *Lamport { return &Lamport{node: node} }
-
-// Tick advances the clock for a local event and returns its stamp.
-func (l *Lamport) Tick() Stamp {
-	l.c++
-	return Stamp{Time: l.c, Node: l.node}
-}
-
-// Witness merges an observed remote stamp (on message receipt) and advances.
-func (l *Lamport) Witness(s Stamp) Stamp {
-	if s.Time > l.c {
-		l.c = s.Time
-	}
-	return l.Tick()
-}
-
-// Now returns the current value without advancing.
-func (l *Lamport) Now() Stamp { return Stamp{Time: l.c, Node: l.node} }
 
 // Synced models a hardware-synchronized real-time clock with bounded skew:
 // reads return engine time plus a fixed per-switch offset drawn from

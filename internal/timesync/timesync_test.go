@@ -52,46 +52,6 @@ func TestStampZeroAndString(t *testing.T) {
 	}
 }
 
-func TestLamportMonotonic(t *testing.T) {
-	l := NewLamport(1)
-	prev := l.Now()
-	for i := 0; i < 100; i++ {
-		cur := l.Tick()
-		if !prev.Less(cur) {
-			t.Fatalf("not monotone: %v then %v", prev, cur)
-		}
-		prev = cur
-	}
-}
-
-func TestLamportWitness(t *testing.T) {
-	l := NewLamport(1)
-	l.Tick() // c=1
-	s := l.Witness(Stamp{Time: 100, Node: 2})
-	if s.Time != 101 {
-		t.Fatalf("witness(100) -> %v, want time 101", s)
-	}
-	// Witnessing an old stamp still advances.
-	s2 := l.Witness(Stamp{Time: 5, Node: 2})
-	if s2.Time != 102 {
-		t.Fatalf("witness(old) -> %v, want time 102", s2)
-	}
-	if l.Now().Time != 102 {
-		t.Fatalf("Now = %v", l.Now())
-	}
-}
-
-func TestLamportHappensBefore(t *testing.T) {
-	// Causal chains across two nodes must produce increasing stamps.
-	a, b := NewLamport(1), NewLamport(2)
-	s1 := a.Tick()
-	s2 := b.Witness(s1) // message a->b
-	s3 := a.Witness(s2) // message b->a
-	if !s1.Less(s2) || !s2.Less(s3) {
-		t.Fatalf("causality violated: %v %v %v", s1, s2, s3)
-	}
-}
-
 func TestSyncedBoundedSkew(t *testing.T) {
 	eng := sim.NewEngine(9)
 	maxSkew := 50 * time.Nanosecond
