@@ -32,18 +32,18 @@ import (
 
 func main() {
 	var (
-		nfName    = flag.String("nf", "lb", "network function: nat | firewall | ips | lb | ddos | ratelimit")
-		switches  = flag.Int("switches", 3, "number of replica switches")
-		spares    = flag.Int("spares", 1, "spare switches for recovery")
-		duration  = flag.Duration("duration", 100*time.Millisecond, "virtual run time")
-		seed      = flag.Int64("seed", 1, "deterministic seed")
-		loss      = flag.Float64("loss", 0, "inter-switch link loss rate")
-		failIdx   = flag.Int("fail", -1, "switch index to fail mid-run (-1: none)")
-		failAfter = flag.Duration("failafter", 50*time.Millisecond, "virtual time of the failure")
-		flowRate  = flag.Float64("flows", 20000, "new flows per second (connection NFs)")
-		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
-		metout    = flag.String("metrics", "", "write a plain-text dump of every cluster metric to this file")
-		liveMode  = flag.String("live", "", "live UDP mode: controller | member | soak (see live.go)")
+		nfName      = flag.String("nf", "lb", "network function: nat | firewall | ips | lb | ddos | ratelimit")
+		switches    = flag.Int("switches", 3, "number of replica switches")
+		spares      = flag.Int("spares", 1, "spare switches for recovery")
+		duration    = flag.Duration("duration", 100*time.Millisecond, "virtual run time")
+		seed        = flag.Int64("seed", 1, "deterministic seed")
+		loss        = flag.Float64("loss", 0, "inter-switch link loss rate")
+		failIdx     = flag.Int("fail", -1, "switch index to fail mid-run (-1: none)")
+		failAfter   = flag.Duration("failafter", 50*time.Millisecond, "virtual time of the failure")
+		flowRate    = flag.Float64("flows", 20000, "new flows per second (connection NFs)")
+		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
+		metout      = flag.String("metrics", "", "write a plain-text dump of every cluster metric to this file")
+		liveMode    = flag.String("live", "", "live UDP mode: controller | member | soak (see live.go)")
 		timelineOut = flag.String("timeline", "",
 			"stream a JSONL metrics timeline (virtual-time sampled) to this file")
 		timelineIvl = flag.Duration("timeline.interval", time.Millisecond,

@@ -269,9 +269,9 @@ func MicroSROLocalRead(b *testing.B) {
 
 // MicroNetemSendDeliver measures one message over a simulated link, the body
 // of the repo benchmark's netem.send_deliver probe: Send on a datacenter
-// link, then the queued burst event that delivers it. 256 sends share an
-// instant and so one burst, the shape a simulated sync round has
-// (steady-state target: 0 allocs/op).
+// link, then the queued event that delivers it. The engine runs after every
+// 256 sends, which share an instant and one link (steady-state target:
+// 0 allocs/op).
 func MicroNetemSendDeliver(b *testing.B) {
 	eng := sim.NewEngine(1)
 	microSendDeliver(b, eng, netem.New(eng, netem.DataCenter()), 256)

@@ -18,7 +18,7 @@ import (
 // sums) are the table; the rates land in Metrics (adds_per_sec/batch=B) so
 // the table stays byte-stable across hosts.
 func PacketRate(seed int64) *Result {
-	res := &Result{ID: "E17", Title: "add rate: update coalescing, batched dispatch + delivery coalescing over burst size"}
+	res := &Result{ID: "E17", Title: "add rate: update coalescing, batched dispatch over burst size"}
 	tab := stats.NewTable("E17: 8-switch EWO counter blast, per-batch outcomes",
 		"Batch", "Events", "Msgs deliv", "Counter sum")
 

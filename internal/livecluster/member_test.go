@@ -195,9 +195,9 @@ func engineEvents(members ...*Member) (n uint64) {
 }
 
 // A fabric message costs a member one engine event — the switch's pipeline
-// task — where the queued local network cost three (inject burst, task,
-// relay burst). Counts, not timings: on a cluster whose timers are all an
-// hour out they repeat exactly.
+// task — where a queued local network cost three (the inject's arrival, the
+// task, the relay's arrival). Counts, not timings: on a cluster whose timers
+// are all an hour out they repeat exactly.
 func TestFabricMessageCostsOneEngineEvent(t *testing.T) {
 	members := quietClusterResend(t, 3, time.Hour)
 	head, mid, tail := members[0], members[1], members[2]

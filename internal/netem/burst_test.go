@@ -6,11 +6,9 @@ import (
 	"swishmem/internal/sim"
 )
 
-// TestBurstCoalescesSameTick: a run of same-tick sends on one link schedules
-// ONE engine event (the burst) yet delivers every message in send order at
-// the same virtual time, and the processed-event counter still reports one
-// logical dispatch per message (CreditEvents keeps accounting identical to
-// the uncoalesced path).
+// TestBurstCoalescesSameTick: a run of same-tick sends on one link queues
+// one engine event per arrival, delivers every message in send order at the
+// same virtual time, and counts one processed event per message.
 func TestBurstCoalescesSameTick(t *testing.T) {
 	eng, net, recs := setup(1, LinkProfile{Latency: 100}, 1, 2)
 	const k = 8
@@ -19,8 +17,8 @@ func TestBurstCoalescesSameTick(t *testing.T) {
 			t.Fatalf("send %d refused", i)
 		}
 	}
-	if got := eng.Pending(); got != 1 {
-		t.Fatalf("queued %d events for a same-tick burst, want 1", got)
+	if got := eng.Pending(); got != k {
+		t.Fatalf("queued %d events for %d same-tick sends, want one per arrival", got, k)
 	}
 	eng.Run()
 	r := recs[2]
@@ -29,19 +27,19 @@ func TestBurstCoalescesSameTick(t *testing.T) {
 	}
 	for i := 0; i < k; i++ {
 		if r.msgs[i] != i {
-			t.Fatalf("msg %d = %v: burst reordered the link", i, r.msgs[i])
+			t.Fatalf("msg %d = %v: same-tick arrivals reordered the link", i, r.msgs[i])
 		}
 		if r.times[i] != 100 {
 			t.Fatalf("msg %d delivered at %v, want 100", i, r.times[i])
 		}
 	}
 	if got := eng.Processed(); got != k {
-		t.Fatalf("processed = %d, want %d (one logical event per message)", got, k)
+		t.Fatalf("processed = %d, want %d (one event per message)", got, k)
 	}
 }
 
 // TestBurstSplitsAcrossTicks: sends landing on different ticks (bandwidth
-// serialization pushes each arrival later) must form separate bursts.
+// serialization pushes each arrival later) arrive at different times.
 func TestBurstSplitsAcrossTicks(t *testing.T) {
 	// 1 byte/ns: each 100-byte message serializes 100ns after the previous.
 	eng, net, recs := setup(1, LinkProfile{Latency: 50, BandwidthBps: 8e9}, 1, 2)
@@ -56,10 +54,9 @@ func TestBurstSplitsAcrossTicks(t *testing.T) {
 	}
 }
 
-// TestBurstRechecksReceiverPerMessage: a handler that partitions the
-// receiver mid-burst must stop the remaining members of the same burst —
-// member delivery conditions are re-evaluated per message, exactly as the
-// uncoalesced path would at its later events.
+// TestBurstRechecksReceiverPerMessage: a handler that takes the receiver down
+// stops the later same-tick arrivals on its link — each arrival checks its
+// destination when it runs.
 func TestBurstRechecksReceiverPerMessage(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := New(eng, LinkProfile{Latency: 100})
@@ -76,54 +73,16 @@ func TestBurstRechecksReceiverPerMessage(t *testing.T) {
 	}
 	eng.Run()
 	if len(got) != 2 {
-		t.Fatalf("delivered %d msgs after mid-burst failure, want 2", len(got))
+		t.Fatalf("delivered %d msgs after the receiver failed, want 2", len(got))
 	}
 	if net.Totals().MsgsDropped != 3 {
 		t.Fatalf("dropped = %d, want 3", net.Totals().MsgsDropped)
 	}
 }
 
-// TestBurstCoalesceOffIdentical: the same workload with coalescing disabled
-// delivers the same messages at the same times with the same processed-event
-// count — the A/B contract at the netem layer.
-func TestBurstCoalesceOffIdentical(t *testing.T) {
-	run := func(coalesce bool) (*recorder, uint64, LinkStats) {
-		eng, net, recs := setup(7, LinkProfile{Latency: 100}, 1, 2, 3)
-		net.SetCoalesce(coalesce)
-		for i := 0; i < 20; i++ {
-			net.Send(1, 2, i, 10)
-			if i%3 == 0 {
-				net.Send(3, 2, 100+i, 10)
-			}
-			if i%4 == 0 {
-				net.Send(2, 3, 200+i, 10)
-			}
-		}
-		eng.Run()
-		return recs[2], eng.Processed(), net.Totals()
-	}
-	ron, pon, ton := run(true)
-	roff, poff, toff := run(false)
-	if len(ron.msgs) != len(roff.msgs) {
-		t.Fatalf("coalesced delivered %d, uncoalesced %d", len(ron.msgs), len(roff.msgs))
-	}
-	for i := range ron.msgs {
-		if ron.msgs[i] != roff.msgs[i] || ron.froms[i] != roff.froms[i] || ron.times[i] != roff.times[i] {
-			t.Fatalf("delivery %d differs: on=(%v,%v,%v) off=(%v,%v,%v)", i,
-				ron.msgs[i], ron.froms[i], ron.times[i], roff.msgs[i], roff.froms[i], roff.times[i])
-		}
-	}
-	if pon != poff {
-		t.Fatalf("processed: coalesced=%d uncoalesced=%d", pon, poff)
-	}
-	if ton != toff {
-		t.Fatalf("totals: coalesced=%+v uncoalesced=%+v", ton, toff)
-	}
-}
-
-// TestBurstSendAllocBudget: the coalesced same-tick send path allocates
-// nothing once the pools are warm — joining an open burst is an append into
-// a pooled items slice, and firing it recycles everything.
+// TestBurstSendAllocBudget: the same-tick send path allocates nothing once
+// the pools are warm — every arrival takes a pooled delivery record and a
+// pooled engine event, and running it returns both.
 func TestBurstSendAllocBudget(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := New(eng, LinkProfile{Latency: 100})
@@ -140,6 +99,6 @@ func TestBurstSendAllocBudget(t *testing.T) {
 		eng.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("coalesced burst send+drain allocates %v per run, want 0", allocs)
+		t.Fatalf("same-tick send+drain allocates %v per run, want 0", allocs)
 	}
 }

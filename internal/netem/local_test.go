@@ -96,11 +96,11 @@ func TestLocalDelayedStillQueues(t *testing.T) {
 	net.SetOneWayLink(1, 3, LinkProfile{DupRate: 1})
 	net.Send(1, 2, "late", 8)
 	net.Send(1, 2, "late too", 8)
-	if len(recs[2].msgs) != 0 || eng.Pending() != 1 {
-		t.Fatalf("%d delivered, %d queued after two sends on a 100 ns link, want 0 and one burst", len(recs[2].msgs), eng.Pending())
+	if len(recs[2].msgs) != 0 || eng.Pending() != 2 {
+		t.Fatalf("%d delivered, %d queued after two sends on a 100 ns link, want 0 and 2", len(recs[2].msgs), eng.Pending())
 	}
 	net.Send(1, 3, "twice", 8)
-	if len(recs[3].msgs) != 1 || eng.Pending() != 2 {
+	if len(recs[3].msgs) != 1 || eng.Pending() != 3 {
 		t.Fatalf("%d delivered, %d queued after a duplicated send, want the original in the call and its copy queued", len(recs[3].msgs), eng.Pending())
 	}
 	eng.Run()
@@ -116,24 +116,24 @@ func TestLocalDelayedStillQueues(t *testing.T) {
 }
 
 // TestLocalSendBehindAnOpenBurstQueues: a link that had a latency and lost it
-// keeps its order. A send due at the very instant the link's open burst lands
-// joins that burst instead of overtaking it in the call.
+// keeps its order. A send due at the very instant the link's queued arrival
+// lands queues behind it instead of overtaking it in the call.
 func TestLocalSendBehindAnOpenBurstQueues(t *testing.T) {
 	eng, net, recs := setupLocal(1, 2)
 	net.SetOneWayLink(1, 2, LinkProfile{Latency: 100})
 	net.Send(1, 2, "first", 8)
-	eng.Schedule(100, func() { // a local event: runs before the burst due at 100
+	eng.Schedule(100, func() { // a local event: runs before the arrival due at 100
 		net.SetOneWayLink(1, 2, LinkProfile{})
 		net.Send(1, 2, "second", 8)
 		if len(recs[2].msgs) != 0 {
-			t.Errorf("%v delivered in the call, ahead of the burst due at this instant", recs[2].msgs)
+			t.Errorf("%v delivered in the call, ahead of the arrival due at this instant", recs[2].msgs)
 		}
 	})
 	eng.Run()
 	if want := []any{"first", "second"}; !reflect.DeepEqual(recs[2].msgs, want) {
 		t.Fatalf("delivered %v, want %v", recs[2].msgs, want)
 	}
-	net.Send(1, 2, "third", 8) // the burst has fired: in the call again
+	net.Send(1, 2, "third", 8) // nothing queued on the link: in the call again
 	if len(recs[2].msgs) != 3 {
 		t.Fatalf("%d delivered after a send on the drained link, want 3", len(recs[2].msgs))
 	}

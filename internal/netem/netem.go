@@ -129,10 +129,10 @@ type link struct {
 	// the delivery's deterministic ordering key.
 	seq   uint64
 	stats LinkStats
-	// pending is the open delivery burst for this link: the most recently
-	// scheduled arrival batch, joinable while later sends compute the same
-	// arrival time. The fired burst clears it, so it never dangles.
-	pending *burst
+	// queued counts the link's arrivals waiting in the engine queue. A local
+	// network delivers in the call only while it is zero, so an arrival due
+	// now never overtakes an earlier one still queued on its link.
+	queued int
 }
 
 type endpoint struct {
@@ -201,11 +201,10 @@ type Network struct {
 	partition AddrTable[int]
 	split     bool
 	totals    LinkStats
-	// mode is how an arrival reaches its destination (see deliveryMode).
-	mode deliveryMode
-	// dfree and bfree pool in-flight delivery and burst records.
+	// local is set by NewLocal: an arrival due now runs inside its Send.
+	local bool
+	// dfree pools in-flight delivery records.
 	dfree []*delivery
-	bfree []*burst
 	// corruptCheck, when set, is invoked for every message the CorruptRate
 	// draw condemns, before the drop (see SetCorruptionChecker).
 	corruptCheck CorruptionChecker
@@ -305,6 +304,7 @@ func (d *delivery) deliver() {
 	d.l, d.payload = nil, nil
 	n.dfree = append(n.dfree, d)
 
+	l.queued--
 	n.arrive(l, from, to, payload, size)
 }
 
@@ -329,86 +329,6 @@ func (n *Network) arrive(l *link, from, to Addr, payload any, size int) {
 	dst.handler(from, payload, size)
 }
 
-// burstItem is one coalesced arrival inside a burst.
-type burstItem struct {
-	payload any
-	size    int
-}
-
-// burst is one scheduled arrival event carrying the run of deliveries that
-// share a directed link and an arrival time. The ordering key of the first
-// member places the whole run: same-(link, time) deliveries are consecutive
-// in the event order anyway (one khi, ascending klo), so delivering members
-// back-to-back reproduces the uncoalesced order exactly while paying the
-// heap push/pop and pool round-trip once per run instead of once per
-// message.
-type burst struct {
-	n        *Network
-	l        *link
-	from, to Addr
-	at       sim.Time
-	items    []burstItem
-	run      func()
-}
-
-func (n *Network) getBurst() *burst {
-	if ln := len(n.bfree); ln > 0 {
-		b := n.bfree[ln-1]
-		n.bfree[ln-1] = nil
-		n.bfree = n.bfree[:ln-1]
-		return b
-	}
-	b := &burst{n: n}
-	b.run = b.deliver
-	return b
-}
-
-func (b *burst) deliver() {
-	n, l := b.n, b.l
-	from, to := b.from, b.to
-	// Close the burst before delivering: a send executed by a handler below
-	// (even at this same timestamp) must open a fresh burst, never join a
-	// fired one. The guard matters because a dup/reorder arrival may have
-	// replaced pending with a later burst of this link.
-	if l.pending == b {
-		l.pending = nil
-	}
-	items := b.items
-	// The k-1 dispatches this event coalesced away still count as events
-	// (and still emit their trace instants below): event totals and traces
-	// are model-visible, and the determinism contract keeps them identical
-	// with coalescing on or off.
-	n.eng.CreditEvents(uint64(len(items) - 1))
-	for i := range items {
-		payload, size := items[i].payload, items[i].size
-		items[i] = burstItem{}
-		if i > 0 {
-			n.eng.EmitEventInstant()
-		}
-		// arrive re-checks the destination per member: a handler may take
-		// the node down mid-burst, and the remaining members must drop
-		// exactly as their individual delivery events would have.
-		n.arrive(l, from, to, payload, size)
-	}
-	b.items = items[:0]
-	b.l = nil
-	n.bfree = append(n.bfree, b)
-}
-
-// deliveryMode is how an arrival reaches its destination's handler.
-type deliveryMode uint8
-
-const (
-	// deliverBurst (the default): a run of sends arriving on one directed
-	// link at one virtual time rides one queued event instead of N. Such
-	// deliveries are consecutive in the (khi, klo) event order anyway, so
-	// order, stats, event counts and traces are byte-identical to deliverEach
-	// (the burst credits the coalesced dispatches back, see burst.deliver).
-	deliverBurst  deliveryMode = iota
-	deliverEach                // one queued event per arrival: SetCoalesce(false)
-	deliverInCall              // an arrival due now runs inside its Send, unqueued: NewLocal
-)
-
 // New creates a network over eng where unset links use defaultProfile.
 func New(eng *sim.Engine, defaultProfile LinkProfile) *Network {
 	return &Network{eng: eng, seed: eng.Seed(), defaultProfile: defaultProfile}
@@ -418,28 +338,18 @@ func New(eng *sim.Engine, defaultProfile LinkProfile) *Network {
 // local network, whose links carry no model (faults live in the transport):
 // a message with a zero-delay verdict reaches its handler inside the Send
 // call, after every check, count, Ref and trace span a queued arrival gets,
-// and costs no engine event. Handlers run nested in whatever called Send, so
-// they must only defer their work, as a switch (claim a slot, schedule) and
-// a relay (append an egress record) do.
+// and costs no engine event — unless an earlier arrival on its link is still
+// queued, which it must not overtake. Handlers run nested in whatever called
+// Send, so they must only defer their work, as a switch (claim a slot,
+// schedule) and a relay (append an egress record) do.
 func NewLocal(eng *sim.Engine) *Network {
 	n := New(eng, LinkProfile{})
-	n.mode = deliverInCall
+	n.local = true
 	return n
 }
 
 // Engine returns the underlying simulation engine.
 func (n *Network) Engine() *sim.Engine { return n.eng }
-
-// SetCoalesce enables or disables burst delivery (on by default). A driver
-// operation: call it between runs, never from model callbacks. Both settings
-// produce byte-identical runs — the knob exists for that A/B proof and for
-// isolating the optimization when profiling.
-func (n *Network) SetCoalesce(on bool) {
-	n.mode = deliverBurst
-	if !on {
-		n.mode = deliverEach
-	}
-}
 
 // Attach registers a node; messages addressed to addr invoke h. Attaching an
 // existing address replaces its handler (used when a failed switch is
@@ -447,9 +357,6 @@ func (n *Network) SetCoalesce(on bool) {
 func (n *Network) Attach(addr Addr, h Handler) {
 	n.nodes.Set(addr, &endpoint{handler: h, up: true})
 }
-
-// Detach removes a node entirely. Its links remain materialized.
-func (n *Network) Detach(addr Addr) { n.nodes.Set(addr, nil) }
 
 // SetNodeUp marks a node up or down. A down node neither sends nor receives —
 // this is the fail-stop switch failure model of §6.3.
@@ -602,10 +509,11 @@ func (n *Network) traceDrop(name string, from, to Addr) {
 	rec.K2, rec.V2 = "to", int64(to)
 }
 
-// scheduleDelivery queues one arrival, taking a payload reference for pooled
-// payloads. Each arrival gets a (directed link, sequence) ordering key
-// assigned at send time (duplicates included), which fixes its position
-// among same-timestamp events.
+// scheduleDelivery queues one arrival as its own engine event, taking a
+// payload reference for pooled payloads. Each arrival gets a (directed link,
+// sequence) ordering key assigned at send time (duplicates included), which
+// fixes its position among same-timestamp events. On a local network an
+// arrival due now, on a link with nothing queued, is delivered here instead.
 func (n *Network) scheduleDelivery(delay sim.Duration, l *link, from, to Addr, payload any, size int) {
 	if r, ok := payload.(Releasable); ok {
 		r.Ref()
@@ -617,42 +525,15 @@ func (n *Network) scheduleDelivery(delay sim.Duration, l *link, from, to Addr, p
 		rec.K2, rec.V2 = "to", int64(to)
 		rec.K3, rec.V3 = "bytes", int64(size)
 	}
-	khi := sim.KeyClassDeliver | uint64(from)<<16 | uint64(to)
-	klo := l.seq
-	l.seq++
-	at := n.eng.Now().Add(delay)
-	if n.mode != deliverBurst && n.arriveUnbursted(at, khi, klo, l, from, to, payload, size) {
+	if n.local && delay == 0 && l.queued == 0 {
+		n.arrive(l, from, to, payload, size)
 		return
 	}
-	// Join the link's open burst when it lands at the same time, else open a
-	// new one.
-	b := l.pending
-	if b == nil || b.at != at {
-		b = n.getBurst()
-		b.l, b.from, b.to, b.at = l, from, to, at
-		l.pending = b
-		n.eng.ScheduleKeyed(at, khi, klo, b.run)
-	}
-	b.items = append(b.items, burstItem{payload, size})
-}
-
-// arriveUnbursted is scheduleDelivery off the default mode, out of line so
-// the simulator's path stays one byte test and the burst code: a queued
-// delivery of its own with coalescing off; on a local network an arrival due
-// now is delivered here, inside its Send, and a later one — or one whose
-// link has a burst open, which it must not overtake — left to a burst
-// (false).
-func (n *Network) arriveUnbursted(at sim.Time, khi, klo uint64, l *link, from, to Addr, payload any, size int) bool {
-	if n.mode == deliverEach {
-		d := n.getDelivery()
-		d.l, d.from, d.to, d.payload, d.size = l, from, to, payload, size
-		n.eng.ScheduleKeyed(at, khi, klo, d.run)
-	} else if at == n.eng.Now() && l.pending == nil {
-		n.arrive(l, from, to, payload, size)
-	} else {
-		return false
-	}
-	return true
+	d := n.getDelivery()
+	d.l, d.from, d.to, d.payload, d.size = l, from, to, payload, size
+	l.queued++
+	n.eng.ScheduleKeyed(n.eng.Now().Add(delay), sim.KeyClassDeliver|uint64(from)<<16|uint64(to), l.seq, d.run)
+	l.seq++
 }
 
 // Multicast sends payload to every address in group except from itself.

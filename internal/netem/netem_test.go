@@ -294,16 +294,6 @@ func TestByteAccounting(t *testing.T) {
 	}
 }
 
-func TestDetach(t *testing.T) {
-	eng, net, recs := setup(1, LinkProfile{Latency: 1}, 1, 2)
-	net.Detach(2)
-	net.Send(1, 2, "x", 1)
-	eng.Run()
-	if len(recs[2].msgs) != 0 {
-		t.Fatal("detached node received message")
-	}
-}
-
 func TestNegativeSizePanics(t *testing.T) {
 	_, net, _ := setup(1, LinkProfile{}, 1, 2)
 	defer func() {

@@ -59,7 +59,7 @@ type Stream struct {
 	reg  *Registry
 	w    *bufio.Writer
 	cfg  StreamConfig
-	prev map[string]float64   // counter value at the previous tick
+	prev map[string]float64 // counter value at the previous tick
 	hist map[string]*histTrack
 	tail []string
 	rows int

@@ -124,14 +124,3 @@ func TestBatchDispatchAllocBudget(t *testing.T) {
 		t.Fatalf("batched dispatch allocates %v per run, want 0", allocs)
 	}
 }
-
-// TestCreditEvents pins the accounting hook the burst layer uses to keep
-// coalesced runs indistinguishable from per-message events.
-func TestCreditEvents(t *testing.T) {
-	eng := NewEngine(1)
-	eng.Schedule(1, func() { eng.CreditEvents(4) })
-	eng.Run()
-	if got := eng.Processed(); got != 5 {
-		t.Fatalf("processed = %d, want 5 (1 real + 4 credited)", got)
-	}
-}

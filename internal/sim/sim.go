@@ -318,8 +318,8 @@ func (e *Engine) Step() bool {
 
 // runBatch pops and executes the run of events sharing the earliest queued
 // timestamp. The clock store, tracer guard, and processed-counter update are
-// hoisted out of the per-event iteration, so a burst of same-timestamp events
-// (a sync round fanning out, a coalesced delivery run) pays them once. The
+// hoisted out of the per-event iteration, so a run of same-timestamp events
+// of any kind (a sync round fanning out, a link's arrivals) pays them once. The
 // loop stays incremental — pop, run, re-examine the heap top — because a
 // callback may schedule new events at the current timestamp (local khi==0
 // events sort before queued keyed ones) and the heap comparator is the only
@@ -404,30 +404,8 @@ func (e *Engine) Pending() int { return e.queue.n }
 // use it to sleep exactly until the next timer instead of polling.
 func (e *Engine) NextAt() (Time, bool) { return e.queue.nextAt() }
 
-// Processed returns the total number of events executed so far. The count is
-// defined over logical dispatches: a batched dispatcher that runs k coalesced
-// deliveries inside one queued event credits the remaining k-1 through
-// CreditEvents, so the number is identical whether or not coalescing is on.
+// Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
-
-// CreditEvents adds n to the processed-event counter without running any
-// event. Batched dispatchers (netem's coalesced delivery bursts) use it so a
-// run of k deliveries carried by one queued event still accounts for k
-// events — event counts are a model-visible observable, and the determinism
-// contract keeps them byte-identical with coalescing on or off.
-func (e *Engine) CreditEvents(n uint64) { e.processed += n }
-
-// EmitEventInstant writes one "sim event" trace instant at the current time,
-// the record Step/runBatch would have emitted had a dispatch been its own
-// queued event. Batched dispatchers call it before each coalesced dispatch
-// after the first (whose instant the engine already emitted) and pair it
-// with CreditEvents, keeping Chrome traces byte-identical with coalescing on
-// or off — handler-emitted records interleave exactly as they would have.
-func (e *Engine) EmitEventInstant() {
-	if tr := e.tracer; tr.Enabled() {
-		tr.Emit(obs.PhaseInstant, int64(e.now), 0, obs.PidSim, "sim", "event")
-	}
-}
 
 // Mailbox issues deterministically keyed control-plane posts for one
 // logical source entity (a controller, a switch): a post arrives after a

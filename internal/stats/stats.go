@@ -1,13 +1,11 @@
 // Package stats provides the measurement primitives used by the SwiShmem
 // experiment harness: counters, gauges, latency histograms with percentile
-// queries, time-series samplers, and plain-text table rendering for the
-// benchmark output.
+// queries, and plain-text table rendering for the benchmark output.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -310,28 +308,6 @@ func (w *WindowedHistogram) Rollup(dst *Histogram) {
 // Windows returns the ring size.
 func (w *WindowedHistogram) Windows() int { return len(w.win) }
 
-// Summary returns a one-line latency summary treating values as nanoseconds.
-func (h *Histogram) Summary() string {
-	if h.count == 0 {
-		return "n=0"
-	}
-	d := func(v float64) time.Duration { return time.Duration(v) }
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.count, d(h.Mean()), d(h.Quantile(0.5)), d(h.Quantile(0.99)), d(h.Max()))
-}
-
-// Series collects (x, y) points for a sweep experiment.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Point is a single (x, y) sample.
-type Point struct{ X, Y float64 }
-
-// Append adds a point.
-func (s *Series) Append(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
-
 // Table renders experiment results as an aligned plain-text table, in the
 // style of the rows a paper reports.
 type Table struct {
@@ -410,56 +386,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Percentiles computes exact percentiles from a raw sample slice (the slice
-// is sorted in place). Used where full accuracy matters more than memory.
-func Percentiles(samples []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(samples) == 0 {
-		return out
-	}
-	sort.Float64s(samples)
-	for i, q := range qs {
-		if q <= 0 {
-			out[i] = samples[0]
-			continue
-		}
-		if q >= 1 {
-			out[i] = samples[len(samples)-1]
-			continue
-		}
-		idx := int(math.Ceil(q*float64(len(samples)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out[i] = samples[idx]
-	}
-	return out
-}
-
-// Mean returns the arithmetic mean of samples (0 for empty input).
-func Mean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range samples {
-		s += v
-	}
-	return s / float64(len(samples))
-}
-
-// Stddev returns the population standard deviation of samples.
-func Stddev(samples []float64) float64 {
-	if len(samples) < 2 {
-		return 0
-	}
-	m := Mean(samples)
-	var ss float64
-	for _, v := range samples {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(samples)))
 }

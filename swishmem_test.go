@@ -250,22 +250,6 @@ func TestDisableController(t *testing.T) {
 	}
 }
 
-func TestClusterDeterminism(t *testing.T) {
-	run := func() uint64 {
-		c, _ := New(Config{Switches: 3, Seed: 77})
-		regs, _ := c.DeclareCounter("d", EventualOptions{Capacity: 64})
-		c.RunFor(2 * time.Millisecond)
-		for i := 0; i < 100; i++ {
-			regs[i%3].Add(uint64(i%8), uint64(i))
-		}
-		c.RunFor(20 * time.Millisecond)
-		return c.NetworkTotals().BytesSent
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("non-deterministic runs: %d vs %d", a, b)
-	}
-}
-
 func TestNowAdvances(t *testing.T) {
 	c, _ := New(Config{Switches: 1, Seed: 13})
 	c.RunFor(5 * time.Millisecond)

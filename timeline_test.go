@@ -8,12 +8,31 @@ package swishmem_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"swishmem"
 )
+
+// firstDiff renders the first differing line of two multi-line strings.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var lw, lg string
+		if i < len(w) {
+			lw = w[i]
+		}
+		if i < len(g) {
+			lg = g[i]
+		}
+		if lw != lg {
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, lw, lg)
+		}
+	}
+	return "lengths differ only"
+}
 
 // timelineWorkload runs a mixed SRO/EWO workload with streaming enabled and
 // returns the emitted timeline plus the run's event count.
