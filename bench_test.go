@@ -100,6 +100,14 @@ func BenchmarkEWOBurstAdd(b *testing.B) { experiments.MicroEWOBurstAdd(b) }
 // into a warm 3-member counter.
 func BenchmarkEWOMerge(b *testing.B) { experiments.MicroEWOMerge(b) }
 
+// BenchmarkEWOSyncMerge measures it on a periodic-sync packet: a 64-key x
+// 8-owner sync update, every entry stale, merged into a warm node.
+func BenchmarkEWOSyncMerge(b *testing.B) { experiments.MicroEWOSyncMerge(b) }
+
+// BenchmarkEWOSyncRound measures one periodic-sync round: a 64-key window of
+// a warm 8-owner node walked, packed into one update and sent.
+func BenchmarkEWOSyncRound(b *testing.B) { experiments.MicroEWOSyncRound(b) }
+
 // BenchmarkEWOSum measures a counter read on a warm 3-member counter.
 func BenchmarkEWOSum(b *testing.B) { experiments.MicroEWOSum(b) }
 
@@ -266,6 +274,19 @@ func TestEWOMergeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestEWOSyncMergeAllocBudget: merging a 512-entry sync update whose entries
+// are all stale into a warm node allocates nothing.
+func TestEWOSyncMergeAllocBudget(t *testing.T) {
+	node, u := experiments.WarmSyncNode(t)
+	stale := node.Stats.EntriesStale.Value()
+	if allocs := testing.AllocsPerRun(100, func() { node.Handle(2, u) }); allocs != 0 {
+		t.Fatalf("EWO merge of a %d-entry sync update allocates %v per op, want 0", len(u.Entries), allocs)
+	}
+	if got := node.Stats.EntriesStale.Value() - stale; got != uint64(101*len(u.Entries)) {
+		t.Fatalf("%d entries counted stale over 101 updates; the budget did not measure the sync merge path", got)
+	}
+}
+
 // TestEWOSumAllocBudget: reading a warm counter allocates nothing.
 func TestEWOSumAllocBudget(t *testing.T) {
 	reg := experiments.WarmCounter(t)
@@ -411,7 +432,9 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		// netem's delivery bursts and what made them look like one event per
 		// arrival, and the stats helpers only tests called.
 		"SetCoalesce", "DisableCoalescing", "CreditEvents", "EmitEventInstant", "deliverEach",
-		"arriveUnbursted", "stats.Percentiles"}
+		"arriveUnbursted", "stats.Percentiles",
+		// The sketch code only tests called.
+		"HeavyHitters", "CountMin.Marshal", "UnmarshalCountMin", "NewCountMinForError"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

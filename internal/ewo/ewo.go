@@ -27,6 +27,7 @@
 package ewo
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -195,8 +196,11 @@ type Node struct {
 	armed      bool
 	batchTimer sim.Timer
 	ticker     *sim.Ticker
-	// syncCursor walks keys across periodic sync rounds.
+	// The sync walk: a key-ordered snapshot of the LWW keys (syncKeys) or
+	// of the counter rows (syncRows), taken when the previous one is used
+	// up; syncCursor walks it across periodic sync rounds.
 	syncKeys   []uint64
+	syncRows   []int32
 	syncCursor int
 
 	// rng drives this node's sync-target sampling. It is a private stream
@@ -412,6 +416,20 @@ func counterEntry(key uint64, owner uint16, slotVal uint64, isDec bool) wire.EWO
 	}
 }
 
+// setCounterEntry writes counterEntry's announcement into e field by field,
+// for the sync walk, which fills its entries in place: storing a whole
+// EWOEntry, which holds a pointer, into the heap goes through the runtime's
+// bulk write barrier and cost three times as much per entry. It is not
+// counterEntry's implementation because the returned copy then costs Add
+// more than the literal does.
+func setCounterEntry(e *wire.EWOEntry, key uint64, owner uint16, slotVal uint64, isDec bool) {
+	v := incMark
+	if isDec {
+		v = decMark
+	}
+	e.Key, e.Stamp, e.Value = key, timesync.Stamp{Time: sim.Time(slotVal), Node: timesync.NodeID(owner)}, v
+}
+
 // Sum reads the counter: sum of increment slots minus decrement slots.
 func (n *Node) Sum(key uint64) uint64 {
 	if n.cfg.Kind == LWW {
@@ -568,8 +586,12 @@ func (n *Node) Handle(from netem.Addr, msg wire.Msg) bool {
 				rec.V3 = 1
 			}
 		}
-		for i := range m.Entries {
-			n.merge(&m.Entries[i])
+		if n.cfg.Kind == LWW {
+			for i := range m.Entries {
+				n.merge(&m.Entries[i])
+			}
+		} else {
+			n.mergeCounters(m.Entries)
 		}
 		return true
 	case *wire.GroupConfig:
@@ -579,27 +601,41 @@ func (n *Node) Handle(from netem.Addr, msg wire.Msg) bool {
 	return false
 }
 
-// merge applies one received entry under the register's merge discipline.
+// merge applies one received LWW entry: the larger stamp wins.
 func (n *Node) merge(e *wire.EWOEntry) {
-	switch n.cfg.Kind {
-	case LWW:
-		cur, ok := n.lww[e.Key]
-		if ok && !cur.stamp.Less(e.Stamp) {
-			n.Stats.EntriesStale.Inc()
-			return
-		}
-		n.lww[e.Key] = lwwCell{val: append([]byte(nil), e.Value...), stamp: e.Stamp}
-		n.Stats.EntriesMerged.Inc()
-	case Counter, PNCounter:
+	cur, ok := n.lww[e.Key]
+	if ok && !cur.stamp.Less(e.Stamp) {
+		n.Stats.EntriesStale.Inc()
+		return
+	}
+	n.lww[e.Key] = lwwCell{val: append([]byte(nil), e.Value...), stamp: e.Stamp}
+	n.Stats.EntriesMerged.Inc()
+}
+
+// mergeCounters applies a counter update's entries: each slot keeps the
+// larger of its value and the announced one. It works a row at a time: a
+// sync packet carries each key's slots back to back, so the key's row is
+// looked up once per run of equal keys, not once per slot. A decrement entry
+// reaching a G-counter (a configuration mismatch or corruption) is discarded
+// as stale and creates nothing.
+func (n *Node) mergeCounters(ents []wire.EWOEntry) {
+	t := &n.ctr
+	r, key := -1, uint64(0)
+	for i := range ents {
+		e := &ents[i]
 		vec := incVec
 		if len(e.Value) > 0 && e.Value[0] == 1 {
 			if n.cfg.Kind != PNCounter {
 				n.Stats.EntriesStale.Inc()
-				return
+				continue
 			}
 			vec = decVec
 		}
-		s := n.ctr.slot(e.Key, uint16(e.Stamp.Node), vec)
+		if r < 0 || e.Key != key {
+			r, key = t.rowFor(e.Key), e.Key
+		}
+		c := t.colFor(uint16(e.Stamp.Node)) // may widen: index the cell after it
+		s := &t.cells[(r*t.vecs+vec)*t.stride+c]
 		if v := uint64(e.Stamp.Time); v > *s {
 			*s = v
 			n.Stats.EntriesMerged.Inc()
@@ -615,37 +651,65 @@ func (n *Node) syncRound() {
 	if len(n.group) < 2 {
 		return
 	}
-	// Refresh the key walk when exhausted.
-	if n.syncCursor >= len(n.syncKeys) {
-		n.syncKeys = n.syncKeys[:0]
-		if n.cfg.Kind == LWW {
+	walk := n.syncWalk()
+	if walk == 0 {
+		return
+	}
+	end := min(n.syncCursor+n.cfg.SyncEntriesPerPacket, walk)
+	u := n.getUpdate()
+	u.Sync = true
+	if n.cfg.Kind == LWW {
+		for _, k := range n.syncKeys[n.syncCursor:end] {
+			if c, ok := n.lww[k]; ok {
+				u.Entries = append(u.Entries, wire.EWOEntry{Key: k, Stamp: c.stamp, Value: c.val})
+			}
+		}
+	} else {
+		for _, r := range n.syncRows[n.syncCursor:end] {
+			u.Entries = n.ctr.appendRow(u.Entries, r)
+		}
+	}
+	n.syncCursor = end
+	n.sendWindow(u)
+}
+
+// syncWalk returns the length of the sync walk, taking a new snapshot when
+// the current one is used up; keys added mid-walk wait for the next walk.
+// The walk goes in key order, like a register array's. Map iteration order
+// in particular is runtime-randomized and must not leak onto the wire (which
+// keys share a sync packet decides how fast a recovering member converges),
+// or runs stop being a pure function of the seed. Counter rows are never
+// removed, so a snapshot as long as the table is the table's rows in key
+// order already: it is re-sorted only when rows were added.
+func (n *Node) syncWalk() int {
+	if n.cfg.Kind == LWW {
+		if n.syncCursor >= len(n.syncKeys) {
+			n.syncKeys = n.syncKeys[:0]
 			for k := range n.lww {
 				n.syncKeys = append(n.syncKeys, k)
 			}
-		} else {
-			n.syncKeys = append(n.syncKeys, n.ctr.keys...)
+			slices.Sort(n.syncKeys)
+			n.syncCursor = 0
 		}
-		// The walk goes in key order, like a register array's. Map iteration
-		// order in particular is runtime-randomized and must not leak onto
-		// the wire (which keys share a sync packet decides how fast a
-		// recovering member converges), or runs stop being a pure function
-		// of the seed.
-		slices.Sort(n.syncKeys)
+		return len(n.syncKeys)
+	}
+	t := &n.ctr
+	if n.syncCursor >= len(n.syncRows) {
 		n.syncCursor = 0
+		if len(n.syncRows) < len(t.keys) {
+			for r := len(n.syncRows); r < len(t.keys); r++ {
+				n.syncRows = append(n.syncRows, int32(r))
+			}
+			slices.SortFunc(n.syncRows, func(a, b int32) int { return cmp.Compare(t.keys[a], t.keys[b]) })
+		}
 	}
-	if len(n.syncKeys) == 0 {
-		return
-	}
-	end := n.syncCursor + n.cfg.SyncEntriesPerPacket
-	if end > len(n.syncKeys) {
-		end = len(n.syncKeys)
-	}
-	u := n.getUpdate()
-	u.Sync = true
-	for _, k := range n.syncKeys[n.syncCursor:end] {
-		u.Entries = n.appendEntriesFor(u.Entries, k)
-	}
-	n.syncCursor = end
+	return len(n.syncRows)
+}
+
+// sendWindow sends one round's sync window to a randomly drawn group member
+// other than this switch and releases the caller's reference. An empty
+// window is not sent.
+func (n *Node) sendWindow(u *wire.EWOUpdate) {
 	if len(u.Entries) == 0 {
 		u.Release()
 		return
@@ -714,37 +778,6 @@ func (n *Node) sendSync(u *wire.EWOUpdate, target netem.Addr) {
 	n.sw.Send(target, u)
 	n.Stats.SyncPackets.Inc()
 	u.Release()
-}
-
-// appendEntriesFor appends the sync entries describing key's full local
-// state — for counters this gossips every known slot, so updates survive
-// the failure of their original writer (§6.3: "any switch that did receive
-// the update can then synchronize the other switches"). Slots go out in
-// column-directory order, increments before decrements, so a sync packet's
-// bytes are a function of the seed. A slot holding 0 is not gossiped: it is
-// what every replica assumes of a slot it has not heard about (only
-// Add(k, 0) and Sub(k, 0) can leave a touched slot at 0).
-func (n *Node) appendEntriesFor(dst []wire.EWOEntry, key uint64) []wire.EWOEntry {
-	if n.cfg.Kind == LWW {
-		c, ok := n.lww[key]
-		if !ok {
-			return dst
-		}
-		return append(dst, wire.EWOEntry{Key: key, Stamp: c.stamp, Value: c.val})
-	}
-	t := &n.ctr
-	r := t.row(key)
-	if r < 0 {
-		return dst
-	}
-	for vec := 0; vec < t.vecs; vec++ {
-		for c, v := range t.vector(r, vec) {
-			if v != 0 {
-				dst = append(dst, counterEntry(key, t.owners[c], v, vec == decVec))
-			}
-		}
-	}
-	return dst
 }
 
 // Keys returns the number of locally known keys.

@@ -511,8 +511,7 @@ func TestDecEntryIgnoredByGCounter(t *testing.T) {
 	// A decrement announcement arriving at a G-counter register (config
 	// mismatch / corruption) must be discarded, not misapplied.
 	a := mkIsolated(t, Counter, 7)
-	e := counterEntry(1, 3, 50, true) // dec entry
-	a.merge(&e)
+	a.mergeCounters([]wire.EWOEntry{counterEntry(1, 3, 50, true)}) // dec entry
 	if a.Sum(1) != 0 {
 		t.Fatalf("dec entry applied to G-counter: %d", a.Sum(1))
 	}

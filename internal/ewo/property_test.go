@@ -128,16 +128,14 @@ func TestCounterMergeOrderInsensitive(t *testing.T) {
 		}
 		a := mkIsolated(t, Counter, 1)
 		b := mkIsolated(t, Counter, 2)
-		for i := range entries {
-			a.merge(&entries[i])
-		}
+		a.mergeCounters(entries)
 		rng := rand.New(rand.NewSource(seed))
 		perm := rng.Perm(len(entries))
 		for _, i := range perm {
-			b.merge(&entries[i])
+			b.mergeCounters(entries[i : i+1])
 			// Duplicate some deliveries.
 			if rng.Intn(3) == 0 {
-				b.merge(&entries[i])
+				b.mergeCounters(entries[i : i+1])
 			}
 		}
 		return a.Sum(7) == total && b.Sum(7) == total
@@ -157,8 +155,7 @@ func TestCounterMergeMonotoneProperty(t *testing.T) {
 		a := mkIsolated(t, Counter, 1)
 		var last uint64
 		for i := 0; i < n; i++ {
-			e := counterEntry(1, uint16(owners[i]%6), uint64(vals[i]), false)
-			a.merge(&e)
+			a.mergeCounters([]wire.EWOEntry{counterEntry(1, uint16(owners[i]%6), uint64(vals[i]), false)})
 			cur := a.Sum(1)
 			if cur < last {
 				return false
@@ -203,12 +200,13 @@ func TestClusterConvergenceProperty(t *testing.T) {
 
 // refCounter is the counter state the way it used to be kept: key -> owner
 // -> slot value in nested maps. It is the oracle for the slot matrix; the
-// only thing it knows about the matrix is that owners are announced in
-// first-touch order.
+// only things it knows about the matrix are that keys take rows and owners
+// take columns in first-touch order.
 type refCounter struct {
 	pn            bool
 	self          uint16
 	keys          map[uint64]bool
+	order         []uint64 // keys in first-touch order
 	inc, dec      map[uint64]map[uint16]uint64
 	owners        []uint16
 	merged, stale uint64
@@ -220,7 +218,10 @@ func newRefCounter(pn bool, self uint16) *refCounter {
 }
 
 func (m *refCounter) slots(dec bool, key uint64, owner uint16) map[uint16]uint64 {
-	m.keys[key] = true
+	if !m.keys[key] {
+		m.keys[key] = true
+		m.order = append(m.order, key)
+	}
 	if !slices.Contains(m.owners, owner) {
 		m.owners = append(m.owners, owner)
 	}
@@ -325,9 +326,16 @@ func newTableProbe(t testing.TB, kind Kind) *tableProbe {
 // fullWalk abandons whatever is left of the current sync walk, then captures
 // one complete walk over the register.
 func (p *tableProbe) fullWalk() []wire.EWOEntry {
-	p.n.syncCursor = len(p.n.syncKeys)
+	p.n.syncCursor = len(p.n.syncRows)
 	p.synced = p.synced[:0]
-	for round := 0; round == 0 || p.n.syncCursor < len(p.n.syncKeys); round++ {
+	p.n.syncRound()
+	return p.walkRest()
+}
+
+// walkRest runs the current sync walk to its end and returns every entry
+// captured since synced was last emptied, in walk order.
+func (p *tableProbe) walkRest() []wire.EWOEntry {
+	for p.n.syncCursor < len(p.n.syncRows) {
 		p.n.syncRound()
 	}
 	p.eng.RunFor(time.Millisecond)
@@ -353,6 +361,35 @@ func checkTable(t testing.TB, tb *counterTable) {
 		if got := tb.row(k); got != r {
 			t.Fatalf("row(%d) = %d, want %d", k, got, r)
 		}
+	}
+}
+
+// checkModel asserts that the matrix holds exactly the model's state: its
+// rows in the model's key order, its columns in the model's owner order,
+// every cell equal to the model's slot, and the same merge counts.
+func checkModel(t testing.TB, n *Node, m *refCounter) {
+	t.Helper()
+	tb := &n.ctr
+	if !slices.Equal(tb.keys, m.order) {
+		t.Fatalf("rows %v, model %v", tb.keys, m.order)
+	}
+	if !slices.Equal(tb.owners, m.owners) {
+		t.Fatalf("columns %v, model %v", tb.owners, m.owners)
+	}
+	for r, k := range tb.keys {
+		for vec, slots := range []map[uint64]map[uint16]uint64{m.inc, m.dec}[:tb.vecs] {
+			for c, v := range tb.vector(r, vec) {
+				if want := slots[k][tb.owners[c]]; v != want {
+					t.Fatalf("key %d owner %d vector %d = %d, model %d", k, tb.owners[c], vec, v, want)
+				}
+			}
+		}
+	}
+	if got := n.Stats.EntriesMerged.Value(); got != m.merged {
+		t.Fatalf("EntriesMerged = %d, model %d", got, m.merged)
+	}
+	if got := n.Stats.EntriesStale.Value(); got != m.stale {
+		t.Fatalf("EntriesStale = %d, model %d", got, m.stale)
 	}
 }
 
@@ -398,8 +435,10 @@ func runTableProgram(t testing.TB, prog []byte) {
 		}
 		return 0xfffe
 	}
+	// The column order of the peer whose sync packets op 8 receives.
+	var sender []uint16
 	for prog = prog[1:]; len(prog) > 0; {
-		switch op := next(); op % 8 {
+		switch op := next(); op % 9 {
 		case 0:
 			k, d := key(), next()
 			n.Add(k, d)
@@ -417,13 +456,12 @@ func runTableProgram(t testing.TB, prog []byte) {
 				cur = m.dec[k][o]
 			}
 			val := cur + 1 + next()
-			if op%8 == 3 {
+			if op%9 == 3 {
 				val = cur
-			} else if op%8 == 4 {
+			} else if op%9 == 4 {
 				val = cur / 2
 			}
-			e := counterEntry(k, o, val, dec)
-			n.merge(&e)
+			n.mergeCounters([]wire.EWOEntry{counterEntry(k, o, val, dec)})
 			m.merge(dec, k, o, val)
 		case 5:
 			k := key()
@@ -454,15 +492,48 @@ func runTableProgram(t testing.TB, prog []byte) {
 					t.Fatalf("digest[%d] = %q, model %q", k, d[k], want)
 				}
 			}
+		case 8: // receive a sync-shaped update
+			// Runs of one key, each slot once, in the sender's column order,
+			// increments before decrements; values newer, equal or older than
+			// the model's, decrements mixed in (stale on a G-counter).
+			type slot struct {
+				vec, col int
+				owner    uint16
+			}
+			u := &wire.EWOUpdate{Reg: 1, From: 2, Sync: true}
+			for keys := 1 + next()%4; keys > 0; keys-- {
+				k := key()
+				var run []slot
+				for slots := 1 + next()%8; slots > 0; slots-- {
+					o, vec := owner(), int(next()&1)
+					col := slices.Index(sender, o)
+					if col < 0 {
+						col, sender = len(sender), append(sender, o)
+					}
+					if !slices.ContainsFunc(run, func(s slot) bool { return s.owner == o && s.vec == vec }) {
+						run = append(run, slot{vec, col, o})
+					}
+				}
+				slices.SortFunc(run, func(a, b slot) int { return cmp.Or(cmp.Compare(a.vec, b.vec), cmp.Compare(a.col, b.col)) })
+				for _, s := range run {
+					cur := []map[uint64]map[uint16]uint64{m.inc, m.dec}[s.vec][k][s.owner]
+					sel := next()
+					val := cur + sel%4
+					if sel&4 != 0 {
+						val = cur / 2
+					}
+					u.Entries = append(u.Entries, counterEntry(k, s.owner, max(val, 1), s.vec == decVec))
+				}
+			}
+			n.Handle(2, u)
+			for _, e := range u.Entries {
+				m.merge(e.Value[0] == 1, e.Key, uint16(e.Stamp.Node), uint64(e.Stamp.Time))
+			}
+			checkModel(t, n, m)
 		}
 	}
 	p.eng.RunFor(time.Millisecond)
-	if got := n.Stats.EntriesMerged.Value(); got != m.merged {
-		t.Fatalf("EntriesMerged = %d, model %d", got, m.merged)
-	}
-	if got := n.Stats.EntriesStale.Value(); got != m.stale {
-		t.Fatalf("EntriesStale = %d, model %d", got, m.stale)
-	}
+	checkModel(t, n, m)
 	checkTable(t, &n.ctr)
 }
 
@@ -478,8 +549,8 @@ func tablePrograms(count, ops int) [][]byte {
 	return progs
 }
 
-// Property: over random programs of Add/Sub/merge/Sum/sync/digest — keys on
-// both sides of Capacity, decrement-only keys, 40 slot owners, hundreds of
+// Property: over random programs of Add/Sub/merge/Sum/sync/digest and
+// received sync-shaped updates — keys on both sides of Capacity, decrement-only keys, 40 slot owners, hundreds of
 // keys — the slot matrix is indistinguishable from nested maps.
 func TestCounterTableMatchesNestedMaps(t *testing.T) {
 	var rehashes, strides int
@@ -489,9 +560,8 @@ func TestCounterTableMatchesNestedMaps(t *testing.T) {
 	// The programs are meant to cross the growth paths; make sure they do.
 	p := newTableProbe(t, PNCounter)
 	for i := uint64(0); i < 700; i++ {
-		e := counterEntry(i*i, uint16(i%40+1), i+1, i%2 == 1)
 		before, stride := len(p.n.ctr.idx), p.n.ctr.stride
-		p.n.merge(&e)
+		p.n.mergeCounters([]wire.EWOEntry{counterEntry(i*i, uint16(i%40+1), i+1, i%2 == 1)})
 		if len(p.n.ctr.idx) != before {
 			rehashes++
 		}
@@ -505,12 +575,67 @@ func TestCounterTableMatchesNestedMaps(t *testing.T) {
 	}
 }
 
+// The counter sync walk is a snapshot of rows in key order: keys added
+// mid-walk wait for the next walk and then go out in key order, and a walk
+// over an unchanged key set, which reuses the snapshot instead of sorting
+// again, sends the bytes a freshly sorted walk does.
+func TestCounterSyncWalkSnapshot(t *testing.T) {
+	keysOf := func(walk []wire.EWOEntry) []uint64 {
+		var ks []uint64
+		for _, e := range walk {
+			if len(ks) == 0 || ks[len(ks)-1] != e.Key {
+				ks = append(ks, e.Key)
+			}
+		}
+		return ks
+	}
+	p := newTableProbe(t, PNCounter)
+	var early []uint64
+	for i := uint64(0); i < 40; i++ {
+		k := 1000 + i*37%40*10 // first touch out of key order
+		p.n.Add(k, i+1)
+		early = append(early, k)
+	}
+	p.n.Sub(early[3], 1)
+	slices.Sort(early)
+
+	p.n.syncCursor = len(p.n.syncRows)
+	p.synced = p.synced[:0]
+	p.n.syncRound() // the first 16 of 40 keys
+	late := []uint64{5, 1005, 5000}
+	for _, k := range late {
+		p.n.Add(k, 1)
+	}
+	if got := keysOf(p.walkRest()); !slices.Equal(got, early) {
+		t.Fatalf("walk under way when keys were added sent keys %v, want %v", got, early)
+	}
+	all := append(slices.Clone(early), late...)
+	slices.Sort(all)
+	if got := keysOf(p.fullWalk()); !slices.Equal(got, all) {
+		t.Fatalf("next walk sent keys %v, want %v", got, all)
+	}
+
+	marshal := func(walk []wire.EWOEntry) []byte {
+		return (&wire.EWOUpdate{Reg: 1, From: 1, Sync: true, Entries: walk}).Marshal(nil)
+	}
+	reused := p.fullWalk()
+	p.n.syncRows = nil // forget the snapshot: the next walk sorts every row afresh
+	fresh := p.fullWalk()
+	if got := keysOf(reused); !slices.Equal(got, all) {
+		t.Fatalf("walk over an unchanged key set sent keys %v, want %v", got, all)
+	}
+	if a, b := marshal(reused), marshal(fresh); !bytes.Equal(a, b) {
+		t.Fatalf("walk over an unchanged key set marshals to\n%x\na freshly sorted one to\n%x", a, b)
+	}
+}
+
 // FuzzCounterTable feeds arbitrary programs to the same differential check.
 func FuzzCounterTable(f *testing.F) {
 	for _, prog := range tablePrograms(4, 200) {
 		f.Add(prog)
 	}
-	f.Add([]byte{1, 1, 0, 0, 0, 4, 0, 0, 9, 1, 6, 7}) // Sub(0, 0) then a stale dec merge, sync, digest
+	f.Add([]byte{1, 1, 0, 0, 0, 4, 0, 0, 9, 1, 6, 7})             // Sub(0, 0) then a stale dec merge, sync, digest
+	f.Add([]byte{0, 8, 0, 0, 0, 2, 5, 0, 6, 1, 5, 1, 1, 2, 3, 7}) // G-counter: a sync run of one key with two stale decrements, digest
 	f.Fuzz(func(t *testing.T, prog []byte) { runTableProgram(t, prog) })
 }
 

@@ -1,6 +1,11 @@
 package ewo
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+
+	"swishmem/internal/wire"
+)
 
 // counterTable holds a counter register's state in the layout §7 gives it:
 // "one register array for each switch in the replica group", i.e. a matrix
@@ -9,26 +14,29 @@ import "math/bits"
 // which is what a register access at line rate is.
 //
 // Rows are found through one open-addressed key table (Fibonacci hash,
-// linear probing, at most half full, grown by doubling) and are handed out
-// in first-touch order, so keys doubles as the deterministic key list the
-// sync walk snapshots. Nothing is sized by Config.Capacity: the SRAM charge
-// is made against the switch's budget in NewNode, the host memory follows
-// the keys actually touched.
+// linear probing, at most half full, grown by doubling), are handed out in
+// first-touch order and are never removed, so the rows a table holds are
+// always 0..len(keys)-1: the sync walk keeps them in key order and re-sorts
+// only when rows were added (see Node.syncRows). Nothing is sized by
+// Config.Capacity: the SRAM charge is made against the switch's budget in
+// NewNode, the host memory follows the keys actually touched.
 //
 // Columns are handed out in first-touch order too, through a small owner
 // directory that is scanned linearly (a replica group is at most MaxGroup
-// switches, 8 by default, so the scan beats any hash). stride, the number of
-// column slots reserved per vector, starts at MaxGroup — the SRAM
-// reservation — and doubles, re-laying every row, if membership churn ever
-// brings in more owners than that: a G-counter can never forget a departed
-// writer's slot. A PN counter keeps its decrement vector in the second half
-// of the row.
+// switches, 8 by default, so the scan beats any hash) after a check of the
+// column found last: every entry of a write update shares its sender, and
+// every Add is the switch's own. stride, the number of column slots reserved
+// per vector, starts at MaxGroup — the SRAM reservation — and doubles,
+// re-laying every row, if membership churn ever brings in more owners than
+// that: a G-counter can never forget a departed writer's slot. A PN counter
+// keeps its decrement vector in the second half of the row.
 type counterTable struct {
 	idx   []tableEnt // open-addressed key -> row; len is 0 or a power of two
 	shift uint       // 64 - log2(len(idx))
 	keys  []uint64   // row -> key, in first-touch order
 
 	owners []uint16 // column -> slot owner, in first-touch order
+	last   int      // the column colFor returned last
 	stride int      // column slots per vector (>= len(owners))
 	vecs   int      // vectors per row: 1 (increments) or 2 (+ decrements)
 	cells  []uint64 // row r, vector v, column c at (r*vecs+v)*stride + c
@@ -117,8 +125,12 @@ func (t *counterTable) rehash() {
 
 // colFor returns owner's column, appending one on first touch.
 func (t *counterTable) colFor(owner uint16) int {
+	if c := t.last; c < len(t.owners) && t.owners[c] == owner {
+		return c
+	}
 	for c, o := range t.owners {
 		if o == owner {
+			t.last = c
 			return c
 		}
 	}
@@ -126,7 +138,8 @@ func (t *counterTable) colFor(owner uint16) int {
 		t.widen()
 	}
 	t.owners = append(t.owners, owner)
-	return len(t.owners) - 1
+	t.last = len(t.owners) - 1
+	return t.last
 }
 
 // widen doubles the stride, moving every vector to its new offset.
@@ -150,6 +163,28 @@ func (t *counterTable) slot(key uint64, owner uint16, vec int) *uint64 {
 func (t *counterTable) vector(r, vec int) []uint64 {
 	base := (r*t.vecs + vec) * t.stride
 	return t.cells[base : base+len(t.owners)]
+}
+
+// appendRow appends the sync entries describing row r's full local state:
+// every known slot, so updates survive the failure of their original writer
+// (§6.3: "any switch that did receive the update can then synchronize the
+// other switches"). Slots go out in column-directory order, increments
+// before decrements, so a sync packet's bytes are a function of the seed. A
+// slot holding 0 is not gossiped: it is what every replica assumes of a slot
+// it has not heard about (only Add(k, 0) and Sub(k, 0) can leave a touched
+// slot at 0).
+func (t *counterTable) appendRow(dst []wire.EWOEntry, r int32) []wire.EWOEntry {
+	key, n := t.keys[r], len(dst)
+	dst = slices.Grow(dst, t.vecs*len(t.owners))[:n+t.vecs*len(t.owners)]
+	for vec := 0; vec < t.vecs; vec++ {
+		for c, v := range t.vector(int(r), vec) {
+			if v != 0 {
+				setCounterEntry(&dst[n], key, t.owners[c], v, vec == decVec)
+				n++
+			}
+		}
+	}
+	return dst[:n]
 }
 
 // sum reads key's counter: increment slots minus decrement slots.

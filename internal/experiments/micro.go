@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"swishmem"
+	"swishmem/internal/ewo"
 	"swishmem/internal/netem"
+	"swishmem/internal/pisa"
 	"swishmem/internal/sim"
 	"swishmem/internal/timesync"
 	"swishmem/internal/wire"
@@ -232,6 +234,107 @@ func MicroEWOMerge(b *testing.B) {
 	}
 	if got := node.Stats.EntriesMerged.Value(); got < uint64(8*b.N) {
 		b.Fatalf("%d entries merged over %d updates, want all 8 of each", got, b.N)
+	}
+}
+
+// The sync fixture's shape: sim-ddos-8sw's replica group of 8, the key
+// window one periodic sync round walks (the default SyncEntriesPerPacket),
+// and 12 such windows, about the 748 keys a sim-ddos-8sw walk holds.
+const (
+	microSyncOwners   = 8
+	microSyncKeys     = 64
+	microSyncWarmKeys = 12 * microSyncKeys
+	microSyncPeriod   = 10 * time.Microsecond
+)
+
+// WarmSyncNode builds a counter node with periodic sync on, in a group of
+// microSyncOwners members whose other seven drop what they are sent, and
+// merges sync-shaped updates into it until each of microSyncWarmKeys keys holds
+// a slot of every member. It returns the node and the sync update of the
+// first microSyncKeys keys — one key's slots back to back, in the sender's
+// column order — which it has already merged, so every entry of it is stale
+// (as sync entries mostly are on sim-ddos-8sw). The clock has not run: the
+// first sync round is one period away. The root alloc-budget test measures
+// on the same fixture.
+func WarmSyncNode(tb testing.TB) (*ewo.Node, *wire.EWOUpdate) {
+	eng := sim.NewEngine(1)
+	nw := netem.New(eng, netem.LinkProfile{})
+	sw := pisa.New(eng, nw, pisa.Config{Addr: 1})
+	n, err := ewo.NewNode(sw, ewo.Config{Reg: 1, Capacity: microSyncWarmKeys, Kind: ewo.Counter, SyncPeriod: microSyncPeriod})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	members := []uint16{1}
+	for a := netem.Addr(2); a <= microSyncOwners; a++ {
+		members = append(members, uint16(a))
+		nw.Attach(a, func(_ netem.Addr, payload any, _ int) { payload.(*wire.EWOUpdate).Release() })
+	}
+	if err := n.SetGroup(wire.GroupConfig{Epoch: 1, Members: members}); err != nil {
+		tb.Fatal(err)
+	}
+	inc := []byte{0}
+	window := func(first uint64) *wire.EWOUpdate {
+		u := &wire.EWOUpdate{Reg: 1, From: 2, Sync: true}
+		for k := first; k < first+microSyncKeys; k++ {
+			for o := uint64(1); o <= microSyncOwners; o++ {
+				u.Entries = append(u.Entries, wire.EWOEntry{
+					Key:   k,
+					Stamp: timesync.Stamp{Time: sim.Time(k*microSyncOwners + o), Node: timesync.NodeID(o)},
+					Value: inc,
+				})
+			}
+		}
+		return u
+	}
+	for k := uint64(0); k < microSyncWarmKeys; k += microSyncKeys {
+		n.Handle(2, window(k))
+	}
+	if got, want := n.Stats.EntriesMerged.Value(), uint64(microSyncWarmKeys*microSyncOwners); got != want {
+		tb.Fatalf("warm-up merged %d entries, want %d", got, want)
+	}
+	return n, window(0)
+}
+
+// MicroEWOSyncMerge measures the EWO receive path on a periodic-sync packet:
+// one op is a 64-key x 8-owner sync update (512 entries) merged into a warm
+// node, every entry stale (steady-state target: 0 allocs/op).
+func MicroEWOSyncMerge(b *testing.B) {
+	node, u := WarmSyncNode(b)
+	merged, stale := node.Stats.EntriesMerged.Value(), node.Stats.EntriesStale.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		node.Handle(2, u)
+	}
+	b.StopTimer()
+	if got := node.Stats.EntriesMerged.Value() - merged; got != 0 {
+		b.Fatalf("%d entries of an already-merged sync update merged again", got)
+	}
+	if got, want := node.Stats.EntriesStale.Value()-stale, uint64(b.N*len(u.Entries)); got != want {
+		b.Fatalf("%d entries counted stale over %d updates, want %d", got, b.N, want)
+	}
+}
+
+// MicroEWOSyncRound measures the periodic-sync walk: one op is one round of
+// the packet generator on WarmSyncNode's node — a 64-key window of its rows
+// packed into one 512-entry sync update and sent to a peer (steady-state
+// target: 0 allocs/op). The clock runs one sync period per op.
+func MicroEWOSyncRound(b *testing.B) {
+	node, u := WarmSyncNode(b)
+	eng := node.Switch().Engine()
+	eng.RunFor(microSyncWarmKeys / microSyncKeys * microSyncPeriod) // one whole walk
+	packets, bytes := node.Stats.SyncPackets.Value(), node.Stats.SyncBytes.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.RunFor(microSyncPeriod)
+	}
+	b.StopTimer()
+	if got := node.Stats.SyncPackets.Value() - packets; got != uint64(b.N) {
+		b.Fatalf("%d sync packets over %d rounds, want one each", got, b.N)
+	}
+	if got, want := node.Stats.SyncBytes.Value()-bytes, uint64(b.N*u.Size()); got != want {
+		b.Fatalf("%d sync bytes over %d rounds, want %d: a round is not a full 64-key window", got, b.N, want)
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package sketch implements the approximate data structures used by the
+// Package sketch implements the approximate data structure used by the
 // write-intensive NFs of §4.2: a count-min sketch for per-IP frequency
-// tracking (the DDoS detector's state) and a heavy-hitter tracker on top.
+// tracking (the DDoS detector's state).
 //
 // Sketches are mergeable — counters are commutative — which is exactly why
 // the paper classifies them as ideal EWO state (Observation 2): a per-switch
@@ -9,7 +9,6 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -39,17 +38,6 @@ func NewCountMin(width, depth int) (*CountMin, error) {
 		s.seeds[i] = 0x9e3779b97f4a7c15*uint64(i+1) | 1
 	}
 	return s, nil
-}
-
-// NewCountMinForError builds a sketch sized for a target relative error eps
-// and failure probability delta: w = ceil(e/eps), d = ceil(ln(1/delta)).
-func NewCountMinForError(eps, delta float64) (*CountMin, error) {
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
-		return nil, fmt.Errorf("sketch: eps and delta must be in (0,1)")
-	}
-	w := int(math.Ceil(math.E / eps))
-	d := int(math.Ceil(math.Log(1 / delta)))
-	return NewCountMin(w, d)
 }
 
 // Width returns the number of counters per row.
@@ -148,106 +136,4 @@ func (s *CountMin) Clone() *CountMin {
 	}
 	c.total = s.total
 	return c
-}
-
-// Marshal serializes the sketch (geometry + counters) for snapshot
-// transfer. The encoding is row-major big-endian.
-func (s *CountMin) Marshal() []byte {
-	out := make([]byte, 0, 8+s.w*s.d*8+8)
-	out = binary.BigEndian.AppendUint32(out, uint32(s.w))
-	out = binary.BigEndian.AppendUint32(out, uint32(s.d))
-	out = binary.BigEndian.AppendUint64(out, s.total)
-	for _, row := range s.rows {
-		for _, v := range row {
-			out = binary.BigEndian.AppendUint64(out, v)
-		}
-	}
-	return out
-}
-
-// UnmarshalCountMin decodes a sketch produced by Marshal.
-func UnmarshalCountMin(data []byte) (*CountMin, error) {
-	if len(data) < 16 {
-		return nil, fmt.Errorf("sketch: truncated header")
-	}
-	w := int(binary.BigEndian.Uint32(data[0:]))
-	d := int(binary.BigEndian.Uint32(data[4:]))
-	total := binary.BigEndian.Uint64(data[8:])
-	s, err := NewCountMin(w, d)
-	if err != nil {
-		return nil, err
-	}
-	need := 16 + w*d*8
-	if len(data) < need {
-		return nil, fmt.Errorf("sketch: truncated body (%d < %d)", len(data), need)
-	}
-	off := 16
-	for r := 0; r < d; r++ {
-		for c := 0; c < w; c++ {
-			s.rows[r][c] = binary.BigEndian.Uint64(data[off:])
-			off += 8
-		}
-	}
-	s.total = total
-	return s, nil
-}
-
-// HeavyHitters tracks keys whose estimated count exceeds a threshold,
-// using a count-min sketch plus a small exact candidate table — the shape
-// of the in-switch DDoS detector's data structure.
-type HeavyHitters struct {
-	sketch    *CountMin
-	threshold uint64
-	hits      map[uint64]uint64 // candidate key -> estimate at promotion
-	maxKeys   int
-}
-
-// NewHeavyHitters builds a tracker that promotes keys whose estimate
-// reaches threshold, remembering at most maxKeys candidates.
-func NewHeavyHitters(width, depth int, threshold uint64, maxKeys int) (*HeavyHitters, error) {
-	s, err := NewCountMin(width, depth)
-	if err != nil {
-		return nil, err
-	}
-	if threshold == 0 {
-		return nil, fmt.Errorf("sketch: zero threshold")
-	}
-	if maxKeys <= 0 {
-		maxKeys = 1024
-	}
-	return &HeavyHitters{sketch: s, threshold: threshold, hits: make(map[uint64]uint64), maxKeys: maxKeys}, nil
-}
-
-// Add records one occurrence of key and reports whether key is (now) a
-// heavy hitter.
-func (h *HeavyHitters) Add(key uint64, delta uint64) bool {
-	h.sketch.Add(key, delta)
-	est := h.sketch.Estimate(key)
-	if est >= h.threshold {
-		if _, ok := h.hits[key]; !ok && len(h.hits) < h.maxKeys {
-			h.hits[key] = est
-		} else if ok {
-			h.hits[key] = est
-		}
-		return true
-	}
-	return false
-}
-
-// Hits returns the current heavy-hitter set (key -> last estimate).
-func (h *HeavyHitters) Hits() map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(h.hits))
-	for k, v := range h.hits {
-		out[k] = v
-	}
-	return out
-}
-
-// Sketch exposes the underlying count-min sketch (for replication).
-func (h *HeavyHitters) Sketch() *CountMin { return h.sketch }
-
-// Reset clears both sketch and candidates (a new detection window).
-func (h *HeavyHitters) Reset() {
-	h.sketch.Reset()
-	h.hits = make(map[uint64]uint64)
 }

@@ -22,21 +22,6 @@ func TestNewCountMinValidation(t *testing.T) {
 	}
 }
 
-func TestNewCountMinForError(t *testing.T) {
-	s, err := NewCountMinForError(0.01, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Width() < 250 || s.Depth() < 4 {
-		t.Fatalf("undersized for (0.01, 0.01): %dx%d", s.Depth(), s.Width())
-	}
-	for _, bad := range [][2]float64{{0, 0.1}, {0.1, 0}, {1, 0.1}, {0.1, 1}} {
-		if _, err := NewCountMinForError(bad[0], bad[1]); err == nil {
-			t.Errorf("accepted eps=%v delta=%v", bad[0], bad[1])
-		}
-	}
-}
-
 func TestNeverUnderestimates(t *testing.T) {
 	s, _ := NewCountMin(64, 3)
 	truth := map[uint64]uint64{}
@@ -57,8 +42,9 @@ func TestNeverUnderestimates(t *testing.T) {
 }
 
 func TestErrorBound(t *testing.T) {
-	// With w >= e/eps, error <= eps*N with prob 1-(1/2)^d per key.
-	s, _ := NewCountMinForError(0.01, 0.001)
+	// With w >= e/eps, error <= eps*N with prob 1-(1/2)^d per key: sized for
+	// eps = 0.01, delta = 0.001 (w = ceil(e/eps), d = ceil(ln(1/delta))).
+	s, _ := NewCountMin(272, 7)
 	rng := rand.New(rand.NewSource(2))
 	truth := map[uint64]uint64{}
 	const N = 100000
@@ -168,89 +154,6 @@ func TestReset(t *testing.T) {
 	a.Reset()
 	if a.Estimate(1) != 0 || a.Total() != 0 {
 		t.Fatal("reset incomplete")
-	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	a, _ := NewCountMin(32, 3)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		a.Add(uint64(rng.Intn(100)), uint64(rng.Intn(10)+1))
-	}
-	b, err := UnmarshalCountMin(a.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Total() != a.Total() || b.Width() != a.Width() || b.Depth() != a.Depth() {
-		t.Fatal("header mismatch")
-	}
-	for k := uint64(0); k < 100; k++ {
-		if a.Estimate(k) != b.Estimate(k) {
-			t.Fatalf("estimate mismatch for key %d", k)
-		}
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	if _, err := UnmarshalCountMin(nil); err == nil {
-		t.Error("nil accepted")
-	}
-	a, _ := NewCountMin(8, 2)
-	raw := a.Marshal()
-	if _, err := UnmarshalCountMin(raw[:20]); err == nil {
-		t.Error("truncated body accepted")
-	}
-	// Corrupt geometry to zero.
-	bad := append([]byte(nil), raw...)
-	bad[0], bad[1], bad[2], bad[3] = 0, 0, 0, 0
-	if _, err := UnmarshalCountMin(bad); err == nil {
-		t.Error("zero width accepted")
-	}
-}
-
-func TestHeavyHitters(t *testing.T) {
-	h, err := NewHeavyHitters(256, 3, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 99 adds: not a hitter. 100th: hitter.
-	for i := 0; i < 99; i++ {
-		if h.Add(7, 1) {
-			t.Fatalf("premature heavy hitter at %d", i+1)
-		}
-	}
-	if !h.Add(7, 1) {
-		t.Fatal("not detected at threshold")
-	}
-	hits := h.Hits()
-	if len(hits) != 1 || hits[7] < 100 {
-		t.Fatalf("hits = %v", hits)
-	}
-	h.Reset()
-	if len(h.Hits()) != 0 || h.Sketch().Total() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
-func TestHeavyHittersMaxKeys(t *testing.T) {
-	h, _ := NewHeavyHitters(1024, 3, 10, 2)
-	for k := uint64(0); k < 5; k++ {
-		h.Add(k, 10)
-	}
-	if len(h.Hits()) > 2 {
-		t.Fatalf("candidate table exceeded maxKeys: %d", len(h.Hits()))
-	}
-}
-
-func TestHeavyHittersValidation(t *testing.T) {
-	if _, err := NewHeavyHitters(0, 3, 10, 10); err == nil {
-		t.Error("bad geometry accepted")
-	}
-	if _, err := NewHeavyHitters(10, 3, 0, 10); err == nil {
-		t.Error("zero threshold accepted")
-	}
-	if h, _ := NewHeavyHitters(10, 3, 10, 0); h.maxKeys <= 0 {
-		t.Error("maxKeys default not applied")
 	}
 }
 
