@@ -122,6 +122,14 @@ func BenchmarkEngineDeepQueue(b *testing.B) { experiments.MicroEngineDeepQueue(b
 // 100 ns: the shape a timing wheel cannot help, which must not get slower.
 func BenchmarkEngineScheduleRun(b *testing.B) { experiments.MicroEngineScheduleRun(b) }
 
+// BenchmarkEngineFanout measures an EWO multicast's 15 engine events: a flush
+// scheduling 7 same-instant keyed arrivals, each with a +400 ns stage.
+func BenchmarkEngineFanout(b *testing.B) { experiments.MicroEngineFanout(b) }
+
+// BenchmarkDDoSReplay measures a packet of the sim-ddos-8sw replay end to
+// end in the simulator; profile it to split the packet's cost by layer.
+func BenchmarkDDoSReplay(b *testing.B) { experiments.MicroDDoSReplay(b) }
+
 // BenchmarkNetemSendDeliver measures a message over a simulated link: Send
 // plus the queued event that delivers it, 256 same-instant sends per drain.
 func BenchmarkNetemSendDeliver(b *testing.B) { experiments.MicroNetemSendDeliver(b) }
@@ -314,13 +322,23 @@ func TestEventSchedulingAllocBudget(t *testing.T) {
 }
 
 // TestEngineDeepQueueAllocBudget: schedule+pop through all three tiers of the
-// pending set — heap under the clock, timing wheel, far heap — with ~1k
-// far-future events pending allocates nothing.
+// pending set — the sorted run under the clock, the timing wheel, the outer
+// wheel — with ~1k far-future events pending allocates nothing.
 func TestEngineDeepQueueAllocBudget(t *testing.T) {
 	run := experiments.DeepQueue()
 	run(1 << 16)
 	if allocs := testing.AllocsPerRun(100, func() { run(1024) }); allocs != 0 {
 		t.Fatalf("1024 deep-queue events allocate %v, want 0", allocs)
+	}
+}
+
+// TestEngineFanoutAllocBudget: an EWO multicast's shape on the engine — a
+// flush, 7 same-instant keyed arrivals, their stages — allocates nothing.
+func TestEngineFanoutAllocBudget(t *testing.T) {
+	run := experiments.Fanout()
+	run(1 << 12)
+	if allocs := testing.AllocsPerRun(100, func() { run(64) }); allocs != 0 {
+		t.Fatalf("64 multicasts allocate %v, want 0", allocs)
 	}
 }
 
@@ -397,7 +415,7 @@ func BenchmarkE18_NthLossAnomaly(b *testing.B) { benchExperiment(b, "E18") }
 // so are the second SRO node type and the interface over the two (ISSUE 22:
 // *chain.Node is the only one) and what ISSUE 23 deleted, so no document may
 // send a reader to them. Neither may one cite the deleted parallel (sharded)
-// simulator or netem's deleted delivery bursts.
+// simulator, netem's deleted delivery bursts or the pending set's heaps.
 // CHANGES.md, ROADMAP.md and ISSUE.md are history and planning and may name
 // what was deleted. bench/ is frozen outside benchmark PRs and its README
 // still names the deleted interface where it means (*chain.Node).Counters/Get:
@@ -405,7 +423,9 @@ func BenchmarkE18_NthLossAnomaly(b *testing.B) { benchExperiment(b, "E18") }
 // fixes that line and drops the exemption.
 //
 // The same walk holds every `make <target>` a document cites in backticks to
-// the Makefile's targets (bench/ excepted as above).
+// the Makefile's targets, and rejects a ROADMAP item cited by number
+// ("ROADMAP item 3", "ROADMAP 2(c)"): the numbers change at every re-anchor,
+// so a document cites an item by its title (bench/ excepted as above).
 func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -416,6 +436,7 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		targets[string(m[1])] = true
 	}
 	citedTarget := regexp.MustCompile("`make ([A-Za-z0-9_-]+)[^`]*`")
+	citedItem := regexp.MustCompile(`ROADMAP (items? )?[0-9]`)
 	gone := []string{"BENCH_", "benchdiff", "make snapshot", "make pps", "-pps"}
 	goneOutsideBench := []string{"Replicator", "RetransmitNode", "NewRetransmitNode", "chain.New(", "replicator.go",
 		// ISSUE 23: the second copies of what sim and live both run, and
@@ -434,7 +455,9 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		"SetCoalesce", "DisableCoalescing", "CreditEvents", "EmitEventInstant", "deliverEach",
 		"arriveUnbursted", "stats.Percentiles",
 		// The sketch code only tests called.
-		"HeavyHitters", "CountMin.Marshal", "UnmarshalCountMin", "NewCountMinForError"}
+		"HeavyHitters", "CountMin.Marshal", "UnmarshalCountMin", "NewCountMinForError",
+		// The pending set's heaps.
+		"eventHeap", "tierFar"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -468,6 +491,9 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 			}
 			if !outsideBench {
 				continue
+			}
+			if m := citedItem.FindString(line); m != "" {
+				t.Errorf("%s:%d cites %q…; cite a ROADMAP item by its title", path, i+1, m)
 			}
 			for _, m := range citedTarget.FindAllStringSubmatch(line, -1) {
 				if !targets[m[1]] {

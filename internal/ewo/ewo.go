@@ -80,8 +80,8 @@ type Config struct {
 	// reserve SRAM for this many slots per key (§7: "one register array for
 	// each switch in the replica group"). Default 8.
 	MaxGroup int
-	// SyncPeriod is the periodic synchronization interval (0 disables).
-	// Default 1ms, the paper's example.
+	// SyncPeriod is the periodic synchronization interval. 0 means the
+	// default, 1ms, the paper's example; only SyncDisabled turns sync off.
 	SyncPeriod sim.Duration
 	// SyncDisabled turns off periodic sync (for experiments isolating the
 	// per-write multicast path).

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"swishmem/internal/sim"
 	"swishmem/internal/timesync"
 	"swishmem/internal/wire"
+	"swishmem/internal/workload"
 )
 
 // The Micro* functions are the hot-path microbenchmark bodies the repo-root
@@ -81,9 +84,10 @@ func MicroEngineDeepQueue(b *testing.B) {
 }
 
 // MicroEngineScheduleRun is the degenerate shape for a timing wheel: 1024
-// events inside 100 ns, so everything shares one bucket or two and the
-// bottom-tier heap does all the ordering. It must stay level with a plain
-// heap. Same body as BenchmarkEngineScheduleRun in internal/sim.
+// events inside 100 ns, so everything shares one tick or two and the sorted
+// run under the clock does all the ordering, nearly every insert by binary
+// search. A change to the pending set must leave it no slower than its
+// parent commit. Same body as BenchmarkEngineScheduleRun in internal/sim.
 func MicroEngineScheduleRun(b *testing.B) {
 	e := sim.NewEngine(1)
 	b.ReportAllocs()
@@ -94,6 +98,142 @@ func MicroEngineScheduleRun(b *testing.B) {
 		}
 	}
 	e.Run()
+}
+
+// Fanout builds an engine running the shape an EWO multicast gives the
+// pending set on sim-ddos-8sw: a local event on one of 8 switches (its flush)
+// schedules 7 keyed arrivals, one per peer, at one instant 10 µs later, and
+// each arrival schedules a local event 400 ns after it (its pipeline stage).
+// A flush fires every µs, so ~10 multicasts are in flight. The returned run
+// sends ops multicasts and lets them land; the root alloc-budget test
+// measures on the same fixture.
+func Fanout() (run func(ops int)) {
+	const (
+		switches = 8
+		gap      = time.Microsecond
+		link     = 10 * time.Microsecond
+		stage    = 400 * time.Nanosecond
+	)
+	eng := sim.NewEngine(1)
+	var seq [switches + 1][switches + 1]uint64 // per-link delivery sequence
+	nop := func() {}
+	arrive := func() { eng.ScheduleAfter(stage, nop) }
+	left, from := 0, uint64(0)
+	var flush func()
+	flush = func() {
+		if left == 0 {
+			return
+		}
+		left--
+		from = from%switches + 1
+		at := eng.Now().Add(link)
+		for to := uint64(1); to <= switches; to++ {
+			if to != from {
+				eng.ScheduleKeyed(at, sim.KeyClassDeliver|from<<16|to, seq[from][to], arrive)
+				seq[from][to]++
+			}
+		}
+		eng.ScheduleAfter(gap, flush)
+	}
+	return func(ops int) {
+		left = ops
+		eng.ScheduleAfter(gap, flush)
+		eng.Run()
+	}
+}
+
+// MicroEngineFanout measures the Fanout engine; an op is one multicast, the
+// 15 events of a flush, its 7 arrivals and their stages (steady-state
+// target: 0 allocs/op).
+func MicroEngineFanout(b *testing.B) {
+	run := Fanout()
+	run(1 << 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
+// The repo benchmark's sim-ddos-8sw workload: its trace mix, its cluster,
+// its chunking and its warm-up.
+const (
+	replaySwitches   = 8
+	replayTraceLen   = time.Second // looped with a 1 s offset per pass
+	replayChunk      = 10 * time.Millisecond
+	replayWarmChunks = 25
+)
+
+// MicroDDoSReplay replays the ddos mix (background connection churn plus a
+// flood, seed 3) through 8 simulated switches running DeployDDoS, as the
+// repo benchmark's sim-ddos-8sw does: each 10 ms chunk pre-schedules its
+// packets' injections and runs the cluster over it, after 25 warm-up chunks.
+// An op is one injected packet, so ns/op is the simulator's whole cost of a
+// packet, and a CPU profile of it (`go test -run '^$' -bench DDoSReplay
+// -cpuprofile cpu.out .`) splits that cost by layer. It fails if a packet
+// goes unaccounted.
+func MicroDDoSReplay(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	bg, err := workload.GenTrace(rng, workload.TraceConfig{Duration: replayTraceLen, FlowsPerSec: 10_000, Servers: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	atk, err := workload.GenAttack(rng, workload.AttackConfig{
+		Duration: replayTraceLen, PacketsPerSec: 120_000, Sources: 4000, Victim: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	trace := workload.Merge(bg, atk)
+	c, err := swishmem.New(swishmem.Config{Switches: replaySwitches, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dets, err := c.DeployDDoS("ddos", swishmem.DDoSOptions{Threshold: 2000, Window: 50 * time.Millisecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.RunFor(2 * time.Millisecond)
+	inject := make([]func(), len(trace))
+	for i := range trace {
+		sw, pkt := c.Switch(i%replaySwitches), trace[i].Pkt
+		inject[i] = func() { sw.InjectPacket(pkt) }
+	}
+	pass, cursor, injected := c.Now(), 0, 0
+	// chunk schedules the next chunk's packets, at most limit of them, runs
+	// the cluster over the chunk and returns the packets scheduled.
+	chunk := func(limit int) int {
+		end := c.Now() + replayChunk
+		n := 0
+		for ; n < limit; n++ {
+			if cursor == len(trace) {
+				cursor, pass = 0, pass+replayTraceLen
+			}
+			at := pass + trace[cursor].At
+			if at >= end {
+				break
+			}
+			c.Switch(cursor%replaySwitches).Engine().Schedule(sim.Time(at), inject[cursor])
+			cursor++
+		}
+		c.RunFor(replayChunk)
+		injected += n
+		return n
+	}
+	for i := 0; i < replayWarmChunks; i++ {
+		chunk(math.MaxInt)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; {
+		left -= chunk(left)
+	}
+	b.StopTimer()
+	c.RunFor(replayChunk) // the last packets are still in a pipeline
+	accounted := 0
+	for _, d := range dets {
+		accounted += int(d.Stats.Updated.Value())
+	}
+	if accounted != injected {
+		b.Fatalf("%d of %d injected packets accounted", accounted, injected)
+	}
 }
 
 // MicroSROWriteCommit measures the replicated write path on a 3-switch

@@ -195,8 +195,8 @@ func TestUndecidedIsNeitherGreenNorAReproduction(t *testing.T) {
 
 	// End to end on the seed that used to hang the sweep: seed 755's failure
 	// shrinks through variants whose 25-57-op windows exhaust the checker.
-	// It is a ROADMAP item 1 defect; once that is fixed the seed passes and
-	// this half needs another seed.
+	// It is the ROADMAP's single-crash failover defect; once that is fixed
+	// the seed passes and this half needs another seed.
 	sc = Generate(755)
 	r := Run(sc, RunOptions{})
 	if !r.Failed() {

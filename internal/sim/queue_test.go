@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // The pending set's contract is the pop order (at, khi, klo) and nothing
@@ -183,39 +184,49 @@ func (w *engWorld) nextAt() (Time, bool) { return w.e.NextAt() }
 func checkTiers(t testing.TB, e *Engine) {
 	t.Helper()
 	q := &e.queue
-	n := len(q.bottom) + len(q.far)
-	for i, ev := range q.bottom {
-		if tickOf(ev.at) > q.cur || ev.tier != tierBottom || ev.idx != i {
-			t.Fatalf("bottom[%d]: tick %d (cur %d) tier %d idx %d", i, tickOf(ev.at), q.cur, ev.tier, ev.idx)
+	n := len(q.run)
+	for i, ev := range q.run {
+		if tickOf(ev.at) > q.cur || ev.tier != tierRun || i > 0 && !eventLess(ev, q.run[i-1]) {
+			t.Fatalf("run[%d]: tick %d (cur %d) tier %d, below its predecessor %v", i, tickOf(ev.at), q.cur, ev.tier, i == 0 || eventLess(ev, q.run[i-1]))
 		}
 	}
-	for i, ev := range q.far {
-		if tickOf(ev.at) <= q.cur || ev.tier != tierFar || ev.idx != i {
-			t.Fatalf("far[%d]: tick %d (cur %d) tier %d idx %d", i, tickOf(ev.at), q.cur, ev.tier, ev.idx)
-		}
+	n += checkWheel(t, "slot", q.slots[:], &q.occ, func(ev *event, s int) bool {
+		d := tickOf(ev.at) - q.cur
+		return d > 0 && d < wheelSlots && int(tickOf(ev.at)&wheelMask) == s && ev.tier == tierWheel
+	})
+	first := q.firstBlock()
+	n += checkWheel(t, "block", q.blocks[:], &q.blockOcc, func(ev *event, s int) bool {
+		b := tickOf(ev.at) >> blockShift
+		return b >= first && int(b&outerMask) == s && ev.tier == tierOuter
+	})
+	if n != q.n {
+		t.Fatalf("tiers hold %d events, n = %d", n, q.n)
 	}
-	for s, head := range q.slots {
-		bit := q.occ[s>>6]>>(s&63)&1 == 1
-		if bit != (head != nil) {
-			t.Fatalf("slot %d: occupied bit %v, head %v", s, bit, head != nil)
+}
+
+// checkWheel checks one wheel's lists against its bitmap and each event
+// against placed, and returns the events it holds.
+func checkWheel(t testing.TB, what string, heads []*event, b *bitmap, placed func(ev *event, s int) bool) int {
+	t.Helper()
+	n := 0
+	for s, head := range heads {
+		if bit := b.occ[s>>6]>>(s&63)&1 == 1; bit != (head != nil) {
+			t.Fatalf("%s %d: occupied bit %v, head %v", what, s, bit, head != nil)
 		}
 		var prev *event
 		for ev := head; ev != nil; prev, ev = ev, ev.next {
 			n++
-			d := tickOf(ev.at) - q.cur
-			if d <= 0 || d >= wheelSlots || int(tickOf(ev.at)&wheelMask) != s || ev.tier != tierWheel || ev.prev != prev {
-				t.Fatalf("slot %d: event at tick %d (cur %d) tier %d, prev link ok %v", s, tickOf(ev.at), q.cur, ev.tier, ev.prev == prev)
+			if !placed(ev, s) || ev.prev != prev {
+				t.Fatalf("%s %d: event at tick %d misplaced (tier %d), prev link ok %v", what, s, tickOf(ev.at), ev.tier, ev.prev == prev)
 			}
 		}
 	}
-	for w, word := range q.occ {
-		if (word != 0) != (q.sum>>w&1 == 1) {
-			t.Fatalf("summary bit %d disagrees with word %x", w, word)
+	for w, word := range b.occ {
+		if (word != 0) != (b.sum>>w&1 == 1) {
+			t.Fatalf("%s summary bit %d disagrees with word %x", what, w, word)
 		}
 	}
-	if n != q.n {
-		t.Fatalf("tiers hold %d events, n = %d", n, q.n)
-	}
+	return n
 }
 
 // refWorld is the reference: one slice kept sorted by (at, khi, klo).
@@ -321,12 +332,15 @@ func differ(t testing.TB, prog []op) *Engine {
 	return e
 }
 
-// delays are the distances that matter to the wheel: inside the tick under
+// delays are the distances that matter to the wheels: inside the tick under
 // the clock, either side of a tick edge, the two constant delays of the
-// models, either side of the horizon (1024 ticks of 128 ns = 131072 ns),
-// and timers far past it.
-var delays = []Duration{0, 1, 60, 127, 128, 129, 400, 1_000, 10_000, 100_000,
-	130_900, 131_071, 131_072, 131_073, 131_200, 200_000, 1_000_000, 5_000_000, 50_000_000}
+// models, either side of a block edge (512 ticks of 128 ns = 65536 ns) and
+// of the wheel's horizon (1024 ticks = 131072 ns), three blocks, either side
+// of the outer wheel's horizon (512 blocks = 33554432 ns), two laps of it,
+// and timers many laps past it.
+var delays = []Duration{0, 1, 60, 127, 128, 129, 400, 1_000, 10_000, 65_535, 65_536, 100_000,
+	130_900, 131_071, 131_072, 131_073, 131_200, 196_608, 200_000, 1_000_000, 5_000_000,
+	33_554_431, 33_554_432, 50_000_000, 67_108_864, 1_000_000_000}
 
 // opBytes is the size of one encoded operation:
 //
@@ -415,6 +429,24 @@ var scenarios = map[string][]op{
 		{kind: opLocal, delay: 400, then: act{kind: actTimerAfter, delay: 400, depth: 31}},
 		{kind: opRunUntil, delay: 100_000}, {kind: opRunUntil, delay: 131_072}, {kind: opRunUntil, delay: 5_000_000},
 	},
+	"timer laps the outer wheel": {
+		{kind: opTimer, delay: 67_108_864}, {kind: opTimer, delay: 1_000_000_000}, {kind: opTimer, delay: 33_554_432},
+		{kind: opKeyed, delay: 65_536, arg: 1, then: act{kind: actTimerAfter, delay: 33_554_431, depth: 2}},
+		{kind: opRunUntil, delay: 196_608}, {kind: opStopTimer, arg: 1}, {kind: opRunUntil, delay: 33_554_431},
+		{kind: opLocal, delay: 65_535}, {kind: opRunUntil, delay: 33_554_432}, {kind: opRunUntil, delay: 67_108_864},
+	},
+	"idle RunUntil across more than one lap with timers pending": {
+		{kind: opTimer, delay: 1_000_000_000}, {kind: opTimer, delay: 67_108_864}, {kind: opTimer, delay: 50_000_000},
+		{kind: opLocal, delay: 400}, {kind: opRunUntil, delay: 67_108_864},
+		{kind: opLocal, delay: 400}, {kind: opKeyed, delay: 131_073, arg: 2}, {kind: opTimer, delay: 33_554_431},
+		{kind: opRunUntil, delay: 1_000}, {kind: opRunUntil, delay: 1_000_000_000},
+	},
+	"one tick pushed in descending key order": {
+		{kind: opKeyed, delay: 400, arg: 3}, {kind: opKeyed, delay: 400, arg: 2}, {kind: opKeyed, delay: 400, arg: 1},
+		{kind: opKeyed, delay: 400, arg: 0}, {kind: opKeyed, delay: 400, arg: 3}, {kind: opKeyed, delay: 400, arg: 1},
+		{kind: opLocal, delay: 400}, {kind: opKeyed, delay: 400, arg: 2}, {kind: opRunUntil, delay: 400},
+		{kind: opKeyed, delay: 0, arg: 3}, {kind: opKeyed, delay: 0, arg: 0}, {kind: opStep}, {kind: opRunUntil, delay: 1_000},
+	},
 	"engine stop mid-run": {
 		{kind: opLocal, delay: 400, then: act{kind: actStopEngine}}, {kind: opLocal, delay: 400},
 		{kind: opLocal, delay: 10_000}, {kind: opRunUntil, delay: 1_000_000},
@@ -457,21 +489,31 @@ func FuzzPendingSet(f *testing.F) {
 }
 
 // TestTimerStopPerTier pins where each timer of the differential scenario
-// actually sits when it is stopped, so the scenario keeps covering all three
-// removal paths if the geometry changes.
+// actually sits when it is stopped — the run, the wheel, the outer wheel this
+// lap and a lap or more ahead — so the scenario keeps covering every removal
+// path if the geometry changes.
 func TestTimerStopPerTier(t *testing.T) {
 	e := NewEngine(1)
 	e.RunUntil(1 << 20) // a tick edge, so the delays below read as tick distances
 	fired := 0
 	fn := func() { fired++ }
-	for _, c := range []struct {
+	cases := []struct {
 		d    Duration
 		want tier
-	}{{0, tierBottom}, {100, tierBottom}, {400, tierWheel}, {10_000, tierWheel}, {131_000, tierWheel}, {131_072, tierFar}, {50_000_000, tierFar}} {
+		lap  int64
+	}{
+		{0, tierRun, 0}, {100, tierRun, 0}, {400, tierWheel, 0}, {10_000, tierWheel, 0}, {131_000, tierWheel, 0},
+		{131_072, tierOuter, 0}, {33_554_432, tierOuter, 0}, {50_000_000, tierOuter, 1}, {1_000_000_000, tierOuter, 29},
+	}
+	for _, c := range cases {
 		keep := e.AfterVal(c.d, fn)
 		tm := e.AfterVal(c.d, fn)
+		first := e.queue.firstBlock()
 		if tm.ev.tier != c.want {
 			t.Fatalf("timer at +%v queued in tier %d, want %d", c.d, tm.ev.tier, c.want)
+		}
+		if lap := (tickOf(tm.ev.at)>>blockShift - first) / outerSlots; c.want == tierOuter && lap != c.lap {
+			t.Fatalf("timer at +%v queued %d laps ahead, want %d", c.d, lap, c.lap)
 		}
 		if !tm.Stop() || tm.Stop() || tm.Pending() {
 			t.Fatalf("timer at +%v: Stop did not cancel exactly once", c.d)
@@ -482,15 +524,15 @@ func TestTimerStopPerTier(t *testing.T) {
 		}
 	}
 	e.Run()
-	if fired != 7 {
-		t.Fatalf("%d survivors fired, want 7", fired)
+	if fired != len(cases) {
+		t.Fatalf("%d survivors fired, want %d", fired, len(cases))
 	}
 }
 
 // TestRunUntilReanchorsWheel: the live pump's pattern. RunUntil reaches its
 // deadline with only a distant timer pending; what is scheduled next, a few
 // hundred ns from the new clock, must land in the wheel — neither behind a
-// stale cur (far heap) nor under a cur dragged out to the timer (bottom).
+// stale cur (outer wheel) nor under a cur dragged out to the timer (run).
 func TestRunUntilReanchorsWheel(t *testing.T) {
 	e := NewEngine(1)
 	e.After(50_000_000, func() {})
@@ -507,11 +549,11 @@ func TestRunUntilReanchorsWheel(t *testing.T) {
 	}
 }
 
-// TestWheelFootprint holds the per-engine fixed cost of the wheel to the
-// budget explore sweeps (thousands of engines) were promised.
+// TestWheelFootprint holds the per-engine fixed cost of the pending set, both
+// wheels' heads and bitmaps, to the budget explore sweeps (thousands of
+// engines) were promised.
 func TestWheelFootprint(t *testing.T) {
-	var q pendingSet
-	if fixed := len(q.slots)*8 + len(q.occ)*8 + 8; fixed > 16<<10 {
-		t.Fatalf("wheel heads + bitmap = %d bytes per engine, budget 16 KB", fixed)
+	if fixed := unsafe.Sizeof(pendingSet{}); fixed > 16<<10 {
+		t.Fatalf("pending set = %d bytes per engine, budget 16 KB", fixed)
 	}
 }

@@ -56,11 +56,9 @@ type event struct {
 	fn  func()
 	gen uint64 // incremented every time the event returns to the pool
 	eng *Engine
-	// Where the event sits in the pending set (queue.go): its heap index in
-	// the bottom and far tiers, its list neighbours in the wheel. All four
-	// are meaningful only while the event is queued, and are overwritten
-	// when it is queued again.
-	idx        int
+	// Where the event sits in the pending set (queue.go): its tier, and its
+	// list neighbours in either wheel. They are meaningful only while the
+	// event is queued, and are overwritten when it is queued again.
 	next, prev *event
 	tier       tier
 }
@@ -316,22 +314,22 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// runBatch pops and executes the run of events sharing the earliest queued
+// runBatch pops and executes the batch of events sharing the earliest queued
 // timestamp. The clock store, tracer guard, and processed-counter update are
-// hoisted out of the per-event iteration, so a run of same-timestamp events
-// of any kind (a sync round fanning out, a link's arrivals) pays them once. The
-// loop stays incremental — pop, run, re-examine the heap top — because a
+// hoisted out of the per-event iteration, so a batch of same-timestamp events
+// of any kind (a sync round fanning out, a link's arrivals) pays them once.
+// The loop stays incremental — pop, run, re-examine the minimum — because a
 // callback may schedule new events at the current timestamp (local khi==0
-// events sort before queued keyed ones) and the heap comparator is the only
-// correct merge order. The caller has settled the queue against its bound:
-// the bottom tier's head is due. Every event at one timestamp satisfies the
-// same bound, so bounds are re-checked only between batches — and every
-// event at the head's timestamp, queued now or by a callback, is in the
-// bottom tier (its tick is not past the clock's), so the run ends at the
-// first different head without consulting the wheel.
+// events sort before queued keyed ones) and eventLess is the only correct
+// merge order. The caller has settled the queue against its bound:
+// the run's minimum is due. Every event at one timestamp satisfies the same
+// bound, so bounds are re-checked only between batches — and every event at
+// the minimum's timestamp, queued now or by a callback, is in the run (its
+// tick is not past the clock's), so the batch ends at the first different
+// minimum without consulting the wheels.
 func (e *Engine) runBatch() {
 	q := &e.queue
-	t := q.bottom[0].at
+	t := q.run[len(q.run)-1].at
 	e.now = t
 	tr := e.tracer
 	n := uint64(0)
@@ -345,7 +343,7 @@ func (e *Engine) runBatch() {
 		e.release(ev)
 		fn()
 		n++
-		if e.stopped || len(q.bottom) == 0 || q.bottom[0].at != t {
+		if e.stopped || len(q.run) == 0 || q.run[len(q.run)-1].at != t {
 			break
 		}
 	}

@@ -232,7 +232,7 @@ func TestTimeArithmetic(t *testing.T) {
 }
 
 func TestMassCancellationShrinksQueue(t *testing.T) {
-	// Stopped timers must leave the heap immediately, not ride to their
+	// Stopped timers must leave the queue immediately, not ride to their
 	// deadline: long-running sims cancel retransmit timers by the million.
 	e := NewEngine(1)
 	const n = 10_000
@@ -251,8 +251,8 @@ func TestMassCancellationShrinksQueue(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("Pending after mass cancellation = %d, want 0", e.Pending())
 	}
-	if q := &e.queue; len(q.bottom)+len(q.far) != 0 || q.sum != 0 {
-		t.Fatalf("queue still holds dead events: bottom %d, far %d, wheel words %b", len(q.bottom), len(q.far), q.sum)
+	if q := &e.queue; len(q.run) != 0 || q.occ.sum != 0 || q.blockOcc.sum != 0 {
+		t.Fatalf("queue still holds dead events: run %d, wheel words %b, outer words %b", len(q.run), q.occ.sum, q.blockOcc.sum)
 	}
 	// Survivors still run correctly among cancellations.
 	fired := 0
