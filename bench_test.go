@@ -457,7 +457,9 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		// The sketch code only tests called.
 		"HeavyHitters", "CountMin.Marshal", "UnmarshalCountMin", "NewCountMinForError",
 		// The pending set's heaps.
-		"eventHeap", "tierFar"}
+		"eventHeap", "tierFar",
+		// Inline, uncoalesced and destination-sharded live egress.
+		"TestFabricInlineEgressStartsNoGoroutines", "TestFabricExchangeMatrix", "eworkers"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

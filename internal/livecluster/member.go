@@ -107,22 +107,17 @@ type Member struct {
 	LWW     *core.EventualRegister
 }
 
-// NewMember assembles a member: transport fabric, PISA switch on the
-// fabric's engine/network, register declarations, heartbeats to the
-// controller, and the bootstrap Hello loop. The fabric is returned stopped;
-// call Start to go live.
+// NewMember assembles a member: transport fabric (which coalesces each
+// destination's sends into batch datagrams on its egress worker), PISA
+// switch on the fabric's engine/network, register declarations, heartbeats
+// to the controller, and the bootstrap Hello loop. The fabric is returned
+// stopped; call Start to go live.
 func NewMember(cfg MemberConfig) (*Member, error) {
 	cfg = cfg.withDefaults()
 	f, err := live.NewFabric(live.FabricConfig{
 		Addr: cfg.Addr,
 		Seed: cfg.Seed,
 		Node: live.Options{Listen: cfg.Listen, Profile: cfg.Profile},
-		// Members run the full batched hot path: per-destination frame
-		// coalescing with serialization and socket writes on two egress
-		// workers. The soak's oracles (and its byte-counter checks) prove
-		// these paths against the simulator's semantics.
-		Coalesce:     true,
-		EgressShards: 2,
 	})
 	if err != nil {
 		return nil, err

@@ -7,17 +7,14 @@ import (
 	"swishmem/internal/wire"
 )
 
-// egressWorker owns the serialization, batch packing, and socket writes for
-// every destination that hashes to it: sendOne and flushBatches are the
-// fabric's only serialise-coalesce-write code. With EgressShards <= 1 the
-// pump calls the single worker directly. With K workers each runs loop on
-// its own goroutine: the pump queues eRec hand-offs under the worker mutex
-// (destination affinity keeps per-peer frame order); the worker drains,
-// marshals, and writes — the transport Node is internally locked, so
-// concurrent workers interleave safely at datagram granularity — then parks
-// the pooled messages it is done with on its done list for the pump to
-// release (message free lists are pump-owned, so workers never Release
-// themselves).
+// egressWorker owns the fabric's serialization, batch packing, and socket
+// writes: sendOne and flushBatches are its only serialise-coalesce-write
+// code. It runs loop on its own goroutine: the pump queues eRec hand-offs
+// under the worker mutex; the worker drains them in order, frames each into
+// its destination's open wire.Batch, and writes every batch it opened when
+// the queue runs dry, then parks the pooled messages it is done with on its
+// done list for the pump to release (message free lists are pump-owned, so
+// the worker never Releases them itself).
 type egressWorker struct {
 	f    *Fabric
 	wake chan struct{}
@@ -34,37 +31,30 @@ type egressWorker struct {
 	rel     []wire.Msg
 }
 
-// coalesceLimit caps a coalesced datagram's payload bytes: under a 1500-byte
+// coalesceLimit caps a batch datagram's payload bytes: under a 1500-byte
 // MTU with headroom for IP/UDP and the frame header. A constant because
 // every deployment shares the MTU argument and ewo.Config.SyncPacketBytes
 // is sized against it.
 const coalesceLimit = 1200
 
-// egressDoneWake is the done-list size past which a worker wakes the pump
+// egressDoneWake is the done-list size past which the worker wakes the pump
 // for collection; below it, collection piggybacks on the next natural pump
 // round (so an idle-ish fabric is not forced into extra rounds, which the
 // soak's pump-efficiency oracle would flag).
 const egressDoneWake = 256
 
-func newEgressWorker(f *Fabric) *egressWorker {
-	return &egressWorker{f: f, wake: make(chan struct{}, 1)}
-}
-
 // loop drains hand-offs until the fabric stops; the final pump's
-// flushEgress runs before egStop closes, so everything queued is written
+// handoffEgress runs before egStop closes, so everything queued is written
 // before exit.
 func (w *egressWorker) loop() {
 	defer w.f.egWG.Done()
 	for {
-		stopping := false
 		select {
 		case <-w.f.egStop:
-			stopping = true
-		case <-w.wake:
-		}
-		w.drain()
-		if stopping {
+			w.drain()
 			return
+		case <-w.wake:
+			w.drain()
 		}
 	}
 }
@@ -105,29 +95,23 @@ func (w *egressWorker) drain() {
 	}
 }
 
-// sendOne writes one message, or in Coalesce mode frames it into the
-// destination's open batch, flushing first if it would outgrow the limit.
+// sendOne frames one message into the destination's open batch, flushing
+// it first if the message would outgrow coalesceLimit.
 func (w *egressWorker) sendOne(to netem.Addr, msg wire.Msg) {
-	if w.f.cfg.Coalesce {
-		bb := w.batches.Get(to)
-		if bb == nil {
-			bb = &wire.BatchBuilder{}
-			bb.Reset()
-			w.batches.Set(to, bb)
-		}
-		if bb.Count() > 0 && bb.Len()+2+msg.Size() > coalesceLimit {
-			w.flushBatch(to, bb)
-		}
-		if bb.Count() == 0 {
-			w.dirty = append(w.dirty, to)
-		}
-		bb.Add(msg)
-		w.f.cnt.egressMsgs.Add(1)
-	} else if err := w.f.node.Send(to, msg); err != nil {
-		w.f.cnt.egressErrs.Add(1)
-	} else {
-		w.f.cnt.egressMsgs.Add(1)
+	bb := w.batches.Get(to)
+	if bb == nil {
+		bb = &wire.BatchBuilder{}
+		bb.Reset()
+		w.batches.Set(to, bb)
 	}
+	if bb.Count() > 0 && bb.Len()+2+msg.Size() > coalesceLimit {
+		w.flushBatch(to, bb)
+	}
+	if bb.Count() == 0 {
+		w.dirty = append(w.dirty, to)
+	}
+	bb.Add(msg)
+	w.f.cnt.egressMsgs.Add(1)
 }
 
 // flushBatch sends one destination's open batch and resets the builder.

@@ -26,8 +26,9 @@ import (
 // event. Local components (the PISA switch, protocol nodes, timers) attach
 // and run exactly as in simulation. For every remote address the fabric
 // attaches a *relay* endpoint: a send from the switch to a remote address
-// calls the relay, which queues an egress record for the socket (inline
-// egress frames the message on the spot). Inbound datagrams take the reverse
+// calls the relay, which queues an egress record for the egress worker: one
+// goroutine that frames each destination's messages into wire.Batch
+// datagrams and writes them. Inbound datagrams take the reverse
 // trip on the one pump goroutine, which reads the socket itself (Node.Poll):
 // it decodes each datagram and sends every message on the local network from
 // the sender's relay address, which calls the switch's receive: it claims a
@@ -37,8 +38,8 @@ import (
 // RunUntil(wall-clock elapsed), so every handler and every virtual timer —
 // heartbeats, write retries, EWO sync rounds — runs there, after the round's
 // posts and reads, and all protocol state stays single-goroutine (no locks
-// were added to any protocol package). With inline egress a running fabric
-// is that one goroutine.
+// were added to any protocol package). A running fabric is those two
+// goroutines, the pump and the egress worker.
 //
 // A send to an address with no relay (peer not learned yet, or evicted) is
 // dropped in the call: counted (live.fabric.local_dropped), its pooled
@@ -51,7 +52,6 @@ import (
 // receive-side loss), not the local network, so shaping applies to real
 // datagrams only.
 type Fabric struct {
-	cfg  FabricConfig
 	addr netem.Addr
 	eng  *sim.Engine
 	nw   *netem.Network
@@ -77,7 +77,7 @@ type Fabric struct {
 	lateMu sync.Mutex
 
 	// cnt holds the fabric counters as atomics: the pump and the egress
-	// workers bump them lock-free, and FStats snapshots without stalling
+	// worker bump them lock-free, and FStats snapshots without stalling
 	// anyone.
 	cnt fabricCounters
 
@@ -95,18 +95,15 @@ type Fabric struct {
 	// (ns): live.fabric.timer_late.
 	late *stats.Histogram
 
-	// Egress. eworkers always holds at least one worker. With EgressShards
-	// <= 1 that worker is called synchronously on the pump goroutine and
-	// epend is nil. With K > 1 each worker runs its own goroutine: the pump
-	// queues send records per worker (destination-affine, so per-peer frame
-	// order is preserved) and hands them off in chunks; workers serialize,
-	// coalesce, and write the socket, then park released pooled messages on
-	// their done lists for the pump to collect.
-	eworkers []*egressWorker
-	epend    [][]eRec
-	egDone   []wire.Msg // pump-side scratch for collecting done lists
-	egStop   chan struct{}
-	egWG     sync.WaitGroup
+	// Egress. The pump queues send records in epend and hands them to eg in
+	// chunks; eg serializes, coalesces, and writes the socket on its own
+	// goroutine, then parks released pooled messages on its done list for
+	// the pump to collect.
+	eg     *egressWorker
+	epend  []eRec
+	egDone []wire.Msg // the done list the pump last took, swapped back emptied
+	egStop chan struct{}
+	egWG   sync.WaitGroup
 
 	// viewFree is the pump-owned pool of recycled view sets.
 	viewFree []*wire.ViewSet
@@ -124,29 +121,21 @@ type FabricConfig struct {
 	Seed int64
 	// Node configures the underlying transport (bind address, shaping).
 	Node Options
-	// Coalesce packs messages relayed to one destination during a single
-	// pump round into multi-update wire.Batch datagrams, flushed at the end
-	// of the round or when a batch would outgrow coalesceLimit. An EWO sync
-	// round's run of updates then costs one datagram instead of N. Off by
-	// default (one datagram per message).
+	// Deprecated: ignored. Every fabric coalesces on one egress worker.
 	Coalesce bool
-	// EgressShards moves per-destination serialization, batch packing, and
-	// socket writes off the pump goroutine onto this many egress workers,
-	// keyed by destination address (per-peer frame order is preserved
-	// because one destination always maps to one worker). 0 or 1 runs the
-	// same routine inline on the pump goroutine.
+	// Deprecated: ignored. Every fabric coalesces on one egress worker.
 	EgressShards int
 }
 
 // FabricStats is a snapshot of the fabric counters (see FStats). The
-// underlying counters are atomics shared by the pump and the egress workers.
+// underlying counters are atomics shared by the pump and the egress worker.
 type FabricStats struct {
 	Injected       uint64 // messages decoded and injected into the engine
 	SystemConsumed uint64 // messages eaten by the system handler (bootstrap)
 	DecodeErr      uint64
-	EgressMsgs     uint64 // local sends relayed onto the socket
-	EgressBatches  uint64 // coalesced datagrams flushed (Coalesce mode only)
-	EgressErrs     uint64
+	EgressMsgs     uint64 // local sends framed into a batch
+	EgressBatches  uint64 // batch datagrams written
+	EgressErrs     uint64 // batch datagrams whose write failed
 	PacketDropped  uint64 // data packets (unsupported over live) discarded
 	Posts          uint64
 	PostsDropped   uint64 // posts refused because the pump had already exited
@@ -169,7 +158,7 @@ type fabricCounters struct {
 	timerWakes     atomic.Uint64
 }
 
-// eRec is one queued egress send: the pump's hand-off unit to an egress
+// eRec is one queued egress send: the pump's hand-off unit to the egress
 // worker. The netem delivery reference on msg travels with the record; the
 // worker moves the message to its done list after the socket write and the
 // pump releases it.
@@ -192,23 +181,16 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 	}
 	eng := sim.NewEngine(cfg.Seed)
 	f := &Fabric{
-		cfg:  cfg,
-		addr: cfg.Addr,
-		eng:  eng,
-		nw:   netem.NewLocal(eng),
-		node: node,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-		late: stats.NewHistogram(),
+		addr:   cfg.Addr,
+		eng:    eng,
+		nw:     netem.NewLocal(eng),
+		node:   node,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		late:   stats.NewHistogram(),
+		egStop: make(chan struct{}),
 	}
-	f.eworkers = make([]*egressWorker, max(cfg.EgressShards, 1))
-	for i := range f.eworkers {
-		f.eworkers[i] = newEgressWorker(f)
-	}
-	if cfg.EgressShards > 1 {
-		f.epend = make([][]eRec, cfg.EgressShards)
-		f.egStop = make(chan struct{})
-	}
+	f.eg = &egressWorker{f: f, wake: make(chan struct{}, 1)}
 	node.SetRawHandler(f.onDatagram)
 	return f, nil
 }
@@ -256,19 +238,17 @@ func (f *Fabric) ensureRelay(peer netem.Addr) {
 	})
 }
 
-// egressHandoff is the mid-round hand-off threshold: once a worker's
-// pending queue reaches this many records the pump pushes them over so
-// serialization overlaps with the rest of the engine round.
+// egressHandoff is the mid-round hand-off threshold: once this many records
+// are pending the pump pushes them over so serialization overlaps with the
+// rest of the engine round.
 const egressHandoff = 64
 
 // egress relays one local netem delivery onto the UDP socket. The
-// delivery's payload reference passes to us. Inline, the one worker frames
-// or sends the message synchronously, so a pooled payload releases right
-// after; with EgressShards the record (and the payload reference) is queued
-// to the destination's worker instead, which marshals and writes off the
-// pump goroutine and hands the message back through its done list for
-// release. Either way flushEgress closes the round, so coalescing never
-// delays a message past the round that produced it.
+// delivery's payload reference passes to the queued record; the egress
+// worker marshals and writes off the pump goroutine and hands the message
+// back through its done list for release. The pump hands off what is left
+// at the end of every round, so coalescing never delays a message past the
+// round that produced it.
 func (f *Fabric) egress(to netem.Addr, payload any) {
 	msg, ok := payload.(wire.Msg)
 	if !ok {
@@ -278,74 +258,42 @@ func (f *Fabric) egress(to netem.Addr, payload any) {
 		f.cnt.packetDropped.Add(1)
 		return
 	}
-	if f.epend == nil {
-		f.eworkers[0].sendOne(to, msg)
-		f.releaseMsg(msg)
-		return
-	}
-	i := int(to) % len(f.eworkers)
-	f.epend[i] = append(f.epend[i], eRec{to: to, msg: msg})
-	if len(f.epend[i]) >= egressHandoff {
-		f.handoffEgress(i)
+	f.epend = append(f.epend, eRec{to: to, msg: msg})
+	if len(f.epend) >= egressHandoff {
+		f.handoffEgress()
 	}
 }
 
-// handoffEgress pushes one worker's pending records into its queue and
-// wakes it. Pump goroutine only.
-func (f *Fabric) handoffEgress(i int) {
-	w := f.eworkers[i]
-	pend := f.epend[i]
-	w.mu.Lock()
-	w.queue = append(w.queue, pend...)
-	w.mu.Unlock()
-	for j := range pend {
-		pend[j] = eRec{}
+// handoffEgress pushes the pending records into the worker's queue and
+// wakes it; the worker flushes its batches when its queue drains. Pump
+// goroutine only.
+func (f *Fabric) handoffEgress() {
+	if len(f.epend) == 0 {
+		return
 	}
-	f.epend[i] = pend[:0]
+	w := f.eg
+	w.mu.Lock()
+	w.queue = append(w.queue, f.epend...)
+	w.mu.Unlock()
+	clear(f.epend)
+	f.epend = f.epend[:0]
 	select {
 	case w.wake <- struct{}{}:
 	default:
 	}
 }
 
-// flushEgress closes out the round's egress: the inline worker flushes every
-// batch opened during this pump round; with EgressShards every still-pending
-// record goes to its worker (workers flush their own batches when their
-// queues drain).
-func (f *Fabric) flushEgress() {
-	if f.epend == nil {
-		f.eworkers[0].flushBatches()
-		return
-	}
-	for i := range f.epend {
-		if len(f.epend[i]) > 0 {
-			f.handoffEgress(i)
-		}
-	}
-}
-
-// collectEgressDone releases the pooled messages the egress workers have
+// collectEgressDone releases the pooled messages the egress worker has
 // finished with since the last round. Pump goroutine only: the messages'
 // free lists (view sets, sender pools) are pump-owned.
 func (f *Fabric) collectEgressDone() {
-	for _, w := range f.eworkers {
-		w.mu.Lock()
-		if len(w.done) == 0 {
-			w.mu.Unlock()
-			continue
-		}
-		f.egDone = append(f.egDone[:0], w.done...)
-		for i := range w.done {
-			w.done[i] = nil
-		}
-		w.done = w.done[:0]
-		w.mu.Unlock()
-		for i, m := range f.egDone {
-			if r, ok := m.(netem.Releasable); ok {
-				r.Release()
-			}
-			f.egDone[i] = nil
-		}
+	w := f.eg
+	w.mu.Lock()
+	f.egDone, w.done = w.done, f.egDone[:0]
+	w.mu.Unlock()
+	for i, m := range f.egDone {
+		f.releaseMsg(m)
+		f.egDone[i] = nil
 	}
 }
 
@@ -474,8 +422,8 @@ func (f *Fabric) onPump(fn func()) {
 	f.Post(fn)
 }
 
-// Start launches the pump (and the egress workers, when sharded): from here
-// on the engine advances on wall time.
+// Start launches the pump and the egress worker: from here on the engine
+// advances on wall time.
 func (f *Fabric) Start() {
 	f.mu.Lock()
 	if f.started {
@@ -485,29 +433,16 @@ func (f *Fabric) Start() {
 	f.started = true
 	f.startWall = time.Now()
 	f.mu.Unlock()
-	if f.epend != nil {
-		for _, w := range f.eworkers {
-			f.egWG.Add(1)
-			go w.loop()
-		}
-	}
+	f.egWG.Add(1)
+	go f.eg.loop()
 	go f.loop()
 }
 
 // stopEgress runs after the final pump handed every pending record over:
-// the workers drain their queues, flush their batches, and exit; the pump
-// then releases whatever they finished with. Pump goroutine only.
+// the worker drains its queue, flushes its batches, and exits; the pump
+// then releases whatever it finished with. Pump goroutine only.
 func (f *Fabric) stopEgress() {
-	if f.epend == nil {
-		return
-	}
 	close(f.egStop)
-	for _, w := range f.eworkers {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
 	f.egWG.Wait()
 	f.collectEgressDone()
 }
@@ -536,7 +471,7 @@ const readsPerRound = 64
 
 // loop is the pump: run a round, then park in a blocking socket read until a
 // datagram arrives, the next engine deadline passes (the socket's read
-// deadline), or a kick ends it — Post, Stop, and an egress worker's full done
+// deadline), or a kick ends it — Post, Stop, and the egress worker's full done
 // list kick. With nothing scheduled there is no deadline, so a fabric with an
 // empty queue costs zero wakeups. The deadline is re-armed only when it
 // changed or a kick spent it. Rounds the deadline started are counted apart
@@ -588,7 +523,7 @@ func (f *Fabric) loop() {
 
 // pump runs queued posts, reads what the socket holds (up to readsPerRound
 // datagrams), advances the engine to the current wall-clock time, and
-// flushes any egress batches the round opened. Reads come before the
+// hands the round's egress records to the worker. Reads come before the
 // engine, so datagrams that queued while the process stalled are in before
 // the timers that came due meanwhile fire. final marks the last round: from
 // its queue swap on, posts are refused.
@@ -604,16 +539,14 @@ func (f *Fabric) pump(final bool) {
 	for _, fn := range posts {
 		fn()
 	}
-	if f.epend != nil {
-		f.collectEgressDone()
-	}
+	f.collectEgressDone()
 	for i := 0; i < readsPerRound; i++ {
 		if got, _ := f.node.Poll(false); !got {
 			break
 		}
 	}
 	f.eng.RunUntil(sim.Time(time.Since(f.startWall)))
-	f.flushEgress()
+	f.handoffEgress()
 
 	// Hand the drained slice back as next round's spare so steady-state
 	// rounds reuse warm storage.

@@ -161,7 +161,7 @@ func TestFabricPostedSendBeforeItsRelay(t *testing.T) {
 		Peers: []wire.PeerEntry{{Addr: 3, IP: ep.Addr().Unmap().As4(), Port: ep.Port()}}}); err != nil {
 		t.Fatal(err)
 	}
-	f.pump(false)
+	f.round()
 	if tot := f.Network().Totals(); tot.MsgsDropped != 1 || pool.out != 0 {
 		t.Fatalf("first send: %d dropped, %d payloads at large, want 1 and 0", tot.MsgsDropped, pool.out)
 	}
@@ -169,7 +169,7 @@ func TestFabricPostedSendBeforeItsRelay(t *testing.T) {
 		t.Fatal("the round's PeerList attached no relay for peer 3")
 	}
 	f.Post(send(2)) // the retry
-	f.pump(false)
+	f.round()
 	select {
 	case seq := <-got:
 		if seq != 2 {
@@ -184,16 +184,12 @@ func TestFabricPostedSendBeforeItsRelay(t *testing.T) {
 }
 
 // TestFabricRelayOrderAcrossHandoff: 300 messages sent to one relay in one
-// pump round cross the mid-round egressHandoff four times (the relay hands a
-// worker its queue from inside the sender's Send now) and still leave — and
+// pump round cross the mid-round egressHandoff four times (the relay hands
+// the worker its queue from inside the sender's Send) and still leave — and
 // arrive — in send order.
 func TestFabricRelayOrderAcrossHandoff(t *testing.T) {
 	a := newTestFabric(t, 1)
-	b, err := NewFabric(FabricConfig{Addr: 2, Seed: 2, Coalesce: true, EgressShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(b.Stop)
+	b := newTestFabric(t, 2)
 	const n = 300
 	got := make(chan uint64, n) // never blocks a's pump
 	a.Network().Attach(a.Addr(), func(_ netem.Addr, payload any, _ int) {
@@ -208,7 +204,7 @@ func TestFabricRelayOrderAcrossHandoff(t *testing.T) {
 		for i := uint64(0); i < n; i++ {
 			hb := &wire.Heartbeat{From: 2, Seq: i}
 			b.Network().Send(b.Addr(), a.Addr(), hb, hb.Size())
-			if i == egressHandoff-1 && len(b.epend[int(a.Addr())%len(b.eworkers)]) != 0 {
+			if i == egressHandoff-1 && len(b.epend) != 0 {
 				t.Errorf("send %d left %d records pending: the hand-off did not run inside the send", i, egressHandoff)
 			}
 		}

@@ -137,11 +137,7 @@ func TestFabricIngressArrivalOrder(t *testing.T) {
 // which arrive complete and in order.
 func TestFabricCoalesceOverflow(t *testing.T) {
 	a := newTestFabric(t, 1)
-	b, err := NewFabric(FabricConfig{Addr: 2, Seed: 2, Coalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(b.Stop)
+	b := newTestFabric(t, 2)
 
 	got := make(chan *wire.Write, 64)
 	a.Network().Attach(a.Addr(), func(_ netem.Addr, payload any, _ int) {
@@ -182,16 +178,9 @@ func TestFabricCoalesceOverflow(t *testing.T) {
 	}
 }
 
-// TestFabricInlineEgressStartsNoGoroutines: with EgressShards 0 a running
-// fabric is the pump — which reads its own socket — and nothing else.
-func TestFabricInlineEgressStartsNoGoroutines(t *testing.T) {
-	f, err := NewFabric(FabricConfig{Addr: 9, Seed: 9, Coalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Stop)
-	f.Start()
-	f.Call(func() {}) // the pump is up
+// packageGoroutines lists the running goroutines in this package's code,
+// the test's own excepted.
+func packageGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	var ours []string
 	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
@@ -199,9 +188,34 @@ func TestFabricInlineEgressStartsNoGoroutines(t *testing.T) {
 			ours = append(ours, g)
 		}
 	}
-	if len(ours) != 1 {
-		t.Fatalf("%d package goroutines running, want 1 (the pump):\n%s",
-			len(ours), strings.Join(ours, "\n\n"))
+	return ours
+}
+
+// TestFabricStopLeavesNoGoroutines: a running fabric is two goroutines, the
+// pump — which reads its own socket — and the egress worker; after Stop
+// neither is left, whether the fabric was started or not.
+func TestFabricStopLeavesNoGoroutines(t *testing.T) {
+	for _, started := range []bool{true, false} {
+		f := newTestFabric(t, 9)
+		if started {
+			f.Start()
+			f.Call(func() {}) // the pump is up
+			if ours := packageGoroutines(); len(ours) != 2 {
+				t.Fatalf("%d package goroutines running, want 2 (the pump and the egress worker):\n%s",
+					len(ours), strings.Join(ours, "\n\n"))
+			}
+		}
+		f.Stop()
+		// Stop returns once both have run their last statement; give them
+		// the moment it takes to exit.
+		ours := packageGoroutines()
+		for deadline := time.Now().Add(time.Second); len(ours) > 0 && time.Now().Before(deadline); ours = packageGoroutines() {
+			time.Sleep(time.Millisecond)
+		}
+		if len(ours) != 0 {
+			t.Fatalf("started=%v: %d package goroutines left after Stop:\n%s",
+				started, len(ours), strings.Join(ours, "\n\n"))
+		}
 	}
 }
 
@@ -314,7 +328,7 @@ func TestFabricRoundReadsBeforeItsTimers(t *testing.T) {
 	committed := false
 	f.startWall = time.Now()
 	cn.Write(5, []byte("12345678"), func(ok bool) { committed = ok })
-	f.pump(false) // submit: the write leaves for the tail, the retry is armed
+	f.round() // submit: the write leaves for the tail, the retry is armed
 	var w wire.Write
 	select {
 	case w = <-writes:
@@ -325,7 +339,7 @@ func TestFabricRoundReadsBeforeItsTimers(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.startWall = f.startWall.Add(-300 * time.Millisecond) // a whole-process stall
-	f.pump(false)
+	f.round()
 	if !committed {
 		t.Fatal("the round did not commit the write its queued ack acknowledges")
 	}

@@ -18,45 +18,80 @@ func newTestFabric(t testing.TB, addr netem.Addr) *Fabric {
 	return f
 }
 
-// TestFabricExchange wires two fabrics together and routes a protocol
-// message from B's local network through the relay, over UDP, into a
-// handler attached on A's local network — the full live data path.
+// round runs one pump round on a fabric that was never started, then the
+// egress worker's drain and the pump's collection of what it finished with:
+// the round's sends are on the wire and their payloads released on return.
+func (f *Fabric) round() {
+	f.pump(false)
+	f.eg.drain()
+	f.collectEgressDone()
+}
+
+// TestFabricExchange wires three fabrics together and routes protocol
+// messages from B's local network through the relays, over UDP, into
+// handlers attached on A's and C's local networks — the full live data
+// path. One round's sends to the two destinations interleave; each must
+// arrive complete and in per-destination order, in fewer datagrams than
+// messages.
 func TestFabricExchange(t *testing.T) {
 	a := newTestFabric(t, 1)
 	b := newTestFabric(t, 2)
+	c := newTestFabric(t, 4)
 
-	got := make(chan wire.Msg, 1)
-	a.Network().Attach(a.Addr(), func(_ netem.Addr, payload any, _ int) {
-		if m, ok := payload.(wire.Msg); ok {
-			select {
-			case got <- m:
-			default:
+	gotA := make(chan *wire.Heartbeat, 64)
+	gotC := make(chan *wire.Heartbeat, 64)
+	for _, x := range []struct {
+		f   *Fabric
+		got chan *wire.Heartbeat
+	}{{a, gotA}, {c, gotC}} {
+		x.f.Network().Attach(x.f.Addr(), func(_ netem.Addr, payload any, _ int) {
+			if hb, ok := payload.(*wire.Heartbeat); ok {
+				x.got <- &wire.Heartbeat{From: hb.From, Seq: hb.Seq}
 			}
-		}
-	})
+		})
+		x.f.AddRemote(b.Addr(), b.AddrPort())
+		b.AddRemote(x.f.Addr(), x.f.AddrPort())
+		x.f.Start()
+	}
 	// The sender's own address must be attached locally for netem.Send.
 	b.Network().Attach(b.Addr(), func(netem.Addr, any, int) {})
-	a.AddRemote(b.Addr(), b.AddrPort())
-	b.AddRemote(a.Addr(), a.AddrPort())
-	a.Start()
 	b.Start()
 
+	const burst = 40
 	b.Post(func() {
-		hb := &wire.Heartbeat{From: 2, Seq: 77}
-		b.Network().Send(b.Addr(), a.Addr(), hb, hb.Size())
-	})
-	select {
-	case m := <-got:
-		hb, ok := m.(*wire.Heartbeat)
-		if !ok || hb.From != 2 || hb.Seq != 77 {
-			t.Fatalf("got %+v", m)
+		for i := uint64(0); i < burst; i++ {
+			hb := &wire.Heartbeat{From: 2, Seq: i}
+			to := a.Addr()
+			if i%2 == 1 {
+				to = c.Addr()
+			}
+			b.Network().Send(b.Addr(), to, hb, hb.Size())
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("message never crossed the fabric")
+	})
+	for i := uint64(0); i < burst; i++ {
+		ch := gotA
+		if i%2 == 1 {
+			ch = gotC
+		}
+		select {
+		case hb := <-ch:
+			if hb.From != 2 || hb.Seq != i {
+				t.Fatalf("heartbeat %d arrived as %+v", i, hb)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("heartbeat %d never crossed the fabric", i)
+		}
 	}
 	// Counters are bumped just after the socket write; wait rather than race.
-	waitFor(t, func() bool { return a.FStats().Injected > 0 })
-	waitFor(t, func() bool { return b.FStats().EgressMsgs > 0 })
+	waitFor(t, func() bool { return a.FStats().Injected == burst/2 && c.FStats().Injected == burst/2 })
+	waitFor(t, func() bool { return b.FStats().EgressMsgs == burst })
+	switch st := b.FStats(); {
+	case st.EgressBatches == 0:
+		t.Fatal("the fabric sent no batches")
+	case st.EgressBatches >= st.EgressMsgs:
+		t.Fatalf("EgressBatches=%d not below EgressMsgs=%d: nothing was coalesced",
+			st.EgressBatches, st.EgressMsgs)
+	}
 }
 
 // startDirectory starts a "controller" fabric whose system handler answers

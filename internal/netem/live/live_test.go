@@ -33,12 +33,21 @@ func (c *collect) count() int {
 }
 
 // decoded adapts a decoded-message callback to the transport's raw handler
-// (the fabric pump decodes on its own goroutine; these tests decode here).
+// (the fabric pump decodes on its own goroutine; these tests decode here),
+// expanding a batch — every fabric sends batches — into its messages.
 func decoded(h func(from netem.Addr, msg wire.Msg)) RawHandler {
 	return func(from netem.Addr, _ netip.AddrPort, payload []byte) {
-		if msg, err := wire.Unmarshal(payload); err == nil {
-			h(from, msg)
+		msg, err := wire.Unmarshal(payload)
+		if err != nil {
+			return
 		}
+		if b, ok := msg.(*wire.Batch); ok {
+			for _, m := range b.Msgs {
+				h(from, m)
+			}
+			return
+		}
+		h(from, msg)
 	}
 }
 
