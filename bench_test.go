@@ -459,7 +459,7 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		// The pending set's heaps.
 		"eventHeap", "tierFar",
 		// Inline, uncoalesced and destination-sharded live egress.
-		"TestFabricInlineEgressStartsNoGoroutines", "TestFabricExchangeMatrix", "eworkers"}
+		"TestFabricInlineEgressStartsNoGoroutines", "eworkers"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

@@ -30,13 +30,42 @@ func (f *Fabric) round() {
 // TestFabricExchange wires three fabrics together and routes protocol
 // messages from B's local network through the relays, over UDP, into
 // handlers attached on A's and C's local networks — the full live data
-// path. One round's sends to the two destinations interleave; each must
-// arrive complete and in per-destination order, in fewer datagrams than
-// messages.
+// path (see exchangeBurst).
 func TestFabricExchange(t *testing.T) {
+	exchangeBurst(t, FabricConfig{Addr: 2, Seed: 2})
+}
+
+// TestFabricExchangeMatrix runs the same burst exchange from senders built
+// with the deprecated egress knobs set: coalescing with inline egress, and
+// coalescing on two workers (what the bench probe asks for). Both are
+// ignored, so each sender must behave as the default one.
+func TestFabricExchangeMatrix(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{
+		{"coalesce/inline", 0},
+		{"coalesce/workers=2", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exchangeBurst(t, FabricConfig{Addr: 2, Seed: 2, Coalesce: true, EgressShards: tc.shards})
+		})
+	}
+}
+
+// exchangeBurst starts fabrics A (addr 1) and C (addr 4) and a sender B
+// built from bcfg, then has B send one round of heartbeats interleaved
+// between A and C. Each must arrive complete and in per-destination order,
+// in fewer datagrams than messages.
+func exchangeBurst(t *testing.T, bcfg FabricConfig) {
+	t.Helper()
 	a := newTestFabric(t, 1)
-	b := newTestFabric(t, 2)
 	c := newTestFabric(t, 4)
+	b, err := NewFabric(bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Stop)
 
 	gotA := make(chan *wire.Heartbeat, 64)
 	gotC := make(chan *wire.Heartbeat, 64)
