@@ -23,7 +23,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	internal/wire:FuzzDecode internal/wire:FuzzViewDecode internal/wire:FuzzWalkBatch \
 	internal/sim:FuzzPendingSet internal/lincheck:FuzzLincheck internal/ewo:FuzzCounterTable \
-	internal/ewo:FuzzUpdateCoalescing internal/netem/live:FuzzFabricDatagram
+	internal/ewo:FuzzLWWTable internal/ewo:FuzzUpdateCoalescing internal/netem/live:FuzzFabricDatagram
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $${t#*:} ($${t%:*}, $(FUZZTIME))"; \

@@ -231,10 +231,11 @@ func TestEWOBatchTimeoutAllocBudget(t *testing.T) {
 	}
 }
 
-// TestEWOLWWWriteAllocBudget: an LWW write copies the caller's value once —
-// the replica cell and the update entry share that copy — and over its whole
-// life (flush, delivery, merge) the only other allocations are the one copy
-// each receiving replica keeps.
+// TestEWOLWWWriteAllocBudget: an LWW write copies the caller's value into its
+// cell and once more for the update entry, the one allocation — the cell may
+// be overwritten while the update is in flight — and over its whole life
+// (flush, delivery, merge) nothing else allocates: each receiving replica
+// copies the value into its own cell.
 func TestEWOLWWWriteAllocBudget(t *testing.T) {
 	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
 	regs, err := c.DeclareEventual("b", swishmem.EventualOptions{Capacity: 64, ValueWidth: 8, DisableSync: true})
@@ -256,8 +257,43 @@ func TestEWOLWWWriteAllocBudget(t *testing.T) {
 		regs[0].Write(3, val)
 		c.RunFor(time.Millisecond)
 	})
-	if allocs != 3 {
-		t.Fatalf("LWW Write+deliver allocates %v per op, want 3 (the writer's copy and one per receiving replica)", allocs)
+	if allocs != 1 {
+		t.Fatalf("LWW Write+deliver allocates %v per op, want 1 (the entry's copy)", allocs)
+	}
+}
+
+// TestEWOLWWMergeAllocBudget: merging an 8-entry LWW update into warm keys
+// allocates nothing, whether its stamps are fresh (every value copied into
+// its cell) or stale.
+func TestEWOLWWMergeAllocBudget(t *testing.T) {
+	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
+	regs, err := c.DeclareEventual("b", swishmem.EventualOptions{Capacity: 64, ValueWidth: 8, DisableSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := regs[0].Node()
+	u := &wire.EWOUpdate{Reg: node.Config().Reg, From: 2, Entries: make([]wire.EWOEntry, 8)}
+	val, stamp := []byte("12345678"), sim.Time(0)
+	fill := func() {
+		for j := range u.Entries {
+			u.Entries[j] = wire.EWOEntry{Key: uint64(j), Stamp: timesync.Stamp{Time: stamp, Node: 2}, Value: val}
+		}
+	}
+	stamp++
+	fill()
+	node.Handle(2, u) // warm: the first touch of each key
+	merged, stale := node.Stats.EntriesMerged.Value(), node.Stats.EntriesStale.Value()
+	if allocs := testing.AllocsPerRun(1000, func() { stamp++; fill(); node.Handle(2, u) }); allocs != 0 {
+		t.Fatalf("LWW merge of an 8-entry update with fresh stamps allocates %v per op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { node.Handle(2, u) }); allocs != 0 {
+		t.Fatalf("LWW merge of an 8-entry stale update allocates %v per op, want 0", allocs)
+	}
+	if got, want := node.Stats.EntriesMerged.Value()-merged, uint64(8*1001); got != want {
+		t.Fatalf("%d entries merged over 1001 fresh updates, want %d", got, want)
+	}
+	if got, want := node.Stats.EntriesStale.Value()-stale, uint64(8*1001); got != want {
+		t.Fatalf("%d entries stale over 1001 repeated updates, want %d", got, want)
 	}
 }
 
@@ -459,7 +495,10 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		// The pending set's heaps.
 		"eventHeap", "tierFar",
 		// Inline, uncoalesced and destination-sharded live egress.
-		"TestFabricInlineEgressStartsNoGoroutines", "eworkers"}
+		"TestFabricInlineEgressStartsNoGoroutines", "eworkers",
+		// The LWW map beside the EWO register table, and the example that
+		// Example functions replaced.
+		"lwwCell", "syncKeys", "examples/quickstart"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

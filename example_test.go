@@ -52,6 +52,32 @@ func ExampleCluster_DeclareCounter() {
 	// sum everywhere: 42 42 42
 }
 
+// ExampleCluster_DeclareEventual shows the EWO last-writer-wins register:
+// writes apply locally at once, and concurrent writes to one key converge on
+// every switch to the one with the larger version stamp (synchronized clock
+// time, switch ID as the tie breaker).
+func ExampleCluster_DeclareEventual() {
+	cluster, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 42})
+	flags, _ := cluster.DeclareEventual("flags", swishmem.EventualOptions{Capacity: 64, ValueWidth: 8})
+	cluster.RunFor(2 * time.Millisecond)
+
+	flags[0].Write(1, []byte("from-sw0"))
+	flags[2].Write(1, []byte("from-sw2"))
+	v0, _ := flags[0].Read(1)
+	fmt.Printf("switch 0 reads its own write: %s\n", v0)
+	cluster.RunFor(5 * time.Millisecond)
+
+	for i, f := range flags {
+		v, _ := f.Read(1)
+		fmt.Printf("switch %d: %s\n", i, v)
+	}
+	// Output:
+	// switch 0 reads its own write: from-sw0
+	// switch 0: from-sw0
+	// switch 1: from-sw0
+	// switch 2: from-sw0
+}
+
 // ExampleCluster_FailSwitch demonstrates automatic failover: after a chain
 // member fail-stops, the controller detects it by heartbeat timeout,
 // shortens the chain, and the retried write commits.

@@ -29,6 +29,7 @@ package ewo
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -70,9 +71,10 @@ func (k Kind) String() string {
 type Config struct {
 	// Reg is the register identifier in protocol messages.
 	Reg uint16
-	// Capacity is the number of keys.
+	// Capacity is the number of keys. A write or a received entry that would
+	// add a key past it is refused and counted in Stats.KeysRefused.
 	Capacity int
-	// ValueWidth is the LWW value size in bytes (ignored for counters).
+	// ValueWidth is the LWW value size in bytes, 1..65535 (ignored for counters).
 	ValueWidth int
 	// Kind selects LWW or counter semantics.
 	Kind Kind
@@ -153,11 +155,9 @@ type Stats struct {
 	// GroupsRejected counts group configurations SetGroup refused (more
 	// members than MaxGroup): the node is still multicasting to its old group.
 	GroupsRejected stats.Counter
-}
-
-type lwwCell struct {
-	val   []byte
-	stamp timesync.Stamp
+	// KeysRefused counts writes and received entries dropped because their
+	// key would take the register past Capacity.
+	KeysRefused stats.Counter
 }
 
 // Node is the per-switch protocol instance for one EWO register array.
@@ -169,15 +169,12 @@ type Node struct {
 	epoch uint32
 	group []netem.Addr
 
-	// LWW state.
-	lww map[uint64]lwwCell
-	// Counter and PNCounter state: the §7 slot matrix (see counterTable).
-	ctr counterTable
-
-	// mem holds the SRAM reservations charged against the switch's budget:
-	// the size the §7 layout occupies on the ASIC (Capacity keys, MaxGroup
-	// slots each), whatever the host-side tables above currently hold.
-	mem []*pisa.RegisterArray
+	// tab is the register's state, one row per key (see table). mem is the
+	// SRAM reservation charged against the switch's budget: the §7 layout's
+	// size on the ASIC (Capacity keys, MaxGroup slots each for a counter).
+	// tab holds at most as many keys, but only the rows touched.
+	tab table
+	mem *pisa.RegisterArray
 
 	// cur is the open update: deltas join its entry slice directly, so
 	// filling and flushing it is allocation-free once the pool is warm. held
@@ -196,10 +193,8 @@ type Node struct {
 	armed      bool
 	batchTimer sim.Timer
 	ticker     *sim.Ticker
-	// The sync walk: a key-ordered snapshot of the LWW keys (syncKeys) or
-	// of the counter rows (syncRows), taken when the previous one is used
-	// up; syncCursor walks it across periodic sync rounds.
-	syncKeys   []uint64
+	// syncRows is the sync walk's key-ordered row snapshot (see syncWalk);
+	// syncCursor walks it across periodic sync rounds.
 	syncRows   []int32
 	syncCursor int
 
@@ -230,8 +225,8 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("ewo: register %d needs positive capacity", cfg.Reg)
 	}
-	if cfg.Kind == LWW && cfg.ValueWidth <= 0 {
-		return nil, fmt.Errorf("ewo: LWW register %d needs positive value width", cfg.Reg)
+	if cfg.Kind == LWW && (cfg.ValueWidth <= 0 || cfg.ValueWidth > math.MaxUint16) {
+		return nil, fmt.Errorf("ewo: LWW register %d needs a value width in 1..%d", cfg.Reg, math.MaxUint16)
 	}
 	n := &Node{
 		sw:    sw,
@@ -244,29 +239,17 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 		n.armed = false
 		n.Flush()
 	}
-	// Charge SRAM per the §7 layout.
-	switch cfg.Kind {
-	case LWW:
-		// One (version, value) pair per key: 10-byte stamp + value.
-		ra, err := sw.NewRegisterArray(fmt.Sprintf("ewo-lww%d", cfg.Reg), cfg.Capacity, 10+cfg.ValueWidth)
-		if err != nil {
-			return nil, err
-		}
-		n.mem = append(n.mem, ra)
-		n.lww = make(map[uint64]lwwCell)
-	case Counter, PNCounter:
-		// One register array per group member, each (version, value) =
-		// 16 bytes per key; PN doubles it.
-		mult := 1
-		if cfg.Kind == PNCounter {
-			mult = 2
-		}
-		ra, err := sw.NewRegisterArray(fmt.Sprintf("ewo-ctr%d", cfg.Reg), cfg.Capacity*cfg.MaxGroup*mult, 16)
-		if err != nil {
-			return nil, err
-		}
-		n.mem = append(n.mem, ra)
-		n.ctr = newCounterTable(cfg.MaxGroup, cfg.Kind == PNCounter)
+	n.tab = newTable(cfg)
+	// Charge SRAM per the §7 layout. LWW: one (version, value) pair per key,
+	// a 10-byte stamp + the value. Counters: one register array per group
+	// member, each (version, value) = 16 bytes per key; PN doubles it.
+	name, slots, width := fmt.Sprintf("ewo-lww%d", cfg.Reg), cfg.Capacity, 10+cfg.ValueWidth
+	if cfg.Kind != LWW {
+		name, slots, width = fmt.Sprintf("ewo-ctr%d", cfg.Reg), cfg.Capacity*cfg.MaxGroup*n.tab.vecs, 16
+	}
+	var err error
+	if n.mem, err = sw.NewRegisterArray(name, slots, width); err != nil {
+		return nil, err
 	}
 	if !cfg.SyncDisabled {
 		n.ticker = sw.PacketGen(cfg.SyncPeriod, n.syncRound)
@@ -281,13 +264,7 @@ func (n *Node) Switch() *pisa.Switch { return n.sw }
 func (n *Node) Config() Config { return n.cfg }
 
 // MemoryBytes returns the SRAM footprint of this register on this switch.
-func (n *Node) MemoryBytes() int {
-	total := 0
-	for _, ra := range n.mem {
-		total += ra.Bytes()
-	}
-	return total
-}
+func (n *Node) MemoryBytes() int { return n.mem.Bytes() }
 
 // SetGroup installs the replica group (from the controller). Stale epochs
 // are ignored. Group size beyond MaxGroup is rejected loudly — an error to
@@ -327,6 +304,7 @@ func (n *Node) RegisterMetrics(r *obs.Registry, labels string) {
 	r.AddCounter("ewo.update_bytes", labels, &es.UpdateBytes)
 	r.AddCounter("ewo.sync_bytes", labels, &es.SyncBytes)
 	r.AddCounter("ewo.groups_rejected", labels, &es.GroupsRejected)
+	r.AddCounter("ewo.keys_refused", labels, &es.KeysRefused)
 }
 
 // Stop cancels the periodic synchronization ticker.
@@ -345,25 +323,30 @@ func (n *Node) Write(key uint64, val []byte) {
 		panic("ewo: Write on counter register; use Add")
 	}
 	n.Stats.Writes.Inc()
-	if len(val) > n.cfg.ValueWidth {
-		val = val[:n.cfg.ValueWidth]
+	r := n.tab.rowFor(key)
+	if r < 0 {
+		n.Stats.KeysRefused.Inc()
+		return
 	}
+	val = val[:min(len(val), n.cfg.ValueWidth)]
 	st := n.clock.Now()
-	// One copy, shared by the cell and the entry: neither is ever written
-	// through (merge replaces a cell's slice, marshal and clone only read).
-	val = append([]byte(nil), val...)
-	n.lww[key] = lwwCell{val: val, stamp: st}
-	n.enqueue(wire.EWOEntry{Key: key, Stamp: st, Value: val})
+	n.tab.store(r, st, val)
+	// The entry gets a copy of its own: the cell may be overwritten while
+	// the update is still in flight.
+	n.enqueue(wire.EWOEntry{Key: key, Stamp: st, Value: append([]byte(nil), val...)})
 }
 
-// Read returns the local LWW value.
+// Read returns a copy of the local LWW value.
 func (n *Node) Read(key uint64) ([]byte, bool) {
 	if n.cfg.Kind != LWW {
 		panic("ewo: Read on counter register; use Sum")
 	}
 	n.Stats.Reads.Inc()
-	c, ok := n.lww[key]
-	return c.val, ok
+	if r, _ := n.tab.find(key); r >= 0 {
+		_, val := n.tab.cell(r)
+		return slices.Clone(val), true
+	}
+	return nil, false
 }
 
 // --- Counter operations ---
@@ -373,11 +356,7 @@ func (n *Node) Add(key uint64, delta uint64) {
 	if n.cfg.Kind == LWW {
 		panic("ewo: Add on LWW register; use Write")
 	}
-	n.Stats.Writes.Inc()
-	self := uint16(n.sw.Addr())
-	s := n.ctr.slot(key, self, incVec)
-	*s += delta
-	n.enqueue(counterEntry(key, self, *s, false))
+	n.add(key, delta, incVec)
 }
 
 // Sub decrements key's counter (PNCounter only).
@@ -385,11 +364,24 @@ func (n *Node) Sub(key uint64, delta uint64) {
 	if n.cfg.Kind != PNCounter {
 		panic("ewo: Sub requires a PNCounter register")
 	}
+	n.add(key, delta, decVec)
+}
+
+// add adds delta to this switch's slot of key in vector vec and announces
+// the slot's new value.
+func (n *Node) add(key, delta uint64, vec int) {
 	n.Stats.Writes.Inc()
+	t := &n.tab
+	r := t.rowFor(key)
+	if r < 0 {
+		n.Stats.KeysRefused.Inc()
+		return
+	}
 	self := uint16(n.sw.Addr())
-	s := n.ctr.slot(key, self, decVec)
+	c := t.colFor(self) // may widen: index the cell after it
+	s := &t.cells[(r*t.vecs+vec)*t.stride+c]
 	*s += delta
-	n.enqueue(counterEntry(key, self, *s, true))
+	n.enqueue(counterEntry(key, self, *s, vec == decVec))
 }
 
 // incMark and decMark are the shared, read-only Value payloads of counter
@@ -436,14 +428,18 @@ func (n *Node) Sum(key uint64) uint64 {
 		panic("ewo: Sum on LWW register; use Read")
 	}
 	n.Stats.Reads.Inc()
-	return n.ctr.sum(key)
+	if r, _ := n.tab.find(key); r >= 0 {
+		return n.tab.sum(r)
+	}
+	return 0
 }
 
 // --- replication ---
 
-// getUpdate pops a recycled update (or builds one) and takes the caller's
-// reference. The caller must Release after handing it to the network.
-func (n *Node) getUpdate() *wire.EWOUpdate {
+// getUpdate pops a recycled update (or builds one), marks it a sync packet
+// or not, and takes the caller's reference. The caller must Release after
+// handing it to the network.
+func (n *Node) getUpdate(sync bool) *wire.EWOUpdate {
 	var u *wire.EWOUpdate
 	if ln := len(n.ufree); ln > 0 {
 		u = n.ufree[ln-1]
@@ -455,7 +451,7 @@ func (n *Node) getUpdate() *wire.EWOUpdate {
 	}
 	u.Reg = n.cfg.Reg
 	u.From = uint16(n.sw.Addr())
-	u.Sync = false
+	u.Sync = sync
 	u.Entries = u.Entries[:0]
 	u.Ref()
 	return u
@@ -525,7 +521,7 @@ func (n *Node) enqueue(e wire.EWOEntry) {
 // open returns the open update, taking one from the pool if none is.
 func (n *Node) open() *wire.EWOUpdate {
 	if n.cur == nil {
-		n.cur = n.getUpdate()
+		n.cur = n.getUpdate(false)
 	}
 	return n.cur
 }
@@ -587,9 +583,7 @@ func (n *Node) Handle(from netem.Addr, msg wire.Msg) bool {
 			}
 		}
 		if n.cfg.Kind == LWW {
-			for i := range m.Entries {
-				n.merge(&m.Entries[i])
-			}
+			n.mergeLWW(m.Entries)
 		} else {
 			n.mergeCounters(m.Entries)
 		}
@@ -601,15 +595,24 @@ func (n *Node) Handle(from netem.Addr, msg wire.Msg) bool {
 	return false
 }
 
-// merge applies one received LWW entry: the larger stamp wins.
-func (n *Node) merge(e *wire.EWOEntry) {
-	cur, ok := n.lww[e.Key]
-	if ok && !cur.stamp.Less(e.Stamp) {
-		n.Stats.EntriesStale.Inc()
-		return
+// mergeLWW copies an LWW update's entries into their cells: the larger stamp
+// wins, a key's first entry whatever its stamp. A value wider than ValueWidth
+// (a configuration mismatch or a forged datagram) is stale and creates nothing.
+func (n *Node) mergeLWW(ents []wire.EWOEntry) {
+	t := &n.tab
+	for i := range ents {
+		e, rows := &ents[i], len(t.keys)
+		if len(e.Value) > n.cfg.ValueWidth {
+			n.Stats.EntriesStale.Inc()
+		} else if r := t.rowFor(e.Key); r < 0 {
+			n.Stats.KeysRefused.Inc()
+		} else if st, _ := t.cell(r); len(t.keys) > rows || st.Less(e.Stamp) {
+			t.store(r, e.Stamp, e.Value)
+			n.Stats.EntriesMerged.Inc()
+		} else {
+			n.Stats.EntriesStale.Inc()
+		}
 	}
-	n.lww[e.Key] = lwwCell{val: append([]byte(nil), e.Value...), stamp: e.Stamp}
-	n.Stats.EntriesMerged.Inc()
 }
 
 // mergeCounters applies a counter update's entries: each slot keeps the
@@ -617,9 +620,10 @@ func (n *Node) merge(e *wire.EWOEntry) {
 // sync packet carries each key's slots back to back, so the key's row is
 // looked up once per run of equal keys, not once per slot. A decrement entry
 // reaching a G-counter (a configuration mismatch or corruption) is discarded
-// as stale and creates nothing.
+// as stale and creates nothing; an entry whose key is refused is counted in
+// KeysRefused.
 func (n *Node) mergeCounters(ents []wire.EWOEntry) {
-	t := &n.ctr
+	t := &n.tab
 	r, key := -1, uint64(0)
 	for i := range ents {
 		e := &ents[i]
@@ -632,7 +636,10 @@ func (n *Node) mergeCounters(ents []wire.EWOEntry) {
 			vec = decVec
 		}
 		if r < 0 || e.Key != key {
-			r, key = t.rowFor(e.Key), e.Key
+			if r, key = t.rowFor(e.Key), e.Key; r < 0 {
+				n.Stats.KeysRefused.Inc()
+				continue
+			}
 		}
 		c := t.colFor(uint16(e.Stamp.Node)) // may widen: index the cell after it
 		s := &t.cells[(r*t.vecs+vec)*t.stride+c]
@@ -651,49 +658,23 @@ func (n *Node) syncRound() {
 	if len(n.group) < 2 {
 		return
 	}
-	walk := n.syncWalk()
-	if walk == 0 {
+	rows := n.syncWalk()
+	if len(rows) == 0 {
 		return
 	}
-	end := min(n.syncCursor+n.cfg.SyncEntriesPerPacket, walk)
-	u := n.getUpdate()
-	u.Sync = true
-	if n.cfg.Kind == LWW {
-		for _, k := range n.syncKeys[n.syncCursor:end] {
-			if c, ok := n.lww[k]; ok {
-				u.Entries = append(u.Entries, wire.EWOEntry{Key: k, Stamp: c.stamp, Value: c.val})
-			}
-		}
-	} else {
-		for _, r := range n.syncRows[n.syncCursor:end] {
-			u.Entries = n.ctr.appendRow(u.Entries, r)
-		}
-	}
-	n.syncCursor = end
+	u := n.getUpdate(true)
+	u.Entries = n.tab.appendRows(u.Entries, rows)
 	n.sendWindow(u)
 }
 
-// syncWalk returns the length of the sync walk, taking a new snapshot when
-// the current one is used up; keys added mid-walk wait for the next walk.
-// The walk goes in key order, like a register array's. Map iteration order
-// in particular is runtime-randomized and must not leak onto the wire (which
-// keys share a sync packet decides how fast a recovering member converges),
-// or runs stop being a pure function of the seed. Counter rows are never
-// removed, so a snapshot as long as the table is the table's rows in key
-// order already: it is re-sorted only when rows were added.
-func (n *Node) syncWalk() int {
-	if n.cfg.Kind == LWW {
-		if n.syncCursor >= len(n.syncKeys) {
-			n.syncKeys = n.syncKeys[:0]
-			for k := range n.lww {
-				n.syncKeys = append(n.syncKeys, k)
-			}
-			slices.Sort(n.syncKeys)
-			n.syncCursor = 0
-		}
-		return len(n.syncKeys)
-	}
-	t := &n.ctr
+// syncWalk returns the next window of the sync walk, SyncEntriesPerPacket
+// rows, taking a new snapshot when the current one is used up; keys added
+// mid-walk wait for the next walk. The walk goes in key order, like a
+// register array's, so which keys share a sync packet is a function of the
+// seed. Rows are never removed, so a snapshot as long as the table is
+// already in key order: it is re-sorted only when rows were added.
+func (n *Node) syncWalk() []int32 {
+	t := &n.tab
 	if n.syncCursor >= len(n.syncRows) {
 		n.syncCursor = 0
 		if len(n.syncRows) < len(t.keys) {
@@ -703,7 +684,9 @@ func (n *Node) syncWalk() int {
 			slices.SortFunc(n.syncRows, func(a, b int32) int { return cmp.Compare(t.keys[a], t.keys[b]) })
 		}
 	}
-	return len(n.syncRows)
+	start := n.syncCursor
+	n.syncCursor = min(start+n.cfg.SyncEntriesPerPacket, len(n.syncRows))
+	return n.syncRows[start:n.syncCursor]
 }
 
 // sendWindow sends one round's sync window to a randomly drawn group member
@@ -737,8 +720,7 @@ func (n *Node) sendWindow(u *wire.EWOUpdate) {
 	// back to back to the same target — the live fabric's coalescing
 	// egress then packs the run into MTU-shaped wire.Batch datagrams.
 	ents := u.Entries
-	p := n.getUpdate()
-	p.Sync = true
+	p := n.getUpdate(true)
 	sz := wire.EWOUpdateOverhead
 	for i := 0; i < len(ents); {
 		j := i
@@ -749,19 +731,14 @@ func (n *Node) sendWindow(u *wire.EWOUpdate) {
 		}
 		if len(p.Entries) > 0 && sz+run > limit {
 			n.sendSync(p, target)
-			p = n.getUpdate()
-			p.Sync = true
+			p = n.getUpdate(true)
 			sz = wire.EWOUpdateOverhead
 		}
 		p.Entries = append(p.Entries, ents[i:j]...)
 		sz += run
 		i = j
 	}
-	if len(p.Entries) > 0 {
-		n.sendSync(p, target)
-	} else {
-		p.Release()
-	}
+	n.sendSync(p, target) // ents is not empty, so neither is p
 	u.Release()
 }
 
@@ -781,25 +758,18 @@ func (n *Node) sendSync(u *wire.EWOUpdate, target netem.Addr) {
 }
 
 // Keys returns the number of locally known keys.
-func (n *Node) Keys() int {
-	if n.cfg.Kind == LWW {
-		return len(n.lww)
-	}
-	return len(n.ctr.keys)
-}
+func (n *Node) Keys() int { return len(n.tab.keys) }
 
 // StateDigest summarizes local state for convergence checks: for LWW a map
-// of key to stamp; for counters a map of key to summed value.
+// of key to stamp and value; for counters a map of key to summed value.
 func (n *Node) StateDigest() map[uint64]string {
 	out := make(map[uint64]string)
-	switch n.cfg.Kind {
-	case LWW:
-		for k, c := range n.lww {
-			out[k] = fmt.Sprintf("%v:%x", c.stamp, c.val)
-		}
-	default:
-		for _, k := range n.ctr.keys {
-			out[k] = fmt.Sprintf("%d", n.ctr.sum(k))
+	for r, k := range n.tab.keys {
+		if n.cfg.Kind == LWW {
+			st, val := n.tab.cell(r)
+			out[k] = fmt.Sprintf("%v:%x", st, val)
+		} else {
+			out[k] = fmt.Sprintf("%d", n.tab.sum(r))
 		}
 	}
 	return out

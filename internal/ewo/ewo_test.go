@@ -9,6 +9,7 @@ import (
 	"swishmem/internal/netem"
 	"swishmem/internal/pisa"
 	"swishmem/internal/sim"
+	"swishmem/internal/timesync"
 	"swishmem/internal/wire"
 )
 
@@ -517,6 +518,65 @@ func TestDecEntryIgnoredByGCounter(t *testing.T) {
 	}
 	if a.Stats.EntriesStale.Value() != 1 {
 		t.Fatal("discard not counted")
+	}
+}
+
+// An LWW entry wider than the register (a configuration mismatch or a forged
+// datagram) is discarded as stale, like a decrement reaching a G-counter: the
+// cell and its stamp keep what they held.
+func TestLWWOverWidthEntryIsStale(t *testing.T) {
+	a := mkIsolated(t, LWW, 7)
+	a.Write(1, []byte("keep"))
+	before := a.StateDigest()
+	wide := make([]byte, a.Config().ValueWidth+1)
+	a.Handle(3, &wire.EWOUpdate{Reg: 1, From: 3, Entries: []wire.EWOEntry{
+		{Key: 1, Stamp: timesync.Stamp{Time: 1 << 40, Node: 3}, Value: wide},
+	}})
+	if v, _ := a.Read(1); string(v) != "keep" || !digestEqual(a.StateDigest(), before) {
+		t.Fatalf("after a %d-byte entry: %q, digest %v (before %v)", len(wide), v, a.StateDigest(), before)
+	}
+	if a.Stats.EntriesStale.Value() != 1 || a.Stats.EntriesMerged.Value() != 0 {
+		t.Fatalf("%d stale, %d merged; want the entry counted stale", a.Stats.EntriesStale.Value(), a.Stats.EntriesMerged.Value())
+	}
+}
+
+// No entry that leaves a node points into its table: a cell overwritten — by
+// a local write or a newer remote value — while an update carrying its old
+// value is in flight must not change what the receiver gets. Case 1 is a
+// write update, case 2 a sync window.
+func TestLWWInFlightUpdateIsStable(t *testing.T) {
+	for _, sync := range []bool{false, true} {
+		cfg := lwwCfg()
+		cfg.SyncDisabled = true
+		r := newRig(t, 1, 2, cfg, netem.LinkProfile{Latency: 10_000})
+		a := r.nodes[0]
+		var got []string
+		r.sws[1].SetMsgHandler(func(_ *pisa.Switch, from netem.Addr, msg wire.Msg) {
+			if u, ok := msg.(*wire.EWOUpdate); ok && u.Sync == sync {
+				for _, e := range u.Entries {
+					got = append(got, string(e.Value))
+				}
+			}
+			r.nodes[1].Handle(from, msg)
+		})
+		a.Write(1, []byte("one"))
+		if sync {
+			r.eng.RunFor(time.Millisecond)
+			a.syncRound()
+		} else {
+			a.Flush()
+		}
+		a.Write(1, []byte("two"))
+		a.Handle(2, &wire.EWOUpdate{Reg: cfg.Reg, From: 2, Entries: []wire.EWOEntry{
+			{Key: 1, Stamp: timesync.Stamp{Time: 1 << 40, Node: 2}, Value: []byte("three")},
+		}})
+		r.eng.RunFor(time.Millisecond)
+		if len(got) == 0 || got[0] != "one" {
+			t.Fatalf("sync=%v: the receiver got %q first, want \"one\"", sync, got)
+		}
+		if v, _ := a.Read(1); string(v) != "three" {
+			t.Fatalf("sync=%v: the writer holds %q, want the newer remote value", sync, v)
+		}
 	}
 }
 

@@ -68,13 +68,11 @@ func TestLWWMergeOrderInsensitive(t *testing.T) {
 		}
 		a := mkIsolated(t, LWW, 1)
 		b := mkIsolated(t, LWW, 2)
-		for i := range entries {
-			a.merge(&entries[i])
-		}
+		a.mergeLWW(entries)
 		rng := rand.New(rand.NewSource(seed))
 		perm := rng.Perm(n)
 		for _, i := range perm {
-			b.merge(&entries[i])
+			b.mergeLWW(entries[i : i+1])
 		}
 		return digestEqual(a.StateDigest(), b.StateDigest())
 	}
@@ -93,9 +91,8 @@ func TestLWWMergeIdempotent(t *testing.T) {
 		}
 		a := mkIsolated(t, LWW, 1)
 		b := mkIsolated(t, LWW, 2)
-		a.merge(&e)
-		b.merge(&e)
-		b.merge(&e)
+		a.mergeLWW([]wire.EWOEntry{e})
+		b.mergeLWW([]wire.EWOEntry{e, e})
 		return digestEqual(a.StateDigest(), b.StateDigest())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -196,29 +193,37 @@ func TestClusterConvergenceProperty(t *testing.T) {
 	}
 }
 
-// --- slot matrix vs nested-map reference model ---
+// --- register table vs map reference models ---
 
 // refCounter is the counter state the way it used to be kept: key -> owner
 // -> slot value in nested maps. It is the oracle for the slot matrix; the
 // only things it knows about the matrix are that keys take rows and owners
-// take columns in first-touch order.
+// take columns in first-touch order, and that a key past the register's
+// capacity is refused.
 type refCounter struct {
-	pn            bool
-	self          uint16
-	keys          map[uint64]bool
-	order         []uint64 // keys in first-touch order
-	inc, dec      map[uint64]map[uint16]uint64
-	owners        []uint16
-	merged, stale uint64
+	pn                     bool
+	self                   uint16
+	limit                  int
+	keys                   map[uint64]bool
+	order                  []uint64 // keys in first-touch order
+	inc, dec               map[uint64]map[uint16]uint64
+	owners                 []uint16
+	merged, stale, refused uint64
 }
 
-func newRefCounter(pn bool, self uint16) *refCounter {
-	return &refCounter{pn: pn, self: self, keys: map[uint64]bool{},
+func newRefCounter(pn bool, self uint16, limit int) *refCounter {
+	return &refCounter{pn: pn, self: self, limit: limit, keys: map[uint64]bool{},
 		inc: map[uint64]map[uint16]uint64{}, dec: map[uint64]map[uint16]uint64{}}
 }
 
+// slots returns key's vector, touching the key and the owner, or nil if the
+// key is refused.
 func (m *refCounter) slots(dec bool, key uint64, owner uint16) map[uint16]uint64 {
 	if !m.keys[key] {
+		if len(m.order) == m.limit {
+			m.refused++
+			return nil
+		}
 		m.keys[key] = true
 		m.order = append(m.order, key)
 	}
@@ -235,14 +240,20 @@ func (m *refCounter) slots(dec bool, key uint64, owner uint16) map[uint16]uint64
 	return vec[key]
 }
 
-func (m *refCounter) add(dec bool, key, delta uint64) { m.slots(dec, key, m.self)[m.self] += delta }
+func (m *refCounter) add(dec bool, key, delta uint64) {
+	if s := m.slots(dec, key, m.self); s != nil {
+		s[m.self] += delta
+	}
+}
 
 func (m *refCounter) merge(dec bool, key uint64, owner uint16, val uint64) {
 	if dec && !m.pn {
 		m.stale++
 		return
 	}
-	if s := m.slots(dec, key, owner); val > s[owner] {
+	if s := m.slots(dec, key, owner); s == nil {
+		return
+	} else if val > s[owner] {
 		s[owner] = val
 		m.merged++
 	} else {
@@ -286,22 +297,22 @@ func (m *refCounter) syncEntries() []wire.EWOEntry {
 	return out
 }
 
-// tableProbe is a counter node whose sync packets land in a capture buffer:
-// seven sink addresses make up the rest of its replica group (with one sink
-// the random target draw would hit the node itself eight times in a row,
-// and lose the round, once in 256).
+// tableProbe is a node whose sync packets land in a capture buffer: seven
+// sink addresses make up the rest of its replica group (with one sink the
+// random target draw would hit the node itself eight times in a row, and
+// lose the round, once in 256).
 type tableProbe struct {
 	eng    *sim.Engine
 	n      *Node
 	synced [][]wire.EWOEntry // one element per sync packet
 }
 
-func newTableProbe(t testing.TB, kind Kind) *tableProbe {
+func newTableProbe(t testing.TB, kind Kind, capacity int) *tableProbe {
 	t.Helper()
 	p := &tableProbe{eng: sim.NewEngine(1)}
 	nw := netem.New(p.eng, netem.LinkProfile{})
 	sw := pisa.New(p.eng, nw, pisa.Config{Addr: 1})
-	n, err := NewNode(sw, Config{Reg: 1, Capacity: 64, Kind: kind, SyncDisabled: true, SyncEntriesPerPacket: 16})
+	n, err := NewNode(sw, Config{Reg: 1, Capacity: capacity, ValueWidth: probeWidth, Kind: kind, SyncDisabled: true, SyncEntriesPerPacket: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +356,14 @@ func (p *tableProbe) walkRest() []wire.EWOEntry {
 	return slices.Concat(p.synced...)
 }
 
-// checkTable asserts the matrix's own invariants.
-func checkTable(t testing.TB, tb *counterTable) {
+// checkTable asserts the table's own invariants.
+func checkTable(t testing.TB, tb *table) {
 	t.Helper()
 	if got, want := len(tb.cells), len(tb.keys)*tb.vecs*tb.stride; got != want {
 		t.Fatalf("cells = %d, want %d rows x %d vecs x stride %d", got, len(tb.keys), tb.vecs, tb.stride)
+	}
+	if got, want := len(tb.lww), len(tb.keys)*tb.width; got != want {
+		t.Fatalf("LWW cells = %d bytes, want %d rows x width %d", got, len(tb.keys), tb.width)
 	}
 	if len(tb.owners) > tb.stride {
 		t.Fatalf("%d owners in stride %d", len(tb.owners), tb.stride)
@@ -357,8 +371,11 @@ func checkTable(t testing.TB, tb *counterTable) {
 	if len(tb.keys)*2 > len(tb.idx) {
 		t.Fatalf("key table over half full: %d keys in %d buckets", len(tb.keys), len(tb.idx))
 	}
+	if len(tb.keys) > tb.limit {
+		t.Fatalf("%d rows past capacity %d", len(tb.keys), tb.limit)
+	}
 	for r, k := range tb.keys {
-		if got := tb.row(k); got != r {
+		if got, _ := tb.find(k); got != r {
 			t.Fatalf("row(%d) = %d, want %d", k, got, r)
 		}
 	}
@@ -369,7 +386,7 @@ func checkTable(t testing.TB, tb *counterTable) {
 // every cell equal to the model's slot, and the same merge counts.
 func checkModel(t testing.TB, n *Node, m *refCounter) {
 	t.Helper()
-	tb := &n.ctr
+	tb := &n.tab
 	if !slices.Equal(tb.keys, m.order) {
 		t.Fatalf("rows %v, model %v", tb.keys, m.order)
 	}
@@ -385,49 +402,76 @@ func checkModel(t testing.TB, n *Node, m *refCounter) {
 			}
 		}
 	}
-	if got := n.Stats.EntriesMerged.Value(); got != m.merged {
-		t.Fatalf("EntriesMerged = %d, model %d", got, m.merged)
+	checkCounts(t, n, m.merged, m.stale, m.refused)
+}
+
+// checkCounts asserts the node's merge and refusal counts.
+func checkCounts(t testing.TB, n *Node, merged, stale, refused uint64) {
+	t.Helper()
+	if got := n.Stats.EntriesMerged.Value(); got != merged {
+		t.Fatalf("EntriesMerged = %d, model %d", got, merged)
 	}
-	if got := n.Stats.EntriesStale.Value(); got != m.stale {
-		t.Fatalf("EntriesStale = %d, model %d", got, m.stale)
+	if got := n.Stats.EntriesStale.Value(); got != stale {
+		t.Fatalf("EntriesStale = %d, model %d", got, stale)
+	}
+	if got := n.Stats.KeysRefused.Value(); got != refused {
+		t.Fatalf("KeysRefused = %d, model %d", got, refused)
+	}
+}
+
+// probeCapacity is the table probes' Capacity: the programs' 768 keys pass
+// it, and the key table still rehashes twice on the way. probeWidth is the
+// LWW probe's ValueWidth.
+const (
+	probeCapacity = 256
+	probeWidth    = 8
+)
+
+// programKey reads a key of a table program: below Capacity, far above it,
+// or at the top of the range; 768 of them, so a long program takes the key
+// table through rehashes and past Capacity.
+func programKey(next func() uint64) uint64 {
+	i := next()<<8 | next()
+	switch i %= 768; i % 3 {
+	case 0:
+		return i / 3
+	case 1:
+		return 1<<40 + i*7919
+	default:
+		return ^uint64(0) - i
+	}
+}
+
+// programReader returns the byte reader a table program's ops draw from; it
+// reads zeros past the end.
+func programReader(prog *[]byte) func() uint64 {
+	return func() uint64 {
+		if len(*prog) == 0 {
+			return 0
+		}
+		b := (*prog)[0]
+		*prog = (*prog)[1:]
+		return uint64(b)
 	}
 }
 
 // runTableProgram interprets prog as a sequence of counter operations and
 // applies each to a node and to the reference model, comparing everything a
-// caller or a peer can observe. The byte encoding is total (every string is
-// a program), so the fuzzer and the random property test share it.
-func runTableProgram(t testing.TB, prog []byte) {
+// caller or a peer can observe; it returns the keys the model refused. The
+// byte encoding is total (every string is a program), so the fuzzer and the
+// random property test share it.
+func runTableProgram(t testing.TB, prog []byte) uint64 {
 	if len(prog) == 0 {
-		return
+		return 0
 	}
 	kind := Counter
 	if prog[0]&1 == 1 {
 		kind = PNCounter
 	}
-	p := newTableProbe(t, kind)
-	n, m := p.n, newRefCounter(kind == PNCounter, 1)
-	next := func() uint64 {
-		if len(prog) == 0 {
-			return 0
-		}
-		b := prog[0]
-		prog = prog[1:]
-		return uint64(b)
-	}
-	// Keys below Capacity, far above it, and at the top of the range; 768 of
-	// them, so a long program takes the key table through several rehashes.
-	key := func() uint64 {
-		i := next()<<8 | next()
-		switch i %= 768; i % 3 {
-		case 0:
-			return i / 3
-		case 1:
-			return 1<<40 + i*7919
-		default:
-			return ^uint64(0) - i
-		}
-	}
+	p := newTableProbe(t, kind, probeCapacity)
+	n, m := p.n, newRefCounter(kind == PNCounter, 1, probeCapacity)
+	next := programReader(&prog)
+	key := func() uint64 { return programKey(next) }
 	// 40 owners: churn far past MaxGroup, so the stride doubles three times.
 	owner := func() uint16 {
 		if o := next() % 40; o > 0 {
@@ -479,7 +523,7 @@ func runTableProgram(t testing.TB, prog []byte) {
 				}
 			}
 		case 7:
-			checkTable(t, &n.ctr)
+			checkTable(t, &n.tab)
 			if got, want := n.Keys(), len(m.keys); got != want {
 				t.Fatalf("Keys() = %d, model %d", got, want)
 			}
@@ -534,7 +578,8 @@ func runTableProgram(t testing.TB, prog []byte) {
 	}
 	p.eng.RunFor(time.Millisecond)
 	checkModel(t, n, m)
-	checkTable(t, &n.ctr)
+	checkTable(t, &n.tab)
+	return m.refused
 }
 
 // tablePrograms returns the deterministic random programs the property test
@@ -550,26 +595,33 @@ func tablePrograms(count, ops int) [][]byte {
 }
 
 // Property: over random programs of Add/Sub/merge/Sum/sync/digest and
-// received sync-shaped updates — keys on both sides of Capacity, decrement-only keys, 40 slot owners, hundreds of
-// keys — the slot matrix is indistinguishable from nested maps.
+// received sync-shaped updates — keys on both sides of Capacity,
+// decrement-only keys, 40 slot owners, hundreds of keys, more than the
+// register holds — the slot matrix is indistinguishable from nested maps
+// that refuse a key past Capacity.
 func TestCounterTableMatchesNestedMaps(t *testing.T) {
 	var rehashes, strides int
+	var refused uint64
 	for _, prog := range tablePrograms(8, 1000) {
-		runTableProgram(t, prog)
+		refused += runTableProgram(t, prog)
 	}
-	// The programs are meant to cross the growth paths; make sure they do.
-	p := newTableProbe(t, PNCounter)
+	// The programs are meant to cross the growth paths and Capacity; make
+	// sure they do.
+	if refused == 0 {
+		t.Fatal("no program took the table past Capacity")
+	}
+	p := newTableProbe(t, PNCounter, 1024)
 	for i := uint64(0); i < 700; i++ {
-		before, stride := len(p.n.ctr.idx), p.n.ctr.stride
+		before, stride := len(p.n.tab.idx), p.n.tab.stride
 		p.n.mergeCounters([]wire.EWOEntry{counterEntry(i*i, uint16(i%40+1), i+1, i%2 == 1)})
-		if len(p.n.ctr.idx) != before {
+		if len(p.n.tab.idx) != before {
 			rehashes++
 		}
-		if p.n.ctr.stride != stride {
+		if p.n.tab.stride != stride {
 			strides++
 		}
 	}
-	checkTable(t, &p.n.ctr)
+	checkTable(t, &p.n.tab)
 	if rehashes < 4 || strides < 3 {
 		t.Fatalf("700 keys x 40 owners: %d rehashes, %d stride doublings", rehashes, strides)
 	}
@@ -589,7 +641,7 @@ func TestCounterSyncWalkSnapshot(t *testing.T) {
 		}
 		return ks
 	}
-	p := newTableProbe(t, PNCounter)
+	p := newTableProbe(t, PNCounter, probeCapacity)
 	var early []uint64
 	for i := uint64(0); i < 40; i++ {
 		k := 1000 + i*37%40*10 // first touch out of key order
@@ -637,6 +689,181 @@ func FuzzCounterTable(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 0, 4, 0, 0, 9, 1, 6, 7})             // Sub(0, 0) then a stale dec merge, sync, digest
 	f.Add([]byte{0, 8, 0, 0, 0, 2, 5, 0, 6, 1, 5, 1, 1, 2, 3, 7}) // G-counter: a sync run of one key with two stale decrements, digest
 	f.Fuzz(func(t *testing.T, prog []byte) { runTableProgram(t, prog) })
+}
+
+// refLWW is the LWW state the way it used to be kept: a map of key to stamp
+// and value. It is the oracle for the LWW table; the only things it knows
+// about the table are that keys take rows in first-touch order, that a key
+// past the register's capacity is refused, and that a value wider than the
+// register is discarded. It keeps the writer's clock too: Synced.Now's
+// skewed, strictly increasing engine time.
+type refLWW struct {
+	limit                  int
+	order                  []uint64
+	cells                  map[uint64]wire.EWOEntry
+	offset                 sim.Duration
+	last                   sim.Time
+	merged, stale, refused uint64
+}
+
+// admit reports whether key has a row, giving it one if there is room.
+func (m *refLWW) admit(key uint64) bool {
+	if _, ok := m.cells[key]; ok {
+		return true
+	}
+	if len(m.order) == m.limit {
+		m.refused++
+		return false
+	}
+	m.order = append(m.order, key)
+	return true
+}
+
+func (m *refLWW) write(now sim.Time, self timesync.NodeID, key uint64, val []byte) {
+	if !m.admit(key) {
+		return
+	}
+	t := max(now.Add(m.offset), m.last+1)
+	m.last = t
+	m.cells[key] = wire.EWOEntry{Key: key, Stamp: timesync.Stamp{Time: t, Node: self}, Value: slices.Clone(val[:min(len(val), probeWidth)])}
+}
+
+func (m *refLWW) merge(e wire.EWOEntry) {
+	if len(e.Value) > probeWidth {
+		m.stale++
+		return
+	}
+	cur, ok := m.cells[e.Key]
+	if !m.admit(e.Key) {
+		return
+	}
+	if ok && !cur.Stamp.Less(e.Stamp) {
+		m.stale++
+		return
+	}
+	m.cells[e.Key] = wire.EWOEntry{Key: e.Key, Stamp: e.Stamp, Value: slices.Clone(e.Value)}
+	m.merged++
+}
+
+// runLWWProgram interprets prog as a sequence of LWW operations — writes of
+// short, full and over-width values, received updates whose entries are
+// newer, equal, older or tied with the model's and carry short, full or
+// over-width values, reads, full sync walks, cell-by-cell comparisons and
+// clock advances — and applies each to a node and to the reference model;
+// it returns the keys the model refused. Like runTableProgram's, the
+// encoding is total.
+func runLWWProgram(t testing.TB, prog []byte) uint64 {
+	p := newTableProbe(t, LWW, probeCapacity)
+	n := p.n
+	m := &refLWW{limit: probeCapacity, cells: map[uint64]wire.EWOEntry{}, offset: n.clock.Offset()}
+	next := programReader(&prog)
+	key := func() uint64 { return programKey(next) }
+	value := func(maxLen uint64) []byte {
+		v := make([]byte, next()%(maxLen+1))
+		for i := range v {
+			v[i] = byte(next())
+		}
+		return v
+	}
+	check := func() {
+		checkTable(t, &n.tab)
+		if !slices.Equal(n.tab.keys, m.order) {
+			t.Fatalf("rows %v, model %v", n.tab.keys, m.order)
+		}
+		d := n.StateDigest()
+		for r, k := range n.tab.keys {
+			st, val := n.tab.cell(r)
+			want := m.cells[k]
+			if st != want.Stamp || !bytes.Equal(val, want.Value) {
+				t.Fatalf("key %d cell = %v %x, model %v %x", k, st, val, want.Stamp, want.Value)
+			}
+			if w := fmt.Sprintf("%v:%x", want.Stamp, want.Value); d[k] != w {
+				t.Fatalf("digest[%d] = %q, model %q", k, d[k], w)
+			}
+		}
+		if n.Keys() != len(m.order) || len(d) != len(m.order) {
+			t.Fatalf("Keys() = %d, digest has %d keys, model %d", n.Keys(), len(d), len(m.order))
+		}
+		checkCounts(t, n, m.merged, m.stale, m.refused)
+	}
+	for len(prog) > 0 {
+		switch op := next(); op % 7 {
+		case 0:
+			k, v := key(), value(probeWidth+3)
+			n.Write(k, v)
+			m.write(p.eng.Now(), 1, k, v)
+		case 1, 2: // receive an update of 1-4 entries
+			u := &wire.EWOUpdate{Reg: 1, From: 2, Sync: op%7 == 2}
+			for ents := 1 + next()%4; ents > 0; ents-- {
+				k := key()
+				st := m.cells[k].Stamp
+				switch sel := next(); sel % 4 {
+				case 0: // newer
+					st = timesync.Stamp{Time: st.Time + 1 + sim.Time(next()), Node: timesync.NodeID(next() % 4)}
+				case 1: // older
+					st.Time -= 1 + sim.Time(next())
+				case 2: // tied time, either side of the stamp's node
+					st.Node = timesync.NodeID(next() % 4)
+				}
+				u.Entries = append(u.Entries, wire.EWOEntry{Key: k, Stamp: st, Value: value(probeWidth + 1)})
+			}
+			n.Handle(2, u)
+			for _, e := range u.Entries {
+				m.merge(e)
+			}
+		case 3:
+			k := key()
+			got, ok := n.Read(k)
+			want, wok := m.cells[k]
+			if ok != wok || !bytes.Equal(got, want.Value) {
+				t.Fatalf("Read(%d) = %x %v, model %x %v", k, got, ok, want.Value, wok)
+			}
+			for i := range got {
+				got[i] ^= 0xff // the caller owns the copy
+			}
+		case 4:
+			got := p.fullWalk()
+			want := slices.Clone(m.order)
+			slices.Sort(want)
+			if len(got) != len(want) {
+				t.Fatalf("sync walk sent %d entries, model %d", len(got), len(want))
+			}
+			for i, k := range want {
+				if w := m.cells[k]; got[i].Key != k || got[i].Stamp != w.Stamp || !bytes.Equal(got[i].Value, w.Value) {
+					t.Fatalf("sync entry %d = %+v, model %+v", i, got[i], w)
+				}
+			}
+		case 5:
+			check()
+		case 6:
+			p.eng.RunFor(sim.Duration(next()))
+		}
+	}
+	p.eng.RunFor(time.Millisecond)
+	check()
+	return m.refused
+}
+
+// Property: over random programs, the LWW table is indistinguishable from a
+// map of key to stamp and value that refuses a key past Capacity and a value
+// wider than the register.
+func TestLWWTableMatchesMap(t *testing.T) {
+	var refused uint64
+	for _, prog := range tablePrograms(8, 1000) {
+		refused += runLWWProgram(t, prog)
+	}
+	if refused == 0 {
+		t.Fatal("no program took the table past Capacity")
+	}
+}
+
+// FuzzLWWTable feeds arbitrary programs to the same differential check.
+func FuzzLWWTable(f *testing.F) {
+	for _, prog := range tablePrograms(4, 200) {
+		f.Add(prog)
+	}
+	f.Add([]byte{0, 0, 5, 3, 1, 2, 2, 0, 5, 0, 9, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4, 5}) // write, a 9-byte value from a peer, walk, compare
+	f.Fuzz(func(t *testing.T, prog []byte) { runLWWProgram(t, prog) })
 }
 
 // --- update coalescing vs one update per write ---

@@ -302,7 +302,7 @@ func TestMemberExportsTheClusterProtocolMetrics(t *testing.T) {
 	defer m.Stop()
 	reg := obs.NewRegistry()
 	m.RegisterMetrics(reg, "node=1")
-	if live := protocolNames(reg); !reflect.DeepEqual(live, simNames) || len(simNames) != 25 {
+	if live := protocolNames(reg); !reflect.DeepEqual(live, simNames) || len(simNames) != 26 {
 		t.Fatalf("live member exports %v\nsimulated cluster exports %d names: %v", live, len(simNames), simNames)
 	}
 }
