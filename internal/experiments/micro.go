@@ -162,77 +162,124 @@ const (
 	replayWarmChunks = 25
 )
 
-// MicroDDoSReplay replays the ddos mix (background connection churn plus a
-// flood, seed 3) through 8 simulated switches running DeployDDoS, as the
-// repo benchmark's sim-ddos-8sw does: each 10 ms chunk pre-schedules its
-// packets' injections and runs the cluster over it, after 25 warm-up chunks.
-// An op is one injected packet, so ns/op is the simulator's whole cost of a
-// packet, and a CPU profile of it (`go test -run '^$' -bench DDoSReplay
-// -cpuprofile cpu.out .`) splits that cost by layer. It fails if a packet
-// goes unaccounted.
-func MicroDDoSReplay(b *testing.B) {
+// DDoSReplay is the sim-ddos-8sw replay: the ddos mix (background
+// connection churn plus a flood, seed 3) through 8 simulated switches
+// running DeployDDoS, in 10 ms chunks that each pre-schedule their packets'
+// injections and then run the cluster over them, as the repo benchmark does.
+type DDoSReplay struct {
+	C    *swishmem.Cluster
+	Dets []*swishmem.DDoSDetector
+	// Injected counts the packets scheduled so far.
+	Injected int
+
+	trace  workload.Trace
+	inject []func()
+	pass   sim.Duration
+	cursor int
+}
+
+// NewDDoSReplay builds the replay and runs its 25 warm-up chunks.
+func NewDDoSReplay() (*DDoSReplay, error) {
 	rng := rand.New(rand.NewSource(3))
 	bg, err := workload.GenTrace(rng, workload.TraceConfig{Duration: replayTraceLen, FlowsPerSec: 10_000, Servers: 64})
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
 	atk, err := workload.GenAttack(rng, workload.AttackConfig{
 		Duration: replayTraceLen, PacketsPerSec: 120_000, Sources: 4000, Victim: 3})
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
 	trace := workload.Merge(bg, atk)
 	c, err := swishmem.New(swishmem.Config{Switches: replaySwitches, Seed: 3})
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
 	dets, err := c.DeployDDoS("ddos", swishmem.DDoSOptions{Threshold: 2000, Window: 50 * time.Millisecond})
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
 	c.RunFor(2 * time.Millisecond)
-	inject := make([]func(), len(trace))
+	r := &DDoSReplay{C: c, Dets: dets, trace: trace, inject: make([]func(), len(trace)), pass: sim.Duration(c.Now())}
 	for i := range trace {
 		sw, pkt := c.Switch(i%replaySwitches), trace[i].Pkt
-		inject[i] = func() { sw.InjectPacket(pkt) }
-	}
-	pass, cursor, injected := c.Now(), 0, 0
-	// chunk schedules the next chunk's packets, at most limit of them, runs
-	// the cluster over the chunk and returns the packets scheduled.
-	chunk := func(limit int) int {
-		end := c.Now() + replayChunk
-		n := 0
-		for ; n < limit; n++ {
-			if cursor == len(trace) {
-				cursor, pass = 0, pass+replayTraceLen
-			}
-			at := pass + trace[cursor].At
-			if at >= end {
-				break
-			}
-			c.Switch(cursor%replaySwitches).Engine().Schedule(sim.Time(at), inject[cursor])
-			cursor++
-		}
-		c.RunFor(replayChunk)
-		injected += n
-		return n
+		r.inject[i] = func() { sw.InjectPacket(pkt) }
 	}
 	for i := 0; i < replayWarmChunks; i++ {
-		chunk(math.MaxInt)
+		r.Chunk(math.MaxInt)
+	}
+	return r, nil
+}
+
+// Chunk schedules the next chunk's packets, at most limit of them, runs the
+// cluster over the chunk and returns the packets scheduled.
+func (r *DDoSReplay) Chunk(limit int) int {
+	end := r.C.Now() + replayChunk
+	n := 0
+	for ; n < limit; n++ {
+		if r.cursor == len(r.trace) {
+			r.cursor, r.pass = 0, r.pass+replayTraceLen
+		}
+		at := r.pass + r.trace[r.cursor].At
+		if at >= end {
+			break
+		}
+		r.C.Switch(r.cursor%replaySwitches).Engine().Schedule(sim.Time(at), r.inject[r.cursor])
+		r.cursor++
+	}
+	r.C.RunFor(replayChunk)
+	r.Injected += n
+	return n
+}
+
+// Run replays the next packets packets, then one more chunk with none so
+// the last of them leave their pipelines.
+func (r *DDoSReplay) Run(packets int) {
+	for packets > 0 {
+		packets -= r.Chunk(packets)
+	}
+	r.Chunk(0)
+}
+
+// Accounted is the number of packets the detectors counted.
+func (r *DDoSReplay) Accounted() int {
+	n := 0
+	for _, d := range r.Dets {
+		n += int(d.Stats.Updated.Value())
+	}
+	return n
+}
+
+// EWOStats sums the detectors' EWO protocol counters.
+func (r *DDoSReplay) EWOStats() (merged, stale, syncPackets, syncBytes uint64) {
+	for _, d := range r.Dets {
+		s := &d.Register().Node().Stats
+		merged += s.EntriesMerged.Value()
+		stale += s.EntriesStale.Value()
+		syncPackets += s.SyncPackets.Value()
+		syncBytes += s.SyncBytes.Value()
+	}
+	return
+}
+
+// MicroDDoSReplay measures a packet of the DDoSReplay: an op is one injected
+// packet, so ns/op is the simulator's whole cost of a packet, and a CPU
+// profile of it (`go test -run '^$' -bench DDoSReplay -cpuprofile cpu.out
+// .`) splits that cost by layer. It fails if a packet goes unaccounted.
+func MicroDDoSReplay(b *testing.B) {
+	r, err := NewDDoSReplay()
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for left := b.N; left > 0; {
-		left -= chunk(left)
+		left -= r.Chunk(left)
 	}
 	b.StopTimer()
-	c.RunFor(replayChunk) // the last packets are still in a pipeline
-	accounted := 0
-	for _, d := range dets {
-		accounted += int(d.Stats.Updated.Value())
-	}
-	if accounted != injected {
-		b.Fatalf("%d of %d injected packets accounted", accounted, injected)
+	r.Chunk(0) // the last packets are still in a pipeline
+	if got := r.Accounted(); got != r.Injected {
+		b.Fatalf("%d of %d injected packets accounted", got, r.Injected)
 	}
 }
 
