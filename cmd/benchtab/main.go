@@ -109,9 +109,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *memProf)
 	}
 
+	experiments.WriteRows(os.Stdout, reports)
 	for _, r := range reports {
-		fmt.Print(r.Result.String())
-		fmt.Println()
 		fmt.Fprintf(os.Stderr, "%s finished in %v wall time\n",
 			r.Experiment.ID, r.Wall.Round(time.Millisecond))
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"time"
@@ -25,6 +27,15 @@ type Report struct {
 // come back in input order.
 func Run(exps []Experiment, seed int64, workers int) []Report {
 	return RunMetered(exps, seed, workers, nil)
+}
+
+// WriteRows writes the reports' rows as benchtab prints them to stdout: each
+// result, then a blank line. internal/experiments/testdata/benchtab.golden
+// holds every experiment's rows at seed 1.
+func WriteRows(w io.Writer, reports []Report) {
+	for _, r := range reports {
+		fmt.Fprintln(w, r.Result.String())
+	}
 }
 
 // BatchMetrics aggregates accounting across a runner batch. Workers update
