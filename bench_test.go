@@ -104,8 +104,8 @@ func BenchmarkEWOMerge(b *testing.B) { experiments.MicroEWOMerge(b) }
 // 8-owner sync update, every entry stale, merged into a warm node.
 func BenchmarkEWOSyncMerge(b *testing.B) { experiments.MicroEWOSyncMerge(b) }
 
-// BenchmarkEWOSyncRound measures one periodic-sync round: a 64-key window of
-// a warm 8-owner node walked, packed into one update and sent.
+// BenchmarkEWOSyncRound measures one periodic-sync round of a warm 8-owner
+// node's walk, delta and floor rounds in the walk's own mix.
 func BenchmarkEWOSyncRound(b *testing.B) { experiments.MicroEWOSyncRound(b) }
 
 // BenchmarkEWOSum measures a counter read on a warm 3-member counter.
@@ -498,7 +498,9 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		"TestFabricInlineEgressStartsNoGoroutines", "eworkers",
 		// The LWW map beside the EWO register table, and the example that
 		// Example functions replaced.
-		"lwwCell", "syncKeys", "examples/quickstart"}
+		"lwwCell", "syncKeys", "examples/quickstart",
+		// The per-register sync packing knob and the window's old name.
+		"SyncPacketBytes", "syncPacketBytes", "SyncEntriesPerPacket"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

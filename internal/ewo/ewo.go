@@ -9,10 +9,12 @@
 // optionally batched across instants (§7 "Bandwidth overhead"). Lost updates
 // (challenge C1) are repaired by a periodic data-plane synchronization
 // implemented with the switch packet generator: every sync period the switch
-// walks its register array and sends its contents to a randomly selected
+// walks a window of its register array and sends it to a randomly selected
 // group member, trading the switch's abundant bandwidth for buffer memory —
 // the §6.2 design principle (10 MB/1 ms over 5 Tbps ≈ 1% of switch
-// bandwidth).
+// bandwidth). A round sends only what this switch wrote lately; every
+// syncFloorWalks-th walk, and the first after a member joins, sends
+// everything (see syncRound).
 //
 // Merging (challenge C2) supports the two schemes of §6.2:
 //
@@ -41,6 +43,14 @@ import (
 	"swishmem/internal/stats"
 	"swishmem/internal/timesync"
 	"swishmem/internal/wire"
+)
+
+// The sync walk's two periods (see syncRound). A round's delta sends what
+// this switch wrote within the last syncDeltaRounds rounds, and every
+// syncFloorWalks-th walk is a floor walk.
+const (
+	syncDeltaRounds = 32
+	syncFloorWalks  = 8
 )
 
 // Kind selects the merge discipline.
@@ -100,23 +110,9 @@ type Config struct {
 	// to batching. 0 disables the timer (a partial batch waits for the
 	// batch to fill or for Flush/periodic sync).
 	BatchTimeout sim.Duration
-	// SyncEntriesPerPacket bounds the keys one periodic-sync window walks (an
-	// MTU stand-in), not the entries it sends: a counter key emits one entry
-	// per known slot, up to MaxGroup of them (twice that for a PN-counter),
-	// so a default round carries up to 64 × 8 = 512 entries in one packet
-	// unless SyncPacketBytes repacks it. It is also the entry count at which
-	// enqueue closes an instant's open update early. Default 64.
-	SyncEntriesPerPacket int
-	// SyncPacketBytes, when > 0, makes the periodic sync batch-aware: the
-	// round's key window is packed into as many updates as needed so that
-	// each stays at or under this many wire bytes (one key's entries never
-	// split), and all of them go to the same randomly drawn target in the
-	// same round. Over the live fabric's coalescing egress the run of
-	// updates packs into wire.Batch datagrams subject to the fabric's
-	// 1200-byte coalesce limit, so setting this just below it (live members
-	// use 1024) yields MTU-shaped sync datagrams end to end. 0 (the default) keeps the
-	// classic single-update round byte for byte.
-	SyncPacketBytes int
+	// SyncWindow is the rows one periodic-sync round walks. What they carry
+	// is packed into updates of at most wire.MaxUpdateBytes. Default 64.
+	SyncWindow int
 	// ClockSkew bounds the synchronized clock offset used for LWW stamps.
 	// Default 50ns (the paper cites tens-of-nanoseconds data-plane sync).
 	ClockSkew sim.Duration
@@ -132,8 +128,8 @@ func (c Config) withDefaults() Config {
 	if c.Batch <= 0 {
 		c.Batch = 1
 	}
-	if c.SyncEntriesPerPacket <= 0 {
-		c.SyncEntriesPerPacket = 64
+	if c.SyncWindow <= 0 {
+		c.SyncWindow = 64
 	}
 	if c.ClockSkew == 0 {
 		c.ClockSkew = 50 * time.Nanosecond
@@ -173,8 +169,9 @@ type Node struct {
 	// SRAM reservation charged against the switch's budget: the §7 layout's
 	// size on the ASIC (Capacity keys, MaxGroup slots each for a counter).
 	// tab holds at most as many keys, but only the rows touched.
-	tab table
-	mem *pisa.RegisterArray
+	tab    table
+	mem    *pisa.RegisterArray
+	chgMem *pisa.RegisterArray
 
 	// cur is the open update: deltas join its entry slice directly, so
 	// filling and flushing it is allocation-free once the pool is warm. held
@@ -194,9 +191,20 @@ type Node struct {
 	batchTimer sim.Timer
 	ticker     *sim.Ticker
 	// syncRows is the sync walk's key-ordered row snapshot (see syncWalk);
-	// syncCursor walks it across periodic sync rounds.
+	// syncCursor walks it across periodic sync rounds. round counts the
+	// rounds, walks the walks begun. floor says the current walk sends every
+	// row whole; toJoiner that it is addressed to joiner, and joinNext that
+	// the next one will be (see SetGroup). syncEnts is the round's entries
+	// before they are packed.
 	syncRows   []int32
 	syncCursor int
+	round      uint32
+	walks      uint32
+	floor      bool
+	toJoiner   bool
+	joinNext   bool
+	joiner     netem.Addr
+	syncEnts   []wire.EWOEntry
 
 	// rng drives this node's sync-target sampling. It is a private stream
 	// seeded from (engine seed, addr, reg) rather than the engine's shared
@@ -242,13 +250,17 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 	n.tab = newTable(cfg)
 	// Charge SRAM per the §7 layout. LWW: one (version, value) pair per key,
 	// a 10-byte stamp + the value. Counters: one register array per group
-	// member, each (version, value) = 16 bytes per key; PN doubles it.
+	// member, each (version, value) = 16 bytes per key; PN doubles it. Both:
+	// a 4-byte change register per key.
 	name, slots, width := fmt.Sprintf("ewo-lww%d", cfg.Reg), cfg.Capacity, 10+cfg.ValueWidth
 	if cfg.Kind != LWW {
 		name, slots, width = fmt.Sprintf("ewo-ctr%d", cfg.Reg), cfg.Capacity*cfg.MaxGroup*n.tab.vecs, 16
 	}
 	var err error
 	if n.mem, err = sw.NewRegisterArray(name, slots, width); err != nil {
+		return nil, err
+	}
+	if n.chgMem, err = sw.NewRegisterArray(fmt.Sprintf("ewo-chg%d", cfg.Reg), cfg.Capacity, 4); err != nil {
 		return nil, err
 	}
 	if !cfg.SyncDisabled {
@@ -264,12 +276,16 @@ func (n *Node) Switch() *pisa.Switch { return n.sw }
 func (n *Node) Config() Config { return n.cfg }
 
 // MemoryBytes returns the SRAM footprint of this register on this switch.
-func (n *Node) MemoryBytes() int { return n.mem.Bytes() }
+func (n *Node) MemoryBytes() int { return n.mem.Bytes() + n.chgMem.Bytes() }
 
 // SetGroup installs the replica group (from the controller). Stale epochs
 // are ignored. Group size beyond MaxGroup is rejected loudly — an error to
 // the caller and a count in Stats.GroupsRejected for the message paths that
 // have no caller to tell: the SRAM reservation cannot hold more slots.
+//
+// A group that adds a member to a non-empty one ends the sync walk under
+// way: the next round walks every row, whole, to the first new member (see
+// syncWalk), so a joiner holds every row one round later.
 func (n *Node) SetGroup(gc wire.GroupConfig) error {
 	if gc.Epoch < n.epoch {
 		return nil
@@ -279,6 +295,12 @@ func (n *Node) SetGroup(gc wire.GroupConfig) error {
 		return fmt.Errorf("ewo: group of %d exceeds MaxGroup %d", len(gc.Members), n.cfg.MaxGroup)
 	}
 	n.epoch = gc.Epoch
+	for _, m := range gc.Members {
+		if a := netem.Addr(m); len(n.group) > 0 && a != n.sw.Addr() && !slices.Contains(n.group, a) {
+			n.joiner, n.joinNext = a, true
+			break
+		}
+	}
 	n.group = n.group[:0]
 	for _, m := range gc.Members {
 		n.group = append(n.group, netem.Addr(m))
@@ -331,6 +353,7 @@ func (n *Node) Write(key uint64, val []byte) {
 	val = val[:min(len(val), n.cfg.ValueWidth)]
 	st := n.clock.Now()
 	n.tab.store(r, st, val)
+	n.tab.chg[r] = n.round
 	// The entry gets a copy of its own: the cell may be overwritten while
 	// the update is still in flight.
 	n.enqueue(wire.EWOEntry{Key: key, Stamp: st, Value: append([]byte(nil), val...)})
@@ -381,6 +404,7 @@ func (n *Node) add(key, delta uint64, vec int) {
 	c := t.colFor(self) // may widen: index the cell after it
 	s := &t.cells[(r*t.vecs+vec)*t.stride+c]
 	*s += delta
+	t.chg[r] = n.round
 	n.enqueue(counterEntry(key, self, *s, vec == decVec))
 }
 
@@ -472,9 +496,8 @@ func (n *Node) getUpdate(sync bool) *wire.EWOUpdate {
 // the owner is always this switch — overwrites that entry where it stands:
 // slot values are monotone and LWW keeps the newer stamp, so the earlier
 // entry would be stale on arrival. The update is closed early only when the
-// delta would take it past the per-packet bound periodic sync packs to
-// (SyncPacketBytes when set, else SyncEntriesPerPacket), which also bounds
-// the scan for the slot.
+// delta would take it past wire.MaxUpdateBytes, which also bounds the scan
+// for the slot.
 //
 // Batch > 1 holds the open update across instants instead, until Batch
 // deltas have joined it or BatchTimeout expires. Deltas accumulate in a
@@ -489,11 +512,7 @@ func (n *Node) enqueue(e wire.EWOEntry) {
 			break
 		}
 	}
-	past := at < 0 && len(u.Entries) >= n.cfg.SyncEntriesPerPacket
-	if limit := n.cfg.SyncPacketBytes; limit > 0 {
-		past = wire.EWOUpdateOverhead+n.curBytes+grow > limit
-	}
-	if past && len(u.Entries) > 0 {
+	if wire.EWOUpdateOverhead+n.curBytes+grow > wire.MaxUpdateBytes && len(u.Entries) > 0 {
 		n.Flush()
 		u, at, grow = n.open(), -1, e.Size()
 	}
@@ -653,29 +672,47 @@ func (n *Node) mergeCounters(ents []wire.EWOEntry) {
 }
 
 // syncRound is the packet-generator task: walk a window of the register
-// array and send its contents to a randomly selected group member (§7).
+// array and send what it holds to a randomly selected group member (§7). A
+// floor walk sends every row of the window whole, so a dead owner's slots
+// and a joiner's state are repaired. Any other round is a delta: only what
+// this switch wrote within the last syncDeltaRounds rounds, since that is
+// all a lost write update can have left behind.
 func (n *Node) syncRound() {
+	n.round++
 	if len(n.group) < 2 {
 		return
 	}
 	rows := n.syncWalk()
-	if len(rows) == 0 {
+	self := n.sw.Addr()
+	n.syncEnts = n.tab.appendRows(n.syncEnts[:0], rows, !n.floor, uint16(self), n.round)
+	if len(n.syncEnts) == 0 {
 		return
 	}
-	u := n.getUpdate(true)
-	u.Entries = n.tab.appendRows(u.Entries, rows)
-	n.sendWindow(u)
+	target := n.joiner
+	if !n.toJoiner {
+		// Random member other than self.
+		for tries := 0; tries < 8; tries++ {
+			if target = n.group[n.rng.Intn(len(n.group))]; target != self {
+				break
+			}
+		}
+	}
+	if target != self {
+		n.sendWindow(n.syncEnts, target)
+	}
 }
 
-// syncWalk returns the next window of the sync walk, SyncEntriesPerPacket
-// rows, taking a new snapshot when the current one is used up; keys added
-// mid-walk wait for the next walk. The walk goes in key order, like a
-// register array's, so which keys share a sync packet is a function of the
-// seed. Rows are never removed, so a snapshot as long as the table is
-// already in key order: it is re-sorted only when rows were added.
+// syncWalk returns the next window of the sync walk, SyncWindow rows, taking
+// a new snapshot when the current one is used up; keys added mid-walk wait
+// for the next walk. The walk goes in key order, like a register array's,
+// so which keys share a sync packet is a function of the seed. Rows are
+// never removed, so a snapshot as long as the table is already in key
+// order: it is re-sorted only when rows were added. Every syncFloorWalks-th
+// walk, the first included, is a floor walk. So is a join walk, which
+// SetGroup begins and which goes in one round.
 func (n *Node) syncWalk() []int32 {
 	t := &n.tab
-	if n.syncCursor >= len(n.syncRows) {
+	if n.syncCursor >= len(n.syncRows) || n.joinNext {
 		n.syncCursor = 0
 		if len(n.syncRows) < len(t.keys) {
 			for r := len(n.syncRows); r < len(t.keys); r++ {
@@ -683,63 +720,38 @@ func (n *Node) syncWalk() []int32 {
 			}
 			slices.SortFunc(n.syncRows, func(a, b int32) int { return cmp.Compare(t.keys[a], t.keys[b]) })
 		}
+		n.toJoiner, n.joinNext = n.joinNext, false
+		n.floor = n.toJoiner || n.walks%syncFloorWalks == 0
+		n.walks++
 	}
 	start := n.syncCursor
-	n.syncCursor = min(start+n.cfg.SyncEntriesPerPacket, len(n.syncRows))
+	n.syncCursor = min(start+n.cfg.SyncWindow, len(n.syncRows))
+	if n.toJoiner {
+		n.syncCursor = len(n.syncRows)
+	}
 	return n.syncRows[start:n.syncCursor]
 }
 
-// sendWindow sends one round's sync window to a randomly drawn group member
-// other than this switch and releases the caller's reference. An empty
-// window is not sent.
-func (n *Node) sendWindow(u *wire.EWOUpdate) {
-	if len(u.Entries) == 0 {
-		u.Release()
-		return
-	}
-	// Random member other than self.
-	var target netem.Addr
-	for tries := 0; tries < 8; tries++ {
-		target = n.group[n.rng.Intn(len(n.group))]
-		if target != n.sw.Addr() {
-			break
-		}
-	}
-	if target == n.sw.Addr() {
-		u.Release()
-		return
-	}
-	limit := n.cfg.SyncPacketBytes
-	if limit <= 0 || u.Size() <= limit {
-		n.sendSync(u, target)
-		return
-	}
-	// Batch-aware sync: repack the window into updates of at most limit
-	// wire bytes each (a single key's entries stay together, so one packet
-	// can exceed the limit only when one key alone does) and send the run
-	// back to back to the same target — the live fabric's coalescing
-	// egress then packs the run into MTU-shaped wire.Batch datagrams.
-	ents := u.Entries
-	p := n.getUpdate(true)
-	sz := wire.EWOUpdateOverhead
+// sendWindow packs one round's entries into updates of at most
+// wire.MaxUpdateBytes (a key's entries stay together, so one update passes
+// the bound only when one key alone does) and sends them back to back to
+// target; the live fabric's coalescing egress frames each into one datagram.
+func (n *Node) sendWindow(ents []wire.EWOEntry, target netem.Addr) {
+	u, sz := n.getUpdate(true), wire.EWOUpdateOverhead
 	for i := 0; i < len(ents); {
-		j := i
-		run := 0
-		for j < len(ents) && ents[j].Key == ents[i].Key {
+		j, run := i, 0
+		for ; j < len(ents) && ents[j].Key == ents[i].Key; j++ {
 			run += ents[j].Size()
-			j++
 		}
-		if len(p.Entries) > 0 && sz+run > limit {
-			n.sendSync(p, target)
-			p = n.getUpdate(true)
-			sz = wire.EWOUpdateOverhead
+		if len(u.Entries) > 0 && sz+run > wire.MaxUpdateBytes {
+			n.sendSync(u, target)
+			u, sz = n.getUpdate(true), wire.EWOUpdateOverhead
 		}
-		p.Entries = append(p.Entries, ents[i:j]...)
+		u.Entries = append(u.Entries, ents[i:j]...)
 		sz += run
 		i = j
 	}
-	n.sendSync(p, target) // ents is not empty, so neither is p
-	u.Release()
+	n.sendSync(u, target) // ents is not empty, so neither is u
 }
 
 // sendSync emits one periodic-sync packet to target and releases the

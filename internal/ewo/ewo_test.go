@@ -392,6 +392,71 @@ func TestFailedWriterStateSurvivesViaGossip(t *testing.T) {
 	}
 }
 
+// A failed owner's slots reach every survivor within one floor period: the
+// survivors' delta rounds carry only their own slots, so the slots the dead
+// switch's lost updates left on one survivor travel in floor walks, and
+// syncFloorWalks walks after the failure one has begun, plus the walk itself.
+func TestFailedOwnerSlotReachesSurvivorsWithinFloorPeriod(t *testing.T) {
+	cfg := ctrCfg()
+	cfg.SyncPeriod = 500 * time.Microsecond
+	r := newRig(t, 29, 3, cfg, netem.LinkProfile{Latency: 10_000})
+	r.eng.RunFor(20 * time.Millisecond) // past the first floor walks
+	// Node 1's updates reach only node 2.
+	r.net.SetOneWayLink(1, 3, netem.LinkProfile{Latency: 10_000, LossRate: 1.0})
+	const keys = 100
+	for k := uint64(0); k < keys; k++ {
+		r.nodes[0].Add(k, k+1)
+	}
+	r.eng.RunFor(100 * time.Microsecond)
+	r.sws[0].Fail()
+	r.installGroup([]uint16{2, 3})
+	missing := 0
+	for k := uint64(0); k < keys; k++ {
+		if r.nodes[1].Sum(k) != k+1 {
+			t.Fatalf("setup: node 2 holds key %d = %d, want %d", k, r.nodes[1].Sum(k), k+1)
+		}
+		if r.nodes[2].Sum(k) != k+1 {
+			missing++
+		}
+	}
+	if missing == 0 {
+		t.Fatal("setup: node 3 already holds every key")
+	}
+	walk := time.Duration((keys+cfg.withDefaults().SyncWindow-1)/cfg.withDefaults().SyncWindow) * cfg.SyncPeriod
+	r.eng.RunFor((syncFloorWalks+1)*walk + time.Millisecond)
+	for k := uint64(0); k < keys; k++ {
+		if got := r.nodes[2].Sum(k); got != k+1 {
+			t.Fatalf("node 3 key %d = %d one floor period after the failure, want %d", k, got, k+1)
+		}
+	}
+}
+
+// A joiner holds every row, every owner's slots, within one walk of the
+// SetGroup that adds it.
+func TestJoinerHoldsEveryRowWithinOneWalk(t *testing.T) {
+	cfg := ctrCfg()
+	cfg.SyncPeriod = time.Millisecond
+	r := newRig(t, 31, 4, cfg, netem.LinkProfile{Latency: 10_000})
+	r.installGroup([]uint16{1, 2, 3})
+	const keys = 200
+	for k := uint64(0); k < keys; k++ {
+		r.nodes[k%3].Add(k, k+1)
+		r.nodes[(k+1)%3].Add(k, 1)
+	}
+	r.eng.RunFor(20 * time.Millisecond)
+	if r.nodes[3].Keys() != 0 {
+		t.Fatal("setup: the outside switch received state")
+	}
+	r.installGroup([]uint16{1, 2, 3, 4})
+	window := cfg.withDefaults().SyncWindow
+	r.eng.RunFor(time.Duration((keys+window-1)/window)*cfg.SyncPeriod + 100*time.Microsecond)
+	for k := uint64(0); k < keys; k++ {
+		if got := r.nodes[3].Sum(k); got != k+2 {
+			t.Fatalf("joiner key %d = %d one walk after joining, want %d", k, got, k+2)
+		}
+	}
+}
+
 func TestGroupValidation(t *testing.T) {
 	r := newRig(t, 1, 2, ctrCfg(), netem.LinkProfile{})
 	big := make([]uint16, 9)
@@ -448,8 +513,11 @@ func TestMemoryScalesWithGroup(t *testing.T) {
 		}
 		return n
 	}
+	// The slot arrays scale with the group; each key's 4-byte change
+	// register does not.
 	small, large := mk(1, 2), mk(2, 16)
-	if large.MemoryBytes() != 8*small.MemoryBytes() {
+	const chg = 4 * 1000
+	if large.MemoryBytes()-chg != 8*(small.MemoryBytes()-chg) {
 		t.Fatalf("counter SRAM should scale linearly with group: %d vs %d",
 			small.MemoryBytes(), large.MemoryBytes())
 	}

@@ -208,12 +208,42 @@ type refCounter struct {
 	order                  []uint64 // keys in first-touch order
 	inc, dec               map[uint64]map[uint16]uint64
 	owners                 []uint16
+	walk                   walkModel
 	merged, stale, refused uint64
 }
 
 func newRefCounter(pn bool, self uint16, limit int) *refCounter {
 	return &refCounter{pn: pn, self: self, limit: limit, keys: map[uint64]bool{},
-		inc: map[uint64]map[uint16]uint64{}, dec: map[uint64]map[uint16]uint64{}}
+		inc: map[uint64]map[uint16]uint64{}, dec: map[uint64]map[uint16]uint64{},
+		walk: walkModel{chg: map[uint64]uint32{}}}
+}
+
+// walkModel is the sync walk's schedule: the rounds and walks so far and,
+// per key, the round of the last local write. Every syncFloorWalks-th walk,
+// the first included, sends every row whole; any other round sends only the
+// node's own part of the rows written within the last syncDeltaRounds rounds.
+type walkModel struct {
+	round, walks uint32
+	chg          map[uint64]uint32
+}
+
+// wrote records a local write to key in the current round.
+func (w *walkModel) wrote(key uint64) { w.chg[key] = w.round }
+
+// walk runs one whole walk over keys, ascending, in windows of window keys
+// (a walk over no keys is one round), and calls emit for each key whose row
+// goes out, saying whether it goes out whole.
+func (w *walkModel) walk(keys []uint64, window int, emit func(key uint64, floor bool)) {
+	floor := w.walks%syncFloorWalks == 0
+	w.walks++
+	for i := 0; i == 0 || i < len(keys); i += window {
+		w.round++
+		for _, k := range keys[i:min(i+window, len(keys))] {
+			if floor || w.round-w.chg[k] <= syncDeltaRounds {
+				emit(k, floor)
+			}
+		}
+	}
 }
 
 // slots returns key's vector, touching the key and the owner, or nil if the
@@ -243,6 +273,7 @@ func (m *refCounter) slots(dec bool, key uint64, owner uint16) map[uint16]uint64
 func (m *refCounter) add(dec bool, key, delta uint64) {
 	if s := m.slots(dec, key, m.self); s != nil {
 		s[m.self] += delta
+		m.walk.wrote(key)
 	}
 }
 
@@ -272,28 +303,30 @@ func (m *refCounter) sum(key uint64) uint64 {
 	return total
 }
 
-// syncEntries is one full sync walk: keys ascending, increments before
-// decrements, owners in first-touch order, zero slots skipped.
-func (m *refCounter) syncEntries() []wire.EWOEntry {
-	keys := make([]uint64, 0, len(m.keys))
-	for k := range m.keys {
-		keys = append(keys, k)
-	}
+// syncEntries is one whole sync walk: keys ascending, increments before
+// decrements, owners in first-touch order (in a delta round, the node's own
+// slot only), zero slots skipped.
+func (m *refCounter) syncEntries(window int) []wire.EWOEntry {
+	keys := slices.Clone(m.order)
 	slices.Sort(keys)
 	var out []wire.EWOEntry
-	for _, k := range keys {
+	m.walk.walk(keys, window, func(k uint64, floor bool) {
+		owners := m.owners
+		if !floor {
+			owners = []uint16{m.self}
+		}
 		for _, dec := range []bool{false, true} {
 			vec := m.inc
 			if dec {
 				vec = m.dec
 			}
-			for _, o := range m.owners {
+			for _, o := range owners {
 				if v := vec[k][o]; v != 0 {
 					out = append(out, counterEntry(k, o, v, dec))
 				}
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -312,7 +345,7 @@ func newTableProbe(t testing.TB, kind Kind, capacity int) *tableProbe {
 	p := &tableProbe{eng: sim.NewEngine(1)}
 	nw := netem.New(p.eng, netem.LinkProfile{})
 	sw := pisa.New(p.eng, nw, pisa.Config{Addr: 1})
-	n, err := NewNode(sw, Config{Reg: 1, Capacity: capacity, ValueWidth: probeWidth, Kind: kind, SyncDisabled: true, SyncEntriesPerPacket: 16})
+	n, err := NewNode(sw, Config{Reg: 1, Capacity: capacity, ValueWidth: probeWidth, Kind: kind, SyncDisabled: true, SyncWindow: probeWindow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,6 +458,7 @@ func checkCounts(t testing.TB, n *Node, merged, stale, refused uint64) {
 const (
 	probeCapacity = 256
 	probeWidth    = 8
+	probeWindow   = 16
 )
 
 // programKey reads a key of a table program: below Capacity, far above it,
@@ -513,7 +547,7 @@ func runTableProgram(t testing.TB, prog []byte) uint64 {
 				t.Fatalf("Sum(%d) = %d, model %d", k, got, want)
 			}
 		case 6:
-			got, want := p.fullWalk(), m.syncEntries()
+			got, want := p.fullWalk(), m.syncEntries(probeWindow)
 			if len(got) != len(want) {
 				t.Fatalf("sync walk sent %d entries, model %d", len(got), len(want))
 			}
@@ -703,6 +737,7 @@ type refLWW struct {
 	cells                  map[uint64]wire.EWOEntry
 	offset                 sim.Duration
 	last                   sim.Time
+	walk                   walkModel
 	merged, stale, refused uint64
 }
 
@@ -725,6 +760,7 @@ func (m *refLWW) write(now sim.Time, self timesync.NodeID, key uint64, val []byt
 	}
 	t := max(now.Add(m.offset), m.last+1)
 	m.last = t
+	m.walk.wrote(key)
 	m.cells[key] = wire.EWOEntry{Key: key, Stamp: timesync.Stamp{Time: t, Node: self}, Value: slices.Clone(val[:min(len(val), probeWidth)])}
 }
 
@@ -755,7 +791,8 @@ func (m *refLWW) merge(e wire.EWOEntry) {
 func runLWWProgram(t testing.TB, prog []byte) uint64 {
 	p := newTableProbe(t, LWW, probeCapacity)
 	n := p.n
-	m := &refLWW{limit: probeCapacity, cells: map[uint64]wire.EWOEntry{}, offset: n.clock.Offset()}
+	m := &refLWW{limit: probeCapacity, cells: map[uint64]wire.EWOEntry{}, offset: n.clock.Offset(),
+		walk: walkModel{chg: map[uint64]uint32{}}}
 	next := programReader(&prog)
 	key := func() uint64 { return programKey(next) }
 	value := func(maxLen uint64) []byte {
@@ -822,14 +859,22 @@ func runLWWProgram(t testing.TB, prog []byte) uint64 {
 				got[i] ^= 0xff // the caller owns the copy
 			}
 		case 4:
+			// A floor walk sends every cell; a delta round the recently
+			// written cells whose stamp is still the node's own.
 			got := p.fullWalk()
-			want := slices.Clone(m.order)
-			slices.Sort(want)
+			var want []wire.EWOEntry
+			keys := slices.Clone(m.order)
+			slices.Sort(keys)
+			m.walk.walk(keys, probeWindow, func(k uint64, floor bool) {
+				if w := m.cells[k]; floor || w.Stamp.Node == 1 {
+					want = append(want, w)
+				}
+			})
 			if len(got) != len(want) {
 				t.Fatalf("sync walk sent %d entries, model %d", len(got), len(want))
 			}
-			for i, k := range want {
-				if w := m.cells[k]; got[i].Key != k || got[i].Stamp != w.Stamp || !bytes.Equal(got[i].Value, w.Value) {
+			for i, w := range want {
+				if got[i].Key != w.Key || got[i].Stamp != w.Stamp || !bytes.Equal(got[i].Value, w.Value) {
 					t.Fatalf("sync entry %d = %+v, model %+v", i, got[i], w)
 				}
 			}
@@ -886,9 +931,9 @@ type coalesceOp struct {
 
 // decodeCoalesceProgram reads prog as a coalescing program. The encoding is
 // total, so the fuzzer and the property test share it: byte 0 picks the kind,
-// 3–5 members, 4 or 400 keys and a small per-packet bound (8 entries, or 160
-// bytes — well under a burst, so updates close early); then instants follow,
-// each a count byte (1–200 ops) and three bytes per op.
+// 3–5 members and 4 or 400 keys (400 keys fill wire.MaxUpdateBytes within a
+// burst, so updates close early); then instants follow, each a count byte
+// (1–200 ops) and three bytes per op.
 func decodeCoalesceProgram(prog []byte) coalesceProgram {
 	b := int(prog[0])
 	p := coalesceProgram{
@@ -898,11 +943,6 @@ func decodeCoalesceProgram(prog []byte) coalesceProgram {
 	keys := uint64(4)
 	if b/9%2 == 1 {
 		keys = 400
-	}
-	if b/18%2 == 1 {
-		p.cfg.SyncPacketBytes = 160
-	} else {
-		p.cfg.SyncEntriesPerPacket = 8
 	}
 	for prog = prog[1:]; len(prog) > 0; {
 		count := 1 + int(prog[0])%200
@@ -930,7 +970,7 @@ func decodeCoalesceProgram(prog []byte) coalesceProgram {
 // program runs as issued: per instant one update per member that wrote, its
 // entries in first-write order, a slot written again overwritten in place
 // with its latest value, and the update closed early only where one more
-// entry would pass the per-packet bound.
+// entry would pass wire.MaxUpdateBytes.
 func (p coalesceProgram) expectedUpdates() [][][]wire.EWOEntry {
 	out := make([][][]wire.EWOEntry, p.members)
 	type slotID struct {
@@ -960,11 +1000,7 @@ func (p coalesceProgram) expectedUpdates() [][][]wire.EWOEntry {
 					size += u[i].Size()
 				}
 			}
-			past := at < 0 && len(u) >= p.cfg.SyncEntriesPerPacket
-			if limit := p.cfg.SyncPacketBytes; limit > 0 {
-				past = size > limit
-			}
-			if len(u) > 0 && past {
+			if len(u) > 0 && size > wire.MaxUpdateBytes {
 				out[op.member] = append(out[op.member], u)
 				u, at = nil, -1
 			}
@@ -1009,9 +1045,8 @@ func (p coalesceProgram) run(t testing.TB, flushEach bool, loss float64) coalesc
 		out.seen[i] = make([][][]byte, p.members)
 		sw.SetMsgHandler(func(_ *pisa.Switch, from netem.Addr, msg wire.Msg) {
 			if u, ok := msg.(*wire.EWOUpdate); ok && !u.Sync {
-				if len(u.Entries) > cfg.SyncEntriesPerPacket || cfg.SyncPacketBytes > 0 && u.Size() > cfg.SyncPacketBytes {
-					t.Fatalf("update of %d entries, %d bytes is over the per-packet bound (%d entries, %d bytes)",
-						len(u.Entries), u.Size(), cfg.SyncEntriesPerPacket, cfg.SyncPacketBytes)
+				if u.Size() > wire.MaxUpdateBytes {
+					t.Fatalf("update of %d entries, %d bytes is over wire.MaxUpdateBytes", len(u.Entries), u.Size())
 				}
 				out.seen[i][from-1] = append(out.seen[i][from-1], u.Marshal(nil))
 			}
@@ -1125,8 +1160,8 @@ func runCoalesceProgram(t testing.TB, prog []byte) {
 }
 
 // coalescePrograms returns the deterministic random programs the property
-// test runs and the fuzzer starts from: every register kind, group size, key
-// range and bound, one each.
+// test runs and the fuzzer starts from: every register kind, group size and
+// key range, two each.
 func coalescePrograms() [][]byte {
 	progs := make([][]byte, 36)
 	for i := range progs {
@@ -1151,7 +1186,7 @@ func FuzzUpdateCoalescing(f *testing.F) {
 	for _, prog := range coalescePrograms()[:6] {
 		f.Add(prog[:400]) // an instant and a bit: executions stay cheap
 	}
-	f.Add([]byte{20, 5, 0, 1, 9, 0, 1, 3, 3, 1, 8, 0, 1, 2}) // PN, byte bound: a slot written, overwritten, written again
+	f.Add([]byte{20, 5, 0, 1, 9, 0, 1, 3, 3, 1, 8, 0, 1, 2}) // PN: a slot written, overwritten, written again
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 2048 {
 			prog = prog[:2048]

@@ -35,10 +35,15 @@ import (
 // An LWW row is one cell: the stamp's time and node, the value's length,
 // then ValueWidth bytes. Cells are overwritten in place, so no entry that
 // leaves the node may point into one.
+//
+// Every row also has a change register, the sync round of this switch's
+// last local write to it, written with the row: the delta rounds of the
+// sync walk read it (see appendRows).
 type table struct {
 	idx   []tableEnt // open-addressed key -> row; len is a power of two
 	shift uint       // 64 - log2(len(idx))
 	keys  []uint64   // row -> key, in first-touch order
+	chg   []uint32   // row -> sync round of the last local write
 	limit int        // Config.Capacity
 
 	owners []uint16 // column -> slot owner, in first-touch order
@@ -109,6 +114,7 @@ func (t *table) rowFor(key uint64) int {
 		return r
 	}
 	t.keys = append(t.keys, key)
+	t.chg = append(t.chg, 0)
 	t.cells = append(t.cells, make([]uint64, t.vecs*t.stride)...)
 	t.lww = append(t.lww, make([]byte, t.width)...)
 	if len(t.keys)*2 > len(t.idx) {
@@ -183,32 +189,51 @@ func (t *table) store(r int, st timesync.Stamp, val []byte) {
 	copy(c[lwwHeader:], val)
 }
 
-// appendRows appends the sync entries describing rows' full local state, in
-// the order given. An LWW row is one entry, its value copied into one slab
-// for the whole window. A counter row is every known slot, so updates
-// survive the failure of their original writer (§6.3: "any switch that did
-// receive the update can then synchronize the other switches"); slots go out
-// in column-directory order, increments before decrements, so a sync
-// packet's bytes are a function of the seed. A slot holding 0 is not
-// gossiped: it is what every replica assumes of a slot it has not heard
-// about (only Add(k, 0) and Sub(k, 0) can leave a touched slot at 0).
-func (t *table) appendRows(dst []wire.EWOEntry, rows []int32) []wire.EWOEntry {
-	if t.width > 0 {
-		slab := make([]byte, 0, len(rows)*(t.width-lwwHeader))
-		for _, r := range rows {
-			st, val := t.cell(int(r))
-			slab = append(slab, val...)
-			dst = append(dst, wire.EWOEntry{Key: t.keys[r], Stamp: st, Value: slab[len(slab)-len(val) : len(slab) : len(slab)]})
+// appendRows appends the sync entries of rows, in the order given. A floor
+// round (delta false) describes each row's full local state. An LWW row is
+// one entry, its value copied into one slab for the whole window. A counter
+// row is every known slot, so updates survive the failure of their original
+// writer (§6.3: "any switch that did receive the update can then synchronize
+// the other switches"); slots go out in column-directory order, increments
+// before decrements, so a sync packet's bytes are a function of the seed. A
+// slot holding 0 is not gossiped: it is what every replica assumes of a slot
+// it has not heard about (only Add(k, 0) and Sub(k, 0) can leave a touched
+// slot at 0).
+//
+// A delta round describes only what switch self wrote within the last
+// syncDeltaRounds rounds before round: of the rows whose change register
+// says so, an LWW cell whose stamp is self's and a counter row's self slots.
+func (t *table) appendRows(dst []wire.EWOEntry, rows []int32, delta bool, self uint16, round uint32) []wire.EWOEntry {
+	lo, hi := 0, len(t.owners)
+	if delta && t.width == 0 {
+		if lo = slices.Index(t.owners, self); lo < 0 {
+			return dst // self never wrote a slot
 		}
-		return dst
+		hi = lo + 1
+	}
+	var slab []byte
+	if t.width > 0 {
+		slab = make([]byte, 0, len(rows)*(t.width-lwwHeader))
 	}
 	for _, r := range rows {
+		if delta && round-t.chg[r] > syncDeltaRounds {
+			continue
+		}
+		if t.width > 0 {
+			st, val := t.cell(int(r))
+			if delta && uint16(st.Node) != self {
+				continue
+			}
+			slab = append(slab, val...)
+			dst = append(dst, wire.EWOEntry{Key: t.keys[r], Stamp: st, Value: slab[len(slab)-len(val) : len(slab) : len(slab)]})
+			continue
+		}
 		key, n := t.keys[r], len(dst)
-		dst = slices.Grow(dst, t.vecs*len(t.owners))[:n+t.vecs*len(t.owners)]
+		dst = slices.Grow(dst, t.vecs*(hi-lo))[:n+t.vecs*(hi-lo)]
 		for vec := 0; vec < t.vecs; vec++ {
-			for c, v := range t.vector(int(r), vec) {
+			for c, v := range t.vector(int(r), vec)[lo:hi] {
 				if v != 0 {
-					setCounterEntry(&dst[n], key, t.owners[c], v, vec == decVec)
+					setCounterEntry(&dst[n], key, t.owners[lo+c], v, vec == decVec)
 					n++
 				}
 			}

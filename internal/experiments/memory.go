@@ -63,10 +63,11 @@ func Memory(seed int64) *Result {
 	res.Tables = append(res.Tables, tabS)
 	res.note("group sharing reduces SRO metadata SRAM: %v", sharingHelps)
 
-	tabE := stats.NewTable("E10b: EWO counter SRAM vs replica group size (16B per key-slot)",
+	tabE := stats.NewTable("E10b: EWO counter SRAM vs replica group size (16B per key-slot + 4B change register per key)",
 		"Group size", "Bytes for 10k keys", "Max keys in 10 MB")
 	linear := true
-	var firstPerKey float64
+	fits := map[int]int{}
+	prevGroup, prevPerKey := 0, 0.0
 	for _, group := range []int{2, 4, 8, 16, 32, 64} {
 		n, err := ewo.NewNode(mkSwitch(), ewo.Config{
 			Reg: 1, Capacity: 10_000, Kind: ewo.Counter, MaxGroup: group,
@@ -75,18 +76,17 @@ func Memory(seed int64) *Result {
 			panic(err)
 		}
 		perKey := float64(n.MemoryBytes()) / 10_000
-		maxKeys := int(float64(budget) / perKey)
-		tabE.AddRow(group, n.MemoryBytes(), maxKeys)
-		if firstPerKey == 0 {
-			firstPerKey = perKey / float64(group)
-		} else if perKey/float64(group) != firstPerKey {
+		fits[group] = int(float64(budget) / perKey)
+		tabE.AddRow(group, n.MemoryBytes(), fits[group])
+		if prevGroup > 0 && (perKey-prevPerKey)/float64(group-prevGroup) != 16 {
 			linear = false
 		}
+		prevGroup, prevPerKey = group, perKey
 	}
 	res.Tables = append(res.Tables, tabE)
-	res.note("EWO counter SRAM linear in group size: %v", linear)
+	res.note("EWO counter SRAM grows 16 B per key per group member: %v", linear)
 	res.note(fmt.Sprintf("10 MB fits ~%dk keys at group=64 and ~%dk keys at group=2 — the §7 'tens of thousands ... over a million' span",
-		budget/(64*16)/1000, budget/(2*16)/1000))
+		fits[64]/1000, fits[2]/1000))
 
 	// ERO saves the pending bit (§6.1).
 	nS, _ := chain.NewNode(mkSwitch(), chain.Config{Reg: 1, Capacity: 100_000, ValueWidth: 8, Mode: chain.SRO})

@@ -503,11 +503,13 @@ func MicroEWOSyncMerge(b *testing.B) {
 }
 
 // MicroEWOSyncRound measures the periodic-sync walk: one op is one round of
-// the packet generator on WarmSyncNode's node — a 64-key window of its rows
-// packed into one 512-entry sync update and sent to a peer (steady-state
-// target: 0 allocs/op). The clock runs one sync period per op.
+// the packet generator on WarmSyncNode's node, which wrote none of its rows
+// itself. Its delta rounds find nothing to send; every eighth walk is a
+// floor walk, whose 64-key windows of 512 entries leave as MTU-shaped
+// updates. So ns/op is a round's cost averaged over the walk's own mix
+// (steady-state target: 0 allocs/op). The clock runs one sync period per op.
 func MicroEWOSyncRound(b *testing.B) {
-	node, u := WarmSyncNode(b)
+	node, _ := WarmSyncNode(b)
 	eng := node.Switch().Engine()
 	eng.RunFor(microSyncWarmKeys / microSyncKeys * microSyncPeriod) // one whole walk
 	packets, bytes := node.Stats.SyncPackets.Value(), node.Stats.SyncBytes.Value()
@@ -517,11 +519,12 @@ func MicroEWOSyncRound(b *testing.B) {
 		eng.RunFor(microSyncPeriod)
 	}
 	b.StopTimer()
-	if got := node.Stats.SyncPackets.Value() - packets; got != uint64(b.N) {
-		b.Fatalf("%d sync packets over %d rounds, want one each", got, b.N)
+	p, by := node.Stats.SyncPackets.Value()-packets, node.Stats.SyncBytes.Value()-bytes
+	if floorRounds := 8 * microSyncWarmKeys / microSyncKeys; b.N >= floorRounds && p == 0 {
+		b.Fatalf("no sync packet over %d rounds, a floor walk's worth", b.N)
 	}
-	if got, want := node.Stats.SyncBytes.Value()-bytes, uint64(b.N*u.Size()); got != want {
-		b.Fatalf("%d sync bytes over %d rounds, want %d: a round is not a full 64-key window", got, b.N, want)
+	if p > 0 && by/p > wire.MaxUpdateBytes {
+		b.Fatalf("%d sync bytes in %d packets: past wire.MaxUpdateBytes", by, p)
 	}
 }
 

@@ -36,8 +36,8 @@ func TestDDoSReplayFingerprint(t *testing.T) {
 		Merged: m - m0, Stale: s - s0, SyncPackets: p - p0, SyncBytes: b - b0,
 	}
 	want := replayFingerprint{
-		Events: 1727532, Delivered: 707694,
-		Merged: 2100042, Stale: 1913816, SyncPackets: 3840, SyncBytes: 40228536,
+		Events: 1733308, Delivered: 710582,
+		Merged: 2100042, Stale: 306488, SyncPackets: 6728, SyncBytes: 6503528,
 	}
 	per := func(v uint64) float64 { return float64(v) / fingerprintPackets }
 	t.Logf("per packet: %.4f events, %.4f delivered, %.4f merged, %.4f stale, %.5f sync packets, %.2f sync bytes",

@@ -195,21 +195,10 @@ func chainConfig(cfg MemberConfig) chain.Config {
 	}
 }
 
-// syncPacketBytes caps a member's periodic-sync updates just under the
-// fabric's 1200-byte coalesce limit (minus batch framing), so a sync round
-// packs into MTU-shaped wire.Batch datagrams end to end.
-const syncPacketBytes = 1024
-
 func counterConfig(cfg MemberConfig) ewo.Config {
-	return ewo.Config{
-		Reg: RegCounter, Capacity: 128, SyncPeriod: cfg.SyncPeriod,
-		SyncPacketBytes: syncPacketBytes,
-	}
+	return ewo.Config{Reg: RegCounter, Capacity: 128, SyncPeriod: cfg.SyncPeriod}
 }
 
 func lwwConfig(cfg MemberConfig) ewo.Config {
-	return ewo.Config{
-		Reg: RegLWW, Capacity: 64, ValueWidth: 8, SyncPeriod: cfg.SyncPeriod,
-		SyncPacketBytes: syncPacketBytes,
-	}
+	return ewo.Config{Reg: RegLWW, Capacity: 64, ValueWidth: 8, SyncPeriod: cfg.SyncPeriod}
 }

@@ -31,11 +31,9 @@ type egressWorker struct {
 	rel     []wire.Msg
 }
 
-// coalesceLimit caps a batch datagram's payload bytes: under a 1500-byte
-// MTU with headroom for IP/UDP and the frame header. A constant because
-// every deployment shares the MTU argument and ewo.Config.SyncPacketBytes
-// is sized against it.
-const coalesceLimit = 1200
+// coalesceLimit caps a batch datagram's payload bytes: wire.DatagramBytes,
+// the one MTU-shaped packing that EWO's updates are sized against too.
+const coalesceLimit = wire.DatagramBytes
 
 // egressDoneWake is the done-list size past which the worker wakes the pump
 // for collection; below it, collection piggybacks on the next natural pump

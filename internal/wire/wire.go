@@ -885,6 +885,16 @@ func WalkBatch(body []byte, fn func(frame []byte) error) error {
 	return nil
 }
 
+// DatagramBytes caps a datagram's payload: a 1500-byte MTU with headroom for
+// IP/UDP and the frame header. The live fabric's coalescing egress closes a
+// batch datagram at it, and MaxUpdateBytes is derived from it.
+const DatagramBytes = 1200
+
+// MaxUpdateBytes is the largest message that fills a batch datagram alone:
+// DatagramBytes less the batch's 3-byte header and the message's 2-byte frame
+// length. EWO packs every update it sends, write or sync, under it.
+const MaxUpdateBytes = DatagramBytes - 3 - 2
+
 // BatchBuilder accumulates sub-messages into a reusable batch encoding for
 // the coalescing egress path: one builder per destination, Reset between
 // datagrams, and the backing buffer is retained across uses so steady-state

@@ -500,27 +500,21 @@ type EventualOptions struct {
 	// BatchTimeout caps how long a partial batch may wait before flushing
 	// (0: wait for the batch to fill or the periodic sync).
 	BatchTimeout time.Duration
-	// SyncPacketBytes caps a periodic-sync update's wire bytes, splitting a
-	// sync round into a back-to-back run of MTU-shaped updates (see
-	// ewo.Config.SyncPacketBytes). 0 keeps the classic single update per
-	// round.
-	SyncPacketBytes int
 	// PN selects a PN-counter (supports decrement) for counter registers.
 	PN bool
 }
 
 func (c *Cluster) ewoConfig(id uint16, opts EventualOptions, kind ewo.Kind) ewo.Config {
 	return ewo.Config{
-		Reg:             id,
-		Capacity:        opts.Capacity,
-		ValueWidth:      opts.ValueWidth,
-		Kind:            kind,
-		MaxGroup:        len(c.switches),
-		SyncPeriod:      sim.Duration(opts.SyncPeriod),
-		SyncDisabled:    opts.DisableSync,
-		Batch:           opts.Batch,
-		BatchTimeout:    sim.Duration(opts.BatchTimeout),
-		SyncPacketBytes: opts.SyncPacketBytes,
+		Reg:          id,
+		Capacity:     opts.Capacity,
+		ValueWidth:   opts.ValueWidth,
+		Kind:         kind,
+		MaxGroup:     len(c.switches),
+		SyncPeriod:   sim.Duration(opts.SyncPeriod),
+		SyncDisabled: opts.DisableSync,
+		Batch:        opts.Batch,
+		BatchTimeout: sim.Duration(opts.BatchTimeout),
 	}
 }
 
