@@ -193,15 +193,13 @@ type Node struct {
 	// syncRows is the sync walk's key-ordered row snapshot (see syncWalk);
 	// syncCursor walks it across periodic sync rounds. round counts the
 	// rounds, walks the walks begun. floor says the current walk sends every
-	// row whole; toJoiner that it is addressed to joiner, and joinNext that
-	// the next one will be (see SetGroup). syncEnts is the round's entries
-	// before they are packed.
+	// row whole; joinNext that the next round is a join walk to joiner (see
+	// SetGroup). syncEnts is the round's entries before they are packed.
 	syncRows   []int32
 	syncCursor int
 	round      uint32
 	walks      uint32
 	floor      bool
-	toJoiner   bool
 	joinNext   bool
 	joiner     netem.Addr
 	syncEnts   []wire.EWOEntry
@@ -682,14 +680,16 @@ func (n *Node) syncRound() {
 	if len(n.group) < 2 {
 		return
 	}
-	rows := n.syncWalk()
+	join := n.joinNext
+	n.joinNext = false
+	rows := n.syncWalk(join)
 	self := n.sw.Addr()
 	n.syncEnts = n.tab.appendRows(n.syncEnts[:0], rows, !n.floor, uint16(self), n.round)
 	if len(n.syncEnts) == 0 {
 		return
 	}
 	target := n.joiner
-	if !n.toJoiner {
+	if !join {
 		// Random member other than self.
 		for tries := 0; tries < 8; tries++ {
 			if target = n.group[n.rng.Intn(len(n.group))]; target != self {
@@ -709,10 +709,10 @@ func (n *Node) syncRound() {
 // never removed, so a snapshot as long as the table is already in key
 // order: it is re-sorted only when rows were added. Every syncFloorWalks-th
 // walk, the first included, is a floor walk. So is a join walk, which
-// SetGroup begins and which goes in one round.
-func (n *Node) syncWalk() []int32 {
+// starts a new walk and returns all of it in one round.
+func (n *Node) syncWalk(join bool) []int32 {
 	t := &n.tab
-	if n.syncCursor >= len(n.syncRows) || n.joinNext {
+	if n.syncCursor >= len(n.syncRows) || join {
 		n.syncCursor = 0
 		if len(n.syncRows) < len(t.keys) {
 			for r := len(n.syncRows); r < len(t.keys); r++ {
@@ -720,13 +720,12 @@ func (n *Node) syncWalk() []int32 {
 			}
 			slices.SortFunc(n.syncRows, func(a, b int32) int { return cmp.Compare(t.keys[a], t.keys[b]) })
 		}
-		n.toJoiner, n.joinNext = n.joinNext, false
-		n.floor = n.toJoiner || n.walks%syncFloorWalks == 0
+		n.floor = join || n.walks%syncFloorWalks == 0
 		n.walks++
 	}
 	start := n.syncCursor
 	n.syncCursor = min(start+n.cfg.SyncWindow, len(n.syncRows))
-	if n.toJoiner {
+	if join {
 		n.syncCursor = len(n.syncRows)
 	}
 	return n.syncRows[start:n.syncCursor]
