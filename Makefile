@@ -22,8 +22,9 @@ vet:
 FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	internal/wire:FuzzDecode internal/wire:FuzzViewDecode internal/wire:FuzzWalkBatch \
-	internal/sim:FuzzPendingSet internal/lincheck:FuzzLincheck internal/ewo:FuzzCounterTable \
-	internal/ewo:FuzzLWWTable internal/ewo:FuzzUpdateCoalescing internal/netem/live:FuzzFabricDatagram
+	internal/sim:FuzzPendingSet internal/lincheck:FuzzLincheck internal/pisa:FuzzKeyTable \
+	internal/ewo:FuzzCounterTable internal/ewo:FuzzLWWTable internal/ewo:FuzzUpdateCoalescing \
+	internal/netem/live:FuzzFabricDatagram
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $${t#*:} ($${t%:*}, $(FUZZTIME))"; \
@@ -80,9 +81,9 @@ pairs:
 tables:
 	$(GO) run ./cmd/benchtab
 
-# Non-test Go lines: the two live-path packages, the two fabrics and the
-# three SRO-path packages ROADMAP aim 2 is judged on, and the module without
-# the benchmark harness.
+# Non-test Go lines: the two live-path packages, the two fabrics, the three
+# SRO-path packages and the three that share the keyed register resource
+# ROADMAP aim 2 is judged on, and the module without the benchmark harness.
 loc:
 	@printf 'internal/wire + internal/netem/live                       %s\n' \
 		"$$(cat $$(ls internal/wire/*.go internal/netem/live/*.go | grep -v _test.go) | wc -l)"
@@ -90,6 +91,8 @@ loc:
 		"$$(cat $$(ls internal/netem/*.go internal/netem/live/*.go | grep -v _test.go) | wc -l)"
 	@printf 'internal/chain + internal/controller + internal/core      %s\n' \
 		"$$(cat $$(ls internal/chain/*.go internal/controller/*.go internal/core/*.go | grep -v _test.go) | wc -l)"
+	@printf 'internal/pisa + internal/ewo + internal/chain              %s\n' \
+		"$$(cat $$(ls internal/pisa/*.go internal/ewo/*.go internal/chain/*.go | grep -v _test.go) | wc -l)"
 	@printf 'module excluding bench/                                   %s\n' \
 		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
 

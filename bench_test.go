@@ -500,7 +500,9 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		// Example functions replaced.
 		"lwwCell", "syncKeys", "examples/quickstart",
 		// The per-register sync packing knob and the window's old name.
-		"SyncPacketBytes", "syncPacketBytes", "SyncEntriesPerPacket"}
+		"SyncPacketBytes", "syncPacketBytes", "SyncEntriesPerPacket",
+		// The map-backed SRO/ERO store the keyed register resource replaced.
+		"KVStore", "NewKVStore"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

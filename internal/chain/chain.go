@@ -53,7 +53,9 @@
 package chain
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"swishmem/internal/netem"
@@ -124,7 +126,8 @@ type Config struct {
 	Reg uint16
 	// Capacity is the number of keys the register can hold.
 	Capacity int
-	// ValueWidth is the value size in bytes.
+	// ValueWidth is the value size in bytes, 1..65535. A longer value is
+	// truncated at submit, and a received write carrying one is refused.
 	ValueWidth int
 	// Groups is the number of sequence/pending groups keys hash into (§7:
 	// "multiple keys can share the same sequence number and in-progress
@@ -185,7 +188,7 @@ type Stats struct {
 	WritesFailed    stats.Counter // retries exhausted
 	Retries         stats.Counter
 	Applied         stats.Counter // writes applied from the chain
-	StaleDropped    stats.Counter // writes with stale seq (not applied)
+	StaleDropped    stats.Counter // writes not applied: stale seq, over-width value, register full
 	ReadsLocal      stats.Counter
 	ReadsForwarded  stats.Counter // SRO pending-bit forwards to tail
 	TailReads       stats.Counter // ReadFwd served as tail
@@ -266,7 +269,9 @@ type Node struct {
 
 	chain wire.ChainConfig // current membership, epoch
 
-	store *pisa.KVStore // replicated values
+	// store holds the replicated values: a key's cell is the value's length
+	// (2 bytes), then ValueWidth bytes (see Get).
+	store *pisa.KeyTable
 
 	// seqPend holds per-group protocol state: 8 bytes applied sequence
 	// number + 1 byte pending bit (§7's "sequence number and an in-progress
@@ -336,8 +341,8 @@ func (n *Node) pid() int32 { return int32(n.sw.Addr()) }
 // (Groups x RetransmitDepth entries of seq+key+writeID+writer+value each).
 func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Capacity <= 0 || cfg.ValueWidth <= 0 {
-		return nil, fmt.Errorf("chain: register %d needs positive capacity and value width", cfg.Reg)
+	if cfg.Capacity <= 0 || cfg.ValueWidth <= 0 || cfg.ValueWidth > math.MaxUint16 {
+		return nil, fmt.Errorf("chain: register %d needs positive capacity and a value width in 1..%d", cfg.Reg, math.MaxUint16)
 	}
 	if cfg.Replication != ChainReplication && cfg.Replication != RetransmitReplication {
 		return nil, fmt.Errorf("chain: register %d: unknown replication backend %d", cfg.Reg, cfg.Replication)
@@ -355,7 +360,8 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 		return n, nil
 	}
 	var err error
-	if n.store, err = sw.NewKVStore(fmt.Sprintf("chain-reg%d", cfg.Reg), cfg.Capacity, 8, cfg.ValueWidth); err != nil {
+	// SRAM per key: the key (8 bytes) and the value.
+	if n.store, err = sw.NewKeyTable(fmt.Sprintf("chain-reg%d", cfg.Reg), cfg.Capacity, 8+cfg.ValueWidth, 2+cfg.ValueWidth); err != nil {
 		return nil, err
 	}
 	width := 9 // seq + pending bit
@@ -492,7 +498,7 @@ func (n *Node) Write(key uint64, val []byte, done func(committed bool)) {
 	n.Stats.WritesSubmitted.Inc()
 	o := n.getOutstanding()
 	o.key = key
-	o.val = append(o.val[:0], val...)
+	o.val = append(o.val[:0], val[:min(len(val), n.cfg.ValueWidth)]...)
 	o.done = done
 	n.sw.CtrlDo(o.run)
 }
@@ -583,8 +589,7 @@ func (n *Node) Read(key uint64, fn func(val []byte, ok bool)) {
 		return
 	}
 	n.Stats.ReadsLocal.Inc()
-	v, ok := n.store.Get(key)
-	fn(v, ok)
+	fn(n.Get(key))
 }
 
 // forwardRead sends the read to the tail (§6.1) and registers the reply
@@ -597,13 +602,37 @@ func (n *Node) forwardRead(key uint64, fn func(val []byte, ok bool)) {
 	n.sw.Send(n.tail(), &wire.ReadFwd{Reg: n.cfg.Reg, Key: key, ReqID: id, Origin: uint16(n.sw.Addr())})
 }
 
-// Get returns the local replica value without protocol involvement (for
-// audits and tests). Proxies hold no state.
+// Get returns the local replica value without protocol involvement: a view
+// of its cell, valid until the next write of the same key. A caller that
+// forwards or keeps the bytes copies them. Proxies hold no state.
 func (n *Node) Get(key uint64) ([]byte, bool) {
-	if n.cfg.Proxy {
+	r := -1
+	if !n.cfg.Proxy {
+		r = n.store.Row(key)
+	}
+	if r < 0 {
 		return nil, false
 	}
-	return n.store.Get(key)
+	c := n.store.Cell(r)
+	end := 2 + int(binary.LittleEndian.Uint16(c))
+	return c[2:end:end], true
+}
+
+// setValue copies val into key's cell, reporting false when the register
+// refuses it: a value wider than ValueWidth, or a new key in a full
+// register.
+func (n *Node) setValue(key uint64, val []byte) bool {
+	r := -1
+	if len(val) <= n.cfg.ValueWidth {
+		r = n.store.RowFor(key)
+	}
+	if r < 0 {
+		return false
+	}
+	c := n.store.Cell(r)
+	binary.LittleEndian.PutUint16(c, uint16(len(val)))
+	copy(c[2:], val)
+	return true
 }
 
 // Handle routes a protocol message to this node. It returns false if the
@@ -745,11 +774,12 @@ func (n *Node) apply(w *wire.Write) bool {
 		n.Stats.StaleDropped.Inc()
 		return false
 	}
-	if err := n.store.Set(w.Key, w.Value); err != nil {
-		// Register capacity exhausted: drop; the writer's retries will fail
-		// and surface the error to the NF. Monotone apply proceeds past the
-		// failed write unaided; the exact-succession gate would wedge behind
-		// it, so there the sequence floor advances anyway.
+	if !n.setValue(w.Key, w.Value) {
+		// Refused (over-width value, or register capacity exhausted): drop;
+		// the writer's retries will fail and surface the error to the NF.
+		// Monotone apply proceeds past the failed write unaided; the
+		// exact-succession gate would wedge behind it, so there the sequence
+		// floor advances anyway.
 		n.Stats.StaleDropped.Inc()
 		if n.inOrder() {
 			n.setApplied(g, w.Seq, false)
@@ -856,11 +886,11 @@ func (n *Node) processReadFwd(r *wire.ReadFwd) {
 		return
 	}
 	n.Stats.TailReads.Inc()
-	v, ok := n.store.Get(r.Key)
+	v, ok := n.Get(r.Key)
 	reply := &wire.ReadReply{Reg: n.cfg.Reg, Key: r.Key, ReqID: r.ReqID}
 	if ok {
-		// Copy: the store entry's backing is reused by later Sets, and this
-		// reply is in flight across the fabric's delivery delay.
+		// Copy: the cell is overwritten by later writes, and this reply is
+		// in flight across the fabric's delivery delay.
 		reply.Value = append([]byte(nil), v...)
 	}
 	n.sw.Send(netem.Addr(r.Origin), reply)

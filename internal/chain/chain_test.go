@@ -574,6 +574,9 @@ func TestInvalidConfig(t *testing.T) {
 	if _, err := NewNode(sw, Config{Reg: 1, Capacity: 10, ValueWidth: 0}); err == nil {
 		t.Error("zero value width accepted")
 	}
+	if _, err := NewNode(sw, Config{Reg: 1, Capacity: 10, ValueWidth: 1 << 16}); err == nil {
+		t.Error("value width past the 2-byte cell length accepted")
+	}
 	// Exceeding switch SRAM fails cleanly.
 	small := pisa.New(eng, nw, pisa.Config{Addr: 2, MemoryBytes: 100})
 	if _, err := NewNode(small, defCfg()); err == nil {

@@ -67,22 +67,21 @@ func (n *Node) StartSnapshotTransfer(to netem.Addr, onComplete func()) {
 		xfer := &snapshotXfer{to: to, outstanding: make(map[uint64]*wire.Write), onComplete: onComplete}
 		n.snap = xfer
 		id := snapIDBit
-		n.store.Range(func(key uint64, val []byte) bool {
-			g := n.group(key)
-			w := &wire.Write{
+		for _, r := range n.store.Sorted() {
+			key := n.store.Key(int(r))
+			val, _ := n.Get(key)
+			xfer.outstanding[id] = &wire.Write{
 				Reg:      n.cfg.Reg,
 				Key:      key,
-				Seq:      n.appliedSeq(g),
+				Seq:      n.appliedSeq(n.group(key)),
 				WriteID:  id,
 				Writer:   uint16(n.sw.Addr()),
 				Epoch:    n.chain.Epoch,
 				Snapshot: true,
 				Value:    append([]byte(nil), val...),
 			}
-			xfer.outstanding[id] = w
 			id++
-			return true
-		})
+		}
 		if !n.finishSnapshot() {
 			n.sendSnapshotBatch()
 		}
@@ -168,7 +167,7 @@ func (n *Node) processSnapshotWrite(w *wire.Write) {
 		}
 	}
 	g := n.group(w.Key)
-	if err := n.store.Set(w.Key, w.Value); err != nil {
+	if !n.setValue(w.Key, w.Value) {
 		n.Stats.StaleDropped.Inc()
 		return
 	}

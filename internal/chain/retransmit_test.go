@@ -243,8 +243,8 @@ func TestReplicationFactory(t *testing.T) {
 		bytes  int
 	}{
 		// rtxCfg: 64 x (8+16) store, 1 x 9 seq/pending, 2 x 1 x 16 x (26+16) buffers.
-		{ChainReplication, []string{"kvstore chain-reg1", "register array chain-seq1"}, 1545},
-		{RetransmitReplication, []string{"kvstore chain-reg1", "register array chain-seq1",
+		{ChainReplication, []string{"key table chain-reg1", "register array chain-seq1"}, 1545},
+		{RetransmitReplication, []string{"key table chain-reg1", "register array chain-seq1",
 			"register array chain-rtx1", "register array chain-hold1"}, 2889},
 	} {
 		t.Run(tc.rep.String(), func(t *testing.T) {

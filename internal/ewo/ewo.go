@@ -29,7 +29,6 @@
 package ewo
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -165,13 +164,11 @@ type Node struct {
 	epoch uint32
 	group []netem.Addr
 
-	// tab is the register's state, one row per key (see table). mem is the
-	// SRAM reservation charged against the switch's budget: the §7 layout's
-	// size on the ASIC (Capacity keys, MaxGroup slots each for a counter).
-	// tab holds at most as many keys, but only the rows touched.
-	tab    table
-	mem    *pisa.RegisterArray
-	chgMem *pisa.RegisterArray
+	// tab is the register's state, one row per key (see table). Its key
+	// table is the SRAM reservation charged against the switch's budget: the
+	// §7 layout's size on the ASIC (Capacity keys, MaxGroup slots each for a
+	// counter), though the host holds only the rows touched.
+	tab table
 
 	// cur is the open update: deltas join its entry slice directly, so
 	// filling and flushing it is allocation-free once the pool is warm. held
@@ -245,20 +242,8 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 		n.armed = false
 		n.Flush()
 	}
-	n.tab = newTable(cfg)
-	// Charge SRAM per the §7 layout. LWW: one (version, value) pair per key,
-	// a 10-byte stamp + the value. Counters: one register array per group
-	// member, each (version, value) = 16 bytes per key; PN doubles it. Both:
-	// a 4-byte change register per key.
-	name, slots, width := fmt.Sprintf("ewo-lww%d", cfg.Reg), cfg.Capacity, 10+cfg.ValueWidth
-	if cfg.Kind != LWW {
-		name, slots, width = fmt.Sprintf("ewo-ctr%d", cfg.Reg), cfg.Capacity*cfg.MaxGroup*n.tab.vecs, 16
-	}
 	var err error
-	if n.mem, err = sw.NewRegisterArray(name, slots, width); err != nil {
-		return nil, err
-	}
-	if n.chgMem, err = sw.NewRegisterArray(fmt.Sprintf("ewo-chg%d", cfg.Reg), cfg.Capacity, 4); err != nil {
+	if n.tab, err = newTable(sw, cfg); err != nil {
 		return nil, err
 	}
 	if !cfg.SyncDisabled {
@@ -274,7 +259,7 @@ func (n *Node) Switch() *pisa.Switch { return n.sw }
 func (n *Node) Config() Config { return n.cfg }
 
 // MemoryBytes returns the SRAM footprint of this register on this switch.
-func (n *Node) MemoryBytes() int { return n.mem.Bytes() + n.chgMem.Bytes() }
+func (n *Node) MemoryBytes() int { return n.tab.keys.Bytes() }
 
 // SetGroup installs the replica group (from the controller). Stale epochs
 // are ignored. Group size beyond MaxGroup is rejected loudly — an error to
@@ -351,7 +336,7 @@ func (n *Node) Write(key uint64, val []byte) {
 	val = val[:min(len(val), n.cfg.ValueWidth)]
 	st := n.clock.Now()
 	n.tab.store(r, st, val)
-	n.tab.chg[r] = n.round
+	n.tab.wrote(r, n.round)
 	// The entry gets a copy of its own: the cell may be overwritten while
 	// the update is still in flight.
 	n.enqueue(wire.EWOEntry{Key: key, Stamp: st, Value: append([]byte(nil), val...)})
@@ -363,7 +348,7 @@ func (n *Node) Read(key uint64) ([]byte, bool) {
 		panic("ewo: Read on counter register; use Sum")
 	}
 	n.Stats.Reads.Inc()
-	if r, _ := n.tab.find(key); r >= 0 {
+	if r := n.tab.keys.Row(key); r >= 0 {
 		_, val := n.tab.cell(r)
 		return slices.Clone(val), true
 	}
@@ -402,7 +387,7 @@ func (n *Node) add(key, delta uint64, vec int) {
 	c := t.colFor(self) // may widen: index the cell after it
 	s := &t.cells[(r*t.vecs+vec)*t.stride+c]
 	*s += delta
-	t.chg[r] = n.round
+	t.wrote(r, n.round)
 	n.enqueue(counterEntry(key, self, *s, vec == decVec))
 }
 
@@ -450,7 +435,7 @@ func (n *Node) Sum(key uint64) uint64 {
 		panic("ewo: Sum on LWW register; use Read")
 	}
 	n.Stats.Reads.Inc()
-	if r, _ := n.tab.find(key); r >= 0 {
+	if r := n.tab.keys.Row(key); r >= 0 {
 		return n.tab.sum(r)
 	}
 	return 0
@@ -618,12 +603,12 @@ func (n *Node) Handle(from netem.Addr, msg wire.Msg) bool {
 func (n *Node) mergeLWW(ents []wire.EWOEntry) {
 	t := &n.tab
 	for i := range ents {
-		e, rows := &ents[i], len(t.keys)
+		e, rows := &ents[i], t.keys.Len()
 		if len(e.Value) > n.cfg.ValueWidth {
 			n.Stats.EntriesStale.Inc()
 		} else if r := t.rowFor(e.Key); r < 0 {
 			n.Stats.KeysRefused.Inc()
-		} else if st, _ := t.cell(r); len(t.keys) > rows || st.Less(e.Stamp) {
+		} else if st, _ := t.cell(r); t.keys.Len() > rows || st.Less(e.Stamp) {
 			t.store(r, e.Stamp, e.Value)
 			n.Stats.EntriesMerged.Inc()
 		} else {
@@ -703,23 +688,16 @@ func (n *Node) syncRound() {
 }
 
 // syncWalk returns the next window of the sync walk, SyncWindow rows, taking
-// a new snapshot when the current one is used up; keys added mid-walk wait
-// for the next walk. The walk goes in key order, like a register array's,
-// so which keys share a sync packet is a function of the seed. Rows are
-// never removed, so a snapshot as long as the table is already in key
-// order: it is re-sorted only when rows were added. Every syncFloorWalks-th
-// walk, the first included, is a floor walk. So is a join walk, which
-// starts a new walk and returns all of it in one round.
+// a new snapshot (KeyTable.Sorted) when the current one is used up; keys
+// added mid-walk wait for the next walk. The walk goes in key order, like a
+// register array's, so which keys share a sync packet is a function of the
+// seed. Every syncFloorWalks-th walk, the first included, is a floor walk.
+// So is a join walk, which starts a new walk and returns all of it in one
+// round.
 func (n *Node) syncWalk(join bool) []int32 {
-	t := &n.tab
 	if n.syncCursor >= len(n.syncRows) || join {
 		n.syncCursor = 0
-		if len(n.syncRows) < len(t.keys) {
-			for r := len(n.syncRows); r < len(t.keys); r++ {
-				n.syncRows = append(n.syncRows, int32(r))
-			}
-			slices.SortFunc(n.syncRows, func(a, b int32) int { return cmp.Compare(t.keys[a], t.keys[b]) })
-		}
+		n.syncRows = n.tab.keys.Sorted()
 		n.floor = join || n.walks%syncFloorWalks == 0
 		n.walks++
 	}
@@ -769,13 +747,14 @@ func (n *Node) sendSync(u *wire.EWOUpdate, target netem.Addr) {
 }
 
 // Keys returns the number of locally known keys.
-func (n *Node) Keys() int { return len(n.tab.keys) }
+func (n *Node) Keys() int { return n.tab.keys.Len() }
 
 // StateDigest summarizes local state for convergence checks: for LWW a map
 // of key to stamp and value; for counters a map of key to summed value.
 func (n *Node) StateDigest() map[uint64]string {
 	out := make(map[uint64]string)
-	for r, k := range n.tab.keys {
+	for r := range n.tab.keys.Len() {
+		k := n.tab.keys.Key(r)
 		if n.cfg.Kind == LWW {
 			st, val := n.tab.cell(r)
 			out[k] = fmt.Sprintf("%v:%x", st, val)

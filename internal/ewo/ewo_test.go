@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"swishmem/internal/netem"
+	"swishmem/internal/obs"
 	"swishmem/internal/pisa"
 	"swishmem/internal/sim"
 	"swishmem/internal/timesync"
@@ -502,24 +503,55 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// A node makes one SRAM charge, its key table: per key, the §7 layout's
+// slots (MaxGroup 16-byte slots per counter vector; a 10-byte stamp and the
+// value for LWW) and the 4-byte change register. The slots scale with the
+// group; the change register does not.
 func TestMemoryScalesWithGroup(t *testing.T) {
 	eng := sim.NewEngine(1)
+	tr := obs.NewTracer(16)
+	eng.SetTracer(tr)
 	nw := netem.New(eng, netem.LinkProfile{})
-	mk := func(addr netem.Addr, maxGroup int) *Node {
-		sw := pisa.New(eng, nw, pisa.Config{Addr: addr, MemoryBytes: 64 << 20})
-		n, err := NewNode(sw, Config{Reg: 1, Capacity: 1000, Kind: Counter, MaxGroup: maxGroup})
+	for i, tc := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{Capacity: 1000, Kind: Counter, MaxGroup: 2}, 1000 * (2*16 + 4)},
+		{Config{Capacity: 1000, Kind: Counter, MaxGroup: 16}, 1000 * (16*16 + 4)},
+		{Config{Capacity: 1000, Kind: PNCounter, MaxGroup: 16}, 1000 * (2*16*16 + 4)},
+		{Config{Capacity: 1000, Kind: LWW, ValueWidth: 8}, 1000 * (10 + 8 + 4)},
+	} {
+		sw := pisa.New(eng, nw, pisa.Config{Addr: netem.Addr(i + 1), MemoryBytes: 64 << 20})
+		tr.Reset()
+		tc.cfg.Reg = 1
+		n, err := NewNode(sw, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n
+		var charges []int64
+		for _, ev := range tr.Events() {
+			if ev.Name == "mem.charge" {
+				charges = append(charges, ev.V1)
+			}
+		}
+		if len(charges) != 1 || charges[0] != int64(tc.want) || n.MemoryBytes() != tc.want {
+			t.Fatalf("%v: charges %v, MemoryBytes %d; want one charge of %d", tc.cfg.Kind, charges, n.MemoryBytes(), tc.want)
+		}
 	}
-	// The slot arrays scale with the group; each key's 4-byte change
-	// register does not.
-	small, large := mk(1, 2), mk(2, 16)
-	const chg = 4 * 1000
-	if large.MemoryBytes()-chg != 8*(small.MemoryBytes()-chg) {
-		t.Fatalf("counter SRAM should scale linearly with group: %d vs %d",
-			small.MemoryBytes(), large.MemoryBytes())
+}
+
+// A register that does not fit the switch's SRAM fails without charging
+// any: the slot arrays would fit, the change registers with them would not,
+// and the one key table is charged whole or not at all.
+func TestNewNodeOverBudgetChargesNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nw := netem.New(eng, netem.LinkProfile{})
+	sw := pisa.New(eng, nw, pisa.Config{Addr: 1, MemoryBytes: 1000*8*16 + 1000})
+	if _, err := NewNode(sw, Config{Reg: 1, Capacity: 1000, Kind: Counter}); err == nil {
+		t.Fatal("over-budget register accepted")
+	}
+	if sw.MemoryUsed() != 0 {
+		t.Fatalf("failed NewNode left %d bytes charged", sw.MemoryUsed())
 	}
 }
 

@@ -389,29 +389,25 @@ func (p *tableProbe) walkRest() []wire.EWOEntry {
 	return slices.Concat(p.synced...)
 }
 
-// checkTable asserts the table's own invariants.
+// checkTable asserts the counter matrix's own invariants (the key index's
+// are pisa's FuzzKeyTable's).
 func checkTable(t testing.TB, tb *table) {
 	t.Helper()
-	if got, want := len(tb.cells), len(tb.keys)*tb.vecs*tb.stride; got != want {
-		t.Fatalf("cells = %d, want %d rows x %d vecs x stride %d", got, len(tb.keys), tb.vecs, tb.stride)
-	}
-	if got, want := len(tb.lww), len(tb.keys)*tb.width; got != want {
-		t.Fatalf("LWW cells = %d bytes, want %d rows x width %d", got, len(tb.keys), tb.width)
+	if got, want := len(tb.cells), tb.keys.Len()*tb.vecs*tb.stride; got != want {
+		t.Fatalf("cells = %d, want %d rows x %d vecs x stride %d", got, tb.keys.Len(), tb.vecs, tb.stride)
 	}
 	if len(tb.owners) > tb.stride {
 		t.Fatalf("%d owners in stride %d", len(tb.owners), tb.stride)
 	}
-	if len(tb.keys)*2 > len(tb.idx) {
-		t.Fatalf("key table over half full: %d keys in %d buckets", len(tb.keys), len(tb.idx))
+}
+
+// rowKeys returns the table's keys in row order.
+func rowKeys(tb *table) []uint64 {
+	keys := make([]uint64, tb.keys.Len())
+	for r := range keys {
+		keys[r] = tb.keys.Key(r)
 	}
-	if len(tb.keys) > tb.limit {
-		t.Fatalf("%d rows past capacity %d", len(tb.keys), tb.limit)
-	}
-	for r, k := range tb.keys {
-		if got, _ := tb.find(k); got != r {
-			t.Fatalf("row(%d) = %d, want %d", k, got, r)
-		}
-	}
+	return keys
 }
 
 // checkModel asserts that the matrix holds exactly the model's state: its
@@ -420,13 +416,13 @@ func checkTable(t testing.TB, tb *table) {
 func checkModel(t testing.TB, n *Node, m *refCounter) {
 	t.Helper()
 	tb := &n.tab
-	if !slices.Equal(tb.keys, m.order) {
-		t.Fatalf("rows %v, model %v", tb.keys, m.order)
+	if keys := rowKeys(tb); !slices.Equal(keys, m.order) {
+		t.Fatalf("rows %v, model %v", keys, m.order)
 	}
 	if !slices.Equal(tb.owners, m.owners) {
 		t.Fatalf("columns %v, model %v", tb.owners, m.owners)
 	}
-	for r, k := range tb.keys {
+	for r, k := range rowKeys(tb) {
 		for vec, slots := range []map[uint64]map[uint16]uint64{m.inc, m.dec}[:tb.vecs] {
 			for c, v := range tb.vector(r, vec) {
 				if want := slots[k][tb.owners[c]]; v != want {
@@ -634,7 +630,7 @@ func tablePrograms(count, ops int) [][]byte {
 // register holds — the slot matrix is indistinguishable from nested maps
 // that refuse a key past Capacity.
 func TestCounterTableMatchesNestedMaps(t *testing.T) {
-	var rehashes, strides int
+	var strides int
 	var refused uint64
 	for _, prog := range tablePrograms(8, 1000) {
 		refused += runTableProgram(t, prog)
@@ -646,25 +642,22 @@ func TestCounterTableMatchesNestedMaps(t *testing.T) {
 	}
 	p := newTableProbe(t, PNCounter, 1024)
 	for i := uint64(0); i < 700; i++ {
-		before, stride := len(p.n.tab.idx), p.n.tab.stride
+		stride := p.n.tab.stride
 		p.n.mergeCounters([]wire.EWOEntry{counterEntry(i*i, uint16(i%40+1), i+1, i%2 == 1)})
-		if len(p.n.tab.idx) != before {
-			rehashes++
-		}
 		if p.n.tab.stride != stride {
 			strides++
 		}
 	}
 	checkTable(t, &p.n.tab)
-	if rehashes < 4 || strides < 3 {
-		t.Fatalf("700 keys x 40 owners: %d rehashes, %d stride doublings", rehashes, strides)
+	if strides < 3 {
+		t.Fatalf("700 keys x 40 owners: %d stride doublings", strides)
 	}
 }
 
 // The counter sync walk is a snapshot of rows in key order: keys added
-// mid-walk wait for the next walk and then go out in key order, and a walk
-// over an unchanged key set, which reuses the snapshot instead of sorting
-// again, sends the bytes a freshly sorted walk does.
+// mid-walk wait for the next walk and then go out in key order, as they do
+// on a walk over an unchanged key set, which reuses the snapshot (that a
+// reused snapshot is a fresh sort's order is pisa's FuzzKeyTable's).
 func TestCounterSyncWalkSnapshot(t *testing.T) {
 	keysOf := func(walk []wire.EWOEntry) []uint64 {
 		var ks []uint64
@@ -700,18 +693,8 @@ func TestCounterSyncWalkSnapshot(t *testing.T) {
 	if got := keysOf(p.fullWalk()); !slices.Equal(got, all) {
 		t.Fatalf("next walk sent keys %v, want %v", got, all)
 	}
-
-	marshal := func(walk []wire.EWOEntry) []byte {
-		return (&wire.EWOUpdate{Reg: 1, From: 1, Sync: true, Entries: walk}).Marshal(nil)
-	}
-	reused := p.fullWalk()
-	p.n.syncRows = nil // forget the snapshot: the next walk sorts every row afresh
-	fresh := p.fullWalk()
-	if got := keysOf(reused); !slices.Equal(got, all) {
+	if got := keysOf(p.fullWalk()); !slices.Equal(got, all) {
 		t.Fatalf("walk over an unchanged key set sent keys %v, want %v", got, all)
-	}
-	if a, b := marshal(reused), marshal(fresh); !bytes.Equal(a, b) {
-		t.Fatalf("walk over an unchanged key set marshals to\n%x\na freshly sorted one to\n%x", a, b)
 	}
 }
 
@@ -804,11 +787,12 @@ func runLWWProgram(t testing.TB, prog []byte) uint64 {
 	}
 	check := func() {
 		checkTable(t, &n.tab)
-		if !slices.Equal(n.tab.keys, m.order) {
-			t.Fatalf("rows %v, model %v", n.tab.keys, m.order)
+		keys := rowKeys(&n.tab)
+		if !slices.Equal(keys, m.order) {
+			t.Fatalf("rows %v, model %v", keys, m.order)
 		}
 		d := n.StateDigest()
-		for r, k := range n.tab.keys {
+		for r, k := range keys {
 			st, val := n.tab.cell(r)
 			want := m.cells[k]
 			if st != want.Stamp || !bytes.Equal(val, want.Value) {

@@ -2,26 +2,20 @@ package ewo
 
 import (
 	"encoding/binary"
-	"math/bits"
+	"fmt"
 	"slices"
 
+	"swishmem/internal/pisa"
 	"swishmem/internal/sim"
 	"swishmem/internal/timesync"
 	"swishmem/internal/wire"
 )
 
 // table holds a register's state in the layout §7 gives it: a register array
-// with one fixed-width row per key. A row access is one key lookup plus an
-// index — no map, no map iterator — which is what a register access at line
-// rate is.
-//
-// Rows are found through one open-addressed key table (Fibonacci hash,
-// linear probing, at most half full, grown by doubling), handed out in
-// first-touch order and never removed, so they are always 0..len(keys)-1
-// (the sync walk's snapshot relies on it: see Node.syncWalk). The table
-// holds at most Config.Capacity rows, the keys NewNode charged SRAM for: a
-// new key past that is refused, whether a local write or a received entry
-// brought it, so what a peer sends cannot grow host memory without bound.
+// with one fixed-width row per key, found through the switch's keyed register
+// resource (pisa.KeyTable), which hands rows out in first-touch order, never
+// removes one, and refuses a new key past Config.Capacity, whether a local
+// write or a received entry brought it.
 //
 // A counter row is "one register array for each switch in the replica
 // group": one column per slot owner, handed out in first-touch order through
@@ -32,19 +26,14 @@ import (
 // a G-counter never forgets a departed writer's slot. A PN counter keeps its
 // decrement vector in the second half of the row.
 //
-// An LWW row is one cell: the stamp's time and node, the value's length,
-// then ValueWidth bytes. Cells are overwritten in place, so no entry that
-// leaves the node may point into one.
-//
-// Every row also has a change register, the sync round of this switch's
-// last local write to it, written with the row: the delta rounds of the
-// sync walk read it (see appendRows).
+// A row's key-table cell starts with its change register, the sync round of
+// this switch's last local write to it, written with the row: the delta
+// rounds of the sync walk read it (see appendRows). An LWW row's cell goes
+// on: the stamp's time and node, the value's length, then ValueWidth bytes.
+// Cells are overwritten in place, so no entry that leaves the node may point
+// into one.
 type table struct {
-	idx   []tableEnt // open-addressed key -> row; len is a power of two
-	shift uint       // 64 - log2(len(idx))
-	keys  []uint64   // row -> key, in first-touch order
-	chg   []uint32   // row -> sync round of the last local write
-	limit int        // Config.Capacity
+	keys *pisa.KeyTable // key -> row and row -> cell
 
 	owners []uint16 // column -> slot owner, in first-touch order
 	last   int      // the column colFor returned last
@@ -52,90 +41,57 @@ type table struct {
 	vecs   int      // counter vectors per row: 0 (LWW), 1 or 2 (+ decrements)
 	cells  []uint64 // row r, vector v, column c at (r*vecs+v)*stride + c
 
-	width int    // bytes per LWW cell: 0 (counters) or lwwHeader + ValueWidth
-	lww   []byte // row r's LWW cell at r*width
-}
-
-// tableEnt is one key-table bucket; row is stored +1 so the zero entry is
-// empty.
-type tableEnt struct {
-	key uint64
-	row uint32
+	width int // bytes per LWW cell: 0 (counters) or lwwHeader + ValueWidth
 }
 
 const (
 	incVec = 0
 	decVec = 1
 
-	// tableMinBuckets is the key table's first allocation.
-	tableMinBuckets = 64
+	// chgBytes is the size of a row's change register, its cell's first bytes.
+	chgBytes = 4
 
 	// lwwHeader is an LWW cell's stamp time (8 bytes), stamp node (2) and
 	// value length (2).
 	lwwHeader = 12
 )
 
-func newTable(cfg Config) table {
-	t := table{limit: cfg.Capacity, width: lwwHeader + cfg.ValueWidth}
+// newTable allocates the register's key table on sw, the node's one SRAM
+// charge, per the §7 layout. LWW: one (version, value) pair per key, a
+// 10-byte stamp + the value. Counters: one register array per group member,
+// each (version, value) = 16 bytes per key; PN doubles it. Both: the 4-byte
+// change register.
+func newTable(sw *pisa.Switch, cfg Config) (table, error) {
+	t := table{width: lwwHeader + cfg.ValueWidth}
+	name, perKey := fmt.Sprintf("ewo-lww%d", cfg.Reg), 10+cfg.ValueWidth
 	if cfg.Kind != LWW {
 		t.stride, t.vecs, t.width = cfg.MaxGroup, 1, 0
 		if cfg.Kind == PNCounter {
 			t.vecs = 2
 		}
+		name, perKey = fmt.Sprintf("ewo-ctr%d", cfg.Reg), cfg.MaxGroup*t.vecs*16
 	}
-	t.rehash()
-	return t
-}
-
-// bucket returns key's home bucket.
-func (t *table) bucket(key uint64) int {
-	return int(key * 0x9e3779b97f4a7c15 >> t.shift)
-}
-
-// find returns key's row, or -1 and the empty bucket that would take it.
-func (t *table) find(key uint64) (int, int) {
-	mask := len(t.idx) - 1
-	for i := t.bucket(key); ; i = (i + 1) & mask {
-		e := &t.idx[i]
-		if e.row == 0 {
-			return -1, i
-		}
-		if e.key == key {
-			return int(e.row - 1), i
-		}
-	}
+	var err error
+	t.keys, err = sw.NewKeyTable(name, cfg.Capacity, perKey+chgBytes, chgBytes+t.width)
+	return t, err
 }
 
 // rowFor returns key's row, appending a zeroed one on first touch, or -1 if
 // the key is new and the table already holds Capacity rows.
 func (t *table) rowFor(key uint64) int {
-	r, i := t.find(key)
-	if r >= 0 || len(t.keys) >= t.limit {
-		return r
+	rows := t.keys.Len()
+	r := t.keys.RowFor(key)
+	if t.keys.Len() > rows {
+		t.cells = append(t.cells, make([]uint64, t.vecs*t.stride)...)
 	}
-	t.keys = append(t.keys, key)
-	t.chg = append(t.chg, 0)
-	t.cells = append(t.cells, make([]uint64, t.vecs*t.stride)...)
-	t.lww = append(t.lww, make([]byte, t.width)...)
-	if len(t.keys)*2 > len(t.idx) {
-		t.rehash() // files the new key with the rest
-	} else {
-		t.idx[i] = tableEnt{key: key, row: uint32(len(t.keys))}
-	}
-	return len(t.keys) - 1
+	return r
 }
 
-// rehash doubles the key table (or makes the first one) and re-inserts every
-// key; rows do not move.
-func (t *table) rehash() {
-	n := max(2*len(t.idx), tableMinBuckets)
-	t.idx = make([]tableEnt, n)
-	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	for r, key := range t.keys {
-		_, i := t.find(key)
-		t.idx[i] = tableEnt{key: key, row: uint32(r + 1)}
-	}
-}
+// chg reads row r's change register.
+func (t *table) chg(r int) uint32 { return binary.LittleEndian.Uint32(t.keys.Cell(r)) }
+
+// wrote sets row r's change register to round.
+func (t *table) wrote(r int, round uint32) { binary.LittleEndian.PutUint32(t.keys.Cell(r), round) }
 
 // colFor returns owner's column, appending one on first touch.
 func (t *table) colFor(owner uint16) int {
@@ -159,8 +115,8 @@ func (t *table) colFor(owner uint16) int {
 // widen doubles the stride, moving every vector to its new offset.
 func (t *table) widen() {
 	old, stride := t.stride, 2*t.stride
-	cells := make([]uint64, len(t.keys)*t.vecs*stride)
-	for v := 0; v < len(t.keys)*t.vecs; v++ {
+	cells := make([]uint64, t.keys.Len()*t.vecs*stride)
+	for v := 0; v < t.keys.Len()*t.vecs; v++ {
 		copy(cells[v*stride:], t.cells[v*old:(v+1)*old])
 	}
 	t.cells, t.stride = cells, stride
@@ -174,7 +130,7 @@ func (t *table) vector(r, vec int) []uint64 {
 
 // cell returns row r's LWW stamp and value. The value points into the cell.
 func (t *table) cell(r int) (timesync.Stamp, []byte) {
-	c := t.lww[r*t.width : (r+1)*t.width]
+	c := t.keys.Cell(r)[chgBytes:]
 	st := timesync.Stamp{Time: sim.Time(binary.LittleEndian.Uint64(c)), Node: timesync.NodeID(binary.LittleEndian.Uint16(c[8:]))}
 	n := lwwHeader + int(binary.LittleEndian.Uint16(c[10:]))
 	return st, c[lwwHeader:n:n]
@@ -182,7 +138,7 @@ func (t *table) cell(r int) (timesync.Stamp, []byte) {
 
 // store overwrites row r's LWW cell; val must fit ValueWidth.
 func (t *table) store(r int, st timesync.Stamp, val []byte) {
-	c := t.lww[r*t.width : (r+1)*t.width]
+	c := t.keys.Cell(r)[chgBytes:]
 	binary.LittleEndian.PutUint64(c, uint64(st.Time))
 	binary.LittleEndian.PutUint16(c[8:], uint16(st.Node))
 	binary.LittleEndian.PutUint16(c[10:], uint16(len(val)))
@@ -216,7 +172,7 @@ func (t *table) appendRows(dst []wire.EWOEntry, rows []int32, delta bool, self u
 		slab = make([]byte, 0, len(rows)*(t.width-lwwHeader))
 	}
 	for _, r := range rows {
-		if delta && round-t.chg[r] > syncDeltaRounds {
+		if delta && round-t.chg(int(r)) > syncDeltaRounds {
 			continue
 		}
 		if t.width > 0 {
@@ -225,10 +181,10 @@ func (t *table) appendRows(dst []wire.EWOEntry, rows []int32, delta bool, self u
 				continue
 			}
 			slab = append(slab, val...)
-			dst = append(dst, wire.EWOEntry{Key: t.keys[r], Stamp: st, Value: slab[len(slab)-len(val) : len(slab) : len(slab)]})
+			dst = append(dst, wire.EWOEntry{Key: t.keys.Key(int(r)), Stamp: st, Value: slab[len(slab)-len(val) : len(slab) : len(slab)]})
 			continue
 		}
-		key, n := t.keys[r], len(dst)
+		key, n := t.keys.Key(int(r)), len(dst)
 		dst = slices.Grow(dst, t.vecs*(hi-lo))[:n+t.vecs*(hi-lo)]
 		for vec := 0; vec < t.vecs; vec++ {
 			for c, v := range t.vector(int(r), vec)[lo:hi] {

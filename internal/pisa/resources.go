@@ -7,8 +7,8 @@ import (
 )
 
 // This file implements the P4 memory object of §2 the protocols are built
-// on: the register array, modifiable from the data plane (kvstore.go holds
-// the keyed store). Whether a hop's state update runs in the data plane or
+// on: the register array, modifiable from the data plane (keytable.go holds
+// the keyed one). Whether a hop's state update runs in the data plane or
 // needs the control plane — the distinction SwiShmem's protocol choice per NF
 // hinges on, Observation 1 — is chain.Config.Backing.
 
@@ -34,22 +34,8 @@ func (s *Switch) NewRegisterArray(name string, entries, width int) (*RegisterArr
 	return &RegisterArray{sw: s, name: name, entries: entries, width: width, data: make([]byte, entries*width)}, nil
 }
 
-// Entries returns the array length.
-func (r *RegisterArray) Entries() int { return r.entries }
-
-// Width returns the per-entry width in bytes.
-func (r *RegisterArray) Width() int { return r.width }
-
 // Bytes returns the total SRAM footprint.
 func (r *RegisterArray) Bytes() int { return r.entries * r.width }
-
-// Get returns a copy of entry i.
-func (r *RegisterArray) Get(i int) []byte {
-	r.check(i)
-	out := make([]byte, r.width)
-	copy(out, r.data[i*r.width:])
-	return out
-}
 
 // View returns entry i without copying. Callers must not retain it across
 // packet boundaries (in hardware it would be a transient PHV value).
@@ -58,22 +44,10 @@ func (r *RegisterArray) View(i int) []byte {
 	return r.data[i*r.width : (i+1)*r.width]
 }
 
-// Set overwrites entry i with v (padded/truncated to the width).
-//
-// Register writes are traced (reads are not: the read paths are the
-// hottest code in the model and the write stream is what reconstructs
-// state evolution in a timeline).
-func (r *RegisterArray) Set(i int, v []byte) {
-	r.check(i)
-	cell := r.data[i*r.width : (i+1)*r.width]
-	n := copy(cell, v)
-	for ; n < r.width; n++ {
-		cell[n] = 0
-	}
-	r.traceWrite("reg.write", i)
-}
-
-// traceWrite emits one register-write instant when tracing is on.
+// traceWrite emits one register-write instant when tracing is on. Register
+// writes are traced (reads are not: the read paths are the hottest code in
+// the model and the write stream is what reconstructs state evolution in a
+// timeline).
 func (r *RegisterArray) traceWrite(op string, i int) {
 	tr := r.sw.tracer()
 	if !tr.Enabled() {

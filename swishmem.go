@@ -350,7 +350,8 @@ func (c *Cluster) allocReg(name string) (uint16, error) {
 type StrongOptions struct {
 	// Capacity is the number of keys.
 	Capacity int
-	// ValueWidth is the value size in bytes.
+	// ValueWidth is the value size in bytes, 1..65535; a longer value is
+	// truncated at Write.
 	ValueWidth int
 	// Groups is the number of sequence/pending groups keys share (0 = one
 	// per key). Sharing trades SRAM for false read forwarding (§7).
