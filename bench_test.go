@@ -200,37 +200,6 @@ func TestEWOBurstAddAllocBudget(t *testing.T) {
 	}
 }
 
-// TestEWOBatchTimeoutAllocBudget: the batching path whose flush comes from
-// the BatchTimeout timer — arm the timer, fire it, flush, deliver — allocates
-// nothing either: the timer handle is a value and its callback is the node's
-// one bound-once flush closure.
-func TestEWOBatchTimeoutAllocBudget(t *testing.T) {
-	c, _ := swishmem.New(swishmem.Config{Switches: 3, Seed: 1})
-	regs, err := c.DeclareCounter("b", swishmem.EventualOptions{
-		Capacity: 64, DisableSync: true, Batch: 16, BatchTimeout: 100 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(2 * time.Millisecond)
-	for i := 0; i < 512; i++ {
-		regs[0].Add(uint64(i%64), 1)
-		c.RunFor(10 * time.Microsecond)
-	}
-	c.RunFor(10 * time.Millisecond)
-	sent := regs[0].Node().Stats.UpdatesSent.Value()
-	allocs := testing.AllocsPerRun(1000, func() {
-		regs[0].Add(3, 1) // 1 of 16: only the timer can flush it
-		c.RunFor(time.Millisecond)
-	})
-	if allocs != 0 {
-		t.Fatalf("EWO Add + batch-timeout flush allocates %v per op, want 0", allocs)
-	}
-	if got := regs[0].Node().Stats.UpdatesSent.Value() - sent; got < 1000 {
-		t.Fatalf("%d updates over 1000 timed-out batches; the budget did not measure the timer path", got)
-	}
-}
-
 // TestEWOLWWWriteAllocBudget: an LWW write copies the caller's value into its
 // cell and once more for the update entry, the one allocation — the cell may
 // be overwritten while the update is in flight — and over its whole life
@@ -473,6 +442,11 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 	}
 	citedTarget := regexp.MustCompile("`make ([A-Za-z0-9_-]+)[^`]*`")
 	citedItem := regexp.MustCompile(`ROADMAP (items? )?[0-9]`)
+	// A backticked `Type.Field` or `pkg.Type.Field` on a *Config/*Options type
+	// must name a field or method the type has (callerCensus knows them all).
+	backticked := regexp.MustCompile("`[^`]*`")
+	citedField := regexp.MustCompile(`\b(?:([a-z]\w*)\.)?([A-Z]\w*(?:Config|Options))\.([A-Z]\w*)`)
+	members := callerCensus(t).members
 	gone := []string{"BENCH_", "benchdiff", "make snapshot", "make pps", "-pps"}
 	goneOutsideBench := []string{"Replicator", "RetransmitNode", "NewRetransmitNode", "chain.New(", "replicator.go",
 		// ISSUE 23: the second copies of what sim and live both run, and
@@ -502,7 +476,17 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		// The per-register sync packing knob and the window's old name.
 		"SyncPacketBytes", "syncPacketBytes", "SyncEntriesPerPacket",
 		// The map-backed SRO/ERO store the keyed register resource replaced.
-		"KVStore", "NewKVStore"}
+		"KVStore", "NewKVStore",
+		// What the caller gate found: live partition injection, egress
+		// mirroring and the switch's other send paths, functions nothing
+		// called, the example programs, and options nothing set.
+		"SetPartition", "SetPeerGroup", "PartDropped", "live.part.dropped", "partitionedLocked",
+		"Switch.Mirror", "taskMirror", "Meta.Mirrored", "PuntMsg", "SendPacket",
+		"Live.Present", "Live.Configured", "AddPending", "Tracer.Span", "examples/",
+		"SyncDisabled:", "`SyncDisabled`", "Config.SyncDisabled", "BatchTimeout", "batchTimer",
+		"ControlPlaneBacked", "StrongOptions.Groups", "StrongOptions.RetransmitDepth", "EventualOptions.PN",
+		"SwitchMemory", "PortsPerSwitch", "PortBase", "MaxWindows", "FirewallOptions.Inside",
+		"ClockSkew", "ConfigDelay", "FailureTimeout", "MeanPacketGap"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -537,6 +521,17 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 			if !outsideBench {
 				continue
 			}
+			for _, span := range backticked.FindAllString(line, -1) {
+				for _, m := range citedField.FindAllStringSubmatch(span, -1) {
+					typ := m[2]
+					if m[1] != "" {
+						typ = m[1] + "." + typ
+					}
+					if has, ok := members[typ]; ok && !has[m[3]] {
+						t.Errorf("%s:%d cites %s.%s, which %s does not have", path, i+1, typ, m[3], typ)
+					}
+				}
+			}
 			if m := citedItem.FindString(line); m != "" {
 				t.Errorf("%s:%d cites %q…; cite a ROADMAP item by its title", path, i+1, m)
 			}
@@ -553,5 +548,35 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 	}
 	if docs < 5 {
 		t.Fatalf("checked %d documents; the walk did not start at the repo root", docs)
+	}
+}
+
+// TestChangesEntriesAreShort: every CHANGES.md entry below the cap marker is
+// one paragraph of at most 1 500 bytes, so the file stays a log a reader can
+// scan. Entries above the marker predate the cap.
+func TestChangesEntriesAreShort(t *testing.T) {
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const marker = "<!-- Entries below: one paragraph each, at most 1 500 bytes. -->"
+	_, below, ok := strings.Cut(string(text), marker)
+	if !ok {
+		t.Fatalf("CHANGES.md has no cap marker %q", marker)
+	}
+	entries := 0
+	for i, para := range strings.Split(strings.TrimSpace(below), "\n") {
+		switch {
+		case para == "":
+			continue
+		case strings.HasPrefix(para, " ") || strings.HasPrefix(para, "\t"):
+			t.Errorf("CHANGES.md entry %d runs to a second line; keep an entry to one paragraph on one line", entries)
+		case len(para) > 1500:
+			t.Errorf("CHANGES.md entry %d (line %d below the marker) is %d bytes, over the 1 500-byte cap: %.60s…", entries+1, i+1, len(para), para)
+		}
+		entries++
+	}
+	if entries == 0 {
+		t.Fatal("no CHANGES.md entry below the cap marker")
 	}
 }

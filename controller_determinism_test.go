@@ -8,7 +8,7 @@ import (
 )
 
 // TestSimultaneousFailureDeterminism fails two chain members at the same
-// virtual instant — both become silent inside one FailureTimeout window, so
+// virtual instant — both become silent inside one failure-timeout window, so
 // a single controller scan tick sees two dead switches at once. The
 // controller's scan and per-register reconfiguration walks iterate Go maps;
 // without sorted iteration the victim ordering (and hence the emitted

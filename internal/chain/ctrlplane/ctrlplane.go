@@ -28,16 +28,10 @@ type Config struct {
 	Reg uint16
 	// Capacity is the number of keys (SRAM accounting).
 	Capacity int
-	// MaxGroup bounds replica group size (slot vector reservation).
-	MaxGroup int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxGroup == 0 {
-		c.MaxGroup = 8
-	}
-	return c
-}
+// maxGroup bounds replica group size (slot vector reservation).
+const maxGroup = 8
 
 // Stats counts baseline protocol events.
 type Stats struct {
@@ -67,11 +61,10 @@ type Node struct {
 
 // NewNode allocates the baseline register on sw.
 func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("ctrlplane: register %d needs positive capacity", cfg.Reg)
 	}
-	mem, err := sw.NewRegisterArray(fmt.Sprintf("cp-ctr%d", cfg.Reg), cfg.Capacity*cfg.MaxGroup, 16)
+	mem, err := sw.NewRegisterArray(fmt.Sprintf("cp-ctr%d", cfg.Reg), cfg.Capacity*maxGroup, 16)
 	if err != nil {
 		return nil, err
 	}
@@ -86,8 +79,8 @@ func (n *Node) SetGroup(gc wire.GroupConfig) error {
 	if gc.Epoch < n.epoch {
 		return nil
 	}
-	if len(gc.Members) > n.cfg.MaxGroup {
-		return fmt.Errorf("ctrlplane: group of %d exceeds MaxGroup %d", len(gc.Members), n.cfg.MaxGroup)
+	if len(gc.Members) > maxGroup {
+		return fmt.Errorf("ctrlplane: group of %d exceeds the maximum %d", len(gc.Members), maxGroup)
 	}
 	n.epoch = gc.Epoch
 	n.group = n.group[:0]

@@ -21,7 +21,6 @@
 package controller
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -55,25 +54,22 @@ type Config struct {
 	Addr netem.Addr
 	// HeartbeatPeriod is how often monitored switches beat. Default 1ms.
 	HeartbeatPeriod sim.Duration
-	// FailureTimeout is the silence threshold declaring a switch dead.
-	// Default 4x the heartbeat period.
-	FailureTimeout sim.Duration
-	// ConfigDelay is the one-way latency of the reliable control channel
+}
+
+const (
+	// failureBeats is how many heartbeat periods of silence declare a
+	// switch dead.
+	failureBeats = 4
+	// configDelay is the one-way latency of the reliable control channel
 	// (out-of-band TCP in a real deployment): every configuration push and
 	// every completion notification back to the controller arrives this
-	// long after it was issued. Default 50us.
-	ConfigDelay sim.Duration
-}
+	// long after it was issued.
+	configDelay = 50 * time.Microsecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.HeartbeatPeriod == 0 {
 		c.HeartbeatPeriod = time.Millisecond
-	}
-	if c.FailureTimeout == 0 {
-		c.FailureTimeout = 4 * c.HeartbeatPeriod
-	}
-	if c.ConfigDelay == 0 {
-		c.ConfigDelay = 50 * time.Microsecond
 	}
 	return c
 }
@@ -144,7 +140,7 @@ type Controller struct {
 	noRevive bool
 
 	// mail keys the controller's outgoing control-channel posts: every
-	// config push travels as a posted message arriving ConfigDelay later.
+	// config push travels as a posted message arriving configDelay later.
 	mail *sim.Mailbox
 
 	// Iteration scratch, reused so the periodic scan allocates nothing in
@@ -178,17 +174,17 @@ func New(eng *sim.Engine, nw *netem.Network, cfg Config) *Controller {
 }
 
 // ctrlCall delivers fn to sw's control plane over the reliable control
-// channel: it arrives ConfigDelay later and is charged as a control-plane op
+// channel: it arrives configDelay later and is charged as a control-plane op
 // on sw.
 func (c *Controller) ctrlCall(sw *pisa.Switch, fn func()) {
 	c.post(func() { sw.CtrlDo(fn) })
 }
 
-// post delivers fn after ConfigDelay without the CtrlDo wrapper, for
+// post delivers fn after configDelay without the CtrlDo wrapper, for
 // operations that manage their own control-plane charging
 // (StartSnapshotTransfer runs its body under the donor's CtrlDo already).
 func (c *Controller) post(fn func()) {
-	c.mail.Post(c.eng, c.cfg.ConfigDelay, fn)
+	c.mail.Post(c.eng, configDelay, fn)
 }
 
 // Addr returns the controller's network address.
@@ -284,8 +280,8 @@ func StartHeartbeats(sw *pisa.Switch, ctrl netem.Addr, period sim.Duration) {
 	})
 }
 
-// scan declares switches dead after FailureTimeout of silence and triggers
-// reconfiguration.
+// scan declares switches dead after failureBeats heartbeat periods of
+// silence and triggers reconfiguration.
 func (c *Controller) scan() {
 	now := c.eng.Now()
 	addrs := c.scanScratch[:0]
@@ -295,7 +291,7 @@ func (c *Controller) scan() {
 	slices.Sort(addrs)
 	c.scanScratch = addrs
 	for _, addr := range addrs {
-		if c.dead[addr] || now.Sub(c.lastBeat[addr]) < c.cfg.FailureTimeout {
+		if c.dead[addr] || now.Sub(c.lastBeat[addr]) < failureBeats*c.cfg.HeartbeatPeriod {
 			continue
 		}
 		c.dead[addr] = true
@@ -340,14 +336,6 @@ func (c *Controller) AttachChainListener(reg uint16, m ChainMember) {
 // sendChain delivers cc to m over the reliable control channel.
 func (c *Controller) sendChain(m ChainMember, cc wire.ChainConfig) {
 	c.ctrlCall(m.Switch(), func() { m.SetChain(cc) })
-}
-
-// ChainEpoch returns the chain's current epoch (for tests/metrics).
-func (c *Controller) ChainEpoch(reg uint16) uint32 {
-	if cs, ok := c.chains[reg]; ok {
-		return cs.epoch
-	}
-	return 0
 }
 
 // pushChain bumps the epoch and delivers the configuration to every member
@@ -491,35 +479,12 @@ func (c *Controller) beginTransfer(cs *chainState) {
 		c.traceInstant("recovery.done", "promoted", int64(spare.Switch().Addr()), "epoch", int64(cs.epoch))
 	}
 	to := spare.Switch().Addr()
-	delay := c.cfg.ConfigDelay
+	delay := configDelay
 	c.post(func() {
 		donor.StartSnapshotTransfer(to, func() {
 			donorSw.Post(delay, promote)
 		})
 	})
-}
-
-// ReplaceChainMember performs a planned migration (§9: "migrating data as
-// needed"): newM joins the chain of register reg exactly like a recovery
-// spare (snapshot transfer + live-write forwarding), and once promoted the
-// old member is removed from the chain. Unlike failure recovery, the old
-// switch keeps serving throughout, so there is no availability gap. The
-// returned error reports an unknown register, a busy chain (a join already
-// in progress), or an old member that is not in the chain.
-func (c *Controller) ReplaceChainMember(reg uint16, old netem.Addr, newM ChainMember) error {
-	cs, ok := c.chains[reg]
-	if !ok {
-		return fmt.Errorf("controller: no chain for register %d", reg)
-	}
-	if cs.joining != nil {
-		return fmt.Errorf("controller: chain %d already has a join in progress", reg)
-	}
-	if !slices.ContainsFunc(cs.members, at[ChainMember](old)) {
-		return fmt.Errorf("controller: switch %d is not a member of chain %d", old, reg)
-	}
-	cs.retiring = old
-	c.startJoin(cs, newM)
-	return nil
 }
 
 // --- group management ---
@@ -611,12 +576,4 @@ func (c *Controller) reviveGroupMember(gs *groupState, addr netem.Addr) {
 	gs.evicted = rest
 	gs.members = append(gs.members, revived)
 	c.pushGroup(gs)
-}
-
-// GroupSize returns the current membership size of reg's group.
-func (c *Controller) GroupSize(reg uint16) int {
-	if gs, ok := c.groups[reg]; ok {
-		return len(gs.members)
-	}
-	return 0
 }

@@ -43,21 +43,19 @@ type LiveConfig struct {
 	// (wall clock — live deployments beat much slower than the simulated
 	// microsecond-scale fabric).
 	HeartbeatPeriod sim.Duration
-	// FailureTimeout declares a member dead after this much silence.
-	// Default 10x the heartbeat period: over real sockets a tight timeout
-	// converts scheduler hiccups into spurious failovers.
-	FailureTimeout sim.Duration
 	// ResendPeriod is the config/PeerList re-broadcast interval (UDP makes
 	// config delivery eventual, not reliable). Default 100ms.
 	ResendPeriod sim.Duration
 }
 
+// liveFailureBeats is how many heartbeat periods of silence declare a member
+// dead: over real sockets a tight timeout converts scheduler hiccups into
+// spurious failovers.
+const liveFailureBeats = 10
+
 func (c LiveConfig) withDefaults() LiveConfig {
 	if c.HeartbeatPeriod == 0 {
 		c.HeartbeatPeriod = 20 * time.Millisecond
-	}
-	if c.FailureTimeout == 0 {
-		c.FailureTimeout = 10 * c.HeartbeatPeriod
 	}
 	if c.ResendPeriod == 0 {
 		c.ResendPeriod = 100 * time.Millisecond
@@ -218,9 +216,9 @@ func (l *Live) pushConfigs() {
 	}
 }
 
-// scan declares members dead after FailureTimeout of silence and shrinks the
-// chain and group around them. Addresses are visited in sorted order so
-// simultaneous failures reconfigure deterministically.
+// scan declares members dead after liveFailureBeats heartbeat periods of
+// silence and shrinks the chain and group around them. Addresses are visited
+// in sorted order so simultaneous failures reconfigure deterministically.
 func (l *Live) scan() {
 	if !l.configured {
 		return
@@ -234,7 +232,7 @@ func (l *Live) scan() {
 	l.scratch = addrs
 	changed := false
 	for _, a := range addrs {
-		if l.dead[a] || now.Sub(l.lastBeat[a]) < l.cfg.FailureTimeout {
+		if l.dead[a] || now.Sub(l.lastBeat[a]) < liveFailureBeats*l.cfg.HeartbeatPeriod {
 			continue
 		}
 		l.dead[a] = true
@@ -266,21 +264,7 @@ func (l *Live) resend() {
 	}
 }
 
-// Present reports whether addr has announced itself. Pump goroutine only
-// (use Fabric.Call from outside).
-func (l *Live) Present(addr netem.Addr) bool { return l.present[addr] }
-
-// Configured reports whether the initial configuration has been pushed.
-// Pump goroutine only.
-func (l *Live) Configured() bool { return l.configured }
-
-// ChainEpoch returns the current chain epoch. Pump goroutine only.
-func (l *Live) ChainEpoch() uint32 { return l.chainEpoch }
-
 // AliveMembers returns the current membership. Pump goroutine only.
 func (l *Live) AliveMembers() []netem.Addr {
 	return append([]netem.Addr(nil), l.members...)
 }
-
-// Dead reports whether addr has been declared failed. Pump goroutine only.
-func (l *Live) Dead(addr netem.Addr) bool { return l.dead[addr] }

@@ -18,7 +18,7 @@ import (
 // is the in-between: a revived switch serving an old-epoch chain alongside
 // the reconfigured one (split-brain membership).
 func TestPauseResumeFailureDetector(t *testing.T) {
-	// Rig constants: HeartbeatPeriod 200µs → FailureTimeout 800µs (4×).
+	// Rig constants: HeartbeatPeriod 200µs → failure timeout 800µs (failureBeats = 4).
 	cases := []struct {
 		name      string
 		pause     time.Duration

@@ -274,9 +274,6 @@ func (r *BaselineCounter) Sum(key uint64) uint64 { return r.node.Sum(key) }
 // Backlog returns the control-plane replication queue length.
 func (r *BaselineCounter) Backlog() int { return r.node.Backlog() }
 
-// MemoryTotal returns the switch SRAM consumed by all declared registers.
-func (in *Instance) MemoryTotal() int { return in.sw.MemoryUsed() }
-
 // EachChain visits every declared chain register node in ascending register
 // order (deterministic for metrics registration and dumps).
 func (in *Instance) EachChain(fn func(reg uint16, n *chain.Node)) {

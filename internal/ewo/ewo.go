@@ -92,30 +92,25 @@ type Config struct {
 	// each switch in the replica group"). Default 8.
 	MaxGroup int
 	// SyncPeriod is the periodic synchronization interval. 0 means the
-	// default, 1ms, the paper's example; only SyncDisabled turns sync off.
+	// default, 1ms, the paper's example; a negative period turns sync off
+	// (for experiments isolating the per-write multicast path).
 	SyncPeriod sim.Duration
-	// SyncDisabled turns off periodic sync (for experiments isolating the
-	// per-write multicast path).
-	SyncDisabled bool
 	// Batch is the number of register writes held, across instants, for one
 	// multicast (§7 batching). It counts writes, not entries: a write to a
 	// slot the open update already carries overwrites that entry but still
 	// counts, so a hot key cannot hold a batch open. Default 1: nothing is
 	// held — the writes of one instant leave together at that instant, as
-	// one update (see enqueue).
+	// one update (see enqueue). A partial batch waits for the batch to fill
+	// or for Flush/periodic sync.
 	Batch int
-	// BatchTimeout bounds how long a partial batch may wait before being
-	// flushed anyway, capping the staleness/availability cost §7 attributes
-	// to batching. 0 disables the timer (a partial batch waits for the
-	// batch to fill or for Flush/periodic sync).
-	BatchTimeout sim.Duration
 	// SyncWindow is the rows one periodic-sync round walks. What they carry
 	// is packed into updates of at most wire.MaxUpdateBytes. Default 64.
 	SyncWindow int
-	// ClockSkew bounds the synchronized clock offset used for LWW stamps.
-	// Default 50ns (the paper cites tens-of-nanoseconds data-plane sync).
-	ClockSkew sim.Duration
 }
+
+// clockSkew bounds the synchronized clock offset used for LWW stamps (the
+// paper cites tens-of-nanoseconds data-plane sync).
+const clockSkew = 50 * time.Nanosecond
 
 func (c Config) withDefaults() Config {
 	if c.MaxGroup == 0 {
@@ -129,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SyncWindow <= 0 {
 		c.SyncWindow = 64
-	}
-	if c.ClockSkew == 0 {
-		c.ClockSkew = 50 * time.Nanosecond
 	}
 	return c
 }
@@ -180,13 +172,11 @@ type Node struct {
 	curBytes int
 	ufree    []*wire.EWOUpdate
 	ufreeFn  func(*wire.EWOUpdate)
-	// flushFn, bound once, is what closes the open update on the clock: the
-	// event at the end of the instant (armed says one is queued) and, when
-	// batching, the BatchTimeout timer.
-	flushFn    func()
-	armed      bool
-	batchTimer sim.Timer
-	ticker     *sim.Ticker
+	// flushFn, bound once, closes the open update at the end of the instant
+	// (armed says the event is queued).
+	flushFn func()
+	armed   bool
+	ticker  *sim.Ticker
 	// syncRows is the sync walk's key-ordered row snapshot (see syncWalk);
 	// syncCursor walks it across periodic sync rounds. round counts the
 	// rounds, walks the walks begun. floor says the current walk sends every
@@ -234,7 +224,7 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 	n := &Node{
 		sw:    sw,
 		cfg:   cfg,
-		clock: timesync.NewSynced(sw.Engine(), timesync.NodeID(sw.Addr()), cfg.ClockSkew),
+		clock: timesync.NewSynced(sw.Engine(), timesync.NodeID(sw.Addr()), clockSkew),
 		rng:   rand.New(rand.NewSource(nodeSeed(sw.Engine().Seed(), uint64(sw.Addr()), uint64(cfg.Reg)))),
 	}
 	n.ufreeFn = func(u *wire.EWOUpdate) { n.ufree = append(n.ufree, u) }
@@ -246,7 +236,7 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 	if n.tab, err = newTable(sw, cfg); err != nil {
 		return nil, err
 	}
-	if !cfg.SyncDisabled {
+	if cfg.SyncPeriod > 0 {
 		n.ticker = sw.PacketGen(cfg.SyncPeriod, n.syncRound)
 	}
 	return n, nil
@@ -483,9 +473,9 @@ func (n *Node) getUpdate(sync bool) *wire.EWOUpdate {
 // for the slot.
 //
 // Batch > 1 holds the open update across instants instead, until Batch
-// deltas have joined it or BatchTimeout expires. Deltas accumulate in a
-// pooled update and both clocks run one bound-once closure, so the
-// steady-state write path (delta in, update out) allocates nothing.
+// deltas have joined it. Deltas accumulate in a pooled update and the clock
+// runs one bound-once closure, so the steady-state write path (delta in,
+// update out) allocates nothing.
 func (n *Node) enqueue(e wire.EWOEntry) {
 	u := n.open()
 	at, grow := -1, e.Size()
@@ -515,8 +505,6 @@ func (n *Node) enqueue(e wire.EWOEntry) {
 		}
 	case n.held >= n.cfg.Batch:
 		n.Flush()
-	case n.cfg.BatchTimeout > 0 && !n.batchTimer.Pending():
-		n.batchTimer = eng.AfterVal(n.cfg.BatchTimeout, n.flushFn)
 	}
 }
 
@@ -530,7 +518,6 @@ func (n *Node) open() *wire.EWOUpdate {
 
 // Flush multicasts pending deltas to the group via egress mirroring (§7).
 func (n *Node) Flush() {
-	n.batchTimer.Stop()
 	u := n.cur
 	if u == nil {
 		return
@@ -560,9 +547,6 @@ func (n *Node) Flush() {
 	n.Stats.UpdatesSent.Inc()
 	u.Release()
 }
-
-// PendingDeltas returns the number of deltas waiting in the open update.
-func (n *Node) PendingDeltas() int { return n.held }
 
 // Handle routes a protocol message to this node; it reports whether the
 // message was consumed.

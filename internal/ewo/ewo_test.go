@@ -273,7 +273,7 @@ func TestPeriodicSyncRepairsLoss(t *testing.T) {
 
 func TestSyncDisabledDoesNotRepair(t *testing.T) {
 	cfg := ctrCfg()
-	cfg.SyncDisabled = true
+	cfg.SyncPeriod = -1
 	r := newRig(t, 13, 2, cfg, netem.LinkProfile{Latency: 10_000, LossRate: 1.0})
 	r.nodes[0].Add(1, 5)
 	r.eng.RunFor(50 * time.Millisecond)
@@ -299,7 +299,7 @@ func TestLWWSyncRepairsLoss(t *testing.T) {
 func TestBatchingCoalesces(t *testing.T) {
 	cfg := ctrCfg()
 	cfg.Batch = 8
-	cfg.SyncDisabled = true
+	cfg.SyncPeriod = -1
 	r := newRig(t, 1, 2, cfg, netem.LinkProfile{Latency: 10_000})
 	for i := 0; i < 7; i++ {
 		r.nodes[0].Add(uint64(i), 1)
@@ -326,7 +326,7 @@ func TestBatchingReducesPackets(t *testing.T) {
 	run := func(batch int) uint64 {
 		cfg := ctrCfg()
 		cfg.Batch = batch
-		cfg.SyncDisabled = true
+		cfg.SyncPeriod = -1
 		r := newRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 10_000})
 		// One write per instant — a packet every microsecond: what leaves
 		// together without batching is an instant's writes, so only writes
@@ -647,7 +647,7 @@ func TestLWWOverWidthEntryIsStale(t *testing.T) {
 func TestLWWInFlightUpdateIsStable(t *testing.T) {
 	for _, sync := range []bool{false, true} {
 		cfg := lwwCfg()
-		cfg.SyncDisabled = true
+		cfg.SyncPeriod = -1
 		r := newRig(t, 1, 2, cfg, netem.LinkProfile{Latency: 10_000})
 		a := r.nodes[0]
 		var got []string
@@ -684,7 +684,7 @@ func TestFlushWithoutGroupDropsCleanly(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := netem.New(eng, netem.LinkProfile{})
 	sw := pisa.New(eng, nw, pisa.Config{Addr: 1})
-	n, err := NewNode(sw, Config{Reg: 1, Capacity: 8, Kind: Counter, SyncDisabled: true})
+	n, err := NewNode(sw, Config{Reg: 1, Capacity: 8, Kind: Counter, SyncPeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -701,7 +701,7 @@ func TestFlushWithoutGroupDropsCleanly(t *testing.T) {
 // The writes of one instant leave as one update, at that instant: one entry
 // per slot in first-write order, a slot written twice carrying its last value.
 func TestInstantWritesLeaveAsOneUpdate(t *testing.T) {
-	cfg := Config{Reg: 3, Capacity: 64, Kind: PNCounter, SyncDisabled: true}
+	cfg := Config{Reg: 3, Capacity: 64, Kind: PNCounter, SyncPeriod: -1}
 	r := newRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 10_000})
 	var got []wire.EWOEntry
 	r.sws[1].SetMsgHandler(func(_ *pisa.Switch, from netem.Addr, msg wire.Msg) {
@@ -740,7 +740,7 @@ func TestInstantWritesLeaveAsOneUpdate(t *testing.T) {
 // running value, the next write after a pause carries what was lost.
 func TestSameInstantFailOrPauseLosesTheUpdate(t *testing.T) {
 	cfg := ctrCfg()
-	cfg.SyncDisabled = true
+	cfg.SyncPeriod = -1
 	r := newRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 10_000})
 	r.nodes[0].Add(1, 5)
 	r.sws[0].Fail()
@@ -765,7 +765,7 @@ func TestSameInstantFailOrPauseLosesTheUpdate(t *testing.T) {
 // what is pending then; the event sends whatever joined afterwards, or nothing.
 func TestExplicitFlushWithEventArmed(t *testing.T) {
 	cfg := ctrCfg()
-	cfg.SyncDisabled = true
+	cfg.SyncPeriod = -1
 	r := newRig(t, 1, 2, cfg, netem.LinkProfile{Latency: 10_000})
 	n := r.nodes[0]
 	n.Add(1, 1)
@@ -785,47 +785,6 @@ func TestExplicitFlushWithEventArmed(t *testing.T) {
 	if n.Stats.UpdatesSent.Value() != 3 || r.nodes[1].Sum(1) != 2 || r.nodes[1].Sum(2) != 1 {
 		t.Fatalf("%d updates sent, replica reads %d and %d; want 3, 2, 1",
 			n.Stats.UpdatesSent.Value(), r.nodes[1].Sum(1), r.nodes[1].Sum(2))
-	}
-}
-
-func TestBatchTimeoutFlushesPartialBatch(t *testing.T) {
-	cfg := ctrCfg()
-	cfg.Batch = 16
-	cfg.BatchTimeout = 200 * time.Microsecond
-	cfg.SyncDisabled = true
-	r := newRig(t, 41, 2, cfg, netem.LinkProfile{Latency: 10_000})
-	r.nodes[0].Add(1, 7) // 1 of 16: would wait forever without the timer
-	r.eng.RunFor(100 * time.Microsecond)
-	if r.nodes[1].Sum(1) != 0 {
-		t.Fatal("partial batch flushed before the timeout")
-	}
-	r.eng.RunFor(time.Millisecond)
-	if got := r.nodes[1].Sum(1); got != 7 {
-		t.Fatalf("replica = %d after batch timeout, want 7", got)
-	}
-	// A full batch still flushes immediately and re-arms cleanly.
-	for i := 0; i < 16; i++ {
-		r.nodes[0].Add(2, 1)
-	}
-	r.eng.RunFor(100 * time.Microsecond)
-	if got := r.nodes[1].Sum(2); got != 16 {
-		t.Fatalf("full batch delayed: %d", got)
-	}
-}
-
-func TestBatchTimerRearmsPerBatch(t *testing.T) {
-	cfg := ctrCfg()
-	cfg.Batch = 4
-	cfg.BatchTimeout = 300 * time.Microsecond
-	cfg.SyncDisabled = true
-	r := newRig(t, 43, 2, cfg, netem.LinkProfile{Latency: 10_000})
-	// Two partial batches separated in time: each must flush on its own timer.
-	r.nodes[0].Add(1, 1)
-	r.eng.RunFor(time.Millisecond)
-	r.nodes[0].Add(2, 1)
-	r.eng.RunFor(time.Millisecond)
-	if r.nodes[1].Sum(1) != 1 || r.nodes[1].Sum(2) != 1 {
-		t.Fatalf("timers did not re-arm: %d %d", r.nodes[1].Sum(1), r.nodes[1].Sum(2))
 	}
 }
 

@@ -23,7 +23,7 @@ func mkIsolated(t testing.TB, kind Kind, addr netem.Addr) *Node {
 	eng := sim.NewEngine(int64(addr))
 	nw := netem.New(eng, netem.LinkProfile{})
 	sw := pisa.New(eng, nw, pisa.Config{Addr: addr})
-	cfg := Config{Reg: 1, Capacity: 4096, ValueWidth: 8, Kind: kind, SyncDisabled: true}
+	cfg := Config{Reg: 1, Capacity: 4096, ValueWidth: 8, Kind: kind, SyncPeriod: -1}
 	n, err := NewNode(sw, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +345,7 @@ func newTableProbe(t testing.TB, kind Kind, capacity int) *tableProbe {
 	p := &tableProbe{eng: sim.NewEngine(1)}
 	nw := netem.New(p.eng, netem.LinkProfile{})
 	sw := pisa.New(p.eng, nw, pisa.Config{Addr: 1})
-	n, err := NewNode(sw, Config{Reg: 1, Capacity: capacity, ValueWidth: probeWidth, Kind: kind, SyncDisabled: true, SyncWindow: probeWindow})
+	n, err := NewNode(sw, Config{Reg: 1, Capacity: capacity, ValueWidth: probeWidth, Kind: kind, SyncPeriod: -1, SyncWindow: probeWindow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1020,7 +1020,9 @@ type coalesceRun struct {
 // and run until every replica agrees.
 func (p coalesceProgram) run(t testing.TB, flushEach bool, loss float64) coalesceRun {
 	cfg := p.cfg
-	cfg.SyncDisabled = loss == 0
+	if loss == 0 {
+		cfg.SyncPeriod = -1
+	}
 	cfg = cfg.withDefaults()
 	r := newRig(t, 7, p.members, cfg, netem.LinkProfile{Latency: 10_000, LossRate: loss})
 	out := coalesceRun{seen: make([][][][]byte, p.members)}

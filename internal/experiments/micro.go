@@ -250,18 +250,6 @@ func (r *DDoSReplay) Accounted() int {
 	return n
 }
 
-// EWOStats sums the detectors' EWO protocol counters.
-func (r *DDoSReplay) EWOStats() (merged, stale, syncPackets, syncBytes uint64) {
-	for _, d := range r.Dets {
-		s := &d.Register().Node().Stats
-		merged += s.EntriesMerged.Value()
-		stale += s.EntriesStale.Value()
-		syncPackets += s.SyncPackets.Value()
-		syncBytes += s.SyncBytes.Value()
-	}
-	return
-}
-
 // MicroDDoSReplay measures a packet of the DDoSReplay: an op is one injected
 // packet, so ns/op is the simulator's whole cost of a packet, and a CPU
 // profile of it (`go test -run '^$' -bench DDoSReplay -cpuprofile cpu.out

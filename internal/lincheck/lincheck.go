@@ -475,12 +475,6 @@ func (r *Recorder) Add(key uint64, op Op) {
 	r.ops = append(r.ops, op)
 }
 
-// AddPending appends a pending operation on key (End = Inf): invoked at
-// start but never observed to complete.
-func (r *Recorder) AddPending(key uint64, start int64, write bool, value string) {
-	r.Add(key, Pending(start, write, value))
-}
-
 // Len returns the number of recorded operations.
 func (r *Recorder) Len() int { return len(r.ops) }
 

@@ -56,12 +56,6 @@ type SoakConfig struct {
 	// Loss is the injected outbound loss rate on every member. Default 0.05
 	// (the acceptance floor).
 	Loss float64
-	// Latency/Jitter/DupRate/ReorderRate complete the injected fault model.
-	// Defaults: 200µs latency, 100µs jitter, 1% dup, 1% reorder.
-	Latency     time.Duration
-	Jitter      time.Duration
-	DupRate     float64
-	ReorderRate float64
 	// CorruptRate adds payload bit-corruption to every member's egress: a
 	// corrupted frame reaches the receiver with its 2-byte sender header
 	// intact and must be counted as a clean decode error — never delivered
@@ -83,10 +77,6 @@ type SoakConfig struct {
 	// detector must ride the pause out without evicting, and every oracle
 	// must still pass over the replayed state. Default 0 (off).
 	PauseFor time.Duration
-	// OpInterval is the pacing between workload ops. Default 300µs.
-	OpInterval time.Duration
-	// Keys is the strong-register key range. Default 32.
-	Keys int
 	// Trace, when non-empty, drives the workload from a trafficgen packet
 	// trace instead of the synthetic op mix: each packet maps
 	// deterministically (by flow hash) onto a member and an op — flow
@@ -111,6 +101,17 @@ type SoakConfig struct {
 	Stop <-chan struct{}
 }
 
+// The soak's fixed fault model beside Loss (200µs latency, 100µs jitter, 1%
+// dup, 1% reorder), its op pacing and its strong-register key range.
+const (
+	soakLatency     = 200 * time.Microsecond
+	soakJitter      = 100 * time.Microsecond
+	soakDupRate     = 0.01
+	soakReorderRate = 0.01
+	soakOpInterval  = 300 * time.Microsecond
+	soakKeys        = 32
+)
+
 func (c SoakConfig) withDefaults() SoakConfig {
 	if c.Members == 0 {
 		c.Members = 3
@@ -120,24 +121,6 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	}
 	if c.Loss == 0 {
 		c.Loss = 0.05
-	}
-	if c.Latency == 0 {
-		c.Latency = 200 * time.Microsecond
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 100 * time.Microsecond
-	}
-	if c.DupRate == 0 {
-		c.DupRate = 0.01
-	}
-	if c.ReorderRate == 0 {
-		c.ReorderRate = 0.01
-	}
-	if c.OpInterval == 0 {
-		c.OpInterval = 300 * time.Microsecond
-	}
-	if c.Keys == 0 {
-		c.Keys = 32
 	}
 	if c.SampleInterval == 0 {
 		c.SampleInterval = 100 * time.Millisecond
@@ -228,11 +211,11 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	ctrlFab.Start()
 
 	faulty := netem.LinkProfile{
-		Latency:     cfg.Latency,
-		Jitter:      cfg.Jitter,
+		Latency:     soakLatency,
+		Jitter:      soakJitter,
 		LossRate:    cfg.Loss,
-		DupRate:     cfg.DupRate,
-		ReorderRate: cfg.ReorderRate,
+		DupRate:     soakDupRate,
+		ReorderRate: soakReorderRate,
 		CorruptRate: cfg.CorruptRate,
 		LossEveryN:  cfg.LossEveryN,
 	}
@@ -391,7 +374,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 		}
 	}
 	if len(cfg.Trace) > 0 {
-		// Trace-driven: packets arrive in trace order at OpInterval pacing
+		// Trace-driven: packets arrive in trace order at soakOpInterval pacing
 		// and map deterministically onto ops; the trace loops until the
 		// budget elapses.
 		for ti := 0; time.Since(start) < cfg.Budget && !stopped(); ti = (ti + 1) % len(cfg.Trace) {
@@ -404,26 +387,26 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 			i := int(h % uint64(cfg.Members))
 			switch {
 			case tp.FlowStart: // connection state insert
-				postStrong(i, h%uint64(cfg.Keys), h)
+				postStrong(i, h%uint64(soakKeys), h)
 			case tp.FlowEnd: // last-seen state
 				postLWW(i, h%LWWKeys, []byte(fmt.Sprintf("%08x", uint32(h))))
 			default: // per-flow packet counting (the DDoS use case)
 				postAdd(i, h%CounterKeys, 1)
 			}
-			time.Sleep(cfg.OpInterval)
+			time.Sleep(soakOpInterval)
 		}
 	} else {
 		for time.Since(start) < cfg.Budget && !stopped() {
 			i := wrng.Intn(cfg.Members)
 			switch r := wrng.Intn(100); {
 			case r < 40:
-				postStrong(i, uint64(wrng.Intn(cfg.Keys)), wrng.Uint64())
+				postStrong(i, uint64(wrng.Intn(soakKeys)), wrng.Uint64())
 			case r < 75:
 				postAdd(i, uint64(wrng.Intn(CounterKeys)), uint64(wrng.Intn(5)+1))
 			default:
 				postLWW(i, uint64(wrng.Intn(LWWKeys)), []byte(fmt.Sprintf("%08x", wrng.Uint32())))
 			}
-			time.Sleep(cfg.OpInterval)
+			time.Sleep(soakOpInterval)
 		}
 	}
 

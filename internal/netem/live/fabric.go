@@ -318,9 +318,6 @@ func (f *Fabric) Bootstrap(ctrl netem.Addr, ctrlEP netip.AddrPort, period sim.Du
 	f.eng.Every(period, announce)
 }
 
-// Bootstrapped reports whether a PeerList has been applied (thread-safe).
-func (f *Fabric) Bootstrapped() bool { return f.peersEpoch.Load() > 0 }
-
 // applyPeerList merges a controller directory broadcast. Pump goroutine.
 func (f *Fabric) applyPeerList(pl *wire.PeerList) {
 	if pl.Epoch < f.peersEpoch.Load() {
@@ -652,7 +649,6 @@ func (f *Fabric) RegisterMetrics(reg *obs.Registry, labels string) {
 	reg.AddCounterFunc("live.rx.bytes", labels, func() uint64 { return f.node.Stats().BytesReceived })
 	reg.AddCounterFunc("live.rx.dropped", labels, func() uint64 { return f.node.Stats().Dropped })
 	reg.AddCounterFunc("live.rx.decodeerr", labels, func() uint64 { return f.node.Stats().DecodeErr })
-	reg.AddCounterFunc("live.part.dropped", labels, func() uint64 { return f.node.Stats().PartDropped })
 	reg.AddCounterFunc("live.fabric.injected", labels, func() uint64 { return f.FStats().Injected })
 	reg.AddCounterFunc("live.fabric.system", labels, func() uint64 { return f.FStats().SystemConsumed })
 	reg.AddCounterFunc("live.fabric.egress", labels, func() uint64 { return f.FStats().EgressMsgs })

@@ -11,8 +11,8 @@
 // the same fault model: every outbound datagram is judged by the
 // netem.Shaper.Decide the simulated fabric calls, over one Shaper per
 // destination seeded exactly as the simulator seeds that directed link, so a
-// seed condemns the same messages on either fabric. Receive-side loss plus
-// partition groups complete the parity. The network underneath stays real.
+// seed condemns the same messages on either fabric, and receive-side loss
+// completes the parity. The network underneath stays real.
 //
 // Hot-path discipline matches DESIGN.md §6: sends marshal into pooled
 // buffers and receives hand the kernel's read buffer straight to the
@@ -63,11 +63,9 @@ var ErrRejected = errors.New("live: send rejected by link deny policy")
 // the bytes longer must copy (the wire decoders do, field by field).
 type RawHandler func(from netem.Addr, src netip.AddrPort, payload []byte)
 
-// Options configures a node's deterministic fault injection.
+// Options configures a node's deterministic fault injection. Receive-side
+// loss is set after Listen (SetRecvLoss).
 type Options struct {
-	// LossRate drops this fraction of received messages (applied before
-	// delivery so the network itself stays real).
-	LossRate float64
 	// Seed drives all fault sampling on this node.
 	Seed int64
 	// Profile shapes the send path with the full netem fault model (see
@@ -91,8 +89,6 @@ type Node struct {
 	// unknown): every send resolves its destination here, so it is a table
 	// indexed by address rather than a map.
 	peers    netem.AddrTable[netip.AddrPort]
-	groups   map[netem.Addr]int // partition group per peer (0 = unpartitioned)
-	group    int                // this node's partition group
 	raw      RawHandler
 	lossRate float64 // receive-side loss
 	profile  netem.LinkProfile
@@ -146,7 +142,6 @@ type Stats struct {
 	TxDropped     uint64 // injected send-side loss (random + every-Nth)
 	TxDup         uint64 // injected duplicates
 	TxDelayed     uint64 // datagrams sent through the delay path
-	PartDropped   uint64 // partition drops, both directions
 	TxCorrupted   uint64 // datagrams transmitted with flipped payload bits
 	TxBlackholed  uint64 // datagrams swallowed by DenyBlackhole
 	TxRejected    uint64 // sends refused by DenyReject (ErrRejected returned)
@@ -157,7 +152,6 @@ type nodeCounters struct {
 	sent, received, dropped, decodeErr    atomic.Uint64
 	bytesSent, bytesReceived              atomic.Uint64
 	txDropped, txDup, txDelayed           atomic.Uint64
-	partDropped                           atomic.Uint64
 	txCorrupted, txBlackholed, txRejected atomic.Uint64
 }
 
@@ -184,9 +178,7 @@ func Listen(addr netem.Addr, opts Options) (*Node, error) {
 	n := &Node{
 		addr:         addr,
 		conn:         conn,
-		groups:       make(map[netem.Addr]int),
 		peerProfiles: make(map[netem.Addr]netem.LinkProfile),
-		lossRate:     opts.LossRate,
 		profile:      opts.Profile,
 		seed:         opts.Seed,
 		born:         time.Now(),
@@ -260,44 +252,6 @@ func (n *Node) SetRecvLoss(rate float64) {
 	n.lossRate = rate
 }
 
-// SetPartition assigns this node to a partition group. As on the emulated
-// fabric, nodes in different nonzero groups cannot exchange messages; group
-// 0 talks to everyone. The peer's group is whatever SetPeerGroup recorded —
-// each process keeps its own view, mirroring how a real injected partition
-// is configured on every box it affects.
-func (n *Node) SetPartition(group int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.group = group
-}
-
-// SetPeerGroup records the partition group of a peer address.
-func (n *Node) SetPeerGroup(addr netem.Addr, group int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.groups[addr] = group
-}
-
-// HealPartition returns this node and all peers to group 0.
-func (n *Node) HealPartition() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.group = 0
-	for a := range n.groups {
-		delete(n.groups, a)
-	}
-}
-
-// partitionedLocked reports whether traffic with peer is partitioned away.
-// Caller holds n.mu.
-func (n *Node) partitionedLocked(peer netem.Addr) bool {
-	if n.group == 0 {
-		return false
-	}
-	g := n.groups[peer]
-	return g != 0 && g != n.group
-}
-
 // AddPeerAddrPort registers where another SwiShmem address lives.
 func (n *Node) AddPeerAddrPort(addr netem.Addr, ap netip.AddrPort) {
 	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
@@ -358,26 +312,21 @@ func (n *Node) plan(to netem.Addr, size int) (pl sendPlan, send bool, err error)
 		n.mu.Unlock()
 		return pl, false, fmt.Errorf("live: no peer registered for address %d", to)
 	}
-	pl.Fate = netem.DropPartition
-	if !n.partitionedLocked(to) {
-		p := n.profile
-		if pp, ok := n.peerProfiles[to]; ok {
-			p = pp
-		}
-		pl.shaper = n.shapers.Get(to)
-		if pl.shaper == nil {
-			sh := netem.NewShaper(n.seed, n.addr, to)
-			pl.shaper = &sh
-			n.shapers.Set(to, pl.shaper)
-		}
-		pl.Verdict = pl.shaper.Decide(&p, sim.Time(time.Since(n.born)), size)
+	p := n.profile
+	if pp, ok := n.peerProfiles[to]; ok {
+		p = pp
 	}
+	pl.shaper = n.shapers.Get(to)
+	if pl.shaper == nil {
+		sh := netem.NewShaper(n.seed, n.addr, to)
+		pl.shaper = &sh
+		n.shapers.Set(to, pl.shaper)
+	}
+	pl.Verdict = pl.shaper.Decide(&p, sim.Time(time.Since(n.born)), size)
 	n.mu.Unlock()
 	switch pl.Fate {
 	case netem.Deliver, netem.DropCorrupt:
 		return pl, true, nil
-	case netem.DropPartition:
-		n.cnt.partDropped.Add(1)
 	case netem.DropBlackhole:
 		n.cnt.txBlackholed.Add(1)
 	case netem.DropReject:
@@ -505,7 +454,6 @@ func (n *Node) Stats() Stats {
 		TxDropped:     c.txDropped.Load(),
 		TxDup:         c.txDup.Load(),
 		TxDelayed:     c.txDelayed.Load(),
-		PartDropped:   c.partDropped.Load(),
 		TxCorrupted:   c.txCorrupted.Load(),
 		TxBlackholed:  c.txBlackholed.Load(),
 		TxRejected:    c.txRejected.Load(),
@@ -583,13 +531,8 @@ func (n *Node) processDatagram(src netip.AddrPort, b []byte) {
 	}
 	n.mu.Lock()
 	drop := n.lossRate > 0 && n.rng.Float64() < n.lossRate
-	part := n.partitionedLocked(from)
 	raw := n.raw
 	n.mu.Unlock()
-	if part {
-		n.cnt.partDropped.Add(1)
-		return
-	}
 	if drop {
 		n.cnt.dropped.Add(1)
 		return

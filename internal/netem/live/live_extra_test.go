@@ -174,46 +174,3 @@ func TestSendShapingDelay(t *testing.T) {
 		t.Fatalf("stats = %+v, want TxDelayed=1", st)
 	}
 }
-
-// TestPartition verifies both directions of partition groups, and healing.
-func TestPartition(t *testing.T) {
-	recvd := make(chan wire.Msg, 8)
-	a, err := Listen(1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b := listen(t, 2, Options{})
-	b.SetRawHandler(decoded(func(_ netem.Addr, msg wire.Msg) { recvd <- msg }))
-	mesh([]*Node{a, b})
-
-	// Send-side: a in group 1, knows b is in group 2 -> drop at a.
-	a.SetPartition(1)
-	a.SetPeerGroup(2, 2)
-	if err := a.Send(2, &wire.Heartbeat{From: 1, Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if st := a.Stats(); st.PartDropped != 1 || st.Sent != 0 {
-		t.Fatalf("send-side: stats = %+v, want PartDropped=1 Sent=0", st)
-	}
-
-	// Receive-side: a healed, b partitioned from a -> drop at b.
-	a.HealPartition()
-	b.SetPartition(2)
-	b.SetPeerGroup(1, 1)
-	if err := a.Send(2, &wire.Heartbeat{From: 1, Seq: 2}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return b.Stats().PartDropped == 1 })
-
-	// Healed: traffic flows again.
-	b.HealPartition()
-	if err := a.Send(2, &wire.Heartbeat{From: 1, Seq: 3}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-recvd:
-	case <-time.After(2 * time.Second):
-		t.Fatal("message after heal never arrived")
-	}
-}

@@ -180,7 +180,8 @@ func TestUnknownPeer(t *testing.T) {
 func TestInjectedLoss(t *testing.T) {
 	nodes := mkMesh(t, 2, Options{})
 	// Receiver drops ~half.
-	lossy := listen(t, 9, Options{LossRate: 0.5, Seed: 3})
+	lossy := listen(t, 9, Options{Seed: 3})
+	lossy.SetRecvLoss(0.5)
 	nodes[0].AddPeerAddrPort(9, lossy.AddrPort())
 	var c collect
 	lossy.SetRawHandler(decoded(c.handler))
@@ -327,7 +328,8 @@ func TestLiveEWOGossip(t *testing.T) {
 	const n = 3
 	nodes := make([]*Node, n)
 	for i := range nodes {
-		nodes[i] = listen(t, netem.Addr(i+1), Options{LossRate: 0.3, Seed: int64(i + 1)})
+		nodes[i] = listen(t, netem.Addr(i+1), Options{Seed: int64(i + 1)})
+		nodes[i].SetRecvLoss(0.3)
 	}
 	mesh(nodes)
 	group := []netem.Addr{1, 2, 3}

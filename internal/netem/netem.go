@@ -104,9 +104,6 @@ func DataCenter() LinkProfile {
 	return LinkProfile{Latency: 10_000, BandwidthBps: 100e9}
 }
 
-// Lossy returns profile p with the given loss rate.
-func (p LinkProfile) Lossy(rate float64) LinkProfile { p.LossRate = rate; return p }
-
 // LinkStats accumulates per-direction accounting.
 type LinkStats struct {
 	MsgsSent     uint64
@@ -555,16 +552,6 @@ func (n *Network) Stats(a, b Addr) LinkStats {
 		return l.stats
 	}
 	return LinkStats{}
-}
-
-// EachLink invokes fn for every directed link the network knows about, in
-// ascending (from, to) order so output built from it is deterministic.
-// This closes the Stats/Totals asymmetry: Totals returns the global
-// aggregate, but per-link stats used to be reachable only by asking for a
-// (from, to) pair the caller already knew existed — exporters iterate here
-// without any topology knowledge.
-func (n *Network) EachLink(fn func(from, to Addr, s LinkStats)) {
-	n.eachLink(func(from, to Addr, l *link) { fn(from, to, l.stats) })
 }
 
 // Totals returns network-wide accounting.

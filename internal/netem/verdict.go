@@ -14,8 +14,8 @@ type Fate uint8
 const (
 	Deliver Fate = iota
 	// DropPartition is never returned by Decide: partition groups belong to
-	// the fabric, not to a link, so the transports check them first and
-	// account the drop under this fate.
+	// the simulated network, not to a link, so Network.Send checks them
+	// first and accounts the drop under this fate.
 	DropPartition
 	DropBlackhole
 	DropReject

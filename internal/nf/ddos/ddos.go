@@ -36,12 +36,10 @@ type Config struct {
 	Threshold uint64
 	// Window is the detection window length. Default 10ms.
 	Window sim.Duration
-	// Windows is how many epochs of cells the register holds (ring).
-	// Default 4.
-	Windows int
-	// SyncPeriod forwards to the EWO register (0 = default 1ms).
-	SyncPeriod sim.Duration
 }
+
+// windows is how many epochs of cells the register holds (a ring).
+const windows = 4
 
 func (c Config) withDefaults() Config {
 	if c.Width <= 0 {
@@ -52,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = 10_000_000 // 10ms
-	}
-	if c.Windows <= 0 {
-		c.Windows = 4
 	}
 	return c
 }
@@ -93,10 +88,9 @@ func New(in *core.Instance, cfg Config) (*Detector, error) {
 		return nil, fmt.Errorf("ddos: need a positive threshold")
 	}
 	reg, err := in.NewCounterRegister(ewo.Config{
-		Reg:        cfg.Reg,
-		Capacity:   cfg.Width * cfg.Depth * cfg.Windows,
-		Kind:       ewo.Counter,
-		SyncPeriod: cfg.SyncPeriod,
+		Reg:      cfg.Reg,
+		Capacity: cfg.Width * cfg.Depth * windows,
+		Kind:     ewo.Counter,
 	})
 	if err != nil {
 		return nil, err
@@ -127,7 +121,7 @@ func (d *Detector) Install() {
 
 // cellKey maps (epoch, row, column) to a register key.
 func (d *Detector) cellKey(epoch uint64, row, col int) uint64 {
-	e := epoch % uint64(d.cfg.Windows)
+	e := epoch % windows
 	return e*uint64(d.cfg.Width*d.cfg.Depth) + uint64(row*d.cfg.Width+col)
 }
 
@@ -138,19 +132,6 @@ func mix(h uint64) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
-}
-
-// Estimate returns the merged cluster-wide count-min estimate of dst's
-// packet count in the current window.
-func (d *Detector) Estimate(dst uint32) uint64 {
-	var min uint64 = ^uint64(0)
-	for r := 0; r < d.cfg.Depth; r++ {
-		col := int(mix(uint64(dst)^uint64(r+1)*0x9e3779b97f4a7c15) % uint64(d.cfg.Width))
-		if v := d.reg.Sum(d.cellKey(d.epoch, r, col)); v < min {
-			min = v
-		}
-	}
-	return min
 }
 
 func (d *Detector) program(sw *pisa.Switch, p *packet.Packet) pisa.Verdict {

@@ -31,17 +31,10 @@ type Config struct {
 	Reg uint16
 	// Capacity is the connection table size.
 	Capacity int
-	// Inside reports whether an address is on the protected side.
-	// Default: 10.0.0.0/8.
-	Inside func(a netip.Addr) bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Inside == nil {
-		c.Inside = func(a netip.Addr) bool { return a.As4()[0] == 10 }
-	}
-	return c
-}
+// inside reports whether an address is on the protected side, 10.0.0.0/8.
+func inside(a netip.Addr) bool { return a.As4()[0] == 10 }
 
 // Stats counts firewall events.
 type Stats struct {
@@ -71,7 +64,6 @@ type Firewall struct {
 
 // New declares the firewall on a switch instance.
 func New(in *core.Instance, cfg Config) (*Firewall, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("firewall: need positive capacity")
 	}
@@ -104,7 +96,7 @@ func (f *Firewall) Install() {
 // connKey canonicalizes both directions of a connection to one register key
 // (the inside-originated orientation).
 func (f *Firewall) connKey(k packet.FlowKey) uint64 {
-	if f.cfg.Inside(k.Src) {
+	if inside(k.Src) {
 		return nf.FlowID(k)
 	}
 	return nf.FlowID(k.Reverse())
@@ -122,7 +114,7 @@ func (f *Firewall) program(sw *pisa.Switch, p *packet.Packet) pisa.Verdict {
 			known, st = true, v[0]
 		}
 	})
-	if f.cfg.Inside(k.Src) {
+	if inside(k.Src) {
 		// Outbound: always allowed; state transitions go via control plane.
 		switch {
 		case p.TCP.Flags.Has(packet.FlagSYN) && !known:

@@ -34,17 +34,11 @@ type Config struct {
 	Reg uint16
 	// Capacity is the maximum number of signatures.
 	Capacity int
-	// MaxWindows bounds the number of payload windows scanned per packet
-	// (pipeline stage budget). Default 16.
-	MaxWindows int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxWindows <= 0 {
-		c.MaxWindows = 16
-	}
-	return c
-}
+// maxWindows bounds the number of payload windows scanned per packet (the
+// pipeline stage budget).
+const maxWindows = 16
 
 // Stats counts IPS events.
 type Stats struct {
@@ -67,7 +61,6 @@ type IPS struct {
 
 // New declares the IPS on a switch instance.
 func New(in *core.Instance, cfg Config) (*IPS, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("ips: need positive capacity")
 	}
@@ -121,12 +114,6 @@ func (s *IPS) AddSignature(pattern []byte, done func(ok bool)) {
 	s.reg.Write(SignatureKey(pattern), []byte{1}, done)
 }
 
-// RemoveSignature retires a signature (writes a tombstone).
-func (s *IPS) RemoveSignature(pattern []byte, done func(ok bool)) {
-	s.Stats.Updates.Inc()
-	s.reg.Write(SignatureKey(pattern), []byte{0}, done)
-}
-
 func (s *IPS) program(sw *pisa.Switch, p *packet.Packet) pisa.Verdict {
 	if p.IP == nil {
 		return pisa.Drop
@@ -134,8 +121,8 @@ func (s *IPS) program(sw *pisa.Switch, p *packet.Packet) pisa.Verdict {
 	s.Stats.Scanned.Inc()
 	pl := p.Payload
 	windows := len(pl) - GramSize + 1
-	if windows > s.cfg.MaxWindows {
-		windows = s.cfg.MaxWindows
+	if windows > maxWindows {
+		windows = maxWindows
 	}
 	for i := 0; i < windows; i++ {
 		key := gramHash(binary.BigEndian.Uint64(pl[i : i+GramSize]))

@@ -138,7 +138,7 @@ func TestMaxWindowsBoundsScan(t *testing.T) {
 	eng := sim.NewEngine(7)
 	nw := netem.New(eng, netem.LinkProfile{Latency: 10_000})
 	in := core.NewInstance(pisa.New(eng, nw, pisa.Config{Addr: 1, PipelinePPS: 1e9}))
-	s, err := New(in, Config{Reg: 1, Capacity: 128, MaxWindows: 4})
+	s, err := New(in, Config{Reg: 1, Capacity: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +148,8 @@ func TestMaxWindowsBoundsScan(t *testing.T) {
 	s.Register().Node().SetChain(wire.ChainConfig{Epoch: 1, Members: []uint16{1}})
 	s.AddSignature([]byte("DEEPSIG!"), nil)
 	eng.RunFor(50 * time.Millisecond)
-	// Signature starts at offset 10, beyond the 4-window scan budget.
-	payload := append(make([]byte, 10), []byte("DEEPSIG!")...)
+	// Signature starts just past the scan budget's last window.
+	payload := append(make([]byte, maxWindows), []byte("DEEPSIG!")...)
 	s.Switch().InjectPacket(payloadPkt(payload))
 	eng.RunFor(10 * time.Millisecond)
 	if len(out) != 1 {

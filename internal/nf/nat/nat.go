@@ -38,17 +38,11 @@ type Config struct {
 	// PortLo, PortHi is this switch's private slice of the external port
 	// space (inclusive); slices must be disjoint across switches.
 	PortLo, PortHi uint16
-	// Internal reports whether an address is on the inside of the NAT.
-	// Default: 10.0.0.0/8.
-	Internal func(a netip.Addr) bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Internal == nil {
-		c.Internal = func(a netip.Addr) bool { return a.As4()[0] == 10 }
-	}
-	return c
-}
+// inside reports whether an address is on the inside of the NAT,
+// 10.0.0.0/8.
+func inside(a netip.Addr) bool { return a.As4()[0] == 10 }
 
 // Stats counts NAT events.
 type Stats struct {
@@ -86,7 +80,6 @@ type NAT struct {
 // New declares the NAT on a switch instance. All switches must use the same
 // Reg and Capacity but disjoint port ranges.
 func New(in *core.Instance, cfg Config) (*NAT, error) {
-	cfg = cfg.withDefaults()
 	if !cfg.ExternalIP.Is4() {
 		return nil, fmt.Errorf("nat: external IP must be IPv4")
 	}
@@ -128,16 +121,13 @@ func (n *NAT) Install() {
 	n.sw.SetEgress(n.Egress)
 }
 
-// FreePorts returns the local pool size (tests, metrics).
-func (n *NAT) FreePorts() int { return len(n.freePorts) }
-
 // program is the data-plane packet path.
 func (n *NAT) program(sw *pisa.Switch, p *packet.Packet) pisa.Verdict {
 	key, ok := p.Flow()
 	if !ok || p.TCP == nil {
 		return pisa.Drop
 	}
-	if n.cfg.Internal(key.Src) {
+	if inside(key.Src) {
 		// Outbound: translate source.
 		var hit bool
 		var ext []byte

@@ -32,18 +32,11 @@ type Config struct {
 	BytesPerWindow uint64
 	// Window is the enforcement period. Default 10ms.
 	Window sim.Duration
-	// UserOf extracts the user ID from a packet. Default: source IPv4.
-	UserOf func(p *packet.Packet) uint32
-	// SyncPeriod forwards to the EWO register (0 = default).
-	SyncPeriod sim.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 10_000_000 // 10ms
-	}
-	if c.UserOf == nil {
-		c.UserOf = func(p *packet.Packet) uint32 { return packet.U32Addr(p.IP.Src) }
 	}
 	return c
 }
@@ -78,7 +71,7 @@ func New(in *core.Instance, cfg Config) (*Limiter, error) {
 		return nil, fmt.Errorf("ratelimit: need positive capacity and budget")
 	}
 	reg, err := in.NewCounterRegister(ewo.Config{
-		Reg: cfg.Reg, Capacity: cfg.Capacity, Kind: ewo.Counter, SyncPeriod: cfg.SyncPeriod,
+		Reg: cfg.Reg, Capacity: cfg.Capacity, Kind: ewo.Counter,
 	})
 	if err != nil {
 		return nil, err
@@ -118,7 +111,7 @@ func (l *Limiter) program(sw *pisa.Switch, p *packet.Packet) pisa.Verdict {
 	if p.IP == nil {
 		return pisa.Drop
 	}
-	user := l.cfg.UserOf(p)
+	user := packet.U32Addr(p.IP.Src) // the user is the source IPv4
 	if l.blocked[user] {
 		l.Stats.Dropped.Inc()
 		return pisa.Drop

@@ -95,9 +95,6 @@ func NewTracer(capacity int) *Tracer {
 // emissions with a single call.
 func (t *Tracer) Enabled() bool { return t != nil && t.on }
 
-// SetEnabled pauses or resumes recording without discarding the ring.
-func (t *Tracer) SetEnabled(on bool) { t.on = on }
-
 // Cap returns the ring capacity.
 func (t *Tracer) Cap() int { return len(t.buf) }
 
@@ -139,11 +136,6 @@ func (t *Tracer) Emit(ph byte, ts, dur int64, pid int32, cat, name string) *Even
 // Instant records a point event with no arguments.
 func (t *Tracer) Instant(ts int64, pid int32, cat, name string) {
 	t.Emit(PhaseInstant, ts, 0, pid, cat, name)
-}
-
-// Span records a complete span covering ts..ts+dur with no arguments.
-func (t *Tracer) Span(ts, dur int64, pid int32, cat, name string) {
-	t.Emit(PhaseSpan, ts, dur, pid, cat, name)
 }
 
 // Events returns the retained events ordered by (TS, Seq). The slice is

@@ -160,7 +160,6 @@ type Metadata struct {
 	IngressPort  int
 	EgressPort   int
 	Recirculated int
-	Mirrored     bool
 	// ArrivalSeq is a monotone per-switch arrival number, used by audits.
 	ArrivalSeq uint64
 }
@@ -214,31 +213,6 @@ func (p *Packet) Len() int {
 		n += udpLen
 	}
 	return n + len(p.Payload)
-}
-
-// Clone deep-copies the packet (used when a switch mirrors or multicasts).
-func (p *Packet) Clone() *Packet {
-	q := &Packet{Meta: p.Meta}
-	if p.Eth != nil {
-		e := *p.Eth
-		q.Eth = &e
-	}
-	if p.IP != nil {
-		ip := *p.IP
-		q.IP = &ip
-	}
-	if p.TCP != nil {
-		t := *p.TCP
-		q.TCP = &t
-	}
-	if p.UDP != nil {
-		u := *p.UDP
-		q.UDP = &u
-	}
-	if p.Payload != nil {
-		q.Payload = append([]byte(nil), p.Payload...)
-	}
-	return q
 }
 
 func (p *Packet) String() string {

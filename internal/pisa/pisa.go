@@ -108,7 +108,6 @@ type Stats struct {
 	Recirculated stats.Counter
 	Punted       stats.Counter // to control plane
 	QueueDrops   stats.Counter // tail drops at ingress
-	Mirrored     stats.Counter
 	MsgsHandled  stats.Counter // protocol messages handled in data plane
 	CtrlOps      stats.Counter // control-plane operations executed
 	Rejected     stats.Counter // sends bounced by a rejecting link (ICMP analog)
@@ -171,7 +170,6 @@ const (
 	taskCtrl                     // run fn as a control-plane op (counts CtrlOps)
 	taskCtrlMsg                  // deliver msg to the control-plane msg handler
 	taskFn                       // run fn at data-plane cost (PacketGen)
-	taskMirror                   // pass pkt (a pooled mirror clone) to pfn
 )
 
 // task is one pooled dispatch record. Its run closure is bound once at
@@ -183,7 +181,6 @@ type task struct {
 	from netem.Addr
 	msg  wire.Msg
 	fn   func()
-	pfn  func(*packet.Packet)
 	run  func()
 }
 
@@ -208,7 +205,7 @@ func (s *Switch) releaseTask(t *task) {
 		r.Release()
 	}
 	t.pkt.Recycle()
-	t.pkt, t.msg, t.fn, t.pfn = nil, nil, nil, nil
+	t.pkt, t.msg, t.fn = nil, nil, nil
 	s.tfree = append(s.tfree, t)
 }
 
@@ -220,10 +217,10 @@ func (t *task) exec() {
 		s.frozen = append(s.frozen, t)
 		return
 	}
-	kind, pkt, from, msg, fn, pfn := t.kind, t.pkt, t.from, t.msg, t.fn, t.pfn
+	kind, pkt, from, msg, fn := t.kind, t.pkt, t.from, t.msg, t.fn
 	// Recycle before running: nested dispatches reuse the record. The
 	// message reference (if any) is consumed below, not by releaseTask.
-	t.pkt, t.msg, t.fn, t.pfn = nil, nil, nil, nil
+	t.pkt, t.msg, t.fn = nil, nil, nil
 	s.tfree = append(s.tfree, t)
 
 	if s.failed {
@@ -266,8 +263,6 @@ func (t *task) exec() {
 		}
 	case taskFn:
 		fn()
-	case taskMirror:
-		pfn(pkt)
 	}
 }
 
@@ -333,8 +328,8 @@ func (s *Switch) SetProgram(p Program) { s.program = p }
 func (s *Switch) SetMsgHandler(h MsgHandler) { s.msgHandler = h }
 
 // SetCtrlMsgHandler installs the control-plane message handler; messages
-// whose data-plane handler is absent, and messages the data-plane handler
-// punts via PuntMsg, are delivered here at control-plane cost.
+// whose data-plane handler is absent are delivered here at control-plane
+// cost.
 func (s *Switch) SetCtrlMsgHandler(h func(from netem.Addr, msg wire.Msg)) { s.ctrlMsg = h }
 
 // SetEgress installs the callback invoked for forwarded packets.
@@ -517,11 +512,6 @@ func (s *Switch) injectMsg(from netem.Addr, msg wire.Msg) {
 	s.dpDispatch(t)
 }
 
-// PuntMsg hands a message to the control-plane handler at control-plane
-// cost. Used by data-plane handlers for message types that need the
-// co-processor (e.g. SRO writes to control-plane-owned tables).
-func (s *Switch) PuntMsg(from netem.Addr, msg wire.Msg) { s.deliverCtrlMsg(from, msg) }
-
 func (s *Switch) deliverCtrlMsg(from netem.Addr, msg wire.Msg) {
 	if s.failed {
 		if r, ok := msg.(netem.Releasable); ok {
@@ -543,27 +533,6 @@ func (s *Switch) Send(to netem.Addr, msg wire.Msg) {
 		return
 	}
 	s.net.Send(s.cfg.Addr, to, msg, msg.Size())
-}
-
-// SendPacket transmits a data packet to another network node.
-func (s *Switch) SendPacket(to netem.Addr, pkt *packet.Packet) {
-	if s.failed || s.paused {
-		return
-	}
-	s.net.Send(s.cfg.Addr, to, pkt, pkt.Len())
-}
-
-// Mirror clones the packet at egress and passes the clone to fn, charging a
-// pipeline slot — the egress mirroring feature of §7. The clone comes from
-// the switch's packet pool; fn owns it and may Recycle it when done.
-func (s *Switch) Mirror(pkt *packet.Packet, fn func(clone *packet.Packet)) {
-	clone := s.ppool.Clone(pkt)
-	clone.Meta.Mirrored = true
-	t := s.getTask(taskMirror)
-	t.pkt, t.pfn = clone, fn
-	if s.dpDispatch(t) {
-		s.Stats.Mirrored.Inc()
-	}
 }
 
 // Multicast sends msg to every group member except this switch, one copy

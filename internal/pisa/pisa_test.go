@@ -225,39 +225,14 @@ func TestMsgWithoutDataHandlerGoesToCtrl(t *testing.T) {
 }
 
 func TestPacketSendBetweenSwitches(t *testing.T) {
-	eng, _, sws := testRig(1, Config{Addr: 1}, Config{Addr: 2})
+	eng, nw, sws := testRig(1, Config{Addr: 1}, Config{Addr: 2})
 	n := 0
 	sws[1].SetProgram(func(s *Switch, p *packet.Packet) Verdict { n++; return Drop })
-	sws[0].SendPacket(2, mkPkt())
+	pkt := mkPkt()
+	nw.Send(1, 2, pkt, pkt.Len())
 	eng.Run()
 	if n != 1 {
 		t.Fatalf("pipeline ran %d times", n)
-	}
-}
-
-func TestMirror(t *testing.T) {
-	eng, _, sws := testRig(1, Config{Addr: 1})
-	sw := sws[0]
-	var clone *packet.Packet
-	orig := mkPkt()
-	sw.SetProgram(func(s *Switch, p *packet.Packet) Verdict {
-		s.Mirror(p, func(c *packet.Packet) { clone = c })
-		return Forward
-	})
-	sw.SetEgress(func(p *packet.Packet) {})
-	sw.InjectPacket(orig)
-	eng.Run()
-	if clone == nil {
-		t.Fatal("mirror never ran")
-	}
-	if !clone.Meta.Mirrored {
-		t.Fatal("clone not marked mirrored")
-	}
-	if clone == orig {
-		t.Fatal("mirror did not clone")
-	}
-	if sw.Stats.Mirrored.Value() != 1 {
-		t.Fatal("mirror stat")
 	}
 }
 
@@ -479,20 +454,6 @@ func TestPuntWithoutCtrlHandlerIsSafe(t *testing.T) {
 	}
 }
 
-func TestPuntMsgReachesCtrlHandler(t *testing.T) {
-	eng, _, sws := testRig(1, Config{Addr: 1}, Config{Addr: 2})
-	var got wire.Msg
-	sws[0].SetCtrlMsgHandler(func(from netem.Addr, m wire.Msg) { got = m })
-	sws[0].SetMsgHandler(func(s *Switch, from netem.Addr, m wire.Msg) {
-		s.PuntMsg(from, m) // data plane defers to the co-processor
-	})
-	sws[1].Send(1, &wire.Heartbeat{From: 2, Seq: 3})
-	eng.Run()
-	if got == nil || got.(*wire.Heartbeat).Seq != 3 {
-		t.Fatalf("punted msg = %v", got)
-	}
-}
-
 func TestInjectEgress(t *testing.T) {
 	eng, _, sws := testRig(1, Config{Addr: 1})
 	var out []*packet.Packet
@@ -510,18 +471,6 @@ func TestInjectEgress(t *testing.T) {
 	sws[0].Fail()
 	if sws[0].InjectEgress(mkPkt()) {
 		t.Fatal("failed switch accepted InjectEgress")
-	}
-}
-
-func TestSendPacketFromFailedSwitch(t *testing.T) {
-	eng, _, sws := testRig(1, Config{Addr: 1}, Config{Addr: 2})
-	n := 0
-	sws[1].SetProgram(func(s *Switch, p *packet.Packet) Verdict { n++; return Drop })
-	sws[0].Fail()
-	sws[0].SendPacket(2, mkPkt())
-	eng.Run()
-	if n != 0 {
-		t.Fatal("failed switch transmitted a packet")
 	}
 }
 
@@ -576,28 +525,5 @@ func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("pipeline processes a pooled packet with %v allocs per run, want 0", allocs)
-	}
-}
-
-func TestMirrorCloneIsPooled(t *testing.T) {
-	eng, _, sws := testRig(1, Config{Addr: 1})
-	sw := sws[0]
-	orig := mkPkt()
-	var clone *packet.Packet
-	sw.SetProgram(func(s *Switch, p *packet.Packet) Verdict {
-		s.Mirror(p, func(c *packet.Packet) { clone = c })
-		return Drop
-	})
-	sw.InjectPacket(orig)
-	eng.Run()
-	if clone == nil || !clone.Pooled() {
-		t.Fatal("mirror clone should come from the switch packet pool")
-	}
-	if !clone.Meta.Mirrored {
-		t.Fatal("mirror clone not marked")
-	}
-	clone.Recycle()
-	if sw.PacketPool().Free() != 1 {
-		t.Fatal("recycled mirror clone did not return to the switch pool")
 	}
 }

@@ -294,26 +294,6 @@ func (tk *Ticker) Stop() {
 	tk.t.Stop()
 }
 
-// Step runs the single next event, if any, and reports whether one ran.
-// Cancelled timers are removed from the queue eagerly, so every queued event
-// is live.
-func (e *Engine) Step() bool {
-	if !e.queue.settle(maxTime) {
-		return false
-	}
-	ev := e.queue.pop()
-	e.now = ev.at
-	fn := ev.fn
-	if tr := e.tracer; tr.Enabled() {
-		tr.Emit(obs.PhaseInstant, int64(ev.at), 0, obs.PidSim, "sim", "event")
-	}
-	// Release before running so fn's own scheduling can reuse the event.
-	e.release(ev)
-	fn()
-	e.processed++
-	return true
-}
-
 // runBatch pops and executes the batch of events sharing the earliest queued
 // timestamp. The clock store, tracer guard, and processed-counter update are
 // hoisted out of the per-event iteration, so a batch of same-timestamp events

@@ -138,14 +138,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Min returns the smallest observation, or 0 if empty.
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest observation, or 0 if empty.
 func (h *Histogram) Max() float64 {
 	if h.count == 0 {

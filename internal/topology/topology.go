@@ -74,17 +74,6 @@ func (ing *Ingress) Fail(addr netem.Addr) {
 	ing.live = out
 }
 
-// Heal re-adds a switch to the live set.
-func (ing *Ingress) Heal(addr netem.Addr) {
-	for _, a := range ing.live {
-		if a == addr {
-			return
-		}
-	}
-	ing.live = append(ing.live, addr)
-	sort.Slice(ing.live, func(i, j int) bool { return ing.live[i] < ing.live[j] })
-}
-
 // flowHash folds a 5-tuple into a uint64 deterministically.
 func flowHash(k packet.FlowKey) uint64 {
 	h := uint64(packet.U32Addr(k.Src))<<32 | uint64(packet.U32Addr(k.Dst))

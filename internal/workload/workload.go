@@ -51,16 +51,18 @@ type TraceConfig struct {
 	// MeanPacketsPerFlow is the mean flow length (geometric, >= 2: SYN and
 	// FIN always present).
 	MeanPacketsPerFlow float64
-	// MeanPacketGap is the mean spacing between a flow's packets
-	// (exponential).
-	MeanPacketGap sim.Duration
 	// Clients and Servers size the address pools. Client selection is
 	// Zipf-skewed (s=1.2); servers uniform.
 	Clients int
 	Servers int
-	// PayloadLen is the data packet payload size. Default 64.
-	PayloadLen int
 }
+
+// meanPacketGap is the mean spacing between a flow's packets
+// (exponential), and tracePayloadLen a data packet's payload size.
+const (
+	meanPacketGap   sim.Duration = 10_000 // 10µs
+	tracePayloadLen              = 64
+)
 
 func (c TraceConfig) withDefaults() TraceConfig {
 	if c.Clients <= 0 {
@@ -71,12 +73,6 @@ func (c TraceConfig) withDefaults() TraceConfig {
 	}
 	if c.MeanPacketsPerFlow < 2 {
 		c.MeanPacketsPerFlow = 10
-	}
-	if c.MeanPacketGap <= 0 {
-		c.MeanPacketGap = 10_000 // 10µs
-	}
-	if c.PayloadLen <= 0 {
-		c.PayloadLen = 64
 	}
 	return c
 }
@@ -141,11 +137,11 @@ func GenTrace(rng *rand.Rand, cfg TraceConfig) (Trace, error) {
 			}
 			tr = append(tr, TimedPacket{
 				At:        t,
-				Pkt:       packet.ForFlow(key, flags, cfg.PayloadLen),
+				Pkt:       packet.ForFlow(key, flags, tracePayloadLen),
 				FlowStart: i == 0,
 				FlowEnd:   i == n-1,
 			})
-			t += sim.Duration(rng.ExpFloat64() * float64(cfg.MeanPacketGap))
+			t += sim.Duration(rng.ExpFloat64() * float64(meanPacketGap))
 		}
 	}
 	sort.SliceStable(tr, func(i, j int) bool { return tr[i].At < tr[j].At })
@@ -216,9 +212,11 @@ type UserStreamConfig struct {
 	PacketsPerSecPerUser float64
 	// HogFactor multiplies user 0's rate (default 1: no hog).
 	HogFactor float64
-	// PayloadLen per packet. Default 512 (rate limiting is byte-oriented).
-	PayloadLen int
 }
+
+// userPayloadLen is a rate-limiter packet's payload size (rate limiting is
+// byte-oriented).
+const userPayloadLen = 512
 
 // GenUserStreams builds the rate-limiter workload.
 func GenUserStreams(rng *rand.Rand, cfg UserStreamConfig) (Trace, error) {
@@ -227,9 +225,6 @@ func GenUserStreams(rng *rand.Rand, cfg UserStreamConfig) (Trace, error) {
 	}
 	if cfg.HogFactor <= 0 {
 		cfg.HogFactor = 1
-	}
-	if cfg.PayloadLen <= 0 {
-		cfg.PayloadLen = 512
 	}
 	var tr Trace
 	for u := 0; u < cfg.Users; u++ {
@@ -251,16 +246,11 @@ func GenUserStreams(rng *rand.Rand, cfg UserStreamConfig) (Trace, error) {
 			if at >= cfg.Duration {
 				break
 			}
-			tr = append(tr, TimedPacket{At: at, Pkt: packet.ForFlow(key, 0, cfg.PayloadLen)})
+			tr = append(tr, TimedPacket{At: at, Pkt: packet.ForFlow(key, 0, userPayloadLen)})
 		}
 	}
 	sort.SliceStable(tr, func(i, j int) bool { return tr[i].At < tr[j].At })
 	return tr, nil
-}
-
-// UserOf extracts the user index from a rate-limiter packet (its source).
-func UserOf(p *packet.Packet) uint32 {
-	return packet.U32Addr(p.IP.Src) - clientBase
 }
 
 // Replay schedules a trace into the simulation, delivering each packet via

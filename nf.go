@@ -55,11 +55,14 @@ type NATOptions struct {
 	Capacity int
 	// ExternalIP is the NAT's public address.
 	ExternalIP netip.Addr
-	// PortsPerSwitch sizes each switch's private slice of the external port
-	// space, carved consecutively from PortBase. Default 1000 from 10000.
-	PortsPerSwitch int
-	PortBase       uint16
 }
+
+// Each switch's NAT owns a private slice of natPortsPerSwitch external
+// ports, carved consecutively from natPortBase.
+const (
+	natPortBase       = 10000
+	natPortsPerSwitch = 1000
+)
 
 // strongNF and ewoNF are what deployment needs of an NF instance built on a
 // strong (SRO/ERO) register or on an EWO counter register.
@@ -129,17 +132,11 @@ func deployEWO[T ewoNF](c *Cluster, kind, name string,
 // DeployNAT deploys the §4.1 NAT: a strongly consistent shared translation
 // table and per-switch partitioned port pools.
 func (c *Cluster) DeployNAT(name string, opts NATOptions) ([]*NAT, error) {
-	if opts.PortsPerSwitch <= 0 {
-		opts.PortsPerSwitch = 1000
-	}
-	if opts.PortBase == 0 {
-		opts.PortBase = 10000
-	}
 	return deployStrong(c, "NAT", name, true, func(i int, in *core.Instance, id uint16) (*NAT, error) {
-		lo := opts.PortBase + uint16(i*opts.PortsPerSwitch)
+		lo := uint16(natPortBase + i*natPortsPerSwitch)
 		return nat.New(in, nat.Config{
 			Reg: id, Capacity: opts.Capacity, ExternalIP: opts.ExternalIP,
-			PortLo: lo, PortHi: lo + uint16(opts.PortsPerSwitch) - 1,
+			PortLo: lo, PortHi: lo + natPortsPerSwitch - 1,
 		})
 	})
 }
@@ -148,14 +145,12 @@ func (c *Cluster) DeployNAT(name string, opts NATOptions) ([]*NAT, error) {
 type FirewallOptions struct {
 	// Capacity is the shared connection-table size.
 	Capacity int
-	// Inside classifies protected addresses. Default 10.0.0.0/8.
-	Inside func(a netip.Addr) bool
 }
 
 // DeployFirewall deploys the §4.1 stateful firewall.
 func (c *Cluster) DeployFirewall(name string, opts FirewallOptions) ([]*Firewall, error) {
 	return deployStrong(c, "firewall", name, true, func(_ int, in *core.Instance, id uint16) (*Firewall, error) {
-		return firewall.New(in, firewall.Config{Reg: id, Capacity: opts.Capacity, Inside: opts.Inside})
+		return firewall.New(in, firewall.Config{Reg: id, Capacity: opts.Capacity})
 	})
 }
 
@@ -163,14 +158,12 @@ func (c *Cluster) DeployFirewall(name string, opts FirewallOptions) ([]*Firewall
 type IPSOptions struct {
 	// Capacity is the signature-set size.
 	Capacity int
-	// MaxWindows bounds payload windows scanned per packet.
-	MaxWindows int
 }
 
 // DeployIPS deploys the §4.1 intrusion prevention system (ERO signatures).
 func (c *Cluster) DeployIPS(name string, opts IPSOptions) ([]*IPS, error) {
 	return deployStrong(c, "IPS", name, true, func(_ int, in *core.Instance, id uint16) (*IPS, error) {
-		return ips.New(in, ips.Config{Reg: id, Capacity: opts.Capacity, MaxWindows: opts.MaxWindows})
+		return ips.New(in, ips.Config{Reg: id, Capacity: opts.Capacity})
 	})
 }
 
@@ -203,8 +196,6 @@ type DDoSOptions struct {
 	Threshold uint64
 	// Window is the detection window.
 	Window time.Duration
-	// SyncPeriod for the EWO register.
-	SyncPeriod time.Duration
 }
 
 // DeployDDoS deploys the §4.2 DDoS detector (EWO counter-CRDT sketch).
@@ -213,7 +204,6 @@ func (c *Cluster) DeployDDoS(name string, opts DDoSOptions) ([]*DDoSDetector, er
 		return ddos.New(in, ddos.Config{
 			Reg: id, Width: opts.Width, Depth: opts.Depth,
 			Threshold: opts.Threshold, Window: sim.Duration(opts.Window),
-			SyncPeriod: sim.Duration(opts.SyncPeriod),
 		})
 	})
 }
@@ -226,8 +216,6 @@ type RateLimitOptions struct {
 	BytesPerWindow uint64
 	// Window is the enforcement period.
 	Window time.Duration
-	// SyncPeriod for the EWO register.
-	SyncPeriod time.Duration
 }
 
 // DeployRateLimiter deploys the §4.2 distributed rate limiter (EWO
@@ -238,7 +226,6 @@ func (c *Cluster) DeployRateLimiter(name string, opts RateLimitOptions) ([]*Rate
 			Reg: id, Capacity: opts.Capacity,
 			BytesPerWindow: opts.BytesPerWindow,
 			Window:         sim.Duration(opts.Window),
-			SyncPeriod:     sim.Duration(opts.SyncPeriod),
 		})
 	})
 }

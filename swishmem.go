@@ -98,13 +98,6 @@ type Config struct {
 	// Link is the default inter-switch link profile. Default: 10µs latency,
 	// 100 Gbps, lossless (DataCenter()).
 	Link *LinkProfile
-	// SwitchMemory is the per-switch data-plane SRAM budget in bytes.
-	// Default 10 MB (§2 of the paper).
-	SwitchMemory int
-	// PipelinePPS is the switch line rate in packets/second. Default 5e9.
-	PipelinePPS float64
-	// CtrlOpsPerSec is the control-plane co-processor rate. Default 1e5.
-	CtrlOpsPerSec float64
 	// HeartbeatPeriod is the failure-detection heartbeat interval.
 	// Default 1ms.
 	HeartbeatPeriod time.Duration
@@ -196,12 +189,7 @@ func New(cfg Config) (*Cluster, error) {
 		})
 	}
 	for i := 0; i < total; i++ {
-		sw := pisa.New(eng, nw, pisa.Config{
-			Addr:          SwitchAddr(i + 1),
-			MemoryBytes:   cfg.SwitchMemory,
-			PipelinePPS:   cfg.PipelinePPS,
-			CtrlOpsPerSec: cfg.CtrlOpsPerSec,
-		})
+		sw := pisa.New(eng, nw, pisa.Config{Addr: SwitchAddr(i + 1)})
 		c.switches = append(c.switches, sw)
 		c.instances = append(c.instances, core.NewInstance(sw))
 		if c.ctrl != nil {
@@ -353,14 +341,8 @@ type StrongOptions struct {
 	// ValueWidth is the value size in bytes, 1..65535; a longer value is
 	// truncated at Write.
 	ValueWidth int
-	// Groups is the number of sequence/pending groups keys share (0 = one
-	// per key). Sharing trades SRAM for false read forwarding (§7).
-	Groups int
 	// ReadOptimized selects ERO instead of SRO.
 	ReadOptimized bool
-	// ControlPlaneBacked marks the state as a control-plane table: chain
-	// hops run at co-processor cost (§6.1).
-	ControlPlaneBacked bool
 	// RetryTimeout is the writer's retransmission timeout. Default 1ms.
 	RetryTimeout time.Duration
 	// ReplicaOn restricts replication to the listed replica-switch indices
@@ -371,11 +353,8 @@ type StrongOptions struct {
 	// Retransmit selects the retransmit replication backend: in-order apply
 	// with hop-level hold-back/retransmit buffers that recover lost
 	// chain-hop frames in the data plane (closing the E15 anomaly window),
-	// at the SRAM cost of two Groups x RetransmitDepth buffers per replica.
+	// at the SRAM cost of a 16-write hold-back and retransmit buffer per key.
 	Retransmit bool
-	// RetransmitDepth bounds the per-group hold-back and retransmit
-	// buffers. Default 16 entries.
-	RetransmitDepth int
 }
 
 // DeclareStrong declares an SRO/ERO register on every replica switch, wires
@@ -389,18 +368,13 @@ func (c *Cluster) DeclareStrong(name string, opts StrongOptions) ([]*StrongRegis
 		return nil, err
 	}
 	cfg := chain.Config{
-		Reg:             id,
-		Capacity:        opts.Capacity,
-		ValueWidth:      opts.ValueWidth,
-		Groups:          opts.Groups,
-		RetryTimeout:    sim.Duration(opts.RetryTimeout),
-		RetransmitDepth: opts.RetransmitDepth,
+		Reg:          id,
+		Capacity:     opts.Capacity,
+		ValueWidth:   opts.ValueWidth,
+		RetryTimeout: sim.Duration(opts.RetryTimeout),
 	}
 	if opts.Retransmit {
 		cfg.Replication = chain.RetransmitReplication
-	}
-	if opts.ControlPlaneBacked {
-		cfg.Backing = chain.ControlPlane
 	}
 	cons := core.Strong
 	if opts.ReadOptimized {
@@ -496,27 +470,25 @@ type EventualOptions struct {
 	DisableSync bool
 	// Batch holds this many register writes, across instants, for one
 	// multicast (§7 batching). Default 1: nothing is held — the writes of
-	// one instant leave together, as one update, at that instant.
+	// one instant leave together, as one update, at that instant. A partial
+	// batch waits for the batch to fill or for the periodic sync.
 	Batch int
-	// BatchTimeout caps how long a partial batch may wait before flushing
-	// (0: wait for the batch to fill or the periodic sync).
-	BatchTimeout time.Duration
-	// PN selects a PN-counter (supports decrement) for counter registers.
-	PN bool
 }
 
 func (c *Cluster) ewoConfig(id uint16, opts EventualOptions, kind ewo.Kind) ewo.Config {
-	return ewo.Config{
-		Reg:          id,
-		Capacity:     opts.Capacity,
-		ValueWidth:   opts.ValueWidth,
-		Kind:         kind,
-		MaxGroup:     len(c.switches),
-		SyncPeriod:   sim.Duration(opts.SyncPeriod),
-		SyncDisabled: opts.DisableSync,
-		Batch:        opts.Batch,
-		BatchTimeout: sim.Duration(opts.BatchTimeout),
+	cfg := ewo.Config{
+		Reg:        id,
+		Capacity:   opts.Capacity,
+		ValueWidth: opts.ValueWidth,
+		Kind:       kind,
+		MaxGroup:   len(c.switches),
+		SyncPeriod: sim.Duration(opts.SyncPeriod),
+		Batch:      opts.Batch,
 	}
+	if opts.DisableSync {
+		cfg.SyncPeriod = -1
+	}
+	return cfg
 }
 
 // DeclareEventual declares an EWO LWW register on every replica switch and
@@ -544,21 +516,17 @@ func (c *Cluster) DeclareEventual(name string, opts EventualOptions) ([]*Eventua
 	return handles[:c.cfg.Switches], nil
 }
 
-// DeclareCounter declares an EWO counter register (G-counter, or PN-counter
-// with opts.PN) on every replica switch.
+// DeclareCounter declares an EWO counter register (a G-counter) on every
+// replica switch.
 func (c *Cluster) DeclareCounter(name string, opts EventualOptions) ([]*CounterRegister, error) {
 	id, err := c.allocReg(name)
 	if err != nil {
 		return nil, err
 	}
-	kind := ewo.Counter
-	if opts.PN {
-		kind = ewo.PNCounter
-	}
 	handles := make([]*CounterRegister, 0, len(c.instances))
 	members := make([]controller.GroupMember, 0, c.cfg.Switches)
 	for i, in := range c.instances {
-		h, err := in.NewCounterRegister(c.ewoConfig(id, opts, kind))
+		h, err := in.NewCounterRegister(c.ewoConfig(id, opts, ewo.Counter))
 		if err != nil {
 			return nil, fmt.Errorf("swishmem: declaring %q: %w", name, err)
 		}

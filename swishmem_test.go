@@ -81,21 +81,6 @@ func TestEventualRegisterEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPNCounter(t *testing.T) {
-	c, _ := New(Config{Switches: 2, Seed: 4})
-	regs, err := c.DeclareCounter("pn", EventualOptions{Capacity: 16, PN: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(2 * time.Millisecond)
-	regs[0].Add(1, 10)
-	regs[1].Sub(1, 4)
-	c.RunFor(5 * time.Millisecond)
-	if got := regs[0].Sum(1); got != 6 {
-		t.Fatalf("pn sum = %d", got)
-	}
-}
-
 func TestDuplicateNamesRejected(t *testing.T) {
 	c, _ := New(Config{Switches: 1, Seed: 5})
 	if _, err := c.DeclareCounter("dup", EventualOptions{Capacity: 8}); err != nil {
@@ -220,7 +205,7 @@ func TestNetworkAccounting(t *testing.T) {
 }
 
 func TestMemoryAccountingSurface(t *testing.T) {
-	c, _ := New(Config{Switches: 1, Seed: 11, SwitchMemory: 1 << 20})
+	c, _ := New(Config{Switches: 1, Seed: 11})
 	before := c.MemoryUsed(0)
 	if _, err := c.DeclareStrong("m", StrongOptions{Capacity: 1024, ValueWidth: 16}); err != nil {
 		t.Fatal(err)
