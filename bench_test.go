@@ -428,9 +428,11 @@ func BenchmarkE18_NthLossAnomaly(b *testing.B) { benchExperiment(b, "E18") }
 // fixes that line and drops the exemption.
 //
 // The same walk holds every `make <target>` a document cites in backticks to
-// the Makefile's targets, and rejects a ROADMAP item cited by number
-// ("ROADMAP item 3", "ROADMAP 2(c)"): the numbers change at every re-anchor,
-// so a document cites an item by its title (bench/ excepted as above).
+// the Makefile's targets and every backticked dotted flag (`-explore.seed=N`,
+// `-live.loss`) to the flags some flag.* call of the module or bench/
+// defines, and rejects a ROADMAP item cited by number ("ROADMAP item 3",
+// "ROADMAP 2(c)"): the numbers change at every re-anchor, so a document
+// cites an item by its title (bench/ excepted as above).
 func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -442,6 +444,8 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 	}
 	citedTarget := regexp.MustCompile("`make ([A-Za-z0-9_-]+)[^`]*`")
 	citedItem := regexp.MustCompile(`ROADMAP (items? )?[0-9]`)
+	flags := definedFlags(t)
+	citedFlag := regexp.MustCompile("(?:^|[\\s(`])-((?:explore|live|soak|wire)\\.[A-Za-z0-9_-]+)")
 	// A backticked `Type.Field` or `pkg.Type.Field` on a *Config/*Options type
 	// must name a field or method the type has (callerCensus knows them all).
 	backticked := regexp.MustCompile("`[^`]*`")
@@ -486,7 +490,9 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		"SyncDisabled:", "`SyncDisabled`", "Config.SyncDisabled", "BatchTimeout", "batchTimer",
 		"ControlPlaneBacked", "StrongOptions.Groups", "StrongOptions.RetransmitDepth", "EventualOptions.PN",
 		"SwitchMemory", "PortsPerSwitch", "PortBase", "MaxWindows", "FirewallOptions.Inside",
-		"ClockSkew", "ConfigDelay", "FailureTimeout", "MeanPacketGap"}
+		"ClockSkew", "ConfigDelay", "FailureTimeout", "MeanPacketGap",
+		// The packet pool and the PN-counter, which only tests drove.
+		"PacketPool", "packet.Pool", "Recycle()", "PNCounter"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -531,6 +537,11 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 						t.Errorf("%s:%d cites %s.%s, which %s does not have", path, i+1, typ, m[3], typ)
 					}
 				}
+				for _, m := range citedFlag.FindAllStringSubmatch(span, -1) {
+					if !flags[m[1]] {
+						t.Errorf("%s:%d cites -%s, which no flag.* call defines", path, i+1, m[1])
+					}
+				}
 			}
 			if m := citedItem.FindString(line); m != "" {
 				t.Errorf("%s:%d cites %q…; cite a ROADMAP item by its title", path, i+1, m)
@@ -549,6 +560,34 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 	if docs < 5 {
 		t.Fatalf("checked %d documents; the walk did not start at the repo root", docs)
 	}
+}
+
+// definedFlags returns the name of every flag a flag.* call in a .go file of
+// the module or bench/ defines.
+func definedFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	def := regexp.MustCompile(`flag\.[A-Z]\w*\(\s*(?:&[\w.]+,\s*)?"([^"]+)"`)
+	flags := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return fs.SkipDir
+		}
+		if filepath.Ext(path) != ".go" {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range def.FindAllSubmatch(src, -1) {
+			flags[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flags
 }
 
 // TestChangesEntriesAreShort: every CHANGES.md entry below the cap marker is

@@ -1,9 +1,14 @@
 package swishmem_test
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -17,14 +22,19 @@ import (
 // a listed name it no longer finds (it gained a caller, or it is gone) must
 // leave the list, so the list only shrinks.
 //
-//   - funcs: every exported function and method in internal/ whose name no
-//     non-test .go file of the module or of bench/ uses. A name counts as used
-//     wherever an expression names it; declarations do not count. Methods that
-//     satisfy a standard-library interface (standardMethods) are exempt.
+// The census type-checks the non-test files of every package of the module
+// and of bench/ (go/types; the standard library from source), so a use is a
+// resolved object, not a name: sim.Time.Sub does not stand in for another
+// type's Sub.
+//
+//   - funcs: every exported function and method declared in internal/ whose
+//     object no non-test file uses. A concrete method is also used when it
+//     implements an interface method that a non-test file calls. Methods
+//     that satisfy a standard-library interface (standardMethods) are exempt.
 //   - fields: every exported field of an exported *Config or *Options struct
 //     in internal/ or the root package (internal/wire's messages excepted)
-//     that no such file sets, by composite-literal key or by assignment. An
-//     assignment inside an `if` that tests the same field (the defaulting
+//     that no non-test file sets, by composite-literal key or by assignment.
+//     An assignment inside an `if` that tests the same field (the defaulting
 //     idiom `if c.X == 0 { c.X = d }`) chooses nothing and does not count.
 //
 // To keep a name the census finds, add it to callerAllow with the one-line
@@ -56,6 +66,7 @@ var callerAllow = map[string]string{
 	// linearizable" lands on unchanged code.
 	"internal/chain.Config.MaxRetries":      "chain stays unchanged; TestWriteFailsAfterMaxRetries sets it",
 	"internal/chain.Config.RetransmitDepth": "chain stays unchanged; TestRetransmitBuffersChargedToSRAM varies it",
+	"internal/chain.Node.Config":            "chain stays unchanged; core's TestEROClass reads the node's mode",
 	// Bodies of the root bench_test.go benchmarks (`make bench`), kept next
 	// to the experiments whose set-up they share.
 	"internal/experiments.MicroDDoSReplay":        "root benchmark body",
@@ -77,29 +88,30 @@ var callerAllow = map[string]string{
 	"internal/explore.Sweep":                              "root explore_test.go sweeps seeds",
 	"internal/explore.TortureScenario":                    "root torture_test.go runs it",
 	"internal/explore.Scenario.Crashes":                   "root torture_test.go checks a recovery happened",
+	"internal/explore.Failure.Report":                     "root explore_test.go prints a failing seed's report",
 	"internal/explore.RunOptions.Faults":                  "the fault-menu leg of `make explore`",
 	"internal/explore.RunOptions.Retransmit":              "the backend leg of `make explore`",
 	"internal/explore.RunOptions.InjectDisableRetransmit": "plants a bug that proves the oracles catch it",
 	"internal/explore.RunOptions.InjectNoRevive":          "plants a bug that proves the oracles catch it",
 	"internal/explore.RunOptions.InjectSkipForward":       "plants a bug that proves the oracles catch it",
-	// internal/sketch waits for a benchmark change: bench/ still calls
-	// NewCountMin and Add.
-	"internal/sketch.CountMin.Clone":    "internal/sketch goes with bench/'s sketch probe",
-	"internal/sketch.CountMin.Estimate": "internal/sketch goes with bench/'s sketch probe",
-	"internal/sketch.CountMin.MergeMax": "internal/sketch goes with bench/'s sketch probe",
 	// Paper options the Example functions set, and what they read back.
-	"swishmem.StrongOptions.ReplicaOn":     "§9 locality: replicas on a subset, proxies elsewhere",
-	"swishmem.DDoSOptions.Width":           "§4.2 count-min sketch size",
-	"swishmem.DDoSOptions.Depth":           "§4.2 count-min sketch size",
-	"internal/controller.Directory.Lookup": "§9 directory: where a register's replicas are",
-	"internal/controller.Controller.Dead":  "§6.3 failure detection, read by the NAT failover Example",
+	"swishmem.StrongOptions.ReplicaOn":         "§9 locality: replicas on a subset, proxies elsewhere",
+	"swishmem.DDoSOptions.Width":               "§4.2 count-min sketch size",
+	"swishmem.DDoSOptions.Depth":               "§4.2 count-min sketch size",
+	"internal/controller.Directory.Lookup":     "§9 directory: where a register's replicas are",
+	"internal/controller.Controller.Dead":      "§6.3 failure detection, read by the NAT failover Example",
+	"internal/core.StrongRegister.MemoryBytes": "§9 locality: the replicaOn Example prints each handle's SRAM, 0 on a proxy",
 	// Test observers whose callers sit in another package's tests.
-	"internal/lincheck.Check":             "the one-key checker chain's debug test calls",
-	"internal/nf/ratelimit.Limiter.Usage": "root nf_test reads a user's usage",
-	"internal/obs.Snapshot.Diff":          "root observe_test diffs two snapshots",
-	"internal/obs.Tracer.Cap":             "root observe_test checks the ring wrapped",
-	"internal/pisa.Switch.PacketPool":     "nat tests inject pooled packets through it",
-	"internal/timesync.Synced.Offset":     "ewo's LWW reference model reads the clock offset",
+	"internal/lincheck.Check":               "the one-key checker chain's debug test calls",
+	"internal/netem.Network.Stats":          "live and pisa tests read one link's counters",
+	"internal/netem/live.Node.SetRecvLoss":  "bench/'s read-loss tests and the live loss tests drop received datagrams",
+	"internal/nf/ratelimit.Limiter.Blocked": "root nf_test checks a user is blocked",
+	"internal/nf/ratelimit.Limiter.Usage":   "root nf_test reads a user's usage",
+	"internal/obs.Snapshot.Diff":            "root observe_test diffs two snapshots",
+	"internal/obs.Snapshot.Value":           "root timeline_test and the live pump tests read one metric",
+	"internal/obs.Tracer.Cap":               "root observe_test checks the ring wrapped",
+	"internal/timesync.Synced.Offset":       "ewo's LWW reference model reads the clock offset",
+	"internal/wire.Marshal":                 "live tests frame one message as a datagram",
 	// Knobs only tests turn, each to a value the default cannot give.
 	"internal/ewo.Config.SyncWindow":                    "ewo property tests shrink the sync walk",
 	"internal/livecluster.MemberConfig.HeartbeatPeriod": "member_test silences a member's periodic traffic",
@@ -111,7 +123,7 @@ var callerAllow = map[string]string{
 }
 
 // standardMethods are method names a type carries to satisfy an interface
-// that the standard library calls, so no module file names them.
+// that the standard library calls, so no module file calls them.
 var standardMethods = map[string]bool{
 	"String": true, "Error": true, "Len": true, "Less": true, "Swap": true,
 	"Push": true, "Pop": true, "Set": true, "Write": true, "Read": true,
@@ -142,225 +154,173 @@ func callerCensus(t *testing.T) *census {
 	return censusVal
 }
 
-// srcFile is one parsed .go file; dir is its slash path from the repo root
-// ("swishmem" for the root package), imports maps its local names of module
-// packages to their dirs, and stdlib holds its local names of the others.
-type srcFile struct {
-	dir     string
-	test    bool
-	f       *ast.File
-	imports map[string]string
-	stdlib  map[string]bool
+// pkg is one type-checked package of the tree. dir is its slash path from
+// the repo root ("swishmem" for the root package); files are its non-test
+// files, tests its test files (parsed, not type-checked).
+type pkg struct {
+	dir          string
+	types        *types.Package
+	info         *types.Info
+	files, tests []*ast.File
 }
 
-func parseTree() ([]*srcFile, error) {
+// tree type-checks the module's and bench/'s packages from source on demand
+// (it is their types.Importer) and hands every other import to the standard
+// library's source importer.
+type tree struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*pkg // by import path; nil while being checked
+	errs []error
+}
+
+func (tr *tree) Import(path string) (*types.Package, error) {
+	dir, ok := strings.CutPrefix(path, "swishmem/")
+	if path == "swishmem" {
+		dir, ok = ".", true
+	}
+	if !ok {
+		return tr.std.Import(path)
+	}
+	p, err := tr.load(dir)
+	if err != nil {
+		return nil, err
+	}
+	return p.types, nil
+}
+
+// load type-checks the package in dir (a slash path from the repo root, "."
+// for the root package) once.
+func (tr *tree) load(dir string) (*pkg, error) {
+	path := "swishmem/" + dir
+	if dir == "." {
+		path = "swishmem"
+	}
+	if p, seen := tr.pkgs[path]; seen {
+		if p == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return p, nil
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	tr.pkgs[path] = nil
+	p := &pkg{dir: strings.TrimPrefix(path, "swishmem/"), info: &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	parse := func(names []string) ([]*ast.File, error) {
+		var fs []*ast.File
+		for _, n := range names {
+			f, err := parser.ParseFile(tr.fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			fs = append(fs, f)
+		}
+		return fs, nil
+	}
+	if p.files, err = parse(bp.GoFiles); err != nil {
+		return nil, err
+	}
+	if p.tests, err = parse(append(bp.TestGoFiles, bp.XTestGoFiles...)); err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: tr, Error: func(err error) { tr.errs = append(tr.errs, err) }}
+	p.types, _ = conf.Check(path, tr.fset, p.files, p.info)
+	tr.pkgs[path] = p
+	return p, nil
+}
+
+// loadTree type-checks every package directory of the module, bench/
+// included, and returns them in walk order.
+func loadTree() ([]*pkg, error) {
 	fset := token.NewFileSet()
-	var files []*srcFile
-	pkgName := map[string]string{} // dir -> package name
+	tr := &tree{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*pkg{}}
+	var pkgs []*pkg
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return fs.SkipDir
-			}
+		if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
+			return fs.SkipDir
+		}
+		p, err := tr.load(filepath.ToSlash(path))
+		var none *build.NoGoError
+		if errors.As(err, &none) {
 			return nil
 		}
-		if filepath.Ext(path) != ".go" {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		if dir == "." {
-			dir = "swishmem"
-		}
-		test := strings.HasSuffix(path, "_test.go")
-		if !test {
-			pkgName[dir] = f.Name.Name
-		}
-		files = append(files, &srcFile{dir: dir, test: test, f: f})
-		return nil
+		pkgs = append(pkgs, p)
+		return err
 	})
-	for _, sf := range files {
-		sf.imports, sf.stdlib = map[string]string{}, map[string]bool{}
-		for _, imp := range sf.f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			var dir string
-			switch {
-			case p == "swishmem":
-				dir = p
-			case strings.HasPrefix(p, "swishmem/"):
-				dir = strings.TrimPrefix(p, "swishmem/")
-			default:
-				name := p[strings.LastIndex(p, "/")+1:]
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				sf.stdlib[name] = true
-				continue
-			}
-			name := pkgName[dir]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			sf.imports[name] = dir
-		}
+	if err == nil {
+		err = errors.Join(tr.errs...)
 	}
-	return files, err
-}
-
-// typeKey names a type as "dir.Name"; typeOf resolves a type expression in
-// sf to one ("" for anything but a named module type).
-func typeKey(dir, name string) string { return dir + "." + name }
-
-func (sf *srcFile) typeOf(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return sf.typeOf(e.X)
-	case *ast.Ident:
-		if e.IsExported() {
-			return typeKey(sf.dir, e.Name)
-		}
-	case *ast.SelectorExpr:
-		if x, ok := e.X.(*ast.Ident); ok && sf.imports[x.Name] != "" {
-			return typeKey(sf.imports[x.Name], e.Sel.Name)
-		}
-	}
-	return ""
+	return pkgs, err
 }
 
 func takeCensus() (*census, error) {
-	files, err := parseTree()
+	pkgs, err := loadTree()
 	if err != nil {
 		return nil, err
 	}
 	c := &census{members: map[string]map[string]bool{}}
-	fieldType := map[string]map[string]string{} // struct type -> field -> type
-	options := map[string][]string{}            // *Config/*Options type -> exported fields
-	alias := map[string]string{}                // type alias -> its type
-	type fn struct{ key, name string }
-	var exported []fn
-	for _, sf := range files {
-		for _, d := range sf.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				recv := ""
-				if d.Recv != nil {
-					recv = strings.TrimPrefix(sf.typeOf(d.Recv.List[0].Type), sf.dir+".")
-					if recv == "" { // unexported receiver
-						recv = "?"
-					}
+	used := map[types.Object]bool{}
+	set := map[types.Object]bool{}
+	ifaceCalls := map[string][]*types.Interface{} // interface methods called, by name
+	for _, p := range pkgs {
+		for id, obj := range p.info.Uses {
+			obj = origin(obj)
+			used[obj] = true
+			if fn, ok := obj.(*types.Func); ok {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					ifaceCalls[id.Name] = append(ifaceCalls[id.Name], recv.Type().Underlying().(*types.Interface))
 				}
-				if isOptions(recv) {
-					c.addMember(sf, recv, d.Name.Name)
+			}
+		}
+		for _, f := range p.files {
+			setFields(p.info, f, set)
+		}
+	}
+
+	for _, p := range pkgs {
+		internal := strings.HasPrefix(p.dir, "internal/")
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if internal && obj.Exported() && !used[obj] {
+					c.funcs = append(c.funcs, p.dir+"."+name)
 				}
-				if !sf.test && d.Name.IsExported() && strings.HasPrefix(sf.dir, "internal/") &&
-					!(d.Recv != nil && standardMethods[d.Name.Name]) {
-					key := d.Name.Name
-					if recv != "" {
-						key = recv + "." + key
-					}
-					exported = append(exported, fn{sf.dir + "." + key, d.Name.Name})
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
 				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					ts, ok := s.(*ast.TypeSpec)
-					if !ok || sf.test {
-						continue
-					}
-					if ts.Assign.IsValid() {
-						alias[typeKey(sf.dir, ts.Name.Name)] = sf.typeOf(ts.Type)
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					tk := typeKey(sf.dir, ts.Name.Name)
-					fieldType[tk] = map[string]string{}
-					for _, fld := range st.Fields.List {
-						for _, n := range fld.Names {
-							fieldType[tk][n.Name] = sf.typeOf(fld.Type)
-							if ts.Name.IsExported() && n.IsExported() && isOptions(ts.Name.Name) &&
-								(sf.dir == "swishmem" || strings.HasPrefix(sf.dir, "internal/")) && sf.dir != "internal/wire" {
-								options[tk] = append(options[tk], n.Name)
-							}
-							if isOptions(ts.Name.Name) {
-								c.addMember(sf, ts.Name.Name, n.Name)
-							}
-						}
+				if isOptions(name) {
+					c.options(p, named, set)
+				}
+				if !internal {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					if m.Exported() && !standardMethods[m.Name()] && !used[m] && !implementsCalled(named, ifaceCalls[m.Name()]) {
+						c.funcs = append(c.funcs, p.dir+"."+name+"."+m.Name())
 					}
 				}
 			}
 		}
-	}
-
-	used := map[string]bool{}    // identifiers some expression names
-	set := map[string]bool{}     // "type.Field" set somewhere
-	setName := map[string]bool{} // field names set on a type the scan cannot name
-	for _, sf := range files {
-		if sf.test {
-			continue
-		}
-		w := &setWalk{sf: sf, fieldType: fieldType, alias: alias, set: set, setName: setName,
-			elided: map[*ast.CompositeLit]string{}}
-		decl := map[*ast.Ident]bool{}
-		ast.Inspect(sf.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				// slices.Clone names no module function.
-				if x, ok := n.X.(*ast.Ident); ok && sf.stdlib[x.Name] {
-					decl[n.Sel] = true
-				}
-			case *ast.FuncDecl:
-				decl[n.Name] = true
-				w.enter(n)
-			case *ast.TypeSpec:
-				decl[n.Name] = true
-			case *ast.ValueSpec:
-				for _, id := range n.Names {
-					decl[id] = true
-				}
-			case *ast.Field:
-				for _, id := range n.Names {
-					decl[id] = true
-				}
-			case *ast.CompositeLit:
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							decl[id] = true
-						}
+		for _, f := range p.tests {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					if typ := recvName(fd.Recv.List[0].Type); isOptions(typ) {
+						c.addMember(p.types.Name(), typ, fd.Name.Name)
 					}
 				}
-				w.lit(n)
-			case *ast.AssignStmt:
-				w.assign(n.Tok, n.Lhs)
-			case *ast.IncDecStmt:
-				w.assign(token.ASSIGN, []ast.Expr{n.X})
-			case *ast.IfStmt:
-				w.ifs = append(w.ifs, n)
-			case *ast.Ident:
-				if !decl[n] {
-					used[n.Name] = true
-				}
-			}
-			return true
-		})
-	}
-
-	for _, f := range exported {
-		if !used[f.name] {
-			c.funcs = append(c.funcs, f.key)
-		}
-	}
-	for tk, fields := range options {
-		for _, f := range fields {
-			if !set[tk+"."+f] && !setName[f] {
-				c.fields = append(c.fields, tk+"."+f)
 			}
 		}
 	}
@@ -369,12 +329,64 @@ func takeCensus() (*census, error) {
 	return c, nil
 }
 
+// origin maps an instantiated generic function or field to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// implementsCalled reports whether T or *T implements one of ifaces.
+func implementsCalled(named *types.Named, ifaces []*types.Interface) bool {
+	for _, it := range ifaces {
+		if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
+			return true
+		}
+	}
+	return false
+}
+
+// options records a *Config/*Options type's members and, for an exported
+// struct of internal/ or the root package, its exported fields nothing sets.
+func (c *census) options(p *pkg, named *types.Named, set map[types.Object]bool) {
+	name := named.Obj().Name()
+	checked := named.Obj().Exported() && p.dir != "internal/wire" &&
+		(p.dir == "swishmem" || strings.HasPrefix(p.dir, "internal/"))
+	if st, ok := named.Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			c.addMember(p.types.Name(), name, f.Name())
+			if checked && f.Exported() && !set[f] {
+				c.fields = append(c.fields, p.dir+"."+name+"."+f.Name())
+			}
+		}
+	}
+	for i := 0; i < named.NumMethods(); i++ {
+		c.addMember(p.types.Name(), name, named.Method(i).Name())
+	}
+}
+
 func isOptions(name string) bool {
 	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")
 }
 
-func (c *census) addMember(sf *srcFile, typ, member string) {
-	for _, k := range []string{typ, sf.f.Name.Name + "." + typ} {
+// recvName is the type name of a method receiver expression.
+func recvName(e ast.Expr) string {
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+func (c *census) addMember(pkgName, typ, member string) {
+	for _, k := range []string{typ, pkgName + "." + typ} {
 		if c.members[k] == nil {
 			c.members[k] = map[string]bool{}
 		}
@@ -382,152 +394,63 @@ func (c *census) addMember(sf *srcFile, typ, member string) {
 	}
 }
 
-// setWalk records the fields one file sets. vars is the type of each local
-// name in the current function (receiver, parameters, declared and
-// literal-initialised variables); ifs the if statements met so far in it;
-// elided the element type of each {...} inside a slice, array or map literal.
-type setWalk struct {
-	sf           *srcFile
-	fieldType    map[string]map[string]string
-	alias        map[string]string
-	set, setName map[string]bool
-	vars         map[string]string
-	ifs          []*ast.IfStmt
-	elided       map[*ast.CompositeLit]string
-}
-
-func (w *setWalk) enter(fd *ast.FuncDecl) {
-	w.vars, w.ifs = map[string]string{}, nil
-	for _, fl := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
-		if fl == nil {
-			continue
+// setFields records in set every struct field f sets: by composite-literal
+// key (or every field, for a positional literal) and by assignment, unless
+// the assignment is the defaulting idiom.
+func setFields(info *types.Info, f *ast.File, set map[types.Object]bool) {
+	var ifs []*ast.IfStmt
+	assign := func(lhs ast.Expr) {
+		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+		if !ok || info.Selections[sel] == nil || defaulting(ifs, sel) {
+			return
 		}
-		for _, fld := range fl.List {
-			for _, n := range fld.Names {
-				w.vars[n.Name] = w.sf.typeOf(fld.Type)
-			}
-		}
+		set[origin(info.Selections[sel].Obj())] = true
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.ValueSpec:
-			for i, id := range n.Names {
-				if n.Type != nil {
-					w.vars[id.Name] = w.sf.typeOf(n.Type)
-				} else if i < len(n.Values) {
-					w.vars[id.Name] = w.valueType(n.Values[i])
+		case *ast.IfStmt:
+			ifs = append(ifs, n)
+		case *ast.CompositeLit:
+			tv, ok := info.Types[n]
+			if !ok {
+				return true
+			}
+			st, ok := deref(tv.Type).Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					set[origin(info.Uses[kv.Key.(*ast.Ident)])] = true
+				} else {
+					set[st.Field(i)] = true
 				}
 			}
 		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE && len(n.Lhs) == len(n.Rhs) {
-				for i, l := range n.Lhs {
-					if id, ok := l.(*ast.Ident); ok {
-						w.vars[id.Name] = w.valueType(n.Rhs[i])
-					}
+			if n.Tok != token.DEFINE {
+				for _, l := range n.Lhs {
+					assign(l)
 				}
 			}
+		case *ast.IncDecStmt:
+			assign(n.X)
 		}
 		return true
 	})
 }
 
-// valueType is the type of a T{...} or &T{...} expression, or of a copy of
-// a name whose type is known; else "".
-func (w *setWalk) valueType(e ast.Expr) string {
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = u.X
-	}
-	if cl, ok := e.(*ast.CompositeLit); ok && cl.Type != nil {
-		return w.resolve(w.sf.typeOf(cl.Type))
-	}
-	return w.exprType(e)
-}
-
-func (w *setWalk) resolve(t string) string {
-	if a, ok := w.alias[t]; ok {
-		return a
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
 	}
 	return t
 }
 
-// exprType resolves a local name or a field chain on one to its type.
-func (w *setWalk) exprType(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return w.resolve(w.vars[e.Name])
-	case *ast.StarExpr:
-		return w.exprType(e.X)
-	case *ast.ParenExpr:
-		return w.exprType(e.X)
-	case *ast.SelectorExpr:
-		if t := w.exprType(e.X); t != "" {
-			return w.resolve(w.fieldType[t][e.Sel.Name])
-		}
-	}
-	return ""
-}
-
-// lit records the keys of a composite literal. ast.Inspect meets a literal
-// before its elements, so an element whose type is elided finds it in
-// w.elided.
-func (w *setWalk) lit(cl *ast.CompositeLit) {
-	typ, elt := w.elided[cl], ""
-	switch t := cl.Type.(type) {
-	case nil:
-	case *ast.ArrayType:
-		elt = w.sf.typeOf(t.Elt)
-	case *ast.MapType:
-		elt = w.sf.typeOf(t.Value)
-	default:
-		typ = w.resolve(w.sf.typeOf(t))
-	}
-	for _, e := range cl.Elts {
-		kv, keyed := e.(*ast.KeyValueExpr)
-		if keyed {
-			if id, ok := kv.Key.(*ast.Ident); ok && elt == "" {
-				if typ != "" {
-					w.set[typ+"."+id.Name] = true
-				} else {
-					w.setName[id.Name] = true
-				}
-			}
-			e = kv.Value
-		} else if typ != "" { // positional: every field is set
-			for f := range w.fieldType[typ] {
-				w.set[typ+"."+f] = true
-			}
-		}
-		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			e = u.X
-		}
-		if sub, ok := e.(*ast.CompositeLit); ok && sub.Type == nil && elt != "" {
-			w.elided[sub] = elt
-		}
-	}
-}
-
-func (w *setWalk) assign(tok token.Token, lhs []ast.Expr) {
-	if tok == token.DEFINE {
-		return
-	}
-	for _, l := range lhs {
-		sel, ok := l.(*ast.SelectorExpr)
-		if !ok || w.defaulting(sel) {
-			continue
-		}
-		if t := w.exprType(sel.X); t != "" {
-			w.set[t+"."+sel.Sel.Name] = true
-		} else {
-			w.setName[sel.Sel.Name] = true
-		}
-	}
-}
-
-// defaulting reports whether sel is assigned inside an if statement whose
-// condition reads the same selector.
-func (w *setWalk) defaulting(sel *ast.SelectorExpr) bool {
+// defaulting reports whether sel is assigned inside the body of an if
+// statement whose condition reads the same selector.
+func defaulting(ifs []*ast.IfStmt, sel *ast.SelectorExpr) bool {
 	want := selText(sel)
-	for _, is := range w.ifs {
+	for _, is := range ifs {
 		if is.Body.Pos() > sel.Pos() || sel.End() > is.Body.End() {
 			continue
 		}

@@ -187,9 +187,6 @@ func (c *Controller) post(fn func()) {
 	c.mail.Post(c.eng, configDelay, fn)
 }
 
-// Addr returns the controller's network address.
-func (c *Controller) Addr() netem.Addr { return c.cfg.Addr }
-
 // traceInstant emits a controller-lane instant with up to two int args.
 func (c *Controller) traceInstant(name, k1 string, v1 int64, k2 string, v2 int64) {
 	tr := c.eng.Tracer()

@@ -203,16 +203,13 @@ func (r *EventualRegister) Write(key uint64, val []byte) { r.node.Write(key, val
 // Read returns the local replica value.
 func (r *EventualRegister) Read(key uint64) ([]byte, bool) { return r.node.Read(key) }
 
-// MemoryBytes returns this register's SRAM cost on this switch.
-func (r *EventualRegister) MemoryBytes() int { return r.node.MemoryBytes() }
-
 // CounterRegister is the EWO counter-CRDT handle (§6.2's "natural
 // application").
 type CounterRegister struct {
 	node *ewo.Node
 }
 
-// NewCounterRegister declares an EWO G-counter (or PN-counter) register.
+// NewCounterRegister declares an EWO G-counter register.
 func (in *Instance) NewCounterRegister(cfg ewo.Config) (*CounterRegister, error) {
 	if cfg.Kind == ewo.LWW {
 		cfg.Kind = ewo.Counter
@@ -234,14 +231,8 @@ func (r *CounterRegister) Node() *ewo.Node { return r.node }
 // Add increments the counter (local + async replication).
 func (r *CounterRegister) Add(key uint64, delta uint64) { r.node.Add(key, delta) }
 
-// Sub decrements (PN-counters only).
-func (r *CounterRegister) Sub(key uint64, delta uint64) { r.node.Sub(key, delta) }
-
 // Sum reads the merged counter value.
 func (r *CounterRegister) Sum(key uint64) uint64 { return r.node.Sum(key) }
-
-// MemoryBytes returns this register's SRAM cost on this switch.
-func (r *CounterRegister) MemoryBytes() int { return r.node.MemoryBytes() }
 
 // BaselineCounter is the §3.3 control-plane-replicated baseline handle.
 type BaselineCounter struct {

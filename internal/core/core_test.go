@@ -210,7 +210,7 @@ func TestMemoryTotal(t *testing.T) {
 	if r.ins[0].MemoryTotal() == 0 {
 		t.Fatal("memory accounting empty")
 	}
-	sum := r.regS[0].MemoryBytes() + r.regC[0].MemoryBytes() + r.regL[0].MemoryBytes()
+	sum := r.regS[0].MemoryBytes() + r.regC[0].Node().MemoryBytes() + r.regL[0].Node().MemoryBytes()
 	if r.ins[0].MemoryTotal() != sum {
 		t.Fatalf("MemoryTotal %d != register sum %d", r.ins[0].MemoryTotal(), sum)
 	}
@@ -261,16 +261,6 @@ func TestHandlesShareUnderlyingNode(t *testing.T) {
 	if r.regC[0].Sum(9) != 4 {
 		t.Fatal("handle does not share state with original")
 	}
-}
-
-func TestCounterRegisterSubPanicsOnGCounter(t *testing.T) {
-	r := newRig(t, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Sub on G-counter did not panic")
-		}
-	}()
-	r.regC[0].Sub(1, 1)
 }
 
 func TestBaselineCounterErrors(t *testing.T) {

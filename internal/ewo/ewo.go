@@ -25,7 +25,7 @@
 //   - Counter (CRDT): a G-counter vector with one slot per group member;
 //     increments touch only the local slot, merges take the element-wise
 //     max, reads sum the vector. Strong eventual consistency and
-//     monotonicity; PN-counters add a decrement vector.
+//     monotonicity.
 package ewo
 
 import (
@@ -61,19 +61,13 @@ const (
 	LWW Kind = iota
 	// Counter is an increment-only G-counter CRDT.
 	Counter
-	// PNCounter supports increments and decrements (two G-counters).
-	PNCounter
 )
 
 func (k Kind) String() string {
-	switch k {
-	case Counter:
+	if k == Counter {
 		return "Counter"
-	case PNCounter:
-		return "PNCounter"
-	default:
-		return "LWW"
 	}
+	return "LWW"
 }
 
 // Config describes one EWO register array.
@@ -176,7 +170,6 @@ type Node struct {
 	// (armed says the event is queued).
 	flushFn func()
 	armed   bool
-	ticker  *sim.Ticker
 	// syncRows is the sync walk's key-ordered row snapshot (see syncWalk);
 	// syncCursor walks it across periodic sync rounds. round counts the
 	// rounds, walks the walks begun. floor says the current walk sends every
@@ -237,7 +230,7 @@ func NewNode(sw *pisa.Switch, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	if cfg.SyncPeriod > 0 {
-		n.ticker = sw.PacketGen(cfg.SyncPeriod, n.syncRound)
+		sw.PacketGen(cfg.SyncPeriod, n.syncRound)
 	}
 	return n, nil
 }
@@ -302,13 +295,6 @@ func (n *Node) RegisterMetrics(r *obs.Registry, labels string) {
 	r.AddCounter("ewo.keys_refused", labels, &es.KeysRefused)
 }
 
-// Stop cancels the periodic synchronization ticker.
-func (n *Node) Stop() {
-	if n.ticker != nil {
-		n.ticker.Stop()
-	}
-}
-
 // --- LWW operations ---
 
 // Write stores val under key with a fresh stamp and schedules its broadcast.
@@ -352,20 +338,6 @@ func (n *Node) Add(key uint64, delta uint64) {
 	if n.cfg.Kind == LWW {
 		panic("ewo: Add on LWW register; use Write")
 	}
-	n.add(key, delta, incVec)
-}
-
-// Sub decrements key's counter (PNCounter only).
-func (n *Node) Sub(key uint64, delta uint64) {
-	if n.cfg.Kind != PNCounter {
-		panic("ewo: Sub requires a PNCounter register")
-	}
-	n.add(key, delta, decVec)
-}
-
-// add adds delta to this switch's slot of key in vector vec and announces
-// the slot's new value.
-func (n *Node) add(key, delta uint64, vec int) {
 	n.Stats.Writes.Inc()
 	t := &n.tab
 	r := t.rowFor(key)
@@ -375,33 +347,26 @@ func (n *Node) add(key, delta uint64, vec int) {
 	}
 	self := uint16(n.sw.Addr())
 	c := t.colFor(self) // may widen: index the cell after it
-	s := &t.cells[(r*t.vecs+vec)*t.stride+c]
+	s := &t.cells[r*t.stride+c]
 	*s += delta
 	t.wrote(r, n.round)
-	n.enqueue(counterEntry(key, self, *s, vec == decVec))
+	n.enqueue(counterEntry(key, self, *s))
 }
 
-// incMark and decMark are the shared, read-only Value payloads of counter
-// entries — never allocated per write, never mutated (merge and marshal only
-// read them).
-var (
-	incMark = []byte{0}
-	decMark = []byte{1}
-)
+// incMark is the shared, read-only Value payload of counter entries — never
+// allocated per write, never mutated (merge and marshal only read it). Its
+// 0 byte marks an increment; an entry marked 1 (a decrement) is refused.
+var incMark = []byte{0}
 
 // counterEntry encodes a slot announcement: Stamp.Node carries the slot
 // owner, Stamp.Time the slot value (slot values are monotone, so the value
 // doubles as the version — the §7 "version number and value" pair collapses
-// for counters). Value[0] distinguishes the decrement vector.
-func counterEntry(key uint64, owner uint16, slotVal uint64, isDec bool) wire.EWOEntry {
-	v := incMark
-	if isDec {
-		v = decMark
-	}
+// for counters).
+func counterEntry(key uint64, owner uint16, slotVal uint64) wire.EWOEntry {
 	return wire.EWOEntry{
 		Key:   key,
 		Stamp: timesync.Stamp{Time: sim.Time(slotVal), Node: timesync.NodeID(owner)},
-		Value: v,
+		Value: incMark,
 	}
 }
 
@@ -411,15 +376,11 @@ func counterEntry(key uint64, owner uint16, slotVal uint64, isDec bool) wire.EWO
 // bulk write barrier and cost three times as much per entry. It is not
 // counterEntry's implementation because the returned copy then costs Add
 // more than the literal does.
-func setCounterEntry(e *wire.EWOEntry, key uint64, owner uint16, slotVal uint64, isDec bool) {
-	v := incMark
-	if isDec {
-		v = decMark
-	}
-	e.Key, e.Stamp, e.Value = key, timesync.Stamp{Time: sim.Time(slotVal), Node: timesync.NodeID(owner)}, v
+func setCounterEntry(e *wire.EWOEntry, key uint64, owner uint16, slotVal uint64) {
+	e.Key, e.Stamp, e.Value = key, timesync.Stamp{Time: sim.Time(slotVal), Node: timesync.NodeID(owner)}, incMark
 }
 
-// Sum reads the counter: sum of increment slots minus decrement slots.
+// Sum reads the counter: the sum of its slots.
 func (n *Node) Sum(key uint64) uint64 {
 	if n.cfg.Kind == LWW {
 		panic("ewo: Sum on LWW register; use Read")
@@ -604,8 +565,8 @@ func (n *Node) mergeLWW(ents []wire.EWOEntry) {
 // mergeCounters applies a counter update's entries: each slot keeps the
 // larger of its value and the announced one. It works a row at a time: a
 // sync packet carries each key's slots back to back, so the key's row is
-// looked up once per run of equal keys, not once per slot. A decrement entry
-// reaching a G-counter (a configuration mismatch or corruption) is discarded
+// looked up once per run of equal keys, not once per slot. A decrement-marked
+// entry (Value[0] == 1: a configuration mismatch or corruption) is discarded
 // as stale and creates nothing; an entry whose key is refused is counted in
 // KeysRefused.
 func (n *Node) mergeCounters(ents []wire.EWOEntry) {
@@ -613,13 +574,9 @@ func (n *Node) mergeCounters(ents []wire.EWOEntry) {
 	r, key := -1, uint64(0)
 	for i := range ents {
 		e := &ents[i]
-		vec := incVec
 		if len(e.Value) > 0 && e.Value[0] == 1 {
-			if n.cfg.Kind != PNCounter {
-				n.Stats.EntriesStale.Inc()
-				continue
-			}
-			vec = decVec
+			n.Stats.EntriesStale.Inc()
+			continue
 		}
 		if r < 0 || e.Key != key {
 			if r, key = t.rowFor(e.Key), e.Key; r < 0 {
@@ -628,7 +585,7 @@ func (n *Node) mergeCounters(ents []wire.EWOEntry) {
 			}
 		}
 		c := t.colFor(uint16(e.Stamp.Node)) // may widen: index the cell after it
-		s := &t.cells[(r*t.vecs+vec)*t.stride+c]
+		s := &t.cells[r*t.stride+c]
 		if v := uint64(e.Stamp.Time); v > *s {
 			*s = v
 			n.Stats.EntriesMerged.Inc()
@@ -729,9 +686,6 @@ func (n *Node) sendSync(u *wire.EWOUpdate, target netem.Addr) {
 	n.Stats.SyncPackets.Inc()
 	u.Release()
 }
-
-// Keys returns the number of locally known keys.
-func (n *Node) Keys() int { return n.tab.keys.Len() }
 
 // StateDigest summarizes local state for convergence checks: for LWW a map
 // of key to stamp and value; for counters a map of key to summed value.

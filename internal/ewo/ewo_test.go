@@ -195,30 +195,6 @@ func TestDuplicatedDeliveryIdempotent(t *testing.T) {
 	}
 }
 
-func TestPNCounter(t *testing.T) {
-	cfg := Config{Reg: 3, Capacity: 128, Kind: PNCounter}
-	r := newRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 10_000})
-	r.nodes[0].Add(1, 100)
-	r.nodes[1].Sub(1, 30)
-	r.nodes[2].Add(1, 5)
-	r.eng.RunFor(2 * time.Millisecond)
-	for i, n := range r.nodes {
-		if got := n.Sum(1); got != 75 {
-			t.Fatalf("node %d = %d, want 75", i, got)
-		}
-	}
-}
-
-func TestSubOnGCounterPanics(t *testing.T) {
-	r := newRig(t, 1, 2, ctrCfg(), netem.LinkProfile{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Sub on G-counter did not panic")
-		}
-	}()
-	r.nodes[0].Sub(1, 1)
-}
-
 func TestKindMismatchPanics(t *testing.T) {
 	r := newRig(t, 1, 2, lwwCfg(), netem.LinkProfile{})
 	for name, fn := range map[string]func(){
@@ -357,7 +333,7 @@ func TestJoinBySyncRecovery(t *testing.T) {
 		r.nodes[i%3].Add(uint64(i%5), 2)
 	}
 	r.eng.RunFor(5 * time.Millisecond)
-	if r.nodes[3].Keys() != 0 {
+	if r.nodes[3].tab.keys.Len() != 0 {
 		t.Fatal("outside switch received state")
 	}
 	// Join.
@@ -445,7 +421,7 @@ func TestJoinerHoldsEveryRowWithinOneWalk(t *testing.T) {
 		r.nodes[(k+1)%3].Add(k, 1)
 	}
 	r.eng.RunFor(20 * time.Millisecond)
-	if r.nodes[3].Keys() != 0 {
+	if r.nodes[3].tab.keys.Len() != 0 {
 		t.Fatal("setup: the outside switch received state")
 	}
 	r.installGroup([]uint16{1, 2, 3, 4})
@@ -509,8 +485,6 @@ func TestConfigValidation(t *testing.T) {
 // group; the change register does not.
 func TestMemoryScalesWithGroup(t *testing.T) {
 	eng := sim.NewEngine(1)
-	tr := obs.NewTracer(16)
-	eng.SetTracer(tr)
 	nw := netem.New(eng, netem.LinkProfile{})
 	for i, tc := range []struct {
 		cfg  Config
@@ -518,11 +492,11 @@ func TestMemoryScalesWithGroup(t *testing.T) {
 	}{
 		{Config{Capacity: 1000, Kind: Counter, MaxGroup: 2}, 1000 * (2*16 + 4)},
 		{Config{Capacity: 1000, Kind: Counter, MaxGroup: 16}, 1000 * (16*16 + 4)},
-		{Config{Capacity: 1000, Kind: PNCounter, MaxGroup: 16}, 1000 * (2*16*16 + 4)},
 		{Config{Capacity: 1000, Kind: LWW, ValueWidth: 8}, 1000 * (10 + 8 + 4)},
 	} {
 		sw := pisa.New(eng, nw, pisa.Config{Addr: netem.Addr(i + 1), MemoryBytes: 64 << 20})
-		tr.Reset()
+		tr := obs.NewTracer(16)
+		eng.SetTracer(tr)
 		tc.cfg.Reg = 1
 		n, err := NewNode(sw, tc.cfg)
 		if err != nil {
@@ -566,45 +540,8 @@ func TestHandleIgnoresOtherRegisters(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if LWW.String() != "LWW" || Counter.String() != "Counter" || PNCounter.String() != "PNCounter" {
+	if LWW.String() != "LWW" || Counter.String() != "Counter" {
 		t.Fatal("kind strings")
-	}
-}
-
-func TestStopHaltsSync(t *testing.T) {
-	cfg := ctrCfg()
-	cfg.SyncPeriod = 100 * time.Microsecond
-	r := newRig(t, 1, 2, cfg, netem.LinkProfile{Latency: 10_000})
-	r.nodes[0].Add(1, 1)
-	r.eng.RunFor(time.Millisecond)
-	r.nodes[0].Stop()
-	before := r.nodes[0].Stats.SyncPackets.Value()
-	r.eng.RunFor(10 * time.Millisecond)
-	// At most one already-dispatched sync round may still fire.
-	if got := r.nodes[0].Stats.SyncPackets.Value(); got > before+1 {
-		t.Fatalf("sync continued after Stop: %d -> %d", before, got)
-	}
-}
-
-func TestPNCounterSyncRepairsLostDecrement(t *testing.T) {
-	// A Sub whose multicast is lost must be repaired by periodic sync,
-	// including gossip of the decrement vector.
-	cfg := Config{Reg: 3, Capacity: 64, Kind: PNCounter, SyncPeriod: 500 * time.Microsecond}
-	r := newRig(t, 31, 2, cfg, netem.LinkProfile{Latency: 10_000})
-	r.nodes[0].Add(1, 100)
-	r.eng.RunFor(2 * time.Millisecond)
-	// All direct traffic from node 1 to node 2 now drops.
-	r.net.SetOneWayLink(1, 2, netem.LinkProfile{Latency: 10_000, LossRate: 1.0})
-	r.nodes[0].Sub(1, 30)
-	r.eng.RunFor(5 * time.Millisecond)
-	if r.nodes[1].Sum(1) != 100 {
-		t.Fatalf("setup: decrement leaked through lossy link (%d)", r.nodes[1].Sum(1))
-	}
-	// Heal; sync gossip must deliver the decrement vector.
-	r.net.SetOneWayLink(1, 2, netem.LinkProfile{Latency: 10_000})
-	r.eng.RunFor(100 * time.Millisecond)
-	if got := r.nodes[1].Sum(1); got != 70 {
-		t.Fatalf("after sync = %d, want 70", got)
 	}
 }
 
@@ -612,7 +549,7 @@ func TestDecEntryIgnoredByGCounter(t *testing.T) {
 	// A decrement announcement arriving at a G-counter register (config
 	// mismatch / corruption) must be discarded, not misapplied.
 	a := mkIsolated(t, Counter, 7)
-	a.mergeCounters([]wire.EWOEntry{counterEntry(1, 3, 50, true)}) // dec entry
+	a.mergeCounters([]wire.EWOEntry{decEntry(1, 3, 50)})
 	if a.Sum(1) != 0 {
 		t.Fatalf("dec entry applied to G-counter: %d", a.Sum(1))
 	}
@@ -701,7 +638,7 @@ func TestFlushWithoutGroupDropsCleanly(t *testing.T) {
 // The writes of one instant leave as one update, at that instant: one entry
 // per slot in first-write order, a slot written twice carrying its last value.
 func TestInstantWritesLeaveAsOneUpdate(t *testing.T) {
-	cfg := Config{Reg: 3, Capacity: 64, Kind: PNCounter, SyncPeriod: -1}
+	cfg := Config{Reg: 3, Capacity: 64, Kind: Counter, SyncPeriod: -1}
 	r := newRig(t, 1, 3, cfg, netem.LinkProfile{Latency: 10_000})
 	var got []wire.EWOEntry
 	r.sws[1].SetMsgHandler(func(_ *pisa.Switch, from netem.Addr, msg wire.Msg) {
@@ -711,13 +648,13 @@ func TestInstantWritesLeaveAsOneUpdate(t *testing.T) {
 	n := r.nodes[0]
 	n.Add(5, 1)
 	n.Add(9, 2)
-	n.Sub(5, 3) // the decrement vector is a slot of its own
+	n.Add(11, 3)
 	n.Add(5, 4) // overwrites the first entry where it stands
 	if n.PendingDeltas() != 4 || n.Stats.UpdatesSent.Value() != 0 {
 		t.Fatalf("mid-instant: %d deltas pending, %d updates sent", n.PendingDeltas(), n.Stats.UpdatesSent.Value())
 	}
 	r.eng.RunFor(time.Millisecond)
-	want := []wire.EWOEntry{counterEntry(5, 1, 5, false), counterEntry(9, 1, 2, false), counterEntry(5, 1, 3, true)}
+	want := []wire.EWOEntry{counterEntry(5, 1, 5), counterEntry(9, 1, 2), counterEntry(11, 1, 3)}
 	if n.Stats.UpdatesSent.Value() != 1 || r.net.Totals().MsgsSent != 2 || len(got) != len(want) {
 		t.Fatalf("%d updates, %d fabric msgs, %d entries; want 1, 2, %d",
 			n.Stats.UpdatesSent.Value(), r.net.Totals().MsgsSent, len(got), len(want))
@@ -728,8 +665,8 @@ func TestInstantWritesLeaveAsOneUpdate(t *testing.T) {
 		}
 	}
 	for i, peer := range r.nodes {
-		if peer.Sum(5) != 2 || peer.Sum(9) != 2 {
-			t.Fatalf("node %d: Sum(5) = %d, Sum(9) = %d, want 2 and 2", i, peer.Sum(5), peer.Sum(9))
+		if peer.Sum(5) != 5 || peer.Sum(9) != 2 || peer.Sum(11) != 3 {
+			t.Fatalf("node %d: Sum(5) = %d, Sum(9) = %d, Sum(11) = %d, want 5, 2 and 3", i, peer.Sum(5), peer.Sum(9), peer.Sum(11))
 		}
 	}
 }
@@ -793,7 +730,7 @@ func TestExplicitFlushWithEventArmed(t *testing.T) {
 // whatever order a map iterator happens to produce.
 func TestSyncEntryOrderIsSeedDetermined(t *testing.T) {
 	run := func() [][]byte {
-		cfg := Config{Reg: 3, Capacity: 64, Kind: PNCounter, SyncPeriod: 100_000}
+		cfg := Config{Reg: 3, Capacity: 64, Kind: Counter, SyncPeriod: 100_000}
 		r := newRig(t, 42, 4, cfg, netem.LinkProfile{Latency: 1000})
 		var packets [][]byte
 		for i, sw := range r.sws {
@@ -805,10 +742,9 @@ func TestSyncEntryOrderIsSeedDetermined(t *testing.T) {
 				node.Handle(from, msg)
 			})
 		}
-		// Every member owns an increment and a decrement slot on key 7.
+		// Every member owns a slot on key 7.
 		for i, n := range r.nodes {
 			n.Add(7, uint64(i+1))
-			n.Sub(7, 1)
 			n.Add(uint64(10+i), 1)
 		}
 		r.eng.RunFor(20 * cfg.SyncPeriod) // 20 sync rounds per member

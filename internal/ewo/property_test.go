@@ -121,7 +121,7 @@ func TestCounterMergeOrderInsensitive(t *testing.T) {
 			d := uint64(inc%5 + 1)
 			slots[owner] += d
 			total += d
-			entries = append(entries, counterEntry(7, owner, slots[owner], false))
+			entries = append(entries, counterEntry(7, owner, slots[owner]))
 		}
 		a := mkIsolated(t, Counter, 1)
 		b := mkIsolated(t, Counter, 2)
@@ -152,7 +152,7 @@ func TestCounterMergeMonotoneProperty(t *testing.T) {
 		a := mkIsolated(t, Counter, 1)
 		var last uint64
 		for i := 0; i < n; i++ {
-			a.mergeCounters([]wire.EWOEntry{counterEntry(1, uint16(owners[i]%6), uint64(vals[i]), false)})
+			a.mergeCounters([]wire.EWOEntry{counterEntry(1, uint16(owners[i]%6), uint64(vals[i]))})
 			cur := a.Sum(1)
 			if cur < last {
 				return false
@@ -201,21 +201,19 @@ func TestClusterConvergenceProperty(t *testing.T) {
 // take columns in first-touch order, and that a key past the register's
 // capacity is refused.
 type refCounter struct {
-	pn                     bool
 	self                   uint16
 	limit                  int
 	keys                   map[uint64]bool
 	order                  []uint64 // keys in first-touch order
-	inc, dec               map[uint64]map[uint16]uint64
+	vals                   map[uint64]map[uint16]uint64
 	owners                 []uint16
 	walk                   walkModel
 	merged, stale, refused uint64
 }
 
-func newRefCounter(pn bool, self uint16, limit int) *refCounter {
-	return &refCounter{pn: pn, self: self, limit: limit, keys: map[uint64]bool{},
-		inc: map[uint64]map[uint16]uint64{}, dec: map[uint64]map[uint16]uint64{},
-		walk: walkModel{chg: map[uint64]uint32{}}}
+func newRefCounter(self uint16, limit int) *refCounter {
+	return &refCounter{self: self, limit: limit, keys: map[uint64]bool{},
+		vals: map[uint64]map[uint16]uint64{}, walk: walkModel{chg: map[uint64]uint32{}}}
 }
 
 // walkModel is the sync walk's schedule: the rounds and walks so far and,
@@ -246,9 +244,9 @@ func (w *walkModel) walk(keys []uint64, window int, emit func(key uint64, floor 
 	}
 }
 
-// slots returns key's vector, touching the key and the owner, or nil if the
+// slots returns key's slots, touching the key and the owner, or nil if the
 // key is refused.
-func (m *refCounter) slots(dec bool, key uint64, owner uint16) map[uint16]uint64 {
+func (m *refCounter) slots(key uint64, owner uint16) map[uint16]uint64 {
 	if !m.keys[key] {
 		if len(m.order) == m.limit {
 			m.refused++
@@ -260,29 +258,27 @@ func (m *refCounter) slots(dec bool, key uint64, owner uint16) map[uint16]uint64
 	if !slices.Contains(m.owners, owner) {
 		m.owners = append(m.owners, owner)
 	}
-	vec := m.inc
-	if dec {
-		vec = m.dec
+	if m.vals[key] == nil {
+		m.vals[key] = map[uint16]uint64{}
 	}
-	if vec[key] == nil {
-		vec[key] = map[uint16]uint64{}
-	}
-	return vec[key]
+	return m.vals[key]
 }
 
-func (m *refCounter) add(dec bool, key, delta uint64) {
-	if s := m.slots(dec, key, m.self); s != nil {
+func (m *refCounter) add(key, delta uint64) {
+	if s := m.slots(key, m.self); s != nil {
 		s[m.self] += delta
 		m.walk.wrote(key)
 	}
 }
 
+// merge applies one received entry; a decrement-marked one is stale and
+// touches nothing.
 func (m *refCounter) merge(dec bool, key uint64, owner uint16, val uint64) {
-	if dec && !m.pn {
+	if dec {
 		m.stale++
 		return
 	}
-	if s := m.slots(dec, key, owner); s == nil {
+	if s := m.slots(key, owner); s == nil {
 		return
 	} else if val > s[owner] {
 		s[owner] = val
@@ -294,18 +290,14 @@ func (m *refCounter) merge(dec bool, key uint64, owner uint16, val uint64) {
 
 func (m *refCounter) sum(key uint64) uint64 {
 	var total uint64
-	for _, v := range m.inc[key] {
+	for _, v := range m.vals[key] {
 		total += v
-	}
-	for _, v := range m.dec[key] {
-		total -= v
 	}
 	return total
 }
 
-// syncEntries is one whole sync walk: keys ascending, increments before
-// decrements, owners in first-touch order (in a delta round, the node's own
-// slot only), zero slots skipped.
+// syncEntries is one whole sync walk: keys ascending, owners in first-touch
+// order (in a delta round, the node's own slot only), zero slots skipped.
 func (m *refCounter) syncEntries(window int) []wire.EWOEntry {
 	keys := slices.Clone(m.order)
 	slices.Sort(keys)
@@ -315,19 +307,21 @@ func (m *refCounter) syncEntries(window int) []wire.EWOEntry {
 		if !floor {
 			owners = []uint16{m.self}
 		}
-		for _, dec := range []bool{false, true} {
-			vec := m.inc
-			if dec {
-				vec = m.dec
-			}
-			for _, o := range owners {
-				if v := vec[k][o]; v != 0 {
-					out = append(out, counterEntry(k, o, v, dec))
-				}
+		for _, o := range owners {
+			if v := m.vals[k][o]; v != 0 {
+				out = append(out, counterEntry(k, o, v))
 			}
 		}
 	})
 	return out
+}
+
+// decEntry is a counter entry marked as a decrement (Value[0] == 1), which no
+// counter accepts.
+func decEntry(key uint64, owner uint16, val uint64) wire.EWOEntry {
+	e := counterEntry(key, owner, val)
+	e.Value = []byte{1}
+	return e
 }
 
 // tableProbe is a node whose sync packets land in a capture buffer: seven
@@ -393,8 +387,8 @@ func (p *tableProbe) walkRest() []wire.EWOEntry {
 // are pisa's FuzzKeyTable's).
 func checkTable(t testing.TB, tb *table) {
 	t.Helper()
-	if got, want := len(tb.cells), tb.keys.Len()*tb.vecs*tb.stride; got != want {
-		t.Fatalf("cells = %d, want %d rows x %d vecs x stride %d", got, tb.keys.Len(), tb.vecs, tb.stride)
+	if got, want := len(tb.cells), tb.keys.Len()*tb.stride; got != want {
+		t.Fatalf("cells = %d, want %d rows x stride %d", got, tb.keys.Len(), tb.stride)
 	}
 	if len(tb.owners) > tb.stride {
 		t.Fatalf("%d owners in stride %d", len(tb.owners), tb.stride)
@@ -423,11 +417,9 @@ func checkModel(t testing.TB, n *Node, m *refCounter) {
 		t.Fatalf("columns %v, model %v", tb.owners, m.owners)
 	}
 	for r, k := range rowKeys(tb) {
-		for vec, slots := range []map[uint64]map[uint16]uint64{m.inc, m.dec}[:tb.vecs] {
-			for c, v := range tb.vector(r, vec) {
-				if want := slots[k][tb.owners[c]]; v != want {
-					t.Fatalf("key %d owner %d vector %d = %d, model %d", k, tb.owners[c], vec, v, want)
-				}
+		for c, v := range tb.slots(r) {
+			if want := m.vals[k][tb.owners[c]]; v != want {
+				t.Fatalf("key %d owner %d = %d, model %d", k, tb.owners[c], v, want)
 			}
 		}
 	}
@@ -494,12 +486,8 @@ func runTableProgram(t testing.TB, prog []byte) uint64 {
 	if len(prog) == 0 {
 		return 0
 	}
-	kind := Counter
-	if prog[0]&1 == 1 {
-		kind = PNCounter
-	}
-	p := newTableProbe(t, kind, probeCapacity)
-	n, m := p.n, newRefCounter(kind == PNCounter, 1, probeCapacity)
+	p := newTableProbe(t, Counter, probeCapacity)
+	n, m := p.n, newRefCounter(1, probeCapacity)
 	next := programReader(&prog)
 	key := func() uint64 { return programKey(next) }
 	// 40 owners: churn far past MaxGroup, so the stride doubles three times.
@@ -511,32 +499,27 @@ func runTableProgram(t testing.TB, prog []byte) uint64 {
 	}
 	// The column order of the peer whose sync packets op 8 receives.
 	var sender []uint16
-	for prog = prog[1:]; len(prog) > 0; {
+	for len(prog) > 0 {
 		switch op := next(); op % 9 {
 		case 0:
 			k, d := key(), next()
 			n.Add(k, d)
-			m.add(false, k, d)
-		case 1:
-			k, d := key(), next()
-			if kind == PNCounter {
-				n.Sub(k, d)
-				m.add(true, k, d)
-			}
+			m.add(k, d)
+		case 1: // merge a decrement-marked announcement: stale, no row
+			k, o := key(), owner()
+			n.mergeCounters([]wire.EWOEntry{decEntry(k, o, 1+next())})
+			m.merge(true, k, o, 0)
 		case 2, 3, 4: // merge a newer, an equal, a stale announcement
-			k, o, dec := key(), owner(), next()&1 == 1
-			cur := m.inc[k][o]
-			if dec {
-				cur = m.dec[k][o]
-			}
+			k, o := key(), owner()
+			cur := m.vals[k][o]
 			val := cur + 1 + next()
 			if op%9 == 3 {
 				val = cur
 			} else if op%9 == 4 {
 				val = cur / 2
 			}
-			n.mergeCounters([]wire.EWOEntry{counterEntry(k, o, val, dec)})
-			m.merge(dec, k, o, val)
+			n.mergeCounters([]wire.EWOEntry{counterEntry(k, o, val)})
+			m.merge(false, k, o, val)
 		case 5:
 			k := key()
 			if got, want := n.Sum(k), m.sum(k); got != want {
@@ -554,8 +537,8 @@ func runTableProgram(t testing.TB, prog []byte) uint64 {
 			}
 		case 7:
 			checkTable(t, &n.tab)
-			if got, want := n.Keys(), len(m.keys); got != want {
-				t.Fatalf("Keys() = %d, model %d", got, want)
+			if got, want := n.tab.keys.Len(), len(m.keys); got != want {
+				t.Fatalf("%d rows, model %d keys", got, want)
 			}
 			d := n.StateDigest()
 			if len(d) != len(m.keys) {
@@ -568,8 +551,9 @@ func runTableProgram(t testing.TB, prog []byte) uint64 {
 			}
 		case 8: // receive a sync-shaped update
 			// Runs of one key, each slot once, in the sender's column order,
-			// increments before decrements; values newer, equal or older than
-			// the model's, decrements mixed in (stale on a G-counter).
+			// increments before decrement-marked entries; values newer, equal
+			// or older than the model's, decrement-marked entries mixed in
+			// (stale, and they create no row).
 			type slot struct {
 				vec, col int
 				owner    uint16
@@ -590,13 +574,17 @@ func runTableProgram(t testing.TB, prog []byte) uint64 {
 				}
 				slices.SortFunc(run, func(a, b slot) int { return cmp.Or(cmp.Compare(a.vec, b.vec), cmp.Compare(a.col, b.col)) })
 				for _, s := range run {
-					cur := []map[uint64]map[uint16]uint64{m.inc, m.dec}[s.vec][k][s.owner]
+					cur := m.vals[k][s.owner]
 					sel := next()
 					val := cur + sel%4
 					if sel&4 != 0 {
 						val = cur / 2
 					}
-					u.Entries = append(u.Entries, counterEntry(k, s.owner, max(val, 1), s.vec == decVec))
+					e := counterEntry(k, s.owner, max(val, 1))
+					if s.vec == 1 {
+						e = decEntry(k, s.owner, max(val, 1))
+					}
+					u.Entries = append(u.Entries, e)
 				}
 			}
 			n.Handle(2, u)
@@ -618,17 +606,17 @@ func tablePrograms(count, ops int) [][]byte {
 	progs := make([][]byte, count)
 	for i := range progs {
 		rng := rand.New(rand.NewSource(int64(i + 1)))
-		progs[i] = make([]byte, 1+6*ops)
+		progs[i] = make([]byte, 6*ops)
 		rng.Read(progs[i])
 	}
 	return progs
 }
 
-// Property: over random programs of Add/Sub/merge/Sum/sync/digest and
-// received sync-shaped updates — keys on both sides of Capacity,
-// decrement-only keys, 40 slot owners, hundreds of keys, more than the
-// register holds — the slot matrix is indistinguishable from nested maps
-// that refuse a key past Capacity.
+// Property: over random programs of Add/merge/Sum/sync/digest and received
+// sync-shaped updates — keys on both sides of Capacity, decrement-marked
+// entries, 40 slot owners, hundreds of keys, more than the register holds —
+// the slot matrix is indistinguishable from nested maps that refuse a key
+// past Capacity and a decrement-marked entry.
 func TestCounterTableMatchesNestedMaps(t *testing.T) {
 	var strides int
 	var refused uint64
@@ -640,10 +628,10 @@ func TestCounterTableMatchesNestedMaps(t *testing.T) {
 	if refused == 0 {
 		t.Fatal("no program took the table past Capacity")
 	}
-	p := newTableProbe(t, PNCounter, 1024)
+	p := newTableProbe(t, Counter, 1024)
 	for i := uint64(0); i < 700; i++ {
 		stride := p.n.tab.stride
-		p.n.mergeCounters([]wire.EWOEntry{counterEntry(i*i, uint16(i%40+1), i+1, i%2 == 1)})
+		p.n.mergeCounters([]wire.EWOEntry{counterEntry(i*i, uint16(i%40+1), i+1)})
 		if p.n.tab.stride != stride {
 			strides++
 		}
@@ -668,14 +656,13 @@ func TestCounterSyncWalkSnapshot(t *testing.T) {
 		}
 		return ks
 	}
-	p := newTableProbe(t, PNCounter, probeCapacity)
+	p := newTableProbe(t, Counter, probeCapacity)
 	var early []uint64
 	for i := uint64(0); i < 40; i++ {
 		k := 1000 + i*37%40*10 // first touch out of key order
 		p.n.Add(k, i+1)
 		early = append(early, k)
 	}
-	p.n.Sub(early[3], 1)
 	slices.Sort(early)
 
 	p.n.syncCursor = len(p.n.syncRows)
@@ -703,8 +690,8 @@ func FuzzCounterTable(f *testing.F) {
 	for _, prog := range tablePrograms(4, 200) {
 		f.Add(prog)
 	}
-	f.Add([]byte{1, 1, 0, 0, 0, 4, 0, 0, 9, 1, 6, 7})             // Sub(0, 0) then a stale dec merge, sync, digest
-	f.Add([]byte{0, 8, 0, 0, 0, 2, 5, 0, 6, 1, 5, 1, 1, 2, 3, 7}) // G-counter: a sync run of one key with two stale decrements, digest
+	f.Add([]byte{1, 0, 0, 0, 4, 0, 0, 9, 1, 6, 7})             // a decrement-marked merge (no row), Add(3, 1), sync, digest
+	f.Add([]byte{8, 0, 0, 0, 2, 5, 0, 6, 1, 5, 1, 1, 2, 3, 7}) // a sync run of one key with two decrement-marked slots, digest
 	f.Fuzz(func(t *testing.T, prog []byte) { runTableProgram(t, prog) })
 }
 
@@ -802,8 +789,8 @@ func runLWWProgram(t testing.TB, prog []byte) uint64 {
 				t.Fatalf("digest[%d] = %q, model %q", k, d[k], w)
 			}
 		}
-		if n.Keys() != len(m.order) || len(d) != len(m.order) {
-			t.Fatalf("Keys() = %d, digest has %d keys, model %d", n.Keys(), len(d), len(m.order))
+		if n.tab.keys.Len() != len(m.order) || len(d) != len(m.order) {
+			t.Fatalf("%d rows, digest has %d keys, model %d", n.tab.keys.Len(), len(d), len(m.order))
 		}
 		checkCounts(t, n, m.merged, m.stale, m.refused)
 	}
@@ -908,7 +895,6 @@ type coalesceProgram struct {
 type coalesceOp struct {
 	member int
 	key    uint64
-	dec    bool   // Sub (PNCounter only)
 	delta  uint64 // counters
 	val    []byte // LWW
 }
@@ -921,11 +907,11 @@ type coalesceOp struct {
 func decodeCoalesceProgram(prog []byte) coalesceProgram {
 	b := int(prog[0])
 	p := coalesceProgram{
-		cfg:     Config{Reg: 1, Capacity: 512, ValueWidth: 8, Kind: Kind(b % 3), SyncPeriod: 100 * time.Microsecond},
-		members: 3 + b/3%3,
+		cfg:     Config{Reg: 1, Capacity: 512, ValueWidth: 8, Kind: Kind(b % 2), SyncPeriod: 100 * time.Microsecond},
+		members: 3 + b/2%3,
 	}
 	keys := uint64(4)
-	if b/9%2 == 1 {
+	if b/6%2 == 1 {
 		keys = 400
 	}
 	for prog = prog[1:]; len(prog) > 0; {
@@ -934,11 +920,9 @@ func decodeCoalesceProgram(prog []byte) coalesceProgram {
 		var ops []coalesceOp
 		for ; count > 0 && len(prog) >= 3; count, prog = count-1, prog[3:] {
 			sel, v := int(prog[0]), prog[2]
-			rest := sel / p.members
 			ops = append(ops, coalesceOp{
 				member: sel % p.members,
-				key:    (uint64(rest>>1)<<8 | uint64(prog[1])) % keys,
-				dec:    p.cfg.Kind == PNCounter && rest&1 == 1,
+				key:    (uint64(sel/p.members)<<8 | uint64(prog[1])) % keys,
 				delta:  1 + uint64(v%16),
 				val:    bytes.Repeat([]byte{v}, int(v%9)),
 			})
@@ -957,27 +941,20 @@ func decodeCoalesceProgram(prog []byte) coalesceProgram {
 // entry would pass wire.MaxUpdateBytes.
 func (p coalesceProgram) expectedUpdates() [][][]wire.EWOEntry {
 	out := make([][][]wire.EWOEntry, p.members)
-	type slotID struct {
-		key uint64
-		dec bool
-	}
-	slots := make([]map[slotID]uint64, p.members)
+	slots := make([]map[uint64]uint64, p.members)
 	for i := range slots {
-		slots[i] = map[slotID]uint64{}
+		slots[i] = map[uint64]uint64{}
 	}
 	for _, ops := range p.instants {
 		open := make([][]wire.EWOEntry, p.members)
 		for _, op := range ops {
 			e := wire.EWOEntry{Key: op.key, Value: op.val}
 			if p.cfg.Kind != LWW {
-				id := slotID{op.key, op.dec}
-				slots[op.member][id] += op.delta
-				e = counterEntry(op.key, uint16(op.member+1), slots[op.member][id], op.dec)
+				slots[op.member][op.key] += op.delta
+				e = counterEntry(op.key, uint16(op.member+1), slots[op.member][op.key])
 			}
 			u := open[op.member]
-			at := slices.IndexFunc(u, func(o wire.EWOEntry) bool {
-				return o.Key == e.Key && (p.cfg.Kind == LWW || o.Value[0] == e.Value[0])
-			})
+			at := slices.IndexFunc(u, func(o wire.EWOEntry) bool { return o.Key == e.Key })
 			size := wire.EWOUpdateOverhead + e.Size()
 			for i := range u {
 				if i != at {
@@ -1042,12 +1019,9 @@ func (p coalesceProgram) run(t testing.TB, flushEach bool, loss float64) coalesc
 	for _, ops := range p.instants {
 		for _, op := range ops {
 			n := r.nodes[op.member]
-			switch {
-			case cfg.Kind == LWW:
+			if cfg.Kind == LWW {
 				n.Write(op.key, op.val)
-			case op.dec:
-				n.Sub(op.key, op.delta)
-			default:
+			} else {
 				n.Add(op.key, op.delta)
 			}
 			if flushEach {
@@ -1069,7 +1043,6 @@ func (p coalesceProgram) run(t testing.TB, flushEach bool, loss float64) coalesc
 		r.eng.RunFor(5 * time.Millisecond)
 	}
 	for _, n := range r.nodes {
-		n.Stop()
 		out.digests = append(out.digests, n.StateDigest())
 		out.sent = append(out.sent, n.Stats.UpdatesSent.Value())
 	}

@@ -21,10 +21,9 @@ import (
 // group": one column per slot owner, handed out in first-touch order through
 // an owner directory scanned linearly (at most MaxGroup owners, 8 by
 // default) after a check of the column found last. stride, the column slots
-// per vector, starts at MaxGroup — the SRAM reservation — and doubles,
+// per row, starts at MaxGroup — the SRAM reservation — and doubles,
 // re-laying every row, if membership churn brings in more owners than that:
-// a G-counter never forgets a departed writer's slot. A PN counter keeps its
-// decrement vector in the second half of the row.
+// a G-counter never forgets a departed writer's slot.
 //
 // A row's key-table cell starts with its change register, the sync round of
 // this switch's last local write to it, written with the row: the delta
@@ -37,17 +36,13 @@ type table struct {
 
 	owners []uint16 // column -> slot owner, in first-touch order
 	last   int      // the column colFor returned last
-	stride int      // column slots per vector (>= len(owners))
-	vecs   int      // counter vectors per row: 0 (LWW), 1 or 2 (+ decrements)
-	cells  []uint64 // row r, vector v, column c at (r*vecs+v)*stride + c
+	stride int      // column slots per row (>= len(owners))
+	cells  []uint64 // counters: row r, column c at r*stride + c
 
 	width int // bytes per LWW cell: 0 (counters) or lwwHeader + ValueWidth
 }
 
 const (
-	incVec = 0
-	decVec = 1
-
 	// chgBytes is the size of a row's change register, its cell's first bytes.
 	chgBytes = 4
 
@@ -59,17 +54,14 @@ const (
 // newTable allocates the register's key table on sw, the node's one SRAM
 // charge, per the §7 layout. LWW: one (version, value) pair per key, a
 // 10-byte stamp + the value. Counters: one register array per group member,
-// each (version, value) = 16 bytes per key; PN doubles it. Both: the 4-byte
-// change register.
+// each (version, value) = 16 bytes per key. Both: the 4-byte change
+// register.
 func newTable(sw *pisa.Switch, cfg Config) (table, error) {
 	t := table{width: lwwHeader + cfg.ValueWidth}
 	name, perKey := fmt.Sprintf("ewo-lww%d", cfg.Reg), 10+cfg.ValueWidth
 	if cfg.Kind != LWW {
-		t.stride, t.vecs, t.width = cfg.MaxGroup, 1, 0
-		if cfg.Kind == PNCounter {
-			t.vecs = 2
-		}
-		name, perKey = fmt.Sprintf("ewo-ctr%d", cfg.Reg), cfg.MaxGroup*t.vecs*16
+		t.stride, t.width = cfg.MaxGroup, 0
+		name, perKey = fmt.Sprintf("ewo-ctr%d", cfg.Reg), cfg.MaxGroup*16
 	}
 	var err error
 	t.keys, err = sw.NewKeyTable(name, cfg.Capacity, perKey+chgBytes, chgBytes+t.width)
@@ -82,7 +74,7 @@ func (t *table) rowFor(key uint64) int {
 	rows := t.keys.Len()
 	r := t.keys.RowFor(key)
 	if t.keys.Len() > rows {
-		t.cells = append(t.cells, make([]uint64, t.vecs*t.stride)...)
+		t.cells = append(t.cells, make([]uint64, t.stride)...)
 	}
 	return r
 }
@@ -112,19 +104,19 @@ func (t *table) colFor(owner uint16) int {
 	return t.last
 }
 
-// widen doubles the stride, moving every vector to its new offset.
+// widen doubles the stride, moving every row to its new offset.
 func (t *table) widen() {
 	old, stride := t.stride, 2*t.stride
-	cells := make([]uint64, t.keys.Len()*t.vecs*stride)
-	for v := 0; v < t.keys.Len()*t.vecs; v++ {
-		copy(cells[v*stride:], t.cells[v*old:(v+1)*old])
+	cells := make([]uint64, t.keys.Len()*stride)
+	for r := 0; r < t.keys.Len(); r++ {
+		copy(cells[r*stride:], t.cells[r*old:(r+1)*old])
 	}
 	t.cells, t.stride = cells, stride
 }
 
-// vector returns the live columns of row r's vector vec, in directory order.
-func (t *table) vector(r, vec int) []uint64 {
-	base := (r*t.vecs + vec) * t.stride
+// slots returns the live columns of counter row r, in directory order.
+func (t *table) slots(r int) []uint64 {
+	base := r * t.stride
 	return t.cells[base : base+len(t.owners)]
 }
 
@@ -150,11 +142,10 @@ func (t *table) store(r int, st timesync.Stamp, val []byte) {
 // one entry, its value copied into one slab for the whole window. A counter
 // row is every known slot, so updates survive the failure of their original
 // writer (§6.3: "any switch that did receive the update can then synchronize
-// the other switches"); slots go out in column-directory order, increments
-// before decrements, so a sync packet's bytes are a function of the seed. A
-// slot holding 0 is not gossiped: it is what every replica assumes of a slot
-// it has not heard about (only Add(k, 0) and Sub(k, 0) can leave a touched
-// slot at 0).
+// the other switches"); slots go out in column-directory order, so a sync
+// packet's bytes are a function of the seed. A slot holding 0 is not
+// gossiped: it is what every replica assumes of a slot it has not heard
+// about (only Add(k, 0) can leave a touched slot at 0).
 //
 // A delta round describes only what switch self wrote within the last
 // syncDeltaRounds rounds before round: of the rows whose change register
@@ -185,13 +176,11 @@ func (t *table) appendRows(dst []wire.EWOEntry, rows []int32, delta bool, self u
 			continue
 		}
 		key, n := t.keys.Key(int(r)), len(dst)
-		dst = slices.Grow(dst, t.vecs*(hi-lo))[:n+t.vecs*(hi-lo)]
-		for vec := 0; vec < t.vecs; vec++ {
-			for c, v := range t.vector(int(r), vec)[lo:hi] {
-				if v != 0 {
-					setCounterEntry(&dst[n], key, t.owners[lo+c], v, vec == decVec)
-					n++
-				}
+		dst = slices.Grow(dst, hi-lo)[:n+hi-lo]
+		for c, v := range t.slots(int(r))[lo:hi] {
+			if v != 0 {
+				setCounterEntry(&dst[n], key, t.owners[lo+c], v)
+				n++
 			}
 		}
 		dst = dst[:n]
@@ -199,16 +188,11 @@ func (t *table) appendRows(dst []wire.EWOEntry, rows []int32, delta bool, self u
 	return dst
 }
 
-// sum reads row r's counter: increment slots minus decrement slots.
+// sum reads counter row r: the sum of its slots.
 func (t *table) sum(r int) uint64 {
 	var total uint64
-	for _, v := range t.vector(r, incVec) {
+	for _, v := range t.slots(r) {
 		total += v
-	}
-	if t.vecs == 2 {
-		for _, v := range t.vector(r, decVec) {
-			total -= v
-		}
 	}
 	return total
 }

@@ -11,3 +11,17 @@ func (r *DDoSReplay) EWOStats() (merged, stale, syncPackets, syncBytes uint64) {
 	}
 	return
 }
+
+// Run is RunMetered without batch accounting.
+func Run(exps []Experiment, seed int64, workers int) []Report {
+	return RunMetered(exps, seed, workers, nil)
+}
+
+// Run replays the next packets packets, then one more chunk with none so
+// the last of them leave their pipelines.
+func (r *DDoSReplay) Run(packets int) {
+	for packets > 0 {
+		packets -= r.Chunk(packets)
+	}
+	r.Chunk(0)
+}

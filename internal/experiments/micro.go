@@ -232,15 +232,6 @@ func (r *DDoSReplay) Chunk(limit int) int {
 	return n
 }
 
-// Run replays the next packets packets, then one more chunk with none so
-// the last of them leave their pipelines.
-func (r *DDoSReplay) Run(packets int) {
-	for packets > 0 {
-		packets -= r.Chunk(packets)
-	}
-	r.Chunk(0)
-}
-
 // Accounted is the number of packets the detectors counted.
 func (r *DDoSReplay) Accounted() int {
 	n := 0

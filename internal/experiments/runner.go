@@ -17,18 +17,6 @@ type Report struct {
 	Wall       time.Duration
 }
 
-// Run executes the given experiments with the seed, using up to workers
-// concurrent OS-level goroutines (values < 2 mean sequential).
-//
-// Every experiment builds its own simulation engine seeded from seed and
-// shares no mutable state with any other (package-level protocol state is
-// read-only), so the regenerated rows are bit-identical whatever the worker
-// count — parallelism buys wall time only, never different results. Reports
-// come back in input order.
-func Run(exps []Experiment, seed int64, workers int) []Report {
-	return RunMetered(exps, seed, workers, nil)
-}
-
 // WriteRows writes the reports' rows as benchtab prints them to stdout: each
 // result, then a blank line. internal/experiments/testdata/benchtab.golden
 // holds every experiment's rows at seed 1.
@@ -52,8 +40,16 @@ type BatchMetrics struct {
 	Violations stats.AtomicCounter
 }
 
-// RunMetered is Run with batch accounting: if m is non-nil each completed
-// experiment adds its table/note counts to m from whichever worker ran it.
+// RunMetered executes the given experiments with the seed, using up to
+// workers concurrent OS-level goroutines (values < 2 mean sequential). If m
+// is non-nil each completed experiment adds its table/note counts to m from
+// whichever worker ran it.
+//
+// Every experiment builds its own simulation engine seeded from seed and
+// shares no mutable state with any other (package-level protocol state is
+// read-only), so the regenerated rows are bit-identical whatever the worker
+// count — parallelism buys wall time only, never different results. Reports
+// come back in input order.
 func RunMetered(exps []Experiment, seed int64, workers int, m *BatchMetrics) []Report {
 	reports := make([]Report, len(exps))
 	runOne := func(i int) {

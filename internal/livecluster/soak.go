@@ -427,7 +427,6 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	}
 	for _, m := range members {
 		m.Fabric.Node().SetProfile(netem.LinkProfile{})
-		m.Fabric.Node().SetRecvLoss(0)
 	}
 	if cfg.AsymLoss > 0 && cfg.Members >= 2 {
 		members[0].Fabric.Node().ClearPeerProfile(asymPeer)

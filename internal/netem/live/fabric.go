@@ -9,7 +9,6 @@ import (
 
 	"swishmem/internal/netem"
 	"swishmem/internal/obs"
-	"swishmem/internal/packet"
 	"swishmem/internal/sim"
 	"swishmem/internal/stats"
 	"swishmem/internal/wire"
@@ -205,9 +204,6 @@ func (f *Fabric) Network() *netem.Network { return f.nw }
 // Node returns the transport node (shaping control, stats).
 func (f *Fabric) Node() *Node { return f.node }
 
-// Addr returns the fabric's home address.
-func (f *Fabric) Addr() netem.Addr { return f.addr }
-
 // AddrPort returns the UDP endpoint other processes reach this fabric at.
 func (f *Fabric) AddrPort() netip.AddrPort { return f.node.AddrPort() }
 
@@ -252,9 +248,6 @@ const egressHandoff = 64
 func (f *Fabric) egress(to netem.Addr, payload any) {
 	msg, ok := payload.(wire.Msg)
 	if !ok {
-		if p, ok := payload.(*packet.Packet); ok {
-			p.Recycle()
-		}
 		f.cnt.packetDropped.Add(1)
 		return
 	}

@@ -196,9 +196,6 @@ func Listen(addr netem.Addr, opts Options) (*Node, error) {
 	return n, nil
 }
 
-// Addr returns the node's SwiShmem address.
-func (n *Node) Addr() netem.Addr { return n.addr }
-
 // UDPAddr returns the bound socket address (for peer registration).
 func (n *Node) UDPAddr() *net.UDPAddr { return n.conn.LocalAddr().(*net.UDPAddr) }
 

@@ -345,9 +345,6 @@ func NewLocal(eng *sim.Engine) *Network {
 	return n
 }
 
-// Engine returns the underlying simulation engine.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
 // Attach registers a node; messages addressed to addr invoke h. Attaching an
 // existing address replaces its handler (used when a failed switch is
 // replaced by a fresh one).

@@ -223,7 +223,6 @@ func (n *NAT) ctrlNewConnection(p *packet.Packet) {
 func (n *NAT) allocate(key packet.FlowKey, fwdKey uint64, p *packet.Packet) {
 	if len(n.freePorts) == 0 {
 		n.Stats.DropNoPorts.Inc()
-		p.Recycle()
 		return
 	}
 	extPort := n.freePorts[0]
@@ -261,10 +260,7 @@ func (n *NAT) allocate(key packet.FlowKey, fwdKey uint64, p *packet.Packet) {
 			return
 		}
 		// The connection is not installed: its held packets end here.
-		for _, q := range pc.packets {
-			n.Stats.DropWriteFail.Inc()
-			q.Recycle()
-		}
+		n.Stats.DropWriteFail.Add(uint64(len(pc.packets)))
 		if committed == 0 {
 			n.freePorts = append(n.freePorts, extPort)
 		}

@@ -176,14 +176,11 @@ func TestPortPoolExhaustion(t *testing.T) {
 	nat.Install()
 	nat.Register().Node().SetChain(wire.ChainConfig{Epoch: 1, Members: []uint16{1}})
 	for i := 0; i < 4; i++ {
-		sw.InjectPacket(sw.PacketPool().ForFlow(clientFlow(1, uint16(5000+i)), packet.FlagSYN, 0))
+		sw.InjectPacket(packet.ForFlow(clientFlow(1, uint16(5000+i)), packet.FlagSYN, 0))
 	}
 	eng.RunFor(50 * time.Millisecond)
 	if nat.Stats.DropNoPorts.Value() != 2 {
 		t.Fatalf("pool-exhaustion drops = %d, want 2", nat.Stats.DropNoPorts.Value())
-	}
-	if got := sw.PacketPool().Free(); got != 2 {
-		t.Fatalf("%d of the 2 dropped packets went back to the packet pool", got)
 	}
 	if nat.FreePorts() != 0 {
 		t.Fatal("pool should be empty")
@@ -192,8 +189,8 @@ func TestPortPoolExhaustion(t *testing.T) {
 
 // A translation whose mapping writes cannot commit (no chain is ever
 // installed, so both writers run out of retries) must leave nothing behind:
-// the port is back in the pool, every held packet of the connection is back
-// in the packet pool and counted, and the connection can be tried again.
+// the port is back in the pool, every held packet of the connection is
+// dropped and counted, and the connection can be tried again.
 func TestFailedInstallReturnsPortAndPackets(t *testing.T) {
 	eng := sim.NewEngine(11)
 	nw := netem.New(eng, netem.LinkProfile{Latency: 10_000})
@@ -208,7 +205,7 @@ func TestFailedInstallReturnsPortAndPackets(t *testing.T) {
 	nat.Install()
 	const held = 3 // the SYN and two packets that queue behind its installation
 	for i := 0; i < held; i++ {
-		sw.InjectPacket(sw.PacketPool().ForFlow(clientFlow(1, 5555), packet.FlagSYN, 0))
+		sw.InjectPacket(packet.ForFlow(clientFlow(1, 5555), packet.FlagSYN, 0))
 	}
 	// 100 retries a millisecond apart (chain.Config defaults) and the write
 	// gives up.
@@ -224,9 +221,6 @@ func TestFailedInstallReturnsPortAndPackets(t *testing.T) {
 	}
 	if got := nat.Stats.DropWriteFail.Value(); got != held {
 		t.Fatalf("DropWriteFail = %d, want %d", got, held)
-	}
-	if got := sw.PacketPool().Free(); got != held {
-		t.Fatalf("%d of %d held packets went back to the packet pool", got, held)
 	}
 	if len(nat.inflight) != 0 {
 		t.Fatalf("%d connections still marked in flight", len(nat.inflight))

@@ -38,3 +38,11 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 
 // SetEnabled pauses or resumes recording without discarding the ring.
 func (t *Tracer) SetEnabled(on bool) { t.on = on }
+
+// Dropped returns how many events have been overwritten by ring wrap.
+func (t *Tracer) Dropped() uint64 {
+	if t.next < uint64(len(t.buf)) {
+		return 0
+	}
+	return t.next - uint64(len(t.buf))
+}

@@ -110,17 +110,6 @@ func (t *Tracer) Len() int {
 // ones.
 func (t *Tracer) Total() uint64 { return t.next }
 
-// Dropped returns how many events have been overwritten by ring wrap.
-func (t *Tracer) Dropped() uint64 {
-	if t.next < uint64(len(t.buf)) {
-		return 0
-	}
-	return t.next - uint64(len(t.buf))
-}
-
-// Reset discards all recorded events but keeps the ring storage.
-func (t *Tracer) Reset() { t.next = 0 }
-
 // Emit claims the next ring slot, stamps it, and returns it for the caller
 // to fill argument fields in place. The slot is fully reset, so stale
 // arguments from an overwritten record never leak. Callers must check

@@ -88,9 +88,6 @@ func NewStream(reg *Registry, w io.Writer, cfg StreamConfig) *Stream {
 // Rows returns the number of data rows written (the header is not counted).
 func (s *Stream) Rows() int { return s.rows }
 
-// Err returns the sticky write error, if any.
-func (s *Stream) Err() error { return s.err }
-
 // Tail returns the most recently written rows (oldest first, at most
 // cfg.Tail), without trailing newlines.
 func (s *Stream) Tail() []string {

@@ -40,9 +40,6 @@ func (b *Builder) UDP(srcPort, dstPort uint16) *Builder {
 // Payload sets the packet payload.
 func (b *Builder) Payload(data []byte) *Builder { b.p.Payload = data; return b }
 
-// TTL overrides the IPv4 TTL.
-func (b *Builder) TTL(ttl uint8) *Builder { b.p.IP.TTL = ttl; return b }
-
 // Build returns the packet.
 func (b *Builder) Build() *Packet { return b.p }
 

@@ -24,35 +24,3 @@ func (p *Packet) Clone() *Packet {
 	}
 	return q
 }
-
-// Clone deep-copies src into a pooled packet (the pooled equivalent of
-// Packet.Clone, used by egress mirroring).
-func (pl *Pool) Clone(src *Packet) *Packet {
-	p := pl.Get()
-	p.Meta = src.Meta
-	if src.Eth != nil {
-		p.eth = *src.Eth
-		p.Eth = &p.eth
-	}
-	if src.IP != nil {
-		p.ip = *src.IP
-		p.IP = &p.ip
-	}
-	if src.TCP != nil {
-		p.tcp = *src.TCP
-		p.TCP = &p.tcp
-	}
-	if src.UDP != nil {
-		p.udp = *src.UDP
-		p.UDP = &p.udp
-	}
-	if src.Payload != nil {
-		b := p.growPayload(len(src.Payload))
-		copy(b, src.Payload)
-		p.Payload = b
-	}
-	return p
-}
-
-// Pooled reports whether the packet came from a pool (for tests/audits).
-func (p *Packet) Pooled() bool { return p.pool != nil }

@@ -142,17 +142,6 @@ type Packet struct {
 	// Meta carries per-packet metadata attached by the switch pipeline
 	// (ingress port, recirculation count, etc.). It is not serialized.
 	Meta Metadata
-
-	// Pool plumbing (see pool.go). Pooled packets carry their layer headers
-	// and payload backing inline, so reincarnating one allocates nothing.
-	// All fields below are unused (zero) for ordinary packets.
-	pool    *Pool
-	inPool  bool
-	eth     Ethernet
-	ip      IPv4
-	tcp     TCP
-	udp     UDP
-	payload []byte
 }
 
 // Metadata is pipeline metadata carried alongside a packet inside a switch.

@@ -153,9 +153,6 @@ type Switch struct {
 	// tfree pools dispatch records so steady-state packet and message
 	// processing schedules without allocating.
 	tfree []*task
-	// ppool recycles packets whose life ends at this switch (drops) and
-	// supplies mirror clones. See packet.Pool for the ownership contract.
-	ppool packet.Pool
 
 	Stats Stats
 }
@@ -198,13 +195,12 @@ func (s *Switch) getTask(kind taskKind) *task {
 	return t
 }
 
-// releaseTask returns a record to the pool, releasing any pooled message or
-// packet it still carries (tail drops, failed switches).
+// releaseTask returns a record to the pool, releasing any pooled message it
+// still carries (tail drops, failed switches).
 func (s *Switch) releaseTask(t *task) {
 	if r, ok := t.msg.(netem.Releasable); ok {
 		r.Release()
 	}
-	t.pkt.Recycle()
 	t.pkt, t.msg, t.fn = nil, nil, nil
 	s.tfree = append(s.tfree, t)
 }
@@ -227,7 +223,6 @@ func (t *task) exec() {
 		if r, ok := msg.(netem.Releasable); ok {
 			r.Release()
 		}
-		pkt.Recycle()
 		return
 	}
 	switch kind {
@@ -237,8 +232,6 @@ func (t *task) exec() {
 		s.Stats.Forwarded.Inc()
 		if s.egress != nil {
 			s.egress(pkt)
-		} else {
-			pkt.Recycle()
 		}
 	case taskMsg:
 		s.Stats.MsgsHandled.Inc()
@@ -309,17 +302,6 @@ func (s *Switch) traceCtrlOp(name string) {
 
 // Engine returns the simulation engine.
 func (s *Switch) Engine() *sim.Engine { return s.eng }
-
-// Network returns the fabric the switch is attached to.
-func (s *Switch) Network() *netem.Network { return s.net }
-
-// PacketPool returns the switch's packet pool. Workloads driving this switch
-// can draw packets from it; the pipeline recycles them when they are dropped
-// (see packet.Pool for the ownership contract).
-func (s *Switch) PacketPool() *packet.Pool { return &s.ppool }
-
-// Config returns the (defaulted) switch configuration.
-func (s *Switch) Config() Config { return s.cfg }
 
 // SetProgram installs the data-plane packet program.
 func (s *Switch) SetProgram(p Program) { s.program = p }
@@ -422,9 +404,6 @@ func (s *Switch) receive(from netem.Addr, payload any, size int) {
 		if r, ok := payload.(netem.Releasable); ok {
 			r.Release()
 		}
-		if p, ok := payload.(*packet.Packet); ok {
-			p.Recycle()
-		}
 		return
 	}
 	switch v := payload.(type) {
@@ -453,7 +432,6 @@ func (s *Switch) InjectPacket(pkt *packet.Packet) bool {
 func (s *Switch) runPipeline(pkt *packet.Packet) {
 	if s.program == nil {
 		s.Stats.Dropped.Inc()
-		pkt.Recycle()
 		return
 	}
 	s.Stats.Processed.Inc()
@@ -472,8 +450,6 @@ func (s *Switch) runPipeline(pkt *packet.Packet) {
 		s.Stats.Forwarded.Inc()
 		if s.egress != nil {
 			s.egress(pkt)
-		} else {
-			pkt.Recycle()
 		}
 	case Recirculate:
 		s.Stats.Recirculated.Inc()
@@ -497,7 +473,6 @@ func (s *Switch) runPipeline(pkt *packet.Packet) {
 		// packet (e.g. while a state write is in flight) must punt it via
 		// ToControlPlane or return Forward, never Drop.
 		s.Stats.Dropped.Inc()
-		pkt.Recycle()
 	}
 }
 

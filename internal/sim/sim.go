@@ -34,9 +34,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Seconds returns the time as a float64 number of seconds since the epoch.
-func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
-
 func (t Time) String() string { return Duration(t).String() }
 
 // Event is a scheduled callback. Events are pooled: when one is popped or
@@ -114,9 +111,6 @@ func (t *Timer) Stop() bool {
 	eng.release(ev)
 	return true
 }
-
-// Pending reports whether the timer has not yet fired or been stopped.
-func (t *Timer) Pending() bool { return t.live() }
 
 // Engine is a discrete-event simulator.
 type Engine struct {
@@ -369,9 +363,6 @@ func (e *Engine) advanceTo(t Time) {
 
 // RunFor advances the simulation by d of virtual time.
 func (e *Engine) RunFor(d Duration) uint64 { return e.RunUntil(e.now.Add(d)) }
-
-// Stop halts Run/RunUntil after the current event returns.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of scheduled events. Cancelled timers are
 // removed immediately, so every queued event counts.

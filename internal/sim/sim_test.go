@@ -226,9 +226,6 @@ func TestTimeArithmetic(t *testing.T) {
 	if tt.Sub(Time(400)) != 600 {
 		t.Fatal("Sub")
 	}
-	if Time(2*time.Second).Seconds() != 2.0 {
-		t.Fatal("Seconds")
-	}
 }
 
 func TestMassCancellationShrinksQueue(t *testing.T) {

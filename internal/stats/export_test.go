@@ -7,3 +7,6 @@ func (h *Histogram) Min() float64 {
 	}
 	return h.min
 }
+
+// Sum returns the sum of all observations.
+func (h *Histogram) Sum() float64 { return h.sum }

@@ -32,9 +32,6 @@ func (c *Counter) Add(delta uint64) { c.n += delta }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // Gauge is a point-in-time value. Single-goroutine, like Counter.
 type Gauge struct{ v float64 }
 
@@ -58,9 +55,6 @@ func (c *AtomicCounter) Add(delta uint64) { c.n.Add(delta) }
 
 // Value returns the current count.
 func (c *AtomicCounter) Value() uint64 { return c.n.Load() }
-
-// Reset zeroes the counter.
-func (c *AtomicCounter) Reset() { c.n.Store(0) }
 
 // Histogram records float64 observations with log-scaled buckets plus exact
 // min/max/sum. It is tuned for latency-like distributions spanning many
@@ -126,9 +120,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(float64(d)) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
 
 // Mean returns the arithmetic mean, or 0 if empty.
 func (h *Histogram) Mean() float64 {
@@ -274,9 +265,6 @@ func NewWindowedHistogram(n int) *WindowedHistogram {
 	return w
 }
 
-// Observe records one value into the current window.
-func (w *WindowedHistogram) Observe(v float64) { w.win[w.cur].Observe(v) }
-
 // Current returns the live (unsealed) window.
 func (w *WindowedHistogram) Current() *Histogram { return w.win[w.cur] }
 
@@ -296,9 +284,6 @@ func (w *WindowedHistogram) Rollup(dst *Histogram) {
 		dst.Merge(h)
 	}
 }
-
-// Windows returns the ring size.
-func (w *WindowedHistogram) Windows() int { return len(w.win) }
 
 // Table renders experiment results as an aligned plain-text table, in the
 // style of the rows a paper reports.

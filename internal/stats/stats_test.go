@@ -19,10 +19,6 @@ func TestCounter(t *testing.T) {
 	if c.Value() != 10 {
 		t.Fatalf("Value = %d, want 10", c.Value())
 	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("Value after reset = %d", c.Value())
-	}
 }
 
 func TestGauge(t *testing.T) {
@@ -277,11 +273,11 @@ func TestHistogramAddDelta(t *testing.T) {
 
 func TestWindowedHistogram(t *testing.T) {
 	w := NewWindowedHistogram(3)
-	if w.Windows() != 3 {
-		t.Fatalf("Windows = %d", w.Windows())
+	if len(w.win) != 3 {
+		t.Fatalf("%d windows", len(w.win))
 	}
-	w.Observe(100)
-	w.Observe(200)
+	w.Current().Observe(100)
+	w.Current().Observe(200)
 	sealed := w.Advance()
 	if sealed.Count() != 2 || sealed.Min() != 100 || sealed.Max() != 200 {
 		t.Fatalf("sealed window wrong: %s", brief(sealed))
@@ -289,9 +285,9 @@ func TestWindowedHistogram(t *testing.T) {
 	if w.Current().Count() != 0 {
 		t.Fatal("new current window not empty")
 	}
-	w.Observe(300)
+	w.Current().Observe(300)
 	w.Advance()
-	w.Observe(400)
+	w.Current().Observe(400)
 
 	roll := NewHistogram()
 	w.Rollup(roll)
@@ -308,7 +304,7 @@ func TestWindowedHistogram(t *testing.T) {
 		t.Fatalf("rollup after eviction wrong: %s", brief(roll))
 	}
 
-	if NewWindowedHistogram(0).Windows() != 2 {
+	if len(NewWindowedHistogram(0).win) != 2 {
 		t.Fatal("window floor not applied")
 	}
 }
@@ -334,10 +330,6 @@ func TestCounterSingleGoroutineContract(t *testing.T) {
 	c.Add(24)
 	if c.Value() != 1024 {
 		t.Fatalf("Counter = %d, want 1024", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("Reset failed")
 	}
 	var g Gauge
 	g.Set(2.5)
@@ -368,9 +360,5 @@ func TestAtomicCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != workers*perWorker {
 		t.Fatalf("AtomicCounter = %d, want %d", got, workers*perWorker)
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("Reset failed")
 	}
 }

@@ -31,9 +31,6 @@ func (s Stamp) Less(o Stamp) bool {
 	return s.Node < o.Node
 }
 
-// IsZero reports whether the stamp is unset.
-func (s Stamp) IsZero() bool { return s == Stamp{} }
-
 func (s Stamp) String() string { return fmt.Sprintf("%v@n%d", s.Time, s.Node) }
 
 // Synced models a hardware-synchronized real-time clock with bounded skew:

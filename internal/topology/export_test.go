@@ -16,3 +16,6 @@ func (ing *Ingress) Heal(addr netem.Addr) {
 	ing.live = append(ing.live, addr)
 	sort.Slice(ing.live, func(i, j int) bool { return ing.live[i] < ing.live[j] })
 }
+
+// Live returns the live switch set.
+func (ing *Ingress) Live() []netem.Addr { return append([]netem.Addr(nil), ing.live...) }

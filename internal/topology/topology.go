@@ -60,9 +60,6 @@ func NewIngress(policy Policy, switches []netem.Addr, rnd func(n int) int) *Ingr
 	return ing
 }
 
-// Live returns the live switch set.
-func (ing *Ingress) Live() []netem.Addr { return append([]netem.Addr(nil), ing.live...) }
-
 // Fail removes a switch from the live set.
 func (ing *Ingress) Fail(addr netem.Addr) {
 	out := ing.live[:0]

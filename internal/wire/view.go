@@ -63,10 +63,6 @@ func (s *ViewSet) unref() {
 // final Releases.
 func (s *ViewSet) Release() { s.unref() }
 
-// Live reports whether the set still has outstanding references (walk or
-// messages). A live set must not be handed a new datagram.
-func (s *ViewSet) Live() bool { return s.refs != 0 }
-
 // Decode consumes one datagram: either a single frame or a TBatch of
 // frames. It returns the view messages in frame order plus the number of
 // undecodable frames; a batch-level framing error or an undecodable single
