@@ -36,7 +36,7 @@ func TestDDoSReplayFingerprint(t *testing.T) {
 		Merged: m - m0, Stale: s - s0, SyncPackets: p - p0, SyncBytes: b - b0,
 	}
 	want := replayFingerprint{
-		Events: 1733308, Delivered: 710582,
+		Events: 1133332, Delivered: 710582,
 		Merged: 2100042, Stale: 306488, SyncPackets: 6728, SyncBytes: 6503528,
 	}
 	per := func(v uint64) float64 { return float64(v) / fingerprintPackets }

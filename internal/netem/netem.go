@@ -130,6 +130,10 @@ type link struct {
 	// network delivers in the call only while it is zero, so an arrival due
 	// now never overtakes an earlier one still queued on its link.
 	queued int
+	// due is the latest arrival time ever scheduled on the link. While it is
+	// before an arrival's own time, every arrival still queued on the link is
+	// due strictly earlier, so the arrival may join a fan-out record.
+	due sim.Time
 }
 
 type endpoint struct {
@@ -270,15 +274,28 @@ func FlipBits(rng *rand.Rand, frame []byte, n int) {
 	}
 }
 
-// delivery is one scheduled message arrival. Its run closure is bound once
+// delivery is one engine event that delivers one message to one or more
+// destinations at the same instant: a Send's arrival, or the copies of a
+// Multicast that joined one fan-out record. Its run closure is bound once
 // when the record is first created and reused for the record's lifetime.
 type delivery struct {
-	n        *Network
-	l        *link
-	from, to Addr
-	payload  any
-	size     int
-	run      func()
+	n       *Network
+	from    Addr
+	payload any
+	size    int
+	at      sim.Time
+	targets []target
+	// keyTo and keySeq are the ordering key of the member with the least
+	// destination: (KeyClassDeliver|from<<16|keyTo, keySeq).
+	keyTo  Addr
+	keySeq uint64
+	run    func()
+}
+
+// target is one destination of a delivery and the link it crosses.
+type target struct {
+	l  *link
+	to Addr
 }
 
 func (n *Network) getDelivery() *delivery {
@@ -293,16 +310,23 @@ func (n *Network) getDelivery() *delivery {
 	return d
 }
 
-func (d *delivery) deliver() {
-	n, l := d.n, d.l
-	from, to, payload, size := d.from, d.to, d.payload, d.size
-	// Return the record to the pool before invoking the handler so nested
-	// sends can reuse it; all needed fields are copied out above.
-	d.l, d.payload = nil, nil
+// putDelivery returns a record to the pool. Its stale targets point only at
+// links, which live as long as the network.
+func (n *Network) putDelivery(d *delivery) {
+	d.targets, d.payload = d.targets[:0], nil
 	n.dfree = append(n.dfree, d)
+}
 
-	l.queued--
-	n.arrive(l, from, to, payload, size)
+// deliver runs a scheduled record: each target in group order. The record
+// returns to the pool only after the last handler, since a handler's nested
+// sends must not reuse it while its targets are still being walked.
+func (d *delivery) deliver() {
+	n := d.n
+	for _, t := range d.targets {
+		t.l.queued--
+		n.arrive(t.l, d.from, t.to, d.payload, d.size)
+	}
+	n.putDelivery(d)
 }
 
 // arrive completes one delivery: the message reaches the handler, or drops
@@ -442,6 +466,17 @@ func (n *Network) Send(from, to Addr, payload any, size int) bool {
 	if src == nil || !src.up {
 		return false
 	}
+	n.send(from, to, payload, size, nil)
+	return true
+}
+
+// send runs the send-side steps of one message from an up sender, the same
+// for a unicast and for each copy of a multicast: the counts, the partition
+// check, the verdict, then a drop or the scheduling of its arrival (and of
+// a duplicate). A copy's arrival that fan accepts joins that fan-out record
+// instead of taking an engine event of its own; a duplicate, due later on
+// the same link, is always scheduled alone.
+func (n *Network) send(from, to Addr, payload any, size int, fan *delivery) {
 	l := n.linkFor(from, to)
 	l.stats.MsgsSent++
 	l.stats.BytesSent += uint64(size)
@@ -454,16 +489,15 @@ func (n *Network) Send(from, to Addr, payload any, size int) bool {
 	}
 	if v.Fate != Deliver {
 		n.dropAtSend(l, v.Fate, from, to, payload, size)
-		return true
+		return
 	}
-	n.scheduleDelivery(v.Delay, l, from, to, payload, size)
+	n.scheduleDelivery(v.Delay, l, from, to, payload, size, fan)
 	if v.DupLag > 0 {
 		l.stats.MsgsDup++
 		n.totals.MsgsDup++
 		n.traceDrop("dup", from, to)
-		n.scheduleDelivery(v.Delay+v.DupLag, l, from, to, payload, size)
+		n.scheduleDelivery(v.Delay+v.DupLag, l, from, to, payload, size, nil)
 	}
-	return true
 }
 
 // dropAtSend accounts and traces a message the verdict condemned.
@@ -503,12 +537,13 @@ func (n *Network) traceDrop(name string, from, to Addr) {
 	rec.K2, rec.V2 = "to", int64(to)
 }
 
-// scheduleDelivery queues one arrival as its own engine event, taking a
-// payload reference for pooled payloads. Each arrival gets a (directed link,
-// sequence) ordering key assigned at send time (duplicates included), which
-// fixes its position among same-timestamp events. On a local network an
-// arrival due now, on a link with nothing queued, is delivered here instead.
-func (n *Network) scheduleDelivery(delay sim.Duration, l *link, from, to Addr, payload any, size int) {
+// scheduleDelivery queues one arrival, taking a payload reference for
+// pooled payloads. Each arrival gets a (directed link, sequence) ordering key
+// assigned at send time (duplicates included), which fixes its position
+// among same-timestamp events. The arrival joins fan when fan accepts it and
+// is otherwise its own engine event. On a local network an arrival due now,
+// on a link with nothing queued, is delivered here instead.
+func (n *Network) scheduleDelivery(delay sim.Duration, l *link, from, to Addr, payload any, size int, fan *delivery) {
 	if r, ok := payload.(Releasable); ok {
 		r.Ref()
 	}
@@ -523,22 +558,68 @@ func (n *Network) scheduleDelivery(delay sim.Duration, l *link, from, to Addr, p
 		n.arrive(l, from, to, payload, size)
 		return
 	}
-	d := n.getDelivery()
-	d.l, d.from, d.to, d.payload, d.size = l, from, to, payload, size
+	at := n.eng.Now().Add(delay)
+	// A joiner's earlier arrivals on its link all come strictly before the
+	// record, so none of them can sort after it (see Multicast).
+	join := fan != nil && (len(fan.targets) == 0 || at == fan.at) && (l.queued == 0 || l.due < at)
+	d := fan
+	if !join {
+		d = n.getDelivery()
+		d.from, d.payload, d.size = from, payload, size
+	}
+	if len(d.targets) == 0 || to < d.keyTo {
+		d.keyTo, d.keySeq = to, l.seq
+	}
+	d.at = at
+	d.targets = append(d.targets, target{l: l, to: to})
 	l.queued++
-	n.eng.ScheduleKeyed(n.eng.Now().Add(delay), sim.KeyClassDeliver|uint64(from)<<16|uint64(to), l.seq, d.run)
 	l.seq++
+	l.due = max(l.due, at)
+	if !join {
+		n.schedule(d)
+	}
+}
+
+// schedule queues d as one engine event at d.at under its ordering key.
+func (n *Network) schedule(d *delivery) {
+	n.eng.ScheduleKeyed(d.at, sim.KeyClassDeliver|uint64(d.from)<<16|uint64(d.keyTo), d.keySeq, d.run)
 }
 
 // Multicast sends payload to every address in group except from itself.
-// It models the switch multicast engine: one copy per destination.
+// It models the switch multicast engine: each destination gets the same
+// send-side steps, in group order, as a Send to it would, but the copies
+// that arrive at one instant are one engine event. A copy joins that fan-out
+// record when it arrives at the first joiner's time on a link whose queued
+// arrivals are all due strictly earlier; any other copy, and every
+// duplicate, is scheduled alone, exactly as a Send. The record runs the
+// copies in group order under the least of their ordering keys. A
+// receiver's inputs keep their order: no arrival on a member's link sorts
+// between the record and that member's own key at the record's instant (an
+// earlier one is excluded by the join rule, a later one carries a larger
+// sequence), and arrivals from other senders stay in their sender's band.
+// Only the interleaving of different receivers within one instant changes.
 func (n *Network) Multicast(from Addr, group []Addr, payload any, size int) {
+	if size < 0 {
+		panic(fmt.Sprintf("netem: negative size %d", size))
+	}
+	src := n.nodes.Get(from)
+	if src == nil || !src.up {
+		return
+	}
+	fan := n.getDelivery()
+	fan.from, fan.payload, fan.size = from, payload, size
 	for _, to := range group {
-		if to == from {
+		// A handler run inline on a local network may take the sender down.
+		if to == from || !src.up {
 			continue
 		}
-		n.Send(from, to, payload, size)
+		n.send(from, to, payload, size, fan)
 	}
+	if len(fan.targets) == 0 {
+		n.putDelivery(fan)
+		return
+	}
+	n.schedule(fan)
 }
 
 // Stats returns accounting for the a->b direction: zero for a pair that

@@ -227,11 +227,15 @@ func TestPartitionInFlight(t *testing.T) {
 	}
 }
 
+// TestMulticast: every member but the sender gets one copy, and copies that
+// arrive at one instant on idle links are one engine event.
 func TestMulticast(t *testing.T) {
 	eng, net, recs := setup(1, LinkProfile{Latency: 1}, 1, 2, 3, 4)
 	group := []Addr{1, 2, 3, 4}
 	net.Multicast(1, group, "m", 10)
-	eng.Run()
+	if n := eng.Run(); n != 1 {
+		t.Fatalf("a 3-copy multicast on idle links ran %d engine events, want 1", n)
+	}
 	if len(recs[1].msgs) != 0 {
 		t.Fatal("multicast delivered to sender")
 	}

@@ -534,9 +534,9 @@ func (s *Switch) InjectEgress(pkt *packet.Packet) bool {
 }
 
 // PacketGen installs a periodic data-plane task (the switch packet
-// generator of §7): fn runs every period at data-plane cost. The returned
-// ticker stops it; it also stops itself when the switch fails.
-func (s *Switch) PacketGen(period sim.Duration, fn func()) *sim.Ticker {
+// generator of §7): fn runs every period at data-plane cost until the switch
+// fails, when the generator stops itself.
+func (s *Switch) PacketGen(period sim.Duration, fn func()) {
 	var tk *sim.Ticker
 	tk = s.eng.Every(period, func() {
 		if s.failed {
@@ -545,7 +545,6 @@ func (s *Switch) PacketGen(period sim.Duration, fn func()) *sim.Ticker {
 		}
 		s.dpDispatchFn(fn)
 	})
-	return tk
 }
 
 // CtrlDo schedules fn on the control-plane co-processor: it runs after the

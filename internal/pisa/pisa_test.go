@@ -250,20 +250,25 @@ func TestMulticast(t *testing.T) {
 	}
 }
 
+// TestPacketGen: a generator runs once per period and stops itself, leaving
+// nothing queued, once its switch fails.
 func TestPacketGen(t *testing.T) {
 	eng, _, sws := testRig(1, Config{Addr: 1})
 	n := 0
-	tk := sws[0].PacketGen(time.Millisecond, func() { n++ })
+	sws[0].PacketGen(time.Millisecond, func() { n++ })
 	// The handler runs one pipeline latency after each tick, so allow a
 	// little slack past the 10th tick.
 	eng.RunFor(10*time.Millisecond + time.Microsecond)
 	if n != 10 {
 		t.Fatalf("packet gen ran %d times", n)
 	}
-	tk.Stop()
+	sws[0].Fail()
 	eng.RunFor(10 * time.Millisecond)
 	if n != 10 {
-		t.Fatal("packet gen ran after stop")
+		t.Fatal("packet gen ran after its switch failed")
+	}
+	if p := eng.Pending(); p != 0 {
+		t.Fatalf("%d events pending after the generator's switch failed, want 0", p)
 	}
 }
 

@@ -24,8 +24,5 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Stop halts Run/RunUntil after the current event returns.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Pending reports whether the timer has not yet fired or been stopped.
 func (t *Timer) Pending() bool { return t.live() }

@@ -13,8 +13,8 @@ import (
 // else, so it is tested against the dumbest structure that honours it: a
 // sorted slice. One program of driver operations runs against both worlds —
 // the real engine and the reference — and every observable must agree: which
-// event fires when, what Stop/Step/RunUntil return, the clock, Pending and
-// NextAt after every operation. The engine side also checks the tier
+// event fires when, what Timer.Stop/Step/RunUntil return, the clock, Pending
+// and NextAt after every operation. The engine side also checks the tier
 // invariants of queue.go after every operation.
 
 type opKind uint8
@@ -39,7 +39,6 @@ const (
 	actKeyedAfter         // ScheduleKeyed(now+delay)
 	actTimerAfter         // AfterVal(delay)
 	actStopTimer          // stop the arg-th handle
-	actStopEngine         // Engine.Stop()
 	actKinds
 )
 
@@ -70,7 +69,6 @@ type world interface {
 	stopTimer(h int) bool        // h is reduced modulo the handle count
 	step() bool
 	runUntil(t Time) uint64
-	stop()
 	pending() int
 	nextAt() (Time, bool)
 }
@@ -109,8 +107,6 @@ func (in *interp) fire(a act) func() {
 			in.w.timer(a.delay, in.fire(next))
 		case actStopTimer:
 			in.note("stop %v", in.w.stopTimer(a.arg))
-		case actStopEngine:
-			in.w.stop()
 		}
 	}
 }
@@ -141,11 +137,7 @@ func (in *interp) run(prog []op) []string {
 		at, ok := in.w.nextAt()
 		in.note("now %d pending %d next %d %v", in.w.now(), in.w.pending(), at, ok)
 	}
-	// Drain what is left, in two steps so a Stop from inside an event (which
-	// ends a RunUntil early) cannot hide the tail.
-	for i := 0; i < 2; i++ {
-		in.note("ran %d", in.w.runUntil(in.w.now().Add(Duration(1)<<40)))
-	}
+	in.note("ran %d", in.w.runUntil(in.w.now().Add(Duration(1)<<40)))
 	in.note("now %d pending %d", in.w.now(), in.w.pending())
 	return in.log
 }
@@ -176,7 +168,6 @@ func (w *engWorld) runUntil(t Time) uint64 {
 	defer checkTiers(w.t, w.e)
 	return w.e.RunUntil(t)
 }
-func (w *engWorld) stop()                { w.e.Stop() }
 func (w *engWorld) pending() int         { return w.e.Pending() }
 func (w *engWorld) nextAt() (Time, bool) { return w.e.NextAt() }
 
@@ -231,11 +222,10 @@ func checkWheel(t testing.TB, what string, heads []*event, b *bitmap, placed fun
 
 // refWorld is the reference: one slice kept sorted by (at, khi, klo).
 type refWorld struct {
-	t       Time
-	seq     uint64
-	evs     []refEvent
-	timers  []uint64 // local sequence number of each handle's event
-	stopped bool
+	t      Time
+	seq    uint64
+	evs    []refEvent
+	timers []uint64 // local sequence number of each handle's event
 }
 
 type refEvent struct {
@@ -290,18 +280,16 @@ func (w *refWorld) step() bool {
 	return true
 }
 func (w *refWorld) runUntil(deadline Time) uint64 {
-	w.stopped = false
 	var n uint64
-	for !w.stopped && len(w.evs) > 0 && w.evs[0].at <= deadline {
+	for len(w.evs) > 0 && w.evs[0].at <= deadline {
 		w.step()
 		n++
 	}
-	if (len(w.evs) == 0 || w.evs[0].at > deadline) && w.t < deadline {
+	if w.t < deadline {
 		w.t = deadline
 	}
 	return n
 }
-func (w *refWorld) stop()        { w.stopped = true }
 func (w *refWorld) pending() int { return len(w.evs) }
 func (w *refWorld) nextAt() (Time, bool) {
 	if len(w.evs) == 0 {
@@ -446,11 +434,6 @@ var scenarios = map[string][]op{
 		{kind: opKeyed, delay: 400, arg: 0}, {kind: opKeyed, delay: 400, arg: 3}, {kind: opKeyed, delay: 400, arg: 1},
 		{kind: opLocal, delay: 400}, {kind: opKeyed, delay: 400, arg: 2}, {kind: opRunUntil, delay: 400},
 		{kind: opKeyed, delay: 0, arg: 3}, {kind: opKeyed, delay: 0, arg: 0}, {kind: opStep}, {kind: opRunUntil, delay: 1_000},
-	},
-	"engine stop mid-run": {
-		{kind: opLocal, delay: 400, then: act{kind: actStopEngine}}, {kind: opLocal, delay: 400},
-		{kind: opLocal, delay: 10_000}, {kind: opRunUntil, delay: 1_000_000},
-		{kind: opLocal, delay: 0}, {kind: opRunUntil, delay: 1_000_000},
 	},
 }
 

@@ -114,12 +114,11 @@ func (t *Timer) Stop() bool {
 
 // Engine is a discrete-event simulator.
 type Engine struct {
-	now     Time
-	queue   pendingSet
-	seq     uint64
-	rng     *rand.Rand
-	seed    int64
-	stopped bool
+	now   Time
+	queue pendingSet
+	seq   uint64
+	rng   *rand.Rand
+	seed  int64
 	// free is the event pool: steady-state scheduling allocates nothing.
 	free []*event
 	// Stats
@@ -317,39 +316,31 @@ func (e *Engine) runBatch() {
 		e.release(ev)
 		fn()
 		n++
-		if e.stopped || len(q.run) == 0 || q.run[len(q.run)-1].at != t {
+		if len(q.run) == 0 || q.run[len(q.run)-1].at != t {
 			break
 		}
 	}
 	e.processed += n
 }
 
-// Run processes events until the queue is empty or Stop is called.
+// Run processes events until the queue is empty.
 // It returns the number of events processed.
 func (e *Engine) Run() uint64 {
-	e.stopped = false
 	start := e.processed
-	for !e.stopped && e.queue.settle(maxTime) {
+	for e.queue.settle(maxTime) {
 		e.runBatch()
 	}
 	return e.processed - start
 }
 
 // RunUntil processes events with timestamps <= deadline, advancing the clock
-// to exactly deadline at the end (even if the queue drained early). When
-// Stop ended the run with such events still queued the clock stays on the
-// last event run: moving it past them would make the next Run step it back.
+// to exactly deadline at the end (even if the queue drained early).
 func (e *Engine) RunUntil(deadline Time) uint64 {
-	e.stopped = false
 	start := e.processed
-	due := e.queue.settle(deadline)
-	for due && !e.stopped {
+	for e.queue.settle(deadline) {
 		e.runBatch()
-		due = e.queue.settle(deadline)
 	}
-	if !due {
-		e.advanceTo(deadline)
-	}
+	e.advanceTo(deadline)
 	return e.processed - start
 }
 

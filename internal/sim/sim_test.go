@@ -159,26 +159,6 @@ func TestTickerStop(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	e := NewEngine(1)
-	ran := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
-			ran++
-			if ran == 4 {
-				e.Stop()
-			}
-		})
-	}
-	if n := e.Run(); n != 4 {
-		t.Fatalf("Run processed %d, want 4", n)
-	}
-	// Run again resumes.
-	if n := e.Run(); n != 6 {
-		t.Fatalf("second Run processed %d, want 6", n)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []int64 {
 		e := NewEngine(42)
