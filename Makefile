@@ -24,7 +24,8 @@ FUZZ_TARGETS = \
 	internal/wire:FuzzDecode internal/wire:FuzzViewDecode internal/wire:FuzzWalkBatch \
 	internal/sim:FuzzPendingSet internal/lincheck:FuzzLincheck internal/pisa:FuzzKeyTable \
 	internal/ewo:FuzzCounterTable internal/ewo:FuzzLWWTable internal/ewo:FuzzUpdateCoalescing \
-	internal/netem:FuzzMulticastMatchesSends internal/netem/live:FuzzFabricDatagram
+	internal/netem:FuzzMulticastMatchesSends internal/netem/live:FuzzFabricDatagram \
+	internal/workload:FuzzMerge
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $${t#*:} ($${t%:*}, $(FUZZTIME))"; \
