@@ -105,15 +105,21 @@ type comparison struct {
 	verdict            string
 }
 
+// minPairs is the fewest pairs whose wins and losses are counted: below it
+// the nine-tenths rule is all of them, which two identical programs meet by
+// chance (1 time in 8 at three pairs).
+const minPairs = 10
+
 // compare reads one metric the choosing-metrics way. parent[i] and change[i]
 // ran at one seed; sign is +1 when higher is better, bound the metric's
 // BENCHMARK.json bound, moreFailed whether the change failed more ops (or
 // runs) than the parent. The verdict is "worse" when the change failed more,
-// its median is worse by more than the bound, or it lost nine tenths of the
-// pairs by more than the parent's spread; "claimable" when it won nine tenths
-// by more than that spread; "unresolved" when either side's quartile spread
-// is wider than the bound, unless every change run beats every parent run;
-// "inside spread" otherwise.
+// its median is worse by more than the bound, or, over at least minPairs
+// pairs, it lost nine tenths of them by more than the parent's spread;
+// "claimable" when it won nine tenths of at least minPairs by more than that
+// spread; "unresolved" when either side's quartile spread is wider than the
+// bound, unless every change run beats every parent run; "inside spread"
+// otherwise.
 func compare(parent, change []float64, sign, bound float64, moreFailed bool) comparison {
 	wins, losses := 0, 0
 	for i := range parent {
@@ -134,7 +140,8 @@ func compare(parent, change []float64, sign, bound float64, moreFailed bool) com
 	sort.Float64s(p)
 	sort.Float64s(c)
 	r := comparison{pm: quantile(p, 0.5), cm: quantile(c, 0.5), piqr: iqr(p), ciqr: iqr(c), wins: wins}
-	gain, most, wide := sign*(r.cm-r.pm), 0.9*float64(len(p)), bound*r.pm
+	gain, wide := sign*(r.cm-r.pm), bound*r.pm
+	most := 0.9 * float64(max(len(p), minPairs))
 	switch {
 	case moreFailed, -gain > wide, -gain > r.piqr && float64(losses) >= most:
 		r.verdict = "worse" // a gain beside more failures does not count

@@ -29,6 +29,10 @@ func TestCompareVerdict(t *testing.T) {
 		{"change spread wider than the bound", runs(10, 100, 1), runs(10, 100, 40), -1, 0.2, false, "unresolved"},
 		{"wide, but every change run is better", []float64{0, 0, 50, 100, 100}, []float64{101, 102, 103, 104, 105},
 			1, 0.2, false, "inside spread"},
+		{"three pairs all lost, inside the bound", runs(3, 100, 0.5), runs(3, 98, 0.5), 1, 0.2, false, "inside spread"},
+		{"three pairs all won, inside the bound", runs(3, 100, 0.5), runs(3, 102, 0.5), 1, 0.2, false, "inside spread"},
+		{"three pairs, median worse than the bound", runs(3, 100, 0.5), runs(3, 70, 0.5), 1, 0.2, false, "worse"},
+		{"nine of ten pairs lost", runs(10, 100, 0.5), append(runs(9, 98, 0.5), 101), 1, 0.2, false, "worse"},
 	} {
 		if got := compare(tc.parent, tc.change, tc.sign, tc.bound, tc.moreFailed).verdict; got != tc.want {
 			t.Errorf("%s: verdict %q, want %q", tc.name, got, tc.want)

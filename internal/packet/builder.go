@@ -4,44 +4,53 @@ import "net/netip"
 
 // Builder provides a fluent constructor for test and workload packets.
 // The zero value is not usable; start with NewBuilder.
-type Builder struct{ p *Packet }
+type Builder struct{ f *frame }
+
+// frame is a packet and every header it can carry, allocated as one object:
+// the packet's layer pointers point into it.
+type frame struct {
+	p   Packet
+	eth Ethernet
+	ip  IPv4
+	tcp TCP
+	udp UDP
+}
 
 // NewBuilder starts a packet with an Ethernet+IPv4 skeleton using sensible
 // defaults (TTL 64).
 func NewBuilder() *Builder {
-	return &Builder{p: &Packet{
-		Eth: &Ethernet{EtherType: EtherTypeIPv4},
-		IP:  &IPv4{TTL: 64},
-	}}
+	f := &frame{eth: Ethernet{EtherType: EtherTypeIPv4}, ip: IPv4{TTL: 64}}
+	f.p.Eth, f.p.IP = &f.eth, &f.ip
+	return &Builder{f: f}
 }
 
 // Src sets the IPv4 source address.
-func (b *Builder) Src(a netip.Addr) *Builder { b.p.IP.Src = a; return b }
+func (b *Builder) Src(a netip.Addr) *Builder { b.f.ip.Src = a; return b }
 
 // Dst sets the IPv4 destination address.
-func (b *Builder) Dst(a netip.Addr) *Builder { b.p.IP.Dst = a; return b }
+func (b *Builder) Dst(a netip.Addr) *Builder { b.f.ip.Dst = a; return b }
 
 // TCP attaches a TCP header with the given ports and flags.
 func (b *Builder) TCP(srcPort, dstPort uint16, flags TCPFlags) *Builder {
-	b.p.IP.Protocol = ProtoTCP
-	b.p.TCP = &TCP{SrcPort: srcPort, DstPort: dstPort, Flags: flags, Window: 65535}
-	b.p.UDP = nil
+	b.f.ip.Protocol = ProtoTCP
+	b.f.tcp = TCP{SrcPort: srcPort, DstPort: dstPort, Flags: flags, Window: 65535}
+	b.f.p.TCP, b.f.p.UDP = &b.f.tcp, nil
 	return b
 }
 
 // UDP attaches a UDP header with the given ports.
 func (b *Builder) UDP(srcPort, dstPort uint16) *Builder {
-	b.p.IP.Protocol = ProtoUDP
-	b.p.UDP = &UDP{SrcPort: srcPort, DstPort: dstPort}
-	b.p.TCP = nil
+	b.f.ip.Protocol = ProtoUDP
+	b.f.udp = UDP{SrcPort: srcPort, DstPort: dstPort}
+	b.f.p.UDP, b.f.p.TCP = &b.f.udp, nil
 	return b
 }
 
 // Payload sets the packet payload.
-func (b *Builder) Payload(data []byte) *Builder { b.p.Payload = data; return b }
+func (b *Builder) Payload(data []byte) *Builder { b.f.p.Payload = data; return b }
 
 // Build returns the packet.
-func (b *Builder) Build() *Packet { return b.p }
+func (b *Builder) Build() *Packet { return &b.f.p }
 
 // ForFlow builds a minimal packet for a flow key — the workhorse of the
 // workload generators.

@@ -198,6 +198,23 @@ func TestForFlow(t *testing.T) {
 	}
 }
 
+var packetSink *Packet
+
+// TestForFlowAllocBudget: a packet and its headers are one allocation, its
+// payload the only other.
+func TestForFlowAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		proto   IPProto
+		payload int
+		want    float64
+	}{{ProtoTCP, 64, 2}, {ProtoTCP, 0, 1}, {ProtoUDP, 64, 2}, {ProtoUDP, 0, 1}} {
+		k := FlowKey{Src: Addr4(10, 0, 0, 1), Dst: Addr4(10, 0, 0, 2), SrcPort: 1024, DstPort: 80, Proto: tc.proto}
+		if n := testing.AllocsPerRun(200, func() { packetSink = ForFlow(k, FlagSYN, tc.payload) }); n != tc.want {
+			t.Errorf("%v with a %d B payload: %.1f allocs, want %.0f", tc.proto, tc.payload, n, tc.want)
+		}
+	}
+}
+
 func TestAddrConversions(t *testing.T) {
 	a := Addr4(192, 168, 0, 1)
 	v := U32Addr(a)

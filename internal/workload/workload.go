@@ -9,9 +9,11 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"swishmem/internal/packet"
 	"swishmem/internal/sim"
@@ -58,10 +60,12 @@ type TraceConfig struct {
 }
 
 // meanPacketGap is the mean spacing between a flow's packets
-// (exponential), and tracePayloadLen a data packet's payload size.
+// (exponential), tracePayloadLen a data packet's payload size and maxFlowLen
+// the longest flow.
 const (
 	meanPacketGap   sim.Duration = 10_000 // 10µs
 	tracePayloadLen              = 64
+	maxFlowLen                   = 10000
 )
 
 func (c TraceConfig) withDefaults() TraceConfig {
@@ -83,7 +87,8 @@ const (
 	attackBase = 0x2d000000 // 45.0.0.0/8 spoofed attackers
 )
 
-// zipfOrNil builds a Zipf sampler; rand.Zipf needs imax >= 1.
+// zipfSampler returns a sampler of Zipf-skewed indices in [0, n); with one
+// index or none it always returns 0, since rand.Zipf needs imax >= 1.
 func zipfSampler(rng *rand.Rand, n int) func() uint64 {
 	if n <= 1 {
 		return func() uint64 { return 0 }
@@ -100,7 +105,7 @@ func GenTrace(rng *rand.Rand, cfg TraceConfig) (Trace, error) {
 		return nil, fmt.Errorf("workload: need positive Duration and FlowsPerSec")
 	}
 	zipfClient := zipfSampler(rng, cfg.Clients)
-	var tr Trace
+	tr := presized(cfg.FlowsPerSec*min(cfg.MeanPacketsPerFlow, maxFlowLen), cfg.Duration)
 	// Poisson arrivals: exponential inter-arrival gaps.
 	meanGap := float64(sim.Duration(1e9)) / cfg.FlowsPerSec
 	var at sim.Duration
@@ -124,7 +129,7 @@ func GenTrace(rng *rand.Rand, cfg TraceConfig) (Trace, error) {
 		// Geometric flow length with the configured mean (>=2).
 		n := 2
 		p := 1 / (cfg.MeanPacketsPerFlow - 1)
-		for rng.Float64() > p && n < 10000 {
+		for rng.Float64() > p && n < maxFlowLen {
 			n++
 		}
 		t := at
@@ -144,7 +149,7 @@ func GenTrace(rng *rand.Rand, cfg TraceConfig) (Trace, error) {
 			t += sim.Duration(rng.ExpFloat64() * float64(meanPacketGap))
 		}
 	}
-	sort.SliceStable(tr, func(i, j int) bool { return tr[i].At < tr[j].At })
+	sortByArrival(tr)
 	return tr, nil
 }
 
@@ -172,7 +177,7 @@ func GenAttack(rng *rand.Rand, cfg AttackConfig) (Trace, error) {
 	}
 	victim := packet.AddrU32(serverBase + uint32(cfg.Victim))
 	meanGap := float64(sim.Duration(1e9)) / cfg.PacketsPerSec
-	var tr Trace
+	tr := presized(cfg.PacketsPerSec, cfg.Duration)
 	var at sim.Duration
 	for {
 		at += sim.Duration(rng.ExpFloat64() * meanGap)
@@ -191,13 +196,26 @@ func GenAttack(rng *rand.Rand, cfg AttackConfig) (Trace, error) {
 	return tr, nil
 }
 
-// Merge interleaves traces by arrival time (stable).
+// Merge interleaves sorted traces by arrival time in one pass. It is stable:
+// of packets that arrive at one instant, those of an earlier argument come
+// first, each argument's in its own order.
 func Merge(traces ...Trace) Trace {
-	var out Trace
+	n := 0
 	for _, tr := range traces {
-		out = append(out, tr...)
+		n += len(tr)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	out := make(Trace, 0, n)
+	next := make([]int, len(traces))
+	for len(out) < n {
+		k := -1
+		for j, tr := range traces {
+			if next[j] < len(tr) && (k < 0 || tr[next[j]].At < traces[k][next[k]].At) {
+				k = j
+			}
+		}
+		out = append(out, traces[k][next[k]])
+		next[k]++
+	}
 	return out
 }
 
@@ -226,7 +244,7 @@ func GenUserStreams(rng *rand.Rand, cfg UserStreamConfig) (Trace, error) {
 	if cfg.HogFactor <= 0 {
 		cfg.HogFactor = 1
 	}
-	var tr Trace
+	tr := presized(cfg.PacketsPerSecPerUser*(float64(cfg.Users-1)+cfg.HogFactor), cfg.Duration)
 	for u := 0; u < cfg.Users; u++ {
 		rate := cfg.PacketsPerSecPerUser
 		if u == 0 {
@@ -249,15 +267,35 @@ func GenUserStreams(rng *rand.Rand, cfg UserStreamConfig) (Trace, error) {
 			tr = append(tr, TimedPacket{At: at, Pkt: packet.ForFlow(key, 0, userPayloadLen)})
 		}
 	}
-	sort.SliceStable(tr, func(i, j int) bool { return tr[i].At < tr[j].At })
+	sortByArrival(tr)
 	return tr, nil
+}
+
+// sortByArrival orders a trace by arrival time, keeping the generation order
+// of packets that arrive at one instant.
+func sortByArrival(tr Trace) {
+	slices.SortStableFunc(tr, func(a, b TimedPacket) int { return cmp.Compare(a.At, b.At) })
+}
+
+// maxTracePrealloc caps presized: past it a trace grows by append.
+const maxTracePrealloc = 1 << 20
+
+// presized returns an empty trace with room for the packets a generator
+// expects to emit at perSec over d, plus headroom for a count above its mean:
+// four standard deviations of a Poisson count, and a sixteenth more for the
+// spread of a churn trace's flow lengths. It is an estimate: append still
+// grows the trace past it.
+func presized(perSec float64, d sim.Duration) Trace {
+	n := perSec * d.Seconds()
+	n += n/16 + 4*math.Sqrt(n)
+	return make(Trace, 0, int(min(n, maxTracePrealloc)))
 }
 
 // Replay schedules a trace into the simulation, delivering each packet via
 // deliver at its arrival time (offset from now).
 func Replay(eng *sim.Engine, tr Trace, deliver func(*packet.Packet)) {
 	for i := range tr {
-		tp := tr[i]
-		eng.After(tp.At+1, func() { deliver(tp.Pkt) })
+		pkt := tr[i].Pkt
+		eng.ScheduleAfter(tr[i].At+1, func() { deliver(pkt) })
 	}
 }

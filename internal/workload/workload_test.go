@@ -114,6 +114,25 @@ func TestGenAttack(t *testing.T) {
 	}
 }
 
+// TestGenAttackAllocBudget: an attack trace costs at most two allocations a
+// packet (the packet with its headers, and its payload), plus a constant for
+// the generator and the trace, which is presized from the configured rate.
+func TestGenAttackAllocBudget(t *testing.T) {
+	const constant = 16
+	var packets int
+	allocs := testing.AllocsPerRun(5, func() {
+		tr, err := GenAttack(rand.New(rand.NewSource(7)), AttackConfig{
+			Duration: 10 * time.Millisecond, PacketsPerSec: 1e6, Sources: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		packets = len(tr)
+	})
+	if budget := float64(2*packets + constant); allocs > budget {
+		t.Fatalf("%.0f allocs for %d packets, budget %.0f", allocs, packets, budget)
+	}
+}
+
 func TestMergeOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a, _ := GenTrace(rng, TraceConfig{Duration: 5 * time.Millisecond, FlowsPerSec: 5000})
