@@ -98,9 +98,9 @@ func TestGeneratorDigests(t *testing.T) {
 }
 
 // FuzzMerge holds Merge to its definition: the stable sort of the
-// concatenation of its sorted arguments. Each byte of the input starts a new
-// argument (high bit) or extends the current one by a gap of 0–3, so ties
-// within and across arguments are common.
+// concatenation of its sorted arguments. Each input byte b adds a packet
+// b&3 after the previous one of its argument; a byte with the high bit set
+// starts a new argument first. Ties within and across arguments are common.
 func FuzzMerge(f *testing.F) {
 	f.Add([]byte{0x80, 0, 1, 0, 0x80, 0, 0, 2})
 	f.Add([]byte{0x81, 0x81, 0x81})

@@ -277,9 +277,6 @@ func sortByArrival(tr Trace) {
 	slices.SortStableFunc(tr, func(a, b TimedPacket) int { return cmp.Compare(a.At, b.At) })
 }
 
-// maxTracePrealloc caps presized: past it a trace grows by append.
-const maxTracePrealloc = 1 << 20
-
 // presized returns an empty trace with room for the packets a generator
 // expects to emit at perSec over d, plus headroom for a count above its mean:
 // four standard deviations of a Poisson count, and a sixteenth more for the
@@ -288,7 +285,7 @@ const maxTracePrealloc = 1 << 20
 func presized(perSec float64, d sim.Duration) Trace {
 	n := perSec * d.Seconds()
 	n += n/16 + 4*math.Sqrt(n)
-	return make(Trace, 0, int(min(n, maxTracePrealloc)))
+	return make(Trace, 0, int(n))
 }
 
 // Replay schedules a trace into the simulation, delivering each packet via
