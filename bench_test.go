@@ -492,7 +492,9 @@ func TestDocsCiteNoDeletedSnapshot(t *testing.T) {
 		"SwitchMemory", "PortsPerSwitch", "PortBase", "MaxWindows", "FirewallOptions.Inside",
 		"ClockSkew", "ConfigDelay", "FailureTimeout", "MeanPacketGap",
 		// The packet pool and the PN-counter, which only tests drove.
-		"PacketPool", "packet.Pool", "Recycle()", "PNCounter"}
+		"PacketPool", "packet.Pool", "Recycle()", "PNCounter",
+		// The controller-less cluster and the wiring helpers it needed.
+		"WithoutController", "noController", "wireChain", "wireGroup"}
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
 	docs := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

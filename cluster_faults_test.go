@@ -236,13 +236,4 @@ func TestJoinCounterGroupErrors(t *testing.T) {
 	if err := c.JoinCounterGroup("c", 3); err == nil {
 		t.Error("out-of-range spare index accepted")
 	}
-
-	// With the controller disabled there is no group membership to amend.
-	nc := newFaultCluster(t, Config{Switches: 2, Spares: 1, Seed: 1}.WithoutController())
-	if _, err := nc.DeclareCounter("c", EventualOptions{Capacity: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := nc.JoinCounterGroup("c", 2); err == nil {
-		t.Error("join accepted with controller disabled")
-	}
 }

@@ -120,11 +120,10 @@ func main() {
 
 	fmt.Println()
 	summary()
-	if ctrl := cluster.Controller(); ctrl != nil {
-		fmt.Printf("controller: %d heartbeats, %d failures, %d chain reconfigs, %d recoveries\n",
-			ctrl.Stats.Heartbeats.Value(), ctrl.Stats.FailuresSeen.Value(),
-			ctrl.Stats.ChainReconfig.Value(), ctrl.Stats.Recoveries.Value())
-	}
+	ctrl := cluster.Controller()
+	fmt.Printf("controller: %d heartbeats, %d failures, %d chain reconfigs, %d recoveries\n",
+		ctrl.Stats.Heartbeats.Value(), ctrl.Stats.FailuresSeen.Value(),
+		ctrl.Stats.ChainReconfig.Value(), ctrl.Stats.Recoveries.Value())
 	for s := 0; s < *switches; s++ {
 		fmt.Printf("switch %d SRAM: %d bytes\n", s+1, cluster.MemoryUsed(s))
 	}

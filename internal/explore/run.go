@@ -201,7 +201,7 @@ func Run(sc Scenario, opt RunOptions) *Result {
 		}
 		fmt.Fprintf(&log, "inject disable-retransmit at all replicas\n")
 	}
-	if opt.InjectNoRevive && c.Controller() != nil {
+	if opt.InjectNoRevive {
 		c.Controller().DisableRevival()
 		fmt.Fprintf(&log, "inject no-revive at controller\n")
 	}
@@ -253,14 +253,10 @@ func Run(sc Scenario, opt RunOptions) *Result {
 	readRecs := make([]lincheck.Recorder, sc.Switches)
 	nReadsBy := make([]int, sc.Switches)
 
-	// Episode bookkeeping: start events at AtStep, end events after Steps.
-	// The end event carries the whole episode: one-way outages must restore
-	// the exact directed link they cut, pauses must resume their victim.
-	type endEvent struct {
-		step int
-		e    Episode
-	}
-	var ends []endEvent
+	// A window's end comes Steps steps after its start and carries the whole
+	// episode: one-way outages must restore the exact directed link they
+	// cut, pauses must resume their victim.
+	var ends []Episode
 	epi := 0
 
 	valHex := func(b []byte) string {
@@ -269,38 +265,45 @@ func Run(sc Scenario, opt RunOptions) *Result {
 		}
 		return fmt.Sprintf("%x", b)
 	}
+	// submit issues an SRO write of v at switch w and tracks it into the
+	// history.
+	submit := func(w int, key, v uint64) {
+		nStrongW++
+		buf := make([]byte, 8)
+		binary.BigEndian.PutUint64(buf, v)
+		sw := &strongWrite{key: key, val: valHex(buf), start: now()}
+		writes = append(writes, sw)
+		strong[w].Write(key, buf, func(ok bool) {
+			sw.resolved, sw.committed, sw.end = true, ok, now()
+		})
+	}
 
 	for step := 0; step < sc.Steps; step++ {
-		for len(ends) > 0 && ends[0].step == step {
-			ee := ends[0].e
-			switch ee.Kind {
+		for len(ends) > 0 && ends[0].AtStep+ends[0].Steps == step {
+			e := ends[0]
+			ends = ends[1:]
+			switch e.Kind {
 			case PartitionFault:
 				c.HealPartition()
 				fmt.Fprintf(&log, "t=%s heal\n", c.Now())
-			case LossBurst:
-				c.SetAllLinks(sc.Link)
-				fmt.Fprintf(&log, "t=%s lossburst-end\n", c.Now())
-			case NthLossBurst:
-				c.SetAllLinks(sc.Link)
-				fmt.Fprintf(&log, "t=%s nthloss-end\n", c.Now())
-			case CorruptBurst:
-				c.SetAllLinks(sc.Link)
-				fmt.Fprintf(&log, "t=%s corrupt-end\n", c.Now())
-			case OneWayOutage:
-				c.SetOneWayLink(ee.A[0], ee.B[0], sc.Link)
-				fmt.Fprintf(&log, "t=%s oneway-end\n", c.Now())
 			case PauseResume:
-				c.ResumeSwitch(ee.Switch)
-				fmt.Fprintf(&log, "t=%s resume switch=%d\n", c.Now(), ee.Switch)
+				c.ResumeSwitch(e.Switch)
+				fmt.Fprintf(&log, "t=%s resume switch=%d\n", c.Now(), e.Switch)
 				// Rejoin margin: heartbeats restart, an evicted victim is
 				// revived and pushed current configs, frozen backlog drains.
 				c.RunFor(gossipMargin)
+			case OneWayOutage:
+				c.SetOneWayLink(e.A[0], e.B[0], sc.Link)
+				fmt.Fprintf(&log, "t=%s %s-end\n", c.Now(), e.Kind)
+			default: // a burst
+				c.SetAllLinks(sc.Link)
+				fmt.Fprintf(&log, "t=%s %s-end\n", c.Now(), e.Kind)
 			}
-			ends = ends[1:]
 		}
 		for epi < len(sc.Episodes) && sc.Episodes[epi].AtStep == step {
 			e := sc.Episodes[epi]
 			epi++
+			detail := e.detail()
 			switch e.Kind {
 			case Crash:
 				c.RunFor(gossipMargin)
@@ -310,53 +313,20 @@ func Run(sc Scenario, opt RunOptions) *Result {
 				// have applied them, and the linearizability oracle must
 				// accept both outcomes (and reject impossible mixtures).
 				for dw := 0; dw < 2; dw++ {
-					nStrongW++
 					key := uint64(wrng.Intn(sc.Keys))
-					v := uint64(step)<<16 | uint64(e.Switch)<<8 | uint64(0xd0+dw)
-					buf := make([]byte, 8)
-					binary.BigEndian.PutUint64(buf, v)
-					sw := &strongWrite{key: key, val: valHex(buf), start: now()}
-					writes = append(writes, sw)
-					strong[e.Switch].Write(key, buf, func(ok bool) {
-						sw.resolved, sw.committed, sw.end = true, ok, now()
-					})
+					submit(e.Switch, key, uint64(step)<<16|uint64(e.Switch)<<8|uint64(0xd0+dw))
 				}
 				c.RunFor(50 * time.Microsecond) // let them reach (part of) the chain
 				c.FailSwitch(e.Switch)
 				removeAlive(e.Switch)
 				crashCount++
-				fmt.Fprintf(&log, "t=%s crash switch=%d\n", c.Now(), e.Switch)
 			case PartitionFault:
 				c.Partition(e.A, e.B)
-				ends = append(ends, endEvent{e.AtStep + e.Steps, e})
-				fmt.Fprintf(&log, "t=%s partition a=%v b=%v\n", c.Now(), e.A, e.B)
-			case LossBurst:
-				burst := sc.Link
-				burst.LossRate = e.Loss
-				c.SetAllLinks(burst)
-				ends = append(ends, endEvent{e.AtStep + e.Steps, e})
-				fmt.Fprintf(&log, "t=%s lossburst loss=%.3f\n", c.Now(), e.Loss)
-			case NthLossBurst:
-				burst := sc.Link
-				burst.LossEveryN = e.N
-				c.SetAllLinks(burst)
-				ends = append(ends, endEvent{e.AtStep + e.Steps, e})
-				fmt.Fprintf(&log, "t=%s nthloss n=%d\n", c.Now(), e.N)
-			case CorruptBurst:
-				burst := sc.Link
-				burst.CorruptRate = e.Loss
-				c.SetAllLinks(burst)
-				ends = append(ends, endEvent{e.AtStep + e.Steps, e})
-				fmt.Fprintf(&log, "t=%s corrupt rate=%.3f\n", c.Now(), e.Loss)
+			case LossBurst, NthLossBurst, CorruptBurst:
+				c.SetAllLinks(e.link(sc.Link))
 			case OneWayOutage:
-				p := sc.Link
-				p.Deny = swishmem.DenyBlackhole
-				if e.Reject {
-					p.Deny = swishmem.DenyReject
-				}
-				c.SetOneWayLink(e.A[0], e.B[0], p)
-				ends = append(ends, endEvent{e.AtStep + e.Steps, e})
-				fmt.Fprintf(&log, "t=%s oneway from=%d to=%d reject=%v\n", c.Now(), e.A[0], e.B[0], e.Reject)
+				c.SetOneWayLink(e.A[0], e.B[0], e.link(sc.Link))
+				detail = fmt.Sprintf("from=%d to=%d reject=%v", e.A[0], e.B[0], e.Reject)
 			case PauseResume:
 				// The victim freezes mid-protocol: heartbeats stop (the GC
 				// pause trap for the failure detector), its queues backlog,
@@ -367,32 +337,26 @@ func Run(sc Scenario, opt RunOptions) *Result {
 				c.PauseSwitch(e.Switch)
 				removeAlive(e.Switch)
 				pausedAbs = append(pausedAbs, e.Switch)
-				ends = append(ends, endEvent{e.AtStep + e.Steps, e})
-				fmt.Fprintf(&log, "t=%s pause switch=%d\n", c.Now(), e.Switch)
 			case Join:
 				abs := sc.Switches + e.Switch
 				if err := c.JoinCounterGroup("c", abs); err != nil {
 					fail("setup", "join spare %d: %v", abs, err)
-				} else {
-					joinedAbs = append(joinedAbs, abs)
-					fmt.Fprintf(&log, "t=%s join spare=%d\n", c.Now(), abs)
+					continue
 				}
+				joinedAbs = append(joinedAbs, abs)
+				detail = fmt.Sprintf("spare=%d", abs)
 			}
+			if e.Kind.window() {
+				ends = append(ends, e)
+			}
+			fmt.Fprintf(&log, "t=%s %s %s\n", c.Now(), e.Kind, detail)
 		}
 
 		w := alive[wrng.Intn(len(alive))]
 		switch r := wrng.Intn(100); {
 		case r < 30: // SRO write
-			nStrongW++
 			key := uint64(wrng.Intn(sc.Keys))
-			v := uint64(step)<<16 | uint64(w)<<8 | uint64(wrng.Intn(256))
-			buf := make([]byte, 8)
-			binary.BigEndian.PutUint64(buf, v)
-			sw := &strongWrite{key: key, val: valHex(buf), start: now()}
-			writes = append(writes, sw)
-			strong[w].Write(key, buf, func(ok bool) {
-				sw.resolved, sw.committed, sw.end = true, ok, now()
-			})
+			submit(w, key, uint64(step)<<16|uint64(w)<<8|uint64(wrng.Intn(256)))
 		case r < 60: // SRO read
 			nStrongR++
 			key := uint64(wrng.Intn(sc.Keys))
@@ -497,17 +461,11 @@ func Run(sc Scenario, opt RunOptions) *Result {
 			fail("chain", "dead switch %d still a chain member (%v)", idx, cc.Members)
 		}
 	}
-	if c.Controller() != nil {
-		res.Recoveries = c.Controller().Stats.Recoveries.Value()
-		res.Revivals = c.Controller().Stats.Revivals.Value()
-		want := crashCount
-		if want > sc.Spares {
-			want = sc.Spares
-		}
-		if got := int(res.Recoveries); got < want {
-			fail("chain", "recoveries = %d, want >= %d (crashes=%d spares=%d)",
-				got, want, crashCount, sc.Spares)
-		}
+	res.Recoveries = c.Controller().Stats.Recoveries.Value()
+	res.Revivals = c.Controller().Stats.Revivals.Value()
+	if got, want := int(res.Recoveries), min(crashCount, sc.Spares); got < want {
+		fail("chain", "recoveries = %d, want >= %d (crashes=%d spares=%d)",
+			got, want, crashCount, sc.Spares)
 	}
 
 	// --- oracle: lincheck --- per-key linearizability of the SRO history.

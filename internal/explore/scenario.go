@@ -70,35 +70,48 @@ const (
 	PauseResume
 )
 
+// episodeKinds says, once per kind, what an episode of that kind is: its
+// name in logs, whether it is a window (it lasts Steps workload steps and
+// then ends), and whether it can drop messages (which makes a scenario
+// non-strict). A new kind is declared here and handled in Normalize's and
+// Run's switches.
+var episodeKinds = [...]struct {
+	name          string
+	window, drops bool
+}{
+	Crash:          {"crash", false, false},
+	PartitionFault: {"partition", true, true},
+	LossBurst:      {"lossburst", true, true},
+	Join:           {"join", false, false},
+	NthLossBurst:   {"nthloss", true, true},
+	CorruptBurst:   {"corrupt", true, true},
+	OneWayOutage:   {"oneway", true, true},
+	// A paused switch delays messages (its backlog replays) rather than
+	// dropping them, and the few sends it suppresses (driver-submitted ops
+	// while frozen) are protocol-retried: the same ambiguity a crash leaves,
+	// which the strict oracles model.
+	PauseResume: {"pause", true, false},
+}
+
+func (k EpisodeKind) known() bool { return k >= 0 && int(k) < len(episodeKinds) }
+
+// window reports whether an episode of kind k lasts Steps steps and ends.
+func (k EpisodeKind) window() bool { return k.known() && episodeKinds[k].window }
+
 func (k EpisodeKind) String() string {
-	switch k {
-	case Crash:
-		return "crash"
-	case PartitionFault:
-		return "partition"
-	case LossBurst:
-		return "lossburst"
-	case Join:
-		return "join"
-	case NthLossBurst:
-		return "nthloss"
-	case CorruptBurst:
-		return "corrupt"
-	case OneWayOutage:
-		return "oneway"
-	case PauseResume:
-		return "pause"
+	if !k.known() {
+		return fmt.Sprintf("kind(%d)", int(k))
 	}
-	return fmt.Sprintf("kind(%d)", int(k))
+	return episodeKinds[k].name
 }
 
 // Episode is one entry of a scenario's fault schedule. Episodes never
-// overlap: each starts at AtStep and (for partitions and loss bursts) ends
-// Steps workload steps later, strictly before the next episode begins.
+// overlap: each starts at AtStep and (for windows) ends Steps workload steps
+// later, strictly before the next episode begins.
 type Episode struct {
 	Kind   EpisodeKind
 	AtStep int
-	// Steps is the duration of a partition or loss burst, in workload steps.
+	// Steps is the duration of a window, in workload steps.
 	Steps int
 	// A and B are the partition sides (replica indices).
 	A, B []int
@@ -115,25 +128,52 @@ type Episode struct {
 }
 
 func (e Episode) String() string {
-	switch e.Kind {
-	case Crash:
-		return fmt.Sprintf("episode crash at=%d switch=%d", e.AtStep, e.Switch)
-	case PartitionFault:
-		return fmt.Sprintf("episode partition at=%d steps=%d a=%v b=%v", e.AtStep, e.Steps, e.A, e.B)
-	case LossBurst:
-		return fmt.Sprintf("episode lossburst at=%d steps=%d loss=%.3f", e.AtStep, e.Steps, e.Loss)
-	case Join:
-		return fmt.Sprintf("episode join at=%d spare=%d", e.AtStep, e.Switch)
-	case NthLossBurst:
-		return fmt.Sprintf("episode nthloss at=%d steps=%d n=%d", e.AtStep, e.Steps, e.N)
-	case CorruptBurst:
-		return fmt.Sprintf("episode corrupt at=%d steps=%d rate=%.3f", e.AtStep, e.Steps, e.Loss)
-	case OneWayOutage:
-		return fmt.Sprintf("episode oneway at=%d steps=%d from=%v to=%v reject=%v", e.AtStep, e.Steps, e.A, e.B, e.Reject)
-	case PauseResume:
-		return fmt.Sprintf("episode pause at=%d steps=%d switch=%d", e.AtStep, e.Steps, e.Switch)
+	if !e.Kind.known() {
+		return "episode ?"
 	}
-	return "episode ?"
+	steps := ""
+	if e.Kind.window() {
+		steps = fmt.Sprintf(" steps=%d", e.Steps)
+	}
+	return fmt.Sprintf("episode %s at=%d%s %s", e.Kind, e.AtStep, steps, e.detail())
+}
+
+// detail renders the kind's own parameters.
+func (e Episode) detail() string {
+	switch e.Kind {
+	case Crash, PauseResume:
+		return fmt.Sprintf("switch=%d", e.Switch)
+	case PartitionFault:
+		return fmt.Sprintf("a=%v b=%v", e.A, e.B)
+	case LossBurst:
+		return fmt.Sprintf("loss=%.3f", e.Loss)
+	case Join:
+		return fmt.Sprintf("spare=%d", e.Switch)
+	case NthLossBurst:
+		return fmt.Sprintf("n=%d", e.N)
+	case CorruptBurst:
+		return fmt.Sprintf("rate=%.3f", e.Loss)
+	}
+	return fmt.Sprintf("from=%v to=%v reject=%v", e.A, e.B, e.Reject) // OneWayOutage
+}
+
+// link returns the profile a link window applies on top of base: a burst's
+// loss, period or corruption, or a one-way outage's deny mode.
+func (e Episode) link(base swishmem.LinkProfile) swishmem.LinkProfile {
+	switch e.Kind {
+	case LossBurst:
+		base.LossRate = e.Loss
+	case NthLossBurst:
+		base.LossEveryN = e.N
+	case CorruptBurst:
+		base.CorruptRate = e.Loss
+	case OneWayOutage:
+		base.Deny = swishmem.DenyBlackhole
+		if e.Reject {
+			base.Deny = swishmem.DenyReject
+		}
+	}
+	return base
 }
 
 // Scenario is one generated model-checking input: everything Run needs to
@@ -156,23 +196,18 @@ type Scenario struct {
 // this scenario. The chain package documents a bounded monotone-apply
 // anomaly under message loss (chain.go, "Departure from textbook chain
 // replication"), so linearizability and member value agreement are asserted
-// only when no messages can be silently dropped: a lossless base link, no
-// partitions, and no loss bursts. Crashes, joins, duplication, reordering,
-// and jitter are all fair game for the strict oracles.
+// only when no messages can be silently dropped: a lossless base link and no
+// episode of a kind that drops. Crashes, joins, pauses, duplication,
+// reordering, and jitter are all fair game for the strict oracles.
 func (s Scenario) Strict() bool {
 	if s.Link.LossRate > 0 || s.Link.LossEveryN > 0 || s.Link.CorruptRate > 0 || s.Link.Deny != 0 {
 		return false
 	}
 	for _, e := range s.Episodes {
-		switch e.Kind {
-		case PartitionFault, LossBurst, NthLossBurst, CorruptBurst, OneWayOutage:
+		if e.Kind.known() && episodeKinds[e.Kind].drops {
 			return false
 		}
 	}
-	// PauseResume is strict-preserving: a frozen switch delays messages (the
-	// backlog replays) rather than dropping them, and the few sends it
-	// suppresses (driver-submitted ops while frozen) are protocol-retried —
-	// the same ambiguity a crash leaves, which the strict oracles model.
 	return true
 }
 
@@ -251,9 +286,10 @@ func GenerateWith(seed int64, faults FaultSet) Scenario {
 		s.Link.ReorderRate = rng.Float64() * 0.08
 	}
 
-	kinds := 4
+	// The classic kinds are the first four; the draw is the kind itself.
+	kinds := int(Join) + 1
 	if faults == FaultsExtended {
-		kinds = 8
+		kinds = len(episodeKinds)
 	}
 
 	// Fault episodes: sequential, non-overlapping, leaving >= 2 replicas.
@@ -263,20 +299,15 @@ func GenerateWith(seed int64, faults FaultSet) Scenario {
 	joined := make(map[int]bool)
 	paused := make(map[int]bool)
 	for i := 0; i < nEp && cursor < s.Steps-10; i++ {
-		e := Episode{AtStep: cursor}
-		switch rng.Intn(kinds) {
-		case 0: // crash
+		e := Episode{Kind: EpisodeKind(rng.Intn(kinds)), AtStep: cursor}
+		switch e.Kind {
+		case Crash:
 			if crashes >= s.Switches-2 {
 				continue
 			}
-			e.Kind = Crash
 			e.Switch = rng.Intn(s.Switches)
 			crashes++
-		case 1: // partition
-			if s.Switches < 2 {
-				continue
-			}
-			e.Kind = PartitionFault
+		case PartitionFault:
 			e.Steps = 10 + rng.Intn(40)
 			cut := 1 + rng.Intn(s.Switches-1)
 			for r := 0; r < s.Switches; r++ {
@@ -286,11 +317,10 @@ func GenerateWith(seed int64, faults FaultSet) Scenario {
 					e.B = append(e.B, r)
 				}
 			}
-		case 2: // loss burst
-			e.Kind = LossBurst
+		case LossBurst:
 			e.Steps = 10 + rng.Intn(40)
 			e.Loss = 0.05 + rng.Float64()*0.20
-		case 3: // spare join
+		case Join:
 			if s.Spares == 0 {
 				continue
 			}
@@ -299,18 +329,14 @@ func GenerateWith(seed int64, faults FaultSet) Scenario {
 				continue
 			}
 			joined[sp] = true
-			e.Kind = Join
 			e.Switch = sp
-		case 4: // every-Nth deterministic loss burst
-			e.Kind = NthLossBurst
+		case NthLossBurst:
 			e.Steps = 10 + rng.Intn(40)
 			e.N = 2 + rng.Intn(9) // every 2nd..10th packet
-		case 5: // payload corruption burst
-			e.Kind = CorruptBurst
+		case CorruptBurst:
 			e.Steps = 10 + rng.Intn(40)
 			e.Loss = 0.05 + rng.Float64()*0.25
-		case 6: // one-way outage on a directed replica pair
-			e.Kind = OneWayOutage
+		case OneWayOutage: // on a directed replica pair
 			e.Steps = 10 + rng.Intn(40)
 			from := rng.Intn(s.Switches)
 			to := rng.Intn(s.Switches - 1)
@@ -319,13 +345,12 @@ func GenerateWith(seed int64, faults FaultSet) Scenario {
 			}
 			e.A, e.B = []int{from}, []int{to}
 			e.Reject = rng.Intn(2) == 0
-		case 7: // process pause/resume (GC-pause analog)
+		case PauseResume: // the GC-pause analog
 			victim := rng.Intn(s.Switches)
 			if paused[victim] || s.Switches-crashes-len(paused) < 3 {
 				continue
 			}
 			paused[victim] = true
-			e.Kind = PauseResume
 			e.Switch = victim
 			// 10..59 steps x 30..70us OpGap straddles the controller's 2ms
 			// failure timeout: some pauses evict, some stay undetected.
@@ -403,6 +428,11 @@ func (s Scenario) Normalize() Scenario {
 		if e.AtStep >= s.Steps {
 			continue
 		}
+		if !e.Kind.window() {
+			e.Steps = 0
+		} else if !s.clampWindow(&e) {
+			continue
+		}
 		switch e.Kind {
 		case Crash:
 			// crashes >= s.Switches-2 is the classic guard; the retired
@@ -415,81 +445,30 @@ func (s Scenario) Normalize() Scenario {
 			}
 			crashed[e.Switch] = true
 			crashes++
-			e.Steps = 0
 		case PartitionFault:
 			e.A = filterReplicas(e.A, s.Switches)
 			e.B = filterReplicas(e.B, s.Switches)
 			if len(e.A) == 0 || len(e.B) == 0 {
 				continue
 			}
-			if e.Steps < 1 {
-				e.Steps = 1
-			}
-			if e.AtStep+e.Steps >= s.Steps {
-				e.Steps = s.Steps - 1 - e.AtStep
-				if e.Steps < 1 {
-					continue
-				}
-			}
-		case LossBurst:
+		case LossBurst, CorruptBurst:
 			if e.Loss <= 0 {
 				continue
-			}
-			if e.Steps < 1 {
-				e.Steps = 1
-			}
-			if e.AtStep+e.Steps >= s.Steps {
-				e.Steps = s.Steps - 1 - e.AtStep
-				if e.Steps < 1 {
-					continue
-				}
 			}
 		case Join:
 			if e.Switch < 0 || e.Switch >= s.Spares || joined[e.Switch] {
 				continue
 			}
 			joined[e.Switch] = true
-			e.Steps = 0
 		case NthLossBurst:
 			if e.N < 2 { // N==1 would be a full blackout, not a loss pattern
 				continue
-			}
-			if e.Steps < 1 {
-				e.Steps = 1
-			}
-			if e.AtStep+e.Steps >= s.Steps {
-				e.Steps = s.Steps - 1 - e.AtStep
-				if e.Steps < 1 {
-					continue
-				}
-			}
-		case CorruptBurst:
-			if e.Loss <= 0 {
-				continue
-			}
-			if e.Steps < 1 {
-				e.Steps = 1
-			}
-			if e.AtStep+e.Steps >= s.Steps {
-				e.Steps = s.Steps - 1 - e.AtStep
-				if e.Steps < 1 {
-					continue
-				}
 			}
 		case OneWayOutage:
 			e.A = filterReplicas(e.A, s.Switches)
 			e.B = filterReplicas(e.B, s.Switches)
 			if len(e.A) != 1 || len(e.B) != 1 || e.A[0] == e.B[0] {
 				continue
-			}
-			if e.Steps < 1 {
-				e.Steps = 1
-			}
-			if e.AtStep+e.Steps >= s.Steps {
-				e.Steps = s.Steps - 1 - e.AtStep
-				if e.Steps < 1 {
-					continue
-				}
 			}
 		case PauseResume:
 			// A paused switch is retired from the workload permanently (see
@@ -500,16 +479,6 @@ func (s Scenario) Normalize() Scenario {
 				continue
 			}
 			paused[e.Switch] = true
-			if e.Steps < 1 {
-				e.Steps = 1
-			}
-			if e.AtStep+e.Steps >= s.Steps {
-				e.Steps = s.Steps - 1 - e.AtStep
-				if e.Steps < 1 {
-					delete(paused, e.Switch)
-					continue
-				}
-			}
 		default:
 			continue
 		}
@@ -518,6 +487,18 @@ func (s Scenario) Normalize() Scenario {
 	}
 	s.Episodes = out
 	return s
+}
+
+// clampWindow fits a window into the workload: at least one step, ending
+// before the last step. It reports false when no step fits.
+func (s Scenario) clampWindow(e *Episode) bool {
+	if e.Steps < 1 {
+		e.Steps = 1
+	}
+	if e.AtStep+e.Steps >= s.Steps {
+		e.Steps = s.Steps - 1 - e.AtStep
+	}
+	return e.Steps >= 1
 }
 
 func filterReplicas(idx []int, switches int) []int {

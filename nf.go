@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"swishmem/internal/controller"
 	"swishmem/internal/core"
 	"swishmem/internal/nf/ddos"
 	"swishmem/internal/nf/firewall"
@@ -101,7 +102,7 @@ func deployStrong[T strongNF](c *Cluster, kind, name string, shared bool,
 		handles = append(handles, n.Register())
 	}
 	if shared {
-		c.wireChain(id, handles)
+		c.manageChain(id, handles, everywhere)
 	}
 	return nfs[:c.cfg.Switches], nil
 }
@@ -115,7 +116,7 @@ func deployEWO[T ewoNF](c *Cluster, kind, name string,
 		return nil, err
 	}
 	nfs := make([]T, 0, c.cfg.Switches)
-	members := make([]groupMember, 0, c.cfg.Switches)
+	members := make([]controller.GroupMember, 0, c.cfg.Switches)
 	for _, in := range c.instances[:c.cfg.Switches] {
 		n, err := mk(in, id)
 		if err != nil {
@@ -125,7 +126,7 @@ func deployEWO[T ewoNF](c *Cluster, kind, name string,
 		nfs = append(nfs, n)
 		members = append(members, n.Register().Node())
 	}
-	c.wireGroup(id, members)
+	c.ctrl.ManageGroup(id, members)
 	return nfs, nil
 }
 

@@ -131,14 +131,12 @@ func (c *Cluster) Metrics() *MetricsRegistry {
 	r.AddCounterFunc("net.msgs_dropped", "", func() uint64 { return c.net.Totals().MsgsDropped })
 	r.AddCounterFunc("net.msgs_dup", "", func() uint64 { return c.net.Totals().MsgsDup })
 
-	if c.ctrl != nil {
-		cs := &c.ctrl.Stats
-		r.AddCounter("ctrl.heartbeats", "", &cs.Heartbeats)
-		r.AddCounter("ctrl.failures", "", &cs.FailuresSeen)
-		r.AddCounter("ctrl.chain_reconfigs", "", &cs.ChainReconfig)
-		r.AddCounter("ctrl.group_reconfigs", "", &cs.GroupReconfig)
-		r.AddCounter("ctrl.recoveries", "", &cs.Recoveries)
-	}
+	cs := &c.ctrl.Stats
+	r.AddCounter("ctrl.heartbeats", "", &cs.Heartbeats)
+	r.AddCounter("ctrl.failures", "", &cs.FailuresSeen)
+	r.AddCounter("ctrl.chain_reconfigs", "", &cs.ChainReconfig)
+	r.AddCounter("ctrl.group_reconfigs", "", &cs.GroupReconfig)
+	r.AddCounter("ctrl.recoveries", "", &cs.Recoveries)
 
 	for i, sw := range c.switches {
 		lbl := fmt.Sprintf("switch=%d", sw.Addr())

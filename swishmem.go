@@ -105,10 +105,6 @@ type Config struct {
 	//
 	// Deprecated: ignored.
 	Shards int
-
-	// noController builds the cluster without its central controller, for
-	// tests that install configuration by hand (export_test.go sets it).
-	noController bool
 }
 
 // Cluster is a running emulated SwiShmem deployment.
@@ -182,19 +178,15 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	})
 
-	if !cfg.noController {
-		c.ctrl = controller.New(eng, nw, controller.Config{
-			Addr:            ControllerAddr,
-			HeartbeatPeriod: sim.Duration(cfg.HeartbeatPeriod),
-		})
-	}
+	c.ctrl = controller.New(eng, nw, controller.Config{
+		Addr:            ControllerAddr,
+		HeartbeatPeriod: sim.Duration(cfg.HeartbeatPeriod),
+	})
 	for i := 0; i < total; i++ {
 		sw := pisa.New(eng, nw, pisa.Config{Addr: SwitchAddr(i + 1)})
 		c.switches = append(c.switches, sw)
 		c.instances = append(c.instances, core.NewInstance(sw))
-		if c.ctrl != nil {
-			c.ctrl.Monitor(sw)
-		}
+		c.ctrl.Monitor(sw)
 		// A rejecting link (DenyReject) bounces the send back to the sender —
 		// the ICMP-unreachable analog — rather than swallowing it silently.
 		nw.SetRejectHandler(sw.Addr(), sw.NotifyReject)
@@ -245,7 +237,7 @@ func (c *Cluster) Switch(i int) *Switch { return c.switches[i] }
 // Instance returns the per-switch SwiShmem runtime (advanced use).
 func (c *Cluster) Instance(i int) *core.Instance { return c.instances[i] }
 
-// FailSwitch fail-stops switch i. The controller (if enabled) detects the
+// FailSwitch fail-stops switch i. The controller detects the
 // failure by heartbeat timeout and reconfigures chains and groups.
 func (c *Cluster) FailSwitch(i int) { c.switches[i].Fail() }
 
@@ -318,7 +310,8 @@ func (c *Cluster) NetworkTotals() LinkStats { return c.net.Totals() }
 // ResetNetworkTotals zeroes fabric accounting between experiment phases.
 func (c *Cluster) ResetNetworkTotals() { c.net.ResetTotals() }
 
-// Controller exposes the central controller (nil if disabled).
+// Controller exposes the central controller. Every cluster has one, so it is
+// never nil.
 func (c *Cluster) Controller() *controller.Controller { return c.ctrl }
 
 func (c *Cluster) allocReg(name string) (uint16, error) {
@@ -380,7 +373,7 @@ func (c *Cluster) DeclareStrong(name string, opts StrongOptions) ([]*StrongRegis
 	if opts.ReadOptimized {
 		cons = core.EventualRead
 	}
-	replica := func(i int) bool { return true }
+	replica := everywhere
 	if opts.ReplicaOn != nil {
 		set := make(map[int]bool, len(opts.ReplicaOn))
 		for _, i := range opts.ReplicaOn {
@@ -395,67 +388,49 @@ func (c *Cluster) DeclareStrong(name string, opts StrongOptions) ([]*StrongRegis
 		replica = func(i int) bool { return set[i] }
 	}
 	handles := make([]*StrongRegister, 0, len(c.instances))
-	var members, spares []controller.ChainMember
 	for i, in := range c.instances {
 		nodeCfg := cfg
-		isSpare := i >= c.cfg.Switches
-		if !isSpare && !replica(i) {
-			nodeCfg.Proxy = true
-		}
+		nodeCfg.Proxy = i < c.cfg.Switches && !replica(i)
 		h, err := in.NewStrongRegister(cons, nodeCfg)
 		if err != nil {
 			return nil, fmt.Errorf("swishmem: declaring %q: %w", name, err)
 		}
 		handles = append(handles, h)
-		switch {
-		case isSpare:
-			spares = append(spares, h.Node())
-		case !nodeCfg.Proxy:
-			members = append(members, h.Node())
-			c.dir.Register(id, c.switches[i].Addr())
-		}
 	}
-	if c.ctrl != nil {
-		c.ctrl.ManageChain(id, members, spares)
-		// Proxies are configuration listeners: they learn the chain (and
-		// every future reconfiguration) without ever joining it.
-		for i, h := range handles {
-			if i < c.cfg.Switches && !replica(i) {
-				c.ctrl.AttachChainListener(id, h.Node())
-			}
-		}
-	}
+	c.manageChain(id, handles, replica)
 	return handles[:c.cfg.Switches], nil
 }
 
-func (c *Cluster) wireChain(id uint16, handles []*StrongRegister) {
-	members := make([]controller.ChainMember, 0, c.cfg.Switches)
-	spares := make([]controller.ChainMember, 0, c.cfg.Spares)
+// everywhere is the placement of a register replicated on every switch.
+func everywhere(int) bool { return true }
+
+// manageChain hands a strong register's handles, one per switch and spare,
+// to the directory and the controller: the replicas (replica(i)) form the
+// chain in index order, the spares wait for recovery, and the proxies are
+// configuration listeners that learn the chain (and every future
+// reconfiguration) without ever joining it.
+func (c *Cluster) manageChain(id uint16, handles []*StrongRegister, replica func(int) bool) {
+	var members, spares []controller.ChainMember
 	for i, h := range handles {
-		if i < c.cfg.Switches {
+		switch {
+		case i >= c.cfg.Switches:
+			spares = append(spares, h.Node())
+		case replica(i):
 			members = append(members, h.Node())
 			c.dir.Register(id, c.switches[i].Addr())
-		} else {
-			spares = append(spares, h.Node())
 		}
 	}
-	if c.ctrl != nil {
-		c.ctrl.ManageChain(id, members, spares)
+	c.ctrl.ManageChain(id, members, spares)
+	for i, h := range handles[:c.cfg.Switches] {
+		if !replica(i) {
+			c.ctrl.AttachChainListener(id, h.Node())
+		}
 	}
 }
 
 // Directory exposes the cluster's replica-placement directory (§9): which
 // switches hold replicas of which registers.
 func (c *Cluster) Directory() *controller.Directory { return c.dir }
-
-// groupMember is the controller's view of an EWO register node.
-type groupMember = controller.GroupMember
-
-func (c *Cluster) wireGroup(id uint16, members []groupMember) {
-	if c.ctrl != nil {
-		c.ctrl.ManageGroup(id, members)
-	}
-}
 
 // EventualOptions parameterizes EWO registers.
 type EventualOptions struct {
@@ -510,9 +485,7 @@ func (c *Cluster) DeclareEventual(name string, opts EventualOptions) ([]*Eventua
 			members = append(members, h.Node())
 		}
 	}
-	if c.ctrl != nil {
-		c.ctrl.ManageGroup(id, members)
-	}
+	c.ctrl.ManageGroup(id, members)
 	return handles[:c.cfg.Switches], nil
 }
 
@@ -535,9 +508,7 @@ func (c *Cluster) DeclareCounter(name string, opts EventualOptions) ([]*CounterR
 			members = append(members, h.Node())
 		}
 	}
-	if c.ctrl != nil {
-		c.ctrl.ManageGroup(id, members)
-	}
+	c.ctrl.ManageGroup(id, members)
 	return handles[:c.cfg.Switches], nil
 }
 
@@ -549,9 +520,6 @@ func (c *Cluster) JoinCounterGroup(name string, spare int) error {
 	id, ok := c.regNames[name]
 	if !ok {
 		return fmt.Errorf("swishmem: unknown register %q", name)
-	}
-	if c.ctrl == nil {
-		return fmt.Errorf("swishmem: controller disabled")
 	}
 	if spare < c.cfg.Switches || spare >= len(c.instances) {
 		return fmt.Errorf("swishmem: switch %d is not a spare", spare)

@@ -219,22 +219,6 @@ func TestMemoryAccountingSurface(t *testing.T) {
 	}
 }
 
-func TestDisableController(t *testing.T) {
-	c, _ := New(Config{Switches: 2, Seed: 12}.WithoutController())
-	if c.Controller() != nil {
-		t.Fatal("controller present despite WithoutController")
-	}
-	// Registers still declare, but no config is pushed — writes stay
-	// outstanding until the caller installs configuration manually.
-	regs, err := c.DeclareStrong("x", StrongOptions{Capacity: 8, ValueWidth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs[0].Node().Chain().Epoch != 0 {
-		t.Fatal("unexpected chain config")
-	}
-}
-
 func TestNowAdvances(t *testing.T) {
 	c, _ := New(Config{Switches: 1, Seed: 13})
 	c.RunFor(5 * time.Millisecond)
