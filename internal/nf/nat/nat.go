@@ -268,7 +268,8 @@ func (n *NAT) allocate(key packet.FlowKey, fwdKey uint64, p *packet.Packet) {
 		// pool, because the committed half still names it on every replica
 		// and SRO has no delete to take it back. Counted in WriteFails; a
 		// packet's strong writes travelling as one all-or-nothing frame
-		// (ROADMAP, "Packet-atomic strong writes") removes the case.
+		// (ROADMAP, "First writer wins: strong inserts decided at the
+		// head, for NAT and LB") removes the case.
 	}
 	n.reg.Write(fwdKey, fwdVal, oneDone)
 	n.reg.Write(revKey, revVal, oneDone)

@@ -52,8 +52,15 @@ func (b *Builder) Payload(data []byte) *Builder { b.f.p.Payload = data; return b
 // Build returns the packet.
 func (b *Builder) Build() *Packet { return &b.f.p }
 
+// zeroPayload backs every ForFlow payload up to its size (512 B covers the
+// generators' 64 B and 512 B payloads). No code writes a packet's payload,
+// so the packets share these zeros instead of each allocating its own.
+var zeroPayload [512]byte
+
 // ForFlow builds a minimal packet for a flow key — the workhorse of the
-// workload generators.
+// workload generators. Its payload is payloadLen zero bytes, shared with
+// other packets up to len(zeroPayload) and capacity-clamped, so it must be
+// read, never written in place.
 func ForFlow(k FlowKey, flags TCPFlags, payloadLen int) *Packet {
 	b := NewBuilder().Src(k.Src).Dst(k.Dst)
 	switch k.Proto {
@@ -62,8 +69,11 @@ func ForFlow(k FlowKey, flags TCPFlags, payloadLen int) *Packet {
 	default:
 		b.TCP(k.SrcPort, k.DstPort, flags)
 	}
-	if payloadLen > 0 {
+	switch {
+	case payloadLen > len(zeroPayload):
 		b.Payload(make([]byte, payloadLen))
+	case payloadLen > 0:
+		b.Payload(zeroPayload[:payloadLen:payloadLen])
 	}
 	return b.Build()
 }

@@ -200,14 +200,16 @@ func TestForFlow(t *testing.T) {
 
 var packetSink *Packet
 
-// TestForFlowAllocBudget: a packet and its headers are one allocation, its
-// payload the only other.
+// TestForFlowAllocBudget: a packet and its headers are one allocation, and
+// a payload of up to len(zeroPayload) bytes shares the zero array; only a
+// longer one allocates.
 func TestForFlowAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		proto   IPProto
 		payload int
 		want    float64
-	}{{ProtoTCP, 64, 2}, {ProtoTCP, 0, 1}, {ProtoUDP, 64, 2}, {ProtoUDP, 0, 1}} {
+	}{{ProtoTCP, 64, 1}, {ProtoTCP, 0, 1}, {ProtoUDP, 64, 1}, {ProtoUDP, 0, 1},
+		{ProtoUDP, len(zeroPayload), 1}, {ProtoUDP, len(zeroPayload) + 1, 2}} {
 		k := FlowKey{Src: Addr4(10, 0, 0, 1), Dst: Addr4(10, 0, 0, 2), SrcPort: 1024, DstPort: 80, Proto: tc.proto}
 		if n := testing.AllocsPerRun(200, func() { packetSink = ForFlow(k, FlagSYN, tc.payload) }); n != tc.want {
 			t.Errorf("%v with a %d B payload: %.1f allocs, want %.0f", tc.proto, tc.payload, n, tc.want)

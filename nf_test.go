@@ -1,10 +1,12 @@
 package swishmem
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"swishmem/internal/packet"
+	"swishmem/internal/workload"
 )
 
 func TestDeployNAT(t *testing.T) {
@@ -151,4 +153,86 @@ func TestDeployDuplicateName(t *testing.T) {
 	if _, err := c.DeployFirewall("x", FirewallOptions{Capacity: 8}); err == nil {
 		t.Fatal("duplicate deployment name accepted")
 	}
+}
+
+// TestNFsLeavePayloadsUnwritten: the generators' packets share one array of
+// zero payload bytes (packet.ForFlow), which is sound only while no NF
+// program writes a payload. Each of the six NFs processes a generated trace
+// of 64 B and 512 B payloads on both switches of its own cluster, and then
+// every payload, and the whole shared array, must still read zero.
+func TestNFsLeavePayloadsUnwritten(t *testing.T) {
+	dips := []Addr{Addr4(192, 168, 1, 1), Addr4(192, 168, 1, 2)}
+	deploy := map[string]func(*Cluster) ([]*Switch, error){
+		"nat": func(c *Cluster) ([]*Switch, error) {
+			n, err := c.DeployNAT("nf", NATOptions{Capacity: 4096, ExternalIP: Addr4(203, 0, 113, 9)})
+			return switchesOf(n, err)
+		},
+		"firewall": func(c *Cluster) ([]*Switch, error) {
+			return switchesOf(c.DeployFirewall("nf", FirewallOptions{Capacity: 4096}))
+		},
+		"ips": func(c *Cluster) ([]*Switch, error) {
+			return switchesOf(c.DeployIPS("nf", IPSOptions{Capacity: 512}))
+		},
+		"lb": func(c *Cluster) ([]*Switch, error) {
+			return switchesOf(c.DeployLoadBalancer("nf", LBOptions{Capacity: 4096, DIPs: dips}))
+		},
+		"ddos": func(c *Cluster) ([]*Switch, error) {
+			return switchesOf(c.DeployDDoS("nf", DDoSOptions{Threshold: 50, Window: time.Millisecond}))
+		},
+		"ratelimit": func(c *Cluster) ([]*Switch, error) {
+			return switchesOf(c.DeployRateLimiter("nf", RateLimitOptions{
+				Capacity: 64, BytesPerWindow: 4096, Window: time.Millisecond}))
+		},
+	}
+	for name, dep := range deploy {
+		rng := rand.New(rand.NewSource(3))
+		churn, err := workload.GenTrace(rng, workload.TraceConfig{Duration: 5 * time.Millisecond,
+			FlowsPerSec: 20_000, Servers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		users, err := workload.GenUserStreams(rng, workload.UserStreamConfig{Duration: 5 * time.Millisecond,
+			Users: 4, PacketsPerSecPerUser: 4000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := workload.Merge(churn, users)
+		c, _ := New(Config{Switches: 2, Seed: 31})
+		sws, err := dep(c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c.RunFor(2 * time.Millisecond)
+		next := 0
+		workload.Replay(c.Engine(), tr, func(p *Packet) {
+			sws[next].InjectPacket(p)
+			next ^= 1
+		})
+		c.RunFor(20 * time.Millisecond)
+		if n := sws[0].Stats.Processed.Value() + sws[1].Stats.Processed.Value(); n < uint64(len(tr)) {
+			t.Fatalf("%s: %d of %d packets processed", name, n, len(tr))
+		}
+		for i := range tr {
+			for _, b := range tr[i].Pkt.Payload {
+				if b != 0 {
+					t.Fatalf("%s wrote the payload of packet %d", name, i)
+				}
+			}
+		}
+	}
+	all := packet.ForFlow(FlowKey{Proto: packet.ProtoUDP}, 0, 512).Payload
+	for i, b := range all {
+		if b != 0 {
+			t.Fatalf("shared payload byte %d reads %#x", i, b)
+		}
+	}
+}
+
+// switchesOf returns the switches the NF instances run on.
+func switchesOf[T interface{ Switch() *Switch }](nfs []T, err error) ([]*Switch, error) {
+	sws := make([]*Switch, len(nfs))
+	for i, n := range nfs {
+		sws[i] = n.Switch()
+	}
+	return sws, err
 }

@@ -237,8 +237,8 @@ func (c *Cluster) Switch(i int) *Switch { return c.switches[i] }
 // Instance returns the per-switch SwiShmem runtime (advanced use).
 func (c *Cluster) Instance(i int) *core.Instance { return c.instances[i] }
 
-// FailSwitch fail-stops switch i. The controller detects the
-// failure by heartbeat timeout and reconfigures chains and groups.
+// FailSwitch fail-stops switch i. The controller detects the failure by
+// heartbeat timeout and reconfigures chains and groups.
 func (c *Cluster) FailSwitch(i int) { c.switches[i].Fail() }
 
 // SetLink overrides the link profile between switches i and j.
