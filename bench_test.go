@@ -621,3 +621,35 @@ func TestChangesEntriesAreShort(t *testing.T) {
 		t.Fatal("no CHANGES.md entry below the cap marker")
 	}
 }
+
+// rootDocsCap is the most bytes the root *.md files may hold together,
+// ISSUE.md aside (each change replaces it). The cap may only fall: a change
+// that adds to one document removes as many bytes elsewhere, and a change
+// that cuts lowers the cap to the new total.
+const rootDocsCap = 393864
+
+// TestRootDocsUnderCap holds the root markdown to rootDocsCap.
+func TestRootDocsUnderCap(t *testing.T) {
+	paths, err := filepath.Glob("*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, p := range paths {
+		if p == "ISSUE.md" {
+			continue
+		}
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += int(fi.Size())
+	}
+	if len(paths) < 5 {
+		t.Fatalf("found %d root documents; the test did not run at the repo root", len(paths))
+	}
+	if total > rootDocsCap {
+		t.Errorf("root markdown is %d bytes, over the %d-byte cap by %d: remove as many bytes elsewhere",
+			total, rootDocsCap, total-rootDocsCap)
+	}
+}
