@@ -284,6 +284,11 @@ type Node struct {
 	nextReqID   uint64
 	reads       map[uint64]func([]byte, bool) // forwarded reads by ReqID
 
+	// wfree and afree recycle the Writes sendWrite sends and the WriteAcks
+	// commitAtTail sends, once their last holder released them (getPooled).
+	wfree []*wire.Write
+	afree []*wire.WriteAck
+
 	// Recovery state (§6.3): joinSeen is the joining switch's control-plane
 	// record of keys written live since the join began; snap is the donor's
 	// in-progress snapshot transfer.
@@ -529,15 +534,11 @@ func (n *Node) sendWrite(o *outstanding) {
 		// No chain installed yet; retry until the controller provides one.
 		return
 	}
-	w := &wire.Write{
-		Reg:     n.cfg.Reg,
-		Key:     o.key,
-		Seq:     0, // head assigns
-		WriteID: o.id,
-		Writer:  uint16(n.sw.Addr()),
-		Epoch:   n.chain.Epoch,
-		Value:   o.val,
-	}
+	// Each attempt is a Write of its own (the head assigns Seq in place),
+	// aliasing o.val (see finish).
+	w := getPooled(&n.wfree)
+	w.Reg, w.Key, w.Seq, w.WriteID = n.cfg.Reg, o.key, 0, o.id
+	w.Writer, w.Epoch, w.Snapshot, w.Value = uint16(n.sw.Addr()), n.chain.Epoch, false, o.val
 	if head == n.sw.Addr() {
 		// Writer is the head: inject locally at the same processing cost
 		// path a remote write would take.
@@ -545,6 +546,30 @@ func (n *Node) sendWrite(o *outstanding) {
 	} else {
 		n.sw.Send(head, w)
 	}
+	w.Release()
+}
+
+// getPooled pops a released message off free, or builds one that returns
+// there once its last holder releases it, and takes the caller's reference.
+// Every holder past the caller takes its own: the network one per delivery,
+// a control-plane dispatch one across its CtrlDo. The list belongs to
+// whatever runs the node's engine (a live fabric's pump).
+func getPooled[T any, P interface {
+	*T
+	EnablePool(func(*T))
+	Ref()
+}](free *[]*T) P {
+	var m P
+	if ln := len(*free); ln > 0 {
+		m = (*free)[ln-1]
+		(*free)[ln-1] = nil
+		*free = (*free)[:ln-1]
+	} else {
+		m = new(T)
+		m.EnablePool(func(released *T) { *free = append(*free, released) })
+	}
+	m.Ref()
+	return m
 }
 
 func (n *Node) scheduleRetry(o *outstanding) {
@@ -803,8 +828,9 @@ func (n *Node) apply(w *wire.Write) bool {
 // delivery was committed, acked, and — if join-relevant — forwarded then).
 func (n *Node) commitAtTail(w *wire.Write, applied bool) {
 	n.clearPending(n.group(w.Key))
-	ack := &wire.WriteAck{Reg: n.cfg.Reg, Key: w.Key, Seq: w.Seq,
-		WriteID: w.WriteID, Writer: w.Writer, Epoch: w.Epoch}
+	ack := getPooled(&n.afree)
+	ack.Reg, ack.Key, ack.Seq = n.cfg.Reg, w.Key, w.Seq
+	ack.WriteID, ack.Writer, ack.Epoch = w.WriteID, w.Writer, w.Epoch
 	n.Stats.AcksSent.Inc()
 	if tr := n.tracer(); tr.Enabled() {
 		rec := tr.Emit(obs.PhaseInstant, int64(n.sw.Engine().Now()), 0, n.pid(), "chain", "write.ack")
@@ -828,6 +854,7 @@ func (n *Node) commitAtTail(w *wire.Write, applied bool) {
 		}
 		n.sw.Send(a, ack)
 	}
+	ack.Release()
 	// Forward committed writes to a joining switch so it converges while
 	// the snapshot transfer runs (§6.3 recovery).
 	if applied && n.chain.Joining != 0 && netem.Addr(n.chain.Joining) != n.sw.Addr() {

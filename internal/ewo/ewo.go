@@ -166,6 +166,13 @@ type Node struct {
 	curBytes int
 	ufree    []*wire.EWOUpdate
 	ufreeFn  func(*wire.EWOUpdate)
+
+	// curRows holds the table row of each of cur's entries, and curAt maps
+	// a row to 1 + the index of its entry in cur (0: none), so a delta finds
+	// its key's entry without scanning; Flush clears both.
+	curRows []int32
+	curAt   []int32
+
 	// flushFn, bound once, closes the open update at the end of the instant
 	// (armed says the event is queued).
 	flushFn func()
@@ -315,7 +322,7 @@ func (n *Node) Write(key uint64, val []byte) {
 	n.tab.wrote(r, n.round)
 	// The entry gets a copy of its own: the cell may be overwritten while
 	// the update is still in flight.
-	n.enqueue(wire.EWOEntry{Key: key, Stamp: st, Value: append([]byte(nil), val...)})
+	n.enqueue(r, wire.EWOEntry{Key: key, Stamp: st, Value: append([]byte(nil), val...)})
 }
 
 // Read returns a copy of the local LWW value.
@@ -350,7 +357,7 @@ func (n *Node) Add(key uint64, delta uint64) {
 	s := &t.cells[r*t.stride+c]
 	*s += delta
 	t.wrote(r, n.round)
-	n.enqueue(counterEntry(key, self, *s))
+	n.enqueue(r, counterEntry(key, self, *s))
 }
 
 // incMark is the shared, read-only Value payload of counter entries — never
@@ -426,25 +433,24 @@ func (n *Node) getUpdate(sync bool) *wire.EWOUpdate {
 // therefore loses that instant's update, whole — the crash between a write
 // and its mirrored packet that §6.3 leaves to periodic sync.
 //
-// A delta for a slot the open update already carries — same key and vector;
-// the owner is always this switch — overwrites that entry where it stands:
+// A delta for a key the open update already carries — found by its row r;
+// the slot's owner is always this switch — overwrites that entry in place:
 // slot values are monotone and LWW keeps the newer stamp, so the earlier
 // entry would be stale on arrival. The update is closed early only when the
-// delta would take it past wire.MaxUpdateBytes, which also bounds the scan
-// for the slot.
+// delta would take it past wire.MaxUpdateBytes.
 //
 // Batch > 1 holds the open update across instants instead, until Batch
 // deltas have joined it. Deltas accumulate in a pooled update and the clock
 // runs one bound-once closure, so the steady-state write path (delta in,
 // update out) allocates nothing.
-func (n *Node) enqueue(e wire.EWOEntry) {
+func (n *Node) enqueue(r int, e wire.EWOEntry) {
 	u := n.open()
-	at, grow := -1, e.Size()
-	for i := range u.Entries {
-		if o := &u.Entries[i]; o.Key == e.Key && (n.cfg.Kind == LWW || o.Value[0] == e.Value[0]) {
-			at, grow = i, grow-o.Size()
-			break
-		}
+	if r >= len(n.curAt) {
+		n.curAt = append(n.curAt, make([]int32, r+1-len(n.curAt))...)
+	}
+	at, grow := int(n.curAt[r])-1, e.Size()
+	if at >= 0 {
+		grow -= u.Entries[at].Size()
 	}
 	if wire.EWOUpdateOverhead+n.curBytes+grow > wire.MaxUpdateBytes && len(u.Entries) > 0 {
 		n.Flush()
@@ -454,6 +460,8 @@ func (n *Node) enqueue(e wire.EWOEntry) {
 		u.Entries[at] = e
 	} else {
 		u.Entries = append(u.Entries, e)
+		n.curRows = append(n.curRows, int32(r))
+		n.curAt[r] = int32(len(u.Entries))
 	}
 	n.held++
 	n.curBytes += grow
@@ -484,6 +492,10 @@ func (n *Node) Flush() {
 		return
 	}
 	n.held, n.curBytes = 0, 0
+	for _, r := range n.curRows {
+		n.curAt[r] = 0
+	}
+	n.curRows = n.curRows[:0]
 	if len(u.Entries) == 0 || len(n.group) == 0 {
 		// Nothing to send (or nowhere to send it): drop the deltas but keep
 		// the update as the next batch buffer.

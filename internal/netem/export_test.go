@@ -10,5 +10,7 @@ func (p LinkProfile) Lossy(rate float64) LinkProfile { p.LossRate = rate; return
 // (from, to) pair the caller already knew existed — exporters iterate here
 // without any topology knowledge.
 func (n *Network) EachLink(fn func(from, to Addr, s LinkStats)) {
-	n.eachLink(func(from, to Addr, l *link) { fn(from, to, l.stats) })
+	n.links.Each(func(from Addr, row *AddrTable[*link]) {
+		row.Each(func(to Addr, l *link) { fn(from, to, l.stats) })
+	})
 }

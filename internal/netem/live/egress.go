@@ -83,9 +83,7 @@ func (w *egressWorker) drain() {
 		w.done = append(w.done, w.rel...)
 		n := len(w.done)
 		w.mu.Unlock()
-		for i := range w.rel {
-			w.rel[i] = nil
-		}
+		clear(w.rel)
 		w.rel = w.rel[:0]
 		if n >= egressDoneWake {
 			w.f.kick()

@@ -20,20 +20,19 @@ import (
 //
 // The construction: each process owns a private sim.Engine plus a local
 // netem.Network that is a switchboard, not a simulated link (netem.NewLocal):
-// a send on it runs the destination's handler inside the Send call, after the
-// usual checks, accounting, payload Ref and trace span, and costs no engine
-// event. Local components (the PISA switch, protocol nodes, timers) attach
-// and run exactly as in simulation. For every remote address the fabric
-// attaches a *relay* endpoint: a send from the switch to a remote address
-// calls the relay, which queues an egress record for the egress worker: one
-// goroutine that frames each destination's messages into wire.Batch
-// datagrams and writes them. Inbound datagrams take the reverse
-// trip on the one pump goroutine, which reads the socket itself (Node.Poll):
-// it decodes each datagram and sends every message on the local network from
-// the sender's relay address, which calls the switch's receive: it claims a
-// pipeline slot and schedules the handler task — the one engine event a
-// fabric message costs. Both kinds of endpoint only defer, so a delivery
-// never re-enters a protocol handler. The pump drives the engine with
+// a send on it is one destination lookup and one handler call inside the Send
+// call, with no link, no verdict and no engine event. Local components (the
+// PISA switch, protocol nodes, timers) attach and run as in simulation. For
+// every remote address the fabric attaches a *relay* endpoint: a send from the
+// switch to a remote address calls the relay, which queues an egress record
+// for the egress worker: one goroutine that frames each destination's messages
+// into wire.Batch datagrams and writes them. Inbound datagrams take the
+// reverse trip on the one pump goroutine, which reads the socket itself
+// (Node.Poll): it decodes each datagram and sends every message on the local
+// network from the sender's relay address, which calls the switch's receive:
+// it claims a pipeline slot and schedules the handler task — the one engine
+// event a fabric message costs. Both kinds of endpoint only defer, so a
+// delivery never re-enters a protocol handler. The pump drives the engine with
 // RunUntil(wall-clock elapsed), so every handler and every virtual timer —
 // heartbeats, write retries, EWO sync rounds — runs there, after the round's
 // posts and reads, and all protocol state stays single-goroutine (no locks
@@ -42,10 +41,8 @@ import (
 //
 // A send to an address with no relay (peer not learned yet, or evicted) is
 // dropped in the call: counted (live.fabric.local_dropped), its pooled
-// payload released, recovered by the protocol's own retry. A handler cannot
-// tell this from the queued delivery it replaced, a Post-ed closure that
-// sends directly can: a relay that an inbound PeerList attaches later in the
-// same round no longer catches its message (bootstrap only).
+// payload released, recovered by the protocol's own retry (at bootstrap, a
+// Post-ed send ahead of the PeerList that attaches its relay is one).
 //
 // Fault injection lives in the transport node (Options.Profile and
 // receive-side loss), not the local network, so shaping applies to real

@@ -13,7 +13,8 @@ import (
 	"swishmem/internal/wire"
 )
 
-// The fabric's local network delivers in the Send call (netem.NewLocal).
+// The fabric's local network is a switchboard: it delivers in the Send call
+// (netem.NewLocal).
 // These tests hold what that must not change: no handler is re-entered, a
 // message nobody can take is counted and its pooled payload given back, and
 // a relay's messages leave in send order.

@@ -196,13 +196,8 @@ func Listen(addr netem.Addr, opts Options) (*Node, error) {
 	return n, nil
 }
 
-// UDPAddr returns the bound socket address (for peer registration).
-func (n *Node) UDPAddr() *net.UDPAddr { return n.conn.LocalAddr().(*net.UDPAddr) }
-
-// AddrPort returns the bound socket address as a netip.AddrPort.
-func (n *Node) AddrPort() netip.AddrPort {
-	return n.UDPAddr().AddrPort()
-}
+// AddrPort returns the bound socket address (for peer registration).
+func (n *Node) AddrPort() netip.AddrPort { return n.conn.LocalAddr().(*net.UDPAddr).AddrPort() }
 
 // SetRawHandler installs the receive handler; set it before traffic flows.
 // It runs on the goroutine that calls Poll. The transport never decodes — the
@@ -258,18 +253,15 @@ func (n *Node) AddPeerAddrPort(addr netem.Addr, ap netip.AddrPort) {
 }
 
 // AddPeerIfAbsent registers a peer endpoint unless the address is already
-// known; it reports whether the entry was added. The fabric's auto-learning
-// path uses it so a datagram's kernel-reported source teaches the node
-// where its sender lives.
-func (n *Node) AddPeerIfAbsent(addr netem.Addr, ap netip.AddrPort) bool {
+// known. The fabric's auto-learning path uses it so a datagram's
+// kernel-reported source teaches the node where its sender lives.
+func (n *Node) AddPeerIfAbsent(addr netem.Addr, ap netip.AddrPort) {
 	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.peers.Get(addr).IsValid() {
-		return false
+	if !n.peers.Get(addr).IsValid() {
+		n.peers.Set(addr, ap)
 	}
-	n.peers.Set(addr, ap)
-	return true
 }
 
 // Peer returns the registered endpoint for addr.

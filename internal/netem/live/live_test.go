@@ -217,10 +217,11 @@ func TestGarbageIgnored(t *testing.T) {
 	nodes[1].SetRawHandler(decoded(c.handler))
 	// Raw garbage straight to the socket.
 	conn := nodes[0].conn
-	if _, err := conn.WriteToUDP([]byte{0xff}, nodes[1].UDPAddr()); err != nil {
+	dst := nodes[1].AddrPort()
+	if _, err := conn.WriteToUDPAddrPort([]byte{0xff}, dst); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.WriteToUDP([]byte{0, 1, 0xee, 0xee}, nodes[1].UDPAddr()); err != nil {
+	if _, err := conn.WriteToUDPAddrPort([]byte{0, 1, 0xee, 0xee}, dst); err != nil {
 		t.Fatal(err)
 	}
 	// Then a valid message, which must still get through.

@@ -23,8 +23,8 @@ func (r *refCounted) Release() { r.refs-- }
 
 // TestLocalDeliversInTheCall: on a local network a send has reached its
 // handler when Send returns, in send order and at the send's own instant,
-// with nothing queued and no event processed — and the books read exactly as
-// a queued network's do once its engine has run.
+// with nothing queued and no event processed — and the totals read exactly
+// as a queued network's do once its engine has run.
 func TestLocalDeliversInTheCall(t *testing.T) {
 	eng, net, recs := setupLocal(1, 2, 3)
 	eng.RunUntil(500)
@@ -57,8 +57,8 @@ func TestLocalDeliversInTheCall(t *testing.T) {
 	if got, want := net.Totals(), qnet.Totals(); got != want {
 		t.Fatalf("local totals %+v, queued totals %+v", got, want)
 	}
-	if got, want := net.Stats(1, 2), qnet.Stats(1, 2); got != want {
-		t.Fatalf("local 1->2 %+v, queued 1->2 %+v", got, want)
+	if s := net.Stats(1, 2); s != (LinkStats{}) {
+		t.Fatalf("local 1->2 books %+v, want none: a local network keeps only totals", s)
 	}
 }
 
@@ -82,60 +82,25 @@ func TestLocalDropReleasesPayload(t *testing.T) {
 	if tot.MsgsSent != 3 || tot.MsgsDropped != 2 || tot.MsgsDeliv != 1 {
 		t.Fatalf("totals %+v, want 3 sent, 2 dropped, 1 delivered", tot)
 	}
-	if s := net.Stats(1, 9); s.MsgsDropped != 1 {
-		t.Fatalf("1->9 counts %+v, want the drop", s)
-	}
 }
 
-// TestLocalDelayedStillQueues: only an arrival due now is delivered in the
-// call. A local link given a latency delivers through the queue at its time,
-// and a duplicating one delivers the original in the call and the copy later.
-func TestLocalDelayedStillQueues(t *testing.T) {
-	eng, net, recs := setupLocal(1, 2, 3)
-	net.SetOneWayLink(1, 2, LinkProfile{Latency: 100})
-	net.SetOneWayLink(1, 3, LinkProfile{DupRate: 1})
-	net.Send(1, 2, "late", 8)
-	net.Send(1, 2, "late too", 8)
-	if len(recs[2].msgs) != 0 || eng.Pending() != 2 {
-		t.Fatalf("%d delivered, %d queued after two sends on a 100 ns link, want 0 and 2", len(recs[2].msgs), eng.Pending())
-	}
-	net.Send(1, 3, "twice", 8)
-	if len(recs[3].msgs) != 1 || eng.Pending() != 3 {
-		t.Fatalf("%d delivered, %d queued after a duplicated send, want the original in the call and its copy queued", len(recs[3].msgs), eng.Pending())
-	}
-	eng.Run()
-	if want := []sim.Time{100, 100}; !reflect.DeepEqual(recs[2].times, want) {
-		t.Fatalf("delayed deliveries at %v, want %v", recs[2].times, want)
-	}
-	if want := []sim.Time{0, 1}; !reflect.DeepEqual(recs[3].times, want) {
-		t.Fatalf("duplicated deliveries at %v, want %v", recs[3].times, want)
-	}
-	if s := net.Stats(1, 3); s.MsgsDup != 1 || s.MsgsDeliv != 2 {
-		t.Fatalf("1->3 counts %+v, want one duplicate, two delivered", s)
-	}
-}
-
-// TestLocalSendBehindAnOpenBurstQueues: a link that had a latency and lost it
-// keeps its order. A send due at the very instant the link's queued arrival
-// lands queues behind it instead of overtaking it in the call.
-func TestLocalSendBehindAnOpenBurstQueues(t *testing.T) {
-	eng, net, recs := setupLocal(1, 2)
-	net.SetOneWayLink(1, 2, LinkProfile{Latency: 100})
-	net.Send(1, 2, "first", 8)
-	eng.Schedule(100, func() { // a local event: runs before the arrival due at 100
-		net.SetOneWayLink(1, 2, LinkProfile{})
-		net.Send(1, 2, "second", 8)
-		if len(recs[2].msgs) != 0 {
-			t.Errorf("%v delivered in the call, ahead of the arrival due at this instant", recs[2].msgs)
-		}
-	})
-	eng.Run()
-	if want := []any{"first", "second"}; !reflect.DeepEqual(recs[2].msgs, want) {
-		t.Fatalf("delivered %v, want %v", recs[2].msgs, want)
-	}
-	net.Send(1, 2, "third", 8) // nothing queued on the link: in the call again
-	if len(recs[2].msgs) != 3 {
-		t.Fatalf("%d delivered after a send on the drained link, want 3", len(recs[2].msgs))
+// TestLocalCarriesNoModel: a local network has no links, so shaping or
+// splitting one is a mistake that panics, not a setting that is ignored.
+func TestLocalCarriesNoModel(t *testing.T) {
+	for name, op := range map[string]func(*Network){
+		"SetLink":       func(n *Network) { n.SetLink(1, 2, DataCenter()) },
+		"SetOneWayLink": func(n *Network) { n.SetOneWayLink(1, 2, LinkProfile{Latency: 100}) },
+		"Partition":     func(n *Network) { n.Partition(1, 2) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, net, _ := setupLocal(1, 2)
+			defer func() {
+				if r := recover(); r != "netem: a local network carries no model" {
+					t.Fatalf("%s on a local network: recovered %v", name, r)
+				}
+			}()
+			op(net)
+		})
 	}
 }
 

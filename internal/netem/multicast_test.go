@@ -79,7 +79,8 @@ type mcOp struct {
 const mcOpBytes = 5
 
 // decodeMC turns fuzz bytes into (local, program): the first byte picks a
-// queued (New) or a local (NewLocal) network.
+// queued (New) or a local (NewLocal) network. A local program skips link
+// and partition operations: a local network carries no model.
 func decodeMC(data []byte) (bool, []mcOp) {
 	if len(data) == 0 {
 		return false, nil
@@ -87,7 +88,11 @@ func decodeMC(data []byte) (bool, []mcOp) {
 	local := data[0]&1 == 1
 	var prog []mcOp
 	for data = data[1:]; len(data) >= mcOpBytes && len(prog) < 128; data = data[mcOpBytes:] {
-		prog = append(prog, mcOp{kind: mcKind(data[0]) % mcKinds, a: data[1], b: data[2], arg: data[3], size: data[4]})
+		o := mcOp{kind: mcKind(data[0]) % mcKinds, a: data[1], b: data[2], arg: data[3], size: data[4]}
+		if local && (o.kind == mcSetLink || o.kind == mcPartition) {
+			continue
+		}
+		prog = append(prog, o)
 	}
 	return local, prog
 }
@@ -331,14 +336,15 @@ var mcScenarios = map[string]struct {
 		{kind: mcMulticast, a: 0, arg: 0b11111, size: 30},
 		{kind: mcAdvance, a: 6},
 	}},
-	// A local network delivers zero-delay copies inline and queues the one
-	// whose link is busy.
+	// A local network delivers every copy in the call, and drops the one
+	// for a node that is down.
 	"local network": {local: true, prog: []mcOp{
-		{kind: mcSetLink, a: 0, b: 1, arg: 1},
 		{kind: mcUnicast, a: 0, b: 1, size: 10},
+		{kind: mcNodeUp, a: 3, arg: 0},
 		{kind: mcMulticast, a: 0, arg: 0b11111, size: 20},
 		{kind: mcUnicast, a: 0, b: 2, size: 10},
 		{kind: mcAdvance, a: 6},
+		{kind: mcMulticast, a: 2, arg: 0b10011111, size: 20},
 	}},
 }
 

@@ -126,9 +126,8 @@ type link struct {
 	// the delivery's deterministic ordering key.
 	seq   uint64
 	stats LinkStats
-	// queued counts the link's arrivals waiting in the engine queue. A local
-	// network delivers in the call only while it is zero, so an arrival due
-	// now never overtakes an earlier one still queued on its link.
+	// queued counts the link's arrivals waiting in the engine queue: while
+	// it is zero, none can sort after a fan-out record (see Multicast).
 	queued int
 	// due is the latest arrival time ever scheduled on the link. While it is
 	// before an arrival's own time, every arrival still queued on the link is
@@ -202,7 +201,7 @@ type Network struct {
 	partition AddrTable[int]
 	split     bool
 	totals    LinkStats
-	// local is set by NewLocal: an arrival due now runs inside its Send.
+	// local is set by NewLocal: send delivers in the call, with no link.
 	local bool
 	// dfree pools in-flight delivery records.
 	dfree []*delivery
@@ -330,11 +329,13 @@ func (d *delivery) deliver() {
 }
 
 // arrive completes one delivery: the message reaches the handler, or drops
-// if the node went down or a partition formed while it was in flight.
+// if the node went down or a partition formed in flight. l is nil if local.
 func (n *Network) arrive(l *link, from, to Addr, payload any, size int) {
 	dst := n.nodes.Get(to)
 	if dst == nil || !dst.up || n.partitioned(from, to) {
-		l.stats.MsgsDropped++
+		if l != nil {
+			l.stats.MsgsDropped++
+		}
 		n.totals.MsgsDropped++
 		n.traceDrop("drop.recv", from, to)
 		if r, ok := payload.(Releasable); ok {
@@ -342,8 +343,10 @@ func (n *Network) arrive(l *link, from, to Addr, payload any, size int) {
 		}
 		return
 	}
-	l.stats.MsgsDeliv++
-	l.stats.BytesDeliv += uint64(size)
+	if l != nil {
+		l.stats.MsgsDeliv++
+		l.stats.BytesDeliv += uint64(size)
+	}
 	n.totals.MsgsDeliv++
 	n.totals.BytesDeliv += uint64(size)
 	// The delivery's payload reference passes to the receiver here.
@@ -355,14 +358,14 @@ func New(eng *sim.Engine, defaultProfile LinkProfile) *Network {
 	return &Network{eng: eng, seed: eng.Seed(), defaultProfile: defaultProfile}
 }
 
-// NewLocal creates the switchboard inside one process — a live fabric's
-// local network, whose links carry no model (faults live in the transport):
-// a message with a zero-delay verdict reaches its handler inside the Send
-// call, after every check, count, Ref and trace span a queued arrival gets,
-// and costs no engine event — unless an earlier arrival on its link is still
-// queued, which it must not overtake. Handlers run nested in whatever called
-// Send, so they must only defer their work, as a switch (claim a slot,
-// schedule) and a relay (append an egress record) do.
+// NewLocal creates a live fabric's local network: a switchboard with no
+// model (faults live in the transport; SetLink, SetOneWayLink and Partition
+// panic). A Send is the sender-up check, the totals, a Ref on a pooled
+// payload, the destination's lookup and up check and its handler call, in
+// the call: no link, verdict, engine event or per-link book; a tracer sees
+// what a queued arrival leaves. Handlers run nested in whatever called Send,
+// so they must only defer work, as a switch (claim a slot, schedule) and a
+// relay (append an egress record) do.
 func NewLocal(eng *sim.Engine) *Network {
 	n := New(eng, LinkProfile{})
 	n.local = true
@@ -386,12 +389,15 @@ func (n *Network) SetNodeUp(addr Addr, up bool) {
 
 // SetLink configures both directions between a and b with profile.
 func (n *Network) SetLink(a, b Addr, profile LinkProfile) {
-	n.linkFor(a, b).profile = profile
-	n.linkFor(b, a).profile = profile
+	n.SetOneWayLink(a, b, profile)
+	n.SetOneWayLink(b, a, profile)
 }
 
 // SetOneWayLink configures only the a->b direction.
 func (n *Network) SetOneWayLink(a, b Addr, profile LinkProfile) {
+	if n.local {
+		panic("netem: a local network carries no model")
+	}
 	n.linkFor(a, b).profile = profile
 }
 
@@ -418,13 +424,6 @@ func (n *Network) linkFor(a, b Addr) *link {
 	return l
 }
 
-// eachLink visits every materialized link in ascending (from, to) order.
-func (n *Network) eachLink(fn func(from, to Addr, l *link)) {
-	n.links.Each(func(from Addr, row *AddrTable[*link]) {
-		row.Each(func(to Addr, l *link) { fn(from, to, l) })
-	})
-}
-
 // Profile returns the profile of the a->b direction: the configured link,
 // or the network default when the pair was never configured or used. It
 // never materializes a link.
@@ -438,6 +437,9 @@ func (n *Network) Profile(a, b Addr) LinkProfile {
 // Partition assigns nodes to partition groups. Nodes in different nonzero
 // groups cannot exchange messages; group 0 (the default) talks to everyone.
 func (n *Network) Partition(group int, addrs ...Addr) {
+	if n.local {
+		panic("netem: a local network carries no model")
+	}
 	for _, a := range addrs {
 		n.partition.Set(a, group)
 	}
@@ -477,11 +479,21 @@ func (n *Network) Send(from, to Addr, payload any, size int) bool {
 // instead of taking an engine event of its own; a duplicate, due later on
 // the same link, is always scheduled alone.
 func (n *Network) send(from, to Addr, payload any, size int, fan *delivery) {
+	n.totals.MsgsSent++
+	n.totals.BytesSent += uint64(size)
+	if n.local {
+		if r, ok := payload.(Releasable); ok {
+			r.Ref()
+		}
+		if n.eng.Tracer().Enabled() {
+			n.traceFlight(0, from, to, size)
+		}
+		n.arrive(nil, from, to, payload, size)
+		return
+	}
 	l := n.linkFor(from, to)
 	l.stats.MsgsSent++
 	l.stats.BytesSent += uint64(size)
-	n.totals.MsgsSent++
-	n.totals.BytesSent += uint64(size)
 
 	v := Verdict{Fate: DropPartition}
 	if !n.partitioned(from, to) {
@@ -526,6 +538,14 @@ func (n *Network) dropAtSend(l *link, fate Fate, from, to Addr, payload any, siz
 	n.traceDrop(fate.String(), from, to)
 }
 
+// traceFlight emits one arrival's flight span, covering send -> arrival.
+func (n *Network) traceFlight(delay sim.Duration, from, to Addr, size int) {
+	rec := n.eng.Tracer().Emit(obs.PhaseSpan, int64(n.eng.Now()), int64(delay), obs.PidFabric, "net", "msg")
+	rec.K1, rec.V1 = "from", int64(from)
+	rec.K2, rec.V2 = "to", int64(to)
+	rec.K3, rec.V3 = "bytes", int64(size)
+}
+
 // traceDrop emits a fabric instant for a drop or duplication decision.
 func (n *Network) traceDrop(name string, from, to Addr) {
 	tr := n.eng.Tracer()
@@ -541,22 +561,13 @@ func (n *Network) traceDrop(name string, from, to Addr) {
 // pooled payloads. Each arrival gets a (directed link, sequence) ordering key
 // assigned at send time (duplicates included), which fixes its position
 // among same-timestamp events. The arrival joins fan when fan accepts it and
-// is otherwise its own engine event. On a local network an arrival due now,
-// on a link with nothing queued, is delivered here instead.
+// is otherwise its own engine event.
 func (n *Network) scheduleDelivery(delay sim.Duration, l *link, from, to Addr, payload any, size int, fan *delivery) {
 	if r, ok := payload.(Releasable); ok {
 		r.Ref()
 	}
-	if tr := n.eng.Tracer(); tr.Enabled() {
-		// One flight span per scheduled arrival, covering send -> arrival.
-		rec := tr.Emit(obs.PhaseSpan, int64(n.eng.Now()), int64(delay), obs.PidFabric, "net", "msg")
-		rec.K1, rec.V1 = "from", int64(from)
-		rec.K2, rec.V2 = "to", int64(to)
-		rec.K3, rec.V3 = "bytes", int64(size)
-	}
-	if n.local && delay == 0 && l.queued == 0 {
-		n.arrive(l, from, to, payload, size)
-		return
+	if n.eng.Tracer().Enabled() {
+		n.traceFlight(delay, from, to, size)
 	}
 	at := n.eng.Now().Add(delay)
 	// A joiner's earlier arrivals on its link all come strictly before the
@@ -623,8 +634,8 @@ func (n *Network) Multicast(from Addr, group []Addr, payload any, size int) {
 }
 
 // Stats returns accounting for the a->b direction: zero for a pair that
-// never carried or configured traffic. Like Profile it never materializes a
-// link, so reading stats cannot add rows to EachLink.
+// never carried or configured traffic, and any pair on a local network.
+// Like Profile it never materializes a link or adds rows to EachLink.
 func (n *Network) Stats(a, b Addr) LinkStats {
 	if l := n.link(a, b); l != nil {
 		return l.stats
@@ -639,5 +650,7 @@ func (n *Network) Totals() LinkStats { return n.totals }
 // experiment phases.
 func (n *Network) ResetTotals() {
 	n.totals = LinkStats{}
-	n.eachLink(func(_, _ Addr, l *link) { l.stats = LinkStats{} })
+	n.links.Each(func(_ Addr, row *AddrTable[*link]) {
+		row.Each(func(_ Addr, l *link) { l.stats = LinkStats{} })
+	})
 }

@@ -450,9 +450,8 @@ type EventualOptions struct {
 	Batch int
 }
 
-func (c *Cluster) ewoConfig(id uint16, opts EventualOptions, kind ewo.Kind) ewo.Config {
+func (c *Cluster) ewoConfig(opts EventualOptions, kind ewo.Kind) ewo.Config {
 	cfg := ewo.Config{
-		Reg:        id,
 		Capacity:   opts.Capacity,
 		ValueWidth: opts.ValueWidth,
 		Kind:       kind,
@@ -469,37 +468,29 @@ func (c *Cluster) ewoConfig(id uint16, opts EventualOptions, kind ewo.Kind) ewo.
 // DeclareEventual declares an EWO LWW register on every replica switch and
 // returns one handle per switch.
 func (c *Cluster) DeclareEventual(name string, opts EventualOptions) ([]*EventualRegister, error) {
-	id, err := c.allocReg(name)
-	if err != nil {
-		return nil, err
-	}
-	handles := make([]*EventualRegister, 0, len(c.instances))
-	members := make([]controller.GroupMember, 0, c.cfg.Switches)
-	for i, in := range c.instances {
-		h, err := in.NewEventualRegister(c.ewoConfig(id, opts, ewo.LWW))
-		if err != nil {
-			return nil, fmt.Errorf("swishmem: declaring %q: %w", name, err)
-		}
-		handles = append(handles, h)
-		if i < c.cfg.Switches {
-			members = append(members, h.Node())
-		}
-	}
-	c.ctrl.ManageGroup(id, members)
-	return handles[:c.cfg.Switches], nil
+	return declareEWO(c, name, c.ewoConfig(opts, ewo.LWW), (*core.Instance).NewEventualRegister)
 }
 
 // DeclareCounter declares an EWO counter register (a G-counter) on every
 // replica switch.
 func (c *Cluster) DeclareCounter(name string, opts EventualOptions) ([]*CounterRegister, error) {
+	return declareEWO(c, name, c.ewoConfig(opts, ewo.Counter), (*core.Instance).NewCounterRegister)
+}
+
+// declareEWO declares an EWO register on every switch, spares included, with
+// mk building each node from cfg under the register's ID; the replicas form
+// its group and their handles are returned.
+func declareEWO[H interface{ Node() *ewo.Node }](c *Cluster, name string, cfg ewo.Config,
+	mk func(*core.Instance, ewo.Config) (H, error)) ([]H, error) {
 	id, err := c.allocReg(name)
 	if err != nil {
 		return nil, err
 	}
-	handles := make([]*CounterRegister, 0, len(c.instances))
+	cfg.Reg = id
+	handles := make([]H, 0, len(c.instances))
 	members := make([]controller.GroupMember, 0, c.cfg.Switches)
 	for i, in := range c.instances {
-		h, err := in.NewCounterRegister(c.ewoConfig(id, opts, ewo.Counter))
+		h, err := mk(in, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("swishmem: declaring %q: %w", name, err)
 		}
