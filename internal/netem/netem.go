@@ -211,6 +211,8 @@ type Network struct {
 	// rejectHandlers maps a sender address to its ICMP-analog callback for
 	// DenyReject notifications (see SetRejectHandler).
 	rejectHandlers map[Addr]func(to Addr)
+	// unbooked takes a local network's per-link counts; nothing reads it.
+	unbooked LinkStats
 }
 
 // CorruptionChecker is called at send time for every message the
@@ -323,19 +325,18 @@ func (d *delivery) deliver() {
 	n := d.n
 	for _, t := range d.targets {
 		t.l.queued--
-		n.arrive(t.l, d.from, t.to, d.payload, d.size)
+		n.arrive(&t.l.stats, d.from, t.to, d.payload, d.size)
 	}
 	n.putDelivery(d)
 }
 
-// arrive completes one delivery: the message reaches the handler, or drops
-// if the node went down or a partition formed in flight. l is nil if local.
-func (n *Network) arrive(l *link, from, to Addr, payload any, size int) {
+// arrive completes one delivery, counted in st and the totals: the message
+// reaches the handler, or drops if the node went down or a partition formed
+// while it was in flight.
+func (n *Network) arrive(st *LinkStats, from, to Addr, payload any, size int) {
 	dst := n.nodes.Get(to)
 	if dst == nil || !dst.up || n.partitioned(from, to) {
-		if l != nil {
-			l.stats.MsgsDropped++
-		}
+		st.MsgsDropped++
 		n.totals.MsgsDropped++
 		n.traceDrop("drop.recv", from, to)
 		if r, ok := payload.(Releasable); ok {
@@ -343,10 +344,8 @@ func (n *Network) arrive(l *link, from, to Addr, payload any, size int) {
 		}
 		return
 	}
-	if l != nil {
-		l.stats.MsgsDeliv++
-		l.stats.BytesDeliv += uint64(size)
-	}
+	st.MsgsDeliv++
+	st.BytesDeliv += uint64(size)
 	n.totals.MsgsDeliv++
 	n.totals.BytesDeliv += uint64(size)
 	// The delivery's payload reference passes to the receiver here.
@@ -488,7 +487,7 @@ func (n *Network) send(from, to Addr, payload any, size int, fan *delivery) {
 		if n.eng.Tracer().Enabled() {
 			n.traceFlight(0, from, to, size)
 		}
-		n.arrive(nil, from, to, payload, size)
+		n.arrive(&n.unbooked, from, to, payload, size)
 		return
 	}
 	l := n.linkFor(from, to)
